@@ -19,6 +19,7 @@ nearest-neighbour coupling ``xi``; the only run-time controls are the biases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -89,6 +90,10 @@ class ChainSpec:
     eps_high_mhz: float | None = None
 
     def __post_init__(self):
+        for name in ("delta_mhz", "xi_mhz", "eps_high_mhz"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         if self.delta_mhz <= 0:
@@ -146,11 +151,13 @@ def build_hamiltonian(
     *,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> np.ndarray:
-    """Dense chain Hamiltonian for one bias profile.
+    """Dense chain Hamiltonian for one bias profile, as a real float64 matrix.
 
     Diagonal part: per-qubit sz biases plus the fixed sz-sz coupling between
     nearest neighbours.  Off-diagonal part: ``delta`` on every pair of indices
-    differing in exactly one bit.
+    differing in exactly one bit.  Every term is real, so the matrix is real
+    symmetric and :func:`~swapchannel.evolve.propagator` can use a real
+    eigendecomposition.
     """
     n = spec.n_qubits
     if n > max_qubits:
@@ -167,7 +174,7 @@ def build_hamiltonian(
         diag = diag + spec.xi_mhz * np.sum(z[:, :-1] * z[:, 1:], axis=1)
 
     dim = 1 << n
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim))
     h[np.arange(dim), np.arange(dim)] = diag
     idx = np.arange(dim)
     for q in range(n):

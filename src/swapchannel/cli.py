@@ -31,7 +31,6 @@ from .runner import (
     sweep_eps_high,
 )
 from .scheduler import (
-    ScheduleError,
     classical_channel_schedule,
     line_conflict_check,
     quantum_channel_schedule,
@@ -63,7 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -811,15 +810,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ScheduleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InfeasibleDesignError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # ConfigError, ScheduleError and any refusal from the library
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

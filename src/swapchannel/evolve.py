@@ -4,7 +4,12 @@ Pure states are complex vectors, mixed states are density matrices; both are
 wrapped in :class:`QuantumState` so the channel runners can treat them
 uniformly.  Propagators are built by exact diagonalisation (the Hamiltonians
 here are small and dense, so ``eigh`` is both the fastest and the most
-accurate route).
+accurate route).  The chain Hamiltonian is real symmetric, so its propagator
+comes from a real ``eigh`` and two real matrix products; complex Hermitian
+input takes the complex route.  Applying a propagator costs one
+matrix-vector product on a pure state and two matrix-matrix products on a
+density matrix, which is why the full-mode runner keeps a vector for as long
+as the state stays pure.
 """
 
 from __future__ import annotations
@@ -127,15 +132,25 @@ class QuantumState:
 
 
 def propagator(hamiltonian: np.ndarray, duration_ns: float) -> np.ndarray:
-    """Unitary ``exp(-i * 2pi*1e-3 * H * t)`` for an H in MHz and t in ns."""
-    h = np.asarray(hamiltonian, dtype=complex)
+    """Unitary ``exp(-i * 2pi*1e-3 * H * t)`` for an H in MHz and t in ns.
+
+    A real (symmetric) H is diagonalised in real arithmetic and
+    ``U = V e^{-iEt} V^T`` is assembled from two real products, its real and
+    imaginary parts; a complex Hermitian H takes the complex route.
+    """
+    h = np.asarray(hamiltonian)
     if not is_hermitian(h):
         raise ValueError("propagator requires a Hermitian matrix")
     if duration_ns < 0:
         raise ValueError(f"duration_ns must be >= 0, got {duration_ns}")
     evals, evecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * phase_angle(evals, duration_ns))
-    return (evecs * phases) @ evecs.conj().T
+    angles = phase_angle(evals, duration_ns)
+    if np.iscomplexobj(h):
+        return (evecs * np.exp(-1j * angles)) @ evecs.conj().T
+    u = np.empty(h.shape, dtype=complex)
+    u.real = (evecs * np.cos(angles)) @ evecs.T
+    u.imag = (evecs * -np.sin(angles)) @ evecs.T
+    return u
 
 
 def evolve_window(

@@ -5,8 +5,14 @@ Two execution modes share every interface:
 * ``reduced``: each intended pulse is the exact neighbour-conditioned
   two-level propagator (parked qubits frozen).  Pure states, fast, and for a
   solved phase-exact design it realises the ideal gate algebra bit for bit.
-* ``full``: density matrices evolved under the complete chain Hamiltonian,
-  window by window, with every parked-bias imperfection included.
+* ``full``: the complete (real symmetric) chain Hamiltonian, window by
+  window, with every parked-bias imperfection included.  The run starts from
+  a state vector and stays on it, windows and frame correction included,
+  until the first boundary after window 0 that carries events; there it
+  becomes a density matrix, because reads, resets and later injects act on
+  qubits that are slightly entangled with the chain and mix the state.  A
+  wire with no mid-run boundary (one state) is a vector until the final
+  read.
 
 Full-mode runs can interleave the analytic frame correction: per window, each
 unpulsed qubit accrues a known z phase ``2*pi*(bias + xi*sum z_nbr)*T*1e-3``
@@ -382,22 +388,27 @@ def run_quantum_channel(
         raise ValueError("schedule and spec disagree on n_qubits")
     states = _require_states(schedule, data_states)
 
-    if mode == "reduced":
-        branches = {"raw": QuantumState.ground(spec.n_qubits)}
-        angles = None
-    elif mode == "full":
-        branches = {"raw": QuantumState.ground(spec.n_qubits).to_mixed()}
-        angles = compute_frame_correction(schedule, spec) if frame_correction else None
-        if frame_correction:
-            branches["corrected"] = QuantumState.ground(spec.n_qubits).to_mixed()
-    else:
+    if mode not in ("reduced", "full"):
         raise ValueError(f"unknown mode {mode!r}")
+    branches = {"raw": QuantumState.ground(spec.n_qubits)}
+    angles = None
+    if mode == "full" and frame_correction:
+        angles = compute_frame_correction(schedule, spec)
+        branches["corrected"] = QuantumState.ground(spec.n_qubits)
 
     op_for = _reduced_pulse_cache(spec)
     prop_cache: dict[tuple, np.ndarray] = {}
     records: list[TransferRecord] = []
 
     def do_boundary(events, window_index):
+        # Full mode keeps a state vector until the first boundary after window
+        # 0 that carries events.  Before window 0 the register is exactly
+        # |0...0>, so a vector inject there equals the trace-and-retensor map.
+        # Later, the qubit read or injected is slightly entangled with the
+        # chain, and only the density matrix gives the exact (mixing) map.
+        if mode == "full" and events and window_index != 0:
+            for name in branches:
+                branches[name] = branches[name].to_mixed()
         for e in events:
             if e.kind == "read_reset":
                 target = states[e.data_index] if e.data_index is not None else None
@@ -426,7 +437,7 @@ def run_quantum_channel(
                     # purity is recorded above; the warning adds nothing here
                     warnings.simplefilter("ignore", ResetPurityWarning)
                     for name in branches:
-                        if branches[name].kind == "pure":
+                        if mode == "reduced":
                             branches[name] = inject_state(
                                 branches[name], e.qubit, (1.0, 0.0)
                             )
@@ -510,12 +521,9 @@ def run_classical_channel(
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0/1")
 
-    if mode == "reduced":
-        state = QuantumState.ground(spec.n_qubits)
-    elif mode == "full":
-        state = QuantumState.ground(spec.n_qubits).to_mixed()
-    else:
+    if mode not in ("reduced", "full"):
         raise ValueError(f"unknown mode {mode!r}")
+    state = QuantumState.ground(spec.n_qubits)
 
     op_for = _reduced_pulse_cache(spec)
     prop_cache: dict[tuple, np.ndarray] = {}
@@ -524,6 +532,10 @@ def run_classical_channel(
 
     def do_boundary(events, window_index):
         nonlocal state
+        # Vector until the first boundary that can mix it, as in
+        # run_quantum_channel.
+        if mode == "full" and events and window_index != 0:
+            state = state.to_mixed()
         for e in events:
             if e.kind == "read_reset":
                 if e.data_index is not None:
@@ -540,7 +552,7 @@ def run_classical_channel(
                         first_read_window.append(window_index)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", ResetPurityWarning)
-                    if state.kind == "pure":
+                    if mode == "reduced":
                         state = inject_state(state, e.qubit, (1.0, 0.0), purity_tol=1e-3)
                     else:
                         state = reset_qubit(state, e.qubit)

@@ -386,9 +386,6 @@ def classical_channel_schedule(
 # symbolic replay and validation
 # ---------------------------------------------------------------------------
 
-Symbol = "int | tuple[str, int]"  # 0, 1, or ("data", k)
-
-
 @dataclass(frozen=True)
 class Violation:
     window_index: int | None  # None = final_events
@@ -681,7 +678,7 @@ def schedule_to_json(
         if assignment is None
         else {"map": list(assignment.lines), "n_lines": assignment.n_lines},
     }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _parse_event(obj: dict) -> PulseEvent:

@@ -98,8 +98,8 @@ def solve_parameters(t_ns: float, m: int = 1, n: int = 0) -> GateDesign:
 
     Feasible iff 2M > 2N + 1.
     """
-    if t_ns <= 0:
-        raise ValueError(f"t_ns must be > 0, got {t_ns}")
+    if not (math.isfinite(t_ns) and t_ns > 0):
+        raise ValueError(f"t_ns must be finite and > 0, got {t_ns}")
     if m < 1 or n < 0:
         raise InfeasibleDesignError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
     disc = 4 * m * m - (2 * n + 1) ** 2
@@ -114,8 +114,8 @@ def solve_parameters(t_ns: float, m: int = 1, n: int = 0) -> GateDesign:
 
 def solve_for_timestep(delta_mhz: float, m: int = 1, n: int = 0) -> GateDesign:
     """Same operating point, but parameterised by ``delta`` instead of T."""
-    if delta_mhz <= 0:
-        raise ValueError(f"delta_mhz must be > 0, got {delta_mhz}")
+    if not (math.isfinite(delta_mhz) and delta_mhz > 0):
+        raise ValueError(f"delta_mhz must be finite and > 0, got {delta_mhz}")
     t_ns = 250.0 * (2 * n + 1) / delta_mhz
     return solve_parameters(t_ns, m=m, n=n)
 

@@ -79,6 +79,14 @@ class TestChainSpec:
         with pytest.raises(ValueError):
             ChainSpec(n_qubits=3, delta_mhz=1.0, xi_mhz=-1.0)
 
+    @pytest.mark.parametrize("field", ["delta_mhz", "xi_mhz", "eps_high_mhz"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"n_qubits": 3, "delta_mhz": 1.0, "xi_mhz": 1.0, "eps_high_mhz": 100.0}
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            ChainSpec(**kwargs)
+
 
 class TestTwoLevelParams:
     def test_matrix(self):

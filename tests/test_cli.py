@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from conftest import chain_for
 from swapchannel import PulseEvent, PulseSchedule, Window, schedule_to_json, swap_pulses
-from swapchannel.cli import main
+from swapchannel.cli import _dump_json, main
 
 BUNDLED = ("fig2_quantum_wire", "fig4_classical_wire", "table1_copy")
 
@@ -46,6 +46,18 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", "--t-ns", "10", "--m", "1", "--n", "1")
         assert code == 2
         assert "infeasible" in err
+
+    @pytest.mark.parametrize("flag", ["--t-ns", "--delta-mhz"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_input_exits_1(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "solve", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
+    def test_reports_are_strict_json(self):
+        with pytest.raises(ValueError):
+            _dump_json({"fidelity": float("nan")})
 
     def test_requires_exactly_one_anchor(self, capsys):
         code, _, err = run_cli(capsys, "solve")
@@ -90,6 +102,17 @@ class TestScheduleAndValidate:
         )
         assert code == 0
         assert json.loads(out)["format"].startswith("swapchannel-schedule/")
+
+    def test_non_finite_parking_bias_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "wire.json"
+        code, _, err = run_cli(
+            capsys,
+            "schedule", "--kind", "quantum", "--n-qubits", "5", "--n-states", "1",
+            "--eps-high-mhz", "nan", "--out", str(path),
+        )
+        assert code == 1
+        assert "eps_high_mhz" in err
+        assert not path.exists()
 
     def test_missing_kind_arguments(self, capsys):
         code, _, err = run_cli(capsys, "schedule", "--kind", "quantum", "--n-qubits", "5")
@@ -302,6 +325,15 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
         assert code == 1
         assert "norm" in err
+
+    def test_library_refusal_exits_1_without_traceback(self, capsys, tmp_path):
+        # 13 qubits passes config validation but is above the dense full-mode cap.
+        cfg = {"experiment": "quantum_wire", "n_qubits": 13, "mode": "full", "seed": 1}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error:") and "13-qubit" in err
 
     def test_unknown_config_name(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -90,6 +90,23 @@ class TestPropagator:
                     propagator(h, t), expm_propagator(h, t), atol=1e-9
                 )
 
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["real_symmetric", "complex_hermitian"])
+    def test_real_and_complex_routes_match_expm_oracle(self, rng, n_qubits, kind):
+        h = random_hermitian(rng, 2**n_qubits) * 30.0
+        if kind == "real_symmetric":
+            h = h.real
+        else:
+            assert np.abs(h.imag).max() > 1.0
+        for t in (0.0, 3.7, 10.0):
+            assert_allclose(propagator(h, t), expm_propagator(h, t), atol=1e-9)
+
+    def test_chain_hamiltonian_matches_expm_oracle(self, design):
+        spec = chain_for(design, 6, eps_high=25000.0)
+        biases = [25000.0, 0.0, 25000.0, 25000.0, 0.0, 25000.0]
+        h = build_hamiltonian(spec, biases)
+        assert_allclose(propagator(h, design.t_ns), expm_propagator(h, design.t_ns), atol=1e-9)
+
     def test_composition(self, rng):
         h = random_hermitian(rng, 4) * 10.0
         assert_allclose(

@@ -7,17 +7,22 @@ from numpy.testing import assert_allclose
 
 from conftest import chain_for, random_qubit_amplitudes
 from oracles import expm_propagator, kron_hamiltonian
+import swapchannel.runner as runner
 from swapchannel import (
     PulseEvent,
     PulseSchedule,
+    QuantumState,
     ScheduleError,
     Window,
+    apply_unitary,
+    build_hamiltonian,
     classical_channel_schedule,
     compute_frame_correction,
     copy_truth_table,
     ideal_cnot,
     infidelity_slope,
     phase_angle,
+    propagator,
     quantum_channel_schedule,
     run_classical_channel,
     run_gate_experiment,
@@ -86,6 +91,27 @@ def oracle_full_corrected(spec, schedule, states, angles):
         rho = d[:, None] * rho * d.conj()[None, :]
     boundary(schedule.final_events, None)
     return records, float(np.real(np.trace(rho)))
+
+
+@pytest.fixture()
+def dense_run(monkeypatch):
+    """Call a runner with every state started as a density matrix.
+
+    That is the dense full-mode path: inject, windows, frame and reads all
+    act on rho, so it is the reference for the state-vector path.
+    """
+    ground = QuantumState.ground.__func__
+
+    def run(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(
+                QuantumState,
+                "ground",
+                classmethod(lambda cls, n: ground(cls, n).to_mixed()),
+            )
+            return fn(*args, **kwargs)
+
+    return run
 
 
 class TestGateExperiment:
@@ -275,6 +301,42 @@ class TestQuantumChannel:
             assert_allclose(rec.phase_error_corrected, phase, atol=1e-9)
         assert_allclose(report.final_trace, trace, atol=1e-9)
 
+    @pytest.mark.parametrize("n_states", [1, 3])
+    def test_vector_path_matches_dense_path(self, design, rng, dense_run, n_states):
+        spec = chain_for(design, 5, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, n_states, design.t_ns)
+        late_injects = [
+            i
+            for i, w in enumerate(sch.windows)
+            if i > 0 and any(e.kind == "inject" for e in w.events)
+        ]
+        # One state: no boundary before the final read.  Three states: the
+        # later injects are where the vector becomes a density matrix.
+        assert bool(late_injects) == (n_states > 1)
+        states = [np.array(random_qubit_amplitudes(rng)) for _ in range(n_states)]
+        fast = run_quantum_channel(spec, sch, states, mode="full")
+        dense = dense_run(run_quantum_channel, spec, sch, states, mode="full")
+        assert len(fast.records) == len(dense.records) == n_states
+        for got, want in zip(fast.records, dense.records):
+            assert (got.data_index, got.window_index) == (want.data_index, want.window_index)
+            for field in (
+                "fidelity_raw",
+                "fidelity_corrected",
+                "phase_error_raw",
+                "phase_error_corrected",
+                "purity_raw",
+                "purity_corrected",
+            ):
+                assert_allclose(getattr(got, field), getattr(want, field), atol=1e-9)
+        assert_allclose(fast.final_trace, dense.final_trace, atol=1e-9)
+        angles = compute_frame_correction(sch, spec)
+        expected, trace = oracle_full_corrected(spec, sch, states, angles)
+        for rec, (idx, fid, phase) in zip(fast.records, expected):
+            assert rec.data_index == idx
+            assert_allclose(rec.fidelity_corrected, fid, atol=1e-9)
+            assert_allclose(rec.phase_error_corrected, phase, atol=1e-9)
+        assert_allclose(fast.final_trace, trace, atol=1e-9)
+
     def test_no_reset_warnings_escape(self, design, rng):
         spec = chain_for(design, 5, eps_high=SNAP_EPS)
         sch, _ = quantum_channel_schedule(spec, 2, design.t_ns)
@@ -330,6 +392,19 @@ class TestClassicalChannel:
         assert report.min_margin > 0.99
         assert report.latency_sequences == 3
 
+    def test_vector_path_matches_dense_path(self, design, dense_run):
+        spec = chain_for(design, 6, eps_high=SNAP_EPS)
+        bits = (1, 0, 1, 1)
+        sch, _ = classical_channel_schedule(spec, bits, design.t_ns)
+        fast = run_classical_channel(spec, sch, bits, mode="full")
+        dense = dense_run(run_classical_channel, spec, sch, bits, mode="full")
+        assert fast.bits_out == dense.bits_out == bits
+        assert len(fast.records) == len(dense.records) == len(bits)
+        for got, want in zip(fast.records, dense.records):
+            assert (got.data_index, got.window_index) == (want.data_index, want.window_index)
+            assert_allclose(got.p_one, want.p_one, atol=1e-9)
+        assert_allclose(fast.min_margin, dense.min_margin, atol=1e-9)
+
     def test_latency_scales_with_chain_length(self, design):
         for L in (4, 8):
             spec = chain_for(design, L, eps_high=SNAP_EPS)
@@ -356,3 +431,47 @@ class TestClassicalChannel:
             run_classical_channel(spec, sch, [1], mode="other")
         with pytest.raises(ValueError):
             run_classical_channel(chain_for(design, 4), sch, [1])
+
+
+class TestFullModeFastPath:
+    """Structural guards: full mode diagonalises real matrices and keeps a
+    one-state wire on a state vector for every window."""
+
+    def test_chain_hamiltonian_is_float64(self, design):
+        h = build_hamiltonian(chain_for(design, 4, eps_high=SNAP_EPS), [SNAP_EPS] * 4)
+        assert h.dtype == np.float64
+
+    def test_one_state_wire_applies_every_window_to_a_vector(
+        self, design, monkeypatch
+    ):
+        kinds = []
+
+        def spy(state, u):
+            kinds.append(state.kind)
+            return apply_unitary(state, u)
+
+        monkeypatch.setattr(runner, "apply_unitary", spy)
+        spec = chain_for(design, 6, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, 1, design.t_ns)
+        run_quantum_channel(spec, sch, [np.array([0.6, 0.8j])], mode="full")
+        # raw and frame-corrected branches, one call each per window
+        assert len(kinds) == 2 * sch.n_windows
+        assert set(kinds) == {"pure"}
+
+    def test_propagator_never_diagonalises_a_complex_chain_hamiltonian(
+        self, design, monkeypatch
+    ):
+        dtypes = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        spec = chain_for(design, 5, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, 2, design.t_ns)
+        for w in sch.windows:
+            propagator(build_hamiltonian(spec, w.biases_mhz), w.duration_ns)
+        assert len(dtypes) == sch.n_windows
+        assert not any(np.issubdtype(dt, np.complexfloating) for dt in dtypes)

@@ -365,6 +365,11 @@ class TestScheduleSerialisation:
         assert parsed == sch
         assert parsed_lines is None
 
+    def test_refuses_non_finite_biases(self, design):
+        window = Window(start_ns=0.0, duration_ns=design.t_ns, biases_mhz=(float("nan"), 0.0))
+        with pytest.raises(ValueError):
+            schedule_to_json(PulseSchedule(n_qubits=2, windows=(window,)), None)
+
     def test_output_is_stable_text(self, design):
         spec = chain_for(design, 3)
         sch = swap_pulses(spec, 0, 1, design.t_ns)

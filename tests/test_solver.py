@@ -48,6 +48,13 @@ class TestSolveParameters:
         with pytest.raises(ValueError):
             solve_parameters(10.0, n=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            solve_parameters(value)
+        with pytest.raises(ValueError, match="finite"):
+            solve_for_timestep(value)
+
     def test_solve_for_timestep_round_trip(self, design):
         d = solve_for_timestep(design.delta_mhz, m=1, n=0)
         assert_allclose(d.t_ns, design.t_ns, rtol=1e-12)
