@@ -122,6 +122,12 @@ class TwoLevelParams:
     delta_mhz: float
     effective_bias_mhz: float
 
+    def __post_init__(self):
+        for name in ("delta_mhz", "effective_bias_mhz"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+
     def hamiltonian(self) -> np.ndarray:
         return np.array(
             [

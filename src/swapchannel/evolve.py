@@ -9,7 +9,9 @@ comes from a real ``eigh`` and two real matrix products; complex Hermitian
 input takes the complex route.  Applying a propagator costs one
 matrix-vector product on a pure state and two matrix-matrix products on a
 density matrix, which is why the full-mode runner keeps a vector for as long
-as the state stays pure.
+as the state stays pure.  Reduced-mode wire runs do not use these dense
+states; they run on :class:`~swapchannel.mps.MPS`, which keeps the inject
+contract of :func:`inject_state`.
 """
 
 from __future__ import annotations
@@ -264,6 +266,22 @@ def reset_qubit(state: QuantumState, qubit: int) -> QuantumState:
     return _replace_qubit(state, qubit, ket0)
 
 
+def _checked_amplitudes(amplitudes: Sequence[complex]) -> np.ndarray:
+    target = np.asarray(amplitudes, dtype=complex)
+    if target.shape != (2,):
+        raise ValueError(f"amplitudes must have shape (2,), got {target.shape}")
+    if abs(np.linalg.norm(target) - 1.0) > 1e-9:
+        raise ValueError("injected amplitudes must be normalised within 1e-9")
+    return target
+
+
+def _require_separable(qubit: int, purity: float, purity_tol: float) -> None:
+    if purity < 1.0 - purity_tol:
+        raise EntanglementError(
+            f"qubit {qubit} has reduced purity {purity:.6f}; refusing to inject"
+        )
+
+
 def inject_state(
     state: QuantumState,
     qubit: int,
@@ -277,16 +295,9 @@ def inject_state(
     ``purity_tol`` (injection would silently corrupt correlations).  Pure
     states stay pure.
     """
-    target = np.asarray(amplitudes, dtype=complex)
-    if target.shape != (2,):
-        raise ValueError(f"amplitudes must have shape (2,), got {target.shape}")
-    if abs(np.linalg.norm(target) - 1.0) > 1e-9:
-        raise ValueError("injected amplitudes must be normalised within 1e-9")
+    target = _checked_amplitudes(amplitudes)
     rho2, purity = reduced_state(state, qubit)
-    if purity < 1.0 - purity_tol:
-        raise EntanglementError(
-            f"qubit {qubit} has reduced purity {purity:.6f}; refusing to inject"
-        )
+    _require_separable(qubit, purity, purity_tol)
     if state.kind == "pure":
         pre, post = _axes(state, qubit)
         evals, evecs = np.linalg.eigh(rho2)

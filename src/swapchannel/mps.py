@@ -1,0 +1,204 @@
+"""Exact matrix-product state of a qubit chain, for the reduced model.
+
+A reduced-mode pulse acts on (left, target, right) and is diagonal in the
+neighbours, and the scheduler keeps in-flight data three sites apart with
+parked |0> between them.  No cut of the chain then carries more than one
+entangled pair, so the state is an MPS of bond dimension <= 2 and a wire
+costs O(L) rather than O(2^L) (Vidal, PRL 91, 147902 (2003); Schollwoeck,
+Ann. Phys. 326, 96 (2011)).  Nothing here assumes that bound: a schedule
+that entangles more simply grows the bonds.
+
+Tensors have shape ``(left bond, 2, right bond)`` and contract, left to
+right, to the amplitude vector in the chain's basis ordering (qubit 0 is the
+most significant bit).  The state is kept in mixed-canonical form: tensors
+left of the orthogonality centre are left isometries and tensors right of it
+right isometries, so the centre tensor carries the whole norm.  A one-qubit
+read or inject moves the centre to its qubit (one small SVD per site
+crossed) and then touches that tensor only.  A k-local operator contracts its k sites,
+applies the operator and splits back by k - 1 SVDs, dropping only singular
+values below ``TRUNCATION_RTOL`` of the largest.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from .evolve import PURITY_TOLERANCE, _checked_amplitudes, _require_separable
+
+__all__ = ["TRUNCATION_RTOL", "MPS"]
+
+#: Singular values below this fraction of the largest are dropped in a split.
+TRUNCATION_RTOL = 1e-14
+
+
+class MPS:
+    """Pure state of ``n_qubits`` qubits as a mixed-canonical MPS.
+
+    Operations update the state in place.  ``max_bond`` is the largest bond
+    dimension any split has produced; ``discarded_weight`` is the summed
+    squared weight of the singular values dropped, each split's share taken
+    relative to the norm of the state it split.
+    """
+
+    def __init__(self, tensors: Sequence[np.ndarray], center: int = 0):
+        self.tensors = [np.asarray(t, dtype=complex) for t in tensors]
+        if not self.tensors or not 0 <= center < len(self.tensors):
+            raise ValueError(f"centre {center} out of range for {len(self.tensors)} tensors")
+        self.center = center
+        self.max_bond = max(t.shape[2] for t in self.tensors)
+        self.discarded_weight = 0.0
+
+    @classmethod
+    def ground(cls, n_qubits: int) -> "MPS":
+        """Product state |0...0>."""
+        if n_qubits < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+        ket0 = np.zeros((1, 2, 1), dtype=complex)
+        ket0[0, 0, 0] = 1.0
+        return cls([ket0.copy() for _ in range(n_qubits)])
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.tensors)
+
+    def trace(self) -> float:
+        """Squared norm of the state (1 for a normalised state)."""
+        c = self.tensors[self.center]
+        return float(np.vdot(c, c).real)
+
+    # -- gauge ----------------------------------------------------------------
+
+    def _move_center(self, site: int) -> None:
+        t = self.tensors
+        while self.center < site:
+            c = self.center
+            dl, _, dr = t[c].shape
+            u, s, vh = self._svd(t[c].reshape(2 * dl, dr))
+            t[c] = u.reshape(dl, 2, -1)
+            t[c + 1] = ((s[:, None] * vh) @ t[c + 1].reshape(dr, -1)).reshape(s.size, 2, -1)
+            self.center = c + 1
+        while self.center > site:
+            c = self.center
+            dl, _, dr = t[c].shape
+            u, s, vh = self._svd(t[c].reshape(dl, 2 * dr))
+            t[c] = vh.reshape(-1, 2, dr)
+            t[c - 1] = (t[c - 1].reshape(-1, dl) @ (u * s)).reshape(-1, 2, s.size)
+            self.center = c - 1
+
+    def _svd(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD, truncated at ``TRUNCATION_RTOL``; updates the counters.
+
+        A single row or column (a product cut) is its own SVD: norm times
+        unit vector.
+        """
+        if 1 in m.shape:
+            norm = np.linalg.norm(m)
+            one = np.ones((1, 1))
+            if m.shape[1] == 1:
+                return m / norm, np.array([norm]), one
+            return one, np.array([norm]), m / norm
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        keep = int(np.count_nonzero(s > TRUNCATION_RTOL * s[0]))
+        if keep < s.size:
+            s2 = s * s
+            self.discarded_weight += float(s2[keep:].sum() / s2.sum())
+            u, s, vh = u[:, :keep], s[:keep], vh[:keep]
+        self.max_bond = max(self.max_bond, keep)
+        return u, s, vh
+
+    # -- operations -------------------------------------------------------------
+
+    def apply(self, op: np.ndarray, first_qubit: int) -> None:
+        """Apply an operator on ``k`` adjacent qubits starting at ``first_qubit``.
+
+        The operator is a 2^k x 2^k matrix in chain ordering over those
+        qubits.  The centre is brought to the nearer end of the block and
+        leaves from the other end, so a sweep of operators in either
+        direction crosses each site once.
+        """
+        op = np.asarray(op)
+        d = op.shape[0]
+        if op.ndim != 2 or op.shape[1] != d or d < 2 or d & (d - 1):
+            raise ValueError(f"local operator must be square with power-of-2 dim, got {op.shape}")
+        k = d.bit_length() - 1
+        last = first_qubit + k - 1
+        if first_qubit < 0 or last >= self.n_qubits:
+            raise ValueError(
+                f"qubits [{first_qubit}, {last + 1}) out of range for n={self.n_qubits}"
+            )
+        rightward = self.center <= first_qubit
+        self._move_center(first_qubit if rightward else last)
+
+        t = self.tensors
+        dl, dr = t[first_qubit].shape[0], t[last].shape[2]
+        theta = t[first_qubit]
+        for i in range(first_qubit + 1, last + 1):
+            theta = theta.reshape(-1, t[i].shape[0]) @ t[i].reshape(t[i].shape[0], -1)
+        theta = op @ theta.reshape(dl, d, dr)
+
+        if rightward:
+            for i in range(first_qubit, last):
+                u, s, vh = self._svd(theta.reshape(2 * dl, -1))
+                t[i] = u.reshape(dl, 2, -1)
+                dl = s.size
+                theta = s[:, None] * vh
+            t[last] = theta.reshape(dl, 2, dr)
+            self.center = last
+        else:
+            for i in range(last, first_qubit, -1):
+                u, s, vh = self._svd(theta.reshape(-1, 2 * dr))
+                t[i] = vh.reshape(-1, 2, dr)
+                dr = s.size
+                theta = u * s
+            t[first_qubit] = theta.reshape(dl, 2, dr)
+            self.center = first_qubit
+
+    def apply_layer(self, ops: Sequence[tuple[np.ndarray, int]]) -> None:
+        """Apply ``(op, first_qubit)`` pairs in order, as :meth:`apply` does.
+
+        Operators on pairwise disjoint, ascending blocks commute, so such a
+        layer is swept from whichever end is nearer the centre: consecutive
+        layers then sweep back and forth instead of first returning the
+        centre across the chain.
+        """
+        ends = [first + np.asarray(op).shape[0].bit_length() - 2 for op, first in ops]
+        disjoint = all(ends[i] < ops[i + 1][1] for i in range(len(ops) - 1))
+        if disjoint and ops and abs(ends[-1] - self.center) < abs(ops[0][1] - self.center):
+            ops = ops[::-1]
+        for op, first in ops:
+            self.apply(op, first)
+
+    def reduced_state(self, qubit: int) -> tuple[np.ndarray, float]:
+        """(2x2 reduced density matrix, its purity) for one qubit."""
+        if not 0 <= qubit < self.n_qubits:
+            raise ValueError(f"qubit {qubit} out of range for n={self.n_qubits}")
+        self._move_center(qubit)
+        m = self.tensors[qubit].transpose(1, 0, 2).reshape(2, -1)
+        rho2 = m @ m.conj().T
+        return rho2, float(np.trace(rho2 @ rho2).real)
+
+    def inject(
+        self,
+        qubit: int,
+        amplitudes: Sequence[complex],
+        *,
+        purity_tol: float = PURITY_TOLERANCE,
+    ) -> None:
+        """Overwrite one separable qubit with a fresh single-qubit pure state.
+
+        Same contract as :func:`~swapchannel.evolve.inject_state`: raises
+        :class:`~swapchannel.evolve.EntanglementError` (leaving the state
+        untouched) if the qubit's purity is below ``1 - purity_tol``;
+        otherwise the qubit is projected on its dominant local state, the
+        rest renormalised and ``amplitudes`` tensored in.
+        """
+        target = _checked_amplitudes(amplitudes)
+        rho2, purity = self.reduced_state(qubit)
+        _require_separable(qubit, purity, purity_tol)
+        evals, evecs = np.linalg.eigh(rho2)
+        local = evecs[:, int(np.argmax(evals))]
+        rest = local.conj() @ self.tensors[qubit]
+        rest = rest / np.linalg.norm(rest)
+        self.tensors[qubit] = rest[:, None, :] * target[None, :, None]

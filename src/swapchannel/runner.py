@@ -3,8 +3,11 @@
 Two execution modes share every interface:
 
 * ``reduced``: each intended pulse is the exact neighbour-conditioned
-  two-level propagator (parked qubits frozen).  Pure states, fast, and for a
-  solved phase-exact design it realises the ideal gate algebra bit for bit.
+  two-level propagator at the window's bias for the pulsed qubit (parked
+  qubits frozen).  For a solved phase-exact design it realises the ideal gate
+  algebra bit for bit.  Wire runs keep the pure state as an exact
+  matrix-product state (:class:`~swapchannel.mps.MPS`), whose bonds stay at
+  dimension 2 on designed schedules, so a wire costs O(L), not O(2^L).
 * ``full``: the complete (real symmetric) chain Hamiltonian, window by
   window, with every parked-bias imperfection included.  The run starts from
   a state vector and stays on it, windows and frame correction included,
@@ -32,16 +35,15 @@ from .chain import ChainSpec, build_hamiltonian, phase_angle, wrap_phase
 from .evolve import (
     QuantumState,
     ResetPurityWarning,
-    apply_local_unitary,
     apply_unitary,
     inject_state,
     propagator,
     reduced_state,
     reset_qubit,
-    sample_probability,
 )
 from .gates import ideal_cnot, reduced_pulse_operator
-from .scheduler import PulseSchedule, ScheduleError, replay_occupancy
+from .mps import MPS
+from .scheduler import PulseSchedule, ScheduleError, Window, replay_occupancy
 from .solver import GateDesign
 
 __all__ = [
@@ -316,8 +318,22 @@ class TransferReport:
         return min(r.fidelity_corrected for r in self.records)
 
 
-def _read_metrics(state: QuantumState, qubit: int, target: np.ndarray):
-    rho2, purity = reduced_state(state, qubit)
+def _reduced_state(state: QuantumState | MPS, qubit: int) -> tuple[np.ndarray, float]:
+    if isinstance(state, MPS):
+        return state.reduced_state(qubit)
+    return reduced_state(state, qubit)
+
+
+def _inject(state: QuantumState | MPS, qubit: int, amplitudes, purity_tol: float):
+    """``inject_state`` for either state; an MPS is updated in place."""
+    if isinstance(state, MPS):
+        state.inject(qubit, amplitudes, purity_tol=purity_tol)
+        return state
+    return inject_state(state, qubit, amplitudes, purity_tol=purity_tol)
+
+
+def _read_metrics(state: QuantumState | MPS, qubit: int, target: np.ndarray):
+    rho2, purity = _reduced_state(state, qubit)
     fid = float(np.real(target.conj() @ rho2 @ target))
     if min(abs(target[0]), abs(target[1])) > 1e-6:
         phase = wrap_phase(
@@ -329,23 +345,24 @@ def _read_metrics(state: QuantumState, qubit: int, target: np.ndarray):
 
 
 def _reduced_pulse_cache(spec: ChainSpec):
+    """``op_for(qubit, window)``: the pulse operator at the window's bias for
+    that qubit, and the first qubit it acts on."""
     cache: dict[tuple, np.ndarray] = {}
 
-    def op_for(qubit: int, duration_ns: float) -> tuple[np.ndarray, int]:
+    def op_for(qubit: int, window: Window) -> tuple[np.ndarray, int]:
         has_left = qubit > 0
         has_right = qubit < spec.n_qubits - 1
-        bias = spec.xi_mhz if not (has_left and has_right) else 0.0
-        key = (has_left, has_right, bias, duration_ns)
+        key = (has_left, has_right, window.biases_mhz[qubit], window.duration_ns)
         if key not in cache:
             cache[key] = reduced_pulse_operator(
                 spec.delta_mhz,
                 spec.xi_mhz,
-                bias,
-                duration_ns,
+                window.biases_mhz[qubit],
+                window.duration_ns,
                 has_left=has_left,
                 has_right=has_right,
             )
-        return cache[key], qubit - (1 if has_left else 0)
+        return cache[key], qubit - has_left
 
     return op_for
 
@@ -390,7 +407,8 @@ def run_quantum_channel(
 
     if mode not in ("reduced", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    branches = {"raw": QuantumState.ground(spec.n_qubits)}
+    ground = MPS.ground if mode == "reduced" else QuantumState.ground
+    branches = {"raw": ground(spec.n_qubits)}
     angles = None
     if mode == "full" and frame_correction:
         angles = compute_frame_correction(schedule, spec)
@@ -417,7 +435,7 @@ def run_quantum_channel(
                     if target is not None:
                         metrics[name] = _read_metrics(branches[name], e.qubit, target)
                     else:
-                        purity = reduced_state(branches[name], e.qubit)[1]
+                        purity = _reduced_state(branches[name], e.qubit)[1]
                         metrics[name] = (float("nan"), 0.0, purity)
                 raw = metrics["raw"]
                 cor = metrics.get("corrected", raw)
@@ -438,25 +456,21 @@ def run_quantum_channel(
                     warnings.simplefilter("ignore", ResetPurityWarning)
                     for name in branches:
                         if mode == "reduced":
-                            branches[name] = inject_state(
-                                branches[name], e.qubit, (1.0, 0.0)
-                            )
+                            branches[name].inject(e.qubit, (1.0, 0.0))
                         else:
                             branches[name] = reset_qubit(branches[name], e.qubit)
             elif e.kind == "inject":
                 if e.data_index is None:
                     raise ValueError("inject events must carry a data_index")
                 for name in branches:
-                    branches[name] = inject_state(
-                        branches[name], e.qubit, states[e.data_index], purity_tol=purity_tol
+                    branches[name] = _inject(
+                        branches[name], e.qubit, states[e.data_index], purity_tol
                     )
 
     for i, window in enumerate(schedule.windows):
         do_boundary(window.boundary_events(), i)
         if mode == "reduced":
-            for q in window.gate_targets():
-                op, first = op_for(q, window.duration_ns)
-                branches["raw"] = apply_local_unitary(branches["raw"], op, first)
+            branches["raw"].apply_layer([op_for(q, window) for q in window.gate_targets()])
         else:
             key = (window.biases_mhz, window.duration_ns)
             if key not in prop_cache:
@@ -523,7 +537,7 @@ def run_classical_channel(
 
     if mode not in ("reduced", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    state = QuantumState.ground(spec.n_qubits)
+    state = (MPS.ground if mode == "reduced" else QuantumState.ground)(spec.n_qubits)
 
     op_for = _reduced_pulse_cache(spec)
     prop_cache: dict[tuple, np.ndarray] = {}
@@ -539,7 +553,7 @@ def run_classical_channel(
         for e in events:
             if e.kind == "read_reset":
                 if e.data_index is not None:
-                    p1 = sample_probability(state, e.qubit)
+                    p1 = float(_reduced_state(state, e.qubit)[0][1, 1].real)
                     records.append(
                         ClassicalRecord(
                             data_index=e.data_index,
@@ -553,7 +567,7 @@ def run_classical_channel(
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", ResetPurityWarning)
                     if mode == "reduced":
-                        state = inject_state(state, e.qubit, (1.0, 0.0), purity_tol=1e-3)
+                        state.inject(e.qubit, (1.0, 0.0), purity_tol=1e-3)
                     else:
                         state = reset_qubit(state, e.qubit)
             elif e.kind == "inject":
@@ -561,14 +575,12 @@ def run_classical_channel(
                     raise ValueError("inject events must carry a data_index")
                 bit = bits[e.data_index]
                 amps = (0.0, 1.0) if bit else (1.0, 0.0)
-                state = inject_state(state, e.qubit, amps, purity_tol=1e-3)
+                state = _inject(state, e.qubit, amps, 1e-3)
 
     for i, window in enumerate(schedule.windows):
         do_boundary(window.boundary_events(), i)
         if mode == "reduced":
-            for q in window.gate_targets():
-                op, first = op_for(q, window.duration_ns)
-                state = apply_local_unitary(state, op, first)
+            state.apply_layer([op_for(q, window) for q in window.gate_targets()])
         else:
             key = (window.biases_mhz, window.duration_ns)
             if key not in prop_cache:

@@ -13,6 +13,7 @@ the line-sharing rules and the idle-phase frame corrections all need.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -683,11 +684,41 @@ def schedule_to_json(
 
 def _parse_event(obj: dict) -> PulseEvent:
     try:
-        return PulseEvent(
+        event = PulseEvent(
             kind=obj["kind"], qubit=obj["qubit"], data_index=obj.get("data_index")
         )
     except (KeyError, TypeError) as exc:
         raise ScheduleError(f"malformed event object {obj!r}") from exc
+    if event.kind == "inject" and event.data_index is None:
+        raise ScheduleError(f"inject event on qubit {event.qubit} has no data_index")
+    return event
+
+
+def _parse_window(obj: dict, index: int, previous_end_ns: float) -> Window:
+    """One window object; refuses non-finite or negative times and biases, and
+    a window that starts before the previous one ends (beyond 1e-9 ns)."""
+    start = float(obj["start_ns"])
+    duration = float(obj["duration_ns"])
+    biases = tuple(map(float, obj["biases_mhz"]))
+    for name, value in (("start_ns", start), ("duration_ns", duration)):
+        if not math.isfinite(value):
+            raise ScheduleError(f"window {index}: {name} must be finite, got {value!r}")
+    if not all(map(math.isfinite, biases)):
+        bad = next(b for b in biases if not math.isfinite(b))
+        raise ScheduleError(f"window {index}: biases_mhz must be finite, got {bad!r}")
+    if duration < 0:
+        raise ScheduleError(f"window {index}: duration_ns must be >= 0, got {duration!r}")
+    if start < previous_end_ns - 1e-9:
+        raise ScheduleError(
+            f"window {index} starts at {start!r} ns, before the previous window "
+            f"ends at {previous_end_ns!r} ns"
+        )
+    return Window(
+        start_ns=start,
+        duration_ns=duration,
+        biases_mhz=biases,
+        events=tuple(_parse_event(e) for e in obj["events"]),
+    )
 
 
 def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]:
@@ -698,18 +729,14 @@ def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]
     if not isinstance(obj, dict) or obj.get("format") != _FORMAT_TAG:
         raise ScheduleError(f"not a {_FORMAT_TAG} document")
     try:
-        windows = tuple(
-            Window(
-                start_ns=float(w["start_ns"]),
-                duration_ns=float(w["duration_ns"]),
-                biases_mhz=tuple(float(b) for b in w["biases_mhz"]),
-                events=tuple(_parse_event(e) for e in w["events"]),
-            )
-            for w in obj["windows"]
-        )
+        windows: list[Window] = []
+        end_ns = -math.inf
+        for i, w in enumerate(obj["windows"]):
+            windows.append(_parse_window(w, i, end_ns))
+            end_ns = windows[-1].start_ns + windows[-1].duration_ns
         schedule = PulseSchedule(
             n_qubits=int(obj["n_qubits"]),
-            windows=windows,
+            windows=tuple(windows),
             final_events=tuple(_parse_event(e) for e in obj["final_events"]),
             label=str(obj.get("label", "")),
         )

@@ -29,3 +29,28 @@ def random_qubit_amplitudes(rng: np.random.Generator) -> tuple[complex, complex]
     vec = np.array([raw[0] + 1j * raw[1], raw[2] + 1j * raw[3]])
     vec /= np.linalg.norm(vec)
     return complex(vec[0]), complex(vec[1])
+
+
+@pytest.fixture()
+def mps_spy(monkeypatch) -> list:
+    """Every MPS the runners create during the test, in creation order."""
+    import swapchannel.runner as runner
+    from swapchannel.mps import MPS
+
+    created = []
+
+    class Spy(MPS):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(runner, "MPS", Spy)
+    return created
+
+
+def mps_vector(mps) -> np.ndarray:
+    """Contract an MPS to its 2^L amplitude vector (tests only)."""
+    v = mps.tensors[0]
+    for t in mps.tensors[1:]:
+        v = v.reshape(-1, t.shape[0]) @ t.reshape(t.shape[0], -1)
+    return v.reshape(-1)

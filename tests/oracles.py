@@ -1,11 +1,25 @@
-"""Independently written reference implementations used to cross-check the
-package.  Everything here deliberately avoids the package's own construction
-paths: Hamiltonians are built by explicit Kronecker sums, propagators by
-scipy's scaling-and-squaring exponential, and two-level propagators by the
-closed-form Rabi rotation."""
+"""Reference implementations used to cross-check the package.
+
+The chain oracles deliberately avoid the package's own construction paths:
+Hamiltonians are built by explicit Kronecker sums, propagators by scipy's
+scaling-and-squaring exponential, and two-level propagators by the
+closed-form Rabi rotation.  The dense reduced-mode replay is the package's
+former reduced path (dense vector, local einsums), kept as the reference the
+matrix-product-state backend must reproduce."""
 
 import numpy as np
 import scipy.linalg
+
+from swapchannel import (
+    QuantumState,
+    apply_local_unitary,
+    inject_state,
+    reduced_pulse_operator,
+    reduced_state,
+    sample_probability,
+    wrap_phase,
+)
+from swapchannel.evolve import PURITY_TOLERANCE
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -43,3 +57,97 @@ def rabi_u2(delta: float, sigma: float, t_ns: float) -> np.ndarray:
         return np.eye(2, dtype=complex)
     axis = (delta * _SX + sigma * _SZ) / omega
     return np.cos(theta) * np.eye(2, dtype=complex) - 1j * np.sin(theta) * axis
+
+
+def dense_reduced_replay(spec, schedule, inject_amplitudes, on_read, *, inject_tol, read_tol):
+    """Reduced-mode run of ``schedule`` on a dense 2^L state vector.
+
+    This is the dense path the runners used before the MPS backend, kept as
+    the reference it must match: ``QuantumState`` + ``apply_local_unitary`` +
+    ``inject_state``, with each pulse the ``reduced_pulse_operator`` at the
+    window's bias for the pulsed qubit.  ``inject_amplitudes(data_index)``
+    gives the amplitudes an inject writes; ``on_read(state, event, window)``
+    sees the state before each read_reset re-prepares |0>.  Returns the final
+    state.
+    """
+    n = spec.n_qubits
+    state = QuantumState.ground(n)
+
+    def boundary(events, window_index):
+        nonlocal state
+        for e in events:
+            if e.kind == "read_reset":
+                on_read(state, e, window_index)
+                state = inject_state(state, e.qubit, (1.0, 0.0), purity_tol=read_tol)
+            elif e.kind == "inject":
+                amps = inject_amplitudes(e.data_index)
+                state = inject_state(state, e.qubit, amps, purity_tol=inject_tol)
+
+    for i, window in enumerate(schedule.windows):
+        boundary(window.boundary_events(), i)
+        for q in window.gate_targets():
+            has_left, has_right = q > 0, q < n - 1
+            op = reduced_pulse_operator(
+                spec.delta_mhz,
+                spec.xi_mhz,
+                window.biases_mhz[q],
+                window.duration_ns,
+                has_left=has_left,
+                has_right=has_right,
+            )
+            state = apply_local_unitary(state, op, q - has_left)
+    boundary(schedule.final_events, None)
+    return state
+
+
+def dense_reduced_wire(spec, schedule, states, *, purity_tol=1e-3):
+    """Reduced-mode quantum wire on a dense vector: ``(records, final_state)``
+    with one ``(data_index, window_index, fidelity, phase_error, purity)``
+    tuple per read, computed as ``run_quantum_channel`` grades a read."""
+    states = [np.asarray(s, dtype=complex) for s in states]
+    records = []
+
+    def on_read(state, e, w):
+        rho2, purity = reduced_state(state, e.qubit)
+        if e.data_index is None:
+            records.append((-1, w, float("nan"), 0.0, purity))
+            return
+        target = states[e.data_index]
+        fid = float(np.real(target.conj() @ rho2 @ target))
+        if min(abs(target[0]), abs(target[1])) > 1e-6:
+            phase = wrap_phase(
+                float(np.angle(target[0] * np.conj(target[1])) - np.angle(rho2[0, 1]))
+            )
+        else:
+            phase = 0.0
+        records.append((e.data_index, w, fid, phase, purity))
+
+    final = dense_reduced_replay(
+        spec,
+        schedule,
+        lambda i: states[i],
+        on_read,
+        inject_tol=purity_tol,
+        read_tol=PURITY_TOLERANCE,
+    )
+    return records, final
+
+
+def dense_reduced_bits(spec, schedule, bits):
+    """Reduced-mode bit pipeline on a dense vector: one
+    ``(data_index, window_index, p_one)`` per data read, sorted by data index."""
+    reads = []
+
+    def on_read(state, e, w):
+        if e.data_index is not None:
+            reads.append((e.data_index, w, sample_probability(state, e.qubit)))
+
+    dense_reduced_replay(
+        spec,
+        schedule,
+        lambda i: (0.0, 1.0) if bits[i] else (1.0, 0.0),
+        on_read,
+        inject_tol=1e-3,
+        read_tol=1e-3,
+    )
+    return sorted(reads)

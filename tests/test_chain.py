@@ -96,6 +96,14 @@ class TestTwoLevelParams:
     def test_splitting(self):
         assert_allclose(TwoLevelParams(3.0, 4.0).splitting_mhz, 5.0)
 
+    @pytest.mark.parametrize("field", ["delta_mhz", "effective_bias_mhz"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"delta_mhz": 3.0, "effective_bias_mhz": 4.0}
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TwoLevelParams(**kwargs)
+
 
 class TestBuildHamiltonian:
     def test_single_qubit(self):

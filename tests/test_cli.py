@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,70 @@ class TestScheduleAndValidate:
         assert code == 1
 
 
+def _edit_biases(doc, value):
+    doc["windows"][2]["biases_mhz"][1] = value
+
+
+def _edit_start(doc, value):
+    doc["windows"][2]["start_ns"] = value
+
+
+def _edit_duration(doc, value):
+    doc["windows"][2]["duration_ns"] = value
+
+
+def _overlap(doc):
+    doc["windows"][2]["start_ns"] = doc["windows"][1]["start_ns"] + 1.0
+
+
+def _inject_without_data(doc):
+    doc["windows"][0]["events"][0]["data_index"] = None
+
+
+class TestValidateRefusesBadScheduleFiles:
+    """Hand-edited schedule files that validated ok before, now exit 1."""
+
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            (lambda d: _edit_biases(d, float("nan")), "biases_mhz must be finite"),
+            (lambda d: _edit_biases(d, float("inf")), "biases_mhz must be finite"),
+            (lambda d: _edit_start(d, float("nan")), "start_ns must be finite"),
+            (lambda d: _edit_duration(d, float("inf")), "duration_ns must be finite"),
+            (lambda d: _edit_duration(d, -10.0), "duration_ns must be >= 0"),
+            (_overlap, "before the previous window ends"),
+            (_inject_without_data, "has no data_index"),
+        ],
+        ids=["nan-bias", "inf-bias", "nan-start", "inf-duration", "negative-duration",
+             "overlap", "inject-null-data-index"],
+    )
+    def test_exits_1_with_message(self, capsys, tmp_path, edit, fragment):
+        code, out, _ = run_cli(
+            capsys, "schedule", "--kind", "quantum", "--n-qubits", "5", "--n-states", "1"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["windows"][0]["events"][0]["kind"] == "inject"
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", "--schedule", str(path))
+        assert code == 1
+        assert out == ""
+        assert fragment in err
+
+    def test_windows_that_touch_within_rounding_are_accepted(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "schedule", "--kind", "quantum", "--n-qubits", "5", "--n-states", "1"
+        )
+        doc = json.loads(out)
+        doc["windows"][2]["start_ns"] -= 1e-10
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        code, _, _ = run_cli(capsys, "validate", "--schedule", str(path))
+        assert code == 0
+
+
 class TestTraceCommand:
     def test_csv_columns_agree(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
@@ -201,6 +266,25 @@ class TestTraceCommand:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--delta-mhz", "nan", "delta_mhz"), ("--bias-mhz", "inf", "effective_bias_mhz")],
+    )
+    def test_non_finite_parameters_exit_1(self, capsys, tmp_path, flag, value, field):
+        args = {"--delta-mhz": "10", "--bias-mhz": "0", flag: value}
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(
+                capsys,
+                "trace", "--delta-mhz", args["--delta-mhz"], "--bias-mhz", args["--bias-mhz"],
+                "--duration-ns", "10", "--out", str(out),
+            )
+        assert code == 1
+        assert f"{field} must be finite, got {value}" in err
+        assert "Hermitian" not in err
+        assert not out.exists()
 
     def test_zero_samples_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(

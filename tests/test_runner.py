@@ -1,4 +1,5 @@
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import chain_for, random_qubit_amplitudes
-from oracles import expm_propagator, kron_hamiltonian
+from oracles import dense_reduced_wire, expm_propagator, kron_hamiltonian
 import swapchannel.runner as runner
 from swapchannel import (
     PulseEvent,
@@ -27,6 +28,8 @@ from swapchannel import (
     run_classical_channel,
     run_gate_experiment,
     run_quantum_channel,
+    schedule_from_json,
+    schedule_to_json,
     swap_pulses,
     sweep_eps_high,
     wrap_phase,
@@ -336,6 +339,42 @@ class TestQuantumChannel:
             assert_allclose(rec.fidelity_corrected, fid, atol=1e-9)
             assert_allclose(rec.phase_error_corrected, phase, atol=1e-9)
         assert_allclose(fast.final_trace, trace, atol=1e-9)
+
+    def test_reduced_mode_takes_pulse_bias_from_the_window(self, design, rng):
+        # Hand-edit one pulse's bias in the schedule file: reduced mode must
+        # simulate the edited schedule, not re-derive the bias from position.
+        # The first pulse acts on the injected state with its neighbour in
+        # |0>, so the edit rotates the state without entangling it.
+        spec = chain_for(design, 5, eps_high=SNAP_EPS)
+        sch, lines = quantum_channel_schedule(spec, 2, design.t_ns)
+        doc = json.loads(schedule_to_json(sch, lines))
+        assert sch.windows[0].gate_targets() == (0,)
+        doc["windows"][0]["biases_mhz"][0] += 7.5
+        edited, _ = schedule_from_json(json.dumps(doc))
+        states = [np.array(random_qubit_amplitudes(rng)) for _ in range(2)]
+        report = run_quantum_channel(spec, edited, states, mode="reduced")
+        expected, final = dense_reduced_wire(spec, edited, states)
+        for rec, (idx, w, fid, phase, purity) in zip(report.records, expected):
+            assert (rec.data_index, rec.window_index) == (idx, w)
+            assert_allclose(rec.fidelity_raw, fid, rtol=0, atol=1e-12)
+            assert_allclose(rec.phase_error_raw, phase, rtol=0, atol=1e-12)
+            assert_allclose(rec.purity_raw, purity, rtol=0, atol=1e-12)
+        assert_allclose(report.final_trace, final.trace(), rtol=0, atol=1e-12)
+        assert report.records[0].fidelity_raw < 0.99  # the edit does matter
+
+    @pytest.mark.parametrize("n_qubits", [5, 7, 9, 11, 13, 41])
+    def test_reduced_transfer_on_long_wires(self, design, rng, mps_spy, n_qubits):
+        # The wires criterion 9 line-checks, simulated: exact transfer with
+        # bond dimension 2 and nothing but round-off truncated.
+        spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, 2, design.t_ns)
+        states = [np.array(random_qubit_amplitudes(rng)) for _ in range(2)]
+        report = run_quantum_channel(spec, sch, states, mode="reduced")
+        assert [r.data_index for r in report.records] == [0, 1]
+        assert report.min_fidelity_raw >= 1.0 - 1e-9
+        (mps,) = mps_spy
+        assert mps.max_bond <= 2
+        assert mps.discarded_weight < 1e-20
 
     def test_no_reset_warnings_escape(self, design, rng):
         spec = chain_for(design, 5, eps_high=SNAP_EPS)
