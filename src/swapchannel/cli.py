@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from importlib import resources
 
 import numpy as np
@@ -135,15 +136,20 @@ def _resolve_eps(design: GateDesign, value) -> float:
     return float(value)
 
 
-def _cmd_schedule(args) -> int:
-    design = solve_parameters(args.t_ns, m=args.m, n=args.n)
-    eps = _resolve_eps(design, args.eps_high_mhz if args.eps_high_mhz else "snap_1000x_delta")
+def _chain_setup(cfg: dict, n_qubits: int) -> tuple[GateDesign, float, ChainSpec]:
+    """(design, parking bias, chain) from the ``t_ns``/``m``/``n``/``eps_high_mhz``
+    settings of a config or command line."""
+    design = solve_parameters(cfg["t_ns"], m=cfg["m"], n=cfg["n"])
+    eps = _resolve_eps(design, cfg["eps_high_mhz"])
     spec = ChainSpec(
-        n_qubits=args.n_qubits,
-        delta_mhz=design.delta_mhz,
-        xi_mhz=design.xi_mhz,
-        eps_high_mhz=eps,
+        n_qubits=n_qubits, delta_mhz=design.delta_mhz, xi_mhz=design.xi_mhz, eps_high_mhz=eps
     )
+    return design, eps, spec
+
+
+def _cmd_schedule(args) -> int:
+    eps = args.eps_high_mhz or "snap_1000x_delta"
+    _, _, spec = _chain_setup(vars(args) | {"eps_high_mhz": eps}, args.n_qubits)
     if args.kind == "quantum":
         if args.n_states is None:
             raise ConfigError("--n-states is required for a quantum schedule")
@@ -436,20 +442,36 @@ def _assert_results(checks: list[tuple[str, bool, str]]) -> dict:
     }
 
 
+def _schedule_section(schedule, lines, cfg: dict, out_dir: str) -> tuple[dict, list]:
+    """A wire report's ``"schedule"`` object and its replay and line checks;
+    writes the schedule file if the config names one."""
+    violations = validate_sacrificial(schedule)
+    line_report = line_conflict_check(schedule, lines)
+    if cfg["outputs"]["schedule"]:
+        _write_text(
+            os.path.join(out_dir, cfg["outputs"]["schedule"]),
+            schedule_to_json(schedule, lines),
+        )
+    obj = {
+        "n_windows": schedule.n_windows,
+        "makespan_ns": schedule.makespan_ns,
+        "pulse_count": schedule.pulse_count,
+        "n_lines": lines.n_lines,
+        "violations": [_violation_obj(v) for v in violations],
+        "line_problems": list(line_report.problems),
+    }
+    checks = [
+        ("schedule_replay_clean", not violations, f"{len(violations)} violations"),
+        ("line_check_ok", line_report.ok, "; ".join(line_report.problems) or "ok"),
+    ]
+    return obj, checks
+
+
 def _run_quantum_wire(cfg: dict, out_dir: str) -> tuple[dict, list]:
-    design = solve_parameters(cfg["t_ns"], m=cfg["m"], n=cfg["n"])
-    eps = _resolve_eps(design, cfg["eps_high_mhz"])
-    spec = ChainSpec(
-        n_qubits=cfg["n_qubits"],
-        delta_mhz=design.delta_mhz,
-        xi_mhz=design.xi_mhz,
-        eps_high_mhz=eps,
-    )
+    design, eps, spec = _chain_setup(cfg, cfg["n_qubits"])
     schedule, lines = quantum_channel_schedule(
         spec, cfg["n_states"], cfg["t_ns"], line_mode=cfg["line_mode"]
     )
-    violations = validate_sacrificial(schedule)
-    line_report = line_conflict_check(schedule, lines)
     states = (
         _random_states(cfg["n_states"], cfg["seed"])
         if cfg["states"] == "random"
@@ -477,10 +499,7 @@ def _run_quantum_wire(cfg: dict, out_dir: str) -> tuple[dict, list]:
             "final_trace": report.final_trace,
         }
 
-    checks = [
-        ("schedule_replay_clean", not violations, f"{len(violations)} violations"),
-        ("line_check_ok", line_report.ok, "; ".join(line_report.problems) or "ok"),
-    ]
+    schedule_obj, checks = _schedule_section(schedule, lines, cfg, out_dir)
     a = cfg["assertions"]
     if "min_reduced_fidelity" in a and "reduced" in results:
         worst = results["reduced"]["min_fidelity_corrected"]
@@ -518,36 +537,15 @@ def _run_quantum_wire(cfg: dict, out_dir: str) -> tuple[dict, list]:
         "eps_high_mhz": eps,
         "n_qubits": spec.n_qubits,
         "states": [_state_obj(s) for s in states],
-        "schedule": {
-            "n_windows": schedule.n_windows,
-            "makespan_ns": schedule.makespan_ns,
-            "pulse_count": schedule.pulse_count,
-            "n_lines": lines.n_lines,
-            "violations": [_violation_obj(v) for v in violations],
-            "line_problems": list(line_report.problems),
-        },
+        "schedule": schedule_obj,
         "results": results,
     }
-    if cfg["outputs"]["schedule"]:
-        _write_text(
-            os.path.join(out_dir, cfg["outputs"]["schedule"]),
-            schedule_to_json(schedule, lines),
-        )
     return report_obj, checks
 
 
 def _run_classical_wire(cfg: dict, out_dir: str) -> tuple[dict, list]:
-    design = solve_parameters(cfg["t_ns"], m=cfg["m"], n=cfg["n"])
-    eps = _resolve_eps(design, cfg["eps_high_mhz"])
-    spec = ChainSpec(
-        n_qubits=cfg["n_qubits"],
-        delta_mhz=design.delta_mhz,
-        xi_mhz=design.xi_mhz,
-        eps_high_mhz=eps,
-    )
+    design, eps, spec = _chain_setup(cfg, cfg["n_qubits"])
     schedule, lines = classical_channel_schedule(spec, cfg["bits"], cfg["t_ns"])
-    violations = validate_sacrificial(schedule)
-    line_report = line_conflict_check(schedule, lines)
 
     results = {}
     for mode in cfg["modes"]:
@@ -557,21 +555,10 @@ def _run_classical_wire(cfg: dict, out_dir: str) -> tuple[dict, list]:
             "ok": report.ok,
             "latency_sequences": report.latency_sequences,
             "min_margin": report.min_margin,
-            "records": [
-                {
-                    "data_index": r.data_index,
-                    "window_index": r.window_index,
-                    "p_one": r.p_one,
-                    "bit": r.bit,
-                }
-                for r in report.records
-            ],
+            "records": [asdict(r) for r in report.records],
         }
 
-    checks = [
-        ("schedule_replay_clean", not violations, f"{len(violations)} violations"),
-        ("line_check_ok", line_report.ok, "; ".join(line_report.problems) or "ok"),
-    ]
+    schedule_obj, checks = _schedule_section(schedule, lines, cfg, out_dir)
     a = cfg["assertions"]
     if a.get("require_echo"):
         for mode in cfg["modes"]:
@@ -599,42 +586,19 @@ def _run_classical_wire(cfg: dict, out_dir: str) -> tuple[dict, list]:
         "eps_high_mhz": eps,
         "n_qubits": spec.n_qubits,
         "bits_in": list(cfg["bits"]),
-        "schedule": {
-            "n_windows": schedule.n_windows,
-            "makespan_ns": schedule.makespan_ns,
-            "pulse_count": schedule.pulse_count,
-            "n_lines": lines.n_lines,
-            "violations": [_violation_obj(v) for v in violations],
-            "line_problems": list(line_report.problems),
-        },
+        "schedule": schedule_obj,
         "results": results,
     }
-    if cfg["outputs"]["schedule"]:
-        _write_text(
-            os.path.join(out_dir, cfg["outputs"]["schedule"]),
-            schedule_to_json(schedule, lines),
-        )
     return report_obj, checks
 
 
 def _run_copy_table(cfg: dict, out_dir: str) -> tuple[dict, list]:
-    design = solve_parameters(cfg["t_ns"], m=cfg["m"], n=cfg["n"])
-    eps = _resolve_eps(design, cfg["eps_high_mhz"])
-    spec = ChainSpec(
-        n_qubits=3, delta_mhz=design.delta_mhz, xi_mhz=design.xi_mhz, eps_high_mhz=eps
-    )
+    design, eps, spec = _chain_setup(cfg, 3)
     results = {}
     for mode in cfg["modes"]:
         rows = copy_truth_table(spec, design, mode=mode)
         results[mode] = {
-            "rows": [
-                {
-                    "initial": list(r.initial),
-                    "expected": list(r.expected),
-                    "fidelity": r.fidelity,
-                }
-                for r in rows
-            ],
+            "rows": [asdict(r) for r in rows],
             "min_fidelity": min(r.fidelity for r in rows),
         }
     checks = []
@@ -658,11 +622,7 @@ def _run_copy_table(cfg: dict, out_dir: str) -> tuple[dict, list]:
 
 
 def _run_gate(cfg: dict, out_dir: str) -> tuple[dict, list]:
-    design = solve_parameters(cfg["t_ns"], m=cfg["m"], n=cfg["n"])
-    eps = _resolve_eps(design, cfg["eps_high_mhz"])
-    spec = ChainSpec(
-        n_qubits=3, delta_mhz=design.delta_mhz, xi_mhz=design.xi_mhz, eps_high_mhz=eps
-    )
+    design, eps, spec = _chain_setup(cfg, 3)
     results = {}
     for mode in cfg["modes"]:
         report = run_gate_experiment(spec, design, mode=mode)
@@ -682,14 +642,7 @@ def _run_gate(cfg: dict, out_dir: str) -> tuple[dict, list]:
         points = sweep_eps_high(design, cfg["eps_grid"])
         slope = infidelity_slope(points)
         sweep_obj = {
-            "points": [
-                {
-                    "eps_high_mhz": p.eps_high_mhz,
-                    "worst_infidelity": p.worst_infidelity,
-                    "distance": p.distance,
-                }
-                for p in points
-            ],
+            "points": [asdict(p) for p in points],
             "slope": slope,
         }
     checks = []

@@ -1,13 +1,17 @@
 """Experiment drivers: execute schedules and report fidelities.
 
-Two execution modes share every interface:
+Both channel runners drive one engine, :func:`_execute`, which applies the
+schedule window by window and reads, resets and injects at the boundaries;
+a runner only grades or thresholds the reads.  It has two modes:
 
 * ``reduced``: each intended pulse is the exact neighbour-conditioned
   two-level propagator at the window's bias for the pulsed qubit (parked
   qubits frozen).  For a solved phase-exact design it realises the ideal gate
   algebra bit for bit.  Wire runs keep the pure state as an exact
   matrix-product state (:class:`~swapchannel.mps.MPS`), whose bonds stay at
-  dimension 2 on designed schedules, so a wire costs O(L), not O(2^L).
+  dimension 2 on designed schedules, so a wire costs O(L), not O(2^L).  A
+  reset keeps the read qubit's dominant local branch, so an entangled read
+  shows in its purity; only injects refuse entanglement.
 * ``full``: the complete (real symmetric) chain Hamiltonian, window by
   window, with every parked-bias imperfection included.  The run starts from
   a state vector and stays on it, windows and frame correction included,
@@ -15,7 +19,7 @@ Two execution modes share every interface:
   becomes a density matrix, because reads, resets and later injects act on
   qubits that are slightly entangled with the chain and mix the state.  A
   wire with no mid-run boundary (one state) is a vector until the final
-  read.
+  read.  Resets trace the qubit out.
 
 Full-mode runs can interleave the analytic frame correction: per window, each
 unpulsed qubit accrues a known z phase ``2*pi*(bias + xi*sum z_nbr)*T*1e-3``
@@ -31,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, build_hamiltonian, phase_angle, wrap_phase
+from .chain import ChainSpec, _z_values, build_hamiltonian, phase_angle, wrap_phase
 from .evolve import (
     QuantumState,
     ResetPurityWarning,
@@ -266,13 +270,7 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
 
 def _frame_diagonal(angles_row: np.ndarray, n_qubits: int) -> np.ndarray:
     """Diagonal of exp(+i * sum_q angles[q] * sz_q) over the full space."""
-    dim = 1 << n_qubits
-    idx = np.arange(dim)
-    total = np.zeros(dim)
-    for q in range(n_qubits):
-        z = 1 - 2 * ((idx >> (n_qubits - 1 - q)) & 1)
-        total = total + angles_row[q] * z
-    return np.exp(1j * total)
+    return np.exp(1j * (_z_values(n_qubits) * angles_row).sum(axis=1))
 
 
 def _apply_frame(state: QuantumState, diag: np.ndarray) -> QuantumState:
@@ -332,16 +330,14 @@ def _inject(state: QuantumState | MPS, qubit: int, amplitudes, purity_tol: float
     return inject_state(state, qubit, amplitudes, purity_tol=purity_tol)
 
 
-def _read_metrics(state: QuantumState | MPS, qubit: int, target: np.ndarray):
-    rho2, purity = _reduced_state(state, qubit)
-    fid = float(np.real(target.conj() @ rho2 @ target))
-    if min(abs(target[0]), abs(target[1])) > 1e-6:
-        phase = wrap_phase(
-            float(np.angle(target[0] * np.conj(target[1])) - np.angle(rho2[0, 1]))
-        )
-    else:
-        phase = 0.0
-    return fid, phase, purity
+def _reset(state: QuantumState | MPS, qubit: int):
+    """Re-prepare a read qubit in |0>, even if it is still entangled."""
+    if isinstance(state, MPS):
+        return _inject(state, qubit, (1.0, 0.0), purity_tol=1.0)
+    with warnings.catch_warnings():
+        # the read reports the purity; the warning adds nothing here
+        warnings.simplefilter("ignore", ResetPurityWarning)
+        return reset_qubit(state, qubit)
 
 
 def _reduced_pulse_cache(spec: ChainSpec):
@@ -369,10 +365,12 @@ def _reduced_pulse_cache(spec: ChainSpec):
 
 def _require_states(schedule: PulseSchedule, data_states: Sequence) -> list[np.ndarray]:
     indices = set()
-    for w in schedule.windows:
-        for e in w.events:
-            if e.kind == "inject" and e.data_index is not None:
-                indices.add(e.data_index)
+    events = [e for w in schedule.windows for e in w.events] + list(schedule.final_events)
+    for e in events:
+        if e.kind == "inject":
+            if e.data_index is None:
+                raise ValueError("inject events must carry a data_index")
+            indices.add(e.data_index)
     states = [np.asarray(s, dtype=complex) for s in data_states]
     if indices and (min(indices) < 0 or max(indices) >= len(states)):
         raise ValueError(
@@ -383,6 +381,96 @@ def _require_states(schedule: PulseSchedule, data_states: Sequence) -> list[np.n
         if s.shape != (2,) or abs(np.linalg.norm(s) - 1.0) > 1e-9:
             raise ValueError("each data state must be a normalised 2-vector")
     return states
+
+
+def _execute(
+    spec: ChainSpec,
+    schedule: PulseSchedule,
+    data_states: Sequence,
+    on_read,
+    *,
+    mode: str,
+    purity_tol: float,
+    frame_correction: bool = False,
+) -> QuantumState | MPS:
+    """Run ``schedule`` from |0...0> and return the final lab-frame state.
+
+    Every read_reset first calls ``on_read(event, window_index, reads)``,
+    where ``reads`` maps each branch to the read qubit's ``(rho2, purity)``:
+    ``"raw"`` always, and ``"corrected"`` in a full-mode run with
+    ``frame_correction``, whose copy of the state has each window's idle
+    phases undone.  The qubit is then reset (:func:`_reset`).  Injects write
+    ``data_states[event.data_index]`` and refuse a qubit whose purity is
+    below ``1 - purity_tol``.
+    """
+    if schedule.n_qubits != spec.n_qubits:
+        raise ValueError("schedule and spec disagree on n_qubits")
+    states = _require_states(schedule, data_states)
+    if mode not in ("reduced", "full"):
+        raise ValueError(f"unknown mode {mode!r}")
+    reduced = mode == "reduced"
+
+    # Both ground states are looked up per call, so tests can substitute them.
+    branches = {"raw": (MPS.ground if reduced else QuantumState.ground)(spec.n_qubits)}
+    angles = None
+    if frame_correction and not reduced:
+        angles = compute_frame_correction(schedule, spec)
+        branches["corrected"] = QuantumState.ground(spec.n_qubits)
+
+    op_for = _reduced_pulse_cache(spec)
+    prop_cache: dict[tuple, np.ndarray] = {}
+
+    def do_boundary(events, window_index):
+        # Full mode keeps a state vector until the first boundary after window
+        # 0 that carries events.  Before window 0 the register is exactly
+        # |0...0>, so a vector inject there equals the trace-and-retensor map.
+        # Later, the qubit read or injected is slightly entangled with the
+        # chain, and only the density matrix gives the exact (mixing) map.
+        if not reduced and events and window_index != 0:
+            for name in branches:
+                branches[name] = branches[name].to_mixed()
+        for e in events:
+            if e.kind == "read_reset":
+                reads = {name: _reduced_state(s, e.qubit) for name, s in branches.items()}
+                on_read(e, window_index, reads)
+                for name in branches:
+                    branches[name] = _reset(branches[name], e.qubit)
+            elif e.kind == "inject":
+                for name in branches:
+                    branches[name] = _inject(
+                        branches[name], e.qubit, states[e.data_index], purity_tol
+                    )
+
+    for i, window in enumerate(schedule.windows):
+        do_boundary(window.boundary_events(), i)
+        if reduced:
+            branches["raw"].apply_layer([op_for(q, window) for q in window.gate_targets()])
+            continue
+        key = (window.biases_mhz, window.duration_ns)
+        if key not in prop_cache:
+            h = build_hamiltonian(spec, window.biases_mhz)
+            prop_cache[key] = propagator(h, window.duration_ns)
+        for name in branches:
+            branches[name] = apply_unitary(branches[name], prop_cache[key])
+        if angles is not None:
+            diag = _frame_diagonal(angles[i], spec.n_qubits)
+            branches["corrected"] = _apply_frame(branches["corrected"], diag)
+    do_boundary(schedule.final_events, None)
+    return branches["raw"]
+
+
+def _grade(rho2: np.ndarray, purity: float, target: np.ndarray | None):
+    """(fidelity, phase error, purity) of a read against its data state."""
+    if target is None:
+        return float("nan"), 0.0, purity
+    fid = float(np.real(target.conj() @ rho2 @ target))
+    if min(abs(target[0]), abs(target[1])) > 1e-6:
+        phase = wrap_phase(
+            float(np.angle(target[0] * np.conj(target[1])) - np.angle(rho2[0, 1]))
+        )
+    else:
+        phase = 0.0
+    return fid, phase, purity
 
 
 def run_quantum_channel(
@@ -401,89 +489,35 @@ def run_quantum_channel(
     and the corrected column has the per-window idle-phase correction
     interleaved.
     """
-    if schedule.n_qubits != spec.n_qubits:
-        raise ValueError("schedule and spec disagree on n_qubits")
-    states = _require_states(schedule, data_states)
-
-    if mode not in ("reduced", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
-    ground = MPS.ground if mode == "reduced" else QuantumState.ground
-    branches = {"raw": ground(spec.n_qubits)}
-    angles = None
-    if mode == "full" and frame_correction:
-        angles = compute_frame_correction(schedule, spec)
-        branches["corrected"] = QuantumState.ground(spec.n_qubits)
-
-    op_for = _reduced_pulse_cache(spec)
-    prop_cache: dict[tuple, np.ndarray] = {}
+    targets = [np.asarray(s, dtype=complex) for s in data_states]
     records: list[TransferRecord] = []
 
-    def do_boundary(events, window_index):
-        # Full mode keeps a state vector until the first boundary after window
-        # 0 that carries events.  Before window 0 the register is exactly
-        # |0...0>, so a vector inject there equals the trace-and-retensor map.
-        # Later, the qubit read or injected is slightly entangled with the
-        # chain, and only the density matrix gives the exact (mixing) map.
-        if mode == "full" and events and window_index != 0:
-            for name in branches:
-                branches[name] = branches[name].to_mixed()
-        for e in events:
-            if e.kind == "read_reset":
-                target = states[e.data_index] if e.data_index is not None else None
-                metrics = {}
-                for name in branches:
-                    if target is not None:
-                        metrics[name] = _read_metrics(branches[name], e.qubit, target)
-                    else:
-                        purity = _reduced_state(branches[name], e.qubit)[1]
-                        metrics[name] = (float("nan"), 0.0, purity)
-                raw = metrics["raw"]
-                cor = metrics.get("corrected", raw)
-                records.append(
-                    TransferRecord(
-                        data_index=e.data_index if e.data_index is not None else -1,
-                        window_index=window_index,
-                        fidelity_raw=raw[0],
-                        fidelity_corrected=cor[0],
-                        phase_error_raw=raw[1],
-                        phase_error_corrected=cor[1],
-                        purity_raw=raw[2],
-                        purity_corrected=cor[2],
-                    )
-                )
-                with warnings.catch_warnings():
-                    # purity is recorded above; the warning adds nothing here
-                    warnings.simplefilter("ignore", ResetPurityWarning)
-                    for name in branches:
-                        if mode == "reduced":
-                            branches[name].inject(e.qubit, (1.0, 0.0))
-                        else:
-                            branches[name] = reset_qubit(branches[name], e.qubit)
-            elif e.kind == "inject":
-                if e.data_index is None:
-                    raise ValueError("inject events must carry a data_index")
-                for name in branches:
-                    branches[name] = _inject(
-                        branches[name], e.qubit, states[e.data_index], purity_tol
-                    )
+    def on_read(e, window_index, reads):
+        target = targets[e.data_index] if e.data_index is not None else None
+        raw = _grade(*reads["raw"], target)
+        cor = _grade(*reads["corrected"], target) if "corrected" in reads else raw
+        records.append(
+            TransferRecord(
+                data_index=e.data_index if e.data_index is not None else -1,
+                window_index=window_index,
+                fidelity_raw=raw[0],
+                fidelity_corrected=cor[0],
+                phase_error_raw=raw[1],
+                phase_error_corrected=cor[1],
+                purity_raw=raw[2],
+                purity_corrected=cor[2],
+            )
+        )
 
-    for i, window in enumerate(schedule.windows):
-        do_boundary(window.boundary_events(), i)
-        if mode == "reduced":
-            branches["raw"].apply_layer([op_for(q, window) for q in window.gate_targets()])
-        else:
-            key = (window.biases_mhz, window.duration_ns)
-            if key not in prop_cache:
-                h = build_hamiltonian(spec, window.biases_mhz)
-                prop_cache[key] = propagator(h, window.duration_ns)
-            u = prop_cache[key]
-            for name in branches:
-                branches[name] = apply_unitary(branches[name], u)
-            if angles is not None:
-                diag = _frame_diagonal(angles[i], spec.n_qubits)
-                branches["corrected"] = _apply_frame(branches["corrected"], diag)
-    do_boundary(schedule.final_events, None)
-
+    final = _execute(
+        spec,
+        schedule,
+        targets,
+        on_read,
+        mode=mode,
+        purity_tol=purity_tol,
+        frame_correction=frame_correction,
+    )
     n_states = len({r.data_index for r in records if r.data_index >= 0})
     return TransferReport(
         mode=mode,
@@ -492,7 +526,7 @@ def run_quantum_channel(
         makespan_ns=schedule.makespan_ns,
         pulse_count=schedule.pulse_count,
         records=tuple(records),
-        final_trace=branches["raw"].trace(),
+        final_trace=final.trace(),
     )
 
 
@@ -529,79 +563,38 @@ def run_classical_channel(
 
     Latency is counted in two-window repeats up to the first read.
     """
-    if schedule.n_qubits != spec.n_qubits:
-        raise ValueError("schedule and spec disagree on n_qubits")
     bits = [int(b) for b in bits]
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0/1")
-
-    if mode not in ("reduced", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
-    state = (MPS.ground if mode == "reduced" else QuantumState.ground)(spec.n_qubits)
-
-    op_for = _reduced_pulse_cache(spec)
-    prop_cache: dict[tuple, np.ndarray] = {}
     records: list[ClassicalRecord] = []
-    first_read_window: list[int | None] = []
 
-    def do_boundary(events, window_index):
-        nonlocal state
-        # Vector until the first boundary that can mix it, as in
-        # run_quantum_channel.
-        if mode == "full" and events and window_index != 0:
-            state = state.to_mixed()
-        for e in events:
-            if e.kind == "read_reset":
-                if e.data_index is not None:
-                    p1 = float(_reduced_state(state, e.qubit)[0][1, 1].real)
-                    records.append(
-                        ClassicalRecord(
-                            data_index=e.data_index,
-                            window_index=window_index,
-                            p_one=p1,
-                            bit=int(p1 > 0.5),
-                        )
-                    )
-                    if not first_read_window:
-                        first_read_window.append(window_index)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", ResetPurityWarning)
-                    if mode == "reduced":
-                        state.inject(e.qubit, (1.0, 0.0), purity_tol=1e-3)
-                    else:
-                        state = reset_qubit(state, e.qubit)
-            elif e.kind == "inject":
-                if e.data_index is None:
-                    raise ValueError("inject events must carry a data_index")
-                bit = bits[e.data_index]
-                amps = (0.0, 1.0) if bit else (1.0, 0.0)
-                state = _inject(state, e.qubit, amps, 1e-3)
+    def on_read(e, window_index, reads):
+        if e.data_index is not None:
+            p1 = float(reads["raw"][0][1, 1].real)
+            records.append(
+                ClassicalRecord(
+                    data_index=e.data_index,
+                    window_index=window_index,
+                    p_one=p1,
+                    bit=int(p1 > 0.5),
+                )
+            )
 
-    for i, window in enumerate(schedule.windows):
-        do_boundary(window.boundary_events(), i)
-        if mode == "reduced":
-            state.apply_layer([op_for(q, window) for q in window.gate_targets()])
-        else:
-            key = (window.biases_mhz, window.duration_ns)
-            if key not in prop_cache:
-                h = build_hamiltonian(spec, window.biases_mhz)
-                prop_cache[key] = propagator(h, window.duration_ns)
-            state = apply_unitary(state, prop_cache[key])
-    do_boundary(schedule.final_events, None)
+    amplitudes = [(0.0, 1.0) if b else (1.0, 0.0) for b in bits]
+    _execute(spec, schedule, amplitudes, on_read, mode=mode, purity_tol=1e-3)
 
+    first_read_window = records[0].window_index if records else None
+    if first_read_window is None:
+        first_read_window = schedule.n_windows
     records.sort(key=lambda r: r.data_index)
     bits_out = tuple(r.bit for r in records)
-    if first_read_window and first_read_window[0] is not None:
-        latency = first_read_window[0] // 2
-    else:
-        latency = schedule.n_windows // 2
     return ClassicalReport(
         mode=mode,
         n_qubits=spec.n_qubits,
         bits_in=tuple(bits),
         bits_out=bits_out,
         ok=bits_out == tuple(bits),
-        latency_sequences=latency,
+        latency_sequences=first_read_window // 2,
         makespan_ns=schedule.makespan_ns,
         pulse_count=schedule.pulse_count,
         records=tuple(records),

@@ -100,10 +100,12 @@ def dense_reduced_replay(spec, schedule, inject_amplitudes, on_read, *, inject_t
     return state
 
 
-def dense_reduced_wire(spec, schedule, states, *, purity_tol=1e-3):
+def dense_reduced_wire(spec, schedule, states, *, purity_tol=1e-3, read_tol=PURITY_TOLERANCE):
     """Reduced-mode quantum wire on a dense vector: ``(records, final_state)``
     with one ``(data_index, window_index, fidelity, phase_error, purity)``
-    tuple per read, computed as ``run_quantum_channel`` grades a read."""
+    tuple per read, computed as ``run_quantum_channel`` grades a read.
+    ``read_tol`` is the purity tolerance of the |0> inject that resets a
+    read qubit."""
     states = [np.asarray(s, dtype=complex) for s in states]
     records = []
 
@@ -128,7 +130,7 @@ def dense_reduced_wire(spec, schedule, states, *, purity_tol=1e-3):
         lambda i: states[i],
         on_read,
         inject_tol=purity_tol,
-        read_tol=PURITY_TOLERANCE,
+        read_tol=read_tol,
     )
     return records, final
 

@@ -316,13 +316,16 @@ class TestRunCommand:
         sch = json.loads((tmp_path / "quantum_wire_schedule.json").read_text())
         assert sch["n_qubits"] == 5
 
-    def test_reports_are_deterministic(self, capsys, tmp_path):
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_reports_are_deterministic(self, capsys, tmp_path, name):
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):
-            code, _, _ = run_cli(capsys, "run", "--config", "table1_copy", "--out-dir", str(d))
+            code, _, _ = run_cli(capsys, "run", "--config", name, "--out-dir", str(d))
             assert code == 0
-        (name,) = [p.name for p in a.glob("*.json")]
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+        files = sorted(p.name for p in a.glob("*.json"))
+        assert files and files == sorted(p.name for p in b.glob("*.json"))
+        for f in files:
+            assert (a / f).read_bytes() == (b / f).read_bytes(), f
 
     def test_failing_assertion_exits_3(self, capsys, tmp_path):
         cfg = {

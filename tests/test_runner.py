@@ -231,6 +231,21 @@ class TestFrameCorrection:
         assert_allclose(angles[0][0], phase_angle(SNAP_EPS, design.t_ns), rtol=1e-12)
         assert_allclose(angles[0][2], phase_angle(SNAP_EPS, design.t_ns), rtol=1e-12)
 
+    @pytest.mark.parametrize("n_qubits", [1, 5, 7, 8, 12])
+    def test_frame_diagonal_matches_per_qubit_sum(self, rng, n_qubits):
+        # The loop it replaced, kept as the reference: bit for bit while the
+        # row is summed in order (n <= 7), to rounding of ~1e3 rad angles after.
+        angles = rng.uniform(-2e3, 2e3, n_qubits)
+        idx = np.arange(1 << n_qubits)
+        total = np.zeros(1 << n_qubits)
+        for q in range(n_qubits):
+            total = total + angles[q] * (1 - 2 * ((idx >> (n_qubits - 1 - q)) & 1))
+        got = runner._frame_diagonal(angles, n_qubits)
+        if n_qubits <= 7:
+            np.testing.assert_array_equal(got, np.exp(1j * total))
+        else:
+            assert_allclose(got, np.exp(1j * total), rtol=0, atol=1e-10)
+
     def test_rejects_replay_violations(self, design):
         spec = chain_for(design, 4)
         sch = swap_pulses(spec, 2, 3, design.t_ns)
@@ -362,6 +377,30 @@ class TestQuantumChannel:
         assert_allclose(report.final_trace, final.trace(), rtol=0, atol=1e-12)
         assert report.records[0].fidelity_raw < 0.99  # the edit does matter
 
+    def test_reduced_mode_reads_an_entangled_output_instead_of_refusing(self, design, rng):
+        # Raising window 4's pulse bias leaves the output qubit entangled with
+        # the chain at the first read.  The reset keeps the qubit's dominant
+        # local branch, as a |0> inject that never refuses does, and the
+        # read's purity reports the entanglement.
+        spec = chain_for(design, 5, eps_high=SNAP_EPS)
+        sch, lines = quantum_channel_schedule(spec, 2, design.t_ns)
+        doc = json.loads(schedule_to_json(sch, lines))
+        (q,) = sch.windows[4].gate_targets()
+        doc["windows"][4]["biases_mhz"][q] += 7.5
+        edited, _ = schedule_from_json(json.dumps(doc))
+        states = [np.array(random_qubit_amplitudes(rng)) for _ in range(2)]
+        report = run_quantum_channel(spec, edited, states, mode="reduced")
+        expected, final = dense_reduced_wire(spec, edited, states, read_tol=1.0)
+        assert len(report.records) == len(expected) == 2
+        for rec, (idx, w, fid, phase, purity) in zip(report.records, expected):
+            assert (rec.data_index, rec.window_index) == (idx, w)
+            for field, want in (("fidelity", fid), ("phase_error", phase), ("purity", purity)):
+                for column in ("raw", "corrected"):
+                    got = getattr(rec, f"{field}_{column}")
+                    assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{field}_{column}")
+        assert_allclose(report.final_trace, final.trace(), rtol=0, atol=1e-12)
+        assert report.records[0].purity_raw < 0.99  # the output was entangled
+
     @pytest.mark.parametrize("n_qubits", [5, 7, 9, 11, 13, 41])
     def test_reduced_transfer_on_long_wires(self, design, rng, mps_spy, n_qubits):
         # The wires criterion 9 line-checks, simulated: exact transfer with
@@ -470,6 +509,13 @@ class TestClassicalChannel:
             run_classical_channel(spec, sch, [1], mode="other")
         with pytest.raises(ValueError):
             run_classical_channel(chain_for(design, 4), sch, [1])
+
+    @pytest.mark.parametrize("mode", ["reduced", "full"])
+    def test_too_few_bits_names_the_injected_indices(self, design, mode):
+        spec = chain_for(design, 6, eps_high=SNAP_EPS)
+        sch, _ = classical_channel_schedule(spec, [1, 0, 1], design.t_ns)
+        with pytest.raises(ValueError, match=r"data indices \[0, 1, 2\] but 2"):
+            run_classical_channel(spec, sch, [1, 0], mode=mode)
 
 
 class TestFullModeFastPath:
