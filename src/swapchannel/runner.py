@@ -29,6 +29,7 @@ what makes superposition transfers phase-faithful at finite parking bias.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -242,6 +243,13 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
 
     Requires a replay-clean schedule: definite occupancy is what makes the
     neighbour signs well defined.
+
+    All windows are done at once on ``(n_windows, n_qubits)`` arrays: a
+    pulsed mask, the z value of each literal symbol (0 for data and pulsed
+    qubits), the neighbour sum from two shifted adds, and one
+    :func:`~swapchannel.chain.phase_angle` call.  Each angle sees the same
+    float operations in the same order as a per-qubit scalar computation,
+    so the result is bit-identical to it.
     """
     replay = replay_occupancy(schedule)
     if replay.violations:
@@ -250,21 +258,30 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
             f"schedule fails occupancy replay ({len(replay.violations)} violations; "
             f"first: window {first.window_index}, {first.message})"
         )
-    n = schedule.n_qubits
-    angles = np.zeros((schedule.n_windows, n))
-    for w, window in enumerate(schedule.windows):
-        targets = set(window.gate_targets())
-        occ = replay.window_occupancy[w]
-        for q in range(n):
-            if q in targets:
-                continue
-            s_nb = 0
-            for r in (q - 1, q + 1):
-                if 0 <= r < n and r not in targets and isinstance(occ[r], int):
-                    s_nb += 1 - 2 * occ[r]
-            angles[w, q] = phase_angle(
-                window.biases_mhz[q] + spec.xi_mhz * s_nb, window.duration_ns
-            )
+    n, n_windows = schedule.n_qubits, schedule.n_windows
+    windows = schedule.windows
+    pulsed = np.zeros((n_windows, n), dtype=bool)
+    for w, window in enumerate(windows):
+        pulsed[w, list(window.gate_targets())] = True
+    # z value of each literal neighbour; 0 for a data symbol or a pulsed qubit
+    occupancy = itertools.chain.from_iterable(replay.window_occupancy)
+    sign = np.array(
+        [1 - 2 * s if isinstance(s, int) else 0 for s in occupancy], dtype=np.int64
+    ).reshape(n_windows, n)
+    sign[pulsed] = 0
+    s_nb = np.zeros_like(sign)
+    s_nb[:, 1:] += sign[:, :-1]
+    s_nb[:, :-1] += sign[:, 1:]
+    biases = np.fromiter(
+        itertools.chain.from_iterable(window.biases_mhz for window in windows),
+        dtype=float,
+        count=n_windows * n,
+    ).reshape(n_windows, n)
+    durations = np.fromiter(
+        (window.duration_ns for window in windows), dtype=float, count=n_windows
+    )
+    angles = phase_angle(biases + spec.xi_mhz * s_nb, durations[:, None])
+    angles[pulsed] = 0.0
     return angles
 
 
@@ -364,18 +381,20 @@ def _reduced_pulse_cache(spec: ChainSpec):
 
 
 def _require_states(schedule: PulseSchedule, data_states: Sequence) -> list[np.ndarray]:
+    """The data states as arrays, once every data index the schedule injects
+    or reads (in windows and in ``final_events``) names one of them."""
     indices = set()
     events = [e for w in schedule.windows for e in w.events] + list(schedule.final_events)
     for e in events:
-        if e.kind == "inject":
-            if e.data_index is None:
-                raise ValueError("inject events must carry a data_index")
+        if e.kind == "inject" and e.data_index is None:
+            raise ValueError("inject events must carry a data_index")
+        if e.kind in ("inject", "read_reset") and e.data_index is not None:
             indices.add(e.data_index)
     states = [np.asarray(s, dtype=complex) for s in data_states]
     if indices and (min(indices) < 0 or max(indices) >= len(states)):
         raise ValueError(
-            f"schedule injects data indices {sorted(indices)} but {len(states)} "
-            "states were supplied"
+            f"schedule injects or reads data indices {sorted(indices)} but "
+            f"{len(states)} states were supplied"
         )
     for s in states:
         if s.shape != (2,) or abs(np.linalg.norm(s) - 1.0) > 1e-9:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .chain import ChainSpec
@@ -653,53 +654,140 @@ def line_conflict_check(
 # ---------------------------------------------------------------------------
 
 
-def _event_obj(e: PulseEvent) -> dict:
-    return {"kind": e.kind, "qubit": e.qubit, "data_index": e.data_index}
+def _json_value(v, pad: str) -> str:
+    """``v`` as ``json.dumps(..., indent=2, sort_keys=True, allow_nan=False)``
+    writes it on a line indented by ``pad``."""
+    if v is None:
+        return "null"
+    t = type(v)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is int or (t is float and math.isfinite(v)):
+        return repr(v)
+    # a subclass (bool, np.float64), nan or inf (ValueError), a container or a
+    # type json refuses (TypeError): json itself decides
+    text = json.dumps(v, indent=2, sort_keys=True, allow_nan=False)
+    return text.replace("\n", "\n" + pad)
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """A JSON array of already written ``items``, opened on a line at ``pad``."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _json_numbers(values, pad: str) -> str:
+    """A JSON array of numbers: one ``float.__repr__`` join when every value is
+    a finite float, else each value through :func:`_json_value`."""
+    if len(values) == 0:
+        return "[]"
+    inner = "\n" + pad + "  "
+    try:
+        body = ("," + inner).join(map(float.__repr__, values))
+    except TypeError:  # an int or a non-number among them
+        body = None
+    # no finite float's repr holds an "n"; "nan" and "inf" do
+    if body is None or "n" in body:
+        body = ("," + inner).join(_json_value(v, pad + "  ") for v in values)
+    return "[" + inner + body + "\n" + pad + "]"
+
+
+def _json_event(e: PulseEvent, pad: str) -> str:
+    k = pad + "  "
+    return (
+        f'{{\n{k}"data_index": {_json_value(e.data_index, k)},'
+        f'\n{k}"kind": {_json_value(e.kind, k)},'
+        f'\n{k}"qubit": {_json_value(e.qubit, k)}\n{pad}}}'
+    )
+
+
+def _json_window(w: Window) -> str:
+    # an item of the top-level "windows" array: brace at 4 spaces, keys at 6
+    events = _json_list([_json_event(e, "        ") for e in w.events], "      ")
+    return (
+        f'{{\n      "biases_mhz": {_json_numbers(w.biases_mhz, "      ")},'
+        f'\n      "duration_ns": {_json_value(w.duration_ns, "      ")},'
+        f'\n      "events": {events},'
+        f'\n      "start_ns": {_json_value(w.start_ns, "      ")}\n    }}'
+    )
 
 
 def schedule_to_json(
     schedule: PulseSchedule, assignment: LineAssignment | None = None
 ) -> str:
-    """Canonical JSON text (stable bytes for identical schedules)."""
-    obj = {
-        "format": _FORMAT_TAG,
-        "label": schedule.label,
-        "n_qubits": schedule.n_qubits,
-        "windows": [
-            {
-                "start_ns": w.start_ns,
-                "duration_ns": w.duration_ns,
-                "biases_mhz": list(w.biases_mhz),
-                "events": [_event_obj(e) for e in w.events],
-            }
-            for w in schedule.windows
-        ],
-        "final_events": [_event_obj(e) for e in schedule.final_events],
-        "lines": None
-        if assignment is None
-        else {"map": list(assignment.lines), "n_lines": assignment.n_lines},
-    }
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Canonical JSON text (stable bytes for identical schedules).
+
+    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False) + "\\n"`` for the schedule document, written directly:
+    the fixed schema's keys are spelled out in sorted order, each window's
+    biases are one ``float.__repr__`` join, and the windows go into the text
+    in one final join (a megabyte-sized string is copied once, not once per
+    nesting level).  A value that is not a plain str, int, finite float or
+    None is handed to ``json.dumps`` itself, so a non-finite float still
+    raises ``ValueError`` and a type json refuses still raises ``TypeError``.
+    """
+    final = _json_list([_json_event(e, "    ") for e in schedule.final_events], "  ")
+    if assignment is None:
+        lines = "null"
+    else:
+        line_map = [_json_value(l, "      ") for l in assignment.lines]
+        lines = (
+            f'{{\n    "map": {_json_list(line_map, "    ")},'
+            f'\n    "n_lines": {_json_value(assignment.n_lines, "    ")}\n  }}'
+        )
+    head = (
+        f'{{\n  "final_events": {final},'
+        f'\n  "format": {_json_value(_FORMAT_TAG, "  ")},'
+        f'\n  "label": {_json_value(schedule.label, "  ")},'
+        f'\n  "lines": {lines},'
+        f'\n  "n_qubits": {_json_value(schedule.n_qubits, "  ")},'
+        '\n  "windows": '
+    )
+    if not schedule.windows:
+        return head + "[]\n}\n"
+    parts = [head + "[\n    "]
+    for w in schedule.windows:
+        parts += (_json_window(w), ",\n    ")
+    parts[-1] = "\n  ]\n}\n"
+    return "".join(parts)
 
 
 def _parse_event(obj: dict) -> PulseEvent:
+    """One event object; ``qubit`` must be a JSON integer and ``data_index`` a
+    JSON integer or null (not null on an inject)."""
     try:
-        event = PulseEvent(
-            kind=obj["kind"], qubit=obj["qubit"], data_index=obj.get("data_index")
-        )
+        kind, qubit, data_index = obj["kind"], obj["qubit"], obj.get("data_index")
     except (KeyError, TypeError) as exc:
         raise ScheduleError(f"malformed event object {obj!r}") from exc
-    if event.kind == "inject" and event.data_index is None:
-        raise ScheduleError(f"inject event on qubit {event.qubit} has no data_index")
-    return event
+    # json.loads gives exactly int for an integer; bool and float are refused
+    if type(qubit) is not int:
+        raise ScheduleError(f"event qubit must be an integer, got {qubit!r}")
+    if data_index is not None and type(data_index) is not int:
+        raise ScheduleError(
+            f"event data_index must be an integer or null, got {data_index!r}"
+        )
+    if kind == "inject" and data_index is None:
+        raise ScheduleError(f"inject event on qubit {qubit} has no data_index")
+    return PulseEvent(kind=kind, qubit=qubit, data_index=data_index)
 
 
 def _parse_window(obj: dict, index: int, previous_end_ns: float) -> Window:
-    """One window object; refuses non-finite or negative times and biases, and
-    a window that starts before the previous one ends (beyond 1e-9 ns)."""
+    """One window object; refuses ``biases_mhz`` that is not an array of
+    numbers, non-finite or negative times and biases, and a window that
+    starts before the previous one ends (beyond 1e-9 ns)."""
     start = float(obj["start_ns"])
     duration = float(obj["duration_ns"])
-    biases = tuple(map(float, obj["biases_mhz"]))
+    raw = obj["biases_mhz"]
+    if not isinstance(raw, list) or not set(map(type, raw)) <= {int, float}:
+        bad = raw
+        if isinstance(raw, list):
+            bad = next(b for b in raw if type(b) not in (int, float))
+        raise ScheduleError(
+            f"window {index}: biases_mhz must be an array of numbers, got {bad!r}"
+        )
+    biases = tuple(map(float, raw))
     for name, value in (("start_ns", start), ("duration_ns", duration)):
         if not math.isfinite(value):
             raise ScheduleError(f"window {index}: {name} must be finite, got {value!r}")

@@ -5,17 +5,24 @@ Hamiltonians are built by explicit Kronecker sums, propagators by scipy's
 scaling-and-squaring exponential, and two-level propagators by the
 closed-form Rabi rotation.  The dense reduced-mode replay is the package's
 former reduced path (dense vector, local einsums), kept as the reference the
-matrix-product-state backend must reproduce."""
+matrix-product-state backend must reproduce.  The schedule serialiser and the
+frame correction are the package's former per-value routes: ``json.dumps`` of
+the schedule document, and one scalar ``phase_angle`` per parked qubit."""
+
+import json
 
 import numpy as np
 import scipy.linalg
 
 from swapchannel import (
     QuantumState,
+    ScheduleError,
     apply_local_unitary,
     inject_state,
+    phase_angle,
     reduced_pulse_operator,
     reduced_state,
+    replay_occupancy,
     sample_probability,
     wrap_phase,
 )
@@ -153,3 +160,53 @@ def dense_reduced_bits(spec, schedule, bits):
         read_tol=1e-3,
     )
     return sorted(reads)
+
+
+def _event_obj(e) -> dict:
+    return {"kind": e.kind, "qubit": e.qubit, "data_index": e.data_index}
+
+
+def json_dumps_schedule(schedule, assignment=None) -> str:
+    """``schedule_to_json`` as ``json.dumps`` of the schedule document."""
+    obj = {
+        "format": "swapchannel-schedule/1",
+        "label": schedule.label,
+        "n_qubits": schedule.n_qubits,
+        "windows": [
+            {
+                "start_ns": w.start_ns,
+                "duration_ns": w.duration_ns,
+                "biases_mhz": list(w.biases_mhz),
+                "events": [_event_obj(e) for e in w.events],
+            }
+            for w in schedule.windows
+        ],
+        "final_events": [_event_obj(e) for e in schedule.final_events],
+        "lines": None
+        if assignment is None
+        else {"map": list(assignment.lines), "n_lines": assignment.n_lines},
+    }
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def loop_frame_correction(schedule, spec) -> np.ndarray:
+    """``compute_frame_correction`` one parked qubit at a time."""
+    replay = replay_occupancy(schedule)
+    if replay.violations:
+        raise ScheduleError(f"{len(replay.violations)} replay violations")
+    n = schedule.n_qubits
+    angles = np.zeros((schedule.n_windows, n))
+    for w, window in enumerate(schedule.windows):
+        targets = set(window.gate_targets())
+        occ = replay.window_occupancy[w]
+        for q in range(n):
+            if q in targets:
+                continue
+            s_nb = 0
+            for r in (q - 1, q + 1):
+                if 0 <= r < n and r not in targets and isinstance(occ[r], int):
+                    s_nb += 1 - 2 * occ[r]
+            angles[w, q] = phase_angle(
+                window.biases_mhz[q] + spec.xi_mhz * s_nb, window.duration_ns
+            )
+    return angles

@@ -173,6 +173,10 @@ def _inject_without_data(doc):
     doc["windows"][0]["events"][0]["data_index"] = None
 
 
+def _edit_event(doc, **fields):
+    doc["windows"][0]["events"][0].update(fields)
+
+
 class TestValidateRefusesBadScheduleFiles:
     """Hand-edited schedule files that validated ok before, now exit 1."""
 
@@ -186,9 +190,27 @@ class TestValidateRefusesBadScheduleFiles:
             (lambda d: _edit_duration(d, -10.0), "duration_ns must be >= 0"),
             (_overlap, "before the previous window ends"),
             (_inject_without_data, "has no data_index"),
+            (lambda d: _edit_event(d, qubit=1.5), "event qubit must be an integer, got 1.5"),
+            (lambda d: _edit_event(d, qubit=True), "event qubit must be an integer, got True"),
+            (lambda d: d["final_events"][0].update(qubit="4"),
+             "event qubit must be an integer, got '4'"),
+            (lambda d: _edit_event(d, data_index="a"),
+             "data_index must be an integer or null, got 'a'"),
+            (lambda d: d["final_events"][0].update(data_index=0.0),
+             "data_index must be an integer or null, got 0.0"),
+            (lambda d: d["windows"][2].update(biases_mhz="12"),
+             "window 2: biases_mhz must be an array of numbers, got '12'"),
+            (lambda d: d["windows"][2].update(biases_mhz={"0": 1.0}),
+             "biases_mhz must be an array of numbers"),
+            (lambda d: _edit_biases(d, "25000"),
+             "biases_mhz must be an array of numbers, got '25000'"),
+            (lambda d: _edit_biases(d, False),
+             "biases_mhz must be an array of numbers, got False"),
         ],
         ids=["nan-bias", "inf-bias", "nan-start", "inf-duration", "negative-duration",
-             "overlap", "inject-null-data-index"],
+             "overlap", "inject-null-data-index", "float-qubit", "bool-qubit",
+             "string-qubit", "string-data-index", "float-data-index", "string-biases",
+             "object-biases", "string-bias", "bool-bias"],
     )
     def test_exits_1_with_message(self, capsys, tmp_path, edit, fragment):
         code, out, _ = run_cli(
@@ -204,6 +226,17 @@ class TestValidateRefusesBadScheduleFiles:
         assert code == 1
         assert out == ""
         assert fragment in err
+
+    def test_integer_biases_are_numbers(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "schedule", "--kind", "quantum", "--n-qubits", "5", "--n-states", "1"
+        )
+        doc = json.loads(out)
+        doc["windows"][2]["biases_mhz"] = [int(b) for b in doc["windows"][2]["biases_mhz"]]
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        code, _, _ = run_cli(capsys, "validate", "--schedule", str(path))
+        assert code == 0
 
     def test_windows_that_touch_within_rounding_are_accepted(self, capsys, tmp_path):
         code, out, _ = run_cli(

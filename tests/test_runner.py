@@ -518,6 +518,48 @@ class TestClassicalChannel:
             run_classical_channel(spec, sch, [1, 0], mode=mode)
 
 
+def _read_of_missing_index(design, where: str) -> tuple:
+    """A 2-qubit schedule injecting data index 0 and reading index 3, in a
+    window or in ``final_events``."""
+    spec = chain_for(design, 2, eps_high=SNAP_EPS)
+    read = PulseEvent(kind="read_reset", qubit=1, data_index=3)
+    windows = [
+        Window(0.0, design.t_ns, (SNAP_EPS,) * 2,
+               (PulseEvent(kind="inject", qubit=0, data_index=0),)),
+        Window(design.t_ns, design.t_ns, (SNAP_EPS,) * 2,
+               (read,) if where == "window" else ()),
+    ]
+    final = (read,) if where == "final" else ()
+    return spec, PulseSchedule(n_qubits=2, windows=tuple(windows), final_events=final)
+
+
+class TestReadDataIndexCheck:
+    """A read of a data index with no data state is refused up front, like an
+    inject of one (before: an IndexError from the quantum runner and a
+    ClassicalRecord for the nonexistent index from the classical one)."""
+
+    @pytest.mark.parametrize("where", ["window", "final"])
+    @pytest.mark.parametrize("mode", ["reduced", "full"])
+    def test_quantum_channel(self, design, mode, where):
+        spec, sch = _read_of_missing_index(design, where)
+        with pytest.raises(ValueError, match=r"data indices \[0, 3\] but 1 states"):
+            run_quantum_channel(spec, sch, [(1.0, 0.0)], mode=mode)
+
+    @pytest.mark.parametrize("where", ["window", "final"])
+    @pytest.mark.parametrize("mode", ["reduced", "full"])
+    def test_classical_channel(self, design, mode, where):
+        spec, sch = _read_of_missing_index(design, where)
+        with pytest.raises(ValueError, match=r"data indices \[0, 3\] but 1 states"):
+            run_classical_channel(spec, sch, [1], mode=mode)
+
+    def test_reads_without_a_data_index_need_no_state(self, design):
+        spec, sch = _read_of_missing_index(design, "final")
+        blank = PulseEvent(kind="read_reset", qubit=1)
+        sch = PulseSchedule(n_qubits=2, windows=sch.windows, final_events=(blank,))
+        report = run_classical_channel(spec, sch, [1], mode="reduced")
+        assert report.records == ()
+
+
 class TestFullModeFastPath:
     """Structural guards: full mode diagonalises real matrices and keeps a
     one-state wire on a state vector for every window."""
