@@ -6,41 +6,14 @@ single bias pulse realises a controlled flip, compiles swap/copy pulse
 schedules for quantum and classical wires over such chains, validates them
 symbolically, and simulates them either in the reduced (frozen-neighbour)
 model or against the full chain Hamiltonian.
+
+The top level holds the workflow's entry points and the types they take and
+return; every other public name lives in its own module (``chain``,
+``evolve``, ``mps``, ``gates``, ``scheduler``, ``solver``, ``runner``).
 """
 
-from .chain import (
-    ChainSpec,
-    TwoLevelParams,
-    build_hamiltonian,
-    is_hermitian,
-    is_unitary,
-    phase_angle,
-    reduce_to_target,
-    wrap_phase,
-)
-from .evolve import (
-    EntanglementError,
-    QuantumState,
-    ResetPurityWarning,
-    apply_local_unitary,
-    apply_unitary,
-    evolve_window,
-    inject_state,
-    propagator,
-    reduced_state,
-    reset_qubit,
-    sample_probability,
-    sample_trajectory,
-)
-from .gates import (
-    PhasedGate,
-    PhaseLedger,
-    ideal_cnot,
-    ideal_copy,
-    ideal_swap,
-    reduced_pulse_operator,
-    track_phases,
-)
+from .chain import ChainSpec
+from .evolve import EntanglementError
 from .runner import (
     ClassicalReport,
     GateReport,
@@ -62,7 +35,6 @@ from .scheduler import (
     classical_channel_schedule,
     line_conflict_check,
     quantum_channel_schedule,
-    replay_occupancy,
     schedule_from_json,
     schedule_to_json,
     swap_pulses,
@@ -71,9 +43,6 @@ from .scheduler import (
 from .solver import (
     GateDesign,
     InfeasibleDesignError,
-    OscillationDescriptor,
-    copy_frequencies,
-    oscillation_descriptor,
     snapped_hold_bias,
     solve_for_timestep,
     solve_parameters,
@@ -84,41 +53,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainSpec",
-    "TwoLevelParams",
-    "build_hamiltonian",
-    "reduce_to_target",
-    "phase_angle",
-    "wrap_phase",
-    "is_hermitian",
-    "is_unitary",
-    "QuantumState",
-    "EntanglementError",
-    "ResetPurityWarning",
-    "propagator",
-    "evolve_window",
-    "apply_unitary",
-    "apply_local_unitary",
-    "sample_probability",
-    "reduced_state",
-    "reset_qubit",
-    "inject_state",
-    "sample_trajectory",
-    "GateDesign",
-    "OscillationDescriptor",
-    "InfeasibleDesignError",
-    "oscillation_descriptor",
     "solve_parameters",
     "solve_for_timestep",
-    "copy_frequencies",
     "validate_gate_conditions",
     "snapped_hold_bias",
-    "PhasedGate",
-    "PhaseLedger",
-    "ideal_cnot",
-    "ideal_swap",
-    "ideal_copy",
-    "reduced_pulse_operator",
-    "track_phases",
+    "GateDesign",
+    "InfeasibleDesignError",
     "PulseEvent",
     "Window",
     "PulseSchedule",
@@ -127,20 +67,20 @@ __all__ = [
     "swap_pulses",
     "quantum_channel_schedule",
     "classical_channel_schedule",
-    "replay_occupancy",
     "validate_sacrificial",
     "line_conflict_check",
     "schedule_to_json",
     "schedule_from_json",
-    "GateReport",
-    "TransferReport",
-    "ClassicalReport",
+    "compute_frame_correction",
+    "run_quantum_channel",
+    "run_classical_channel",
     "run_gate_experiment",
     "copy_truth_table",
     "sweep_eps_high",
     "infidelity_slope",
-    "compute_frame_correction",
-    "run_quantum_channel",
-    "run_classical_channel",
+    "EntanglementError",
+    "TransferReport",
+    "ClassicalReport",
+    "GateReport",
     "__version__",
 ]

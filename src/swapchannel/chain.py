@@ -21,14 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Z",
-    "IDENTITY_2",
     "DEFAULT_MAX_QUBITS",
     "ChainSpec",
     "TwoLevelParams",
@@ -37,12 +34,8 @@ __all__ = [
     "is_hermitian",
     "is_unitary",
     "build_hamiltonian",
-    "reduce_to_target",
+    "effective_bias",
 ]
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 #: Full-chain operators are dense 2^n x 2^n arrays; refuse to build silly sizes.
 DEFAULT_MAX_QUBITS = 12
@@ -105,11 +98,6 @@ class ChainSpec:
         elif self.eps_high_mhz <= 0:
             raise ValueError("eps_high_mhz must be > 0 when given")
 
-    def neighbors(self, qubit: int) -> tuple[int, ...]:
-        if not 0 <= qubit < self.n_qubits:
-            raise ValueError(f"qubit {qubit} out of range for n_qubits={self.n_qubits}")
-        return tuple(r for r in (qubit - 1, qubit + 1) if 0 <= r < self.n_qubits)
-
     def hold_biases(self) -> np.ndarray:
         """Bias profile with every qubit parked at +eps_high."""
         return np.full(self.n_qubits, float(self.eps_high_mhz))
@@ -136,12 +124,6 @@ class TwoLevelParams:
             ],
             dtype=complex,
         )
-
-    @property
-    def splitting_mhz(self) -> float:
-        """Energy gap between the two dressed levels (= half the oscillation
-        frequency in these units)."""
-        return float(np.hypot(self.delta_mhz, self.effective_bias_mhz))
 
 
 def _z_values(n_qubits: int) -> np.ndarray:
@@ -189,28 +171,18 @@ def build_hamiltonian(
     return h
 
 
-def reduce_to_target(
-    spec: ChainSpec,
-    target: int,
-    neighbor_states: Mapping[int, int],
-    target_bias_mhz: float = 0.0,
-) -> TwoLevelParams:
-    """Two-level reduction for one pulsed qubit with frozen basis neighbours.
+def effective_bias(biases_mhz, xi_mhz: float, z) -> np.ndarray:
+    """Bias each site sees with its neighbours frozen: ``bias + xi * sum z_nbr``.
 
-    Every chain neighbour of ``target`` must appear in ``neighbor_states`` with
-    a definite basis value (0 or 1); each contributes ``+xi`` (for 0) or
-    ``-xi`` (for 1) to the effective bias.
+    This is the reduced model's one formula: a pulsed qubit flips when its
+    neighbours disagree and only picks up a phase when they agree.
+    ``biases_mhz`` and ``z`` have shape ``(..., n)``; ``z`` holds each site's
+    frozen z value (+1 for |0>, -1 for |1>), or 0 where a site contributes
+    nothing (absent, data-carrying or pulsed).  The neighbour sum is two
+    shifted integer adds along the last axis.
     """
-    required = set(spec.neighbors(target))
-    given = set(neighbor_states)
-    if given != required:
-        raise ValueError(
-            f"neighbor_states keys {sorted(given)} do not match the chain "
-            f"neighbours {sorted(required)} of qubit {target}"
-        )
-    effective = float(target_bias_mhz)
-    for q, state in neighbor_states.items():
-        if state not in (0, 1):
-            raise ValueError(f"neighbour {q} must be 0 or 1, got {state!r}")
-        effective += spec.xi_mhz * (1 - 2 * state)
-    return TwoLevelParams(delta_mhz=spec.delta_mhz, effective_bias_mhz=effective)
+    z = np.asarray(z)
+    s_nb = np.zeros_like(z)
+    s_nb[..., 1:] += z[..., :-1]
+    s_nb[..., :-1] += z[..., 1:]
+    return np.asarray(biases_mhz, dtype=float) + xi_mhz * s_nb

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -126,21 +127,14 @@ def _cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_eps(design: GateDesign, value) -> float:
-    if value == "snap_1000x_delta":
-        return snapped_hold_bias(design.delta_mhz, design.t_ns)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(
-            f"eps_high_mhz must be a number or 'snap_1000x_delta', got {value!r}"
-        )
-    return float(value)
-
-
 def _chain_setup(cfg: dict, n_qubits: int) -> tuple[GateDesign, float, ChainSpec]:
     """(design, parking bias, chain) from the ``t_ns``/``m``/``n``/``eps_high_mhz``
     settings of a config or command line."""
     design = solve_parameters(cfg["t_ns"], m=cfg["m"], n=cfg["n"])
-    eps = _resolve_eps(design, cfg["eps_high_mhz"])
+    eps = cfg["eps_high_mhz"]
+    if eps == "snap_1000x_delta":
+        eps = snapped_hold_bias(design.delta_mhz, design.t_ns)
+    eps = float(eps)
     spec = ChainSpec(
         n_qubits=n_qubits, delta_mhz=design.delta_mhz, xi_mhz=design.xi_mhz, eps_high_mhz=eps
     )
@@ -292,6 +286,8 @@ _ALLOWED_OUTPUTS = {"report", "schedule"}
 def _num(obj, path, minimum=None) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {obj!r}")
+    if not math.isfinite(obj):
+        raise ConfigError(f"{path}: must be finite, got {obj!r}")
     if minimum is not None and obj < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {obj}")
     return float(obj)
@@ -363,11 +359,24 @@ def _validate_config(cfg: dict) -> dict:
     assertions = cfg.get("assertions", {})
     if not isinstance(assertions, dict):
         raise ConfigError("config.assertions: expected an object")
-    for key in assertions:
+    for key, value in assertions.items():
+        path = f"config.assertions.{key}"
         if key not in _ALLOWED_ASSERTIONS[experiment]:
-            raise ConfigError(
-                f"config.assertions.{key}: unknown key for experiment {experiment!r}"
-            )
+            raise ConfigError(f"{path}: unknown key for experiment {experiment!r}")
+        if key == "require_echo":
+            if not isinstance(value, bool):
+                raise ConfigError(f"{path}: expected true or false, got {value!r}")
+        elif key == "expect_latency_sequences":
+            _int(value, path)
+        elif key == "slope_range":
+            if not isinstance(value, list) or len(value) != 2:
+                raise ConfigError(f"{path}: expected [low, high]")
+            for i, x in enumerate(value):
+                _num(x, f"{path}[{i}]")
+            if cfg.get("eps_grid") is None:
+                raise ConfigError(f"{path}: needs eps_grid")
+        else:
+            _num(value, path)
     out["assertions"] = dict(assertions)
 
     if experiment == "quantum_wire":
@@ -483,15 +492,7 @@ def _run_quantum_wire(cfg: dict, out_dir: str) -> tuple[dict, list]:
         report = run_quantum_channel(spec, schedule, states, mode=mode)
         results[mode] = {
             "records": [
-                {
-                    "data_index": r.data_index,
-                    "window_index": r.window_index,
-                    "fidelity_raw": r.fidelity_raw,
-                    "fidelity_corrected": r.fidelity_corrected,
-                    "phase_error_raw": r.phase_error_raw,
-                    "phase_error_corrected": r.phase_error_corrected,
-                    "purity_corrected": r.purity_corrected,
-                }
+                {k: v for k, v in asdict(r).items() if k != "purity_raw"}
                 for r in report.records
             ],
             "min_fidelity_raw": report.min_fidelity_raw,
@@ -658,14 +659,6 @@ def _run_gate(cfg: dict, out_dir: str) -> tuple[dict, list]:
         )
     if "slope_range" in a:
         rng = a["slope_range"]
-        if (
-            not isinstance(rng, list)
-            or len(rng) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in rng)
-        ):
-            raise ConfigError("config.assertions.slope_range: expected [low, high]")
-        if slope is None:
-            raise ConfigError("config.assertions.slope_range: needs eps_grid")
         checks.append(
             (
                 "slope_range",

@@ -16,23 +16,19 @@ contract of :func:`inject_state`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, build_hamiltonian, is_hermitian, phase_angle
+from .chain import is_hermitian, phase_angle
 
 __all__ = [
     "EntanglementError",
-    "ResetPurityWarning",
     "QuantumState",
     "propagator",
-    "evolve_window",
     "apply_unitary",
     "apply_local_unitary",
-    "sample_probability",
     "reduced_state",
     "reset_qubit",
     "inject_state",
@@ -45,10 +41,6 @@ PURITY_TOLERANCE = 1e-6
 
 class EntanglementError(ValueError):
     """Raised when an operation needs a separable qubit but finds entanglement."""
-
-
-class ResetPurityWarning(UserWarning):
-    """Emitted when a qubit is reset while still entangled with the rest."""
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -94,18 +86,6 @@ class QuantumState:
     def ground(cls, n_qubits: int) -> "QuantumState":
         vec = np.zeros(1 << n_qubits, dtype=complex)
         vec[0] = 1.0
-        return cls.pure(vec)
-
-    @classmethod
-    def basis(cls, bits: Sequence[int]) -> "QuantumState":
-        bits = list(bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"basis bits must be 0/1, got {bits}")
-        index = 0
-        for b in bits:
-            index = (index << 1) | b
-        vec = np.zeros(1 << len(bits), dtype=complex)
-        vec[index] = 1.0
         return cls.pure(vec)
 
     def density(self) -> np.ndarray:
@@ -155,20 +135,6 @@ def propagator(hamiltonian: np.ndarray, duration_ns: float) -> np.ndarray:
     return u
 
 
-def evolve_window(
-    state: QuantumState,
-    spec: ChainSpec,
-    biases_mhz: Sequence[float],
-    duration_ns: float,
-    *,
-    max_qubits: int | None = None,
-) -> QuantumState:
-    """Evolve under one constant bias profile for one window."""
-    kwargs = {} if max_qubits is None else {"max_qubits": max_qubits}
-    h = build_hamiltonian(spec, biases_mhz, **kwargs)
-    return apply_unitary(state, propagator(h, duration_ns))
-
-
 def apply_unitary(state: QuantumState, u: np.ndarray) -> QuantumState:
     u = np.asarray(u, dtype=complex)
     if u.shape != (state.dim, state.dim):
@@ -181,10 +147,11 @@ def apply_unitary(state: QuantumState, u: np.ndarray) -> QuantumState:
 
 
 def apply_local_unitary(state: QuantumState, u: np.ndarray, first_qubit: int) -> QuantumState:
-    """Apply an operator acting on ``k`` adjacent qubits starting at ``first_qubit``.
+    """Apply an operator acting on ``k`` adjacent qubits starting at ``first_qubit``
+    to a pure state, without forming the full 2^n operator.
 
-    Avoids forming the full 2^n operator, so the pure-state path stays cheap
-    for long chains.
+    Its callers (the phase ledger of :func:`~swapchannel.gates.track_phases`)
+    follow basis vectors, so a mixed state is refused with ``ValueError``.
     """
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
@@ -194,15 +161,11 @@ def apply_local_unitary(state: QuantumState, u: np.ndarray, first_qubit: int) ->
     n = state.n_qubits
     if not 0 <= first_qubit <= n - k:
         raise ValueError(f"qubits [{first_qubit}, {first_qubit + k}) out of range for n={n}")
-    pre = 1 << first_qubit
-    post = 1 << (n - first_qubit - k)
-    if state.kind == "pure":
-        psi = state.data.reshape(pre, d, post)
-        out = np.einsum("ab,xbz->xaz", u, psi)
-        return QuantumState(kind="pure", data=_readonly(out.reshape(-1)), n_qubits=n)
-    rho = state.data.reshape(pre, d, post, pre, d, post)
-    out = np.einsum("ab,xbzucv,dc->xazudv", u, rho, u.conj())
-    return QuantumState(kind="mixed", data=_readonly(out.reshape(state.dim, state.dim)), n_qubits=n)
+    if state.kind != "pure":
+        raise ValueError("apply_local_unitary takes a pure state")
+    psi = state.data.reshape(1 << first_qubit, d, -1)
+    out = np.einsum("ab,xbz->xaz", u, psi)
+    return QuantumState(kind="pure", data=_readonly(out.reshape(-1)), n_qubits=n)
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +193,6 @@ def reduced_state(state: QuantumState, qubit: int) -> tuple[np.ndarray, float]:
     return rho2, purity
 
 
-def sample_probability(state: QuantumState, qubit: int) -> float:
-    """P(qubit reads |1>)."""
-    rho2, _ = reduced_state(state, qubit)
-    return float(rho2[1, 1].real)
-
-
 def _replace_qubit(state: QuantumState, qubit: int, target_rho: np.ndarray) -> QuantumState:
     """Trace out one qubit of a mixed state and tensor in ``target_rho``."""
     pre, post = _axes(state, qubit)
@@ -250,17 +207,9 @@ def _replace_qubit(state: QuantumState, qubit: int, target_rho: np.ndarray) -> Q
 def reset_qubit(state: QuantumState, qubit: int) -> QuantumState:
     """Read-and-discard: trace the qubit out and re-prepare it in |0>.
 
-    Always returns a mixed state.  If the qubit was still entangled the result
-    is a genuine mixture and a :class:`ResetPurityWarning` is emitted.
+    Always returns a mixed state; if the qubit was still entangled the rest of
+    the register is left as a genuine mixture (the read reports its purity).
     """
-    _, purity = reduced_state(state, qubit)
-    if purity < 1.0 - PURITY_TOLERANCE:
-        warnings.warn(
-            f"resetting qubit {qubit} with reduced purity {purity:.6f}; "
-            "the remaining register is left mixed",
-            ResetPurityWarning,
-            stacklevel=2,
-        )
     ket0 = np.zeros((2, 2), dtype=complex)
     ket0[0, 0] = 1.0
     return _replace_qubit(state, qubit, ket0)
@@ -339,5 +288,5 @@ def sample_trajectory(
     for i in range(n_samples + 1):
         if i > 0:
             current = apply_unitary(current, step)
-        probs[i] = [sample_probability(current, q) for q in range(n)]
+        probs[i] = [reduced_state(current, q)[0][1, 1].real for q in range(n)]
     return times, probs

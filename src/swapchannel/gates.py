@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import TwoLevelParams, is_unitary, wrap_phase
+from .chain import TwoLevelParams, _z_values, effective_bias, is_unitary, wrap_phase
 from .evolve import QuantumState, apply_local_unitary, propagator
 
 __all__ = [
@@ -123,32 +123,29 @@ def reduced_pulse_operator(
 
     Returns the block operator over the chain-ordered qubits
     (left?, target, right?): for each neighbour basis configuration the 2x2
-    block is the exact two-level propagator at effective bias
-    ``pulse_bias + xi * sum(z_neighbour)``.  For a solved phase-exact design
-    this reproduces the ideal gates above, bit for bit.
+    block is the exact two-level propagator at the
+    :func:`~swapchannel.chain.effective_bias` of the target.  For a solved
+    phase-exact design this reproduces the ideal gates above, bit for bit.
     """
     neighbours = int(has_left) + int(has_right)
     k = 1 + neighbours
-    dim = 1 << k
-    target_axis = 1 if has_left else 0
-    out = np.zeros((dim, dim), dtype=complex)
-    for config in range(1 << neighbours):
-        nbits = [(config >> (neighbours - 1 - i)) & 1 for i in range(neighbours)]
-        sigma = pulse_bias_mhz + xi_mhz * sum(1 - 2 * b for b in nbits)
-        u2 = propagator(
-            TwoLevelParams(delta_mhz=delta_mhz, effective_bias_mhz=sigma).hamiltonian(),
-            duration_ns,
-        )
-        for t_in in (0, 1):
-            for t_out in (0, 1):
-                bits_in = list(nbits)
-                bits_in.insert(target_axis, t_in)
-                bits_out = list(nbits)
-                bits_out.insert(target_axis, t_out)
-                row = int("".join(map(str, bits_out)), 2)
-                col = int("".join(map(str, bits_in)), 2)
-                out[row, col] = u2[t_out, t_in]
-    return out
+    target_axis = int(has_left)
+    # one row per neighbour configuration (target in |0>); the target adds nothing
+    z = _z_values(k)
+    z = z[z[:, target_axis] == 1] * (np.arange(k) != target_axis)
+    biases = np.zeros(z.shape)
+    biases[:, target_axis] = pulse_bias_mhz
+    sigmas = effective_bias(biases, xi_mhz, z)[:, target_axis]
+    # block diagonal in (neighbours, target) order, then the target axis moved
+    # to its chain position on both the output and the input side
+    out = np.zeros((len(z), 2, len(z), 2), dtype=complex)
+    for c, sigma in enumerate(sigmas):
+        h2 = TwoLevelParams(delta_mhz, float(sigma)).hamiltonian()
+        out[c, :, c, :] = propagator(h2, duration_ns)
+    out = np.moveaxis(
+        out.reshape((2,) * (2 * k)), (k - 1, 2 * k - 1), (target_axis, k + target_axis)
+    )
+    return out.reshape(1 << k, 1 << k)
 
 
 # ---------------------------------------------------------------------------

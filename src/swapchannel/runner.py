@@ -21,25 +21,27 @@ a runner only grades or thresholds the reads.  It has two modes:
   wire with no mid-run boundary (one state) is a vector until the final
   read.  Resets trace the qubit out.
 
+Both the reduced pulses and the frame correction take their bias from
+:func:`~swapchannel.chain.effective_bias`, ``bias + xi*sum z_nbr``.
 Full-mode runs can interleave the analytic frame correction: per window, each
-unpulsed qubit accrues a known z phase ``2*pi*(bias + xi*sum z_nbr)*T*1e-3``
-from its bias and its frozen literal neighbours; undoing it in software is
-what makes superposition transfers phase-faithful at finite parking bias.
+unpulsed qubit accrues a known z phase ``2*pi*effective_bias*T*1e-3`` from its
+bias and its frozen literal neighbours; undoing it in software is what makes
+superposition transfers phase-faithful at finite parking bias.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, _z_values, build_hamiltonian, phase_angle, wrap_phase
+from .chain import (
+    ChainSpec, _z_values, build_hamiltonian, effective_bias, phase_angle, wrap_phase
+)
 from .evolve import (
     QuantumState,
-    ResetPurityWarning,
     apply_unitary,
     inject_state,
     propagator,
@@ -114,14 +116,8 @@ def run_gate_experiment(
     free in any larger circuit).
     """
     u8 = _window_unitary(spec, design, mode)
-    g = np.zeros((4, 4), dtype=complex)
-    for c_out in (0, 1):
-        for t_out in (0, 1):
-            for c_in in (0, 1):
-                for t_in in (0, 1):
-                    g[2 * c_out + t_out, 2 * c_in + t_in] = u8[
-                        2 * t_out + c_out, 2 * t_in + c_in
-                    ]
+    # parked sector (qubit 0 in |0>) from |target, control> to |control, target> order
+    g = u8[:4, :4].reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     ideal = ideal_cnot().matrix
     b0 = np.sum(ideal[:2, :2].conj() * g[:2, :2])
     b1 = np.sum(ideal[2:, 2:].conj() * g[2:, 2:])
@@ -246,7 +242,7 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
 
     All windows are done at once on ``(n_windows, n_qubits)`` arrays: a
     pulsed mask, the z value of each literal symbol (0 for data and pulsed
-    qubits), the neighbour sum from two shifted adds, and one
+    qubits), one :func:`~swapchannel.chain.effective_bias` call and one
     :func:`~swapchannel.chain.phase_angle` call.  Each angle sees the same
     float operations in the same order as a per-qubit scalar computation,
     so the result is bit-identical to it.
@@ -269,9 +265,6 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
         [1 - 2 * s if isinstance(s, int) else 0 for s in occupancy], dtype=np.int64
     ).reshape(n_windows, n)
     sign[pulsed] = 0
-    s_nb = np.zeros_like(sign)
-    s_nb[:, 1:] += sign[:, :-1]
-    s_nb[:, :-1] += sign[:, 1:]
     biases = np.fromiter(
         itertools.chain.from_iterable(window.biases_mhz for window in windows),
         dtype=float,
@@ -280,7 +273,7 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
     durations = np.fromiter(
         (window.duration_ns for window in windows), dtype=float, count=n_windows
     )
-    angles = phase_angle(biases + spec.xi_mhz * s_nb, durations[:, None])
+    angles = phase_angle(effective_bias(biases, spec.xi_mhz, sign), durations[:, None])
     angles[pulsed] = 0.0
     return angles
 
@@ -351,10 +344,7 @@ def _reset(state: QuantumState | MPS, qubit: int):
     """Re-prepare a read qubit in |0>, even if it is still entangled."""
     if isinstance(state, MPS):
         return _inject(state, qubit, (1.0, 0.0), purity_tol=1.0)
-    with warnings.catch_warnings():
-        # the read reports the purity; the warning adds nothing here
-        warnings.simplefilter("ignore", ResetPurityWarning)
-        return reset_qubit(state, qubit)
+    return reset_qubit(state, qubit)
 
 
 def _reduced_pulse_cache(spec: ChainSpec):

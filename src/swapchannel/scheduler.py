@@ -137,9 +137,6 @@ class LineAssignment:
             if line is not None and not 0 <= line < self.n_lines:
                 raise ScheduleError(f"qubit {q} assigned to line {line} of {self.n_lines}")
 
-    def qubits_on(self, line: int) -> tuple[int, ...]:
-        return tuple(q for q, l in enumerate(self.lines) if l == line)
-
 
 # ---------------------------------------------------------------------------
 # generators
@@ -754,6 +751,15 @@ def schedule_to_json(
     return "".join(parts)
 
 
+def _typed(value, types: tuple, what: str):
+    """``value`` if its exact type is one of ``types`` (so a bool is no int)."""
+    if type(value) not in types:
+        kind = {int: "an integer", float: "a number", str: "a string"}[types[-1]]
+        nullable = " or null" if type(None) in types else ""
+        raise ScheduleError(f"{what} must be {kind}{nullable}, got {value!r}")
+    return value
+
+
 def _parse_event(obj: dict) -> PulseEvent:
     """One event object; ``qubit`` must be a JSON integer and ``data_index`` a
     JSON integer or null (not null on an inject)."""
@@ -774,11 +780,16 @@ def _parse_event(obj: dict) -> PulseEvent:
 
 
 def _parse_window(obj: dict, index: int, previous_end_ns: float) -> Window:
-    """One window object; refuses ``biases_mhz`` that is not an array of
+    """One window object; refuses times and ``biases_mhz`` that are not JSON
     numbers, non-finite or negative times and biases, and a window that
     starts before the previous one ends (beyond 1e-9 ns)."""
-    start = float(obj["start_ns"])
-    duration = float(obj["duration_ns"])
+    times = (("start_ns", obj["start_ns"]), ("duration_ns", obj["duration_ns"]))
+    for name, value in times:
+        if type(value) not in (int, float):
+            raise ScheduleError(f"window {index}: {name} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ScheduleError(f"window {index}: {name} must be finite, got {value!r}")
+    start, duration = (float(value) for _, value in times)
     raw = obj["biases_mhz"]
     if not isinstance(raw, list) or not set(map(type, raw)) <= {int, float}:
         bad = raw
@@ -788,9 +799,6 @@ def _parse_window(obj: dict, index: int, previous_end_ns: float) -> Window:
             f"window {index}: biases_mhz must be an array of numbers, got {bad!r}"
         )
     biases = tuple(map(float, raw))
-    for name, value in (("start_ns", start), ("duration_ns", duration)):
-        if not math.isfinite(value):
-            raise ScheduleError(f"window {index}: {name} must be finite, got {value!r}")
     if not all(map(math.isfinite, biases)):
         bad = next(b for b in biases if not math.isfinite(b))
         raise ScheduleError(f"window {index}: biases_mhz must be finite, got {bad!r}")
@@ -810,6 +818,9 @@ def _parse_window(obj: dict, index: int, previous_end_ns: float) -> Window:
 
 
 def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]:
+    """Parse a schedule file; every field must have its JSON type (integers
+    for ``n_qubits``, qubits, data indices and lines, numbers for times and
+    biases, a string ``label``), nothing is coerced."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -823,12 +834,12 @@ def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]
             windows.append(_parse_window(w, i, end_ns))
             end_ns = windows[-1].start_ns + windows[-1].duration_ns
         schedule = PulseSchedule(
-            n_qubits=int(obj["n_qubits"]),
+            n_qubits=_typed(obj["n_qubits"], (int,), "n_qubits"),
             windows=tuple(windows),
             final_events=tuple(_parse_event(e) for e in obj["final_events"]),
-            label=str(obj.get("label", "")),
+            label=_typed(obj.get("label", ""), (str,), "label"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ScheduleError):
             raise
         raise ScheduleError(f"malformed schedule document: {exc}") from exc
@@ -838,9 +849,10 @@ def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]
         try:
             assignment = LineAssignment(
                 lines=tuple(
-                    None if l is None else int(l) for l in lines_obj["map"]
+                    _typed(l, (type(None), int), f"line of qubit {q}")
+                    for q, l in enumerate(lines_obj["map"])
                 ),
-                n_lines=int(lines_obj["n_lines"]),
+                n_lines=_typed(lines_obj["n_lines"], (int,), "lines.n_lines"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ScheduleError):

@@ -6,27 +6,26 @@ scaling-and-squaring exponential, and two-level propagators by the
 closed-form Rabi rotation.  The dense reduced-mode replay is the package's
 former reduced path (dense vector, local einsums), kept as the reference the
 matrix-product-state backend must reproduce.  The schedule serialiser and the
-frame correction are the package's former per-value routes: ``json.dumps`` of
-the schedule document, and one scalar ``phase_angle`` per parked qubit."""
+frame correction and the reduced pulse operator are the package's former
+per-value routes: ``json.dumps`` of the schedule document, one scalar
+``phase_angle`` per parked qubit, and one matrix element at a time."""
 
 import json
 
 import numpy as np
 import scipy.linalg
 
-from swapchannel import (
+from swapchannel.chain import TwoLevelParams, phase_angle, wrap_phase
+from swapchannel.evolve import (
+    PURITY_TOLERANCE,
     QuantumState,
-    ScheduleError,
     apply_local_unitary,
     inject_state,
-    phase_angle,
-    reduced_pulse_operator,
+    propagator,
     reduced_state,
-    replay_occupancy,
-    sample_probability,
-    wrap_phase,
 )
-from swapchannel.evolve import PURITY_TOLERANCE
+from swapchannel.gates import reduced_pulse_operator
+from swapchannel.scheduler import ScheduleError, replay_occupancy
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -149,7 +148,7 @@ def dense_reduced_bits(spec, schedule, bits):
 
     def on_read(state, e, w):
         if e.data_index is not None:
-            reads.append((e.data_index, w, sample_probability(state, e.qubit)))
+            reads.append((e.data_index, w, float(reduced_state(state, e.qubit)[0][1, 1].real)))
 
     dense_reduced_replay(
         spec,
@@ -210,3 +209,31 @@ def loop_frame_correction(schedule, spec) -> np.ndarray:
                 window.biases_mhz[q] + spec.xi_mhz * s_nb, window.duration_ns
             )
     return angles
+
+
+def loop_reduced_pulse_operator(
+    delta_mhz, xi_mhz, pulse_bias_mhz, duration_ns, *, has_left=True, has_right=True
+) -> np.ndarray:
+    """``reduced_pulse_operator`` one matrix element at a time, with the
+    effective bias summed per neighbour configuration."""
+    neighbours = int(has_left) + int(has_right)
+    dim = 1 << (1 + neighbours)
+    target_axis = 1 if has_left else 0
+    out = np.zeros((dim, dim), dtype=complex)
+    for config in range(1 << neighbours):
+        nbits = [(config >> (neighbours - 1 - i)) & 1 for i in range(neighbours)]
+        sigma = pulse_bias_mhz + xi_mhz * sum(1 - 2 * b for b in nbits)
+        u2 = propagator(
+            TwoLevelParams(delta_mhz=delta_mhz, effective_bias_mhz=sigma).hamiltonian(),
+            duration_ns,
+        )
+        for t_in in (0, 1):
+            for t_out in (0, 1):
+                bits_in = list(nbits)
+                bits_in.insert(target_axis, t_in)
+                bits_out = list(nbits)
+                bits_out.insert(target_axis, t_out)
+                row = int("".join(map(str, bits_out)), 2)
+                col = int("".join(map(str, bits_in)), 2)
+                out[row, col] = u2[t_out, t_in]
+    return out

@@ -16,18 +16,11 @@ from conftest import chain_for
 from oracles import expm_propagator, kron_hamiltonian
 from swapchannel import (
     ChainSpec,
-    QuantumState,
-    TwoLevelParams,
-    build_hamiltonian,
     classical_channel_schedule,
     copy_truth_table,
-    ideal_cnot,
     infidelity_slope,
     line_conflict_check,
-    oscillation_descriptor,
-    propagator,
     quantum_channel_schedule,
-    reduced_pulse_operator,
     run_classical_channel,
     run_gate_experiment,
     run_quantum_channel,
@@ -36,6 +29,10 @@ from swapchannel import (
     solve_parameters,
     sweep_eps_high,
 )
+from swapchannel.chain import TwoLevelParams, build_hamiltonian
+from swapchannel.evolve import QuantumState, propagator
+from swapchannel.gates import ideal_cnot, reduced_pulse_operator
+from swapchannel.solver import oscillation_descriptor
 
 SEED = 20260816
 

@@ -6,14 +6,14 @@ from numpy.testing import assert_allclose
 
 from conftest import chain_for
 from oracles import kron_hamiltonian
-from swapchannel import (
-    ChainSpec,
+from swapchannel import ChainSpec
+from swapchannel.chain import (
     TwoLevelParams,
     build_hamiltonian,
+    effective_bias,
     is_hermitian,
     is_unitary,
     phase_angle,
-    reduce_to_target,
     wrap_phase,
 )
 
@@ -62,12 +62,6 @@ class TestChainSpec:
         spec = chain_for(design, 4, eps_high=1000.0)
         assert_allclose(spec.hold_biases(), np.full(4, 1000.0))
 
-    def test_neighbors(self, design):
-        spec = chain_for(design, 4)
-        assert spec.neighbors(0) == (1,)
-        assert spec.neighbors(1) == (0, 2)
-        assert spec.neighbors(3) == (2,)
-
     @pytest.mark.parametrize("bad_n", [0, -1])
     def test_rejects_bad_sizes(self, bad_n, design):
         with pytest.raises(ValueError):
@@ -92,9 +86,6 @@ class TestTwoLevelParams:
     def test_matrix(self):
         h = TwoLevelParams(delta_mhz=3.0, effective_bias_mhz=4.0).hamiltonian()
         assert_allclose(h, np.array([[4.0, 3.0], [3.0, -4.0]], dtype=complex))
-
-    def test_splitting(self):
-        assert_allclose(TwoLevelParams(3.0, 4.0).splitting_mhz, 5.0)
 
     @pytest.mark.parametrize("field", ["delta_mhz", "effective_bias_mhz"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -159,24 +150,33 @@ class TestBuildHamiltonian:
         assert_allclose(h.diagonal().imag, 0.0, atol=0.0)
 
 
+def target_bias(spec, target, bits, target_bias_mhz):
+    """Effective bias of ``target`` with every other qubit frozen at ``bits``."""
+    z = [0 if q == target else 1 - 2 * b for q, b in enumerate(bits)]
+    biases = np.zeros(spec.n_qubits)
+    biases[target] = target_bias_mhz
+    return effective_bias(biases, spec.xi_mhz, z)[target]
+
+
 class TestReduceToTarget:
+    """The two-level reduction of one pulsed qubit: its effective bias is
+    ``bias + xi * sum z_neighbour`` (``chain.effective_bias``)."""
+
     def test_interior_both_ground(self, design):
         spec = chain_for(design, 3)
-        params = reduce_to_target(spec, 1, {0: 0, 2: 0}, target_bias_mhz=0.0)
-        assert_allclose(params.effective_bias_mhz, 2.0 * design.xi_mhz)
-        assert_allclose(params.delta_mhz, design.delta_mhz)
+        assert_allclose(target_bias(spec, 1, (0, 0, 0), 0.0), 2.0 * design.xi_mhz)
 
     def test_interior_mixed_neighbors_cancel(self, design):
         spec = chain_for(design, 3)
-        params = reduce_to_target(spec, 1, {0: 0, 2: 1}, target_bias_mhz=0.0)
-        assert_allclose(params.effective_bias_mhz, 0.0)
+        assert_allclose(target_bias(spec, 1, (0, 0, 1), 0.0), 0.0)
 
     def test_end_qubit_with_compensating_bias(self, design):
         # Pulsing an end qubit at bias xi with a ground neighbor reproduces
-        # the interior splitting.
+        # the interior splitting; qubits beyond the neighbour do not count.
         spec = chain_for(design, 3)
-        params = reduce_to_target(spec, 0, {1: 0}, target_bias_mhz=design.xi_mhz)
-        assert_allclose(params.effective_bias_mhz, 2.0 * design.xi_mhz)
+        for far in (0, 1):
+            bias = target_bias(spec, 0, (0, 0, far), design.xi_mhz)
+            assert_allclose(bias, 2.0 * design.xi_mhz)
 
     def test_restriction_of_full_hamiltonian(self, rng):
         # For frozen neighbors the full matrix restricted to the target's
@@ -190,16 +190,14 @@ class TestReduceToTarget:
                 hi = (z0 << 2) | (1 << 1) | z2
                 sub = h[np.ix_([lo, hi], [lo, hi])]
                 shift = biases[0] * (1 - 2 * z0) + biases[2] * (1 - 2 * z2)
-                reduced = reduce_to_target(
-                    spec, 1, {0: z0, 2: z2}, target_bias_mhz=biases[1]
-                ).hamiltonian()
+                sigma = target_bias(spec, 1, (z0, 0, z2), biases[1])
+                reduced = TwoLevelParams(spec.delta_mhz, sigma).hamiltonian()
                 assert_allclose(sub - shift * np.eye(2), reduced, atol=1e-12)
 
-    def test_rejects_wrong_neighbor_sets(self, design):
-        spec = chain_for(design, 3)
-        with pytest.raises(ValueError):
-            reduce_to_target(spec, 1, {0: 0}, target_bias_mhz=0.0)
-        with pytest.raises(ValueError):
-            reduce_to_target(spec, 0, {1: 0, 2: 0}, target_bias_mhz=0.0)
-        with pytest.raises(ValueError):
-            reduce_to_target(spec, 1, {0: 0, 2: 2}, target_bias_mhz=0.0)
+    def test_all_sites_of_a_batch_at_once(self, rng):
+        # Leading axes are independent rows; each site sees its two neighbours.
+        z = rng.choice([-1, 0, 1], size=(4, 3, 6))
+        biases = rng.uniform(-50.0, 50.0, size=(4, 3, 6))
+        got = effective_bias(biases, 2.5, z)
+        padded = np.pad(z, [(0, 0), (0, 0), (1, 1)])
+        assert_allclose(got, biases + 2.5 * (padded[..., :-2] + padded[..., 2:]), atol=1e-12)

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from conftest import chain_for
 from swapchannel import PulseEvent, PulseSchedule, Window, schedule_to_json, swap_pulses
+from swapchannel import cli
 from swapchannel.cli import _dump_json, main
 
 BUNDLED = ("fig2_quantum_wire", "fig4_classical_wire", "table1_copy")
@@ -206,11 +207,25 @@ class TestValidateRefusesBadScheduleFiles:
              "biases_mhz must be an array of numbers, got '25000'"),
             (lambda d: _edit_biases(d, False),
              "biases_mhz must be an array of numbers, got False"),
+            (lambda d: d.update(n_qubits=5.7), "n_qubits must be an integer, got 5.7"),
+            (lambda d: _edit_start(d, "20"), "window 2: start_ns must be a number, got '20'"),
+            (lambda d: _edit_duration(d, True),
+             "window 2: duration_ns must be a number, got True"),
+            (lambda d: _edit_start(d, 10**400), "int too large to convert to float"),
+            (lambda d: d["lines"]["map"].__setitem__(1, 1.5),
+             "line of qubit 1 must be an integer or null, got 1.5"),
+            (lambda d: d["lines"]["map"].__setitem__(2, "2"),
+             "line of qubit 2 must be an integer or null, got '2'"),
+            (lambda d: d["lines"].update(n_lines=float(d["lines"]["n_lines"])),
+             "lines.n_lines must be an integer, got"),
+            (lambda d: d.update(label=[1, 2]), "label must be a string, got [1, 2]"),
         ],
         ids=["nan-bias", "inf-bias", "nan-start", "inf-duration", "negative-duration",
              "overlap", "inject-null-data-index", "float-qubit", "bool-qubit",
              "string-qubit", "string-data-index", "float-data-index", "string-biases",
-             "object-biases", "string-bias", "bool-bias"],
+             "object-biases", "string-bias", "bool-bias", "float-n-qubits", "string-start",
+             "bool-duration", "huge-int-start", "float-line", "string-line",
+             "float-n-lines", "list-label"],
     )
     def test_exits_1_with_message(self, capsys, tmp_path, edit, fragment):
         code, out, _ = run_cli(
@@ -471,3 +486,69 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert_allclose(json.loads(proc.stdout)["delta_mhz"], 25.0)
+
+
+class TestRunRefusesBadValuesBeforeRunning:
+    """Config values are type-checked before any experiment runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_experiment_runs(self, monkeypatch):
+        monkeypatch.setattr(cli, "_RUNNERS", {})
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ('{"experiment": "gate", "eps_grid": [1e308, 1e309]}',
+             "config.eps_grid[1]: must be finite, got inf"),
+            ('{"experiment": "copy_table", "t_ns": NaN}', "config.t_ns: must be finite, got nan"),
+            ('{"experiment": "copy_table", "eps_high_mhz": -Infinity}',
+             "config.eps_high_mhz: must be finite, got -inf"),
+        ],
+        ids=["inf-eps-grid", "nan-t-ns", "inf-eps-high"],
+    )
+    def test_non_finite_numbers_exit_1(self, capsys, tmp_path, text, fragment):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and fragment in err
+
+    @pytest.mark.parametrize(
+        "experiment, assertions, fragment",
+        [
+            ("copy_table", {"min_fidelity": "x"},
+             "config.assertions.min_fidelity: expected a number, got 'x'"),
+            ("copy_table", {"min_fidelity": True},
+             "config.assertions.min_fidelity: expected a number, got True"),
+            ("quantum_wire", {"min_reduced_fidelity": None},
+             "config.assertions.min_reduced_fidelity: expected a number"),
+            ("quantum_wire", {"max_reduced_phase_error": [1e-6]},
+             "config.assertions.max_reduced_phase_error: expected a number"),
+            ("gate", {"max_worst_infidelity": "0.01"},
+             "config.assertions.max_worst_infidelity: expected a number"),
+            ("classical_wire", {"require_echo": "yes"},
+             "config.assertions.require_echo: expected true or false, got 'yes'"),
+            ("classical_wire", {"expect_latency_sequences": 3.0},
+             "config.assertions.expect_latency_sequences: expected an integer, got 3.0"),
+            ("gate", {"slope_range": [-2.5]}, "config.assertions.slope_range: expected [low, high]"),
+            ("gate", {"slope_range": ["a", -1.5]},
+             "config.assertions.slope_range[0]: expected a number, got 'a'"),
+            ("gate", {"slope_range": [-2.5, -1.5]}, "config.assertions.slope_range: needs eps_grid"),
+        ],
+        ids=["string-min-fidelity", "bool-min-fidelity", "null-min-reduced-fidelity",
+             "list-phase-error", "string-worst-infidelity", "string-require-echo",
+             "float-latency", "short-slope-range", "string-slope-bound", "slope-without-grid"],
+    )
+    def test_assertion_values_exit_1(self, capsys, tmp_path, experiment, assertions, fragment):
+        cfg = {"experiment": experiment, "assertions": assertions}
+        if experiment == "quantum_wire":
+            cfg["seed"] = 0
+        if experiment == "classical_wire":
+            cfg["bits"] = [1, 0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and fragment in err

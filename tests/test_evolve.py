@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,20 +6,16 @@ from numpy.testing import assert_allclose
 
 from conftest import chain_for, random_qubit_amplitudes
 from oracles import expm_propagator, kron_hamiltonian, rabi_u2
-from swapchannel import (
-    ChainSpec,
+from swapchannel.chain import build_hamiltonian
+from swapchannel.evolve import (
     EntanglementError,
     QuantumState,
-    ResetPurityWarning,
     apply_local_unitary,
     apply_unitary,
-    build_hamiltonian,
-    evolve_window,
     inject_state,
     propagator,
     reduced_state,
     reset_qubit,
-    sample_probability,
     sample_trajectory,
 )
 
@@ -42,9 +36,9 @@ class TestQuantumState:
         g = QuantumState.ground(2)
         assert g.kind == "pure"
         assert_allclose(g.data, [1, 0, 0, 0])
-        b = QuantumState.basis([1, 0, 1])
+        b = QuantumState.pure(np.eye(8)[0b101])
         assert b.n_qubits == 3
-        assert_allclose(b.data, np.eye(8)[0b101])
+        assert_allclose(reduced_state(b, 0)[0], np.diag([0.0, 1.0]))
 
     def test_pure_requires_unit_norm(self):
         with pytest.raises(ValueError):
@@ -132,6 +126,11 @@ class TestPropagator:
         assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-9)
 
 
+def evolve_window(state, spec, biases, duration_ns):
+    """One window at a constant bias profile, as the full-mode runner applies it."""
+    return apply_unitary(state, propagator(build_hamiltonian(spec, biases), duration_ns))
+
+
 class TestEvolveWindow:
     def test_norm_preserved(self, design, rng):
         spec = chain_for(design, 3)
@@ -168,19 +167,19 @@ class TestLocalUnitary:
         got = apply_local_unitary(psi, u, first)
         assert_allclose(got.data, full @ psi.data, atol=1e-12)
 
-    def test_mixed_matches_conjugation(self, rng):
+    def test_mixed_state_is_refused(self, rng):
         u = propagator(random_hermitian(rng, 2) * 20.0, 4.0)
         rho = random_pure(rng, 3).to_mixed()
-        full = np.kron(np.eye(2), np.kron(u, np.eye(2)))
-        got = apply_local_unitary(rho, u, 1)
-        assert_allclose(got.data, full @ rho.data @ full.conj().T, atol=1e-12)
+        with pytest.raises(ValueError, match="pure state"):
+            apply_local_unitary(rho, u, 1)
 
 
 class TestObservablesAndBoundary:
     def test_sample_probability(self):
+        # The first row of a trajectory is each qubit's P(|1>) before evolving.
         psi = QuantumState.pure([0.6, 0.0, 0.0, 0.8])
-        assert_allclose(sample_probability(psi, 0), 0.64)
-        assert_allclose(sample_probability(psi, 1), 0.64)
+        _, probs = sample_trajectory(psi, np.eye(4), 1.0, 1)
+        assert_allclose(probs[0], [0.64, 0.64])
 
     def test_reduced_state_product(self, rng):
         a0, a1 = random_qubit_amplitudes(rng)
@@ -202,10 +201,9 @@ class TestObservablesAndBoundary:
         assert out.kind == "mixed"
         assert_allclose(out.data, np.diag([1.0, 0, 0, 0]), atol=1e-12)
 
-    def test_reset_entangled_qubit_warns(self):
+    def test_reset_entangled_qubit_leaves_partner_mixed(self):
         bell = QuantumState.pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        with pytest.warns(ResetPurityWarning):
-            out = reset_qubit(bell, 0)
+        out = reset_qubit(bell, 0)
         # The partner is left maximally mixed, the reset qubit in |0>.
         expected = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
         assert_allclose(out.data, expected, atol=1e-12)
@@ -258,7 +256,7 @@ class TestSampleTrajectory:
         assert_allclose(times[0], 0.0)
         assert_allclose(times[-1], 10.0)
         final = apply_unitary(QuantumState.ground(2), propagator(h, 10.0))
-        assert_allclose(probs[-1, 0], sample_probability(final, 0), atol=1e-9)
+        assert_allclose(probs[-1, 0], reduced_state(final, 0)[0][1, 1].real, atol=1e-9)
 
     def test_zero_duration(self, design):
         spec = chain_for(design, 1)

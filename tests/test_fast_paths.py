@@ -20,11 +20,11 @@ from swapchannel import (
     classical_channel_schedule,
     compute_frame_correction,
     quantum_channel_schedule,
-    replay_occupancy,
     schedule_to_json,
     solve_parameters,
     swap_pulses,
 )
+from swapchannel.scheduler import replay_occupancy
 
 DESIGN = solve_parameters(10.0, m=1, n=0)  # the ``design`` fixture, for @given tests
 

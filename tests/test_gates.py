@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import rabi_u2
-from swapchannel import (
+from oracles import loop_reduced_pulse_operator, rabi_u2
+from swapchannel.gates import (
     PhasedGate,
     ideal_cnot,
     ideal_copy,
@@ -158,6 +158,21 @@ class TestReducedPulseOperator:
         )
         hold_block = op[np.ix_([0, 2], [0, 2])]
         assert not np.allclose(hold_block, -np.eye(2), atol=1e-3)
+
+    @pytest.mark.parametrize(
+        "has_left, has_right", [(True, True), (True, False), (False, True)]
+    )
+    def test_matches_loop_oracle_bit_for_bit(self, has_left, has_right, design, rng):
+        # the design point (an end qubit pulses at +xi), then random points
+        pulse_bias = 0.0 if has_left and has_right else design.xi_mhz
+        cases = [(design.delta_mhz, design.xi_mhz, pulse_bias, design.t_ns)]
+        for _ in range(40):
+            delta, xi = rng.uniform(0.1, 100.0, size=2)
+            cases.append((delta, xi, rng.uniform(-200.0, 200.0), rng.uniform(0.0, 50.0)))
+        for args in cases:
+            kwargs = {"has_left": has_left, "has_right": has_right}
+            got = reduced_pulse_operator(*args, **kwargs)
+            assert np.array_equal(got, loop_reduced_pulse_operator(*args, **kwargs))
 
     def test_unitarity(self, design):
         for kwargs in ({}, {"has_left": False}, {"has_right": False}):

@@ -15,18 +15,20 @@ from swapchannel import (
     EntanglementError,
     PulseEvent,
     PulseSchedule,
-    QuantumState,
     Window,
-    apply_local_unitary,
     classical_channel_schedule,
-    inject_state,
     quantum_channel_schedule,
-    reduced_pulse_operator,
-    reduced_state,
     run_classical_channel,
     run_quantum_channel,
-    wrap_phase,
 )
+from swapchannel.chain import wrap_phase
+from swapchannel.evolve import (
+    QuantumState,
+    apply_local_unitary,
+    inject_state,
+    reduced_state,
+)
+from swapchannel.gates import reduced_pulse_operator
 from swapchannel.mps import MPS
 
 SNAP_EPS = 25000.0

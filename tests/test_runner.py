@@ -12,18 +12,12 @@ import swapchannel.runner as runner
 from swapchannel import (
     PulseEvent,
     PulseSchedule,
-    QuantumState,
     ScheduleError,
     Window,
-    apply_unitary,
-    build_hamiltonian,
     classical_channel_schedule,
     compute_frame_correction,
     copy_truth_table,
-    ideal_cnot,
     infidelity_slope,
-    phase_angle,
-    propagator,
     quantum_channel_schedule,
     run_classical_channel,
     run_gate_experiment,
@@ -32,8 +26,10 @@ from swapchannel import (
     schedule_to_json,
     swap_pulses,
     sweep_eps_high,
-    wrap_phase,
 )
+from swapchannel.chain import build_hamiltonian, phase_angle, wrap_phase
+from swapchannel.evolve import QuantumState, apply_unitary, propagator
+from swapchannel.gates import ideal_cnot
 
 SNAP_EPS = 25000.0
 

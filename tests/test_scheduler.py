@@ -12,12 +12,12 @@ from swapchannel import (
     classical_channel_schedule,
     line_conflict_check,
     quantum_channel_schedule,
-    replay_occupancy,
     schedule_from_json,
     schedule_to_json,
     swap_pulses,
     validate_sacrificial,
 )
+from swapchannel.scheduler import replay_occupancy
 
 
 def bare_window(n: int, targets=(), events=(), start=0.0, t=10.0) -> Window:
@@ -72,7 +72,7 @@ class TestScheduleContainers:
         with pytest.raises(ScheduleError):
             LineAssignment(lines=(0, 5), n_lines=2)
         la = LineAssignment(lines=(0, None, 0), n_lines=1)
-        assert la.qubits_on(0) == (0, 2)
+        assert la.lines == (0, None, 0)
 
 
 class TestSwapPulses:

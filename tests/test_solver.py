@@ -7,14 +7,13 @@ from numpy.testing import assert_allclose
 from oracles import rabi_u2
 from swapchannel import (
     InfeasibleDesignError,
-    TwoLevelParams,
-    copy_frequencies,
-    oscillation_descriptor,
     snapped_hold_bias,
     solve_for_timestep,
     solve_parameters,
     validate_gate_conditions,
 )
+from swapchannel.chain import TwoLevelParams
+from swapchannel.solver import copy_frequencies, oscillation_descriptor
 
 
 class TestSolveParameters:
