@@ -142,7 +142,7 @@ def _chain_setup(cfg: dict, n_qubits: int) -> tuple[GateDesign, float, ChainSpec
 
 
 def _cmd_schedule(args) -> int:
-    eps = args.eps_high_mhz or "snap_1000x_delta"
+    eps = "snap_1000x_delta" if args.eps_high_mhz is None else args.eps_high_mhz
     _, _, spec = _chain_setup(vars(args) | {"eps_high_mhz": eps}, args.n_qubits)
     if args.kind == "quantum":
         if args.n_states is None:
@@ -286,11 +286,17 @@ _ALLOWED_OUTPUTS = {"report", "schedule"}
 def _num(obj, path, minimum=None) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {obj!r}")
-    if not math.isfinite(obj):
+    try:
+        value = float(obj)
+    except OverflowError:  # a JSON integer past the float range
+        raise ConfigError(
+            f"{path}: must be finite, got an integer too large for a float"
+        ) from None
+    if not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite, got {obj!r}")
-    if minimum is not None and obj < minimum:
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {obj}")
-    return float(obj)
+    return value
 
 
 def _int(obj, path, minimum=None) -> int:

@@ -1,17 +1,22 @@
 """State containers and exact time evolution for small dense systems.
 
-Pure states are complex vectors, mixed states are density matrices; both are
-wrapped in :class:`QuantumState` so the channel runners can treat them
-uniformly.  Propagators are built by exact diagonalisation (the Hamiltonians
-here are small and dense, so ``eigh`` is both the fastest and the most
-accurate route).  The chain Hamiltonian is real symmetric, so its propagator
-comes from a real ``eigh`` and two real matrix products; complex Hermitian
-input takes the complex route.  Applying a propagator costs one
-matrix-vector product on a pure state and two matrix-matrix products on a
-density matrix, which is why the full-mode runner keeps a vector for as long
-as the state stays pure.  Reduced-mode wire runs do not use these dense
-states; they run on :class:`~swapchannel.mps.MPS`, which keeps the inject
-contract of :func:`inject_state`.
+A dense state is one factor ``W`` of shape ``(2^n, r)`` with density matrix
+``rho = W W^dagger``, the purification form (Verstraete, Garcia-Ripoll and
+Cirac, PRL 93, 207204 (2004)); a pure state is simply ``r = 1``.  Every
+operation has one body at every rank: a propagator acts as ``U @ W``, a
+reduced state is one contraction of ``W`` with its conjugate, and a reset or
+inject traces the qubit out by turning its |0> and |1> slices into ``2r``
+columns, compressed by a thin SVD that drops singular values at or below
+``TRUNCATION_RTOL`` of the largest.  Applying a propagator costs ``dim^2 r``
+complex multiply-adds, against ``2 dim^3`` for ``U rho U^dagger``.
+
+Propagators are built by exact diagonalisation (the Hamiltonians here are
+small and dense, so ``eigh`` is both the fastest and the most accurate
+route).  The chain Hamiltonian is real symmetric, so its propagator comes
+from a real ``eigh`` and two real matrix products; complex Hermitian input
+takes the complex route.  Reduced-mode wire runs do not use these dense
+states; they run on :class:`~swapchannel.mps.MPS`, which refuses injects as
+:func:`inject_state` does.
 """
 
 from __future__ import annotations
@@ -38,24 +43,31 @@ __all__ = [
 #: A qubit is treated as cleanly separable when its reduced purity is above this.
 PURITY_TOLERANCE = 1e-6
 
+#: Singular values at or below this fraction of the largest are dropped by an
+#: SVD compression (of a dense factor here, of an MPS bond in ``mps``).
+TRUNCATION_RTOL = 1e-14
+
 
 class EntanglementError(ValueError):
     """Raised when an operation needs a separable qubit but finds entanglement."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class QuantumState:
-    """Either a pure state vector or a density matrix on ``n_qubits`` qubits."""
+    """The state ``rho = W W^dagger`` of ``n_qubits`` qubits, held as its factor.
 
-    kind: str  # "pure" | "mixed"
+    ``data`` is ``W``, a read-only complex array of shape ``(2^n_qubits, r)``;
+    the constructor keeps its own copy.
+    """
+
     data: np.ndarray
-    n_qubits: int
+
+    def __post_init__(self):
+        w = np.array(self.data, dtype=complex)
+        if w.ndim != 2 or w.shape[0] & (w.shape[0] - 1) or 0 in w.shape:
+            raise ValueError(f"factor must be (2^n, r) with r >= 1, got shape {w.shape}")
+        w.flags.writeable = False
+        object.__setattr__(self, "data", w)
 
     @classmethod
     def pure(cls, amplitudes: Sequence[complex]) -> "QuantumState":
@@ -65,22 +77,7 @@ class QuantumState:
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state norm must be 1 within 1e-9, got {norm!r}")
-        return cls(kind="pure", data=_readonly(vec), n_qubits=vec.size.bit_length() - 1)
-
-    @classmethod
-    def mixed(cls, density: np.ndarray) -> "QuantumState":
-        rho = np.asarray(density, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError(f"density matrix must be square, got {rho.shape}")
-        dim = rho.shape[0]
-        if dim == 0 or (dim & (dim - 1)) != 0:
-            raise ValueError(f"density dimension must be a power of 2, got {dim}")
-        if not is_hermitian(rho, tol=1e-9):
-            raise ValueError("density matrix must be Hermitian")
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > 1e-8:
-            raise ValueError(f"density trace must be 1 within 1e-8, got {tr!r}")
-        return cls(kind="mixed", data=_readonly(rho), n_qubits=dim.bit_length() - 1)
+        return cls(vec[:, None])
 
     @classmethod
     def ground(cls, n_qubits: int) -> "QuantumState":
@@ -88,24 +85,22 @@ class QuantumState:
         vec[0] = 1.0
         return cls.pure(vec)
 
-    def density(self) -> np.ndarray:
-        if self.kind == "pure":
-            return np.outer(self.data, self.data.conj())
-        return np.array(self.data)
-
-    def to_mixed(self) -> "QuantumState":
-        if self.kind == "mixed":
-            return self
-        return QuantumState.mixed(self.density())
+    @property
+    def n_qubits(self) -> int:
+        return self.data.shape[0].bit_length() - 1
 
     @property
     def dim(self) -> int:
-        return 1 << self.n_qubits
+        return self.data.shape[0]
+
+    @property
+    def kind(self) -> str:
+        """``"pure"`` for a one-column factor, else ``"mixed"`` (for reports)."""
+        return "pure" if self.data.shape[1] == 1 else "mixed"
 
     def trace(self) -> float:
-        if self.kind == "pure":
-            return float(np.vdot(self.data, self.data).real)
-        return float(np.trace(self.data).real)
+        """``tr rho``, the squared Frobenius norm of the factor."""
+        return float(np.vdot(self.data, self.data).real)
 
 
 # ---------------------------------------------------------------------------
@@ -139,20 +134,12 @@ def apply_unitary(state: QuantumState, u: np.ndarray) -> QuantumState:
     u = np.asarray(u, dtype=complex)
     if u.shape != (state.dim, state.dim):
         raise ValueError(f"operator shape {u.shape} does not match state dim {state.dim}")
-    if state.kind == "pure":
-        return QuantumState(kind="pure", data=_readonly(u @ state.data), n_qubits=state.n_qubits)
-    return QuantumState(
-        kind="mixed", data=_readonly(u @ state.data @ u.conj().T), n_qubits=state.n_qubits
-    )
+    return QuantumState(u @ state.data)
 
 
 def apply_local_unitary(state: QuantumState, u: np.ndarray, first_qubit: int) -> QuantumState:
-    """Apply an operator acting on ``k`` adjacent qubits starting at ``first_qubit``
-    to a pure state, without forming the full 2^n operator.
-
-    Its callers (the phase ledger of :func:`~swapchannel.gates.track_phases`)
-    follow basis vectors, so a mixed state is refused with ``ValueError``.
-    """
+    """Apply an operator acting on ``k`` adjacent qubits starting at ``first_qubit``,
+    without forming the full 2^n operator."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
     if u.ndim != 2 or u.shape[0] != u.shape[1] or d & (d - 1):
@@ -161,11 +148,11 @@ def apply_local_unitary(state: QuantumState, u: np.ndarray, first_qubit: int) ->
     n = state.n_qubits
     if not 0 <= first_qubit <= n - k:
         raise ValueError(f"qubits [{first_qubit}, {first_qubit + k}) out of range for n={n}")
-    if state.kind != "pure":
-        raise ValueError("apply_local_unitary takes a pure state")
-    psi = state.data.reshape(1 << first_qubit, d, -1)
-    out = np.einsum("ab,xbz->xaz", u, psi)
-    return QuantumState(kind="pure", data=_readonly(out.reshape(-1)), n_qubits=n)
+    # rows of W are (qubits before, the k qubits, qubits after); its columns
+    # ride along with the qubits after
+    w = state.data.reshape(1 << first_qubit, d, -1)
+    out = np.einsum("ab,xbz->xaz", u, w)
+    return QuantumState(out.reshape(state.dim, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -182,37 +169,36 @@ def _axes(state: QuantumState, qubit: int) -> tuple[int, int]:
 
 def reduced_state(state: QuantumState, qubit: int) -> tuple[np.ndarray, float]:
     """(2x2 reduced density matrix, its purity) for one qubit."""
-    pre, post = _axes(state, qubit)
-    if state.kind == "pure":
-        psi = state.data.reshape(pre, 2, post)
-        rho2 = np.einsum("xaz,xbz->ab", psi, psi.conj())
-    else:
-        rho = state.data.reshape(pre, 2, post, pre, 2, post)
-        rho2 = np.einsum("xazxbz->ab", rho)
+    pre, _ = _axes(state, qubit)
+    w = state.data.reshape(pre, 2, -1)
+    rho2 = np.einsum("xaz,xbz->ab", w, w.conj())
     purity = float(np.trace(rho2 @ rho2).real)
     return rho2, purity
 
 
-def _replace_qubit(state: QuantumState, qubit: int, target_rho: np.ndarray) -> QuantumState:
-    """Trace out one qubit of a mixed state and tensor in ``target_rho``."""
+def _replace_qubit(state: QuantumState, qubit: int, local: np.ndarray) -> QuantumState:
+    """Trace one qubit out and tensor in the pure single-qubit state ``local``.
+
+    The qubit's |0> and |1> slices of ``W`` become the ``2r`` columns of a
+    factor of the rest, ``tr_q rho = sum_a W_a W_a^dagger``; a thin SVD
+    compresses those columns before ``local`` is tensored back in.
+    """
     pre, post = _axes(state, qubit)
-    rho = state.to_mixed().data.reshape(pre, 2, post, pre, 2, post)
-    rest = np.einsum("xazuav->xzuv", rho)
-    out = np.einsum("ab,xzuv->xazubv", target_rho, rest)
-    return QuantumState(
-        kind="mixed", data=_readonly(out.reshape(state.dim, state.dim)), n_qubits=state.n_qubits
-    )
+    w = state.data.reshape(pre, 2, post, -1)
+    rest = w.transpose(0, 2, 1, 3).reshape(pre * post, -1)
+    u, s, _ = np.linalg.svd(rest, full_matrices=False)
+    keep = s > TRUNCATION_RTOL * s[0]
+    rest = (u[:, keep] * s[keep]).reshape(pre, 1, post, -1)
+    return QuantumState((rest * local[:, None, None]).reshape(state.dim, -1))
 
 
 def reset_qubit(state: QuantumState, qubit: int) -> QuantumState:
     """Read-and-discard: trace the qubit out and re-prepare it in |0>.
 
-    Always returns a mixed state; if the qubit was still entangled the rest of
-    the register is left as a genuine mixture (the read reports its purity).
+    If the qubit was still entangled the rest of the register is left as a
+    genuine mixture (the read reports its purity) and the factor's rank grows.
     """
-    ket0 = np.zeros((2, 2), dtype=complex)
-    ket0[0, 0] = 1.0
-    return _replace_qubit(state, qubit, ket0)
+    return _replace_qubit(state, qubit, np.array([1.0, 0.0], dtype=complex))
 
 
 def _checked_amplitudes(amplitudes: Sequence[complex]) -> np.ndarray:
@@ -241,22 +227,13 @@ def inject_state(
     """Overwrite one separable qubit with a fresh single-qubit pure state.
 
     Raises :class:`EntanglementError` if the qubit is not separable to within
-    ``purity_tol`` (injection would silently corrupt correlations).  Pure
-    states stay pure.
+    ``purity_tol`` (injection would silently corrupt correlations).  Otherwise
+    the qubit is traced out and the amplitudes tensored in, so whatever
+    entanglement is left within the tolerance mixes the rest of the register.
     """
     target = _checked_amplitudes(amplitudes)
-    rho2, purity = reduced_state(state, qubit)
-    _require_separable(qubit, purity, purity_tol)
-    if state.kind == "pure":
-        pre, post = _axes(state, qubit)
-        evals, evecs = np.linalg.eigh(rho2)
-        local = evecs[:, int(np.argmax(evals))]
-        psi = state.data.reshape(pre, 2, post)
-        rest = np.einsum("a,xaz->xz", local.conj(), psi)
-        rest = rest / np.linalg.norm(rest)
-        out = np.einsum("a,xz->xaz", target, rest)
-        return QuantumState(kind="pure", data=_readonly(out.reshape(-1)), n_qubits=state.n_qubits)
-    return _replace_qubit(state, qubit, np.outer(target, target.conj()))
+    _require_separable(qubit, reduced_state(state, qubit)[1], purity_tol)
+    return _replace_qubit(state, qubit, target)
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def track_phases(
         state = QuantumState.pure(vec)
         for m, first in ops:
             state = apply_local_unitary(state, m, first)
-        out = state.data
+        out = state.data[:, 0]
         occupied = np.flatnonzero(np.abs(out) > 1e-9)
         if occupied.size != 1:
             raise ValueError(

@@ -25,12 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .evolve import PURITY_TOLERANCE, _checked_amplitudes, _require_separable
+from .evolve import (
+    PURITY_TOLERANCE, TRUNCATION_RTOL, _checked_amplitudes, _require_separable
+)
 
 __all__ = ["TRUNCATION_RTOL", "MPS"]
-
-#: Singular values below this fraction of the largest are dropped in a split.
-TRUNCATION_RTOL = 1e-14
 
 
 class MPS:
@@ -188,11 +187,12 @@ class MPS:
     ) -> None:
         """Overwrite one separable qubit with a fresh single-qubit pure state.
 
-        Same contract as :func:`~swapchannel.evolve.inject_state`: raises
+        Refuses as :func:`~swapchannel.evolve.inject_state` does: raises
         :class:`~swapchannel.evolve.EntanglementError` (leaving the state
-        untouched) if the qubit's purity is below ``1 - purity_tol``;
-        otherwise the qubit is projected on its dominant local state, the
-        rest renormalised and ``amplitudes`` tensored in.
+        untouched) if the qubit's purity is below ``1 - purity_tol``.  A pure
+        state cannot hold the mixture that tracing the qubit out leaves, so
+        the qubit is projected on its dominant local state instead, the rest
+        renormalised and ``amplitudes`` tensored in.
         """
         target = _checked_amplitudes(amplitudes)
         rho2, purity = self.reduced_state(qubit)

@@ -13,13 +13,12 @@ a runner only grades or thresholds the reads.  It has two modes:
   reset keeps the read qubit's dominant local branch, so an entangled read
   shows in its purity; only injects refuse entanglement.
 * ``full``: the complete (real symmetric) chain Hamiltonian, window by
-  window, with every parked-bias imperfection included.  The run starts from
-  a state vector and stays on it, windows and frame correction included,
-  until the first boundary after window 0 that carries events; there it
-  becomes a density matrix, because reads, resets and later injects act on
-  qubits that are slightly entangled with the chain and mix the state.  A
-  wire with no mid-run boundary (one state) is a vector until the final
-  read.  Resets trace the qubit out.
+  window, with every parked-bias imperfection included.  The state is a
+  factor ``W`` with ``rho = W W^dagger`` (:class:`~swapchannel.evolve.QuantumState`):
+  a window applies ``U @ W``, and a reset or inject traces the qubit out,
+  which doubles the columns of ``W`` before a thin SVD compresses them.  The
+  rank grows only where a read or inject leaves the rest of the chain mixed,
+  so a wire with no mid-run boundary (one state) keeps one column.
 
 Both the reduced pulses and the frame correction take their bias from
 :func:`~swapchannel.chain.effective_bias`, ``bias + xi*sum z_nbr``.
@@ -283,13 +282,6 @@ def _frame_diagonal(angles_row: np.ndarray, n_qubits: int) -> np.ndarray:
     return np.exp(1j * (_z_values(n_qubits) * angles_row).sum(axis=1))
 
 
-def _apply_frame(state: QuantumState, diag: np.ndarray) -> QuantumState:
-    if state.kind == "pure":
-        return QuantumState.pure(diag * state.data)
-    rho = diag[:, None] * state.data * diag.conj()[None, :]
-    return QuantumState(kind="mixed", data=rho, n_qubits=state.n_qubits)
-
-
 # ---------------------------------------------------------------------------
 # channel runs
 # ---------------------------------------------------------------------------
@@ -419,7 +411,6 @@ def _execute(
         raise ValueError(f"unknown mode {mode!r}")
     reduced = mode == "reduced"
 
-    # Both ground states are looked up per call, so tests can substitute them.
     branches = {"raw": (MPS.ground if reduced else QuantumState.ground)(spec.n_qubits)}
     angles = None
     if frame_correction and not reduced:
@@ -430,14 +421,6 @@ def _execute(
     prop_cache: dict[tuple, np.ndarray] = {}
 
     def do_boundary(events, window_index):
-        # Full mode keeps a state vector until the first boundary after window
-        # 0 that carries events.  Before window 0 the register is exactly
-        # |0...0>, so a vector inject there equals the trace-and-retensor map.
-        # Later, the qubit read or injected is slightly entangled with the
-        # chain, and only the density matrix gives the exact (mixing) map.
-        if not reduced and events and window_index != 0:
-            for name in branches:
-                branches[name] = branches[name].to_mixed()
         for e in events:
             if e.kind == "read_reset":
                 reads = {name: _reduced_state(s, e.qubit) for name, s in branches.items()}
@@ -463,7 +446,7 @@ def _execute(
             branches[name] = apply_unitary(branches[name], prop_cache[key])
         if angles is not None:
             diag = _frame_diagonal(angles[i], spec.n_qubits)
-            branches["corrected"] = _apply_frame(branches["corrected"], diag)
+            branches["corrected"] = QuantumState(diag[:, None] * branches["corrected"].data)
     do_boundary(schedule.final_events, None)
     return branches["raw"]
 

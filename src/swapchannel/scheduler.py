@@ -74,10 +74,23 @@ class PulseEvent:
 
 @dataclass(frozen=True)
 class Window:
+    """One window at a constant bias profile; refuses a non-finite start,
+    duration or bias and a negative duration."""
+
     start_ns: float
     duration_ns: float
     biases_mhz: tuple[float, ...]
     events: tuple[PulseEvent, ...] = ()
+
+    def __post_init__(self):
+        for name in ("start_ns", "duration_ns"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScheduleError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.duration_ns < 0:
+            raise ScheduleError(f"duration_ns must be >= 0, got {self.duration_ns!r}")
+        if not all(map(math.isfinite, self.biases_mhz)):
+            bad = next(b for b in self.biases_mhz if not math.isfinite(b))
+            raise ScheduleError(f"biases_mhz must be finite, got {bad!r}")
 
     def gate_targets(self) -> tuple[int, ...]:
         return tuple(e.qubit for e in self.events if e.kind in GATE_KINDS)
@@ -94,7 +107,8 @@ class PulseSchedule:
     label: str = ""
 
     def __post_init__(self):
-        for w in self.windows:
+        end_ns = -math.inf
+        for i, w in enumerate(self.windows):
             if len(w.biases_mhz) != self.n_qubits:
                 raise ScheduleError(
                     f"window has {len(w.biases_mhz)} biases for n_qubits={self.n_qubits}"
@@ -102,6 +116,12 @@ class PulseSchedule:
             for e in w.events:
                 if e.qubit >= self.n_qubits:
                     raise ScheduleError(f"event qubit {e.qubit} out of range")
+            if w.start_ns < end_ns - 1e-9:
+                raise ScheduleError(
+                    f"window {i} starts at {w.start_ns!r} ns, before the previous "
+                    f"window ends at {end_ns!r} ns"
+                )
+            end_ns = w.start_ns + w.duration_ns
         for e in self.final_events:
             if e.kind in GATE_KINDS:
                 raise ScheduleError("final_events may only contain boundary events")
@@ -779,17 +799,13 @@ def _parse_event(obj: dict) -> PulseEvent:
     return PulseEvent(kind=kind, qubit=qubit, data_index=data_index)
 
 
-def _parse_window(obj: dict, index: int, previous_end_ns: float) -> Window:
+def _parse_window(obj: dict, index: int) -> Window:
     """One window object; refuses times and ``biases_mhz`` that are not JSON
-    numbers, non-finite or negative times and biases, and a window that
-    starts before the previous one ends (beyond 1e-9 ns)."""
+    numbers (:class:`Window` and :class:`PulseSchedule` check the values)."""
     times = (("start_ns", obj["start_ns"]), ("duration_ns", obj["duration_ns"]))
     for name, value in times:
         if type(value) not in (int, float):
             raise ScheduleError(f"window {index}: {name} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ScheduleError(f"window {index}: {name} must be finite, got {value!r}")
-    start, duration = (float(value) for _, value in times)
     raw = obj["biases_mhz"]
     if not isinstance(raw, list) or not set(map(type, raw)) <= {int, float}:
         bad = raw
@@ -798,23 +814,16 @@ def _parse_window(obj: dict, index: int, previous_end_ns: float) -> Window:
         raise ScheduleError(
             f"window {index}: biases_mhz must be an array of numbers, got {bad!r}"
         )
-    biases = tuple(map(float, raw))
-    if not all(map(math.isfinite, biases)):
-        bad = next(b for b in biases if not math.isfinite(b))
-        raise ScheduleError(f"window {index}: biases_mhz must be finite, got {bad!r}")
-    if duration < 0:
-        raise ScheduleError(f"window {index}: duration_ns must be >= 0, got {duration!r}")
-    if start < previous_end_ns - 1e-9:
-        raise ScheduleError(
-            f"window {index} starts at {start!r} ns, before the previous window "
-            f"ends at {previous_end_ns!r} ns"
+    events = tuple(_parse_event(e) for e in obj["events"])
+    try:
+        return Window(
+            start_ns=float(times[0][1]),
+            duration_ns=float(times[1][1]),
+            biases_mhz=tuple(map(float, raw)),
+            events=events,
         )
-    return Window(
-        start_ns=start,
-        duration_ns=duration,
-        biases_mhz=biases,
-        events=tuple(_parse_event(e) for e in obj["events"]),
-    )
+    except ScheduleError as exc:
+        raise ScheduleError(f"window {index}: {exc}") from None
 
 
 def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]:
@@ -828,14 +837,9 @@ def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]
     if not isinstance(obj, dict) or obj.get("format") != _FORMAT_TAG:
         raise ScheduleError(f"not a {_FORMAT_TAG} document")
     try:
-        windows: list[Window] = []
-        end_ns = -math.inf
-        for i, w in enumerate(obj["windows"]):
-            windows.append(_parse_window(w, i, end_ns))
-            end_ns = windows[-1].start_ns + windows[-1].duration_ns
         schedule = PulseSchedule(
             n_qubits=_typed(obj["n_qubits"], (int,), "n_qubits"),
-            windows=tuple(windows),
+            windows=tuple(_parse_window(w, i) for i, w in enumerate(obj["windows"])),
             final_events=tuple(_parse_event(e) for e in obj["final_events"]),
             label=_typed(obj.get("label", ""), (str,), "label"),
         )

@@ -4,27 +4,32 @@ The chain oracles deliberately avoid the package's own construction paths:
 Hamiltonians are built by explicit Kronecker sums, propagators by scipy's
 scaling-and-squaring exponential, and two-level propagators by the
 closed-form Rabi rotation.  The dense reduced-mode replay is the package's
-former reduced path (dense vector, local einsums), kept as the reference the
-matrix-product-state backend must reproduce.  The schedule serialiser and the
-frame correction and the reduced pulse operator are the package's former
-per-value routes: ``json.dumps`` of the schedule document, one scalar
-``phase_angle`` per parked qubit, and one matrix element at a time."""
+former reduced path (dense vector, local einsums, injects that project onto
+the qubit's dominant branch), kept as the reference the matrix-product-state
+backend must reproduce.  The dense-rho run is the package's former full-mode
+path (2^L x 2^L density matrices), kept as the reference for the factor
+``rho = W W^dagger`` the full-mode runners now evolve.  The schedule
+serialiser and the frame correction and the reduced pulse operator are the
+package's former per-value routes: ``json.dumps`` of the schedule document,
+one scalar ``phase_angle`` per parked qubit, and one matrix element at a
+time."""
 
 import json
 
 import numpy as np
 import scipy.linalg
 
-from swapchannel.chain import TwoLevelParams, phase_angle, wrap_phase
+from swapchannel.chain import TwoLevelParams, build_hamiltonian, phase_angle, wrap_phase
 from swapchannel.evolve import (
     PURITY_TOLERANCE,
+    EntanglementError,
     QuantumState,
     apply_local_unitary,
-    inject_state,
     propagator,
     reduced_state,
 )
 from swapchannel.gates import reduced_pulse_operator
+from swapchannel.runner import _frame_diagonal, compute_frame_correction
 from swapchannel.scheduler import ScheduleError, replay_occupancy
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -65,12 +70,35 @@ def rabi_u2(delta: float, sigma: float, t_ns: float) -> np.ndarray:
     return np.cos(theta) * np.eye(2, dtype=complex) - 1j * np.sin(theta) * axis
 
 
+def _refuse_entangled(qubit: int, purity: float, purity_tol: float) -> None:
+    if purity < 1.0 - purity_tol:
+        raise EntanglementError(
+            f"qubit {qubit} has reduced purity {purity:.6f}; refusing to inject"
+        )
+
+
+def project_inject(state, qubit, amplitudes, *, purity_tol):
+    """Pure-state inject by projection: refuse a qubit whose purity is below
+    ``1 - purity_tol``, else project it onto its dominant local branch,
+    renormalise and tensor ``amplitudes`` in.  This is what an MPS inject
+    does (a pure state cannot hold the mixture the exact map leaves)."""
+    rho2, purity = reduced_state(state, qubit)
+    _refuse_entangled(qubit, purity, purity_tol)
+    pre, post = 1 << qubit, 1 << (state.n_qubits - qubit - 1)
+    evals, evecs = np.linalg.eigh(rho2)
+    local = evecs[:, int(np.argmax(evals))]
+    rest = np.einsum("a,xaz->xz", local.conj(), state.data.reshape(pre, 2, post))
+    out = np.einsum("a,xz->xaz", np.asarray(amplitudes, dtype=complex),
+                    rest / np.linalg.norm(rest))
+    return QuantumState.pure(out.reshape(-1))
+
+
 def dense_reduced_replay(spec, schedule, inject_amplitudes, on_read, *, inject_tol, read_tol):
     """Reduced-mode run of ``schedule`` on a dense 2^L state vector.
 
     This is the dense path the runners used before the MPS backend, kept as
     the reference it must match: ``QuantumState`` + ``apply_local_unitary`` +
-    ``inject_state``, with each pulse the ``reduced_pulse_operator`` at the
+    :func:`project_inject`, with each pulse the ``reduced_pulse_operator`` at the
     window's bias for the pulsed qubit.  ``inject_amplitudes(data_index)``
     gives the amplitudes an inject writes; ``on_read(state, event, window)``
     sees the state before each read_reset re-prepares |0>.  Returns the final
@@ -84,10 +112,10 @@ def dense_reduced_replay(spec, schedule, inject_amplitudes, on_read, *, inject_t
         for e in events:
             if e.kind == "read_reset":
                 on_read(state, e, window_index)
-                state = inject_state(state, e.qubit, (1.0, 0.0), purity_tol=read_tol)
+                state = project_inject(state, e.qubit, (1.0, 0.0), purity_tol=read_tol)
             elif e.kind == "inject":
                 amps = inject_amplitudes(e.data_index)
-                state = inject_state(state, e.qubit, amps, purity_tol=inject_tol)
+                state = project_inject(state, e.qubit, amps, purity_tol=inject_tol)
 
     for i, window in enumerate(schedule.windows):
         boundary(window.boundary_events(), i)
@@ -159,6 +187,84 @@ def dense_reduced_bits(spec, schedule, bits):
         read_tol=1e-3,
     )
     return sorted(reads)
+
+
+class DenseRho:
+    """A density matrix with the ``trace()`` a runner reads off its final state."""
+
+    def __init__(self, rho: np.ndarray):
+        self.rho = rho
+
+    def trace(self) -> float:
+        return float(np.trace(self.rho).real)
+
+
+def _rho_axes(rho: np.ndarray, qubit: int) -> np.ndarray:
+    n = rho.shape[0].bit_length() - 1
+    pre, post = 1 << qubit, 1 << (n - qubit - 1)
+    return rho.reshape(pre, 2, post, pre, 2, post)
+
+
+def _rho_reduced(rho: np.ndarray, qubit: int) -> tuple[np.ndarray, float]:
+    rho2 = np.einsum("xazxbz->ab", _rho_axes(rho, qubit))
+    return rho2, float(np.trace(rho2 @ rho2).real)
+
+
+def rho_replace(rho: np.ndarray, qubit: int, local: np.ndarray) -> np.ndarray:
+    """Trace ``qubit`` out and tensor in the pure state ``local``."""
+    rest = np.einsum("xazuav->xzuv", _rho_axes(rho, qubit))
+    out = np.einsum("ab,xzuv->xazubv", np.outer(local, local.conj()), rest)
+    return out.reshape(rho.shape)
+
+
+def dense_rho_run(spec, schedule, data_states, on_read, *, mode, purity_tol,
+                  frame_correction=False):
+    """A full-mode run on 2^L x 2^L density matrices, with the signature and
+    read contract of ``runner._execute`` (so a runner can be pointed at it).
+
+    Each window maps ``rho -> U rho U^dagger`` with the package's own
+    ``propagator`` of ``build_hamiltonian``; resets and injects trace the
+    qubit out and tensor in |0> or the data state (an inject refuses a qubit
+    whose purity is below ``1 - purity_tol``); the ``"corrected"`` copy
+    takes the package's frame diagonal as ``d rho d^dagger`` after every
+    window.  (Summed in another order, the ~1e4 rad frame angles would differ
+    by ~1e-12 rad before any state is involved.)
+    """
+    if mode != "full":
+        raise ValueError(f"dense_rho_run simulates full mode, not {mode!r}")
+    n = spec.n_qubits
+    dim = 1 << n
+    ground = np.zeros((dim, dim), dtype=complex)
+    ground[0, 0] = 1.0
+    rhos = {"raw": ground}
+    if frame_correction:
+        angles = compute_frame_correction(schedule, spec)
+        rhos["corrected"] = ground
+
+    def boundary(events, w):
+        for e in events:
+            if e.kind == "read_reset":
+                on_read(e, w, {k: _rho_reduced(r, e.qubit) for k, r in rhos.items()})
+                local = np.array([1.0, 0.0], dtype=complex)
+            elif e.kind == "inject":
+                local = np.asarray(data_states[e.data_index], dtype=complex)
+                for r in rhos.values():
+                    _refuse_entangled(e.qubit, _rho_reduced(r, e.qubit)[1], purity_tol)
+            else:
+                continue
+            for k in rhos:
+                rhos[k] = rho_replace(rhos[k], e.qubit, local)
+
+    for i, window in enumerate(schedule.windows):
+        boundary(window.boundary_events(), i)
+        u = propagator(build_hamiltonian(spec, window.biases_mhz), window.duration_ns)
+        for k in rhos:
+            rhos[k] = u @ rhos[k] @ u.conj().T
+        if frame_correction:
+            d = _frame_diagonal(angles[i], n)
+            rhos["corrected"] = d[:, None] * rhos["corrected"] * d.conj()[None, :]
+    boundary(schedule.final_events, None)
+    return DenseRho(rhos["raw"])
 
 
 def _event_obj(e) -> dict:

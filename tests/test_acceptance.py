@@ -30,7 +30,7 @@ from swapchannel import (
     sweep_eps_high,
 )
 from swapchannel.chain import TwoLevelParams, build_hamiltonian
-from swapchannel.evolve import QuantumState, propagator
+from swapchannel.evolve import QuantumState, apply_unitary, propagator
 from swapchannel.gates import ideal_cnot, reduced_pulse_operator
 from swapchannel.solver import oscillation_descriptor
 
@@ -220,12 +220,11 @@ def test_criterion_10_property_battery():
 
     # Trace preservation for mixed-state window evolution.
     for _ in range(5):
-        raw = rng.normal(size=16) + 1j * rng.normal(size=16)
-        psi = QuantumState.pure(raw / np.linalg.norm(raw)).to_mixed()
+        raw = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
+        rho = QuantumState(raw / np.linalg.norm(raw))
         spec = chain_for(design, 4, eps_high=25000.0)
         h = build_hamiltonian(spec, rng.uniform(0, 25000.0, size=4))
-        u = propagator(h, design.t_ns)
-        evolved = QuantumState(kind="mixed", data=u @ psi.data @ u.conj().T, n_qubits=4)
+        evolved = apply_unitary(rho, propagator(h, design.t_ns))
         assert abs(evolved.trace() - 1.0) < 1e-9
 
     # Solver round-trip: a solved design regenerates its own window length

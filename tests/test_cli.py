@@ -116,6 +116,19 @@ class TestScheduleAndValidate:
         assert "eps_high_mhz" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-0.0", "-1"])
+    def test_non_positive_parking_bias_exits_1(self, capsys, tmp_path, value):
+        # 0 is refused like any value <= 0, not taken as "no flag given"
+        path = tmp_path / "wire.json"
+        code, _, err = run_cli(
+            capsys,
+            "schedule", "--kind", "quantum", "--n-qubits", "5", "--n-states", "1",
+            "--eps-high-mhz", value, "--out", str(path),
+        )
+        assert code == 1
+        assert "eps_high_mhz must be > 0" in err
+        assert not path.exists()
+
     def test_missing_kind_arguments(self, capsys):
         code, _, err = run_cli(capsys, "schedule", "--kind", "quantum", "--n-qubits", "5")
         assert code == 1
@@ -503,8 +516,10 @@ class TestRunRefusesBadValuesBeforeRunning:
             ('{"experiment": "copy_table", "t_ns": NaN}', "config.t_ns: must be finite, got nan"),
             ('{"experiment": "copy_table", "eps_high_mhz": -Infinity}',
              "config.eps_high_mhz: must be finite, got -inf"),
+            ('{"experiment": "copy_table", "t_ns": 1' + "0" * 400 + "}",
+             "config.t_ns: must be finite, got an integer too large for a float"),
         ],
-        ids=["inf-eps-grid", "nan-t-ns", "inf-eps-high"],
+        ids=["inf-eps-grid", "nan-t-ns", "inf-eps-high", "huge-int-t-ns"],
     )
     def test_non_finite_numbers_exit_1(self, capsys, tmp_path, text, fragment):
         path = tmp_path / "bad.json"

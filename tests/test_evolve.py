@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import chain_for, random_qubit_amplitudes
-from oracles import expm_propagator, kron_hamiltonian, rabi_u2
+from oracles import rho_replace, expm_propagator, kron_hamiltonian, rabi_u2
 from swapchannel.chain import build_hamiltonian
 from swapchannel.evolve import (
     EntanglementError,
@@ -26,6 +26,16 @@ def random_pure(rng, n_qubits: int) -> QuantumState:
     return QuantumState.pure(vec / np.linalg.norm(vec))
 
 
+def random_mixed(rng, n_qubits: int, rank: int) -> QuantumState:
+    """A random factor ``W`` of ``rank`` columns with ``tr W W^dagger = 1``."""
+    w = rng.normal(size=(2**n_qubits, rank)) + 1j * rng.normal(size=(2**n_qubits, rank))
+    return QuantumState(w / np.linalg.norm(w))
+
+
+def density(state: QuantumState) -> np.ndarray:
+    return state.data @ state.data.conj().T
+
+
 def random_hermitian(rng, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (a + a.conj().T) / 2.0
@@ -35,7 +45,7 @@ class TestQuantumState:
     def test_ground_and_basis(self):
         g = QuantumState.ground(2)
         assert g.kind == "pure"
-        assert_allclose(g.data, [1, 0, 0, 0])
+        assert_allclose(g.data, [[1], [0], [0], [0]])
         b = QuantumState.pure(np.eye(8)[0b101])
         assert b.n_qubits == 3
         assert_allclose(reduced_state(b, 0)[0], np.diag([0.0, 1.0]))
@@ -48,25 +58,26 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             QuantumState.pure([1.0, 0.0, 0.0])
 
-    def test_mixed_requires_hermitian_unit_trace(self):
-        with pytest.raises(ValueError):
-            QuantumState.mixed(np.array([[0.5, 0.5], [0.0, 0.5]]))
-        with pytest.raises(ValueError):
-            QuantumState.mixed(np.diag([0.7, 0.7]))
+    @pytest.mark.parametrize("shape", [(3, 1), (4,), (4, 0), (0, 1)],
+                             ids=["rows-not-power-of-2", "vector", "no-columns", "no-rows"])
+    def test_factor_must_be_power_of_two_rows_by_columns(self, shape):
+        with pytest.raises(ValueError, match="factor must be"):
+            QuantumState(np.ones(shape))
 
-    def test_density_and_to_mixed(self, rng):
-        psi = random_pure(rng, 2)
-        rho = psi.density()
-        assert_allclose(rho, np.outer(psi.data, psi.data.conj()))
-        mixed = psi.to_mixed()
-        assert mixed.kind == "mixed"
-        assert_allclose(mixed.data, rho)
-        assert_allclose(mixed.trace(), 1.0, atol=1e-12)
+    def test_factor_rank_sets_kind_and_trace(self, rng):
+        w = random_mixed(rng, 2, 3)
+        assert (w.n_qubits, w.dim, w.kind) == (2, 4, "mixed")
+        assert_allclose(w.trace(), np.trace(density(w)).real, atol=1e-12)
+        assert_allclose(w.trace(), 1.0, atol=1e-12)
 
     def test_data_is_readonly(self):
         g = QuantumState.ground(1)
         with pytest.raises(ValueError):
             g.data[0] = 0.0
+        w = np.ones((2, 2))
+        state = QuantumState(w)
+        w[0, 0] = 5.0  # the state keeps its own copy
+        assert state.data[0, 0] == 1.0
 
 
 class TestPropagator:
@@ -140,9 +151,11 @@ class TestEvolveWindow:
 
     def test_mixed_trace_preserved(self, design, rng):
         spec = chain_for(design, 2)
-        rho = random_pure(rng, 2).to_mixed()
+        rho = random_mixed(rng, 2, 3)
         out = evolve_window(rho, spec, [10.0, 20.0], 5.0)
         assert_allclose(out.trace(), 1.0, atol=1e-12)
+        u = propagator(build_hamiltonian(spec, [10.0, 20.0]), 5.0)
+        assert_allclose(density(out), u @ density(rho) @ u.conj().T, atol=1e-12)
 
     def test_matches_kron_oracle(self, design, rng):
         spec = chain_for(design, 3)
@@ -167,11 +180,13 @@ class TestLocalUnitary:
         got = apply_local_unitary(psi, u, first)
         assert_allclose(got.data, full @ psi.data, atol=1e-12)
 
-    def test_mixed_state_is_refused(self, rng):
-        u = propagator(random_hermitian(rng, 2) * 20.0, 4.0)
-        rho = random_pure(rng, 3).to_mixed()
-        with pytest.raises(ValueError, match="pure state"):
-            apply_local_unitary(rho, u, 1)
+    @pytest.mark.parametrize("n,first,k", [(3, 0, 1), (3, 1, 1), (3, 2, 1), (4, 1, 2), (3, 0, 3)])
+    def test_mixed_state_matches_conjugation(self, n, first, k, rng):
+        u = propagator(random_hermitian(rng, 2**k) * 20.0, 4.0)
+        full = np.kron(np.kron(np.eye(2**first), u), np.eye(2 ** (n - first - k)))
+        rho = random_mixed(rng, n, 3)
+        got = apply_local_unitary(rho, u, first)
+        assert_allclose(density(got), full @ density(rho) @ full.conj().T, atol=1e-12)
 
 
 class TestObservablesAndBoundary:
@@ -198,15 +213,24 @@ class TestObservablesAndBoundary:
         a0, a1 = random_qubit_amplitudes(rng)
         psi = QuantumState.pure(np.kron([1.0, 0.0], [a0, a1]))
         out = reset_qubit(psi, 1)
-        assert out.kind == "mixed"
-        assert_allclose(out.data, np.diag([1.0, 0, 0, 0]), atol=1e-12)
+        assert out.kind == "pure"  # nothing was entangled, so nothing mixes
+        assert_allclose(density(out), np.diag([1.0, 0, 0, 0]), atol=1e-12)
 
     def test_reset_entangled_qubit_leaves_partner_mixed(self):
         bell = QuantumState.pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
         out = reset_qubit(bell, 0)
         # The partner is left maximally mixed, the reset qubit in |0>.
         expected = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
-        assert_allclose(out.data, expected, atol=1e-12)
+        assert out.kind == "mixed"
+        assert_allclose(density(out), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    def test_reset_of_a_mixed_state_matches_the_dense_map(self, rng, qubit):
+        rho = random_mixed(rng, 3, 4)
+        out = reset_qubit(rho, qubit)
+        assert out.data.shape[1] <= 2 * 4
+        want = rho_replace(density(rho), qubit, np.array([1.0, 0.0]))
+        assert_allclose(density(out), want, atol=1e-12)
 
     def test_inject_replaces_separable_qubit(self, rng):
         a0, a1 = random_qubit_amplitudes(rng)
@@ -214,7 +238,9 @@ class TestObservablesAndBoundary:
         psi = QuantumState.pure(np.kron([a0, a1], [1.0, 0.0]))
         out = inject_state(psi, 1, [b0, b1])
         assert out.kind == "pure"
-        assert_allclose(out.data, np.kron([a0, a1], [b0, b1]), atol=1e-12)
+        # equal up to the global phase the SVD leaves on the column
+        want = np.kron([a0, a1], [b0, b1])
+        assert_allclose(density(out), np.outer(want, want.conj()), atol=1e-12)
 
     def test_inject_preserves_entanglement_elsewhere(self):
         # Qubits 0 and 2 share a Bell pair; qubit 1 is fresh.
@@ -223,7 +249,8 @@ class TestObservablesAndBoundary:
         out = inject_state(QuantumState.pure(psi3), 1, [0.0, 1.0])
         expected = np.einsum("ac,b->abc", bell.reshape(2, 2), [0.0, 1.0]).reshape(-1)
         # Global phase aside, the Bell correlations must survive untouched.
-        overlap = abs(np.vdot(expected, out.data))
+        assert out.kind == "pure"
+        overlap = abs(np.vdot(expected, out.data[:, 0]))
         assert_allclose(overlap, 1.0, atol=1e-12)
 
     def test_inject_rejects_entangled_qubit(self):
@@ -239,7 +266,11 @@ class TestObservablesAndBoundary:
         with pytest.raises(EntanglementError):
             inject_state(state, 0, [1.0, 0.0])
         out = inject_state(state, 0, [1.0, 0.0], purity_tol=1e-3)
-        assert out.kind == "pure"
+        # The entanglement within the tolerance is traced out, not projected
+        # away: qubit 1 is left with weight eps in |1>.
+        want = rho_replace(density(state), 0, np.array([1.0, 0.0]))
+        assert_allclose(density(out), want, atol=1e-12)
+        assert_allclose(want, np.diag([1 - eps, eps, 0.0, 0.0]), atol=1e-12)
 
     def test_inject_requires_normalised_amplitudes(self):
         with pytest.raises(ValueError):

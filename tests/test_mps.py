@@ -10,7 +10,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import chain_for, mps_vector, random_qubit_amplitudes
-from oracles import dense_reduced_bits, dense_reduced_replay, dense_reduced_wire
+from oracles import (
+    dense_reduced_bits, dense_reduced_replay, dense_reduced_wire, project_inject
+)
 from swapchannel import (
     EntanglementError,
     PulseEvent,
@@ -65,7 +67,7 @@ class TestMPS:
         assert mps.n_qubits == 4
         assert mps.trace() == 1.0
         assert mps.max_bond == 1 and mps.discarded_weight == 0.0
-        assert_allclose(mps_vector(mps), QuantumState.ground(4).data)
+        assert_allclose(mps_vector(mps), QuantumState.ground(4).data[:, 0])
         rho2, purity = mps.reduced_state(2)
         assert_allclose(rho2, np.diag([1.0, 0.0]))
         assert purity == 1.0
@@ -87,7 +89,7 @@ class TestMPS:
             assert_allclose(rho_m, rho_d, rtol=0, atol=1e-12)
             assert_allclose(pur_m, pur_d, rtol=0, atol=1e-12)
             assert_canonical(mps)
-        assert_allclose(mps_vector(mps), dense.data, rtol=0, atol=1e-12)
+        assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
         assert_allclose(mps.trace(), dense.trace(), rtol=0, atol=1e-12)
         # generic states fill the bonds up to min(2^i, 2^(n-i)) = 8
         assert mps.max_bond == 8
@@ -103,7 +105,7 @@ class TestMPS:
             mps = MPS.ground(n)
             mps.reduced_state(centre)  # park the centre at one end
             mps.apply_layer(ops)
-            assert_allclose(mps_vector(mps), dense.data, rtol=0, atol=1e-12)
+            assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
 
     def test_overlapping_layer_keeps_its_order(self, rng):
         n = 5
@@ -114,11 +116,12 @@ class TestMPS:
         mps = MPS.ground(n)
         mps.reduced_state(n - 1)
         mps.apply_layer(ops)
-        assert_allclose(mps_vector(mps), dense.data, rtol=0, atol=1e-12)
+        assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
 
     def test_inject_matches_dense_on_a_slightly_entangled_qubit(self, rng):
         # A weak entangler leaves qubit 2 with purity just below 1, so the
-        # projection and renormalisation both matter.
+        # projection and renormalisation both matter.  The dense reference is
+        # the projecting inject (the package's dense inject mixes instead).
         n = 5
         weak = np.diag(np.exp(1j * np.array([0.0, 0.0, 0.0, 0.02])))
         mps, dense = MPS.ground(n), QuantumState.ground(n)
@@ -133,8 +136,8 @@ class TestMPS:
         assert 1.0 - 1e-3 < purity < 1.0 - 1e-8
         amps = np.array(random_qubit_amplitudes(rng))
         mps.inject(2, amps, purity_tol=1e-3)
-        dense = inject_state(dense, 2, amps, purity_tol=1e-3)
-        assert_allclose(mps_vector(mps), dense.data, rtol=0, atol=1e-12)
+        dense = project_inject(dense, 2, amps, purity_tol=1e-3)
+        assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
         assert_allclose(mps.trace(), 1.0, rtol=0, atol=1e-12)
         assert_canonical(mps)
 
@@ -231,7 +234,7 @@ class TestReducedRunnerAgainstDense:
                 events = [PulseEvent(kind="inject", qubit=q, data_index=i) for i, q in enumerate((0, 4))] + events
             windows.append(
                 Window(
-                    start_ns=w * design.t_ns,
+                    start_ns=w * 12.0,  # no window is longer than 12 ns
                     duration_ns=float(rng.uniform(2.0, 12.0)),
                     biases_mhz=tuple(biases),
                     events=tuple(events),
@@ -246,7 +249,7 @@ class TestReducedRunnerAgainstDense:
         (mps,) = mps_spy
         assert mps.max_bond > 2
         assert mps.discarded_weight < 1e-28
-        assert_allclose(mps_vector(mps), final.data, rtol=0, atol=1e-12)
+        assert_allclose(mps_vector(mps), final.data[:, 0], rtol=0, atol=1e-12)
         assert_allclose(report.final_trace, final.trace(), rtol=0, atol=1e-12)
 
     def test_inject_into_entangled_qubit_raises_like_dense(self, design):

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import chain_for, random_qubit_amplitudes
-from oracles import dense_reduced_wire, expm_propagator, kron_hamiltonian
+from oracles import dense_reduced_wire, dense_rho_run, expm_propagator, kron_hamiltonian
 import swapchannel.runner as runner
 from swapchannel import (
     PulseEvent,
@@ -28,7 +28,7 @@ from swapchannel import (
     sweep_eps_high,
 )
 from swapchannel.chain import build_hamiltonian, phase_angle, wrap_phase
-from swapchannel.evolve import QuantumState, apply_unitary, propagator
+from swapchannel.evolve import apply_unitary, propagator
 from swapchannel.gates import ideal_cnot
 
 SNAP_EPS = 25000.0
@@ -93,24 +93,42 @@ def oracle_full_corrected(spec, schedule, states, angles):
 
 
 @pytest.fixture()
-def dense_run(monkeypatch):
-    """Call a runner with every state started as a density matrix.
-
-    That is the dense full-mode path: inject, windows, frame and reads all
-    act on rho, so it is the reference for the state-vector path.
-    """
-    ground = QuantumState.ground.__func__
+def dense_rho(monkeypatch):
+    """Call a runner with its engine swapped for ``oracles.dense_rho_run``:
+    the same reads, graded the same way, made on 2^L x 2^L density
+    matrices instead of the factor ``W``."""
 
     def run(fn, *args, **kwargs):
         with monkeypatch.context() as m:
-            m.setattr(
-                QuantumState,
-                "ground",
-                classmethod(lambda cls, n: ground(cls, n).to_mixed()),
-            )
+            m.setattr(runner, "_execute", dense_rho_run)
             return fn(*args, **kwargs)
 
     return run
+
+
+def assert_transfer_reports_match(got, want, atol=1e-12):
+    """Every record field and the final trace within ``atol``; phases mod 2pi."""
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert (a.data_index, a.window_index) == (b.data_index, b.window_index)
+        for column in ("raw", "corrected"):
+            for field in ("fidelity", "purity"):
+                name = f"{field}_{column}"
+                assert_allclose(getattr(a, name), getattr(b, name), rtol=0, atol=atol,
+                                err_msg=name)
+            name = f"phase_error_{column}"
+            assert abs(wrap_phase(getattr(a, name) - getattr(b, name))) <= atol, name
+    assert_allclose(got.final_trace, want.final_trace, rtol=0, atol=atol)
+
+
+def entangled_read_schedule(spec, design) -> PulseSchedule:
+    """The 2-state wire with window 4's pulse bias raised by 7.5 MHz, which
+    leaves the output qubit entangled with the chain at the first read."""
+    sch, lines = quantum_channel_schedule(spec, 2, design.t_ns)
+    doc = json.loads(schedule_to_json(sch, lines))
+    (q,) = sch.windows[4].gate_targets()
+    doc["windows"][4]["biases_mhz"][q] += 7.5
+    return schedule_from_json(json.dumps(doc))[0]
 
 
 class TestGateExperiment:
@@ -315,41 +333,29 @@ class TestQuantumChannel:
             assert_allclose(rec.phase_error_corrected, phase, atol=1e-9)
         assert_allclose(report.final_trace, trace, atol=1e-9)
 
-    @pytest.mark.parametrize("n_states", [1, 3])
-    def test_vector_path_matches_dense_path(self, design, rng, dense_run, n_states):
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 4])
+    def test_vector_path_matches_dense_path(self, design, rng, dense_rho, n_states):
+        # The runner's factor W (a vector until a mid-run boundary) against
+        # the dense-rho path, frame correction on, at L = 3..7.
+        for n_qubits in range(3, 8):
+            spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
+            sch, _ = quantum_channel_schedule(spec, n_states, design.t_ns)
+            states = [np.array(random_qubit_amplitudes(rng)) for _ in range(n_states)]
+            fast = run_quantum_channel(spec, sch, states, mode="full")
+            dense = dense_rho(run_quantum_channel, spec, sch, states, mode="full")
+            assert len(fast.records) == n_states
+            assert_transfer_reports_match(fast, dense)
+
+    def test_full_mode_entangled_read_matches_dense_path(self, design, rng, dense_rho):
+        # A read that leaves the chain mixed, so the factor's rank grows and
+        # the later inject acts on a mixed register.
         spec = chain_for(design, 5, eps_high=SNAP_EPS)
-        sch, _ = quantum_channel_schedule(spec, n_states, design.t_ns)
-        late_injects = [
-            i
-            for i, w in enumerate(sch.windows)
-            if i > 0 and any(e.kind == "inject" for e in w.events)
-        ]
-        # One state: no boundary before the final read.  Three states: the
-        # later injects are where the vector becomes a density matrix.
-        assert bool(late_injects) == (n_states > 1)
-        states = [np.array(random_qubit_amplitudes(rng)) for _ in range(n_states)]
-        fast = run_quantum_channel(spec, sch, states, mode="full")
-        dense = dense_run(run_quantum_channel, spec, sch, states, mode="full")
-        assert len(fast.records) == len(dense.records) == n_states
-        for got, want in zip(fast.records, dense.records):
-            assert (got.data_index, got.window_index) == (want.data_index, want.window_index)
-            for field in (
-                "fidelity_raw",
-                "fidelity_corrected",
-                "phase_error_raw",
-                "phase_error_corrected",
-                "purity_raw",
-                "purity_corrected",
-            ):
-                assert_allclose(getattr(got, field), getattr(want, field), atol=1e-9)
-        assert_allclose(fast.final_trace, dense.final_trace, atol=1e-9)
-        angles = compute_frame_correction(sch, spec)
-        expected, trace = oracle_full_corrected(spec, sch, states, angles)
-        for rec, (idx, fid, phase) in zip(fast.records, expected):
-            assert rec.data_index == idx
-            assert_allclose(rec.fidelity_corrected, fid, atol=1e-9)
-            assert_allclose(rec.phase_error_corrected, phase, atol=1e-9)
-        assert_allclose(fast.final_trace, trace, atol=1e-9)
+        edited = entangled_read_schedule(spec, design)
+        states = [np.array(random_qubit_amplitudes(rng)) for _ in range(2)]
+        fast = run_quantum_channel(spec, edited, states, mode="full")
+        dense = dense_rho(run_quantum_channel, spec, edited, states, mode="full")
+        assert fast.records[0].purity_raw < 0.99
+        assert_transfer_reports_match(fast, dense)
 
     def test_reduced_mode_takes_pulse_bias_from_the_window(self, design, rng):
         # Hand-edit one pulse's bias in the schedule file: reduced mode must
@@ -379,11 +385,7 @@ class TestQuantumChannel:
         # local branch, as a |0> inject that never refuses does, and the
         # read's purity reports the entanglement.
         spec = chain_for(design, 5, eps_high=SNAP_EPS)
-        sch, lines = quantum_channel_schedule(spec, 2, design.t_ns)
-        doc = json.loads(schedule_to_json(sch, lines))
-        (q,) = sch.windows[4].gate_targets()
-        doc["windows"][4]["biases_mhz"][q] += 7.5
-        edited, _ = schedule_from_json(json.dumps(doc))
+        edited = entangled_read_schedule(spec, design)
         states = [np.array(random_qubit_amplitudes(rng)) for _ in range(2)]
         report = run_quantum_channel(spec, edited, states, mode="reduced")
         expected, final = dense_reduced_wire(spec, edited, states, read_tol=1.0)
@@ -466,18 +468,19 @@ class TestClassicalChannel:
         assert report.min_margin > 0.99
         assert report.latency_sequences == 3
 
-    def test_vector_path_matches_dense_path(self, design, dense_run):
+    def test_vector_path_matches_dense_path(self, design, dense_rho):
         spec = chain_for(design, 6, eps_high=SNAP_EPS)
         bits = (1, 0, 1, 1)
         sch, _ = classical_channel_schedule(spec, bits, design.t_ns)
         fast = run_classical_channel(spec, sch, bits, mode="full")
-        dense = dense_run(run_classical_channel, spec, sch, bits, mode="full")
+        dense = dense_rho(run_classical_channel, spec, sch, bits, mode="full")
         assert fast.bits_out == dense.bits_out == bits
         assert len(fast.records) == len(dense.records) == len(bits)
         for got, want in zip(fast.records, dense.records):
-            assert (got.data_index, got.window_index) == (want.data_index, want.window_index)
-            assert_allclose(got.p_one, want.p_one, atol=1e-9)
-        assert_allclose(fast.min_margin, dense.min_margin, atol=1e-9)
+            assert (got.data_index, got.window_index, got.bit) == (
+                want.data_index, want.window_index, want.bit)
+            assert_allclose(got.p_one, want.p_one, rtol=0, atol=1e-12)
+        assert_allclose(fast.min_margin, dense.min_margin, rtol=0, atol=1e-12)
 
     def test_latency_scales_with_chain_length(self, design):
         for L in (4, 8):
@@ -557,8 +560,9 @@ class TestReadDataIndexCheck:
 
 
 class TestFullModeFastPath:
-    """Structural guards: full mode diagonalises real matrices and keeps a
-    one-state wire on a state vector for every window."""
+    """Structural guards: full mode diagonalises real matrices, keeps a
+    one-state wire on a state vector for every window and compresses the
+    factor of a multi-state wire."""
 
     def test_chain_hamiltonian_is_float64(self, design):
         h = build_hamiltonian(chain_for(design, 4, eps_high=SNAP_EPS), [SNAP_EPS] * 4)
@@ -580,6 +584,23 @@ class TestFullModeFastPath:
         # raw and frame-corrected branches, one call each per window
         assert len(kinds) == 2 * sch.n_windows
         assert set(kinds) == {"pure"}
+
+    def test_multi_state_wire_keeps_the_factor_rank_low(self, design, rng, monkeypatch):
+        # Each reset or inject doubles the columns of W; without the SVD
+        # compression 4 states at L = 7 would reach 2^8 columns.
+        ranks = []
+
+        def spy(state, u):
+            ranks.append(state.data.shape[1])
+            return apply_unitary(state, u)
+
+        monkeypatch.setattr(runner, "apply_unitary", spy)
+        spec = chain_for(design, 7, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, 4, design.t_ns)
+        states = [np.array(random_qubit_amplitudes(rng)) for _ in range(4)]
+        run_quantum_channel(spec, sch, states, mode="full")
+        assert ranks[0] == 1
+        assert 1 < max(ranks) <= 2**7 // 2
 
     def test_propagator_never_diagonalises_a_complex_chain_hamiltonian(
         self, design, monkeypatch

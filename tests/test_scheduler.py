@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -42,6 +44,34 @@ class TestScheduleContainers:
         )
         assert w.gate_targets() == (1,)
         assert [e.kind for e in w.boundary_events()] == ["inject"]
+
+    @pytest.mark.parametrize(
+        "fields, fragment",
+        [
+            ({"start_ns": float("nan")}, "start_ns must be finite, got nan"),
+            ({"start_ns": -float("inf")}, "start_ns must be finite, got -inf"),
+            ({"duration_ns": float("inf")}, "duration_ns must be finite, got inf"),
+            ({"duration_ns": -1e-12}, "duration_ns must be >= 0, got -1e-12"),
+            ({"biases_mhz": (0.0, float("nan"))}, "biases_mhz must be finite, got nan"),
+            ({"biases_mhz": (np.float64("-inf"), 0.0)}, "biases_mhz must be finite, got"),
+        ],
+        ids=["nan-start", "inf-start", "inf-duration", "negative-duration", "nan-bias",
+             "numpy-inf-bias"],
+    )
+    def test_window_refuses_bad_values(self, fields, fragment):
+        good = {"start_ns": 0.0, "duration_ns": 10.0, "biases_mhz": (0.0, 0.0)}
+        with pytest.raises(ScheduleError, match=re.escape(fragment)):
+            Window(**(good | fields))
+
+    def test_schedule_refuses_overlapping_windows(self):
+        first = bare_window(2, start=5.0, t=10.0)
+        with pytest.raises(ScheduleError, match="window 1 starts at 14.5 ns, before the "
+                                                "previous window ends at 15.0 ns"):
+            PulseSchedule(n_qubits=2, windows=(first, bare_window(2, start=14.5)))
+        # touching within 1e-9 ns of rounding, and a zero-length window, are fine
+        PulseSchedule(n_qubits=2, windows=(first, bare_window(2, start=15.0 - 1e-10),
+                                           bare_window(2, start=25.0, t=0.0),
+                                           bare_window(2, start=25.0)))
 
     def test_schedule_rejects_bias_length_mismatch(self):
         w = Window(start_ns=0.0, duration_ns=1.0, biases_mhz=(0.0, 0.0))
@@ -256,7 +286,8 @@ class TestReplayViolations:
     def test_inject_into_occupied_qubit(self):
         windows = (
             bare_window(2, events=(PulseEvent(kind="inject", qubit=0, data_index=0),)),
-            bare_window(2, events=(PulseEvent(kind="inject", qubit=0, data_index=1),)),
+            bare_window(2, events=(PulseEvent(kind="inject", qubit=0, data_index=1),),
+                        start=10.0),
         )
         result = replay_occupancy(PulseSchedule(n_qubits=2, windows=windows))
         kinds = [v.kind for v in result.violations]
@@ -274,8 +305,8 @@ class TestReplayViolations:
         # neighbour of the first pair and is itself pulsed.
         windows = (
             bare_window(4, targets=(0, 2)),
-            bare_window(4, targets=(1, 3)),
-            bare_window(4, targets=(0, 2)),
+            bare_window(4, targets=(1, 3), start=10.0),
+            bare_window(4, targets=(0, 2), start=20.0),
         )
         result = replay_occupancy(PulseSchedule(n_qubits=4, windows=windows))
         assert "sacrificial_occupied" in [v.kind for v in result.violations]
@@ -290,7 +321,7 @@ class TestReplayViolations:
     def test_indeterminate_comparison_with_data(self):
         windows = (
             bare_window(3, events=(PulseEvent(kind="inject", qubit=0, data_index=0),)),
-            bare_window(3, targets=(0,)),
+            bare_window(3, targets=(0,), start=10.0),
         )
         result = replay_occupancy(PulseSchedule(n_qubits=3, windows=windows))
         assert [v.kind for v in result.violations] == ["indeterminate"]
@@ -366,8 +397,8 @@ class TestScheduleSerialisation:
         assert parsed_lines is None
 
     def test_refuses_non_finite_biases(self, design):
-        window = Window(start_ns=0.0, duration_ns=design.t_ns, biases_mhz=(float("nan"), 0.0))
         with pytest.raises(ValueError):
+            window = Window(start_ns=0.0, duration_ns=design.t_ns, biases_mhz=(float("nan"), 0.0))
             schedule_to_json(PulseSchedule(n_qubits=2, windows=(window,)), None)
 
     def test_output_is_stable_text(self, design):
