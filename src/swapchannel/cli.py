@@ -33,12 +33,12 @@ from .runner import (
     sweep_eps_high,
 )
 from .scheduler import (
+    ScheduleError,
     classical_channel_schedule,
     line_conflict_check,
     quantum_channel_schedule,
     schedule_from_json,
     schedule_to_json,
-    validate_sacrificial,
 )
 from .solver import (
     GateDesign,
@@ -181,7 +181,9 @@ def _cmd_validate(args) -> int:
             schedule, lines = schedule_from_json(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read schedule file: {exc}") from exc
-    violations = validate_sacrificial(schedule)
+    except ScheduleError as exc:
+        raise ScheduleError(f"schedule {args.schedule!r}: {exc}") from None
+    violations = schedule.replay.violations
     obj = {
         "schedule": args.schedule,
         "label": schedule.label,
@@ -319,7 +321,7 @@ def _load_config(ref: str) -> dict:
         text = resource.read_text(encoding="utf-8")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {ref!r} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"config {ref!r}: top level must be an object")
@@ -460,7 +462,7 @@ def _assert_results(checks: list[tuple[str, bool, str]]) -> dict:
 def _schedule_section(schedule, lines, cfg: dict, out_dir: str) -> tuple[dict, list]:
     """A wire report's ``"schedule"`` object and its replay and line checks;
     writes the schedule file if the config names one."""
-    violations = validate_sacrificial(schedule)
+    violations = schedule.replay.violations
     line_report = line_conflict_check(schedule, lines)
     if cfg["outputs"]["schedule"]:
         _write_text(

@@ -49,7 +49,7 @@ from .evolve import (
 )
 from .gates import ideal_cnot, reduced_pulse_operator
 from .mps import MPS
-from .scheduler import PulseSchedule, ScheduleError, Window, replay_occupancy
+from .scheduler import PulseSchedule, ScheduleError, Window
 from .solver import GateDesign
 
 __all__ = [
@@ -236,8 +236,9 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
     part of the gate).  Pulsed qubits get 0.  Undo with
     ``exp(+1j * angles[w, q] * sz_q)`` after evolving window w.
 
-    Requires a replay-clean schedule: definite occupancy is what makes the
-    neighbour signs well defined.
+    Reads the schedule's one replay (:attr:`PulseSchedule.replay`), which
+    must be clean: definite occupancy is what makes the neighbour signs well
+    defined.  Every literal there is |0>, so a literal neighbour adds ``+xi``.
 
     All windows are done at once on ``(n_windows, n_qubits)`` arrays: a
     pulsed mask, the z value of each literal symbol (0 for data and pulsed
@@ -246,7 +247,7 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
     float operations in the same order as a per-qubit scalar computation,
     so the result is bit-identical to it.
     """
-    replay = replay_occupancy(schedule)
+    replay = schedule.replay
     if replay.violations:
         first = replay.violations[0]
         raise ScheduleError(
@@ -260,9 +261,7 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
         pulsed[w, list(window.gate_targets())] = True
     # z value of each literal neighbour; 0 for a data symbol or a pulsed qubit
     occupancy = itertools.chain.from_iterable(replay.window_occupancy)
-    sign = np.array(
-        [1 - 2 * s if isinstance(s, int) else 0 for s in occupancy], dtype=np.int64
-    ).reshape(n_windows, n)
+    sign = np.array([s == 0 for s in occupancy], dtype=np.int64).reshape(n_windows, n)
     sign[pulsed] = 0
     biases = np.fromiter(
         itertools.chain.from_iterable(window.biases_mhz for window in windows),

@@ -7,14 +7,18 @@ the whole window.  ``final_events`` fire after the last window.
 
 The symbolic replay tracks which basis value (or which in-flight data symbol)
 every qubit holds at every window, which is what the sacrificial-qubit rules,
-the line-sharing rules and the idle-phase frame corrections all need.
+the line-sharing rules and the idle-phase frame corrections all need.  It is
+computed once per schedule (:attr:`PulseSchedule.replay`) and every check
+reads that one result.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -107,6 +111,8 @@ class PulseSchedule:
     label: str = ""
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ScheduleError(f"n_qubits must be >= 1, got {self.n_qubits}")
         end_ns = -math.inf
         for i, w in enumerate(self.windows):
             if len(w.biases_mhz) != self.n_qubits:
@@ -116,12 +122,14 @@ class PulseSchedule:
             for e in w.events:
                 if e.qubit >= self.n_qubits:
                     raise ScheduleError(f"event qubit {e.qubit} out of range")
-            if w.start_ns < end_ns - 1e-9:
+            # in Python floats: a numpy float32 time would cast the other side
+            start_ns = float(w.start_ns)
+            if start_ns < end_ns - 1e-9:
                 raise ScheduleError(
                     f"window {i} starts at {w.start_ns!r} ns, before the previous "
                     f"window ends at {end_ns!r} ns"
                 )
-            end_ns = w.start_ns + w.duration_ns
+            end_ns = start_ns + float(w.duration_ns)
         for e in self.final_events:
             if e.kind in GATE_KINDS:
                 raise ScheduleError("final_events may only contain boundary events")
@@ -142,6 +150,11 @@ class PulseSchedule:
     @property
     def pulse_count(self) -> int:
         return sum(len(w.gate_targets()) for w in self.windows)
+
+    @cached_property
+    def replay(self) -> "ReplayResult":
+        """:func:`replay_occupancy` of this schedule, computed on first use."""
+        return replay_occupancy(self)
 
 
 @dataclass(frozen=True)
@@ -178,30 +191,25 @@ def _window(
     start_ns: float,
     t_ns: float,
     targets: Sequence[int],
+    lines: LineAssignment,
     extra_events: Sequence[PulseEvent] = (),
-    lines: LineAssignment | None = None,
 ) -> Window:
-    """One window pulsing ``targets``; biases driven per line when given."""
-    if lines is None:
-        biases = list(spec.hold_biases())
-        for q in targets:
-            biases[q] = _pulse_bias(spec, q)
-    else:
-        value: dict[int, float] = {}
-        for q in targets:
-            line = lines.lines[q]
-            if line is None:
-                raise ScheduleError(f"pulsed qubit {q} has no line")
-            v = _pulse_bias(spec, q)
-            if line in value and value[line] != v:
-                raise ScheduleError(f"line {line} asked for two pulse values")
-            value[line] = v
-        biases = [
-            value.get(lines.lines[q], float(spec.eps_high_mhz))
-            if lines.lines[q] is not None
-            else float(spec.eps_high_mhz)
-            for q in range(spec.n_qubits)
-        ]
+    """One window pulsing ``targets``, its biases driven per line."""
+    value: dict[int, float] = {}
+    for q in targets:
+        line = lines.lines[q]
+        if line is None:
+            raise ScheduleError(f"pulsed qubit {q} has no line")
+        v = _pulse_bias(spec, q)
+        if line in value and value[line] != v:
+            raise ScheduleError(f"line {line} asked for two pulse values")
+        value[line] = v
+    biases = [
+        value.get(lines.lines[q], float(spec.eps_high_mhz))
+        if lines.lines[q] is not None
+        else float(spec.eps_high_mhz)
+        for q in range(spec.n_qubits)
+    ]
     events = tuple(extra_events) + tuple(
         PulseEvent(kind=_pulse_kind(spec, q), qubit=q) for q in sorted(targets)
     )
@@ -228,8 +236,10 @@ def swap_pulses(
         raise ScheduleError(f"qubits ({left}, {right}) out of range")
     if t_ns <= 0:
         raise ScheduleError(f"t_ns must be > 0, got {t_ns}")
+    # a line per qubit: every unpulsed qubit holds at eps_high
+    own_lines = LineAssignment(lines=tuple(range(spec.n_qubits)), n_lines=spec.n_qubits)
     windows = tuple(
-        _window(spec, start_ns + i * t_ns, t_ns, [q])
+        _window(spec, start_ns + i * t_ns, t_ns, [q], own_lines)
         for i, q in enumerate((left, right, left))
     )
     return PulseSchedule(
@@ -304,8 +314,8 @@ def quantum_channel_schedule(
                     (3 * t + i) * t_ns,
                     t_ns,
                     targets,
+                    lines,
                     extra_events=tuple(boundary) if i == 0 else (),
-                    lines=lines,
                 )
             )
     final = (
@@ -374,8 +384,8 @@ def classical_channel_schedule(
                 (2 * k) * t_ns,
                 t_ns,
                 odd_group + [L - 1],
+                lines,
                 extra_events=tuple(first),
-                lines=lines,
             )
         )
         second: list[PulseEvent] = []
@@ -388,8 +398,8 @@ def classical_channel_schedule(
                 (2 * k + 1) * t_ns,
                 t_ns,
                 even_group,
+                lines,
                 extra_events=tuple(second),
-                lines=lines,
             )
         )
     final = (
@@ -432,15 +442,6 @@ class ReplayResult:
         return not self.violations
 
 
-def _sym_eq(a, b):
-    """True / False when decidable, None when the symbols are incomparable."""
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    if a == b:
-        return True
-    return None
-
-
 def _match_pairs(lefts: Sequence[int], mids: Sequence[int]) -> list[tuple[int, int]] | None:
     """Pair every first/third-window target with a unique adjacent
     second-window target; None if no perfect matching exists."""
@@ -458,24 +459,24 @@ def _match_pairs(lefts: Sequence[int], mids: Sequence[int]) -> list[tuple[int, i
     return pairs if not remaining else None
 
 
-def replay_occupancy(
-    schedule: PulseSchedule,
-    initial_occupancy: Sequence[int] | None = None,
-) -> ReplayResult:
-    """Symbolically execute a schedule, tracking per-qubit basis occupancy.
+def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
+    """Symbolically execute a schedule from |0...0>, tracking per-qubit
+    basis occupancy (:attr:`PulseSchedule.replay` keeps the result).
 
     Three consecutive windows whose targets form the (A, B, A) exchange
     pattern are interpreted as swap triples (occupancy exchanged, outer
     neighbours required to be literal |0>); any other gate window is a copy
     pulse (target must equal its right-hand symbol, then takes the left-hand
-    one; missing neighbours count as |0>).  Inject into anything but literal
+    one; missing neighbours count as |0>).  Every literal is 0 (read_reset
+    writes 0, inject ``("data", i)``, gates only move symbols), so a copy
+    whose symbols differ is undecidable.  Inject into anything but literal
     |0>, an undecidable comparison, or a disturbed sacrificial qubit each
     yield a violation.
     """
     n = schedule.n_qubits
-    occ: list = list(initial_occupancy) if initial_occupancy is not None else [0] * n
-    if len(occ) != n or any(s not in (0, 1) for s in occ):
-        raise ScheduleError("initial_occupancy must list 0/1 for every qubit")
+    # With no windows nothing bounds n_qubits (there are no biases to count)
+    # and only final events run, so occupancy is kept per touched qubit.
+    occ = [0] * n if schedule.windows else defaultdict(int)
 
     violations: list[Violation] = []
     reads: list[ReadRecord] = []
@@ -563,8 +564,7 @@ def replay_occupancy(
         per_window.append(tuple(occ))
         updates = {}
         for q in sorted(t0):
-            eq = _sym_eq(occ[q], right_of(q))
-            if eq is None:
+            if occ[q] != right_of(q):
                 violations.append(
                     Violation(
                         window_index=i,
@@ -573,18 +573,6 @@ def replay_occupancy(
                         message=(
                             f"cannot compare qubit {q} ({occ[q]!r}) with its right "
                             f"neighbour ({right_of(q)!r})"
-                        ),
-                    )
-                )
-            elif not eq:
-                violations.append(
-                    Violation(
-                        window_index=i,
-                        kind="copy_precondition",
-                        qubits=(q,),
-                        message=(
-                            f"copy pulse on qubit {q} ({occ[q]!r}) whose right "
-                            f"neighbour holds {right_of(q)!r}"
                         ),
                     )
                 )
@@ -601,11 +589,9 @@ def replay_occupancy(
     )
 
 
-def validate_sacrificial(
-    schedule: PulseSchedule, initial_occupancy: Sequence[int] | None = None
-) -> tuple[Violation, ...]:
+def validate_sacrificial(schedule: PulseSchedule) -> tuple[Violation, ...]:
     """All occupancy-discipline violations of a schedule (empty = valid)."""
-    return replay_occupancy(schedule, initial_occupancy).violations
+    return schedule.replay.violations
 
 
 @dataclass(frozen=True)
@@ -615,16 +601,14 @@ class LineCheckReport:
 
 
 def line_conflict_check(
-    schedule: PulseSchedule,
-    assignment: LineAssignment,
-    initial_occupancy: Sequence[int] | None = None,
+    schedule: PulseSchedule, assignment: LineAssignment
 ) -> LineCheckReport:
     """Can this schedule really be driven through the shared lines?
 
     Checks, per window: all qubits on one line carry one bias value; every
-    pulsed qubit has a line; and no qubit holding data (or a |1>) sits on a
-    line that is being pulsed (collateral pulses are only harmless on parked
-    |0> qubits).
+    pulsed qubit has a line; and no qubit holding data sits on a line that
+    is being pulsed (collateral pulses are only harmless on parked |0>
+    qubits).
     """
     problems: list[str] = []
     if len(assignment.lines) != schedule.n_qubits:
@@ -635,7 +619,7 @@ def line_conflict_check(
                 f"schedule has {schedule.n_qubits}",
             ),
         )
-    replay = replay_occupancy(schedule, initial_occupancy)
+    replay = schedule.replay
     for v in replay.violations:
         problems.append(f"occupancy violation at window {v.window_index}: {v.message}")
     for i, w in enumerate(schedule.windows):
@@ -832,7 +816,7 @@ def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]
     biases, a string ``label``), nothing is coerced."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ScheduleError(f"schedule file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != _FORMAT_TAG:
         raise ScheduleError(f"not a {_FORMAT_TAG} document")

@@ -12,7 +12,8 @@ path (2^L x 2^L density matrices), kept as the reference for the factor
 serialiser and the frame correction and the reduced pulse operator are the
 package's former per-value routes: ``json.dumps`` of the schedule document,
 one scalar ``phase_angle`` per parked qubit, and one matrix element at a
-time."""
+time.  ``swap_pulses`` had its own bias route, ``hold_biases()`` with the
+pulsed qubit set, before it took the generators' line-driven one."""
 
 import json
 
@@ -30,7 +31,9 @@ from swapchannel.evolve import (
 )
 from swapchannel.gates import reduced_pulse_operator
 from swapchannel.runner import _frame_diagonal, compute_frame_correction
-from swapchannel.scheduler import ScheduleError, replay_occupancy
+from swapchannel.scheduler import (
+    PulseEvent, PulseSchedule, ScheduleError, Window, replay_occupancy
+)
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -292,6 +295,20 @@ def json_dumps_schedule(schedule, assignment=None) -> str:
         else {"map": list(assignment.lines), "n_lines": assignment.n_lines},
     }
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def hold_bias_swap_pulses(spec, left, right, t_ns, start_ns=0.0) -> PulseSchedule:
+    """``swap_pulses`` by its former bias route: ``spec.hold_biases()``
+    (np.float64) with the pulsed qubit at 0, or at ``+xi`` on a chain end."""
+    ends = (0, spec.n_qubits - 1)
+    windows = []
+    for i, q in enumerate((left, right, left)):
+        biases = list(spec.hold_biases())
+        biases[q] = spec.xi_mhz if q in ends else 0.0
+        kind = "readout_pulse" if q in ends else "cnot_pulse"
+        windows.append(Window(start_ns + i * t_ns, t_ns, tuple(biases),
+                              (PulseEvent(kind=kind, qubit=q),)))
+    return PulseSchedule(spec.n_qubits, tuple(windows), label=f"swap-{left}-{right}")
 
 
 def loop_frame_correction(schedule, spec) -> np.ndarray:

@@ -255,6 +255,36 @@ class TestValidateRefusesBadScheduleFiles:
         assert out == ""
         assert fragment in err
 
+    @pytest.mark.parametrize("n_qubits", [0, -1])
+    def test_fewer_than_one_qubit(self, capsys, tmp_path, n_qubits):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"format": "swapchannel-schedule/1", "n_qubits": n_qubits,
+                                    "windows": [], "final_events": [], "label": "",
+                                    "lines": None}))
+        code, out, err = run_cli(capsys, "validate", "--schedule", str(path))
+        assert (code, out) == (1, "")
+        assert f"n_qubits must be >= 1, got {n_qubits}" in err
+
+    def test_deep_nesting_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(capsys, "validate", "--schedule", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and str(path) in err and "not valid JSON" in err
+
+    def test_huge_qubit_count_without_windows_allocates_nothing(self, capsys, tmp_path):
+        # nothing but n_qubits and the final events' qubits: no list of 10**400
+        big = 10**400
+        events = [{"kind": "inject", "qubit": big, "data_index": 0},
+                  {"kind": "read_reset", "qubit": big, "data_index": 0}]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"format": "swapchannel-schedule/1", "n_qubits": big + 1,
+                                    "windows": [], "final_events": events, "label": "",
+                                    "lines": None}))
+        code, out, _ = run_cli(capsys, "validate", "--schedule", str(path))
+        assert code == 0
+        assert json.loads(out)["n_qubits"] == big + 1
+
     def test_integer_biases_are_numbers(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "schedule", "--kind", "quantum", "--n-qubits", "5", "--n-states", "1"
@@ -482,6 +512,13 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
         assert code == 1
         assert err.startswith("error:") and "13-qubit" in err
+
+    def test_deeply_nested_config(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, _, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error:") and str(path) in err and "not valid JSON" in err
 
     def test_unknown_config_name(self, capsys, tmp_path):
         code, _, err = run_cli(

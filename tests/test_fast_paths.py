@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_for
-from oracles import json_dumps_schedule, loop_frame_correction
+from oracles import hold_bias_swap_pulses, json_dumps_schedule, loop_frame_correction
 from swapchannel import (
     ChainSpec,
     LineAssignment,
@@ -200,14 +200,59 @@ class TestScheduleWriter:
         spec = chain_for(design, n_qubits)
         sch, lines = classical_channel_schedule(spec, [1, 0, 0, 1, 1], design.t_ns)
         assert schedule_to_json(sch, lines) == json_dumps_schedule(sch, lines)
-        swap = swap_pulses(spec, 1, 2, design.t_ns)  # hold_biases: np.float64
-        assert isinstance(swap.windows[0].biases_mhz[0], np.float64)
+        swap = swap_pulses(spec, 1, 2, design.t_ns)
         assert schedule_to_json(swap) == json_dumps_schedule(swap)
 
     def test_empty_schedule(self):
         sch = PulseSchedule(n_qubits=1, windows=())
         assert schedule_to_json(sch) == json_dumps_schedule(sch)
         assert '"windows": []' in schedule_to_json(sch)
+
+
+class TestSwapPulsesBiasRoute:
+    @pytest.mark.parametrize("eps_high", [None, 25000.0])
+    @pytest.mark.parametrize("n_qubits", range(2, 9))
+    def test_equals_the_hold_bias_route(self, design, n_qubits, eps_high):
+        spec = chain_for(design, n_qubits, eps_high=eps_high)
+        for left in range(n_qubits - 1):
+            got = swap_pulses(spec, left, left + 1, design.t_ns, start_ns=5.0)
+            want = hold_bias_swap_pulses(spec, left, left + 1, design.t_ns, start_ns=5.0)
+            assert got == want
+            assert schedule_to_json(got) == json_dumps_schedule(want)
+
+
+def assert_symbols_are_zero_or_data(schedule):
+    replay = replay_occupancy(schedule)
+    symbols = [s for occ in replay.window_occupancy for s in occ]
+    symbols += [r.symbol for r in replay.reads]
+    for s in symbols:
+        assert (type(s) is int and s == 0) or (
+            type(s) is tuple and len(s) == 2 and s[0] == "data"
+        ), s
+
+
+class TestReplaySymbols:
+    """Every literal the replay holds is 0, so two unequal symbols under a
+    copy pulse are undecidable, never a definite mismatch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=schedules())
+    def test_random_schedules(self, case):
+        assert_symbols_are_zero_or_data(case[0])
+
+    def test_designed_wires(self, design):
+        for n_qubits in range(2, 13):
+            spec = chain_for(design, n_qubits)
+            for n_states in (1, 2, 4):
+                for line_mode in ("mod6", "mod3"):
+                    sch, _ = quantum_channel_schedule(
+                        spec, n_states, design.t_ns, line_mode=line_mode
+                    )
+                    assert_symbols_are_zero_or_data(sch)
+            if n_qubits >= 4 and n_qubits % 2 == 0:
+                for bits in ([0], [1], [1, 0, 1, 1], [0, 1, 1, 0, 0, 1]):
+                    sch, _ = classical_channel_schedule(spec, bits, design.t_ns)
+                    assert_symbols_are_zero_or_data(sch)
 
 
 def assert_frame_matches_loop(schedule, spec):
@@ -242,8 +287,8 @@ class TestFrameCorrection:
         xi=xis,
     )
     def test_replay_clean_random_schedules_equal_the_loop(self, case, xi):
-        # Only gate pulses on an all-|0> register: every copy precondition
-        # holds, so these schedules always reach the array path.
+        # Only gate pulses on an all-|0> register: every symbol stays 0, so
+        # these schedules always reach the array path.
         schedule, _ = case
         windows = tuple(
             Window(w.start_ns, w.duration_ns, w.biases_mhz,

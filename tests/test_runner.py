@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from conftest import chain_for, random_qubit_amplitudes
 from oracles import dense_reduced_wire, dense_rho_run, expm_propagator, kron_hamiltonian
 import swapchannel.runner as runner
+import swapchannel.scheduler as scheduler
 from swapchannel import (
     PulseEvent,
     PulseSchedule,
@@ -18,6 +19,7 @@ from swapchannel import (
     compute_frame_correction,
     copy_truth_table,
     infidelity_slope,
+    line_conflict_check,
     quantum_channel_schedule,
     run_classical_channel,
     run_gate_experiment,
@@ -26,6 +28,7 @@ from swapchannel import (
     schedule_to_json,
     swap_pulses,
     sweep_eps_high,
+    validate_sacrificial,
 )
 from swapchannel.chain import build_hamiltonian, phase_angle, wrap_phase
 from swapchannel.evolve import apply_unitary, propagator
@@ -277,6 +280,25 @@ class TestFrameCorrection:
         )
         with pytest.raises(ScheduleError):
             compute_frame_correction(bad, spec)
+
+    def test_checks_and_a_full_run_share_one_replay(self, design, monkeypatch):
+        calls = []
+        real = scheduler.replay_occupancy
+
+        def counted(schedule):
+            calls.append(schedule)
+            return real(schedule)
+
+        for module in (scheduler, runner):
+            monkeypatch.setattr(module, "replay_occupancy", counted, raising=False)
+        spec = chain_for(design, 3, eps_high=SNAP_EPS)
+        sch, lines = quantum_channel_schedule(spec, 1, design.t_ns)
+        assert validate_sacrificial(sch) == ()
+        assert line_conflict_check(sch, lines).ok
+        compute_frame_correction(sch, spec)
+        report = run_quantum_channel(spec, sch, [[1.0, 0.0]], mode="full")
+        assert report.records[0].fidelity_corrected > 0.999
+        assert calls == [sch]
 
 
 class TestQuantumChannel:
