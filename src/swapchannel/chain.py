@@ -133,24 +133,20 @@ def _z_values(n_qubits: int) -> np.ndarray:
     return 1 - 2 * bits
 
 
-def build_hamiltonian(
-    spec: ChainSpec,
-    biases_mhz: Sequence[float],
-    *,
-    max_qubits: int = DEFAULT_MAX_QUBITS,
-) -> np.ndarray:
+def build_hamiltonian(spec: ChainSpec, biases_mhz: Sequence[float]) -> np.ndarray:
     """Dense chain Hamiltonian for one bias profile, as a real float64 matrix.
 
     Diagonal part: per-qubit sz biases plus the fixed sz-sz coupling between
     nearest neighbours.  Off-diagonal part: ``delta`` on every pair of indices
     differing in exactly one bit.  Every term is real, so the matrix is real
     symmetric and :func:`~swapchannel.evolve.propagator` can use a real
-    eigendecomposition.
+    eigendecomposition.  Refuses chains of more than ``DEFAULT_MAX_QUBITS``.
     """
     n = spec.n_qubits
-    if n > max_qubits:
+    if n > DEFAULT_MAX_QUBITS:
         raise ValueError(
-            f"refusing to build a {n}-qubit dense operator (max_qubits={max_qubits})"
+            f"refusing to build a {n}-qubit dense operator "
+            f"(max_qubits={DEFAULT_MAX_QUBITS})"
         )
     biases = np.asarray(biases_mhz, dtype=float)
     if biases.shape != (n,):

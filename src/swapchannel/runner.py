@@ -30,7 +30,6 @@ superposition transfers phase-faithful at finite parking bias.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -241,8 +240,9 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
     defined.  Every literal there is |0>, so a literal neighbour adds ``+xi``.
 
     All windows are done at once on ``(n_windows, n_qubits)`` arrays: a
-    pulsed mask, the z value of each literal symbol (0 for data and pulsed
-    qubits), one :func:`~swapchannel.chain.effective_bias` call and one
+    pulsed mask, the z value of each literal neighbour (1 where the replay's
+    ``data_held`` and the pulsed mask are both False, else 0), one
+    :func:`~swapchannel.chain.effective_bias` call and one
     :func:`~swapchannel.chain.phase_angle` call.  Each angle sees the same
     float operations in the same order as a per-qubit scalar computation,
     so the result is bit-identical to it.
@@ -259,15 +259,10 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
     pulsed = np.zeros((n_windows, n), dtype=bool)
     for w, window in enumerate(windows):
         pulsed[w, list(window.gate_targets())] = True
-    # z value of each literal neighbour; 0 for a data symbol or a pulsed qubit
-    occupancy = itertools.chain.from_iterable(replay.window_occupancy)
-    sign = np.array([s == 0 for s in occupancy], dtype=np.int64).reshape(n_windows, n)
-    sign[pulsed] = 0
-    biases = np.fromiter(
-        itertools.chain.from_iterable(window.biases_mhz for window in windows),
-        dtype=float,
-        count=n_windows * n,
-    ).reshape(n_windows, n)
+    # z value of each literal |0> neighbour; 0 for a data or a pulsed qubit
+    sign = (~replay.data_held & ~pulsed).astype(np.int64)
+    biases = np.array([window.biases_mhz for window in windows], dtype=float)
+    biases = biases.reshape(n_windows, n)  # (0, n) for a window-less schedule
     durations = np.fromiter(
         (window.duration_ns for window in windows), dtype=float, count=n_windows
     )
@@ -317,6 +312,10 @@ class TransferReport:
         return min(r.fidelity_corrected for r in self.records)
 
 
+#: An inject refuses a qubit whose reduced purity is below 1 - this.
+INJECT_PURITY_TOL = 1e-3
+
+
 def _reduced_state(state: QuantumState | MPS, qubit: int) -> tuple[np.ndarray, float]:
     if isinstance(state, MPS):
         return state.reduced_state(qubit)
@@ -363,16 +362,15 @@ def _reduced_pulse_cache(spec: ChainSpec):
 
 def _require_states(schedule: PulseSchedule, data_states: Sequence) -> list[np.ndarray]:
     """The data states as arrays, once every data index the schedule injects
-    or reads (in windows and in ``final_events``) names one of them."""
+    or reads (in windows and in ``final_events``) names one of them
+    (:class:`~swapchannel.scheduler.PulseEvent` refuses a negative index)."""
     indices = set()
     events = [e for w in schedule.windows for e in w.events] + list(schedule.final_events)
     for e in events:
-        if e.kind == "inject" and e.data_index is None:
-            raise ValueError("inject events must carry a data_index")
         if e.kind in ("inject", "read_reset") and e.data_index is not None:
             indices.add(e.data_index)
     states = [np.asarray(s, dtype=complex) for s in data_states]
-    if indices and (min(indices) < 0 or max(indices) >= len(states)):
+    if indices and max(indices) >= len(states):
         raise ValueError(
             f"schedule injects or reads data indices {sorted(indices)} but "
             f"{len(states)} states were supplied"
@@ -390,7 +388,6 @@ def _execute(
     on_read,
     *,
     mode: str,
-    purity_tol: float,
     frame_correction: bool = False,
 ) -> QuantumState | MPS:
     """Run ``schedule`` from |0...0> and return the final lab-frame state.
@@ -401,7 +398,7 @@ def _execute(
     ``frame_correction``, whose copy of the state has each window's idle
     phases undone.  The qubit is then reset (:func:`_reset`).  Injects write
     ``data_states[event.data_index]`` and refuse a qubit whose purity is
-    below ``1 - purity_tol``.
+    below ``1 - INJECT_PURITY_TOL``.
     """
     if schedule.n_qubits != spec.n_qubits:
         raise ValueError("schedule and spec disagree on n_qubits")
@@ -429,7 +426,7 @@ def _execute(
             elif e.kind == "inject":
                 for name in branches:
                     branches[name] = _inject(
-                        branches[name], e.qubit, states[e.data_index], purity_tol
+                        branches[name], e.qubit, states[e.data_index], INJECT_PURITY_TOL
                     )
 
     for i, window in enumerate(schedule.windows):
@@ -470,8 +467,6 @@ def run_quantum_channel(
     data_states: Sequence,
     *,
     mode: str = "reduced",
-    frame_correction: bool = True,
-    purity_tol: float = 1e-3,
 ) -> TransferReport:
     """Drive a swapping-wire schedule and grade every read-out state.
 
@@ -500,15 +495,7 @@ def run_quantum_channel(
             )
         )
 
-    final = _execute(
-        spec,
-        schedule,
-        targets,
-        on_read,
-        mode=mode,
-        purity_tol=purity_tol,
-        frame_correction=frame_correction,
-    )
+    final = _execute(spec, schedule, targets, on_read, mode=mode, frame_correction=True)
     n_states = len({r.data_index for r in records if r.data_index >= 0})
     return TransferReport(
         mode=mode,
@@ -572,7 +559,7 @@ def run_classical_channel(
             )
 
     amplitudes = [(0.0, 1.0) if b else (1.0, 0.0) for b in bits]
-    _execute(spec, schedule, amplitudes, on_read, mode=mode, purity_tol=1e-3)
+    _execute(spec, schedule, amplitudes, on_read, mode=mode)
 
     first_read_window = records[0].window_index if records else None
     if first_read_window is None:

@@ -5,22 +5,23 @@ read_reset) fire at the START of their window, before any evolution; gate
 events (cnot_pulse, readout_pulse) name the qubits intentionally pulsed for
 the whole window.  ``final_events`` fire after the last window.
 
-The symbolic replay tracks which basis value (or which in-flight data symbol)
-every qubit holds at every window, which is what the sacrificial-qubit rules,
-the line-sharing rules and the idle-phase frame corrections all need.  It is
-computed once per schedule (:attr:`PulseSchedule.replay`) and every check
-reads that one result.
+The symbolic replay tracks which qubits hold data (and which data item) and
+which sit parked in |0> at every window, which is what the sacrificial-qubit
+rules, the line-sharing rules and the idle-phase frame corrections all need.
+It is computed once per schedule (:attr:`PulseSchedule.replay`) and every
+check reads that one result.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
+
+import numpy as np
 
 from .chain import ChainSpec
 
@@ -62,7 +63,8 @@ class PulseEvent:
     """One event: a pulse on a qubit, or a boundary init/read on it.
 
     ``data_index`` ties inject/read_reset events to a logical data item so
-    runners can pair outputs with inputs.
+    runners can pair outputs with inputs; an inject must name one, and no
+    index is negative.
     """
 
     kind: str
@@ -74,6 +76,11 @@ class PulseEvent:
             raise ScheduleError(f"unknown event kind {self.kind!r}")
         if self.qubit < 0:
             raise ScheduleError(f"event qubit must be >= 0, got {self.qubit}")
+        if self.data_index is None:
+            if self.kind == "inject":
+                raise ScheduleError(f"inject event on qubit {self.qubit} has no data_index")
+        elif self.data_index < 0:
+            raise ScheduleError(f"event data_index must be >= 0, got {self.data_index}")
 
 
 @dataclass(frozen=True)
@@ -428,13 +435,18 @@ class ReadRecord:
     window_index: int | None
     qubit: int
     data_index: int | None
-    symbol: "int | tuple[str, int]"
+    symbol: int | None  # the data index the qubit held; None = parked |0>
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplayResult:
+    """The replay's findings.  ``data_held`` is a read-only bool array of
+    shape ``(n_windows, n_qubits)``: ``data_held[w, q]`` is True when qubit q
+    holds data during window w, False when it is parked in |0>.  (Compared by
+    identity: an array has no single truth value.)"""
+
     violations: tuple[Violation, ...]
-    window_occupancy: tuple[tuple["int | tuple[str, int]", ...], ...]
+    data_held: np.ndarray
     reads: tuple[ReadRecord, ...]
 
     @property
@@ -459,28 +471,40 @@ def _match_pairs(lefts: Sequence[int], mids: Sequence[int]) -> list[tuple[int, i
     return pairs if not remaining else None
 
 
+def _symbol_text(symbol: int | None) -> str:
+    return "|0>" if symbol is None else f"data {symbol}"
+
+
 def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
     """Symbolically execute a schedule from |0...0>, tracking per-qubit
     basis occupancy (:attr:`PulseSchedule.replay` keeps the result).
 
-    Three consecutive windows whose targets form the (A, B, A) exchange
-    pattern are interpreted as swap triples (occupancy exchanged, outer
-    neighbours required to be literal |0>); any other gate window is a copy
+    A qubit's symbol is the data index it holds, or None while it is parked
+    in |0>.  Three consecutive windows whose targets form the (A, B, A)
+    exchange pattern are interpreted as swap triples (symbols exchanged,
+    outer neighbours required to be parked); any other gate window is a copy
     pulse (target must equal its right-hand symbol, then takes the left-hand
-    one; missing neighbours count as |0>).  Every literal is 0 (read_reset
-    writes 0, inject ``("data", i)``, gates only move symbols), so a copy
-    whose symbols differ is undecidable.  Inject into anything but literal
-    |0>, an undecidable comparison, or a disturbed sacrificial qubit each
-    yield a violation.
+    one; missing neighbours count as parked).  |0> is the only literal
+    (read_reset parks a qubit, inject writes its data index, gates only move
+    symbols), so a copy whose symbols differ is undecidable.  Inject into
+    anything but a parked qubit, an undecidable comparison, or a disturbed
+    sacrificial qubit each yield a violation.
     """
     n = schedule.n_qubits
-    # With no windows nothing bounds n_qubits (there are no biases to count)
-    # and only final events run, so occupancy is kept per touched qubit.
-    occ = [0] * n if schedule.windows else defaultdict(int)
+    windows = schedule.windows
+    # qubit -> the data index it holds; every other qubit is parked, and so
+    # are the end qubits' missing neighbours -1 and n, which are never keys
+    occ: dict[int, int] = {}
+    rows: list[bytearray] = []  # per window, 1 for each qubit holding data
 
     violations: list[Violation] = []
     reads: list[ReadRecord] = []
-    per_window: list[tuple] = []
+
+    def snapshot():
+        row = bytearray(n)
+        for q in occ:
+            row[q] = 1
+        rows.append(row)
 
     def run_boundary(events, window_index):
         for e in events:
@@ -490,29 +514,24 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
                         window_index=window_index,
                         qubit=e.qubit,
                         data_index=e.data_index,
-                        symbol=occ[e.qubit],
+                        symbol=occ.pop(e.qubit, None),
                     )
                 )
-                occ[e.qubit] = 0
             elif e.kind == "inject":
-                if occ[e.qubit] != 0:
+                if e.qubit in occ:
                     violations.append(
                         Violation(
                             window_index=window_index,
                             kind="inject_occupied",
                             qubits=(e.qubit,),
-                            message=f"inject into qubit {e.qubit} holding {occ[e.qubit]!r}",
+                            message=(
+                                f"inject into qubit {e.qubit} holding "
+                                f"{_symbol_text(occ[e.qubit])}"
+                            ),
                         )
                     )
-                occ[e.qubit] = ("data", e.data_index)
+                occ[e.qubit] = e.data_index
 
-    def left_of(q):
-        return occ[q - 1] if q > 0 else 0
-
-    def right_of(q):
-        return occ[q + 1] if q < n - 1 else 0
-
-    windows = schedule.windows
     i = 0
     while i < len(windows):
         run_boundary(windows[i].boundary_events(), i)
@@ -530,8 +549,6 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
             all_targets = t0 | set(windows[i + 1].gate_targets())
             for a, b in pairs:
                 for outer in (a - 1, b + 1):
-                    if not 0 <= outer < n:
-                        continue
                     if outer in all_targets:
                         violations.append(
                             Violation(
@@ -541,7 +558,7 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
                                 message=f"outer neighbour {outer} of pair ({a},{b}) is pulsed",
                             )
                         )
-                    elif occ[outer] != 0:
+                    elif outer in occ:
                         violations.append(
                             Violation(
                                 window_index=i,
@@ -549,44 +566,46 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
                                 qubits=(outer,),
                                 message=(
                                     f"outer neighbour {outer} of pair ({a},{b}) "
-                                    f"holds {occ[outer]!r}"
+                                    f"holds {_symbol_text(occ[outer])}"
                                 ),
                             )
                         )
-            per_window.append(tuple(occ))
-            per_window.append(tuple(occ))
-            for a, b in pairs:
-                occ[a], occ[b] = occ[b], occ[a]
-            per_window.append(tuple(occ))
+            snapshot()
+            rows.append(rows[-1])
+            partner = {a: b for a, b in pairs} | {b: a for a, b in pairs}
+            occ = {partner.get(q, q): symbol for q, symbol in occ.items()}
+            snapshot()
             i += 3
             continue
         # plain copy window (or an idle window with no targets)
-        per_window.append(tuple(occ))
-        updates = {}
+        snapshot()
         for q in sorted(t0):
-            if occ[q] != right_of(q):
+            if occ.get(q) != occ.get(q + 1):
                 violations.append(
                     Violation(
                         window_index=i,
                         kind="indeterminate",
                         qubits=(q,),
                         message=(
-                            f"cannot compare qubit {q} ({occ[q]!r}) with its right "
-                            f"neighbour ({right_of(q)!r})"
+                            f"cannot compare qubit {q} ({_symbol_text(occ.get(q))}) "
+                            f"with its right neighbour ({_symbol_text(occ.get(q + 1))})"
                         ),
                     )
                 )
-            updates[q] = left_of(q)
-        for q, v in updates.items():
-            occ[q] = v
+        # every target takes its left neighbour's symbol from before the window
+        copied = {q: occ[q - 1] for q in t0 if q - 1 in occ}
+        for q in t0:
+            occ.pop(q, None)
+        occ.update(copied)
         i += 1
 
     run_boundary(schedule.final_events, None)
-    return ReplayResult(
-        violations=tuple(violations),
-        window_occupancy=tuple(per_window),
-        reads=tuple(reads),
-    )
+    # numpy cannot shape even an empty array past its index range, which only
+    # a window-less schedule can ask for: no biases bound its n_qubits
+    width = n if n <= np.iinfo(np.intp).max else 0
+    # an array over bytes is read-only
+    held = np.frombuffer(b"".join(rows), dtype=bool).reshape(len(windows), width)
+    return ReplayResult(violations=tuple(violations), data_held=held, reads=tuple(reads))
 
 
 def validate_sacrificial(schedule: PulseSchedule) -> tuple[Violation, ...]:
@@ -639,13 +658,11 @@ def line_conflict_check(
                 problems.append(f"window {i}: pulsed qubit {q} has no line")
             else:
                 pulsed_lines.add(assignment.lines[q])
-        occ = replay.window_occupancy[i]
-        for q, line in enumerate(assignment.lines):
-            if q in targets or line not in pulsed_lines:
-                continue
-            if occ[q] != 0:
+        for q in np.flatnonzero(replay.data_held[i]).tolist():
+            line = assignment.lines[q]
+            if q not in targets and line in pulsed_lines:
                 problems.append(
-                    f"window {i}: qubit {q} holds {occ[q]!r} but shares pulsed line {line}"
+                    f"window {i}: qubit {q} holds data but shares pulsed line {line}"
                 )
     return LineCheckReport(ok=not problems, problems=tuple(problems))
 
@@ -766,7 +783,7 @@ def _typed(value, types: tuple, what: str):
 
 def _parse_event(obj: dict) -> PulseEvent:
     """One event object; ``qubit`` must be a JSON integer and ``data_index`` a
-    JSON integer or null (not null on an inject)."""
+    JSON integer or null (:class:`PulseEvent` checks the values)."""
     try:
         kind, qubit, data_index = obj["kind"], obj["qubit"], obj.get("data_index")
     except (KeyError, TypeError) as exc:
@@ -778,8 +795,6 @@ def _parse_event(obj: dict) -> PulseEvent:
         raise ScheduleError(
             f"event data_index must be an integer or null, got {data_index!r}"
         )
-    if kind == "inject" and data_index is None:
-        raise ScheduleError(f"inject event on qubit {qubit} has no data_index")
     return PulseEvent(kind=kind, qubit=qubit, data_index=data_index)
 
 

@@ -30,7 +30,7 @@ from swapchannel.evolve import (
     reduced_state,
 )
 from swapchannel.gates import reduced_pulse_operator
-from swapchannel.runner import _frame_diagonal, compute_frame_correction
+from swapchannel.runner import INJECT_PURITY_TOL, _frame_diagonal, compute_frame_correction
 from swapchannel.scheduler import (
     PulseEvent, PulseSchedule, ScheduleError, Window, replay_occupancy
 )
@@ -220,15 +220,14 @@ def rho_replace(rho: np.ndarray, qubit: int, local: np.ndarray) -> np.ndarray:
     return out.reshape(rho.shape)
 
 
-def dense_rho_run(spec, schedule, data_states, on_read, *, mode, purity_tol,
-                  frame_correction=False):
+def dense_rho_run(spec, schedule, data_states, on_read, *, mode, frame_correction=False):
     """A full-mode run on 2^L x 2^L density matrices, with the signature and
     read contract of ``runner._execute`` (so a runner can be pointed at it).
 
     Each window maps ``rho -> U rho U^dagger`` with the package's own
     ``propagator`` of ``build_hamiltonian``; resets and injects trace the
     qubit out and tensor in |0> or the data state (an inject refuses a qubit
-    whose purity is below ``1 - purity_tol``); the ``"corrected"`` copy
+    whose purity is below ``1 - INJECT_PURITY_TOL``); the ``"corrected"`` copy
     takes the package's frame diagonal as ``d rho d^dagger`` after every
     window.  (Summed in another order, the ~1e4 rad frame angles would differ
     by ~1e-12 rad before any state is involved.)
@@ -252,7 +251,8 @@ def dense_rho_run(spec, schedule, data_states, on_read, *, mode, purity_tol,
             elif e.kind == "inject":
                 local = np.asarray(data_states[e.data_index], dtype=complex)
                 for r in rhos.values():
-                    _refuse_entangled(e.qubit, _rho_reduced(r, e.qubit)[1], purity_tol)
+                    purity = _rho_reduced(r, e.qubit)[1]
+                    _refuse_entangled(e.qubit, purity, INJECT_PURITY_TOL)
             else:
                 continue
             for k in rhos:
@@ -320,14 +320,13 @@ def loop_frame_correction(schedule, spec) -> np.ndarray:
     angles = np.zeros((schedule.n_windows, n))
     for w, window in enumerate(schedule.windows):
         targets = set(window.gate_targets())
-        occ = replay.window_occupancy[w]
         for q in range(n):
             if q in targets:
                 continue
             s_nb = 0
             for r in (q - 1, q + 1):
-                if 0 <= r < n and r not in targets and isinstance(occ[r], int):
-                    s_nb += 1 - 2 * occ[r]
+                if 0 <= r < n and r not in targets and not replay.data_held[w, r]:
+                    s_nb += 1  # a parked |0> neighbour: z = +1
             angles[w, q] = phase_angle(
                 window.biases_mhz[q] + spec.xi_mhz * s_nb, window.duration_ns
             )

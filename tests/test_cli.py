@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -14,6 +16,7 @@ from swapchannel import cli
 from swapchannel.cli import _dump_json, main
 
 BUNDLED = ("fig2_quantum_wire", "fig4_classical_wire", "table1_copy")
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -232,13 +235,17 @@ class TestValidateRefusesBadScheduleFiles:
             (lambda d: d["lines"].update(n_lines=float(d["lines"]["n_lines"])),
              "lines.n_lines must be an integer, got"),
             (lambda d: d.update(label=[1, 2]), "label must be a string, got [1, 2]"),
+            (lambda d: _edit_event(d, data_index=-1), "data_index must be >= 0, got -1"),
+            (lambda d: d["final_events"][0].update(data_index=-7),
+             "data_index must be >= 0, got -7"),
         ],
         ids=["nan-bias", "inf-bias", "nan-start", "inf-duration", "negative-duration",
              "overlap", "inject-null-data-index", "float-qubit", "bool-qubit",
              "string-qubit", "string-data-index", "float-data-index", "string-biases",
              "object-biases", "string-bias", "bool-bias", "float-n-qubits", "string-start",
              "bool-duration", "huge-int-start", "float-line", "string-line",
-             "float-n-lines", "list-label"],
+             "float-n-lines", "list-label", "negative-data-index",
+             "negative-final-data-index"],
     )
     def test_exits_1_with_message(self, capsys, tmp_path, edit, fragment):
         code, out, _ = run_cli(
@@ -253,7 +260,7 @@ class TestValidateRefusesBadScheduleFiles:
         code, out, err = run_cli(capsys, "validate", "--schedule", str(path))
         assert code == 1
         assert out == ""
-        assert fragment in err
+        assert err.startswith("error:") and fragment in err
 
     @pytest.mark.parametrize("n_qubits", [0, -1])
     def test_fewer_than_one_qubit(self, capsys, tmp_path, n_qubits):
@@ -284,6 +291,20 @@ class TestValidateRefusesBadScheduleFiles:
         code, out, _ = run_cli(capsys, "validate", "--schedule", str(path))
         assert code == 0
         assert json.loads(out)["n_qubits"] == big + 1
+
+    def test_huge_data_index_is_a_plain_symbol(self, capsys, tmp_path):
+        # the replay keeps data indices as Python ints, never in a fixed-width array
+        code, out, _ = run_cli(
+            capsys, "schedule", "--kind", "quantum", "--n-qubits", "5", "--n-states", "1"
+        )
+        doc = json.loads(out)
+        doc["windows"][0]["events"][0]["data_index"] = 10**400
+        doc["final_events"][0]["data_index"] = 10**400
+        path = tmp_path / "huge-index.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "validate", "--schedule", str(path))
+        assert code == 0
+        assert json.loads(out)["ok"] is True
 
     def test_integer_biases_are_numbers(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -387,6 +408,27 @@ class TestTraceCommand:
         assert "--samples" in err
 
 
+def assert_matches_golden(got, want, path="report"):
+    """Keys, strings, ints and bools exactly; floats to 1e-9, and a float
+    under a key naming a phase modulo 2 pi."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            assert_matches_golden(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches_golden(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        diff = got - want
+        if "phase" in path.rsplit(".", 1)[-1]:
+            diff = (diff + math.pi) % (2.0 * math.pi) - math.pi
+        assert abs(diff) <= 1e-9, (path, got, want)
+    else:
+        assert got == want, path
+
+
 class TestRunCommand:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_configs_pass(self, capsys, tmp_path, name):
@@ -417,6 +459,15 @@ class TestRunCommand:
         assert files and files == sorted(p.name for p in b.glob("*.json"))
         for f in files:
             assert (a / f).read_bytes() == (b / f).read_bytes(), f
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_reports_match_golden(self, capsys, tmp_path, name):
+        code, _, _ = run_cli(capsys, "run", "--config", name, "--out-dir", str(tmp_path))
+        assert code == 0
+        reports = sorted(tmp_path.glob("*_report.json"))
+        assert len(reports) == 1
+        want = json.loads((GOLDEN / reports[0].name).read_text())
+        assert_matches_golden(json.loads(reports[0].read_text()), want)
 
     def test_failing_assertion_exits_3(self, capsys, tmp_path):
         cfg = {

@@ -48,16 +48,20 @@ labels = st.text(
                        st.characters()),
     max_size=12,
 )
-data_indices = st.one_of(st.none(), st.integers(-3, 60))
 
 
 def events(n: int, kinds):
-    return st.builds(
-        PulseEvent,
-        kind=st.sampled_from(kinds),
-        qubit=st.integers(0, n - 1),
-        data_index=data_indices,
-    )
+    """Events on ``n`` qubits; an inject always names a data item."""
+    def build(kind):
+        index = st.integers(0, 60)
+        return st.builds(
+            PulseEvent,
+            kind=st.just(kind),
+            qubit=st.integers(0, n - 1),
+            data_index=index if kind == "inject" else st.one_of(st.none(), index),
+        )
+
+    return st.sampled_from(kinds).flatmap(build)
 
 
 @st.composite
@@ -165,8 +169,9 @@ class TestScheduleWriter:
                                          schedule.final_events, odd)
         except (ScheduleError, TypeError):
             # The schedule itself refuses nan and inf, a list where a number
-            # goes, and a time that makes two windows overlap: nothing to write.
-            assert field in ("bias", "start_ns", "duration_ns")
+            # goes, a time that makes two windows overlap and a negative data
+            # index: nothing to write.
+            assert field in ("bias", "start_ns", "duration_ns", "data_index")
             return
         assert_writer_matches_json(schedule, lines)
 
@@ -221,24 +226,25 @@ class TestSwapPulsesBiasRoute:
             assert schedule_to_json(got) == json_dumps_schedule(want)
 
 
-def assert_symbols_are_zero_or_data(schedule):
+def assert_symbols_are_parked_or_data(schedule):
     replay = replay_occupancy(schedule)
-    symbols = [s for occ in replay.window_occupancy for s in occ]
-    symbols += [r.symbol for r in replay.reads]
-    for s in symbols:
-        assert (type(s) is int and s == 0) or (
-            type(s) is tuple and len(s) == 2 and s[0] == "data"
-        ), s
+    held = replay.data_held
+    assert held.dtype == bool and not held.flags.writeable
+    assert held.shape == (schedule.n_windows, schedule.n_qubits)
+    events = [e for w in schedule.windows for e in w.events] + list(schedule.final_events)
+    injected = {e.data_index for e in events if e.kind == "inject"}
+    for r in replay.reads:
+        assert r.symbol is None or (type(r.symbol) is int and r.symbol in injected), r
 
 
 class TestReplaySymbols:
-    """Every literal the replay holds is 0, so two unequal symbols under a
-    copy pulse are undecidable, never a definite mismatch."""
-
+    """A symbol is None (parked |0>, the only literal) or the data index a
+    qubit holds, so two unequal symbols under a copy pulse are undecidable,
+    never a definite mismatch."""
     @settings(max_examples=60, deadline=None)
     @given(case=schedules())
     def test_random_schedules(self, case):
-        assert_symbols_are_zero_or_data(case[0])
+        assert_symbols_are_parked_or_data(case[0])
 
     def test_designed_wires(self, design):
         for n_qubits in range(2, 13):
@@ -248,11 +254,11 @@ class TestReplaySymbols:
                     sch, _ = quantum_channel_schedule(
                         spec, n_states, design.t_ns, line_mode=line_mode
                     )
-                    assert_symbols_are_zero_or_data(sch)
+                    assert_symbols_are_parked_or_data(sch)
             if n_qubits >= 4 and n_qubits % 2 == 0:
                 for bits in ([0], [1], [1, 0, 1, 1], [0, 1, 1, 0, 0, 1]):
                     sch, _ = classical_channel_schedule(spec, bits, design.t_ns)
-                    assert_symbols_are_zero_or_data(sch)
+                    assert_symbols_are_parked_or_data(sch)
 
 
 def assert_frame_matches_loop(schedule, spec):
@@ -328,7 +334,7 @@ class TestFrameCorrection:
     def test_hand_built_schedules_equal_the_loop(self, design):
         spec = chain_for(design, 5)
         pulse = PulseEvent(kind="cnot_pulse", qubit=2)
-        inject = PulseEvent(kind="inject", qubit=0, data_index=None)
+        inject = PulseEvent(kind="inject", qubit=0, data_index=0)
         cases = [
             PulseSchedule(n_qubits=5, windows=()),
             swap_pulses(spec, 0, 1, design.t_ns),

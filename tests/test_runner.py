@@ -455,19 +455,9 @@ class TestQuantumChannel:
             run_quantum_channel(chain_for(design, 7), sch, good)
         with pytest.raises(ValueError):
             run_quantum_channel(spec, sch, [(1.0, 1.0), (1.0, 0.0)])
-        bare = PulseSchedule(
-            n_qubits=2,
-            windows=(
-                Window(
-                    start_ns=0.0,
-                    duration_ns=design.t_ns,
-                    biases_mhz=(0.0, 0.0),
-                    events=(PulseEvent(kind="inject", qubit=0),),
-                ),
-            ),
-        )
+        # an inject without a data index is refused where it is built
         with pytest.raises(ValueError):
-            run_quantum_channel(chain_for(design, 2), bare, [], mode="reduced")
+            PulseEvent(kind="inject", qubit=0)
 
 
 class TestClassicalChannel:

@@ -48,7 +48,14 @@ class TestScheduleContainers:
         with pytest.raises(ScheduleError):
             PulseEvent(kind="teleport", qubit=0)
         with pytest.raises(ScheduleError):
-            PulseEvent(kind="inject", qubit=-1)
+            PulseEvent(kind="inject", qubit=-1, data_index=0)
+        with pytest.raises(ScheduleError, match="has no data_index"):
+            PulseEvent(kind="inject", qubit=0)
+        for kind in ("inject", "read_reset"):
+            with pytest.raises(ScheduleError, match="data_index must be >= 0, got -1"):
+                PulseEvent(kind=kind, qubit=0, data_index=-1)
+        assert PulseEvent(kind="read_reset", qubit=0).data_index is None
+        assert PulseEvent(kind="inject", qubit=0, data_index=10**400).data_index == 10**400
 
     def test_window_filters(self):
         w = bare_window(
@@ -104,7 +111,9 @@ class TestScheduleContainers:
         twin, _ = quantum_channel_schedule(spec, 2, design.t_ns)
         before = hash(sch)
         assert sch.replay is sch.replay
-        assert sch.replay == replay_occupancy(twin)
+        fresh = replay_occupancy(twin)
+        assert (sch.replay.violations, sch.replay.reads) == (fresh.violations, fresh.reads)
+        assert np.array_equal(sch.replay.data_held, fresh.data_held)
         assert sch == twin and hash(sch) == before == hash(twin)
         assert "replay" not in repr(sch)
 
@@ -171,11 +180,14 @@ class TestSwapPulses:
         spec = chain_for(design, 4)
         sch = with_injects(swap_pulses(spec, 1, 2, design.t_ns), 1)
         result = replay_occupancy(sch)
-        d = ("data", 0)
         assert result.ok
-        assert result.window_occupancy[0] == (0, d, 0, 0)
-        assert result.window_occupancy[1] == (0, d, 0, 0)
-        assert result.window_occupancy[2] == (0, 0, d, 0)
+        assert result.data_held.dtype == bool
+        assert not result.data_held.flags.writeable
+        assert result.data_held.tolist() == [
+            [False, True, False, False],
+            [False, True, False, False],
+            [False, False, True, False],
+        ]
 
 
 class TestQuantumChannelSchedule:
@@ -217,10 +229,9 @@ class TestQuantumChannelSchedule:
                 sch, _ = quantum_channel_schedule(spec, n_states, design.t_ns)
                 result = replay_occupancy(sch)
                 assert result.ok, (L, n_states, result.violations[:2])
-                assert len(result.window_occupancy) == sch.n_windows
-                assert [r.symbol for r in result.reads] == [
-                    ("data", k) for k in range(n_states)
-                ]
+                assert result.data_held.shape == (sch.n_windows, L)
+                assert [r.symbol for r in result.reads] == list(range(n_states))
+                assert result.data_held.sum(axis=1).max() <= n_states
 
     def test_line_counts(self, design):
         for L in (5, 7, 9, 11, 13):
@@ -301,9 +312,7 @@ class TestClassicalChannelSchedule:
                 result = replay_occupancy(sch)
                 assert result.ok, (L, bits, result.violations[:2])
                 out_reads = [r for r in result.reads if r.qubit == L - 1]
-                assert [r.symbol for r in out_reads] == [
-                    ("data", k) for k in range(3)
-                ]
+                assert [r.symbol for r in out_reads] == [0, 1, 2]
                 assert line_conflict_check(sch, lines).ok
 
     def test_rejects_bad_chains_and_bits(self, design):
