@@ -68,13 +68,20 @@ def _dump_json(obj) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
+    """Write ``text`` to ``path`` through ``path.tmp``; a path that cannot be
+    written is a usage error, and leaves no ``.tmp`` file behind."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        directory = os.path.dirname(path)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise ConfigError(f"cannot write {path!r}: {exc}") from None
 
 
 def _design_obj(design: GateDesign) -> dict:
@@ -166,15 +173,6 @@ def _cmd_schedule(args) -> int:
     return 0
 
 
-def _violation_obj(v) -> dict:
-    return {
-        "window_index": v.window_index,
-        "kind": v.kind,
-        "qubits": list(v.qubits),
-        "message": v.message,
-    }
-
-
 def _cmd_validate(args) -> int:
     try:
         with open(args.schedule, encoding="utf-8") as fh:
@@ -189,7 +187,7 @@ def _cmd_validate(args) -> int:
         "label": schedule.label,
         "n_qubits": schedule.n_qubits,
         "n_windows": schedule.n_windows,
-        "violations": [_violation_obj(v) for v in violations],
+        "violations": [asdict(v) for v in violations],
         "line_check": None,
     }
     ok = not violations
@@ -239,6 +237,8 @@ def _cmd_trace(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     params = TwoLevelParams(delta_mhz=args.delta_mhz, effective_bias_mhz=args.bias_mhz)
+    if args.delta_mhz <= 0:
+        raise ConfigError(f"--delta-mhz must be > 0, got {args.delta_mhz}")
     descriptor = oscillation_descriptor(params)
     times, probs = sample_trajectory(
         QuantumState.ground(1), params.hamiltonian(), args.duration_ns, args.samples
@@ -474,7 +474,7 @@ def _schedule_section(schedule, lines, cfg: dict, out_dir: str) -> tuple[dict, l
         "makespan_ns": schedule.makespan_ns,
         "pulse_count": schedule.pulse_count,
         "n_lines": lines.n_lines,
-        "violations": [_violation_obj(v) for v in violations],
+        "violations": [asdict(v) for v in violations],
         "line_problems": list(line_report.problems),
     }
     checks = [
@@ -695,7 +695,10 @@ _RUNNERS = {
 def _cmd_run(args) -> int:
     cfg = _validate_config(_load_config(args.config))
     out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from None
     report_obj, checks = _RUNNERS[cfg["experiment"]](cfg, out_dir)
     report_obj["assertions"] = _assert_results(checks)
     report_path = os.path.join(out_dir, cfg["outputs"]["report"])

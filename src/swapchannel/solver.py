@@ -78,14 +78,10 @@ class OscillationDescriptor:
 
 def oscillation_descriptor(params: TwoLevelParams) -> OscillationDescriptor:
     """Analytic P1(t) for a qubit started in |0> under ``params``."""
-    d2 = params.delta_mhz**2
-    s2 = params.effective_bias_mhz**2
-    half = d2 / (2.0 * (d2 + s2))
-    return OscillationDescriptor(
-        offset=half,
-        amplitude=half,
-        frequency_mhz=2.0 * math.sqrt(d2 + s2),
-    )
+    # hypot, not the root of a sum of squares, which overflows past 1e154
+    omega = math.hypot(params.delta_mhz, params.effective_bias_mhz)
+    half = 0.5 * (params.delta_mhz / omega) ** 2
+    return OscillationDescriptor(offset=half, amplitude=half, frequency_mhz=2.0 * omega)
 
 
 def solve_parameters(t_ns: float, m: int = 1, n: int = 0) -> GateDesign:

@@ -13,7 +13,8 @@ serialiser and the frame correction and the reduced pulse operator are the
 package's former per-value routes: ``json.dumps`` of the schedule document,
 one scalar ``phase_angle`` per parked qubit, and one matrix element at a
 time.  ``swap_pulses`` had its own bias route, ``hold_biases()`` with the
-pulsed qubit set, before it took the generators' line-driven one."""
+pulsed qubit set, before it took the generators' line-driven one.  The
+replay's swap-pair matching built a candidate set per target."""
 
 import json
 
@@ -359,3 +360,20 @@ def loop_reduced_pulse_operator(
                 col = int("".join(map(str, bits_in)), 2)
                 out[row, col] = u2[t_out, t_in]
     return out
+
+
+def set_match_pairs(lefts, mids):
+    """``scheduler._match_pairs`` by its former body: each first-window
+    target's candidates as a set intersection, refused unless exactly one."""
+    if len(lefts) != len(mids) or not lefts:
+        return None
+    remaining = set(mids)
+    pairs = []
+    for a in sorted(lefts):
+        cands = {a - 1, a + 1} & remaining
+        if len(cands) != 1:
+            return None
+        b = cands.pop()
+        remaining.remove(b)
+        pairs.append((min(a, b), max(a, b)))
+    return pairs if not remaining else None

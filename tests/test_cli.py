@@ -407,6 +407,23 @@ class TestTraceCommand:
         assert code == 1
         assert "--samples" in err
 
+    @pytest.mark.parametrize("delta", ["0", "-5"])
+    def test_non_positive_delta_exits_1(self, capsys, tmp_path, delta):
+        out = tmp_path / "t.csv"
+        code, _, err = run_cli(capsys, "trace", "--delta-mhz", delta, "--duration-ns", "10",
+                               "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and "--delta-mhz must be > 0" in err
+        assert not out.exists()
+
+    def test_huge_parameters_do_not_overflow_the_descriptor(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "trace", "--delta-mhz", "1e300", "--bias-mhz", "1e300",
+                               "--duration-ns", "10", "--out", str(tmp_path / "t.csv"))
+        assert code == 0
+        summary = json.loads(out)
+        assert_allclose(summary["offset"], 0.25, rtol=1e-15)
+        assert_allclose(summary["frequency_mhz"], 2.0 * math.sqrt(2.0) * 1e300, rtol=1e-15)
+
 
 def assert_matches_golden(got, want, path="report"):
     """Keys, strings, ints and bools exactly; floats to 1e-9, and a float
@@ -468,6 +485,14 @@ class TestRunCommand:
         assert len(reports) == 1
         want = json.loads((GOLDEN / reports[0].name).read_text())
         assert_matches_golden(json.loads(reports[0].read_text()), want)
+
+    @pytest.mark.parametrize("name", ["fig2_quantum_wire", "fig4_classical_wire"])
+    def test_schedule_files_match_golden_bytes(self, capsys, tmp_path, name):
+        code, _, _ = run_cli(capsys, "run", "--config", name, "--out-dir", str(tmp_path))
+        assert code == 0
+        written = sorted(tmp_path.glob("*_schedule.json"))
+        assert len(written) == 1
+        assert written[0].read_bytes() == (GOLDEN / written[0].name).read_bytes()
 
     def test_failing_assertion_exits_3(self, capsys, tmp_path):
         cfg = {
@@ -576,6 +601,30 @@ class TestRunCommand:
             capsys, "run", "--config", "fig9_missing", "--out-dir", str(tmp_path)
         )
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--config", "table1_copy", "--out-dir", "{file}"),
+        ("solve", "--t-ns", "10", "--out", "{file}/x"),
+        ("schedule", "--kind", "quantum", "--n-qubits", "3", "--n-states", "1",
+         "--out", "{file}/x"),
+        ("trace", "--delta-mhz", "10", "--duration-ns", "1", "--out", "{file}/x"),
+        ("solve", "--t-ns", "10", "--out", "{dir}"),
+    ],
+    ids=["run-out-dir-is-file", "solve-under-file", "schedule-under-file",
+         "trace-under-file", "solve-out-is-dir"],
+)
+def test_unwritable_output_path_exits_1(capsys, tmp_path, argv):
+    (tmp_path / "file").write_text("keep")
+    (tmp_path / "dir").mkdir()
+    paths = {"file": tmp_path / "file", "dir": tmp_path / "dir"}
+    code, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 1
+    assert err.startswith("error: cannot ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert (tmp_path / "file").read_text() == "keep" and not any((tmp_path / "dir").iterdir())
 
 
 class TestModuleEntryPoint:

@@ -3,13 +3,17 @@ they replaced (``tests/oracles.py``): the direct JSON writer against
 ``json.dumps`` of the schedule document, byte for byte, and the vectorised
 frame correction against the per-qubit loop, bit for bit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_for
-from oracles import hold_bias_swap_pulses, json_dumps_schedule, loop_frame_correction
+from oracles import (
+    hold_bias_swap_pulses, json_dumps_schedule, loop_frame_correction, set_match_pairs
+)
 from swapchannel import (
     ChainSpec,
     LineAssignment,
@@ -20,11 +24,12 @@ from swapchannel import (
     classical_channel_schedule,
     compute_frame_correction,
     quantum_channel_schedule,
+    schedule_from_json,
     schedule_to_json,
     solve_parameters,
     swap_pulses,
 )
-from swapchannel.scheduler import replay_occupancy
+from swapchannel.scheduler import _match_pairs, replay_occupancy
 
 DESIGN = solve_parameters(10.0, m=1, n=0)  # the ``design`` fixture, for @given tests
 
@@ -121,70 +126,91 @@ def _replace_window(schedule, index, **fields):
                          schedule.label)
 
 
-# Values json.dumps refuses (nan, inf: ValueError; numpy ints and float32:
-# TypeError) or writes by another rule than a plain number (bool, a list, a
-# float subclass).
-_ODD = [float("nan"), float("inf"), -float("inf"), np.int64(3), np.float32(1.5),
-        True, [1, 2.5], np.float64(-0.0), np.float64(1e300)]
+# Values a field may be handed: numpy integers and reals, ints and floats,
+# which the schedule types store as plain ints and floats where they fit, and
+# nan, inf, bools, strings, a list, None and ints past the float range.
+_ODD = [float("nan"), float("inf"), -float("inf"), np.int64(3), np.uint8(0),
+        np.float32(1.5), np.float64(-0.0), np.float64(1e300), 0, 1, 2.5, True,
+        np.bool_(False), "2", [1, 2.5], None, 10**400, -(10**400)]
+_FIELDS = ["bias", "start_ns", "duration_ns", "qubit", "data_index", "n_qubits",
+           "label", "line", "n_lines"]
 
 
-def assert_writer_matches_json(schedule, lines):
-    try:
-        want = json_dumps_schedule(schedule, lines)
-    except (TypeError, ValueError) as exc:
-        with pytest.raises(type(exc)):
-            schedule_to_json(schedule, lines)
-    else:
-        assert schedule_to_json(schedule, lines) == want
+def _retyped(value) -> list:
+    """``value`` as the other types that hold it."""
+    if isinstance(value, int):
+        return [np.int64(value), float(value)]
+    if isinstance(value, float):
+        return [np.float64(value), int(value)]
+    if isinstance(value, str):
+        return [np.str_(value)]
+    return []
+
+
+def _with_odd(schedule, lines, field, data):
+    """``(schedule, lines)`` rebuilt with one ``field`` replaced by an odd
+    value; raises ScheduleError where a schedule type refuses it."""
+    def odd(current):
+        return data.draw(st.sampled_from(_retyped(current) + _ODD))
+
+    w = data.draw(st.integers(0, schedule.n_windows - 1))
+    window = schedule.windows[w]
+    if field == "bias":
+        biases = list(window.biases_mhz)
+        q = data.draw(st.integers(0, len(biases) - 1))
+        biases[q] = odd(biases[q])
+        schedule = _replace_window(schedule, w, biases_mhz=biases)
+    elif field in ("start_ns", "duration_ns"):
+        schedule = _replace_window(schedule, w, **{field: odd(getattr(window, field))})
+    elif field in ("qubit", "data_index"):
+        event = PulseEvent(kind="read_reset", qubit=0, data_index=1)
+        event = replace(event, **{field: odd(getattr(event, field))})
+        schedule = _replace_window(schedule, w, events=window.events + (event,))
+    elif field in ("n_qubits", "label"):
+        schedule = replace(schedule, **{field: odd(getattr(schedule, field))})
+    elif lines is not None and field == "line":
+        q = data.draw(st.integers(0, len(lines.lines) - 1))
+        lines = replace(lines, lines=lines.lines[:q] + (odd(lines.lines[q]),)
+                        + lines.lines[q + 1:])
+    elif lines is not None:
+        lines = replace(lines, n_lines=odd(lines.n_lines))
+    return schedule, lines
+
+
+def assert_round_trips(schedule, lines):
+    """The writer gives ``json.dumps``'s bytes, and the parser gives the
+    schedule back."""
+    text = schedule_to_json(schedule, lines)
+    assert text == json_dumps_schedule(schedule, lines)
+    assert schedule_from_json(text) == (schedule, lines)
 
 
 class TestScheduleWriter:
     @settings(max_examples=120, deadline=None)
     @given(case=schedules())
     def test_bytes_equal_json_dumps(self, case):
-        assert_writer_matches_json(*case)
+        assert_round_trips(*case)
 
-    @settings(max_examples=80, deadline=None)
-    @given(case=schedules(min_windows=1), data=st.data())
-    def test_odd_values_write_or_raise_as_json_does(self, case, data):
-        schedule, lines = case
-        w = data.draw(st.integers(0, schedule.n_windows - 1))
-        odd = data.draw(st.sampled_from(_ODD))
-        field = data.draw(st.sampled_from(["bias", "start_ns", "duration_ns",
-                                           "data_index", "label"]))
+    @settings(max_examples=150, deadline=None)
+    @given(case=schedules(min_windows=1), field=st.sampled_from(_FIELDS), data=st.data())
+    def test_odd_values_round_trip_or_are_refused(self, case, field, data):
         try:
-            if field == "bias":
-                biases = list(schedule.windows[w].biases_mhz)
-                biases[data.draw(st.integers(0, len(biases) - 1))] = odd
-                schedule = _replace_window(schedule, w, biases_mhz=tuple(biases))
-            elif field in ("start_ns", "duration_ns"):
-                schedule = _replace_window(schedule, w, **{field: odd})
-            elif field == "data_index":
-                event = PulseEvent(kind="read_reset", qubit=0, data_index=odd)
-                schedule = _replace_window(
-                    schedule, w, events=schedule.windows[w].events + (event,)
-                )
-            else:
-                schedule = PulseSchedule(schedule.n_qubits, schedule.windows,
-                                         schedule.final_events, odd)
-        except (ScheduleError, TypeError):
-            # The schedule itself refuses nan and inf, a list where a number
-            # goes, a time that makes two windows overlap and a negative data
-            # index: nothing to write.
-            assert field in ("bias", "start_ns", "duration_ns", "data_index")
+            schedule, lines = _with_odd(*case, field, data)
+        except ScheduleError:
             return
-        assert_writer_matches_json(schedule, lines)
+        assert_round_trips(schedule, lines)
 
-    def test_numpy_integer_qubit_raises_type_error(self):
+    def test_numpy_integer_qubit_is_written_as_int(self):
+        event = PulseEvent(kind="read_reset", qubit=np.int64(1), data_index=np.uint16(4))
+        assert (type(event.qubit), type(event.data_index)) == (int, int)
         sch = PulseSchedule(
-            n_qubits=2,
+            n_qubits=np.int32(2),
             windows=(Window(0.0, 1.0, (0.0, 0.0),
-                            (PulseEvent(kind="cnot_pulse", qubit=np.int64(1)),)),),
+                            (PulseEvent(kind="cnot_pulse", qubit=np.int64(1)), event)),),
         )
-        with pytest.raises(TypeError):
-            json_dumps_schedule(sch)
-        with pytest.raises(TypeError):
-            schedule_to_json(sch)
+        assert type(sch.n_qubits) is int
+        assert schedule_to_json(sch) == json_dumps_schedule(sch)
+        assert '"qubit": 1\n' in schedule_to_json(sch)
 
     def test_non_finite_bias_raises_value_error(self):
         with pytest.raises(ValueError, match="biases_mhz must be finite"):
@@ -235,6 +261,36 @@ def assert_symbols_are_parked_or_data(schedule):
     injected = {e.data_index for e in events if e.kind == "inject"}
     for r in replay.reads:
         assert r.symbol is None or (type(r.symbol) is int and r.symbol in injected), r
+
+
+class TestMatchPairs:
+    """The swap-pair matching against its former set-per-target body,
+    ambiguity rule included: a target with both neighbours, or neither,
+    still unmatched ends the match."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lefts=st.lists(st.integers(-2, 14), max_size=8),
+           mids=st.lists(st.integers(-2, 14), max_size=8))
+    def test_equals_the_set_route(self, lefts, mids):
+        assert _match_pairs(lefts, mids) == set_match_pairs(lefts, mids)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lefts=st.sets(st.integers(0, 40), min_size=1, max_size=12),
+           shifts=st.lists(st.sampled_from([-1, 1]), min_size=12, max_size=12))
+    def test_equals_the_set_route_on_neighbour_targets(self, lefts, shifts):
+        lefts = sorted(lefts)
+        mids = sorted({a + d for a, d in zip(lefts, shifts)})
+        assert _match_pairs(lefts, mids) == set_match_pairs(lefts, mids)
+
+    @pytest.mark.parametrize("lefts, mids, want", [
+        ([1, 3], [2, 4], [(1, 2), (3, 4)]),
+        ([2], [1], [(1, 2)]),
+        ([2, 4], [1, 3], None),  # 2 sees both 1 and 3
+        ([1], [3], None),
+        ([], [], None),
+    ])
+    def test_cases(self, lefts, mids, want):
+        assert _match_pairs(lefts, mids) == set_match_pairs(lefts, mids) == want
 
 
 class TestReplaySymbols:

@@ -14,6 +14,7 @@ from swapchannel import (
     classical_channel_schedule,
     line_conflict_check,
     quantum_channel_schedule,
+    run_quantum_channel,
     schedule_from_json,
     schedule_to_json,
     swap_pulses,
@@ -147,6 +148,84 @@ class TestScheduleContainers:
             LineAssignment(lines=(0, 5), n_lines=2)
         la = LineAssignment(lines=(0, None, 0), n_lines=1)
         assert la.lines == (0, None, 0)
+
+
+class TestScheduleFieldTypes:
+    """The schedule types store plain values: numpy numbers are converted,
+    other types refused, so a programmatic schedule writes and parses like a
+    generated one."""
+
+    @pytest.mark.parametrize(
+        "build, fragment",
+        [
+            (lambda: PulseEvent(kind="cnot_pulse", qubit=1.5),
+             "event qubit must be an integer, got 1.5"),
+            (lambda: PulseEvent(kind="cnot_pulse", qubit=True),
+             "event qubit must be an integer, got True"),
+            (lambda: PulseEvent(kind="read_reset", qubit=0, data_index="0"),
+             "event data_index must be an integer or null, got '0'"),
+            (lambda: PulseEvent(kind=["inject"], qubit=0), "unknown event kind ['inject']"),
+            (lambda: PulseEvent(kind=np.str_("hold"), qubit=0), "unknown event kind"),
+            (lambda: Window(0.0, 1.0, (0.0, True)),
+             "biases_mhz must be an array of numbers, got True"),
+            (lambda: Window(0.0, 1.0, "12"), "biases_mhz must be an array of numbers, got '12'"),
+            (lambda: Window(0.0, 1.0, (0.0, 10**400)),
+             "biases_mhz must be finite: int too large to convert to float"),
+            (lambda: Window("0", 1.0, (0.0,)), "start_ns must be a number, got '0'"),
+            (lambda: Window(0.0, False, (0.0,)), "duration_ns must be a number, got False"),
+            (lambda: Window(0.0, 1.0, (0.0,), events=("cnot",)),
+             "events must hold PulseEvents, got 'cnot'"),
+            (lambda: PulseSchedule(n_qubits=2.5, windows=()),
+             "n_qubits must be an integer, got 2.5"),
+            (lambda: PulseSchedule(n_qubits=1, windows=(), label=3),
+             "label must be a string, got 3"),
+            (lambda: PulseSchedule(n_qubits=1, windows=(), label=np.str_("wire")),
+             "label must be a string, got"),
+            (lambda: PulseSchedule(n_qubits=1, windows=[(0.0, 1.0, (0.0,))]),
+             "windows must hold Windows, got (0.0, 1.0, (0.0,))"),
+            (lambda: LineAssignment(lines=(0, 1.0), n_lines=2),
+             "line of qubit 1 must be an integer or null, got 1.0"),
+            (lambda: LineAssignment(lines=(0,), n_lines=np.float64(1)),
+             "lines.n_lines must be an integer, got"),
+        ],
+        ids=["float-qubit", "bool-qubit", "string-data-index", "list-kind", "numpy-kind",
+             "bool-bias", "string-biases", "huge-int-bias", "string-start", "bool-duration",
+             "string-event", "float-n-qubits", "int-label", "numpy-label", "tuple-window",
+             "float-line", "float-n-lines"],
+    )
+    def test_refusals(self, build, fragment):
+        with pytest.raises(ScheduleError, match=re.escape(fragment)):
+            build()
+
+    def test_numpy_and_int_values_are_stored_plain(self):
+        event = PulseEvent(kind="inject", qubit=np.int64(1), data_index=np.uint8(2))
+        assert (event.qubit, event.data_index) == (1, 2)
+        assert (type(event.qubit), type(event.data_index)) == (int, int)
+        w = Window(np.float32(1.5), 10, np.array([25000.0, 0]), [event])
+        assert (w.start_ns, w.duration_ns, w.biases_mhz) == (1.5, 10.0, (25000.0, 0.0))
+        assert {type(w.start_ns), type(w.duration_ns)} | set(map(type, w.biases_mhz)) == {float}
+        assert w.events == (event,)
+        sch = PulseSchedule(np.int64(2), [w], label="wire")
+        assert (type(sch.n_qubits), type(sch.windows), type(sch.label)) == (int, tuple, str)
+        lines = LineAssignment(np.array([0, 1]), np.int64(2))
+        assert lines == LineAssignment((0, 1), 2) and type(lines.lines[0]) is int
+        assert schedule_from_json(schedule_to_json(sch, lines)) == (sch, lines)
+
+    @pytest.mark.parametrize("container", [np.array, list], ids=["ndarray", "list"])
+    def test_full_mode_runs_on_array_and_list_biases(self, design, container):
+        spec = chain_for(design, 3)
+        sch, _ = quantum_channel_schedule(spec, 1, design.t_ns)
+        windows = []
+        for w in sch.windows:
+            biases = spec.hold_biases()
+            for q in w.gate_targets():
+                biases[q] = w.biases_mhz[q]
+            windows.append(Window(w.start_ns, w.duration_ns, container(biases), w.events))
+        rebuilt = PulseSchedule(sch.n_qubits, windows, sch.final_events, sch.label)
+        state = [np.array([1.0, 1.0j]) / np.sqrt(2)]
+        got = run_quantum_channel(spec, rebuilt, state, mode="full")
+        assert got == run_quantum_channel(spec, sch, state, mode="full")
+        assert rebuilt == sch
 
 
 class TestSwapPulses:
