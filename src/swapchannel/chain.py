@@ -115,6 +115,8 @@ class TwoLevelParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.delta_mhz <= 0:
+            raise ValueError(f"delta_mhz must be > 0, got {self.delta_mhz}")
 
     def hamiltonian(self) -> np.ndarray:
         return np.array(

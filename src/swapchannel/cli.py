@@ -231,14 +231,29 @@ print(out)
 '''
 
 
+#: The largest total phase ``2*pi*1e-3*hypot(delta, bias)*duration`` a trace
+#: accepts, in radians.  float64 holds a phase of x rad only to about
+#: x * 1e-16 rad, and both columns carry that error in every row: with
+#: delta = bias over 10 ns they differ by at most 6e-8 at 8.9e8 rad, 1.3e-5 at
+#: 8.9e10 rad and 5e-4 at 8.9e12 rad (0.15 at delta = bias = 1e300 MHz).
+MAX_TRACE_PHASE_RAD = 1e9
+
+
 def _cmd_trace(args) -> int:
     if args.duration_ns < 0:
         raise ConfigError(f"--duration-ns must be >= 0, got {args.duration_ns}")
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    params = TwoLevelParams(delta_mhz=args.delta_mhz, effective_bias_mhz=args.bias_mhz)
     if args.delta_mhz <= 0:
         raise ConfigError(f"--delta-mhz must be > 0, got {args.delta_mhz}")
+    params = TwoLevelParams(delta_mhz=args.delta_mhz, effective_bias_mhz=args.bias_mhz)
+    phase = 2.0 * math.pi * 1e-3 * math.hypot(args.delta_mhz, args.bias_mhz) * args.duration_ns
+    if phase > MAX_TRACE_PHASE_RAD:
+        raise ConfigError(
+            f"total phase {phase:.3g} rad exceeds {MAX_TRACE_PHASE_RAD:.0e} rad, past which "
+            "float64 cannot resolve the oscillation; shorten --duration-ns or lower "
+            "--delta-mhz/--bias-mhz"
+        )
     descriptor = oscillation_descriptor(params)
     times, probs = sample_trajectory(
         QuantumState.ground(1), params.hamiltonian(), args.duration_ns, args.samples

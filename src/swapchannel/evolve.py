@@ -15,13 +15,14 @@ small and dense, so ``eigh`` is both the fastest and the most accurate
 route).  The chain Hamiltonian is real symmetric, so its propagator comes
 from a real ``eigh`` and two real matrix products; complex Hermitian input
 takes the complex route.  Reduced-mode wire runs do not use these dense
-states; they run on :class:`~swapchannel.mps.MPS`, which refuses injects as
-:func:`inject_state` does.
+states; they run on :class:`~swapchannel.mps.MPS`, which has the same
+methods (``apply``, ``reduced_state``, ``inject``, ``reset``, ``trace``)
+under the same rule: each updates the state in place and returns nothing,
+and a refused inject leaves the state as it was.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,16 +33,11 @@ __all__ = [
     "EntanglementError",
     "QuantumState",
     "propagator",
-    "apply_unitary",
-    "apply_local_unitary",
-    "reduced_state",
-    "reset_qubit",
-    "inject_state",
     "sample_trajectory",
 ]
 
-#: A qubit is treated as cleanly separable when its reduced purity is above this.
-PURITY_TOLERANCE = 1e-6
+#: An inject refuses a qubit whose reduced purity is below 1 - this.
+INJECT_PURITY_TOL = 1e-3
 
 #: Singular values at or below this fraction of the largest are dropped by an
 #: SVD compression (of a dense factor here, of an MPS bond in ``mps``).
@@ -52,22 +48,55 @@ class EntanglementError(ValueError):
     """Raised when an operation needs a separable qubit but finds entanglement."""
 
 
-@dataclass(frozen=True)
+def _local_width(op: np.ndarray, first_qubit: int, n_qubits: int) -> int:
+    """The number ``k`` of adjacent qubits a ``2^k x 2^k`` operator acts on,
+    once its block ``[first_qubit, first_qubit + k)`` fits in the chain."""
+    d = op.shape[0]
+    if op.ndim != 2 or op.shape[1] != d or d < 2 or d & (d - 1):
+        raise ValueError(f"local operator must be square with power-of-2 dim, got {op.shape}")
+    k = d.bit_length() - 1
+    if not 0 <= first_qubit <= n_qubits - k:
+        raise ValueError(
+            f"qubits [{first_qubit}, {first_qubit + k}) out of range for n={n_qubits}"
+        )
+    return k
+
+
+def _checked_amplitudes(amplitudes: Sequence[complex]) -> np.ndarray:
+    target = np.asarray(amplitudes, dtype=complex)
+    if target.shape != (2,):
+        raise ValueError(f"amplitudes must have shape (2,), got {target.shape}")
+    if abs(np.linalg.norm(target) - 1.0) > 1e-9:
+        raise ValueError("injected amplitudes must be normalised within 1e-9")
+    return target
+
+
+def _require_separable(qubit: int, purity: float) -> None:
+    if purity < 1.0 - INJECT_PURITY_TOL:
+        raise EntanglementError(
+            f"qubit {qubit} has reduced purity {purity:.6f}; refusing to inject"
+        )
+
+
 class QuantumState:
     """The state ``rho = W W^dagger`` of ``n_qubits`` qubits, held as its factor.
 
     ``data`` is ``W``, a read-only complex array of shape ``(2^n_qubits, r)``;
-    the constructor keeps its own copy.
+    the constructor keeps its own copy.  :meth:`apply`, :meth:`reset`,
+    :meth:`inject` and :meth:`apply_diagonal` update the state in place by
+    replacing ``data``, and return nothing; a refused inject leaves it as it
+    was.  :class:`~swapchannel.mps.MPS` follows the same rule.
     """
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.data, dtype=complex)
+    def __init__(self, data: np.ndarray):
+        w = np.array(data, dtype=complex)
         if w.ndim != 2 or w.shape[0] & (w.shape[0] - 1) or 0 in w.shape:
             raise ValueError(f"factor must be (2^n, r) with r >= 1, got shape {w.shape}")
+        self._store(w)
+
+    def _store(self, w: np.ndarray) -> None:
         w.flags.writeable = False
-        object.__setattr__(self, "data", w)
+        self.data = w
 
     @classmethod
     def pure(cls, amplitudes: Sequence[complex]) -> "QuantumState":
@@ -93,14 +122,77 @@ class QuantumState:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def kind(self) -> str:
-        """``"pure"`` for a one-column factor, else ``"mixed"`` (for reports)."""
-        return "pure" if self.data.shape[1] == 1 else "mixed"
-
     def trace(self) -> float:
         """``tr rho``, the squared Frobenius norm of the factor."""
         return float(np.vdot(self.data, self.data).real)
+
+    def apply(self, op: np.ndarray, first_qubit: int) -> None:
+        """Apply an operator on ``k`` adjacent qubits starting at ``first_qubit``.
+
+        The operator is a ``2^k x 2^k`` matrix in chain ordering over those
+        qubits.  Rows of ``W`` split as (qubits before, the ``k`` qubits,
+        qubits after), and the columns ride along with the qubits after, so
+        the update is one ``matmul``; a full-chain ``U`` at ``first_qubit=0``
+        is the single product ``U @ W``.
+        """
+        op = np.asarray(op)
+        _local_width(op, first_qubit, self.n_qubits)
+        w = self.data.reshape(1 << first_qubit, op.shape[0], -1)
+        self._store((op @ w).reshape(self.dim, -1))
+
+    def apply_diagonal(self, diag: np.ndarray) -> None:
+        """Apply the full-chain operator ``diag(diag)``: ``dim * r`` products,
+        no dense ``dim x dim`` matrix."""
+        self._store(diag[:, None] * self.data)
+
+    def _axes(self, qubit: int) -> tuple[int, int]:
+        n = self.n_qubits
+        if not 0 <= qubit < n:
+            raise ValueError(f"qubit {qubit} out of range for n={n}")
+        return 1 << qubit, 1 << (n - qubit - 1)
+
+    def reduced_state(self, qubit: int) -> tuple[np.ndarray, float]:
+        """(2x2 reduced density matrix, its purity) for one qubit."""
+        pre, _ = self._axes(qubit)
+        w = self.data.reshape(pre, 2, -1)
+        rho2 = np.einsum("xaz,xbz->ab", w, w.conj())
+        return rho2, float(np.trace(rho2 @ rho2).real)
+
+    def _replace_qubit(self, qubit: int, local: np.ndarray) -> None:
+        """Trace one qubit out and tensor in the pure single-qubit state ``local``.
+
+        The qubit's |0> and |1> slices of ``W`` become the ``2r`` columns of a
+        factor of the rest, ``tr_q rho = sum_a W_a W_a^dagger``; a thin SVD
+        compresses those columns before ``local`` is tensored back in.
+        """
+        pre, post = self._axes(qubit)
+        w = self.data.reshape(pre, 2, post, -1)
+        rest = w.transpose(0, 2, 1, 3).reshape(pre * post, -1)
+        u, s, _ = np.linalg.svd(rest, full_matrices=False)
+        keep = s > TRUNCATION_RTOL * s[0]
+        rest = (u[:, keep] * s[keep]).reshape(pre, 1, post, -1)
+        self._store((rest * local[:, None, None]).reshape(self.dim, -1))
+
+    def reset(self, qubit: int) -> None:
+        """Read-and-discard: trace the qubit out and re-prepare it in |0>.
+
+        If the qubit was still entangled the rest of the register is left as a
+        genuine mixture (the read reports its purity) and the factor's rank grows.
+        """
+        self._replace_qubit(qubit, np.array([1.0, 0.0], dtype=complex))
+
+    def inject(self, qubit: int, amplitudes: Sequence[complex]) -> None:
+        """Overwrite one separable qubit with a fresh single-qubit pure state.
+
+        Raises :class:`EntanglementError`, leaving the state as it was, if the
+        qubit's purity is below ``1 - INJECT_PURITY_TOL`` (injection would
+        silently corrupt correlations).  Otherwise the qubit is traced out and
+        the amplitudes tensored in, so whatever entanglement is left within
+        the tolerance mixes the rest of the register.
+        """
+        target = _checked_amplitudes(amplitudes)
+        _require_separable(qubit, self.reduced_state(qubit)[1])
+        self._replace_qubit(qubit, target)
 
 
 # ---------------------------------------------------------------------------
@@ -130,112 +222,6 @@ def propagator(hamiltonian: np.ndarray, duration_ns: float) -> np.ndarray:
     return u
 
 
-def apply_unitary(state: QuantumState, u: np.ndarray) -> QuantumState:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (state.dim, state.dim):
-        raise ValueError(f"operator shape {u.shape} does not match state dim {state.dim}")
-    return QuantumState(u @ state.data)
-
-
-def apply_local_unitary(state: QuantumState, u: np.ndarray, first_qubit: int) -> QuantumState:
-    """Apply an operator acting on ``k`` adjacent qubits starting at ``first_qubit``,
-    without forming the full 2^n operator."""
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or d & (d - 1):
-        raise ValueError(f"local operator must be square with power-of-2 dim, got {u.shape}")
-    k = d.bit_length() - 1
-    n = state.n_qubits
-    if not 0 <= first_qubit <= n - k:
-        raise ValueError(f"qubits [{first_qubit}, {first_qubit + k}) out of range for n={n}")
-    # rows of W are (qubits before, the k qubits, qubits after); its columns
-    # ride along with the qubits after
-    w = state.data.reshape(1 << first_qubit, d, -1)
-    out = np.einsum("ab,xbz->xaz", u, w)
-    return QuantumState(out.reshape(state.dim, -1))
-
-
-# ---------------------------------------------------------------------------
-# single-qubit observables and boundary operations
-# ---------------------------------------------------------------------------
-
-
-def _axes(state: QuantumState, qubit: int) -> tuple[int, int]:
-    n = state.n_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for n={n}")
-    return 1 << qubit, 1 << (n - qubit - 1)
-
-
-def reduced_state(state: QuantumState, qubit: int) -> tuple[np.ndarray, float]:
-    """(2x2 reduced density matrix, its purity) for one qubit."""
-    pre, _ = _axes(state, qubit)
-    w = state.data.reshape(pre, 2, -1)
-    rho2 = np.einsum("xaz,xbz->ab", w, w.conj())
-    purity = float(np.trace(rho2 @ rho2).real)
-    return rho2, purity
-
-
-def _replace_qubit(state: QuantumState, qubit: int, local: np.ndarray) -> QuantumState:
-    """Trace one qubit out and tensor in the pure single-qubit state ``local``.
-
-    The qubit's |0> and |1> slices of ``W`` become the ``2r`` columns of a
-    factor of the rest, ``tr_q rho = sum_a W_a W_a^dagger``; a thin SVD
-    compresses those columns before ``local`` is tensored back in.
-    """
-    pre, post = _axes(state, qubit)
-    w = state.data.reshape(pre, 2, post, -1)
-    rest = w.transpose(0, 2, 1, 3).reshape(pre * post, -1)
-    u, s, _ = np.linalg.svd(rest, full_matrices=False)
-    keep = s > TRUNCATION_RTOL * s[0]
-    rest = (u[:, keep] * s[keep]).reshape(pre, 1, post, -1)
-    return QuantumState((rest * local[:, None, None]).reshape(state.dim, -1))
-
-
-def reset_qubit(state: QuantumState, qubit: int) -> QuantumState:
-    """Read-and-discard: trace the qubit out and re-prepare it in |0>.
-
-    If the qubit was still entangled the rest of the register is left as a
-    genuine mixture (the read reports its purity) and the factor's rank grows.
-    """
-    return _replace_qubit(state, qubit, np.array([1.0, 0.0], dtype=complex))
-
-
-def _checked_amplitudes(amplitudes: Sequence[complex]) -> np.ndarray:
-    target = np.asarray(amplitudes, dtype=complex)
-    if target.shape != (2,):
-        raise ValueError(f"amplitudes must have shape (2,), got {target.shape}")
-    if abs(np.linalg.norm(target) - 1.0) > 1e-9:
-        raise ValueError("injected amplitudes must be normalised within 1e-9")
-    return target
-
-
-def _require_separable(qubit: int, purity: float, purity_tol: float) -> None:
-    if purity < 1.0 - purity_tol:
-        raise EntanglementError(
-            f"qubit {qubit} has reduced purity {purity:.6f}; refusing to inject"
-        )
-
-
-def inject_state(
-    state: QuantumState,
-    qubit: int,
-    amplitudes: Sequence[complex],
-    *,
-    purity_tol: float = PURITY_TOLERANCE,
-) -> QuantumState:
-    """Overwrite one separable qubit with a fresh single-qubit pure state.
-
-    Raises :class:`EntanglementError` if the qubit is not separable to within
-    ``purity_tol`` (injection would silently corrupt correlations).  Otherwise
-    the qubit is traced out and the amplitudes tensored in, so whatever
-    entanglement is left within the tolerance mixes the rest of the register.
-    """
-    target = _checked_amplitudes(amplitudes)
-    _require_separable(qubit, reduced_state(state, qubit)[1], purity_tol)
-    return _replace_qubit(state, qubit, target)
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -261,9 +247,9 @@ def sample_trajectory(
     step = propagator(hamiltonian, dt)
     times = np.linspace(0.0, duration_ns, n_samples + 1)
     probs = np.zeros((n_samples + 1, n))
-    current = state
+    current = QuantumState(state.data)  # a copy: the caller's state stays as it was
     for i in range(n_samples + 1):
         if i > 0:
-            current = apply_unitary(current, step)
-        probs[i] = [reduced_state(current, q)[0][1, 1].real for q in range(n)]
+            current.apply(step, 0)
+        probs[i] = [current.reduced_state(q)[0][1, 1].real for q in range(n)]
     return times, probs

@@ -13,7 +13,7 @@ right, to the amplitude vector in the chain's basis ordering (qubit 0 is the
 most significant bit).  The state is kept in mixed-canonical form: tensors
 left of the orthogonality centre are left isometries and tensors right of it
 right isometries, so the centre tensor carries the whole norm.  A one-qubit
-read or inject moves the centre to its qubit (one small SVD per site
+read, reset or inject moves the centre to its qubit (one small SVD per site
 crossed) and then touches that tensor only.  A k-local operator contracts its k sites,
 applies the operator and splits back by k - 1 SVDs, dropping only singular
 values below ``TRUNCATION_RTOL`` of the largest.
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .evolve import (
-    PURITY_TOLERANCE, TRUNCATION_RTOL, _checked_amplitudes, _require_separable
+    TRUNCATION_RTOL, EntanglementError, _checked_amplitudes, _local_width, _require_separable
 )
 
 __all__ = ["TRUNCATION_RTOL", "MPS"]
@@ -35,7 +35,8 @@ __all__ = ["TRUNCATION_RTOL", "MPS"]
 class MPS:
     """Pure state of ``n_qubits`` qubits as a mixed-canonical MPS.
 
-    Operations update the state in place.  ``max_bond`` is the largest bond
+    Operations update the state in place and return nothing, as those of
+    :class:`~swapchannel.evolve.QuantumState` do.  ``max_bond`` is the largest bond
     dimension any split has produced; ``discarded_weight`` is the summed
     squared weight of the singular values dropped, each split's share taken
     relative to the norm of the state it split.
@@ -119,14 +120,7 @@ class MPS:
         """
         op = np.asarray(op)
         d = op.shape[0]
-        if op.ndim != 2 or op.shape[1] != d or d < 2 or d & (d - 1):
-            raise ValueError(f"local operator must be square with power-of-2 dim, got {op.shape}")
-        k = d.bit_length() - 1
-        last = first_qubit + k - 1
-        if first_qubit < 0 or last >= self.n_qubits:
-            raise ValueError(
-                f"qubits [{first_qubit}, {last + 1}) out of range for n={self.n_qubits}"
-            )
+        last = first_qubit + _local_width(op, first_qubit, self.n_qubits) - 1
         rightward = self.center <= first_qubit
         self._move_center(first_qubit if rightward else last)
 
@@ -178,27 +172,38 @@ class MPS:
         rho2 = m @ m.conj().T
         return rho2, float(np.trace(rho2 @ rho2).real)
 
-    def inject(
-        self,
-        qubit: int,
-        amplitudes: Sequence[complex],
-        *,
-        purity_tol: float = PURITY_TOLERANCE,
-    ) -> None:
+    def _project(self, qubit: int, rho2: np.ndarray, local: np.ndarray) -> None:
+        """Keep the qubit's dominant local branch, renormalise the rest and
+        tensor ``local`` in (the centre must be at ``qubit``)."""
+        evals, evecs = np.linalg.eigh(rho2)
+        dominant = evecs[:, int(np.argmax(evals))]
+        rest = dominant.conj() @ self.tensors[qubit]
+        rest = rest / np.linalg.norm(rest)
+        self.tensors[qubit] = rest[:, None, :] * local[None, :, None]
+
+    def reset(self, qubit: int) -> None:
+        """Re-prepare the qubit in |0>, even if it is still entangled.
+
+        A pure state cannot hold the mixture that tracing the qubit out
+        leaves, so the qubit is projected on its dominant local state.
+        """
+        self._project(qubit, self.reduced_state(qubit)[0], np.array([1.0, 0.0], dtype=complex))
+
+    def inject(self, qubit: int, amplitudes: Sequence[complex]) -> None:
         """Overwrite one separable qubit with a fresh single-qubit pure state.
 
-        Refuses as :func:`~swapchannel.evolve.inject_state` does: raises
-        :class:`~swapchannel.evolve.EntanglementError` (leaving the state
-        untouched) if the qubit's purity is below ``1 - purity_tol``.  A pure
-        state cannot hold the mixture that tracing the qubit out leaves, so
-        the qubit is projected on its dominant local state instead, the rest
-        renormalised and ``amplitudes`` tensored in.
+        Refuses as :meth:`~swapchannel.evolve.QuantumState.inject` does:
+        raises :class:`~swapchannel.evolve.EntanglementError`, leaving the
+        tensors, centre and counters as they were, if the qubit's purity is
+        below ``1 - INJECT_PURITY_TOL``.  Otherwise it is projected as
+        :meth:`reset` projects, with ``amplitudes`` tensored in.
         """
         target = _checked_amplitudes(amplitudes)
+        before = (list(self.tensors), self.center, self.max_bond, self.discarded_weight)
         rho2, purity = self.reduced_state(qubit)
-        _require_separable(qubit, purity, purity_tol)
-        evals, evecs = np.linalg.eigh(rho2)
-        local = evecs[:, int(np.argmax(evals))]
-        rest = local.conj() @ self.tensors[qubit]
-        rest = rest / np.linalg.norm(rest)
-        self.tensors[qubit] = rest[:, None, :] * target[None, :, None]
+        try:
+            _require_separable(qubit, purity)
+        except EntanglementError:
+            self.tensors, self.center, self.max_bond, self.discarded_weight = before
+            raise
+        self._project(qubit, rho2, target)

@@ -2,7 +2,10 @@
 
 Both channel runners drive one engine, :func:`_execute`, which applies the
 schedule window by window and reads, resets and injects at the boundaries;
-a runner only grades or thresholds the reads.  It has two modes:
+a runner only grades or thresholds the reads.  The two state types answer
+the same methods (``apply``, ``reduced_state``, ``reset``, ``inject``,
+``trace``), each updating the state in place, so the engine calls them
+without asking which one it holds.  It has two modes:
 
 * ``reduced``: each intended pulse is the exact neighbour-conditioned
   two-level propagator at the window's bias for the pulsed qubit (parked
@@ -38,14 +41,7 @@ import numpy as np
 from .chain import (
     ChainSpec, _z_values, build_hamiltonian, effective_bias, phase_angle, wrap_phase
 )
-from .evolve import (
-    QuantumState,
-    apply_unitary,
-    inject_state,
-    propagator,
-    reduced_state,
-    reset_qubit,
-)
+from .evolve import QuantumState, propagator
 from .gates import ideal_cnot, reduced_pulse_operator
 from .mps import MPS
 from .scheduler import PulseSchedule, ScheduleError, Window
@@ -312,31 +308,6 @@ class TransferReport:
         return min(r.fidelity_corrected for r in self.records)
 
 
-#: An inject refuses a qubit whose reduced purity is below 1 - this.
-INJECT_PURITY_TOL = 1e-3
-
-
-def _reduced_state(state: QuantumState | MPS, qubit: int) -> tuple[np.ndarray, float]:
-    if isinstance(state, MPS):
-        return state.reduced_state(qubit)
-    return reduced_state(state, qubit)
-
-
-def _inject(state: QuantumState | MPS, qubit: int, amplitudes, purity_tol: float):
-    """``inject_state`` for either state; an MPS is updated in place."""
-    if isinstance(state, MPS):
-        state.inject(qubit, amplitudes, purity_tol=purity_tol)
-        return state
-    return inject_state(state, qubit, amplitudes, purity_tol=purity_tol)
-
-
-def _reset(state: QuantumState | MPS, qubit: int):
-    """Re-prepare a read qubit in |0>, even if it is still entangled."""
-    if isinstance(state, MPS):
-        return _inject(state, qubit, (1.0, 0.0), purity_tol=1.0)
-    return reset_qubit(state, qubit)
-
-
 def _reduced_pulse_cache(spec: ChainSpec):
     """``op_for(qubit, window)``: the pulse operator at the window's bias for
     that qubit, and the first qubit it acts on."""
@@ -396,9 +367,9 @@ def _execute(
     where ``reads`` maps each branch to the read qubit's ``(rho2, purity)``:
     ``"raw"`` always, and ``"corrected"`` in a full-mode run with
     ``frame_correction``, whose copy of the state has each window's idle
-    phases undone.  The qubit is then reset (:func:`_reset`).  Injects write
-    ``data_states[event.data_index]`` and refuse a qubit whose purity is
-    below ``1 - INJECT_PURITY_TOL``.
+    phases undone.  The qubit is then reset, which never refuses.  Injects
+    write ``data_states[event.data_index]`` and refuse a qubit whose purity
+    is below ``1 - INJECT_PURITY_TOL`` (``evolve``).
     """
     if schedule.n_qubits != spec.n_qubits:
         raise ValueError("schedule and spec disagree on n_qubits")
@@ -419,15 +390,13 @@ def _execute(
     def do_boundary(events, window_index):
         for e in events:
             if e.kind == "read_reset":
-                reads = {name: _reduced_state(s, e.qubit) for name, s in branches.items()}
+                reads = {name: s.reduced_state(e.qubit) for name, s in branches.items()}
                 on_read(e, window_index, reads)
-                for name in branches:
-                    branches[name] = _reset(branches[name], e.qubit)
+                for s in branches.values():
+                    s.reset(e.qubit)
             elif e.kind == "inject":
-                for name in branches:
-                    branches[name] = _inject(
-                        branches[name], e.qubit, states[e.data_index], INJECT_PURITY_TOL
-                    )
+                for s in branches.values():
+                    s.inject(e.qubit, states[e.data_index])
 
     for i, window in enumerate(schedule.windows):
         do_boundary(window.boundary_events(), i)
@@ -438,11 +407,10 @@ def _execute(
         if key not in prop_cache:
             h = build_hamiltonian(spec, window.biases_mhz)
             prop_cache[key] = propagator(h, window.duration_ns)
-        for name in branches:
-            branches[name] = apply_unitary(branches[name], prop_cache[key])
+        for s in branches.values():
+            s.apply(prop_cache[key], 0)
         if angles is not None:
-            diag = _frame_diagonal(angles[i], spec.n_qubits)
-            branches["corrected"] = QuantumState(diag[:, None] * branches["corrected"].data)
+            branches["corrected"].apply_diagonal(_frame_diagonal(angles[i], spec.n_qubits))
     do_boundary(schedule.final_events, None)
     return branches["raw"]
 

@@ -8,7 +8,10 @@ former reduced path (dense vector, local einsums, injects that project onto
 the qubit's dominant branch), kept as the reference the matrix-product-state
 backend must reproduce.  The dense-rho run is the package's former full-mode
 path (2^L x 2^L density matrices), kept as the reference for the factor
-``rho = W W^dagger`` the full-mode runners now evolve.  The schedule
+``rho = W W^dagger`` the full-mode runners now evolve.  The dense local
+operator and reduced state are the package's former free functions of
+``evolve``, kept as the references for the ``apply`` and ``reduced_state``
+methods of both state types.  The schedule
 serialiser and the frame correction and the reduced pulse operator are the
 package's former per-value routes: ``json.dumps`` of the schedule document,
 one scalar ``phase_angle`` per parked qubit, and one matrix element at a
@@ -22,16 +25,9 @@ import numpy as np
 import scipy.linalg
 
 from swapchannel.chain import TwoLevelParams, build_hamiltonian, phase_angle, wrap_phase
-from swapchannel.evolve import (
-    PURITY_TOLERANCE,
-    EntanglementError,
-    QuantumState,
-    apply_local_unitary,
-    propagator,
-    reduced_state,
-)
+from swapchannel.evolve import INJECT_PURITY_TOL, EntanglementError, QuantumState, propagator
 from swapchannel.gates import reduced_pulse_operator
-from swapchannel.runner import INJECT_PURITY_TOL, _frame_diagonal, compute_frame_correction
+from swapchannel.runner import _frame_diagonal, compute_frame_correction
 from swapchannel.scheduler import (
     PulseEvent, PulseSchedule, ScheduleError, Window, replay_occupancy
 )
@@ -72,6 +68,23 @@ def rabi_u2(delta: float, sigma: float, t_ns: float) -> np.ndarray:
         return np.eye(2, dtype=complex)
     axis = (delta * _SX + sigma * _SZ) / omega
     return np.cos(theta) * np.eye(2, dtype=complex) - 1j * np.sin(theta) * axis
+
+
+def apply_local_unitary(state, u, first_qubit):
+    """A new ``QuantumState`` with ``u`` applied on the ``k`` adjacent qubits
+    from ``first_qubit``: the package's former free function, one einsum over
+    (qubits before, the k qubits, qubits after and columns)."""
+    u = np.asarray(u, dtype=complex)
+    w = state.data.reshape(1 << first_qubit, u.shape[0], -1)
+    return QuantumState(np.einsum("ab,xbz->xaz", u, w).reshape(state.dim, -1))
+
+
+def reduced_state(state, qubit):
+    """(2x2 reduced density matrix, its purity) of a ``QuantumState``, by the
+    package's former free function."""
+    w = state.data.reshape(1 << qubit, 2, -1)
+    rho2 = np.einsum("xaz,xbz->ab", w, w.conj())
+    return rho2, float(np.trace(rho2 @ rho2).real)
 
 
 def _refuse_entangled(qubit: int, purity: float, purity_tol: float) -> None:
@@ -138,7 +151,7 @@ def dense_reduced_replay(spec, schedule, inject_amplitudes, on_read, *, inject_t
     return state
 
 
-def dense_reduced_wire(spec, schedule, states, *, purity_tol=1e-3, read_tol=PURITY_TOLERANCE):
+def dense_reduced_wire(spec, schedule, states, *, purity_tol=1e-3, read_tol=1e-6):
     """Reduced-mode quantum wire on a dense vector: ``(records, final_state)``
     with one ``(data_index, window_index, fidelity, phase_error, purity)``
     tuple per read, computed as ``run_quantum_channel`` grades a read.

@@ -95,6 +95,12 @@ class TestTwoLevelParams:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TwoLevelParams(**kwargs)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.0, -1.0])
+    def test_rejects_non_positive_delta(self, delta):
+        # as ChainSpec does; a zero delta would divide by zero in the descriptor
+        with pytest.raises(ValueError, match="delta_mhz must be > 0"):
+            TwoLevelParams(delta, 0.0)
+
 
 class TestBuildHamiltonian:
     def test_single_qubit(self):

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from conftest import chain_for
 from swapchannel import PulseEvent, PulseSchedule, Window, schedule_to_json, swap_pulses
 from swapchannel import cli
-from swapchannel.cli import _dump_json, main
+from swapchannel.cli import MAX_TRACE_PHASE_RAD, _dump_json, main
 
 BUNDLED = ("fig2_quantum_wire", "fig4_classical_wire", "table1_copy")
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -417,12 +417,36 @@ class TestTraceCommand:
         assert not out.exists()
 
     def test_huge_parameters_do_not_overflow_the_descriptor(self, capsys, tmp_path):
+        # zero duration: no phase accrues, so the phase bound lets it through
         code, out, _ = run_cli(capsys, "trace", "--delta-mhz", "1e300", "--bias-mhz", "1e300",
-                               "--duration-ns", "10", "--out", str(tmp_path / "t.csv"))
+                               "--duration-ns", "0", "--out", str(tmp_path / "t.csv"))
         assert code == 0
         summary = json.loads(out)
         assert_allclose(summary["offset"], 0.25, rtol=1e-15)
         assert_allclose(summary["frequency_mhz"], 2.0 * math.sqrt(2.0) * 1e300, rtol=1e-15)
+
+    @pytest.mark.parametrize("value", ["1e300", "1e308"])
+    def test_phase_past_float_resolution_exits_1(self, capsys, tmp_path, value):
+        out = tmp_path / "t.csv"
+        code, _, err = run_cli(capsys, "trace", "--delta-mhz", value, "--bias-mhz", value,
+                               "--duration-ns", "10", "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and "total phase" in err
+        assert not out.exists()
+
+    def test_phase_just_under_the_bound_matches_the_analytic_column(self, capsys, tmp_path):
+        # delta = bias over 10 ns, for a total phase of 0.99 * MAX_TRACE_PHASE_RAD
+        duration = 10.0
+        delta = 0.99 * MAX_TRACE_PHASE_RAD / (2e-3 * math.pi * math.sqrt(2.0) * duration)
+        path = tmp_path / "t.csv"
+        code, _, _ = run_cli(capsys, "trace", "--delta-mhz", repr(delta), "--bias-mhz",
+                             repr(delta), "--duration-ns", repr(duration), "--out", str(path))
+        assert code == 0
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 201
+        for row in rows:
+            assert_allclose(float(row["p1_simulated"]), float(row["p1_analytic"]), atol=1e-6)
 
 
 def assert_matches_golden(got, want, path="report"):

@@ -5,17 +5,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import chain_for, random_qubit_amplitudes
-from oracles import rho_replace, expm_propagator, kron_hamiltonian, rabi_u2
+from oracles import (
+    apply_local_unitary, expm_propagator, kron_hamiltonian, rabi_u2, rho_replace
+)
 from swapchannel.chain import build_hamiltonian
 from swapchannel.evolve import (
+    INJECT_PURITY_TOL,
     EntanglementError,
     QuantumState,
-    apply_local_unitary,
-    apply_unitary,
-    inject_state,
     propagator,
-    reduced_state,
-    reset_qubit,
     sample_trajectory,
 )
 
@@ -44,11 +42,11 @@ def random_hermitian(rng, dim: int) -> np.ndarray:
 class TestQuantumState:
     def test_ground_and_basis(self):
         g = QuantumState.ground(2)
-        assert g.kind == "pure"
+        assert g.data.shape == (4, 1)
         assert_allclose(g.data, [[1], [0], [0], [0]])
         b = QuantumState.pure(np.eye(8)[0b101])
         assert b.n_qubits == 3
-        assert_allclose(reduced_state(b, 0)[0], np.diag([0.0, 1.0]))
+        assert_allclose(b.reduced_state(0)[0], np.diag([0.0, 1.0]))
 
     def test_pure_requires_unit_norm(self):
         with pytest.raises(ValueError):
@@ -64,9 +62,9 @@ class TestQuantumState:
         with pytest.raises(ValueError, match="factor must be"):
             QuantumState(np.ones(shape))
 
-    def test_factor_rank_sets_kind_and_trace(self, rng):
+    def test_factor_shape_sets_size_and_trace(self, rng):
         w = random_mixed(rng, 2, 3)
-        assert (w.n_qubits, w.dim, w.kind) == (2, 4, "mixed")
+        assert (w.n_qubits, w.dim, w.data.shape[1]) == (2, 4, 3)
         assert_allclose(w.trace(), np.trace(density(w)).real, atol=1e-12)
         assert_allclose(w.trace(), 1.0, atol=1e-12)
 
@@ -78,6 +76,9 @@ class TestQuantumState:
         state = QuantumState(w)
         w[0, 0] = 5.0  # the state keeps its own copy
         assert state.data[0, 0] == 1.0
+        state.apply(np.eye(2), 0)  # an update replaces the array, read-only again
+        with pytest.raises(ValueError):
+            state.data[0, 0] = 0.0
 
 
 class TestPropagator:
@@ -138,8 +139,11 @@ class TestPropagator:
 
 
 def evolve_window(state, spec, biases, duration_ns):
-    """One window at a constant bias profile, as the full-mode runner applies it."""
-    return apply_unitary(state, propagator(build_hamiltonian(spec, biases), duration_ns))
+    """One window at a constant bias profile, as the full-mode runner applies it
+    (on a copy, so the caller's state stays as it was)."""
+    out = QuantumState(state.data)
+    out.apply(propagator(build_hamiltonian(spec, biases), duration_ns), 0)
+    return out
 
 
 class TestEvolveWindow:
@@ -177,16 +181,34 @@ class TestLocalUnitary:
                 full = np.kron(full, u)
             elif q < first or q >= first + k:
                 full = np.kron(full, np.eye(2))
-        got = apply_local_unitary(psi, u, first)
-        assert_allclose(got.data, full @ psi.data, atol=1e-12)
+        want = full @ psi.data
+        psi.apply(u, first)
+        assert_allclose(psi.data, want, atol=1e-12)
 
     @pytest.mark.parametrize("n,first,k", [(3, 0, 1), (3, 1, 1), (3, 2, 1), (4, 1, 2), (3, 0, 3)])
     def test_mixed_state_matches_conjugation(self, n, first, k, rng):
         u = propagator(random_hermitian(rng, 2**k) * 20.0, 4.0)
         full = np.kron(np.kron(np.eye(2**first), u), np.eye(2 ** (n - first - k)))
         rho = random_mixed(rng, n, 3)
-        got = apply_local_unitary(rho, u, first)
-        assert_allclose(density(got), full @ density(rho) @ full.conj().T, atol=1e-12)
+        want = full @ density(rho) @ full.conj().T
+        rho.apply(u, first)
+        assert_allclose(density(rho), want, atol=1e-12)
+
+    @pytest.mark.parametrize("n,first,k", [(3, 0, 1), (3, 1, 1), (3, 2, 1), (4, 1, 2), (3, 0, 3)])
+    def test_matches_the_former_einsum(self, n, first, k, rng):
+        u = propagator(random_hermitian(rng, 2**k) * 20.0, 4.0)
+        rho = random_mixed(rng, n, 2)
+        want = apply_local_unitary(rho, u, first).data
+        rho.apply(u, first)
+        assert_allclose(rho.data, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape, first", [((3, 3), 0), ((1, 1), 0), ((2, 4), 0),
+                                              ((4, 4), 2), ((2, 2), -1)])
+    def test_rejects_bad_operators_and_blocks(self, shape, first):
+        state = QuantumState.ground(3)
+        with pytest.raises(ValueError):
+            state.apply(np.ones(shape), first)
+        assert_allclose(state.data, QuantumState.ground(3).data, rtol=0, atol=0)
 
 
 class TestObservablesAndBoundary:
@@ -199,82 +221,89 @@ class TestObservablesAndBoundary:
     def test_reduced_state_product(self, rng):
         a0, a1 = random_qubit_amplitudes(rng)
         psi = QuantumState.pure(np.kron([a0, a1], [1.0, 0.0]))
-        rho2, purity = reduced_state(psi, 0)
+        rho2, purity = psi.reduced_state(0)
         assert_allclose(rho2, np.outer([a0, a1], np.conj([a0, a1])), atol=1e-12)
         assert_allclose(purity, 1.0, atol=1e-12)
 
     def test_reduced_state_bell(self):
         bell = QuantumState.pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        rho2, purity = reduced_state(bell, 1)
+        rho2, purity = bell.reduced_state(1)
         assert_allclose(rho2, np.eye(2) / 2, atol=1e-12)
         assert_allclose(purity, 0.5, atol=1e-12)
 
     def test_reset_product_qubit(self, rng):
         a0, a1 = random_qubit_amplitudes(rng)
         psi = QuantumState.pure(np.kron([1.0, 0.0], [a0, a1]))
-        out = reset_qubit(psi, 1)
-        assert out.kind == "pure"  # nothing was entangled, so nothing mixes
-        assert_allclose(density(out), np.diag([1.0, 0, 0, 0]), atol=1e-12)
+        assert psi.reset(1) is None
+        assert psi.data.shape[1] == 1  # nothing was entangled, so nothing mixes
+        assert_allclose(density(psi), np.diag([1.0, 0, 0, 0]), atol=1e-12)
 
     def test_reset_entangled_qubit_leaves_partner_mixed(self):
         bell = QuantumState.pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        out = reset_qubit(bell, 0)
+        bell.reset(0)
         # The partner is left maximally mixed, the reset qubit in |0>.
         expected = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
-        assert out.kind == "mixed"
-        assert_allclose(density(out), expected, atol=1e-12)
+        assert bell.data.shape[1] == 2
+        assert_allclose(density(bell), expected, atol=1e-12)
 
     @pytest.mark.parametrize("qubit", [0, 1, 2])
     def test_reset_of_a_mixed_state_matches_the_dense_map(self, rng, qubit):
         rho = random_mixed(rng, 3, 4)
-        out = reset_qubit(rho, qubit)
-        assert out.data.shape[1] <= 2 * 4
         want = rho_replace(density(rho), qubit, np.array([1.0, 0.0]))
-        assert_allclose(density(out), want, atol=1e-12)
+        rho.reset(qubit)
+        assert rho.data.shape[1] <= 2 * 4
+        assert_allclose(density(rho), want, atol=1e-12)
 
     def test_inject_replaces_separable_qubit(self, rng):
         a0, a1 = random_qubit_amplitudes(rng)
         b0, b1 = random_qubit_amplitudes(rng)
         psi = QuantumState.pure(np.kron([a0, a1], [1.0, 0.0]))
-        out = inject_state(psi, 1, [b0, b1])
-        assert out.kind == "pure"
+        assert psi.inject(1, [b0, b1]) is None
+        assert psi.data.shape[1] == 1
         # equal up to the global phase the SVD leaves on the column
         want = np.kron([a0, a1], [b0, b1])
-        assert_allclose(density(out), np.outer(want, want.conj()), atol=1e-12)
+        assert_allclose(density(psi), np.outer(want, want.conj()), atol=1e-12)
 
     def test_inject_preserves_entanglement_elsewhere(self):
         # Qubits 0 and 2 share a Bell pair; qubit 1 is fresh.
         bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
         psi3 = np.einsum("ac,b->abc", bell.reshape(2, 2), [1.0, 0.0]).reshape(-1)
-        out = inject_state(QuantumState.pure(psi3), 1, [0.0, 1.0])
+        out = QuantumState.pure(psi3)
+        out.inject(1, [0.0, 1.0])
         expected = np.einsum("ac,b->abc", bell.reshape(2, 2), [0.0, 1.0]).reshape(-1)
         # Global phase aside, the Bell correlations must survive untouched.
-        assert out.kind == "pure"
+        assert out.data.shape[1] == 1
         overlap = abs(np.vdot(expected, out.data[:, 0]))
         assert_allclose(overlap, 1.0, atol=1e-12)
 
     def test_inject_rejects_entangled_qubit(self):
         bell = QuantumState.pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
+        before = bell.data
         with pytest.raises(EntanglementError):
-            inject_state(bell, 0, [1.0, 0.0])
+            bell.inject(0, [1.0, 0.0])
+        assert bell.data is before
 
-    def test_inject_purity_tolerance_is_adjustable(self):
-        eps = 1e-4
-        amp = np.sqrt(eps)
-        vec = np.array([np.sqrt(1 - eps), 0.0, 0.0, amp])
-        state = QuantumState.pure(vec / np.linalg.norm(vec))
+    def test_inject_traces_out_entanglement_within_the_tolerance(self):
+        def entangled(eps):
+            # qubit 0 has purity (1 - eps)^2 + eps^2, about 1 - 2 eps
+            return QuantumState.pure([np.sqrt(1 - eps), 0.0, 0.0, np.sqrt(eps)])
+
+        over = entangled(1e-3)
+        assert over.reduced_state(0)[1] < 1 - INJECT_PURITY_TOL
         with pytest.raises(EntanglementError):
-            inject_state(state, 0, [1.0, 0.0])
-        out = inject_state(state, 0, [1.0, 0.0], purity_tol=1e-3)
+            over.inject(0, [1.0, 0.0])
+        eps = 1e-4
+        state = entangled(eps)
+        want = rho_replace(density(state), 0, np.array([1.0, 0.0]))
+        state.inject(0, [1.0, 0.0])
         # The entanglement within the tolerance is traced out, not projected
         # away: qubit 1 is left with weight eps in |1>.
-        want = rho_replace(density(state), 0, np.array([1.0, 0.0]))
-        assert_allclose(density(out), want, atol=1e-12)
+        assert_allclose(density(state), want, atol=1e-12)
         assert_allclose(want, np.diag([1 - eps, eps, 0.0, 0.0]), atol=1e-12)
 
     def test_inject_requires_normalised_amplitudes(self):
         with pytest.raises(ValueError):
-            inject_state(QuantumState.ground(2), 0, [1.0, 1.0])
+            QuantumState.ground(2).inject(0, [1.0, 1.0])
 
 
 class TestSampleTrajectory:
@@ -286,8 +315,9 @@ class TestSampleTrajectory:
         assert probs.shape == (6, 2)
         assert_allclose(times[0], 0.0)
         assert_allclose(times[-1], 10.0)
-        final = apply_unitary(QuantumState.ground(2), propagator(h, 10.0))
-        assert_allclose(probs[-1, 0], reduced_state(final, 0)[0][1, 1].real, atol=1e-9)
+        final = QuantumState.ground(2)
+        final.apply(propagator(h, 10.0), 0)
+        assert_allclose(probs[-1, 0], final.reduced_state(0)[0][1, 1].real, atol=1e-9)
 
     def test_zero_duration(self, design):
         spec = chain_for(design, 1)

@@ -3,19 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import loop_reduced_pulse_operator, rabi_u2
-from swapchannel.gates import (
-    PhasedGate,
-    ideal_cnot,
-    ideal_copy,
-    ideal_swap,
-    reduced_pulse_operator,
-    track_phases,
-)
+from swapchannel.gates import PhasedGate, ideal_cnot, reduced_pulse_operator
 
 
 def brute_force_swap() -> np.ndarray:
-    """Swap built in-place from explicit basis maps, independently of the
-    package's composition helper."""
+    """Swap of two adjacent qubits built from explicit basis maps: three
+    controlled flips (targets first, second, first), each holding a branch
+    with phase -1 and flipping it with -i."""
 
     def controlled_flip(control: int, target: int) -> np.ndarray:
         m = np.zeros((4, 4), dtype=complex)
@@ -51,7 +45,7 @@ class TestPhasedGate:
 
     def test_dim_property(self):
         assert ideal_cnot().dim == 4
-        assert ideal_copy([0]).dim == 2
+        assert PhasedGate(matrix=np.eye(2), label="identity").dim == 2
 
 
 class TestIdealGates:
@@ -64,11 +58,18 @@ class TestIdealGates:
         assert_allclose(c @ basis[2], -1j * basis[3])
         assert_allclose(c @ basis[3], -1j * basis[2])
 
-    def test_swap_matches_brute_force(self):
-        assert_allclose(ideal_swap().matrix, brute_force_swap(), atol=1e-12)
+    def test_swap_matches_brute_force(self, design):
+        # On a 2-qubit chain both qubits are ends, pulsed at bias +xi: the
+        # exact pulse operators (first, second, first) compose to the swap.
+        ends = [
+            reduced_pulse_operator(design.delta_mhz, design.xi_mhz, design.xi_mhz,
+                                   design.t_ns, has_left=q == 1, has_right=q == 0)
+            for q in (0, 1)
+        ]
+        assert_allclose(ends[0] @ ends[1] @ ends[0], brute_force_swap(), atol=1e-9)
 
     def test_swap_exchanges_amplitudes(self, rng):
-        s = ideal_swap().matrix
+        s = brute_force_swap()
         a = rng.normal(size=4) + 1j * rng.normal(size=4)
         a /= np.linalg.norm(a)
         out = s @ a
@@ -79,7 +80,7 @@ class TestIdealGates:
         assert_allclose(out[3], a[3], atol=1e-12)
 
     def test_swap_squares_to_identity(self):
-        s = ideal_swap().matrix
+        s = brute_force_swap()
         assert_allclose(s @ s, np.eye(4), atol=1e-12)
 
     def test_three_pulses_on_a_pair_make_a_swap(self):
@@ -89,26 +90,26 @@ class TestIdealGates:
         perm = np.eye(4)[[0, 2, 1, 3]]
         g_first = perm @ c @ perm
         composed = g_first @ c @ g_first
-        assert_allclose(composed, ideal_swap().matrix, atol=1e-12)
+        assert_allclose(composed, brute_force_swap(), atol=1e-12)
 
     @pytest.mark.parametrize(
         "states, flips",
         [((0, 0), False), ((1, 1), False), ((0, 1), True), ((1, 0), True), ((0,), False), ((1,), True)],
     )
-    def test_copy_flip_rule(self, states, flips):
-        m = ideal_copy(states).matrix
-        if flips:
-            assert_allclose(m, np.array([[0, -1j], [-1j, 0]]), atol=1e-12)
+    def test_copy_flip_rule(self, design, states, flips):
+        # A copy pulse flips its target with -i iff its frozen neighbours
+        # differ, and holds it with -1 iff they agree; an end qubit, pulsed
+        # at +xi, sees a virtual |0> in place of its missing neighbour.
+        interior = len(states) == 2
+        op = reduced_pulse_operator(design.delta_mhz, design.xi_mhz,
+                                    0.0 if interior else design.xi_mhz, design.t_ns,
+                                    has_left=True, has_right=interior)
+        if interior:
+            rows = [(states[0] << 2) | (t << 1) | states[1] for t in (0, 1)]
         else:
-            assert_allclose(m, -np.eye(2), atol=1e-12)
-
-    def test_copy_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            ideal_copy([])
-        with pytest.raises(ValueError):
-            ideal_copy([0, 1, 0])
-        with pytest.raises(ValueError):
-            ideal_copy([2])
+            rows = [(states[0] << 1) | t for t in (0, 1)]
+        want = np.array([[0, -1j], [-1j, 0]]) if flips else -np.eye(2)
+        assert_allclose(op[np.ix_(rows, rows)], want, atol=1e-9)
 
 
 class TestReducedPulseOperator:
@@ -180,52 +181,3 @@ class TestReducedPulseOperator:
                 design.delta_mhz, design.xi_mhz, 1.0, 4.0, **kwargs
             )
             assert_allclose(op @ op.conj().T, np.eye(op.shape[0]), atol=1e-12)
-
-
-class TestTrackPhases:
-    def test_single_swap_ledger(self):
-        amps = np.full(4, 0.5)
-        ledger = track_phases([(ideal_swap(), (0, 1))], amps)
-        assert ledger.entry_for(0).target_index == 0
-        assert_allclose(abs(ledger.entry_for(0).phase), np.pi, atol=1e-12)
-        e = ledger.entry_for(1)
-        assert e.target_index == 2
-        assert_allclose(e.phase, 0.0, atol=1e-12)
-        assert_allclose(ledger.entry_for(3).phase, 0.0, atol=1e-12)
-
-    def test_two_hops_cancel_the_vacuum_phase(self):
-        # Moving data 0 -> 2 on a 3-qubit register: both branches pick up
-        # -1 twice, so the relative phase vanishes.
-        seq = [(ideal_swap(), (0, 1)), (ideal_swap(), (1, 2))]
-        amps = np.zeros(8)
-        amps[0] = amps[4] = 1 / np.sqrt(2)
-        ledger = track_phases(seq, amps)
-        assert ledger.entry_for(4).target_index == 1
-        assert_allclose(ledger.relative_phase(4, 0), 0.0, atol=1e-12)
-
-    def test_three_hops_leave_pi(self):
-        seq = [(ideal_swap(), (q, q + 1)) for q in range(3)]
-        amps = np.zeros(16)
-        amps[0] = amps[8] = 1 / np.sqrt(2)
-        ledger = track_phases(seq, amps)
-        assert ledger.entry_for(8).target_index == 1
-        assert_allclose(abs(ledger.relative_phase(8, 0)), np.pi, atol=1e-12)
-
-    def test_accepts_raw_matrices(self):
-        x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        ledger = track_phases([(x, (1,))], [1.0, 0.0, 0.0, 0.0])
-        assert ledger.entry_for(0).target_index == 1
-
-    def test_rejects_basis_splitting_gates(self):
-        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        with pytest.raises(ValueError):
-            track_phases([(h, (0,))], [1.0, 0.0])
-
-    def test_rejects_non_contiguous_qubits(self):
-        with pytest.raises(ValueError):
-            track_phases([(ideal_swap(), (0, 2))], np.eye(8)[0])
-
-    def test_missing_entry_raises(self):
-        ledger = track_phases([], [1.0, 0.0])
-        with pytest.raises(KeyError):
-            ledger.entry_for(1)

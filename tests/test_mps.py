@@ -1,8 +1,9 @@
 """The matrix-product-state backend against the dense reduced-mode path.
 
-Unit tests drive :class:`MPS` and the dense ``QuantumState`` functions with
-the same operations; the runner tests compare reduced-mode reports with the
-dense replay in ``oracles.py`` (the path the MPS replaced) to 1e-12.
+Unit tests drive :class:`MPS`, the dense ``QuantumState`` and the former
+dense free functions in ``oracles.py`` with the same operations; the runner
+tests compare reduced-mode reports with the dense replay in ``oracles.py``
+(the path the MPS replaced) to 1e-12.
 """
 
 import numpy as np
@@ -11,7 +12,12 @@ from numpy.testing import assert_allclose
 
 from conftest import chain_for, mps_vector, random_qubit_amplitudes
 from oracles import (
-    dense_reduced_bits, dense_reduced_replay, dense_reduced_wire, project_inject
+    apply_local_unitary,
+    dense_reduced_bits,
+    dense_reduced_replay,
+    dense_reduced_wire,
+    project_inject,
+    reduced_state,
 )
 from swapchannel import (
     EntanglementError,
@@ -24,12 +30,7 @@ from swapchannel import (
     run_quantum_channel,
 )
 from swapchannel.chain import wrap_phase
-from swapchannel.evolve import (
-    QuantumState,
-    apply_local_unitary,
-    inject_state,
-    reduced_state,
-)
+from swapchannel.evolve import INJECT_PURITY_TOL, QuantumState, sample_trajectory
 from swapchannel.gates import reduced_pulse_operator
 from swapchannel.mps import MPS
 
@@ -135,7 +136,7 @@ class TestMPS:
         purity = reduced_state(dense, 2)[1]
         assert 1.0 - 1e-3 < purity < 1.0 - 1e-8
         amps = np.array(random_qubit_amplitudes(rng))
-        mps.inject(2, amps, purity_tol=1e-3)
+        mps.inject(2, amps)
         dense = project_inject(dense, 2, amps, purity_tol=1e-3)
         assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
         assert_allclose(mps.trace(), 1.0, rtol=0, atol=1e-12)
@@ -148,12 +149,12 @@ class TestMPS:
         mps, dense = MPS.ground(n), QuantumState.ground(n)
         for op, first in ((hadamard, 1), (cnot, 1)):  # Bell pair on qubits 1, 2
             mps.apply(op, first)
-            dense = apply_local_unitary(dense, op, first)
+            dense.apply(op, first)
         before = mps_vector(mps)
         with pytest.raises(EntanglementError, match="qubit 2"):
-            mps.inject(2, (1.0, 0.0), purity_tol=1e-3)
+            mps.inject(2, (1.0, 0.0))
         with pytest.raises(EntanglementError, match="qubit 2"):
-            inject_state(dense, 2, (1.0, 0.0), purity_tol=1e-3)
+            dense.inject(2, (1.0, 0.0))
         assert_allclose(mps_vector(mps), before, atol=1e-14)
 
     def test_rejects_bad_input(self):
@@ -168,6 +169,67 @@ class TestMPS:
             mps.inject(0, (1.0, 1.0))
         with pytest.raises(ValueError):
             mps.inject(0, (1.0, 0.0, 0.0))
+
+
+def _snapshot(state):
+    """Everything a state holds, as bytes (tensors, centre and counters of an MPS)."""
+    if isinstance(state, MPS):
+        tensors = [t.tobytes() for t in state.tensors]
+        return tensors, state.center, state.max_bond, state.discarded_weight
+    return state.data.tobytes()
+
+
+class TestStateProtocol:
+    """``QuantumState`` and ``MPS`` answer the same method calls the same way."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_same_seeded_sequence(self, n):
+        rng = np.random.default_rng(100 + n)
+        dense, mps = QuantumState.ground(n), MPS.ground(n)
+        both = (dense, mps)
+
+        def reads_agree():
+            for q in range(n):
+                (rho_d, pur_d), (rho_m, pur_m) = dense.reduced_state(q), mps.reduced_state(q)
+                assert_allclose(rho_m, rho_d, rtol=0, atol=1e-12)
+                assert_allclose(pur_m, pur_d, rtol=0, atol=1e-12)
+            assert_allclose(mps.trace(), dense.trace(), rtol=0, atol=1e-12)
+
+        # a pair at the right end stays entangled; the qubits left of it are
+        # product whenever each block operator has been undone
+        pair = random_unitary(rng, 4)
+        for state in both:
+            assert state.apply(pair, n - 2) is None
+        refused = 0
+        for step in range(12):
+            k = int(rng.integers(2, 4))
+            first = int(rng.integers(0, n - k + 1))
+            u = random_unitary(rng, 1 << k)
+            for state in both:
+                state.apply(u, first)
+            reads_agree()  # leaves the MPS centre at the right end
+            q = int(rng.integers(first, first + k))
+            if dense.reduced_state(q)[1] < 1.0 - INJECT_PURITY_TOL:
+                refused += 1
+                for state in both:
+                    before = _snapshot(state)
+                    with pytest.raises(EntanglementError, match=f"qubit {q}"):
+                        state.inject(q, random_qubit_amplitudes(rng))
+                    assert _snapshot(state) == before
+            for state in both:
+                state.apply(u.conj().T, first)
+            reads_agree()
+            q = int(rng.integers(0, n - 2))
+            amps = random_qubit_amplitudes(rng)
+            for state in both:
+                assert (state.inject(q, amps) if step % 2 else state.reset(q)) is None
+            reads_agree()
+        assert refused > 0
+
+        before = _snapshot(dense)
+        h = rng.normal(size=(1 << n, 1 << n))
+        sample_trajectory(dense, h + h.T, 5.0, 3)
+        assert _snapshot(dense) == before
 
 
 def _random_states(rng, n):

@@ -31,7 +31,7 @@ from swapchannel import (
     validate_sacrificial,
 )
 from swapchannel.chain import build_hamiltonian, phase_angle, wrap_phase
-from swapchannel.evolve import apply_unitary, propagator
+from swapchannel.evolve import QuantumState, propagator
 from swapchannel.gates import ideal_cnot
 
 SNAP_EPS = 25000.0
@@ -583,30 +583,32 @@ class TestFullModeFastPath:
     def test_one_state_wire_applies_every_window_to_a_vector(
         self, design, monkeypatch
     ):
-        kinds = []
+        columns = []
+        apply = QuantumState.apply
 
-        def spy(state, u):
-            kinds.append(state.kind)
-            return apply_unitary(state, u)
+        def spy(state, op, first_qubit):
+            columns.append(state.data.shape[1])
+            return apply(state, op, first_qubit)
 
-        monkeypatch.setattr(runner, "apply_unitary", spy)
+        monkeypatch.setattr(QuantumState, "apply", spy)
         spec = chain_for(design, 6, eps_high=SNAP_EPS)
         sch, _ = quantum_channel_schedule(spec, 1, design.t_ns)
         run_quantum_channel(spec, sch, [np.array([0.6, 0.8j])], mode="full")
         # raw and frame-corrected branches, one call each per window
-        assert len(kinds) == 2 * sch.n_windows
-        assert set(kinds) == {"pure"}
+        assert len(columns) == 2 * sch.n_windows
+        assert set(columns) == {1}
 
     def test_multi_state_wire_keeps_the_factor_rank_low(self, design, rng, monkeypatch):
         # Each reset or inject doubles the columns of W; without the SVD
         # compression 4 states at L = 7 would reach 2^8 columns.
         ranks = []
+        apply = QuantumState.apply
 
-        def spy(state, u):
+        def spy(state, op, first_qubit):
             ranks.append(state.data.shape[1])
-            return apply_unitary(state, u)
+            return apply(state, op, first_qubit)
 
-        monkeypatch.setattr(runner, "apply_unitary", spy)
+        monkeypatch.setattr(QuantumState, "apply", spy)
         spec = chain_for(design, 7, eps_high=SNAP_EPS)
         sch, _ = quantum_channel_schedule(spec, 4, design.t_ns)
         states = [np.array(random_qubit_amplitudes(rng)) for _ in range(4)]
