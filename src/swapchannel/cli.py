@@ -299,6 +299,12 @@ _ALLOWED_ASSERTIONS = {
 }
 _ALLOWED_OUTPUTS = {"report", "schedule"}
 
+#: The largest chain, and the most states, bits or sweep points, a config may
+#: ask for; larger sizes are refused before anything is built (full mode is
+#: capped lower, by ``build_hamiltonian``).
+MAX_CONFIG_QUBITS = 1024
+MAX_CONFIG_ITEMS = 1024
+
 
 def _num(obj, path, minimum=None) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
@@ -316,11 +322,29 @@ def _num(obj, path, minimum=None) -> float:
     return value
 
 
-def _int(obj, path, minimum=None) -> int:
+def _int(obj, path, minimum=None, maximum=None) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ConfigError(f"{path}: expected an integer, got {obj!r}")
     if minimum is not None and obj < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {obj}")
+    if maximum is not None and obj > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}, got {obj}")
+    return obj
+
+
+def _list(obj, path, what: str, minimum: int) -> list:
+    if not isinstance(obj, list) or not minimum <= len(obj) <= MAX_CONFIG_ITEMS:
+        raise ConfigError(f"{path}: expected a list of {minimum} to {MAX_CONFIG_ITEMS} {what}")
+    return obj
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key that appears twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r}")
+        obj[key] = value
     return obj
 
 
@@ -335,9 +359,11 @@ def _load_config(ref: str) -> dict:
             raise ConfigError(f"config {ref!r}: no such file or bundled config")
         text = resource.read_text(encoding="utf-8")
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {ref!r} is not valid JSON: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"config {ref!r}: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"config {ref!r}: top level must be an object")
     return obj
@@ -345,7 +371,7 @@ def _load_config(ref: str) -> dict:
 
 def _validate_config(cfg: dict) -> dict:
     experiment = cfg.get("experiment")
-    if experiment not in _ALLOWED_KEYS:
+    if not isinstance(experiment, str) or experiment not in _ALLOWED_KEYS:
         raise ConfigError(
             f"config.experiment: must be one of {sorted(_ALLOWED_KEYS)}, got {experiment!r}"
         )
@@ -372,8 +398,12 @@ def _validate_config(cfg: dict) -> dict:
     for key in outputs:
         if key not in _ALLOWED_OUTPUTS:
             raise ConfigError(f"config.outputs.{key}: unknown key")
-        if not isinstance(outputs[key], str) or not outputs[key]:
-            raise ConfigError(f"config.outputs.{key}: expected a file name")
+        name = outputs[key]
+        if (not isinstance(name, str) or not name or os.path.isabs(name)
+                or os.pardir in name.replace("\\", "/").split("/")):
+            raise ConfigError(
+                f"config.outputs.{key}: expected a file name inside --out-dir, got {name!r}"
+            )
     out["outputs"] = {
         "report": outputs.get("report", f"{experiment}_report.json"),
         "schedule": outputs.get("schedule"),
@@ -403,8 +433,12 @@ def _validate_config(cfg: dict) -> dict:
     out["assertions"] = dict(assertions)
 
     if experiment == "quantum_wire":
-        out["n_qubits"] = _int(cfg.get("n_qubits", 5), "config.n_qubits", minimum=2)
-        out["n_states"] = _int(cfg.get("n_states", 1), "config.n_states", minimum=1)
+        out["n_qubits"] = _int(
+            cfg.get("n_qubits", 5), "config.n_qubits", minimum=2, maximum=MAX_CONFIG_QUBITS
+        )
+        out["n_states"] = _int(
+            cfg.get("n_states", 1), "config.n_states", minimum=1, maximum=MAX_CONFIG_ITEMS
+        )
         out["line_mode"] = cfg.get("line_mode", "mod6")
         if out["line_mode"] not in ("mod6", "mod3"):
             raise ConfigError(f"config.line_mode: mod6 or mod3, got {out['line_mode']!r}")
@@ -432,16 +466,17 @@ def _validate_config(cfg: dict) -> dict:
                 parsed.append(vec / norm)
             out["states"] = parsed
     elif experiment == "classical_wire":
-        out["n_qubits"] = _int(cfg.get("n_qubits", 6), "config.n_qubits", minimum=4)
-        bits = cfg.get("bits")
-        if not isinstance(bits, list) or not bits or any(b not in (0, 1) for b in bits):
+        out["n_qubits"] = _int(
+            cfg.get("n_qubits", 6), "config.n_qubits", minimum=4, maximum=MAX_CONFIG_QUBITS
+        )
+        bits = _list(cfg.get("bits"), "config.bits", "0/1 bits", 1)
+        if any(b not in (0, 1) for b in bits):
             raise ConfigError("config.bits: expected a non-empty list of 0/1")
         out["bits"] = [int(b) for b in bits]
     elif experiment == "gate":
         grid = cfg.get("eps_grid")
         if grid is not None:
-            if not isinstance(grid, list) or len(grid) < 2:
-                raise ConfigError("config.eps_grid: expected a list of >= 2 biases")
+            _list(grid, "config.eps_grid", "biases", 2)
             out["eps_grid"] = [
                 _num(x, f"config.eps_grid[{i}]", minimum=1e-9) for i, x in enumerate(grid)
             ]

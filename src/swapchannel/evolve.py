@@ -3,22 +3,29 @@
 A dense state is one factor ``W`` of shape ``(2^n, r)`` with density matrix
 ``rho = W W^dagger``, the purification form (Verstraete, Garcia-Ripoll and
 Cirac, PRL 93, 207204 (2004)); a pure state is simply ``r = 1``.  Every
-operation has one body at every rank: a propagator acts as ``U @ W``, a
-reduced state is one contraction of ``W`` with its conjugate, and a reset or
-inject traces the qubit out by turning its |0> and |1> slices into ``2r``
-columns, compressed by a thin SVD that drops singular values at or below
-``TRUNCATION_RTOL`` of the largest.  Applying a propagator costs ``dim^2 r``
-complex multiply-adds, against ``2 dim^3`` for ``U rho U^dagger``.
+operation has one body at every rank: a local operator acts as one
+``matmul`` on ``W``, a reduced state is one contraction of ``W`` with its
+conjugate, and a reset or inject traces the qubit out by turning its |0> and
+|1> slices into ``2r`` columns, compressed by a thin SVD that drops singular
+values at or below ``TRUNCATION_RTOL`` of the largest.
 
-Propagators are built by exact diagonalisation (the Hamiltonians here are
+Full-chain evolution is exact diagonalisation (the Hamiltonians here are
 small and dense, so ``eigh`` is both the fastest and the most accurate
-route).  The chain Hamiltonian is real symmetric, so its propagator comes
-from a real ``eigh`` and two real matrix products; complex Hermitian input
-takes the complex route.  Reduced-mode wire runs do not use these dense
-states; they run on :class:`~swapchannel.mps.MPS`, which has the same
-methods (``apply``, ``reduced_state``, ``inject``, ``reset``, ``trace``)
-under the same rule: each updates the state in place and returns nothing,
-and a refused inject leaves the state as it was.
+route).  :func:`eigensystem` returns the eigenvectors ``V`` and the phase
+angles ``E t``, and :meth:`QuantumState.apply_eigensystem` applies
+``V e^{-iEt} V^dagger`` to ``W`` in the eigenbasis, never forming the
+propagator (the eigenvector method of Moler and Van Loan, SIAM Review 45, 3
+(2003)).  The chain Hamiltonian is real symmetric, so ``V`` is real and the
+update is two real products on ``W`` viewed as a ``(2^n, 2r)`` float array:
+``8 dim^2 r`` flops, as many as ``U @ W``, with the two ``dim^3`` products
+that assemble ``U`` skipped.  :func:`propagator` assembles ``U`` for the
+callers that need the matrix itself (the 3-qubit gate experiments and the
+reduced pulse operators); complex Hermitian input takes the complex route.
+Reduced-mode wire runs do not use these dense states; they run on
+:class:`~swapchannel.mps.MPS`, which has the same methods (``apply``,
+``reduced_state``, ``inject``, ``reset``, ``trace``) under the same rule:
+each updates the state in place and returns nothing, and a refused inject
+leaves the state as it was.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .chain import is_hermitian, phase_angle
 __all__ = [
     "EntanglementError",
     "QuantumState",
+    "eigensystem",
     "propagator",
     "sample_trajectory",
 ]
@@ -83,9 +91,10 @@ class QuantumState:
 
     ``data`` is ``W``, a read-only complex array of shape ``(2^n_qubits, r)``;
     the constructor keeps its own copy.  :meth:`apply`, :meth:`reset`,
-    :meth:`inject` and :meth:`apply_diagonal` update the state in place by
-    replacing ``data``, and return nothing; a refused inject leaves it as it
-    was.  :class:`~swapchannel.mps.MPS` follows the same rule.
+    :meth:`inject`, :meth:`apply_eigensystem` and :meth:`apply_diagonal`
+    update the state in place by replacing ``data``, and return nothing; a
+    refused inject leaves it as it was.  :class:`~swapchannel.mps.MPS`
+    follows the same rule.
     """
 
     def __init__(self, data: np.ndarray):
@@ -139,6 +148,24 @@ class QuantumState:
         _local_width(op, first_qubit, self.n_qubits)
         w = self.data.reshape(1 << first_qubit, op.shape[0], -1)
         self._store((op @ w).reshape(self.dim, -1))
+
+    def apply_eigensystem(self, evecs: np.ndarray, angles: np.ndarray) -> None:
+        """Apply the full-chain ``V diag(e^{-i angles}) V^dagger`` from
+        :func:`eigensystem` in the eigenbasis, without forming it.
+
+        A real ``V`` acts on ``W`` viewed as a ``(dim, 2r)`` float array (real
+        and imaginary parts as columns), so the update is two real products,
+        ``8 dim^2 r`` flops; a complex ``V`` takes ``V (ph * (V^dagger W))``.
+        """
+        if evecs.shape != (self.dim, self.dim):
+            raise ValueError(f"eigenvectors must be {self.dim} x {self.dim}, got {evecs.shape}")
+        phases = np.exp(-1j * angles)[:, None]
+        if np.iscomplexobj(evecs):
+            self._store(evecs @ (phases * (evecs.conj().T @ self.data)))
+            return
+        rows = np.ascontiguousarray(self.data).view(float)
+        rotated = phases * (evecs.T @ rows).view(complex)
+        self._store((evecs @ rotated.view(float)).view(complex))
 
     def apply_diagonal(self, diag: np.ndarray) -> None:
         """Apply the full-chain operator ``diag(diag)``: ``dim * r`` products,
@@ -200,23 +227,38 @@ class QuantumState:
 # ---------------------------------------------------------------------------
 
 
-def propagator(hamiltonian: np.ndarray, duration_ns: float) -> np.ndarray:
-    """Unitary ``exp(-i * 2pi*1e-3 * H * t)`` for an H in MHz and t in ns.
+def _check_duration(duration_ns: float) -> None:
+    if not np.isfinite(duration_ns) or duration_ns < 0:
+        raise ValueError(f"duration_ns must be finite and >= 0, got {duration_ns!r}")
 
-    A real (symmetric) H is diagonalised in real arithmetic and
-    ``U = V e^{-iEt} V^T`` is assembled from two real products, its real and
-    imaginary parts; a complex Hermitian H takes the complex route.
+
+def eigensystem(hamiltonian: np.ndarray, duration_ns: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(V, angles)`` with ``exp(-i * 2pi*1e-3 * H * t) = V e^{-i angles} V^dagger``
+    for an H in MHz and t in ns.
+
+    ``V`` holds the eigenvectors of H in its columns; it is real for a real
+    (symmetric) H.  Refuses a non-Hermitian H and a negative or non-finite
+    duration.
     """
     h = np.asarray(hamiltonian)
     if not is_hermitian(h):
         raise ValueError("propagator requires a Hermitian matrix")
-    if duration_ns < 0:
-        raise ValueError(f"duration_ns must be >= 0, got {duration_ns}")
+    _check_duration(duration_ns)
     evals, evecs = np.linalg.eigh(h)
-    angles = phase_angle(evals, duration_ns)
-    if np.iscomplexobj(h):
+    return evecs, phase_angle(evals, duration_ns)
+
+
+def propagator(hamiltonian: np.ndarray, duration_ns: float) -> np.ndarray:
+    """Unitary ``exp(-i * 2pi*1e-3 * H * t)`` for an H in MHz and t in ns,
+    assembled from :func:`eigensystem`.
+
+    For a real ``V``, ``U = V e^{-iEt} V^T`` is built from two real products,
+    its real and imaginary parts; a complex ``V`` takes the complex route.
+    """
+    evecs, angles = eigensystem(hamiltonian, duration_ns)
+    if np.iscomplexobj(evecs):
         return (evecs * np.exp(-1j * angles)) @ evecs.conj().T
-    u = np.empty(h.shape, dtype=complex)
+    u = np.empty(evecs.shape, dtype=complex)
     u.real = (evecs * np.cos(angles)) @ evecs.T
     u.imag = (evecs * -np.sin(angles)) @ evecs.T
     return u
@@ -240,16 +282,16 @@ def sample_trajectory(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _check_duration(duration_ns)
     n = state.n_qubits
     if duration_ns == 0:
         return np.zeros(0), np.zeros((0, n))
-    dt = duration_ns / n_samples
-    step = propagator(hamiltonian, dt)
+    step = eigensystem(hamiltonian, duration_ns / n_samples)
     times = np.linspace(0.0, duration_ns, n_samples + 1)
     probs = np.zeros((n_samples + 1, n))
     current = QuantumState(state.data)  # a copy: the caller's state stays as it was
     for i in range(n_samples + 1):
         if i > 0:
-            current.apply(step, 0)
+            current.apply_eigensystem(*step)
         probs[i] = [current.reduced_state(q)[0][1, 1].real for q in range(n)]
     return times, probs

@@ -17,11 +17,14 @@ without asking which one it holds.  It has two modes:
   shows in its purity; only injects refuse entanglement.
 * ``full``: the complete (real symmetric) chain Hamiltonian, window by
   window, with every parked-bias imperfection included.  The state is a
-  factor ``W`` with ``rho = W W^dagger`` (:class:`~swapchannel.evolve.QuantumState`):
-  a window applies ``U @ W``, and a reset or inject traces the qubit out,
-  which doubles the columns of ``W`` before a thin SVD compresses them.  The
-  rank grows only where a read or inject leaves the rest of the chain mixed,
-  so a wire with no mid-run boundary (one state) keeps one column.
+  factor ``W`` with ``rho = W W^dagger`` (:class:`~swapchannel.evolve.QuantumState`).
+  Each distinct (biases, duration) window is diagonalised once per run, and
+  the pair ``(V, E t)`` is cached; a window applies ``V e^{-iEt} V^T`` to
+  ``W`` in the eigenbasis (two real products, ``8 dim^2 r`` flops), and the
+  propagator ``U`` is never assembled.  A reset or inject traces the qubit
+  out, which doubles the columns of ``W`` before a thin SVD compresses them.
+  The rank grows only where a read or inject leaves the rest of the chain
+  mixed, so a wire with no mid-run boundary (one state) keeps one column.
 
 Both the reduced pulses and the frame correction take their bias from
 :func:`~swapchannel.chain.effective_bias`, ``bias + xi*sum z_nbr``.
@@ -41,10 +44,10 @@ import numpy as np
 from .chain import (
     ChainSpec, _z_values, build_hamiltonian, effective_bias, phase_angle, wrap_phase
 )
-from .evolve import QuantumState, propagator
+from .evolve import QuantumState, eigensystem, propagator
 from .gates import ideal_cnot, reduced_pulse_operator
 from .mps import MPS
-from .scheduler import PulseSchedule, ScheduleError, Window
+from .scheduler import PulseSchedule, ScheduleError, Window, _pulsed_mask
 from .solver import GateDesign
 
 __all__ = [
@@ -210,8 +213,8 @@ def sweep_eps_high(
 
 def infidelity_slope(points: Sequence[SweepPoint]) -> float:
     """Log-log slope of worst infidelity vs parking bias."""
-    if len(points) < 2:
-        raise ValueError("need at least two sweep points for a slope")
+    if len({p.eps_high_mhz for p in points}) < 2:
+        raise ValueError("need sweep points at two or more distinct biases for a slope")
     x = np.log10([p.eps_high_mhz for p in points])
     y = np.log10([max(p.worst_infidelity, 1e-300) for p in points])
     return float(np.polyfit(x, y, 1)[0])
@@ -252,9 +255,7 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
         )
     n, n_windows = schedule.n_qubits, schedule.n_windows
     windows = schedule.windows
-    pulsed = np.zeros((n_windows, n), dtype=bool)
-    for w, window in enumerate(windows):
-        pulsed[w, list(window.gate_targets())] = True
+    pulsed = _pulsed_mask(schedule)
     # z value of each literal |0> neighbour; 0 for a data or a pulsed qubit
     sign = (~replay.data_held & ~pulsed).astype(np.int64)
     biases = np.array([window.biases_mhz for window in windows], dtype=float)
@@ -385,7 +386,7 @@ def _execute(
         branches["corrected"] = QuantumState.ground(spec.n_qubits)
 
     op_for = _reduced_pulse_cache(spec)
-    prop_cache: dict[tuple, np.ndarray] = {}
+    prop_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def do_boundary(events, window_index):
         for e in events:
@@ -406,9 +407,9 @@ def _execute(
         key = (window.biases_mhz, window.duration_ns)
         if key not in prop_cache:
             h = build_hamiltonian(spec, window.biases_mhz)
-            prop_cache[key] = propagator(h, window.duration_ns)
+            prop_cache[key] = eigensystem(h, window.duration_ns)
         for s in branches.values():
-            s.apply(prop_cache[key], 0)
+            s.apply_eigensystem(*prop_cache[key])
         if angles is not None:
             branches["corrected"].apply_diagonal(_frame_diagonal(angles[i], spec.n_qubits))
     do_boundary(schedule.final_events, None)

@@ -678,6 +678,19 @@ class LineCheckReport:
     problems: tuple[str, ...]
 
 
+def _pulsed_mask(schedule: PulseSchedule) -> np.ndarray:
+    """``(n_windows, n_qubits)`` bool array: True where a window pulses a qubit."""
+    rows, qubits = [], []
+    for w, window in enumerate(schedule.windows):
+        for e in window.events:
+            if e.kind in GATE_KINDS:
+                rows.append(w)
+                qubits.append(e.qubit)
+    pulsed = np.zeros((schedule.n_windows, schedule.n_qubits), dtype=bool)
+    pulsed[rows, qubits] = True
+    return pulsed
+
+
 def line_conflict_check(
     schedule: PulseSchedule, assignment: LineAssignment
 ) -> LineCheckReport:
@@ -687,42 +700,60 @@ def line_conflict_check(
     pulsed qubit has a line; and no qubit holding data sits on a line that
     is being pulsed (collateral pulses are only harmless on parked |0>
     qubits).
+
+    The checks run on ``(n_windows, n_qubits)`` arrays: each lined qubit's
+    bias against the first qubit of its line, OR-reduced per line, and the
+    pulsed lines looked up at the replay's ``data_held``.  Only a window with
+    a problem is visited one qubit at a time, to write its messages: per
+    window, the bias conflicts by line, the unlined pulsed qubits, then the
+    data qubits on pulsed lines by qubit.
     """
     problems: list[str] = []
-    if len(assignment.lines) != schedule.n_qubits:
+    lines = assignment.lines
+    if len(lines) != schedule.n_qubits:
         return LineCheckReport(
             ok=False,
             problems=(
-                f"line map covers {len(assignment.lines)} qubits, "
-                f"schedule has {schedule.n_qubits}",
+                f"line map covers {len(lines)} qubits, schedule has {schedule.n_qubits}",
             ),
         )
     replay = schedule.replay
     for v in replay.violations:
         problems.append(f"occupancy violation at window {v.window_index}: {v.message}")
-    for i, w in enumerate(schedule.windows):
-        by_line: dict[int, set[float]] = {}
-        for q, line in enumerate(assignment.lines):
-            if line is not None:
-                by_line.setdefault(line, set()).add(w.biases_mhz[q])
-        for line, values in sorted(by_line.items()):
-            if len(values) > 1:
-                problems.append(
-                    f"window {i}: line {line} would need biases {sorted(values)}"
-                )
-        targets = set(w.gate_targets())
-        pulsed_lines = set()
-        for q in targets:
-            if assignment.lines[q] is None:
+    n, n_windows, windows = schedule.n_qubits, schedule.n_windows, schedule.windows
+    line_of = np.array([-1 if line is None else line for line in lines], dtype=np.intp)
+    # lined qubits grouped by line (ascending qubits within a line)
+    members = np.argsort(line_of, kind="stable")[np.count_nonzero(line_of < 0):]
+    starts = np.flatnonzero(np.diff(line_of[members], prepend=-1))
+    ends = np.append(starts[1:], members.size)
+    biases = np.array([w.biases_mhz for w in windows], dtype=float).reshape(n_windows, n)
+    conflict = np.zeros((n_windows, starts.size), dtype=bool)
+    if members.size:
+        first = np.repeat(members[starts], ends - starts)
+        conflict = np.logical_or.reduceat(biases[:, members] != biases[:, first], starts, axis=1)
+    pulsed = _pulsed_mask(schedule)
+    line_pulsed = np.zeros((n_windows, assignment.n_lines + 1), dtype=bool)
+    rows, qubits = np.nonzero(pulsed)
+    line_pulsed[rows, line_of[qubits]] = True  # an unlined qubit marks the last column
+    line_pulsed[:, -1] = False
+    unlined = pulsed & (line_of < 0)
+    shares = replay.data_held & ~pulsed & line_pulsed[:, line_of]
+    flagged = conflict.any(axis=1) | unlined.any(axis=1) | shares.any(axis=1)
+    for i in np.flatnonzero(flagged).tolist():
+        w = windows[i]
+        for g in np.flatnonzero(conflict[i]).tolist():
+            values = {w.biases_mhz[q] for q in members[starts[g]:ends[g]].tolist()}
+            problems.append(
+                f"window {i}: line {lines[members[starts[g]]]} would need biases "
+                f"{sorted(values)}"
+            )
+        for q in set(w.gate_targets()):
+            if lines[q] is None:
                 problems.append(f"window {i}: pulsed qubit {q} has no line")
-            else:
-                pulsed_lines.add(assignment.lines[q])
-        for q in np.flatnonzero(replay.data_held[i]).tolist():
-            line = assignment.lines[q]
-            if q not in targets and line in pulsed_lines:
-                problems.append(
-                    f"window {i}: qubit {q} holds data but shares pulsed line {line}"
-                )
+        for q in np.flatnonzero(shares[i]).tolist():
+            problems.append(
+                f"window {i}: qubit {q} holds data but shares pulsed line {lines[q]}"
+            )
     return LineCheckReport(ok=not problems, problems=tuple(problems))
 
 

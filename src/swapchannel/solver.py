@@ -103,8 +103,13 @@ def solve_parameters(t_ns: float, m: int = 1, n: int = 0) -> GateDesign:
         raise InfeasibleDesignError(
             f"no positive coupling solves m={m}, n={n}: requires 2m > 2n + 1"
         )
-    delta = 250.0 * (2 * n + 1) / t_ns
-    xi = 125.0 * math.sqrt(disc) / t_ns
+    try:
+        delta = 250.0 * (2 * n + 1) / t_ns
+        xi = 125.0 * math.sqrt(disc) / t_ns
+    except OverflowError:  # m or n past the float range
+        delta = xi = math.inf
+    if not (math.isfinite(delta) and math.isfinite(xi)):
+        raise ValueError(f"m={m}, n={n} at t_ns={t_ns} give a non-finite delta or xi")
     return GateDesign(t_ns=float(t_ns), m=m, n=n, delta_mhz=delta, xi_mhz=xi)
 
 

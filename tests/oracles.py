@@ -17,7 +17,9 @@ package's former per-value routes: ``json.dumps`` of the schedule document,
 one scalar ``phase_angle`` per parked qubit, and one matrix element at a
 time.  ``swap_pulses`` had its own bias route, ``hold_biases()`` with the
 pulsed qubit set, before it took the generators' line-driven one.  The
-replay's swap-pair matching built a candidate set per target."""
+replay's swap-pair matching built a candidate set per target, and the line
+check grouped each window's biases into a dict of sets, one qubit at a
+time."""
 
 import json
 
@@ -29,7 +31,7 @@ from swapchannel.evolve import INJECT_PURITY_TOL, EntanglementError, QuantumStat
 from swapchannel.gates import reduced_pulse_operator
 from swapchannel.runner import _frame_diagonal, compute_frame_correction
 from swapchannel.scheduler import (
-    PulseEvent, PulseSchedule, ScheduleError, Window, replay_occupancy
+    LineCheckReport, PulseEvent, PulseSchedule, ScheduleError, Window, replay_occupancy
 )
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -390,3 +392,44 @@ def set_match_pairs(lefts, mids):
         remaining.remove(b)
         pairs.append((min(a, b), max(a, b)))
     return pairs if not remaining else None
+
+
+def loop_line_conflict_check(schedule, assignment) -> LineCheckReport:
+    """``scheduler.line_conflict_check`` by its former body: per window, a
+    dict of bias sets filled one qubit at a time."""
+    problems: list[str] = []
+    if len(assignment.lines) != schedule.n_qubits:
+        return LineCheckReport(
+            ok=False,
+            problems=(
+                f"line map covers {len(assignment.lines)} qubits, "
+                f"schedule has {schedule.n_qubits}",
+            ),
+        )
+    replay = schedule.replay
+    for v in replay.violations:
+        problems.append(f"occupancy violation at window {v.window_index}: {v.message}")
+    for i, w in enumerate(schedule.windows):
+        by_line: dict[int, set[float]] = {}
+        for q, line in enumerate(assignment.lines):
+            if line is not None:
+                by_line.setdefault(line, set()).add(w.biases_mhz[q])
+        for line, values in sorted(by_line.items()):
+            if len(values) > 1:
+                problems.append(
+                    f"window {i}: line {line} would need biases {sorted(values)}"
+                )
+        targets = set(w.gate_targets())
+        pulsed_lines = set()
+        for q in targets:
+            if assignment.lines[q] is None:
+                problems.append(f"window {i}: pulsed qubit {q} has no line")
+            else:
+                pulsed_lines.add(assignment.lines[q])
+        for q in np.flatnonzero(replay.data_held[i]).tolist():
+            line = assignment.lines[q]
+            if q not in targets and line in pulsed_lines:
+                problems.append(
+                    f"window {i}: qubit {q} holds data but shares pulsed line {line}"
+                )
+    return LineCheckReport(ok=not problems, problems=tuple(problems))

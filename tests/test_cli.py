@@ -4,6 +4,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,9 @@ from numpy.testing import assert_allclose
 from conftest import chain_for
 from swapchannel import PulseEvent, PulseSchedule, Window, schedule_to_json, swap_pulses
 from swapchannel import cli
-from swapchannel.cli import MAX_TRACE_PHASE_RAD, _dump_json, main
+from swapchannel.cli import (
+    MAX_CONFIG_ITEMS, MAX_CONFIG_QUBITS, MAX_TRACE_PHASE_RAD, _dump_json, main
+)
 
 BUNDLED = ("fig2_quantum_wire", "fig4_classical_wire", "table1_copy")
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -552,6 +555,27 @@ class TestRunCommand:
         assert len(report["sweep"]["points"]) == 3
         assert -2.5 < report["sweep"]["slope"] < -1.5
 
+    def test_sweep_at_one_repeated_bias_exits_1(self, capsys, tmp_path):
+        # A slope needs two distinct biases; a fit through repeated points
+        # is rank-deficient.
+        cfg = {"experiment": "gate", "mode": "full", "eps_grid": [2500.0, 2500.0]}
+        path = tmp_path / "gate.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "two or more distinct biases" in err
+
+    @pytest.mark.parametrize("key", ["m", "n"])
+    def test_cycle_count_past_the_float_range_exits_1(self, capsys, tmp_path, key):
+        cfg = {"experiment": "copy_table", "m": 10**400, key: 10**400 if key == "m" else 0}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "non-finite delta or xi" in err
+
     @pytest.mark.parametrize(
         "patch, fragment",
         [
@@ -724,6 +748,68 @@ class TestRunRefusesBadValuesBeforeRunning:
             cfg["bits"] = [1, 0]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and fragment in err
+
+    @pytest.mark.parametrize(
+        "cfg, fragment",
+        [
+            ({"experiment": "quantum_wire", "seed": 0, "n_qubits": 10**9},
+             f"config.n_qubits: must be <= {MAX_CONFIG_QUBITS}, got 1000000000"),
+            ({"experiment": "quantum_wire", "seed": 0, "n_qubits": MAX_CONFIG_QUBITS + 1},
+             f"config.n_qubits: must be <= {MAX_CONFIG_QUBITS}"),
+            ({"experiment": "quantum_wire", "seed": 0, "n_states": 10**400},
+             f"config.n_states: must be <= {MAX_CONFIG_ITEMS}, got 1{'0' * 400}"),
+            ({"experiment": "classical_wire", "bits": [1], "n_qubits": 2**63},
+             f"config.n_qubits: must be <= {MAX_CONFIG_QUBITS}"),
+            ({"experiment": "classical_wire", "bits": [1, 0] * (MAX_CONFIG_ITEMS // 2 + 1)},
+             f"config.bits: expected a list of 1 to {MAX_CONFIG_ITEMS} 0/1 bits"),
+            ({"experiment": "gate", "eps_grid": [1000.0] * (MAX_CONFIG_ITEMS + 1)},
+             f"config.eps_grid: expected a list of 2 to {MAX_CONFIG_ITEMS} biases"),
+        ],
+        ids=["qubits-1e9", "qubits-past-cap", "states-1e400", "classical-qubits-2e63",
+             "bits-past-cap", "eps-grid-past-cap"],
+    )
+    def test_huge_sizes_exit_1_before_allocating(self, capsys, tmp_path, cfg, fragment):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "run", "--config", str(path), "--out-dir", str(tmp_path)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and fragment in err
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ('{"experiment": "copy_table", "mode": "full", "mode": "reduced"}',
+             "duplicate key 'mode'"),
+            ('{"experiment": "copy_table", "outputs": {"report": "a.json", "report": "b.json"}}',
+             "duplicate key 'report'"),
+            ('{"experiment": ["copy_table"]}', "config.experiment: must be one of"),
+            ('{"experiment": {"gate": 1}}', "config.experiment: must be one of"),
+            ('{"experiment": "copy_table", "outputs": {"report": "../up.json"}}',
+             "config.outputs.report: expected a file name inside --out-dir, got '../up.json'"),
+            ('{"experiment": "copy_table", "outputs": {"report": "/abs.json"}}',
+             "config.outputs.report: expected a file name inside --out-dir, got '/abs.json'"),
+            ('{"experiment": "copy_table", "outputs": {"report": "sub/../../up.json"}}',
+             "config.outputs.report: expected a file name inside --out-dir"),
+        ],
+        ids=["duplicate-key", "duplicate-nested-key", "list-experiment", "object-experiment",
+             "parent-dir-output", "absolute-output", "nested-parent-dir-output"],
+    )
+    def test_ambiguous_configs_exit_1(self, capsys, tmp_path, text, fragment):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
         code, out, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
         assert code == 1
         assert out == ""

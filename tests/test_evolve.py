@@ -13,6 +13,7 @@ from swapchannel.evolve import (
     INJECT_PURITY_TOL,
     EntanglementError,
     QuantumState,
+    eigensystem,
     propagator,
     sample_trajectory,
 )
@@ -138,11 +139,65 @@ class TestPropagator:
         assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-9)
 
 
+class TestEigensystem:
+    """The eigenbasis application against the assembled propagator it replaces."""
+
+    @pytest.mark.parametrize("n_qubits", range(1, 9))
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_chain_window_matches_the_assembled_propagator(self, design, rng, n_qubits, rank):
+        spec = chain_for(design, n_qubits, eps_high=25000.0)
+        biases = np.where(rng.random(n_qubits) < 0.5, 25000.0, rng.uniform(-50.0, 50.0))
+        h = build_hamiltonian(spec, biases)
+        state = random_mixed(rng, n_qubits, rank)
+        want = propagator(h, design.t_ns) @ state.data
+        state.apply_eigensystem(*eigensystem(h, design.t_ns))
+        assert_allclose(state.data, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_complex_hermitian_matches_the_assembled_propagator(self, rng, rank):
+        h = random_hermitian(rng, 16) * 30.0
+        state = random_mixed(rng, 4, rank)
+        want = propagator(h, 3.7) @ state.data
+        evecs, angles = eigensystem(h, 3.7)
+        assert np.iscomplexobj(evecs)
+        state.apply_eigensystem(evecs, angles)
+        assert_allclose(state.data, want, rtol=0, atol=1e-12)
+
+    def test_real_hamiltonian_gives_real_eigenvectors(self, design):
+        h = build_hamiltonian(chain_for(design, 3), [0.0, 10.0, 20.0])
+        evecs, angles = eigensystem(h, 10.0)
+        assert evecs.dtype == np.float64 and angles.shape == (8,)
+
+    def test_fortran_ordered_factor(self, rng):
+        w = np.asfortranarray(random_mixed(rng, 3, 3).data)
+        state = QuantumState(w)
+        h = random_hermitian(rng, 8).real * 30.0
+        state.apply_eigensystem(*eigensystem(h, 2.0))
+        assert_allclose(state.data, propagator(h, 2.0) @ w, rtol=0, atol=1e-12)
+
+    def test_rejects_eigenvectors_of_another_size(self):
+        state = QuantumState.ground(2)
+        with pytest.raises(ValueError, match="eigenvectors must be 4 x 4"):
+            state.apply_eigensystem(*eigensystem(np.eye(8), 1.0))
+        assert_allclose(state.data, QuantumState.ground(2).data, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_refuses_negative_and_non_finite_durations(self, duration):
+        for solve in (eigensystem, propagator):
+            with pytest.raises(ValueError, match="duration_ns must be finite and >= 0"):
+                solve(np.eye(2), duration)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
+    def test_sample_trajectory_refuses_the_duration_it_was_given(self, duration):
+        with pytest.raises(ValueError, match=rf"got {duration!r}$"):
+            sample_trajectory(QuantumState.ground(1), np.eye(2), duration, 3)
+
+
 def evolve_window(state, spec, biases, duration_ns):
     """One window at a constant bias profile, as the full-mode runner applies it
     (on a copy, so the caller's state stays as it was)."""
     out = QuantumState(state.data)
-    out.apply(propagator(build_hamiltonian(spec, biases), duration_ns), 0)
+    out.apply_eigensystem(*eigensystem(build_hamiltonian(spec, biases), duration_ns))
     return out
 
 

@@ -1,7 +1,8 @@
 """Differential tests of the array-speed schedule paths against the routes
 they replaced (``tests/oracles.py``): the direct JSON writer against
-``json.dumps`` of the schedule document, byte for byte, and the vectorised
-frame correction against the per-qubit loop, bit for bit."""
+``json.dumps`` of the schedule document, byte for byte, the vectorised
+frame correction against the per-qubit loop, bit for bit, and the array line
+check against the per-window dict of bias sets, message for message."""
 
 from dataclasses import replace
 
@@ -12,7 +13,11 @@ from hypothesis import strategies as st
 
 from conftest import chain_for
 from oracles import (
-    hold_bias_swap_pulses, json_dumps_schedule, loop_frame_correction, set_match_pairs
+    hold_bias_swap_pulses,
+    json_dumps_schedule,
+    loop_frame_correction,
+    loop_line_conflict_check,
+    set_match_pairs,
 )
 from swapchannel import (
     ChainSpec,
@@ -23,6 +28,7 @@ from swapchannel import (
     Window,
     classical_channel_schedule,
     compute_frame_correction,
+    line_conflict_check,
     quantum_channel_schedule,
     schedule_from_json,
     schedule_to_json,
@@ -416,3 +422,80 @@ class TestFrameCorrection:
         spec = chain_for(design, 100)
         sch, _ = classical_channel_schedule(spec, [1, 0] * 20, design.t_ns)
         assert_frame_matches_loop(sch, spec)
+
+
+def line_maps(n: int):
+    n_lines = st.integers(1, 8)
+    return n_lines.flatmap(lambda k: st.builds(
+        LineAssignment,
+        lines=st.lists(st.one_of(st.none(), st.integers(0, k - 1)), min_size=n, max_size=n)
+        .map(tuple),
+        n_lines=st.just(k),
+    ))
+
+
+def assert_line_check_matches_loop(schedule, lines):
+    got = line_conflict_check(schedule, lines)
+    want = loop_line_conflict_check(schedule, lines)
+    assert got.problems == want.problems
+    assert got.ok is want.ok
+
+
+class TestLineConflictCheck:
+    @settings(max_examples=50, deadline=None)
+    @given(case=schedules(), data=st.data())
+    def test_random_schedules_equal_the_loop(self, case, data):
+        schedule, lines = case
+        if lines is None:
+            lines = data.draw(line_maps(schedule.n_qubits))
+        assert_line_check_matches_loop(schedule, lines)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=schedules(bias_values=st.sampled_from([0.0, -0.0, 21.5, 25000.0]), min_windows=1),
+        data=st.data(),
+    )
+    def test_schedules_with_shared_values_equal_the_loop(self, case, data):
+        # Few distinct biases (with 0.0 and -0.0, equal but printed apart),
+        # so lines both agree and disagree.
+        schedule, _ = case
+        assert_line_check_matches_loop(schedule, data.draw(line_maps(schedule.n_qubits)))
+
+    def test_wrong_size_map(self, design):
+        sch, _ = quantum_channel_schedule(chain_for(design, 5), 1, design.t_ns)
+        for lines in (LineAssignment((0, 1), 2), LineAssignment((None,) * 6, 1)):
+            assert_line_check_matches_loop(sch, lines)
+
+    @pytest.mark.parametrize("n_qubits", range(2, 13))
+    def test_designed_wires_and_altered_maps(self, design, n_qubits):
+        spec = chain_for(design, n_qubits)
+        cases = [
+            quantum_channel_schedule(spec, n_states, design.t_ns, line_mode=line_mode)
+            for n_states in (1, 2, 4) for line_mode in ("mod6", "mod3")
+        ]
+        if n_qubits >= 4 and n_qubits % 2 == 0:
+            cases += [classical_channel_schedule(spec, bits, design.t_ns)
+                      for bits in ([0], [1, 0, 1, 1], [0, 1, 1, 0, 0, 1])]
+        for sch, lines in cases:
+            assert line_conflict_check(sch, lines).ok
+            assert_line_check_matches_loop(sch, lines)
+            k = lines.n_lines
+            for altered in (
+                LineAssignment(tuple(None if q % 3 == 1 else m for q, m in
+                                     enumerate(lines.lines)), k),
+                LineAssignment(tuple(None if m is None else (m + 1) % k
+                                     for m in lines.lines), k),
+                LineAssignment((0,) * n_qubits, 1),
+                LineAssignment(tuple(q % 2 for q in range(n_qubits)), 2),
+            ):
+                assert_line_check_matches_loop(sch, altered)
+
+    def test_bench_sized_schedules_equal_the_loop(self, design):
+        for n_qubits, n_states in ((101, 20), (41, 50)):
+            sch, lines = quantum_channel_schedule(chain_for(design, n_qubits), n_states,
+                                                  design.t_ns)
+            assert_line_check_matches_loop(sch, lines)
+            assert_line_check_matches_loop(sch, LineAssignment((0,) * n_qubits, 1))
+        sch, lines = classical_channel_schedule(chain_for(design, 100), [1, 0] * 20,
+                                                design.t_ns)
+        assert_line_check_matches_loop(sch, lines)

@@ -1,14 +1,20 @@
-"""Bounded fuzz of ``swapchannel validate``.
+"""Bounded fuzz of ``swapchannel validate`` and ``swapchannel run``.
 
 Generated quantum (mod6 and mod3) and classical schedule files are mutated:
 keys dropped, duplicated or given another type, values swapped for ``NaN`` or
 ``Infinity`` literals, 400-digit integers or nested junk.  ``validate`` must
 exit 0 or 3 with a JSON report, or 1 with an ``error:`` line, and never
-raise."""
+raise.
+
+The bundled ``run`` configs, and a gate config with a sweep, are mutated the
+same way, and also gain extra keys and huge sizes.  ``run`` must exit 0 or 3
+with a report, 1 with an ``error:`` line or 2 with an ``infeasible:`` line,
+and never raise."""
 
 import contextlib
 import io
 import json
+from importlib import resources
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +24,7 @@ from swapchannel import (
     classical_channel_schedule, quantum_channel_schedule, schedule_to_json, solve_parameters
 )
 from swapchannel import cli
+from swapchannel.cli import MAX_CONFIG_ITEMS, MAX_CONFIG_QUBITS
 
 DESIGN = solve_parameters(10.0, m=1, n=0)
 
@@ -132,3 +139,90 @@ def test_validate_exits_0_1_or_3_on_mutated_files(tmp_path_factory, text):
         assert err.getvalue().startswith("error: ")
     else:
         assert json.loads(out.getvalue())["ok"] is (code == 0)
+
+
+def _config_bases() -> list:
+    configs = resources.files("swapchannel").joinpath("configs")
+    bases = [json.loads(configs.joinpath(f"{name}.json").read_text())
+             for name in ("fig2_quantum_wire", "fig4_classical_wire", "table1_copy")]
+    bases.append({
+        "experiment": "gate",
+        "mode": "both",
+        "eps_grid": [2500.0, 25000.0],
+        "assertions": {"max_worst_infidelity": 0.015, "slope_range": [-2.5, -1.5]},
+        "outputs": {"report": "gate_report.json"},
+    })
+    return bases
+
+
+CONFIG_BASES = _config_bases()
+
+#: Sizes past the config caps, and past the float and int64 ranges.
+huge = st.sampled_from([MAX_CONFIG_QUBITS + 1, MAX_CONFIG_ITEMS + 1, 10**6, 10**9, 2**63,
+                        10**400])
+config_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 8),  # full mode at 8 qubits keeps a valid run fast
+    huge,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.5, 1e-300, 1e300, 25000.0]),
+    st.sampled_from(["", "random", "both", "full", "reduced", "mod3", "gate",
+                     "snap_1000x_delta", "x.json", "/abs.json", "../up.json"]),
+    st.text(max_size=5),
+)
+config_junk = st.one_of(
+    st.recursive(
+        config_scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.dictionaries(st.sampled_from(["report", "schedule", "min_fidelity", "x"]),
+                            inner, max_size=2),
+        ),
+        max_leaves=6,
+    ),
+    huge.map(lambda k: [0] * min(k, MAX_CONFIG_ITEMS + 1)),  # a long list
+)
+config_keys = st.sampled_from([
+    "experiment", "t_ns", "m", "n", "mode", "eps_high_mhz", "outputs", "assertions",
+    "n_qubits", "n_states", "states", "seed", "line_mode", "bits", "eps_grid", "extra",
+])
+
+
+@st.composite
+def mutated_configs(draw) -> str:
+    tree = to_tree(draw(st.sampled_from(CONFIG_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        places = slots(tree, [])
+        container, i = draw(st.sampled_from(places))
+        op = draw(st.sampled_from(["drop", "duplicate", "retype", "add"]))
+        if op == "drop":
+            del container[i]
+        elif op == "duplicate":
+            copy = list(container[i]) if isinstance(container, Obj) else container[i]
+            container.insert(i + 1, copy)
+        elif op == "add":
+            objects = [node for node, _ in places if isinstance(node, Obj)] + [tree]
+            draw(st.sampled_from(objects)).append([draw(config_keys), draw(config_junk)])
+        elif isinstance(container, Obj):
+            container[i] = [container[i][0], draw(config_junk)]
+        else:
+            container[i] = draw(config_junk)
+    return dump(tree)
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=mutated_configs())
+def test_run_exits_0_to_3_on_mutated_configs(tmp_path_factory, text):
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz_config.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--config", str(path), "--out-dir", str(base / "fuzz_run")])
+    assert code in (0, 1, 2, 3)
+    if code in (1, 2):
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: " if code == 1 else "infeasible: ")
+    else:
+        assert out.getvalue().splitlines()[-1].startswith("report: ")

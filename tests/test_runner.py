@@ -212,6 +212,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             infidelity_slope(points)
 
+    def test_slope_needs_two_distinct_biases(self, design):
+        points = sweep_eps_high(design, [1000.0, 1000.0, 1000.0], mode="full")
+        with pytest.raises(ValueError, match="two or more distinct biases"):
+            infidelity_slope(points)
+
 
 class TestFrameCorrection:
     def test_idle_window_angles_by_hand(self, design):
@@ -584,13 +589,13 @@ class TestFullModeFastPath:
         self, design, monkeypatch
     ):
         columns = []
-        apply = QuantumState.apply
+        apply = QuantumState.apply_eigensystem
 
-        def spy(state, op, first_qubit):
+        def spy(state, evecs, angles):
             columns.append(state.data.shape[1])
-            return apply(state, op, first_qubit)
+            return apply(state, evecs, angles)
 
-        monkeypatch.setattr(QuantumState, "apply", spy)
+        monkeypatch.setattr(QuantumState, "apply_eigensystem", spy)
         spec = chain_for(design, 6, eps_high=SNAP_EPS)
         sch, _ = quantum_channel_schedule(spec, 1, design.t_ns)
         run_quantum_channel(spec, sch, [np.array([0.6, 0.8j])], mode="full")
@@ -602,13 +607,13 @@ class TestFullModeFastPath:
         # Each reset or inject doubles the columns of W; without the SVD
         # compression 4 states at L = 7 would reach 2^8 columns.
         ranks = []
-        apply = QuantumState.apply
+        apply = QuantumState.apply_eigensystem
 
-        def spy(state, op, first_qubit):
+        def spy(state, evecs, angles):
             ranks.append(state.data.shape[1])
-            return apply(state, op, first_qubit)
+            return apply(state, evecs, angles)
 
-        monkeypatch.setattr(QuantumState, "apply", spy)
+        monkeypatch.setattr(QuantumState, "apply_eigensystem", spy)
         spec = chain_for(design, 7, eps_high=SNAP_EPS)
         sch, _ = quantum_channel_schedule(spec, 4, design.t_ns)
         states = [np.array(random_qubit_amplitudes(rng)) for _ in range(4)]
@@ -633,3 +638,28 @@ class TestFullModeFastPath:
             propagator(build_hamiltonian(spec, w.biases_mhz), w.duration_ns)
         assert len(dtypes) == sch.n_windows
         assert not any(np.issubdtype(dt, np.complexfloating) for dt in dtypes)
+
+    @pytest.mark.parametrize("n_qubits, n_states", [(5, 1), (6, 2), (7, 3)])
+    def test_a_full_run_diagonalises_each_distinct_window_once(
+        self, design, rng, monkeypatch, n_qubits, n_states
+    ):
+        # The eigensystem of each (biases, duration) key is cached for the run:
+        # one float64 eigh per key, shared by the raw and corrected branches,
+        # and no propagator is assembled.
+        dtypes = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        monkeypatch.setattr(runner, "propagator", None)  # a call would raise
+        spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, n_states, design.t_ns)
+        states = [np.array(random_qubit_amplitudes(rng)) for _ in range(n_states)]
+        run_quantum_channel(spec, sch, states, mode="full")
+        keys = {(w.biases_mhz, w.duration_ns) for w in sch.windows}
+        assert 1 < len(keys) < sch.n_windows
+        assert len(dtypes) == len(keys)
+        assert set(dtypes) == {np.dtype(np.float64)}

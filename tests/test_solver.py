@@ -47,6 +47,11 @@ class TestSolveParameters:
         with pytest.raises(ValueError):
             solve_parameters(10.0, n=-1)
 
+    @pytest.mark.parametrize("t_ns, m", [(10.0, 10**400), (1e-300, 10**150)])
+    def test_rejects_cycle_counts_that_overflow(self, t_ns, m):
+        with pytest.raises(ValueError, match="non-finite delta or xi"):
+            solve_parameters(t_ns, m=m, n=0)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_rejects_non_finite(self, value):
         with pytest.raises(ValueError, match="finite"):
