@@ -732,9 +732,11 @@ def line_conflict_check(
         first = np.repeat(members[starts], ends - starts)
         conflict = np.logical_or.reduceat(biases[:, members] != biases[:, first], starts, axis=1)
     pulsed = _pulsed_mask(schedule)
-    line_pulsed = np.zeros((n_windows, assignment.n_lines + 1), dtype=bool)
+    # one column per line in use (not per ``n_lines``, which a file may set
+    # to any size), and a last one that an unlined qubit marks
+    line_pulsed = np.zeros((n_windows, line_of.max(initial=-1) + 2), dtype=bool)
     rows, qubits = np.nonzero(pulsed)
-    line_pulsed[rows, line_of[qubits]] = True  # an unlined qubit marks the last column
+    line_pulsed[rows, line_of[qubits]] = True
     line_pulsed[:, -1] = False
     unlined = pulsed & (line_of < 0)
     shares = replay.data_held & ~pulsed & line_pulsed[:, line_of]

@@ -461,6 +461,13 @@ class TestLineConflictCheck:
         schedule, _ = case
         assert_line_check_matches_loop(schedule, data.draw(line_maps(schedule.n_qubits)))
 
+    def test_huge_line_count_allocates_nothing_per_line(self, design):
+        # n_lines only bounds the line numbers; arrays are sized by the lines in use.
+        sch, lines = quantum_channel_schedule(chain_for(design, 7), 2, design.t_ns)
+        for n_lines in (10**9, 10**400):
+            assert_line_check_matches_loop(sch, LineAssignment(lines.lines, n_lines))
+            assert_line_check_matches_loop(sch, LineAssignment((None,) * 7, n_lines))
+
     def test_wrong_size_map(self, design):
         sch, _ = quantum_channel_schedule(chain_for(design, 5), 1, design.t_ns)
         for lines in (LineAssignment((0, 1), 2), LineAssignment((None,) * 6, 1)):
