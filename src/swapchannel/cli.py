@@ -301,7 +301,12 @@ _ALLOWED_OUTPUTS = {"report", "schedule"}
 
 #: The largest chain, and the most states, bits or sweep points, a config may
 #: ask for; larger sizes are refused before anything is built (full mode is
-#: capped lower, by ``build_hamiltonian``).
+#: capped lower, by ``build_hamiltonian``).  1024 is five times the longest
+#: wire studied (L = 201) and keeps any config to minutes.  Reduced mode, one
+#: core of a Xeon: 1024 qubits with one state run in 1.3 s (117 MB peak), 5
+#: qubits with 1024 states in 2.7 s, 1024 bits in 0.9 s, 1024 sweep points in
+#: 0.3 s, and 1024 qubits with 64 states in 20 s (164 MB); time grows with
+#: qubits x states.
 MAX_CONFIG_QUBITS = 1024
 MAX_CONFIG_ITEMS = 1024
 

@@ -242,7 +242,7 @@ def eigensystem(hamiltonian: np.ndarray, duration_ns: float) -> tuple[np.ndarray
     """
     h = np.asarray(hamiltonian)
     if not is_hermitian(h):
-        raise ValueError("propagator requires a Hermitian matrix")
+        raise ValueError("eigensystem requires a Hermitian matrix")
     _check_duration(duration_ns)
     evals, evecs = np.linalg.eigh(h)
     return evecs, phase_angle(evals, duration_ns)

@@ -47,7 +47,7 @@ from .chain import (
 from .evolve import QuantumState, eigensystem, propagator
 from .gates import ideal_cnot, reduced_pulse_operator
 from .mps import MPS
-from .scheduler import PulseSchedule, ScheduleError, Window, _pulsed_mask
+from .scheduler import PulseSchedule, ScheduleError, Window
 from .solver import GateDesign
 
 __all__ = [
@@ -238,9 +238,10 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
     must be clean: definite occupancy is what makes the neighbour signs well
     defined.  Every literal there is |0>, so a literal neighbour adds ``+xi``.
 
-    All windows are done at once on ``(n_windows, n_qubits)`` arrays: a
-    pulsed mask, the z value of each literal neighbour (1 where the replay's
-    ``data_held`` and the pulsed mask are both False, else 0), one
+    All windows are done at once on ``(n_windows, n_qubits)`` arrays: the
+    schedule's :attr:`~PulseSchedule.pulsed` mask, the z value of each literal
+    neighbour (1 where the replay's ``data_held`` and the pulsed mask are both
+    False, else 0), one
     :func:`~swapchannel.chain.effective_bias` call and one
     :func:`~swapchannel.chain.phase_angle` call.  Each angle sees the same
     float operations in the same order as a per-qubit scalar computation,
@@ -255,7 +256,7 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
         )
     n, n_windows = schedule.n_qubits, schedule.n_windows
     windows = schedule.windows
-    pulsed = _pulsed_mask(schedule)
+    pulsed = schedule.pulsed
     # z value of each literal |0> neighbour; 0 for a data or a pulsed qubit
     sign = (~replay.data_held & ~pulsed).astype(np.int64)
     biases = np.array([window.biases_mhz for window in windows], dtype=float)

@@ -243,6 +243,21 @@ class PulseSchedule:
         """:func:`replay_occupancy` of this schedule, computed on first use."""
         return replay_occupancy(self)
 
+    @cached_property
+    def pulsed(self) -> np.ndarray:
+        """Read-only ``(n_windows, n_qubits)`` bool array: True where a window
+        pulses a qubit."""
+        rows, qubits = [], []
+        for w, window in enumerate(self.windows):
+            for e in window.events:
+                if e.kind in GATE_KINDS:
+                    rows.append(w)
+                    qubits.append(e.qubit)
+        pulsed = np.zeros((self.n_windows, self.n_qubits), dtype=bool)
+        pulsed[rows, qubits] = True
+        pulsed.flags.writeable = False
+        return pulsed
+
 
 @dataclass(frozen=True)
 class LineAssignment:
@@ -678,19 +693,6 @@ class LineCheckReport:
     problems: tuple[str, ...]
 
 
-def _pulsed_mask(schedule: PulseSchedule) -> np.ndarray:
-    """``(n_windows, n_qubits)`` bool array: True where a window pulses a qubit."""
-    rows, qubits = [], []
-    for w, window in enumerate(schedule.windows):
-        for e in window.events:
-            if e.kind in GATE_KINDS:
-                rows.append(w)
-                qubits.append(e.qubit)
-    pulsed = np.zeros((schedule.n_windows, schedule.n_qubits), dtype=bool)
-    pulsed[rows, qubits] = True
-    return pulsed
-
-
 def line_conflict_check(
     schedule: PulseSchedule, assignment: LineAssignment
 ) -> LineCheckReport:
@@ -701,10 +703,11 @@ def line_conflict_check(
     is being pulsed (collateral pulses are only harmless on parked |0>
     qubits).
 
-    The checks run on ``(n_windows, n_qubits)`` arrays: each lined qubit's
-    bias against the first qubit of its line, OR-reduced per line, and the
-    pulsed lines looked up at the replay's ``data_held``.  Only a window with
-    a problem is visited one qubit at a time, to write its messages: per
+    The checks run on ``(n_windows, n_qubits)`` arrays, with the lines in
+    use numbered densely in ascending order (a file may give any line below
+    any ``n_lines``): a line's biases conflict where their minimum and maximum
+    differ, and a line is pulsed where any of its qubits is.  Only a window
+    with a problem is visited one qubit at a time, to write its messages: per
     window, the bias conflicts by line, the unlined pulsed qubits, then the
     data qubits on pulsed lines by qubit.
     """
@@ -721,34 +724,27 @@ def line_conflict_check(
     for v in replay.violations:
         problems.append(f"occupancy violation at window {v.window_index}: {v.message}")
     n, n_windows, windows = schedule.n_qubits, schedule.n_windows, schedule.windows
-    line_of = np.array([-1 if line is None else line for line in lines], dtype=np.intp)
-    # lined qubits grouped by line (ascending qubits within a line)
-    members = np.argsort(line_of, kind="stable")[np.count_nonzero(line_of < 0):]
-    starts = np.flatnonzero(np.diff(line_of[members], prepend=-1))
-    ends = np.append(starts[1:], members.size)
+    in_use = sorted({line for line in lines if line is not None})
+    rank = {line: k for k, line in enumerate(in_use)}
+    rank_of = np.array([rank.get(line, -1) for line in lines], dtype=np.intp)
+    # lined qubits grouped by rank (ascending qubits within a line)
+    members = np.argsort(rank_of, kind="stable")[np.count_nonzero(rank_of < 0):]
+    starts = np.searchsorted(rank_of[members], np.arange(len(in_use)))
     biases = np.array([w.biases_mhz for w in windows], dtype=float).reshape(n_windows, n)
-    conflict = np.zeros((n_windows, starts.size), dtype=bool)
-    if members.size:
-        first = np.repeat(members[starts], ends - starts)
-        conflict = np.logical_or.reduceat(biases[:, members] != biases[:, first], starts, axis=1)
-    pulsed = _pulsed_mask(schedule)
-    # one column per line in use (not per ``n_lines``, which a file may set
-    # to any size), and a last one that an unlined qubit marks
-    line_pulsed = np.zeros((n_windows, line_of.max(initial=-1) + 2), dtype=bool)
-    rows, qubits = np.nonzero(pulsed)
-    line_pulsed[rows, line_of[qubits]] = True
-    line_pulsed[:, -1] = False
-    unlined = pulsed & (line_of < 0)
-    shares = replay.data_held & ~pulsed & line_pulsed[:, line_of]
+    conflict = (np.minimum.reduceat(biases[:, members], starts, axis=1)
+                != np.maximum.reduceat(biases[:, members], starts, axis=1))
+    pulsed = schedule.pulsed
+    line_pulsed = np.logical_or.reduceat(pulsed[:, members], starts, axis=1)
+    shares = np.zeros_like(pulsed)
+    shares[:, members] = line_pulsed[:, rank_of[members]]
+    shares &= replay.data_held & ~pulsed
+    unlined = pulsed & (rank_of < 0)
     flagged = conflict.any(axis=1) | unlined.any(axis=1) | shares.any(axis=1)
     for i in np.flatnonzero(flagged).tolist():
         w = windows[i]
         for g in np.flatnonzero(conflict[i]).tolist():
-            values = {w.biases_mhz[q] for q in members[starts[g]:ends[g]].tolist()}
-            problems.append(
-                f"window {i}: line {lines[members[starts[g]]]} would need biases "
-                f"{sorted(values)}"
-            )
+            values = {w.biases_mhz[q] for q in np.flatnonzero(rank_of == g).tolist()}
+            problems.append(f"window {i}: line {in_use[g]} would need biases {sorted(values)}")
         for q in set(w.gate_targets()):
             if lines[q] is None:
                 problems.append(f"window {i}: pulsed qubit {q} has no line")

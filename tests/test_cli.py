@@ -164,6 +164,22 @@ class TestScheduleAndValidate:
         assert report["ok"] is False
         assert report["violations"][0]["kind"] == "sacrificial_occupied"
 
+    @pytest.mark.parametrize("big", [10**10, 10**400], ids=["1e10", "1e400"])
+    def test_validate_huge_line_numbers(self, capsys, tmp_path, big):
+        # A line number is any integer below n_lines; none sizes an array.
+        sch = PulseSchedule(
+            n_qubits=3,
+            windows=(Window(0.0, 10.0, (0.0, 5.0, 0.0), (PulseEvent("cnot_pulse", 1),)),),
+        )
+        for line_map, code_want in (([None, big, 0], 0), ([None, big, big], 3)):
+            doc = json.loads(schedule_to_json(sch))
+            doc["lines"] = {"map": line_map, "n_lines": big + 1}
+            path = tmp_path / "wire.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, "validate", "--schedule", str(path))
+            assert code == code_want, err
+            assert json.loads(out)["line_check"]["ok"] is (code_want == 0)
+
     def test_validate_unreadable_or_malformed(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate", "--schedule", str(tmp_path / "none.json"))
         assert code == 1

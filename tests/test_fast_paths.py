@@ -461,12 +461,21 @@ class TestLineConflictCheck:
         schedule, _ = case
         assert_line_check_matches_loop(schedule, data.draw(line_maps(schedule.n_qubits)))
 
-    def test_huge_line_count_allocates_nothing_per_line(self, design):
-        # n_lines only bounds the line numbers; arrays are sized by the lines in use.
+    @pytest.mark.parametrize("big", [10**9, 10**10, 2**63, 10**400],
+                             ids=["1e9", "1e10", "2^63", "1e400"])
+    def test_huge_line_numbers_allocate_nothing_per_line(self, design, big):
+        # n_lines and the line numbers only name lines, here past any array
+        # size or int64; arrays are sized by the lines in use.
         sch, lines = quantum_channel_schedule(chain_for(design, 7), 2, design.t_ns)
-        for n_lines in (10**9, 10**400):
-            assert_line_check_matches_loop(sch, LineAssignment(lines.lines, n_lines))
-            assert_line_check_matches_loop(sch, LineAssignment((None,) * 7, n_lines))
+        for line_map in (
+            lines.lines,
+            (None,) * 7,
+            tuple(None if m is None else big + m for m in lines.lines),
+            (big,) * 7,
+            (None, big, 0, big, 1, big - 1, None),
+            tuple(big - q for q in range(7)),
+        ):
+            assert_line_check_matches_loop(sch, LineAssignment(line_map, big + lines.n_lines))
 
     def test_wrong_size_map(self, design):
         sch, _ = quantum_channel_schedule(chain_for(design, 5), 1, design.t_ns)
