@@ -15,10 +15,12 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import asdict
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -291,12 +293,63 @@ _ALLOWED_KEYS = {
     "copy_table": _COMMON_KEYS,
     "gate": _COMMON_KEYS | {"eps_grid"},
 }
-_ALLOWED_ASSERTIONS = {
-    "quantum_wire": {"min_corrected_fidelity", "min_reduced_fidelity", "max_reduced_phase_error"},
-    "classical_wire": {"require_echo", "expect_latency_sequences"},
-    "copy_table": {"min_fidelity"},
-    "gate": {"max_worst_infidelity", "slope_range"},
+
+
+class _Assertion(NamedTuple):
+    """How ``swapchannel run`` grades one assertion key of a config."""
+
+    name: str  # the check name; "{mode}" becomes the graded mode
+    grades: str  # "reduced" or "full", "each" mode the config runs, or the whole "run"
+    value: Callable  # (graded mode's results section, or the report; report) -> graded value
+    passes: Callable  # (graded value, the config's limit) -> bool
+    detail: str  # format string over {got} and {limit}
+
+
+#: The assertion keys of each experiment, in the order their checks print.
+_ASSERTIONS = {
+    "quantum_wire": {
+        "min_reduced_fidelity": _Assertion(
+            "min_reduced_fidelity", "reduced", lambda s, _: s["min_fidelity_corrected"],
+            operator.ge, "min fidelity {got:.9f} vs {limit}",
+        ),
+        "max_reduced_phase_error": _Assertion(
+            "max_reduced_phase_error", "reduced",
+            lambda s, _: max(abs(r["phase_error_corrected"]) for r in s["records"]),
+            operator.le, "max |phase error| {got:.3e} vs {limit}",
+        ),
+        "min_corrected_fidelity": _Assertion(
+            "min_corrected_fidelity", "full", lambda s, _: s["min_fidelity_corrected"],
+            operator.ge, "min corrected fidelity {got:.9f} vs {limit}",
+        ),
+    },
+    "classical_wire": {
+        "require_echo": _Assertion(
+            "echo_{mode}", "each", lambda s, report: (list(s["bits_out"]), report["bits_in"]),
+            lambda got, _: got[0] == got[1], "bits_out={got[0]} vs bits_in={got[1]}",
+        ),
+        "expect_latency_sequences": _Assertion(
+            "latency_{mode}", "each", lambda s, _: s["latency_sequences"],
+            operator.eq, "latency {got} vs {limit}",
+        ),
+    },
+    "copy_table": {
+        "min_fidelity": _Assertion(
+            "min_fidelity_{mode}", "each", lambda s, _: s["min_fidelity"],
+            operator.ge, "min fidelity {got:.9f} vs {limit}",
+        ),
+    },
+    "gate": {
+        "max_worst_infidelity": _Assertion(
+            "max_worst_infidelity", "full", lambda s, _: s["worst_infidelity"],
+            operator.le, "worst infidelity {got:.3e} vs {limit}",
+        ),
+        "slope_range": _Assertion(
+            "slope_range", "run", lambda report, _: report["sweep"]["slope"],
+            lambda got, limit: limit[0] <= got <= limit[1], "slope {got:.3f} vs {limit}",
+        ),
+    },
 }
+
 _ALLOWED_OUTPUTS = {"report", "schedule"}
 
 #: The largest chain, and the most states, bits or sweep points, a config may
@@ -419,8 +472,11 @@ def _validate_config(cfg: dict) -> dict:
         raise ConfigError("config.assertions: expected an object")
     for key, value in assertions.items():
         path = f"config.assertions.{key}"
-        if key not in _ALLOWED_ASSERTIONS[experiment]:
+        if key not in _ASSERTIONS[experiment]:
             raise ConfigError(f"{path}: unknown key for experiment {experiment!r}")
+        grades = _ASSERTIONS[experiment][key].grades
+        if grades in ("reduced", "full") and grades not in out["modes"]:
+            raise ConfigError(f"{path}: grades mode {grades}, which this config does not run")
         if key == "require_echo":
             if not isinstance(value, bool):
                 raise ConfigError(f"{path}: expected true or false, got {value!r}")
@@ -504,14 +560,15 @@ def _state_obj(vec: np.ndarray) -> list[float]:
     return [float(vec[0].real), float(vec[0].imag), float(vec[1].real), float(vec[1].imag)]
 
 
-def _assert_results(checks: list[tuple[str, bool, str]]) -> dict:
-    return {
-        "checks": [
-            {"name": name, "passed": passed, "detail": detail}
-            for name, passed, detail in checks
-        ],
-        "passed": all(passed for _, passed, _ in checks),
-    }
+def _section(result, *names, omit=()) -> dict:
+    """A report section: the named fields and properties of a runner's result
+    dataclass, its records without the ``omit`` fields."""
+    fields = asdict(result, dict_factory=lambda kv: {k: v for k, v in kv if k not in omit})
+    return {name: fields[name] if name in fields else getattr(result, name) for name in names}
+
+
+def _check(name: str, passed: bool, detail: str) -> dict:
+    return {"name": name, "passed": passed, "detail": detail}
 
 
 def _schedule_section(schedule, lines, cfg: dict, out_dir: str) -> tuple[dict, list]:
@@ -533,14 +590,18 @@ def _schedule_section(schedule, lines, cfg: dict, out_dir: str) -> tuple[dict, l
         "line_problems": list(line_report.problems),
     }
     checks = [
-        ("schedule_replay_clean", not violations, f"{len(violations)} violations"),
-        ("line_check_ok", line_report.ok, "; ".join(line_report.problems) or "ok"),
+        _check("schedule_replay_clean", not violations, f"{len(violations)} violations"),
+        _check("line_check_ok", line_report.ok, "; ".join(line_report.problems) or "ok"),
     ]
     return obj, checks
 
 
-def _run_quantum_wire(cfg: dict, out_dir: str) -> tuple[dict, list]:
-    design, eps, spec = _chain_setup(cfg, cfg["n_qubits"])
+# Each experiment runs its runner once per mode and returns the report
+# entries it adds (always ``"results"``, one section per mode) and, for a
+# wire, the (schedule, lines) it ran.
+
+
+def _run_quantum_wire(cfg: dict, spec: ChainSpec, design: GateDesign) -> tuple[dict, tuple]:
     schedule, lines = quantum_channel_schedule(
         spec, cfg["n_states"], cfg["t_ns"], line_mode=cfg["line_mode"]
     )
@@ -549,115 +610,30 @@ def _run_quantum_wire(cfg: dict, out_dir: str) -> tuple[dict, list]:
         if cfg["states"] == "random"
         else cfg["states"]
     )
-
-    results = {}
-    for mode in cfg["modes"]:
-        report = run_quantum_channel(spec, schedule, states, mode=mode)
-        results[mode] = {
-            "records": [
-                {k: v for k, v in asdict(r).items() if k != "purity_raw"}
-                for r in report.records
-            ],
-            "min_fidelity_raw": report.min_fidelity_raw,
-            "min_fidelity_corrected": report.min_fidelity_corrected,
-            "final_trace": report.final_trace,
-        }
-
-    schedule_obj, checks = _schedule_section(schedule, lines, cfg, out_dir)
-    a = cfg["assertions"]
-    if "min_reduced_fidelity" in a and "reduced" in results:
-        worst = results["reduced"]["min_fidelity_corrected"]
-        checks.append(
-            (
-                "min_reduced_fidelity",
-                worst >= a["min_reduced_fidelity"],
-                f"min fidelity {worst:.9f} vs {a['min_reduced_fidelity']}",
-            )
+    results = {
+        mode: _section(
+            run_quantum_channel(spec, schedule, states, mode=mode),
+            "records", "min_fidelity_raw", "min_fidelity_corrected", "final_trace",
+            omit={"purity_raw"},
         )
-    if "max_reduced_phase_error" in a and "reduced" in results:
-        worst = max(
-            abs(r["phase_error_corrected"]) for r in results["reduced"]["records"]
-        )
-        checks.append(
-            (
-                "max_reduced_phase_error",
-                worst <= a["max_reduced_phase_error"],
-                f"max |phase error| {worst:.3e} vs {a['max_reduced_phase_error']}",
-            )
-        )
-    if "min_corrected_fidelity" in a and "full" in results:
-        worst = results["full"]["min_fidelity_corrected"]
-        checks.append(
-            (
-                "min_corrected_fidelity",
-                worst >= a["min_corrected_fidelity"],
-                f"min corrected fidelity {worst:.9f} vs {a['min_corrected_fidelity']}",
-            )
-        )
-
-    report_obj = {
-        "experiment": "quantum_wire",
-        "design": _design_obj(design),
-        "eps_high_mhz": eps,
-        "n_qubits": spec.n_qubits,
-        "states": [_state_obj(s) for s in states],
-        "schedule": schedule_obj,
-        "results": results,
+        for mode in cfg["modes"]
     }
-    return report_obj, checks
+    return {"states": [_state_obj(s) for s in states], "results": results}, (schedule, lines)
 
 
-def _run_classical_wire(cfg: dict, out_dir: str) -> tuple[dict, list]:
-    design, eps, spec = _chain_setup(cfg, cfg["n_qubits"])
+def _run_classical_wire(cfg: dict, spec: ChainSpec, design: GateDesign) -> tuple[dict, tuple]:
     schedule, lines = classical_channel_schedule(spec, cfg["bits"], cfg["t_ns"])
-
-    results = {}
-    for mode in cfg["modes"]:
-        report = run_classical_channel(spec, schedule, cfg["bits"], mode=mode)
-        results[mode] = {
-            "bits_out": list(report.bits_out),
-            "ok": report.ok,
-            "latency_sequences": report.latency_sequences,
-            "min_margin": report.min_margin,
-            "records": [asdict(r) for r in report.records],
-        }
-
-    schedule_obj, checks = _schedule_section(schedule, lines, cfg, out_dir)
-    a = cfg["assertions"]
-    if a.get("require_echo"):
-        for mode in cfg["modes"]:
-            checks.append(
-                (
-                    f"echo_{mode}",
-                    results[mode]["ok"],
-                    f"bits_out={results[mode]['bits_out']} vs bits_in={cfg['bits']}",
-                )
-            )
-    if "expect_latency_sequences" in a:
-        for mode in cfg["modes"]:
-            got = results[mode]["latency_sequences"]
-            checks.append(
-                (
-                    f"latency_{mode}",
-                    got == a["expect_latency_sequences"],
-                    f"latency {got} vs {a['expect_latency_sequences']}",
-                )
-            )
-
-    report_obj = {
-        "experiment": "classical_wire",
-        "design": _design_obj(design),
-        "eps_high_mhz": eps,
-        "n_qubits": spec.n_qubits,
-        "bits_in": list(cfg["bits"]),
-        "schedule": schedule_obj,
-        "results": results,
+    results = {
+        mode: _section(
+            run_classical_channel(spec, schedule, cfg["bits"], mode=mode),
+            "bits_out", "ok", "latency_sequences", "min_margin", "records",
+        )
+        for mode in cfg["modes"]
     }
-    return report_obj, checks
+    return {"bits_in": cfg["bits"], "results": results}, (schedule, lines)
 
 
-def _run_copy_table(cfg: dict, out_dir: str) -> tuple[dict, list]:
-    design, eps, spec = _chain_setup(cfg, 3)
+def _run_copy_table(cfg: dict, spec: ChainSpec, design: GateDesign) -> tuple[dict, None]:
     results = {}
     for mode in cfg["modes"]:
         rows = copy_truth_table(spec, design, mode=mode)
@@ -665,78 +641,24 @@ def _run_copy_table(cfg: dict, out_dir: str) -> tuple[dict, list]:
             "rows": [asdict(r) for r in rows],
             "min_fidelity": min(r.fidelity for r in rows),
         }
-    checks = []
-    if "min_fidelity" in cfg["assertions"]:
-        for mode in cfg["modes"]:
-            got = results[mode]["min_fidelity"]
-            checks.append(
-                (
-                    f"min_fidelity_{mode}",
-                    got >= cfg["assertions"]["min_fidelity"],
-                    f"min fidelity {got:.9f} vs {cfg['assertions']['min_fidelity']}",
-                )
-            )
-    report_obj = {
-        "experiment": "copy_table",
-        "design": _design_obj(design),
-        "eps_high_mhz": eps,
-        "results": results,
-    }
-    return report_obj, checks
+    return {"results": results}, None
 
 
-def _run_gate(cfg: dict, out_dir: str) -> tuple[dict, list]:
-    design, eps, spec = _chain_setup(cfg, 3)
+def _run_gate(cfg: dict, spec: ChainSpec, design: GateDesign) -> tuple[dict, None]:
     results = {}
     for mode in cfg["modes"]:
         report = run_gate_experiment(spec, design, mode=mode)
-        results[mode] = {
-            "distance": report.distance,
-            "worst_infidelity": report.worst_infidelity,
-            "leakage": report.leakage,
-            "superposition_fidelity": report.superposition_fidelity,
-            "truth_table": [
-                {"control": c, "target": t, "fidelity": fid}
-                for (c, t), fid in report.truth_table
-            ],
-        }
-    sweep_obj = None
-    slope = None
+        results[mode] = _section(
+            report, "distance", "worst_infidelity", "leakage", "superposition_fidelity"
+        )
+        results[mode]["truth_table"] = [
+            {"control": c, "target": t, "fidelity": fid} for (c, t), fid in report.truth_table
+        ]
+    sweep = None
     if cfg["eps_grid"]:
         points = sweep_eps_high(design, cfg["eps_grid"])
-        slope = infidelity_slope(points)
-        sweep_obj = {
-            "points": [asdict(p) for p in points],
-            "slope": slope,
-        }
-    checks = []
-    a = cfg["assertions"]
-    if "max_worst_infidelity" in a and "full" in results:
-        got = results["full"]["worst_infidelity"]
-        checks.append(
-            (
-                "max_worst_infidelity",
-                got <= a["max_worst_infidelity"],
-                f"worst infidelity {got:.3e} vs {a['max_worst_infidelity']}",
-            )
-        )
-    if "slope_range" in a:
-        rng = a["slope_range"]
-        checks.append(
-            (
-                "slope_range",
-                rng[0] <= slope <= rng[1],
-                f"slope {slope:.3f} vs [{rng[0]}, {rng[1]}]",
-            )
-        )
-    report_obj = {
-        "experiment": "gate",
-        "design": _design_obj(design),
-        "eps_high_mhz": eps,
-        "results": results,
-        "sweep": sweep_obj,
-    }
-    return report_obj, checks
+        sweep = {"points": [asdict(p) for p in points], "slope": infidelity_slope(points)}
+    return {"results": results, "sweep": sweep}, None
 
 
 _RUNNERS = {
@@ -747,6 +669,22 @@ _RUNNERS = {
 }
 
 
+def _grade(report: dict, cfg: dict) -> list[dict]:
+    """One check per graded mode of each assertion the config makes, in
+    ``_ASSERTIONS`` order."""
+    checks = []
+    for key, a in _ASSERTIONS[cfg["experiment"]].items():
+        limit = cfg["assertions"].get(key, False)
+        if limit is False:  # not asserted, or require_echo: false
+            continue
+        for mode in cfg["modes"] if a.grades == "each" else [a.grades]:
+            got = a.value(report if mode == "run" else report["results"][mode], report)
+            checks.append(_check(
+                a.name.format(mode=mode), a.passes(got, limit), a.detail.format(got=got, limit=limit)
+            ))
+    return checks
+
+
 def _cmd_run(args) -> int:
     cfg = _validate_config(_load_config(args.config))
     out_dir = args.out_dir
@@ -754,15 +692,24 @@ def _cmd_run(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from None
-    report_obj, checks = _RUNNERS[cfg["experiment"]](cfg, out_dir)
-    report_obj["assertions"] = _assert_results(checks)
+    run = _RUNNERS[cfg["experiment"]]
+    # copy_table and gate run on the 3-qubit test chain
+    design, eps, spec = _chain_setup(cfg, cfg.get("n_qubits", 3))
+    entries, wire = run(cfg, spec, design)
+    report = {"experiment": cfg["experiment"], "design": _design_obj(design), "eps_high_mhz": eps}
+    report |= entries
+    checks = []
+    if wire:
+        report["n_qubits"] = spec.n_qubits
+        report["schedule"], checks = _schedule_section(*wire, cfg, out_dir)
+    checks += _grade(report, cfg)
+    report["assertions"] = {"checks": checks, "passed": all(c["passed"] for c in checks)}
     report_path = os.path.join(out_dir, cfg["outputs"]["report"])
-    _write_text(report_path, _dump_json(report_obj))
-    for check in report_obj["assertions"]["checks"]:
-        status = "PASS" if check["passed"] else "FAIL"
-        print(f"{status} {check['name']}: {check['detail']}")
+    _write_text(report_path, _dump_json(report))
+    for check in checks:
+        print(f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}: {check['detail']}")
     print(f"report: {report_path}")
-    return 0 if report_obj["assertions"]["passed"] else 3
+    return 0 if report["assertions"]["passed"] else 3
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -211,7 +212,8 @@ class PulseSchedule:
             for e in w.events:
                 if e.qubit >= self.n_qubits:
                     raise ScheduleError(f"event qubit {e.qubit} out of range")
-            if w.start_ns < end_ns - 1e-9:
+            # windows may touch within rounding: 1e-9 ns, or a few ulps of the time
+            if w.start_ns < end_ns - max(1e-9, 4 * sys.float_info.epsilon * abs(w.start_ns)):
                 raise ScheduleError(
                     f"window {i} starts at {w.start_ns!r} ns, before the previous "
                     f"window ends at {end_ns!r} ns"

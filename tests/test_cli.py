@@ -489,6 +489,35 @@ def assert_matches_golden(got, want, path="report"):
         assert got == want, path
 
 
+_QUANTUM = {"experiment": "quantum_wire", "n_qubits": 5, "seed": 1}
+_CLASSICAL = {"experiment": "classical_wire", "n_qubits": 4, "bits": [1, 0]}
+_GATE = {"experiment": "gate", "eps_grid": [250.0, 2500.0, 25000.0]}
+#: One case per assertion key, each config running both modes: the key, its
+#: config, a limit that passes, the change that makes it fail, and the checks it
+#: prints in order, with their status when it fails.
+_KEY_CASES = [
+    ("min_reduced_fidelity", _QUANTUM, 0.999, {"assertions": {"min_reduced_fidelity": 1.5}},
+     [("min_reduced_fidelity", "FAIL")]),
+    ("max_reduced_phase_error", _QUANTUM, 1e-6,
+     {"assertions": {"max_reduced_phase_error": -1.0}}, [("max_reduced_phase_error", "FAIL")]),
+    ("min_corrected_fidelity", _QUANTUM, 0.99, {"assertions": {"min_corrected_fidelity": 1.5}},
+     [("min_corrected_fidelity", "FAIL")]),
+    # a 30 MHz parking bias (25 GHz by default) flips a full-mode bit; reduced mode
+    # models parked qubits as ideal
+    ("require_echo", _CLASSICAL, True, {"eps_high_mhz": 30.0},
+     [("echo_reduced", "PASS"), ("echo_full", "FAIL")]),
+    ("expect_latency_sequences", _CLASSICAL, 2,
+     {"assertions": {"expect_latency_sequences": 99}},
+     [("latency_reduced", "FAIL"), ("latency_full", "FAIL")]),
+    ("min_fidelity", {"experiment": "copy_table"}, 0.999, {"assertions": {"min_fidelity": 1.5}},
+     [("min_fidelity_reduced", "FAIL"), ("min_fidelity_full", "FAIL")]),
+    ("max_worst_infidelity", _GATE, 0.015, {"assertions": {"max_worst_infidelity": 1e-30}},
+     [("max_worst_infidelity", "FAIL")]),
+    ("slope_range", _GATE, [-2.5, -1.5], {"assertions": {"slope_range": [1.0, 2.0]}},
+     [("slope_range", "FAIL")]),
+]
+
+
 class TestRunCommand:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_bundled_configs_pass(self, capsys, tmp_path, name):
@@ -520,7 +549,8 @@ class TestRunCommand:
         for f in files:
             assert (a / f).read_bytes() == (b / f).read_bytes(), f
 
-    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("name", BUNDLED + (str(GOLDEN / "gate_config.json"),),
+                             ids=lambda name: pathlib.Path(name).stem)
     def test_reports_match_golden(self, capsys, tmp_path, name):
         code, _, _ = run_cli(capsys, "run", "--config", name, "--out-dir", str(tmp_path))
         assert code == 0
@@ -550,6 +580,55 @@ class TestRunCommand:
         code, out, _ = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
         assert code == 3
         assert any(l.startswith("FAIL") for l in out.splitlines())
+
+    @pytest.mark.parametrize("key, base, limit, breaks, failing", _KEY_CASES,
+                             ids=[case[0] for case in _KEY_CASES])
+    @pytest.mark.parametrize("passes", [True, False], ids=["passing", "failing"])
+    def test_every_assertion_key(self, capsys, tmp_path, key, base, limit, breaks, failing,
+                                 passes):
+        cfg = base | {"assertions": {key: limit}} | ({} if passes else breaks)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        lines = [l.split(":")[0].split() for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+        graded = [(name, status) for status, name in lines
+                  if name not in ("schedule_replay_clean", "line_check_ok")]
+        assert graded == [(name, "PASS" if passes else status) for name, status in failing]
+        assert code == (0 if passes else 3)
+
+    def test_every_assertion_key_has_a_case(self):
+        keys = [key for experiment in cli._ASSERTIONS.values() for key in experiment]
+        assert sorted(keys) == sorted(case[0] for case in _KEY_CASES)
+
+    @pytest.mark.parametrize(
+        "cfg, fragment",
+        [
+            ({"experiment": "gate", "mode": "reduced",
+              "assertions": {"max_worst_infidelity": 1e-30}},
+             "config.assertions.max_worst_infidelity: grades mode full, "
+             "which this config does not run"),
+            ({"experiment": "quantum_wire", "seed": 0, "mode": "full",
+              "assertions": {"min_reduced_fidelity": 2.0}},
+             "config.assertions.min_reduced_fidelity: grades mode reduced"),
+            ({"experiment": "quantum_wire", "seed": 0, "mode": "full",
+              "assertions": {"max_reduced_phase_error": 0.0}},
+             "config.assertions.max_reduced_phase_error: grades mode reduced"),
+            ({"experiment": "quantum_wire", "seed": 0, "mode": "reduced",
+              "assertions": {"min_corrected_fidelity": 2.0}},
+             "config.assertions.min_corrected_fidelity: grades mode full"),
+        ],
+        ids=["gate-worst-infidelity-reduced", "quantum-min-reduced-full",
+             "quantum-phase-error-full", "quantum-min-corrected-reduced"],
+    )
+    def test_assertion_on_a_mode_the_config_does_not_run_exits_1(
+        self, capsys, tmp_path, cfg, fragment
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and fragment in err
 
     def test_gate_config_with_sweep(self, capsys, tmp_path):
         cfg = {

@@ -101,6 +101,25 @@ class TestScheduleContainers:
         with pytest.raises(ScheduleError, match="before the previous window ends"):
             PulseSchedule(n_qubits=1, windows=(late, early))
 
+    @pytest.mark.parametrize("exponent", [5, 6, 9, 50, 150, 300])
+    def test_generators_accept_their_own_long_windows(self, design, exponent):
+        # window k starts at k * t_ns and window k - 1 ends at (k - 1) * t_ns + t_ns:
+        # the two round apart by an ulp, past 1e-9 ns once t_ns is ~1e5 ns
+        spec = chain_for(design, 12)
+        t_values = np.random.default_rng(exponent).uniform(0.5, 5.0, 10) * 10.0**exponent
+        for t_ns in [123456789.123, *t_values]:
+            quantum_channel_schedule(spec, 4, t_ns)
+            classical_channel_schedule(spec, [1, 0, 1, 1], t_ns)
+
+    def test_overlap_far_from_zero_is_refused(self):
+        first = bare_window(1, start=1e6, t=10.0)
+        with pytest.raises(ScheduleError, match="window 1 starts at 1000009.0 ns"):
+            PulseSchedule(n_qubits=1, windows=(first, bare_window(1, start=1e6 + 9.0)))
+        # an end time past the float range overlaps every later start
+        huge = bare_window(1, start=1e308, t=1e308)
+        with pytest.raises(ScheduleError, match="before the previous window ends at inf ns"):
+            PulseSchedule(n_qubits=1, windows=(huge, bare_window(1, start=1.5e308)))
+
     @pytest.mark.parametrize("n_qubits", [0, -1])
     def test_schedule_refuses_fewer_than_one_qubit(self, n_qubits):
         with pytest.raises(ScheduleError, match=f"n_qubits must be >= 1, got {n_qubits}"):
