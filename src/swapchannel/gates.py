@@ -4,15 +4,18 @@ All matrices are written in the chain's own basis ordering (leftmost listed
 qubit is the most significant bit).  The ideal gate carries the exact branch
 phases of a phase-exact design (M odd, N even): a held branch acquires -1, a
 flipped branch -i.
+Reduced mode takes every pulse from :func:`reduced_pulse_operator`, which
+caches its operators for the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .chain import TwoLevelParams, _z_values, effective_bias, is_unitary
+from .chain import ChainSpec, TwoLevelParams, _z_values, effective_bias, is_unitary
 from .evolve import propagator
 
 __all__ = ["PhasedGate", "ideal_cnot", "reduced_pulse_operator"]
@@ -60,24 +63,30 @@ def ideal_cnot() -> PhasedGate:
 
 
 def reduced_pulse_operator(
-    delta_mhz: float,
-    xi_mhz: float,
-    pulse_bias_mhz: float,
-    duration_ns: float,
-    *,
-    has_left: bool = True,
-    has_right: bool = True,
-) -> np.ndarray:
-    """Exact window propagator for one pulsed qubit with frozen neighbours.
+    spec: ChainSpec, qubit: int, bias_mhz: float, duration_ns: float
+) -> tuple[np.ndarray, int]:
+    """Exact window propagator for the pulsed ``qubit`` with frozen neighbours.
 
-    Returns the block operator over the chain-ordered qubits
-    (left?, target, right?): for each neighbour basis configuration the 2x2
-    block is the exact two-level propagator at the
+    Returns ``(op, first_qubit)``: the read-only block operator over the
+    chain-ordered qubits (left?, target, right?), where only a chain end lacks
+    a neighbour, and the first of them.  For each neighbour basis
+    configuration the 2x2 block is the exact two-level propagator at the
     :func:`~swapchannel.chain.effective_bias` of the target.  For a solved
     phase-exact design each block is a hold (-1) or a flip (-i), bit for bit.
     """
-    neighbours = int(has_left) + int(has_right)
-    k = 1 + neighbours
+    if not 0 <= qubit < spec.n_qubits:
+        raise ValueError(f"qubit {qubit} out of range for n={spec.n_qubits}")
+    has_left, has_right = qubit > 0, qubit < spec.n_qubits - 1
+    op = _block_operator(spec.delta_mhz, spec.xi_mhz, bias_mhz, duration_ns, has_left, has_right)
+    return op, qubit - has_left
+
+
+@lru_cache(maxsize=256)
+def _block_operator(
+    delta_mhz: float, xi_mhz: float, pulse_bias_mhz: float, duration_ns: float,
+    has_left: bool, has_right: bool,
+) -> np.ndarray:
+    k = 1 + has_left + has_right
     target_axis = int(has_left)
     # one row per neighbour configuration (target in |0>); the target adds nothing
     z = _z_values(k)
@@ -94,4 +103,6 @@ def reduced_pulse_operator(
     out = np.moveaxis(
         out.reshape((2,) * (2 * k)), (k - 1, 2 * k - 1), (target_axis, k + target_axis)
     )
-    return out.reshape(1 << k, 1 << k)
+    op = out.reshape(1 << k, 1 << k)
+    op.flags.writeable = False
+    return op

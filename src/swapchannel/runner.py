@@ -9,8 +9,9 @@ without asking which one it holds.  It has two modes:
 
 * ``reduced``: each intended pulse is the exact neighbour-conditioned
   two-level propagator at the window's bias for the pulsed qubit (parked
-  qubits frozen).  For a solved phase-exact design it realises the ideal gate
-  algebra bit for bit.  Wire runs keep the pure state as an exact
+  qubits frozen), from :func:`~swapchannel.gates.reduced_pulse_operator`,
+  which caches it.  For a solved phase-exact design it realises the ideal
+  gate algebra bit for bit.  Wire runs keep the pure state as an exact
   matrix-product state (:class:`~swapchannel.mps.MPS`), whose bonds stay at
   dimension 2 on designed schedules, so a wire costs O(L), not O(2^L).  A
   reset keeps the read qubit's dominant local branch, so an entangled read
@@ -44,10 +45,10 @@ import numpy as np
 from .chain import (
     ChainSpec, _z_values, build_hamiltonian, effective_bias, phase_angle, wrap_phase
 )
-from .evolve import QuantumState, eigensystem, propagator
+from .evolve import QuantumState, _checked_amplitudes, eigensystem, propagator
 from .gates import ideal_cnot, reduced_pulse_operator
 from .mps import MPS
-from .scheduler import PulseSchedule, ScheduleError, Window
+from .scheduler import PulseSchedule, ScheduleError
 from .solver import GateDesign
 
 __all__ = [
@@ -92,9 +93,7 @@ def _window_unitary(spec: ChainSpec, design: GateDesign, mode: str) -> np.ndarra
     if spec.n_qubits != 3:
         raise ValueError(f"gate experiment runs on a 3-qubit chain, got {spec.n_qubits}")
     if mode == "reduced":
-        return reduced_pulse_operator(
-            spec.delta_mhz, spec.xi_mhz, 0.0, design.t_ns, has_left=True, has_right=True
-        )
+        return reduced_pulse_operator(spec, 1, 0.0, design.t_ns)[0]
     if mode == "full":
         biases = [spec.eps_high_mhz, 0.0, spec.eps_high_mhz]
         return propagator(build_hamiltonian(spec, biases), design.t_ns)
@@ -188,10 +187,8 @@ class SweepPoint:
     distance: float
 
 
-def sweep_eps_high(
-    design: GateDesign, eps_grid: Sequence[float], *, mode: str = "full"
-) -> tuple[SweepPoint, ...]:
-    """Gate quality versus parking bias, all else fixed by the design."""
+def sweep_eps_high(design: GateDesign, eps_grid: Sequence[float]) -> tuple[SweepPoint, ...]:
+    """Full-mode gate quality versus parking bias (the reduced model's is flat)."""
     points = []
     for eps in eps_grid:
         spec = ChainSpec(
@@ -200,7 +197,7 @@ def sweep_eps_high(
             xi_mhz=design.xi_mhz,
             eps_high_mhz=float(eps),
         )
-        report = run_gate_experiment(spec, design, mode=mode)
+        report = run_gate_experiment(spec, design, mode="full")
         points.append(
             SweepPoint(
                 eps_high_mhz=float(eps),
@@ -310,29 +307,6 @@ class TransferReport:
         return min(r.fidelity_corrected for r in self.records)
 
 
-def _reduced_pulse_cache(spec: ChainSpec):
-    """``op_for(qubit, window)``: the pulse operator at the window's bias for
-    that qubit, and the first qubit it acts on."""
-    cache: dict[tuple, np.ndarray] = {}
-
-    def op_for(qubit: int, window: Window) -> tuple[np.ndarray, int]:
-        has_left = qubit > 0
-        has_right = qubit < spec.n_qubits - 1
-        key = (has_left, has_right, window.biases_mhz[qubit], window.duration_ns)
-        if key not in cache:
-            cache[key] = reduced_pulse_operator(
-                spec.delta_mhz,
-                spec.xi_mhz,
-                window.biases_mhz[qubit],
-                window.duration_ns,
-                has_left=has_left,
-                has_right=has_right,
-            )
-        return cache[key], qubit - has_left
-
-    return op_for
-
-
 def _require_states(schedule: PulseSchedule, data_states: Sequence) -> list[np.ndarray]:
     """The data states as arrays, once every data index the schedule injects
     or reads (in windows and in ``final_events``) names one of them
@@ -342,15 +316,12 @@ def _require_states(schedule: PulseSchedule, data_states: Sequence) -> list[np.n
     for e in events:
         if e.kind in ("inject", "read_reset") and e.data_index is not None:
             indices.add(e.data_index)
-    states = [np.asarray(s, dtype=complex) for s in data_states]
+    states = [_checked_amplitudes(s) for s in data_states]
     if indices and max(indices) >= len(states):
         raise ValueError(
             f"schedule injects or reads data indices {sorted(indices)} but "
             f"{len(states)} states were supplied"
         )
-    for s in states:
-        if s.shape != (2,) or abs(np.linalg.norm(s) - 1.0) > 1e-9:
-            raise ValueError("each data state must be a normalised 2-vector")
     return states
 
 
@@ -386,7 +357,6 @@ def _execute(
         angles = compute_frame_correction(schedule, spec)
         branches["corrected"] = QuantumState.ground(spec.n_qubits)
 
-    op_for = _reduced_pulse_cache(spec)
     prop_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def do_boundary(events, window_index):
@@ -403,7 +373,10 @@ def _execute(
     for i, window in enumerate(schedule.windows):
         do_boundary(window.boundary_events(), i)
         if reduced:
-            branches["raw"].apply_layer([op_for(q, window) for q in window.gate_targets()])
+            branches["raw"].apply_layer([
+                reduced_pulse_operator(spec, q, window.biases_mhz[q], window.duration_ns)
+                for q in window.gate_targets()
+            ])
             continue
         key = (window.biases_mhz, window.duration_ns)
         if key not in prop_cache:
@@ -440,18 +413,23 @@ def run_quantum_channel(
 ) -> TransferReport:
     """Drive a swapping-wire schedule and grade every read-out state.
 
-    In reduced mode the run is frame-exact, so the raw and corrected columns
-    of each record coincide.  In full mode the raw column is the lab frame
-    and the corrected column has the per-window idle-phase correction
-    interleaved.
+    The raw column is the lab frame.  The corrected column undoes the Z
+    each swap leaves on the data it moves (the replay's
+    :attr:`~swapchannel.scheduler.ReadRecord.z_parity`), so in reduced mode
+    the two differ on even-length wires only; in full mode it also has the
+    per-window idle-phase correction interleaved.
     """
     targets = [np.asarray(s, dtype=complex) for s in data_states]
     records: list[TransferRecord] = []
+    frames = iter(schedule.replay.reads)  # in the order the engine reads
 
     def on_read(e, window_index, reads):
         target = targets[e.data_index] if e.data_index is not None else None
         raw = _grade(*reads["raw"], target)
-        cor = _grade(*reads["corrected"], target) if "corrected" in reads else raw
+        rho2, purity = reads.get("corrected", reads["raw"])
+        if next(frames).z_parity:
+            rho2 = rho2 * np.array([[1.0, -1.0], [-1.0, 1.0]])  # Z rho Z
+        cor = _grade(rho2, purity, target)
         records.append(
             TransferRecord(
                 data_index=e.data_index if e.data_index is not None else -1,

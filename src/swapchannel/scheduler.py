@@ -522,6 +522,7 @@ class ReadRecord:
     qubit: int
     data_index: int | None
     symbol: int | None  # the data index the qubit held; None = parked |0>
+    z_parity: int = 0  # swaps of that data since its inject, mod 2: a Z each
 
 
 @dataclass(frozen=True, eq=False)
@@ -575,12 +576,17 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
     symbols), so a copy whose symbols differ is undecidable.  Inject into
     anything but a parked qubit, an undecidable comparison, or a disturbed
     sacrificial qubit each yield a violation.
+
+    Each read records its data's swaps since the inject, mod 2
+    (:attr:`ReadRecord.z_parity`): a swap leaves a Z on the data it moves, and
+    a copy, which writes basis data, starts the count again.
     """
     n = schedule.n_qubits
     windows = schedule.windows
     # qubit -> the data index it holds; every other qubit is parked, and so
     # are the end qubits' missing neighbours -1 and n, which are never keys
     occ: dict[int, int] = {}
+    z_parity: dict[int, int] = {}  # qubit -> z_parity of the data it holds
     rows: list[bytearray] = []  # per window, 1 for each qubit holding data
 
     violations: list[Violation] = []
@@ -601,6 +607,7 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
                         qubit=e.qubit,
                         data_index=e.data_index,
                         symbol=occ.pop(e.qubit, None),
+                        z_parity=z_parity.pop(e.qubit, 0),
                     )
                 )
             elif e.kind == "inject":
@@ -617,6 +624,7 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
                         )
                     )
                 occ[e.qubit] = e.data_index
+                z_parity[e.qubit] = 0
 
     targets = [frozenset(w.gate_targets()) for w in windows]
     boundaries = [w.boundary_events() for w in windows]
@@ -650,6 +658,7 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
             rows.append(rows[-1])
             partner = {a: b for a, b in pairs} | {b: a for a, b in pairs}
             occ = {partner.get(q, q): symbol for q, symbol in occ.items()}
+            z_parity = {partner.get(q, q): p ^ (q in partner) for q, p in z_parity.items()}
             snapshot()
             i += 3
             continue
@@ -672,6 +681,7 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
         copied = {q: occ[q - 1] for q in t0 if q - 1 in occ}
         for q in t0:
             occ.pop(q, None)
+            z_parity.pop(q, None)
         occ.update(copied)
         i += 1
 

@@ -139,31 +139,25 @@ def dense_reduced_replay(spec, schedule, inject_amplitudes, on_read, *, inject_t
     for i, window in enumerate(schedule.windows):
         boundary(window.boundary_events(), i)
         for q in window.gate_targets():
-            has_left, has_right = q > 0, q < n - 1
-            op = reduced_pulse_operator(
-                spec.delta_mhz,
-                spec.xi_mhz,
-                window.biases_mhz[q],
-                window.duration_ns,
-                has_left=has_left,
-                has_right=has_right,
-            )
-            state = apply_local_unitary(state, op, q - has_left)
+            op, first = reduced_pulse_operator(spec, q, window.biases_mhz[q], window.duration_ns)
+            state = apply_local_unitary(state, op, first)
     boundary(schedule.final_events, None)
     return state
 
 
-def dense_reduced_wire(spec, schedule, states, *, purity_tol=1e-3, read_tol=1e-6):
+def dense_reduced_wire(spec, schedule, states, *, purity_tol=1e-3, read_tol=1e-6, z_power=0):
     """Reduced-mode quantum wire on a dense vector: ``(records, final_state)``
     with one ``(data_index, window_index, fidelity, phase_error, purity)``
-    tuple per read, computed as ``run_quantum_channel`` grades a read.
-    ``read_tol`` is the purity tolerance of the |0> inject that resets a
-    read qubit."""
+    tuple per read, computed as ``run_quantum_channel`` grades a read, after
+    ``Z^z_power`` on the read qubit.  ``read_tol`` is the purity tolerance of
+    the |0> inject that resets a read qubit."""
+    z = np.diag([1.0, -1.0]) if z_power % 2 else np.eye(2)
     states = [np.asarray(s, dtype=complex) for s in states]
     records = []
 
     def on_read(state, e, w):
         rho2, purity = reduced_state(state, e.qubit)
+        rho2 = z @ rho2 @ z
         if e.data_index is None:
             records.append((-1, w, float("nan"), 0.0, purity))
             return

@@ -92,14 +92,9 @@ def test_criterion_03_reduced_controlled_flip():
 
 def test_criterion_04_three_pulses_swap_with_pi():
     design = solve_parameters(10.0, m=1, n=0)
-    left = reduced_pulse_operator(
-        design.delta_mhz, design.xi_mhz, design.xi_mhz, design.t_ns,
-        has_left=False, has_right=True,
-    )
-    right = reduced_pulse_operator(
-        design.delta_mhz, design.xi_mhz, design.xi_mhz, design.t_ns,
-        has_left=True, has_right=False,
-    )
+    pair = ChainSpec(n_qubits=2, delta_mhz=design.delta_mhz, xi_mhz=design.xi_mhz)
+    left, _ = reduced_pulse_operator(pair, 0, design.xi_mhz, design.t_ns)
+    right, _ = reduced_pulse_operator(pair, 1, design.xi_mhz, design.t_ns)
     composed = left @ right @ left
     worst = 0.0
     for amps in _random_states(20):
@@ -141,7 +136,7 @@ def test_criterion_06_parking_bias_scaling():
     start = time.monotonic()
     design = solve_parameters(10.0, m=1, n=0)
     grid = [design.delta_mhz * r for r in (10.0, 100.0, 1000.0, 10000.0)]
-    points = sweep_eps_high(design, grid, mode="full")
+    points = sweep_eps_high(design, grid)
     slope = infidelity_slope(points)
     assert -2.5 < slope < -1.5
 

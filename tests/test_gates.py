@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import chain_for
 from oracles import loop_reduced_pulse_operator, rabi_u2
+from swapchannel import ChainSpec
 from swapchannel.gates import PhasedGate, ideal_cnot, reduced_pulse_operator
 
 
@@ -61,11 +63,8 @@ class TestIdealGates:
     def test_swap_matches_brute_force(self, design):
         # On a 2-qubit chain both qubits are ends, pulsed at bias +xi: the
         # exact pulse operators (first, second, first) compose to the swap.
-        ends = [
-            reduced_pulse_operator(design.delta_mhz, design.xi_mhz, design.xi_mhz,
-                                   design.t_ns, has_left=q == 1, has_right=q == 0)
-            for q in (0, 1)
-        ]
+        spec = chain_for(design, 2)
+        ends = [reduced_pulse_operator(spec, q, design.xi_mhz, design.t_ns)[0] for q in (0, 1)]
         assert_allclose(ends[0] @ ends[1] @ ends[0], brute_force_swap(), atol=1e-9)
 
     def test_swap_exchanges_amplitudes(self, rng):
@@ -101,9 +100,8 @@ class TestIdealGates:
         # differ, and holds it with -1 iff they agree; an end qubit, pulsed
         # at +xi, sees a virtual |0> in place of its missing neighbour.
         interior = len(states) == 2
-        op = reduced_pulse_operator(design.delta_mhz, design.xi_mhz,
-                                    0.0 if interior else design.xi_mhz, design.t_ns,
-                                    has_left=True, has_right=interior)
+        op, _ = reduced_pulse_operator(chain_for(design, 3), 1 if interior else 2,
+                                       0.0 if interior else design.xi_mhz, design.t_ns)
         if interior:
             rows = [(states[0] << 2) | (t << 1) | states[1] for t in (0, 1)]
         else:
@@ -114,9 +112,8 @@ class TestIdealGates:
 
 class TestReducedPulseOperator:
     def test_interior_design_point_blocks(self, design):
-        op = reduced_pulse_operator(
-            design.delta_mhz, design.xi_mhz, 0.0, design.t_ns
-        )
+        op, first = reduced_pulse_operator(chain_for(design, 3), 1, 0.0, design.t_ns)
+        assert first == 0
         assert op.shape == (8, 8)
         hold = -np.eye(2)
         flip = np.array([[0, -1j], [-1j, 0]])
@@ -129,14 +126,8 @@ class TestReducedPulseOperator:
 
     def test_end_qubit_design_point_is_cnot(self, design):
         # End pulse at bias xi with the single neighbour as control.
-        op = reduced_pulse_operator(
-            design.delta_mhz,
-            design.xi_mhz,
-            design.xi_mhz,
-            design.t_ns,
-            has_left=True,
-            has_right=False,
-        )
+        op, first = reduced_pulse_operator(chain_for(design, 3), 2, design.xi_mhz, design.t_ns)
+        assert first == 1
         assert op.shape == (4, 4)
         assert_allclose(op, ideal_cnot().matrix, atol=1e-9)
 
@@ -144,7 +135,7 @@ class TestReducedPulseOperator:
         # Away from the solved point the blocks must still be the exact
         # two-level rotations for each neighbour configuration.
         delta, xi, bias, t = 17.0, 9.0, 4.0, 6.3
-        op = reduced_pulse_operator(delta, xi, bias, t)
+        op, _ = reduced_pulse_operator(ChainSpec(3, delta, xi), 1, bias, t)
         for zl in (0, 1):
             for zr in (0, 1):
                 sigma = bias + xi * ((1 - 2 * zl) + (1 - 2 * zr))
@@ -154,30 +145,42 @@ class TestReducedPulseOperator:
                 )
 
     def test_off_resonant_pulse_is_not_a_gate(self, design):
-        op = reduced_pulse_operator(
-            design.delta_mhz, design.xi_mhz, 0.0, design.t_ns * 0.9
-        )
+        op, _ = reduced_pulse_operator(chain_for(design, 3), 1, 0.0, design.t_ns * 0.9)
         hold_block = op[np.ix_([0, 2], [0, 2])]
         assert not np.allclose(hold_block, -np.eye(2), atol=1e-3)
 
     @pytest.mark.parametrize(
-        "has_left, has_right", [(True, True), (True, False), (False, True)]
+        "has_left, has_right", [(True, True), (True, False), (False, True), (False, False)]
     )
     def test_matches_loop_oracle_bit_for_bit(self, has_left, has_right, design, rng):
-        # the design point (an end qubit pulses at +xi), then random points
+        # every qubit of the chains n = 1..4 whose neighbours are these
+        # (n = 1 is the neighbourless 2x2 pulse): the design point (an end
+        # qubit pulses at +xi), then random points
         pulse_bias = 0.0 if has_left and has_right else design.xi_mhz
         cases = [(design.delta_mhz, design.xi_mhz, pulse_bias, design.t_ns)]
         for _ in range(40):
             delta, xi = rng.uniform(0.1, 100.0, size=2)
             cases.append((delta, xi, rng.uniform(-200.0, 200.0), rng.uniform(0.0, 50.0)))
-        for args in cases:
-            kwargs = {"has_left": has_left, "has_right": has_right}
-            got = reduced_pulse_operator(*args, **kwargs)
-            assert np.array_equal(got, loop_reduced_pulse_operator(*args, **kwargs))
+        chains = [(n, q) for n in range(1, 5) for q in range(n)
+                  if (q > 0, q < n - 1) == (has_left, has_right)]
+        assert chains
+        for n, q in chains:
+            for delta, xi, bias, t in cases:
+                op, first = reduced_pulse_operator(ChainSpec(n, delta, xi), q, bias, t)
+                want = loop_reduced_pulse_operator(
+                    delta, xi, bias, t, has_left=has_left, has_right=has_right
+                )
+                assert np.array_equal(op, want)
+                assert first == q - (q > 0)
+                assert not op.flags.writeable
+
+    def test_qubit_outside_the_chain_is_refused(self, design):
+        for q in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                reduced_pulse_operator(chain_for(design, 3), q, 0.0, design.t_ns)
 
     def test_unitarity(self, design):
-        for kwargs in ({}, {"has_left": False}, {"has_right": False}):
-            op = reduced_pulse_operator(
-                design.delta_mhz, design.xi_mhz, 1.0, 4.0, **kwargs
-            )
+        spec = chain_for(design, 3)
+        for q in range(3):
+            op, _ = reduced_pulse_operator(spec, q, 1.0, 4.0)
             assert_allclose(op @ op.conj().T, np.eye(op.shape[0]), atol=1e-12)

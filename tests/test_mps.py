@@ -31,7 +31,6 @@ from swapchannel import (
 )
 from swapchannel.chain import wrap_phase
 from swapchannel.evolve import INJECT_PURITY_TOL, QuantumState, sample_trajectory
-from swapchannel.gates import reduced_pulse_operator
 from swapchannel.mps import MPS
 
 SNAP_EPS = 25000.0
@@ -246,16 +245,20 @@ class TestReducedRunnerAgainstDense:
         states = _random_states(rng, n_states)
         report = run_quantum_channel(spec, sch, states, mode="reduced")
         expected, final = dense_reduced_wire(spec, sch, states)
-        assert len(report.records) == len(expected) == n_states
-        for rec, (idx, w, fid, phase, purity) in zip(report.records, expected):
+        # the L - 1 swaps of each state leave Z^(L - 1), which the corrected column undoes
+        framed, _ = dense_reduced_wire(spec, sch, states, z_power=(n_qubits - 1) % 2)
+        assert len(report.records) == len(expected) == len(framed) == n_states
+        for rec, (idx, w, fid, phase, purity), (*_, fid_c, phase_c, purity_c) in zip(
+            report.records, expected, framed
+        ):
             assert (rec.data_index, rec.window_index) == (idx, w)
             want = dict(
                 fidelity_raw=fid,
-                fidelity_corrected=fid,
+                fidelity_corrected=fid_c,
                 phase_error_raw=phase,
-                phase_error_corrected=phase,
+                phase_error_corrected=phase_c,
                 purity_raw=purity,
-                purity_corrected=purity,
+                purity_corrected=purity_c,
             )
             for field in RECORD_FIELDS:
                 got = getattr(rec, field)

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import chain_for, random_qubit_amplitudes
 from oracles import dense_reduced_wire, dense_rho_run, expm_propagator, kron_hamiltonian
+import swapchannel.gates as gates
 import swapchannel.runner as runner
 import swapchannel.scheduler as scheduler
 from swapchannel import (
@@ -200,7 +201,7 @@ class TestCopyTruthTable:
 class TestSweep:
     def test_slope_is_minus_two(self, design):
         grid = [design.delta_mhz * r for r in (10.0, 100.0, 1000.0, 10000.0)]
-        points = sweep_eps_high(design, grid, mode="full")
+        points = sweep_eps_high(design, grid)
         assert [p.eps_high_mhz for p in points] == grid
         infids = [p.worst_infidelity for p in points]
         assert all(a > b for a, b in zip(infids, infids[1:]))
@@ -208,12 +209,12 @@ class TestSweep:
         assert -2.3 < slope < -1.7
 
     def test_slope_needs_two_points(self, design):
-        points = sweep_eps_high(design, [1000.0], mode="full")
+        points = sweep_eps_high(design, [1000.0])
         with pytest.raises(ValueError):
             infidelity_slope(points)
 
     def test_slope_needs_two_distinct_biases(self, design):
-        points = sweep_eps_high(design, [1000.0, 1000.0, 1000.0], mode="full")
+        points = sweep_eps_high(design, [1000.0, 1000.0, 1000.0])
         with pytest.raises(ValueError, match="two or more distinct biases"):
             infidelity_slope(points)
 
@@ -328,6 +329,37 @@ class TestQuantumChannel:
         r = report.records[0]
         assert r.fidelity_raw > 1.0 - 1e-12 or abs(r.phase_error_raw) > 1e-6
         assert_allclose(abs(r.phase_error_raw), np.pi, atol=1e-9)
+
+    @pytest.mark.parametrize("n_qubits", [4, 6, 8])
+    def test_even_chain_corrected_column_tracks_the_pauli_frame(self, design, n_qubits):
+        # The L - 1 swaps leave a Z on each state; the corrected column undoes
+        # it, and the raw column keeps the phase of pi.
+        spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, 2, design.t_ns)
+        probe = np.array([1.0, 1j]) / np.sqrt(2.0)
+        report = run_quantum_channel(spec, sch, [probe, probe], mode="reduced")
+        assert len(report.records) == 2
+        for r in report.records:
+            assert r.fidelity_corrected >= 1.0 - 1e-9
+            assert abs(r.phase_error_corrected) < 1e-9
+            assert r.fidelity_raw < 1e-9
+            assert_allclose(abs(r.phase_error_raw), np.pi, atol=1e-9)
+
+    def test_even_full_mode_wire_corrected_column_tracks_the_pauli_frame(self, design):
+        spec = chain_for(design, 6, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, 2, design.t_ns)
+        probe = np.array([1.0, 1j]) / np.sqrt(2.0)
+        report = run_quantum_channel(spec, sch, [probe, probe], mode="full")
+        assert report.min_fidelity_corrected >= 0.999
+
+    def test_a_second_reduced_run_builds_no_pulse_operator(self, design, rng, monkeypatch):
+        # reduced_pulse_operator keeps its blocks for the process
+        spec = chain_for(design, 7, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, 2, design.t_ns)
+        states = [np.array(random_qubit_amplitudes(rng)) for _ in range(2)]
+        first = run_quantum_channel(spec, sch, states, mode="reduced")
+        monkeypatch.setattr(gates, "propagator", None)  # a build would raise
+        assert run_quantum_channel(spec, sch, states, mode="reduced") == first
 
     def test_full_mode_needs_frame_correction(self, design, rng):
         spec = chain_for(design, 5, eps_high=SNAP_EPS)

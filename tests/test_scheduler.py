@@ -287,6 +287,20 @@ class TestSwapPulses:
             [False, False, True, False],
         ]
 
+    def test_replay_counts_swaps_since_the_inject(self):
+        # data 0 swaps 1 -> 2 and is read there; data 1, injected into the
+        # same qubit, swaps 2 -> 3: each read counts one swap, mod 2
+        n = 5
+        windows = [bare_window(n, [q], start=10.0 * i) for i, q in enumerate((1, 2, 1, 2, 3, 2))]
+        windows[0] = bare_window(n, [1], [PulseEvent(kind="inject", qubit=1, data_index=0)])
+        windows[3] = bare_window(n, [2], [PulseEvent(kind="read_reset", qubit=2, data_index=0),
+                                          PulseEvent(kind="inject", qubit=2, data_index=1)],
+                                 start=30.0)
+        final = (PulseEvent(kind="read_reset", qubit=3, data_index=1),)
+        result = replay_occupancy(PulseSchedule(n, tuple(windows), final))
+        assert result.ok, result.violations
+        assert [(r.symbol, r.z_parity) for r in result.reads] == [(0, 1), (1, 1)]
+
 
 class TestQuantumChannelSchedule:
     def test_window_count(self, design):
@@ -330,6 +344,11 @@ class TestQuantumChannelSchedule:
                 assert result.data_held.shape == (sch.n_windows, L)
                 assert [r.symbol for r in result.reads] == list(range(n_states))
                 assert result.data_held.sum(axis=1).max() <= n_states
+
+    def test_reads_carry_the_parity_of_l_minus_1_swaps(self, design):
+        for L in range(3, 9):
+            sch, _ = quantum_channel_schedule(chain_for(design, L), 2, design.t_ns)
+            assert [r.z_parity for r in sch.replay.reads] == [(L - 1) % 2] * 2
 
     def test_line_counts(self, design):
         for L in (5, 7, 9, 11, 13):
