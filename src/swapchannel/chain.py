@@ -32,7 +32,6 @@ __all__ = [
     "phase_angle",
     "wrap_phase",
     "is_hermitian",
-    "is_unitary",
     "build_hamiltonian",
     "effective_bias",
 ]
@@ -53,20 +52,27 @@ def wrap_phase(phi):
     return float(wrapped) if np.ndim(phi) == 0 else wrapped
 
 
-def is_hermitian(op: np.ndarray, tol: float = 1e-9) -> bool:
+def is_hermitian(op: np.ndarray) -> bool:
+    """Square and Hermitian within 1e-9 of its largest entry (or of 1)."""
     op = np.asarray(op)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         return False
     scale = max(1.0, float(np.max(np.abs(op))))
-    return bool(np.max(np.abs(op - op.conj().T)) <= tol * scale)
+    return bool(np.max(np.abs(op - op.conj().T)) <= 1e-9 * scale)
 
 
-def is_unitary(op: np.ndarray, tol: float = 1e-9) -> bool:
-    op = np.asarray(op)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        return False
-    eye = np.eye(op.shape[0])
-    return bool(np.max(np.abs(op.conj().T @ op - eye)) <= tol)
+def _real(value, what: str) -> float:
+    """``value`` as a finite plain float: ints and numpy reals are taken, a
+    bool or a non-number is refused."""
+    if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -83,10 +89,13 @@ class ChainSpec:
     eps_high_mhz: float | None = None
 
     def __post_init__(self):
+        n = self.n_qubits
+        if type(n) is bool or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n_qubits must be an integer, got {n!r}")
+        object.__setattr__(self, "n_qubits", int(n))
         for name in ("delta_mhz", "xi_mhz", "eps_high_mhz"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if name != "eps_high_mhz" or self.eps_high_mhz is not None:
+                object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         if self.delta_mhz <= 0:
@@ -98,10 +107,6 @@ class ChainSpec:
         elif self.eps_high_mhz <= 0:
             raise ValueError("eps_high_mhz must be > 0 when given")
 
-    def hold_biases(self) -> np.ndarray:
-        """Bias profile with every qubit parked at +eps_high."""
-        return np.full(self.n_qubits, float(self.eps_high_mhz))
-
 
 @dataclass(frozen=True)
 class TwoLevelParams:
@@ -112,9 +117,7 @@ class TwoLevelParams:
 
     def __post_init__(self):
         for name in ("delta_mhz", "effective_bias_mhz"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.delta_mhz <= 0:
             raise ValueError(f"delta_mhz must be > 0, got {self.delta_mhz}")
 
@@ -148,7 +151,7 @@ def build_hamiltonian(spec: ChainSpec, biases_mhz: Sequence[float]) -> np.ndarra
     if n > DEFAULT_MAX_QUBITS:
         raise ValueError(
             f"refusing to build a {n}-qubit dense operator "
-            f"(max_qubits={DEFAULT_MAX_QUBITS})"
+            f"(DEFAULT_MAX_QUBITS={DEFAULT_MAX_QUBITS})"
         )
     biases = np.asarray(biases_mhz, dtype=float)
     if biases.shape != (n,):

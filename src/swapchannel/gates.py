@@ -10,56 +10,21 @@ caches its operators for the process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainSpec, TwoLevelParams, _z_values, effective_bias, is_unitary
+from .chain import ChainSpec, TwoLevelParams, _z_values, effective_bias
 from .evolve import propagator
 
-__all__ = ["PhasedGate", "ideal_cnot", "reduced_pulse_operator"]
+__all__ = ["IDEAL_CNOT", "reduced_pulse_operator"]
 
-_ALLOWED_DIMS = (2, 4, 8)
-
-
-@dataclass(frozen=True)
-class PhasedGate:
-    """A unitary with its phases taken literally (no global-phase freedom)."""
-
-    matrix: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _ALLOWED_DIMS:
-            raise ValueError(f"gate must be square with dim in {_ALLOWED_DIMS}, got {m.shape}")
-        if not is_unitary(m, tol=1e-10):
-            raise ValueError(f"gate {self.label!r} is not unitary within 1e-10")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def ideal_cnot() -> PhasedGate:
-    """Controlled flip in |control, target> ordering.
-
-    Control |0>: target held, branch phase -1.  Control |1>: target flipped,
-    branch phase -i.
-    """
-    m = np.array(
-        [
-            [-1, 0, 0, 0],
-            [0, -1, 0, 0],
-            [0, 0, 0, -1j],
-            [0, 0, -1j, 0],
-        ],
-        dtype=complex,
-    )
-    return PhasedGate(matrix=m, label="cnot")
+#: Controlled flip in |control, target> ordering, read-only.  Control |0>:
+#: target held, branch phase -1.  Control |1>: target flipped, branch phase -i.
+IDEAL_CNOT = np.array(
+    [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, -1j], [0, 0, -1j, 0]], dtype=complex
+)
+IDEAL_CNOT.flags.writeable = False
 
 
 def reduced_pulse_operator(

@@ -42,22 +42,20 @@ class MPS:
     relative to the norm of the state it split.
     """
 
-    def __init__(self, tensors: Sequence[np.ndarray], center: int = 0):
-        self.tensors = [np.asarray(t, dtype=complex) for t in tensors]
-        if not self.tensors or not 0 <= center < len(self.tensors):
-            raise ValueError(f"centre {center} out of range for {len(self.tensors)} tensors")
-        self.center = center
-        self.max_bond = max(t.shape[2] for t in self.tensors)
+    def __init__(self, n_qubits: int):
+        """Product state |0...0>, its centre at qubit 0."""
+        if n_qubits < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+        ket0 = np.array([1.0, 0.0], dtype=complex).reshape(1, 2, 1)
+        self.tensors = [ket0.copy() for _ in range(n_qubits)]
+        self.center = 0
+        self.max_bond = 1
         self.discarded_weight = 0.0
 
     @classmethod
     def ground(cls, n_qubits: int) -> "MPS":
         """Product state |0...0>."""
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-        ket0 = np.zeros((1, 2, 1), dtype=complex)
-        ket0[0, 0, 0] = 1.0
-        return cls([ket0.copy() for _ in range(n_qubits)])
+        return cls(n_qubits)
 
     @property
     def n_qubits(self) -> int:

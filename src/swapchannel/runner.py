@@ -46,7 +46,7 @@ from .chain import (
     ChainSpec, _z_values, build_hamiltonian, effective_bias, phase_angle, wrap_phase
 )
 from .evolve import QuantumState, _checked_amplitudes, eigensystem, propagator
-from .gates import ideal_cnot, reduced_pulse_operator
+from .gates import IDEAL_CNOT, reduced_pulse_operator
 from .mps import MPS
 from .scheduler import PulseSchedule, ScheduleError
 from .solver import GateDesign
@@ -114,9 +114,8 @@ def run_gate_experiment(
     u8 = _window_unitary(spec, design, mode)
     # parked sector (qubit 0 in |0>) from |target, control> to |control, target> order
     g = u8[:4, :4].reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    ideal = ideal_cnot().matrix
-    b0 = np.sum(ideal[:2, :2].conj() * g[:2, :2])
-    b1 = np.sum(ideal[2:, 2:].conj() * g[2:, 2:])
+    b0 = np.sum(IDEAL_CNOT[:2, :2].conj() * g[:2, :2])
+    b1 = np.sum(IDEAL_CNOT[2:, 2:].conj() * g[2:, 2:])
     norm2 = float(np.sum(np.abs(g) ** 2))
     distance = float(np.sqrt(max(0.0, norm2 + 4.0 - 2.0 * (abs(b0) + abs(b1)))))
 
@@ -134,7 +133,7 @@ def run_gate_experiment(
     v = np.zeros(4, dtype=complex)
     v[0] = v[2] = 1.0 / np.sqrt(2.0)  # (|0> + |1>)_control x |0>_target
     out = g @ v
-    want = ideal @ v
+    want = IDEAL_CNOT @ v
     denom = float(np.linalg.norm(out)) or 1.0
     sup_fid = float(abs(np.vdot(want, out)) ** 2) / denom**2
 

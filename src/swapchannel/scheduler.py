@@ -305,28 +305,16 @@ def _window(
     lines: LineAssignment,
     extra_events: Sequence[PulseEvent] = (),
 ) -> Window:
-    """One window pulsing ``targets``, its biases driven per line."""
-    value: dict[int, float] = {}
-    for q in targets:
-        line = lines.lines[q]
-        if line is None:
-            raise ScheduleError(f"pulsed qubit {q} has no line")
-        v = _pulse_bias(spec, q)
-        if line in value and value[line] != v:
-            raise ScheduleError(f"line {line} asked for two pulse values")
-        value[line] = v
+    """One window pulsing ``targets``, its biases driven per line.  Each
+    generator gives a pulsed qubit a line of its own pulse value (+xi at the
+    ends, 0 inside), as :func:`line_conflict_check` checks on any schedule."""
+    value = {lines.lines[q]: _pulse_bias(spec, q) for q in targets}
     # a qubit without a line is never pulsed: it holds at eps_high
-    hold = float(spec.eps_high_mhz)
-    biases = [value.get(line, hold) for line in lines.lines]
+    biases = [value.get(line, spec.eps_high_mhz) for line in lines.lines]
     events = tuple(extra_events) + tuple(
         PulseEvent(kind=_pulse_kind(spec, q), qubit=q) for q in sorted(targets)
     )
-    return Window(
-        start_ns=start_ns,
-        duration_ns=t_ns,
-        biases_mhz=biases,
-        events=events,
-    )
+    return Window(start_ns=start_ns, duration_ns=t_ns, biases_mhz=biases, events=events)
 
 
 def swap_pulses(

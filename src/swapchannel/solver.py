@@ -121,18 +121,16 @@ def solve_for_timestep(delta_mhz: float, m: int = 1, n: int = 0) -> GateDesign:
     return solve_parameters(t_ns, m=m, n=n)
 
 
-def copy_frequencies(
-    delta_mhz: float, xi_mhz: float, bias_mhz: float = 0.0
-) -> tuple[float, float, float]:
-    """The three oscillation frequencies of a pulsed interior qubit.
+def copy_frequencies(delta_mhz: float, xi_mhz: float) -> tuple[float, float, float]:
+    """The three oscillation frequencies of a qubit pulsed to 0 MHz.
 
     f1: neighbours equal (couplings add), f2: neighbours differ (couplings
     cancel), f3: a single neighbour only (end qubit, or one neighbour with the
-    other decoupled).  ``bias_mhz`` is the pulse value on the target itself.
+    other decoupled).
     """
-    f1 = 2.0 * math.hypot(delta_mhz, bias_mhz + 2.0 * xi_mhz)
-    f2 = 2.0 * math.hypot(delta_mhz, bias_mhz)
-    f3 = 2.0 * math.hypot(delta_mhz, bias_mhz + xi_mhz)
+    f1 = 2.0 * math.hypot(delta_mhz, 2.0 * xi_mhz)
+    f2 = 2.0 * abs(delta_mhz)
+    f3 = 2.0 * math.hypot(delta_mhz, xi_mhz)
     return f1, f2, f3
 
 
@@ -148,9 +146,9 @@ class GateConditionReport:
 
 
 def validate_gate_conditions(
-    design: GateDesign, *, phase_exact: bool = True, tol: float = 1e-9
+    design: GateDesign, *, phase_exact: bool = True
 ) -> GateConditionReport:
-    """Check f1*T = M and f2*T = N + 1/2 (cycle units) against the design.
+    """Check f1*T = M and f2*T = N + 1/2 in cycles, within 1e-9.
 
     With ``phase_exact`` (default) the parity conditions M odd / N even are
     also required, which pins the branch phases to exactly -1 and -i; without
@@ -159,8 +157,8 @@ def validate_gate_conditions(
     f1_cycles = design.f1_mhz * design.t_ns * 1e-3
     f2_cycles = design.f2_mhz * design.t_ns * 1e-3
     integral = (
-        abs(f1_cycles - design.m) <= tol
-        and abs(2.0 * f2_cycles - (2 * design.n + 1)) <= tol
+        abs(f1_cycles - design.m) <= 1e-9
+        and abs(2.0 * f2_cycles - (2 * design.n + 1)) <= 1e-9
     )
     m_odd = design.m % 2 == 1
     n_even = design.n % 2 == 0
@@ -170,8 +168,8 @@ def validate_gate_conditions(
     )
 
 
-def snapped_hold_bias(delta_mhz: float, t_ns: float, factor: float = 1000.0) -> float:
-    """Smallest bias >= factor*delta whose idle phase per window is 0 mod 2pi.
+def snapped_hold_bias(delta_mhz: float, t_ns: float) -> float:
+    """Smallest bias >= 1000*delta whose idle phase per window is 0 mod 2pi.
 
     A parked qubit at bias ``eps`` accrues a bare z phase of
     ``2*pi * eps * T * 1e-3`` per window; choosing ``eps = k * 1000 / T`` with
@@ -179,6 +177,5 @@ def snapped_hold_bias(delta_mhz: float, t_ns: float, factor: float = 1000.0) -> 
     """
     if t_ns <= 0:
         raise ValueError(f"t_ns must be > 0, got {t_ns}")
-    target = factor * delta_mhz
-    k = math.ceil(target * t_ns * 1e-3 - 1e-12)
+    k = math.ceil(1000.0 * delta_mhz * t_ns * 1e-3 - 1e-12)
     return max(k, 1) * 1e3 / t_ns

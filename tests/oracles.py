@@ -15,8 +15,8 @@ methods of both state types.  The schedule
 serialiser and the frame correction and the reduced pulse operator are the
 package's former per-value routes: ``json.dumps`` of the schedule document,
 one scalar ``phase_angle`` per parked qubit, and one matrix element at a
-time.  ``swap_pulses`` had its own bias route, ``hold_biases()`` with the
-pulsed qubit set, before it took the generators' line-driven one.  The
+time.  ``swap_pulses`` had its own bias route, an np.float64 hold profile with
+the pulsed qubit set, before it took the generators' line-driven one.  The
 replay's swap-pair matching built a candidate set per target, and the line
 check grouped each window's biases into a dict of sets, one qubit at a
 time."""
@@ -308,12 +308,12 @@ def json_dumps_schedule(schedule, assignment=None) -> str:
 
 
 def hold_bias_swap_pulses(spec, left, right, t_ns, start_ns=0.0) -> PulseSchedule:
-    """``swap_pulses`` by its former bias route: ``spec.hold_biases()``
-    (np.float64) with the pulsed qubit at 0, or at ``+xi`` on a chain end."""
+    """``swap_pulses`` by its former bias route: every qubit at eps_high
+    (np.float64) but the pulsed one, at 0, or at ``+xi`` on a chain end."""
     ends = (0, spec.n_qubits - 1)
     windows = []
     for i, q in enumerate((left, right, left)):
-        biases = list(spec.hold_biases())
+        biases = list(np.full(spec.n_qubits, spec.eps_high_mhz))
         biases[q] = spec.xi_mhz if q in ends else 0.0
         kind = "readout_pulse" if q in ends else "cnot_pulse"
         windows.append(Window(start_ns + i * t_ns, t_ns, tuple(biases),

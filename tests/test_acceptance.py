@@ -31,7 +31,7 @@ from swapchannel import (
 )
 from swapchannel.chain import TwoLevelParams, build_hamiltonian
 from swapchannel.evolve import QuantumState, propagator
-from swapchannel.gates import ideal_cnot, reduced_pulse_operator
+from swapchannel.gates import IDEAL_CNOT, reduced_pulse_operator
 from swapchannel.solver import oscillation_descriptor
 
 SEED = 20260816
@@ -86,7 +86,7 @@ def test_criterion_03_reduced_controlled_flip():
         dtype=complex,
     )
     assert_allclose(gate, expected, atol=1e-9)
-    assert_allclose(gate, ideal_cnot().matrix, atol=1e-9)
+    assert_allclose(gate, IDEAL_CNOT, atol=1e-9)
     _report(3, "reduced-model pulse reproduces the controlled flip entrywise to 1e-9")
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import pathlib
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -909,3 +910,80 @@ class TestRunRefusesBadValuesBeforeRunning:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and fragment in err
+
+
+class TestSizeCapsRefuseBeforeBuilding:
+    """``schedule`` takes the caps of ``run`` and ``trace`` caps its samples;
+    a size just over a cap is refused before the chain or the trajectory is
+    built (both are replaced by stubs that fail)."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_is_built(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("built despite a size over its cap")
+
+        monkeypatch.setattr(cli, "_chain_setup", built)
+        monkeypatch.setattr(cli, "sample_trajectory", built)
+
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--kind", "quantum", "--n-qubits", str(MAX_CONFIG_QUBITS + 1), "--n-states", "1"],
+             "--n-qubits"),
+            (["--kind", "quantum", "--n-qubits", "3", "--n-states", str(MAX_CONFIG_ITEMS + 1)],
+             "--n-states"),
+            (["--kind", "classical", "--n-qubits", "4", "--bits", "1" * (MAX_CONFIG_ITEMS + 1)],
+             "--bits"),
+        ],
+        ids=["n-qubits", "n-states", "bits"],
+    )
+    def test_schedule_sizes_over_the_run_caps_exit_1(self, capsys, tmp_path, flags, flag):
+        path = tmp_path / "s.json"
+        code, out, err = run_cli(capsys, "schedule", *flags, "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag}") and "must be <= 1024, got 1025" in err
+        assert not path.exists()
+
+    def test_trace_samples_over_the_cap_exit_1(self, capsys, tmp_path):
+        cap = cli.MAX_TRACE_SAMPLES
+        path = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, "trace", "--delta-mhz", "25", "--duration-ns", "40",
+                                 "--samples", str(cap + 1), "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --samples") and f"got {cap + 1}" in err
+        assert not path.exists()
+
+
+class TestStdoutMatchesGoldenBytes:
+    @pytest.mark.parametrize(
+        "flags, golden",
+        [([], "solve_stdout.json"), (["--no-phase-exact"], "solve_no_phase_exact_stdout.json")],
+        ids=["phase-exact", "no-phase-exact"],
+    )
+    def test_solve(self, capsys, flags, golden):
+        code, out, _ = run_cli(capsys, "solve", "--t-ns", "10", *flags)
+        assert code == 0
+        assert out.encode() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize("name", ["quantum_wire", "classical_wire"])
+    def test_validate(self, capsys, tmp_path, monkeypatch, name):
+        # run on a copy in the working directory, so the "schedule" path is stable
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(GOLDEN / f"{name}_schedule.json", tmp_path)
+        code, out, _ = run_cli(capsys, "validate", "--schedule", f"{name}_schedule.json")
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"validate_{name}_stdout.json").read_bytes()
+
+    def test_validate_with_a_violation_and_a_line_conflict(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        doc = json.loads((GOLDEN / "classical_wire_schedule.json").read_text())
+        doc["windows"][0]["biases_mhz"][1] = 7.0  # qubit 3 shares line 0 at 0 MHz
+        events = doc["windows"][1]["events"]  # inject into qubit 0 without reading it first
+        doc["windows"][1]["events"] = [e for e in events if e["kind"] != "read_reset"]
+        pathlib.Path("broken_schedule.json").write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "validate", "--schedule", "broken_schedule.json")
+        assert code == 3
+        want = GOLDEN / "validate_broken_classical_wire_stdout.json"
+        assert out.encode() == want.read_bytes()

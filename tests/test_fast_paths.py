@@ -78,7 +78,7 @@ def events(n: int, kinds):
 @st.composite
 def schedules(draw, bias_values=finite_numbers, min_windows=0):
     """Schedules of 1-12 qubits, none to six windows in time order (each with
-    none to four events), and biases drawn, or ``ChainSpec.hold_biases()``
+    none to four events), and biases drawn, or a hold profile ``np.full(n, eps)``
     (np.float64) with some entries replaced, as the generators build them."""
     n = draw(st.integers(1, 12))
     windows = []
@@ -86,7 +86,7 @@ def schedules(draw, bias_values=finite_numbers, min_windows=0):
     for _ in range(draw(st.integers(min_windows, 6))):
         if draw(st.booleans()):
             eps = draw(st.floats(1e-3, 1e6))
-            biases = list(ChainSpec(n, 1.0, 1.0, eps).hold_biases())
+            biases = list(np.full(n, eps))
             for q in draw(st.lists(st.integers(0, n - 1), max_size=n)):
                 biases[q] = draw(bias_values)
         else:

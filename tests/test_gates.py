@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from conftest import chain_for
 from oracles import loop_reduced_pulse_operator, rabi_u2
 from swapchannel import ChainSpec
-from swapchannel.gates import PhasedGate, ideal_cnot, reduced_pulse_operator
+from swapchannel.gates import IDEAL_CNOT, reduced_pulse_operator
 
 
 def brute_force_swap() -> np.ndarray:
@@ -35,24 +35,11 @@ def brute_force_swap() -> np.ndarray:
     return g_left @ g_right @ g_left
 
 
-class TestPhasedGate:
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            PhasedGate(matrix=np.diag([1.0, 2.0]), label="bad")
-
-    @pytest.mark.parametrize("dim", [1, 3, 16])
-    def test_rejects_unsupported_dims(self, dim):
-        with pytest.raises(ValueError):
-            PhasedGate(matrix=np.eye(dim, dtype=complex), label="bad")
-
-    def test_dim_property(self):
-        assert ideal_cnot().dim == 4
-        assert PhasedGate(matrix=np.eye(2), label="identity").dim == 2
-
-
 class TestIdealGates:
     def test_cnot_action_by_column(self):
-        c = ideal_cnot().matrix
+        c = IDEAL_CNOT
+        assert not c.flags.writeable
+        assert_allclose(c.conj().T @ c, np.eye(4), rtol=0, atol=0)
         basis = np.eye(4)
         # Control 0: hold with phase -1; control 1: flip with phase -i.
         assert_allclose(c @ basis[0], -basis[0])
@@ -85,7 +72,7 @@ class TestIdealGates:
     def test_three_pulses_on_a_pair_make_a_swap(self):
         # Alternating target pulses (first, second, first) compose to the
         # swap; this is the composition the scheduler emits.
-        c = ideal_cnot().matrix
+        c = IDEAL_CNOT
         perm = np.eye(4)[[0, 2, 1, 3]]
         g_first = perm @ c @ perm
         composed = g_first @ c @ g_first
@@ -129,7 +116,7 @@ class TestReducedPulseOperator:
         op, first = reduced_pulse_operator(chain_for(design, 3), 2, design.xi_mhz, design.t_ns)
         assert first == 1
         assert op.shape == (4, 4)
-        assert_allclose(op, ideal_cnot().matrix, atol=1e-9)
+        assert_allclose(op, IDEAL_CNOT, atol=1e-9)
 
     def test_blocks_match_rotation_oracle(self, rng):
         # Away from the solved point the blocks must still be the exact

@@ -33,7 +33,7 @@ from swapchannel import (
 )
 from swapchannel.chain import build_hamiltonian, phase_angle, wrap_phase
 from swapchannel.evolve import QuantumState, propagator
-from swapchannel.gates import ideal_cnot
+from swapchannel.gates import IDEAL_CNOT
 
 SNAP_EPS = 25000.0
 
@@ -139,7 +139,7 @@ class TestGateExperiment:
     def test_reduced_mode_reproduces_ideal_gate(self, design):
         spec = chain_for(design, 3)
         report = run_gate_experiment(spec, design, mode="reduced")
-        assert_allclose(report.gate, ideal_cnot().matrix, atol=1e-9)
+        assert_allclose(report.gate, IDEAL_CNOT, atol=1e-9)
         assert report.distance < 1e-9
         assert report.worst_infidelity < 1e-12
         assert report.leakage < 1e-12

@@ -236,7 +236,7 @@ class TestScheduleFieldTypes:
         sch, _ = quantum_channel_schedule(spec, 1, design.t_ns)
         windows = []
         for w in sch.windows:
-            biases = spec.hold_biases()
+            biases = np.full(spec.n_qubits, spec.eps_high_mhz)
             for q in w.gate_targets():
                 biases[q] = w.biases_mhz[q]
             windows.append(Window(w.start_ns, w.duration_ns, container(biases), w.events))

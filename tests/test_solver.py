@@ -101,11 +101,6 @@ class TestCopyFrequencies:
         assert_allclose(f2, 50.0, atol=1e-12)
         assert_allclose(f3, 2.0 * np.hypot(25.0, design.xi_mhz), rtol=1e-12)
 
-    def test_bias_shifts_all_three(self, design):
-        f1, f2, f3 = copy_frequencies(design.delta_mhz, design.xi_mhz, bias_mhz=design.xi_mhz)
-        assert_allclose(f2, 2.0 * np.hypot(25.0, design.xi_mhz), rtol=1e-12)
-        assert_allclose(f3, 2.0 * np.hypot(25.0, 2.0 * design.xi_mhz), rtol=1e-12)
-        assert f1 > f3 > f2
 
 
 class TestOscillationDescriptor:
