@@ -126,7 +126,7 @@ def _cmd_solve(args) -> int:
     sys.stdout.write(text)
     if args.out:
         _write_text(args.out, text)
-    return 0
+    return 0 if obj["conditions"]["ok"] else 3
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +160,9 @@ def _cmd_schedule(args) -> int:
     _int(args.n_qubits, "--n-qubits", maximum=MAX_CONFIG_QUBITS)
     _int(args.n_states or 0, "--n-states", maximum=MAX_CONFIG_ITEMS)
     _int(len(args.bits or ""), "--bits length", maximum=MAX_CONFIG_ITEMS)
+    other = ("--bits", args.bits) if args.kind == "quantum" else ("--n-states", args.n_states)
+    if other[1] is not None:
+        raise ConfigError(f"{other[0]} is not an option of a {args.kind} schedule")
     eps = "snap_1000x_delta" if args.eps_high_mhz is None else args.eps_high_mhz
     _, _, spec = _chain_setup(vars(args) | {"eps_high_mhz": eps}, args.n_qubits)
     if args.kind == "quantum":
@@ -540,9 +543,9 @@ def _validate_config(cfg: dict) -> dict:
             cfg.get("n_qubits", 6), "config.n_qubits", minimum=4, maximum=MAX_CONFIG_QUBITS
         )
         bits = _list(cfg.get("bits"), "config.bits", "0/1 bits", 1)
-        if any(b not in (0, 1) for b in bits):
-            raise ConfigError("config.bits: expected a non-empty list of 0/1")
-        out["bits"] = [int(b) for b in bits]
+        if any(type(b) is not int or b not in (0, 1) for b in bits):
+            raise ConfigError("config.bits: expected a non-empty list of the integers 0 and 1")
+        out["bits"] = bits
     elif experiment == "gate":
         grid = cfg.get("eps_grid")
         if grid is not None:

@@ -250,17 +250,11 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
             f"schedule fails occupancy replay ({len(replay.violations)} violations; "
             f"first: window {first.window_index}, {first.message})"
         )
-    n, n_windows = schedule.n_qubits, schedule.n_windows
-    windows = schedule.windows
     pulsed = schedule.pulsed
     # z value of each literal |0> neighbour; 0 for a data or a pulsed qubit
     sign = (~replay.data_held & ~pulsed).astype(np.int64)
-    biases = np.array([window.biases_mhz for window in windows], dtype=float)
-    biases = biases.reshape(n_windows, n)  # (0, n) for a window-less schedule
-    durations = np.fromiter(
-        (window.duration_ns for window in windows), dtype=float, count=n_windows
-    )
-    angles = phase_angle(effective_bias(biases, spec.xi_mhz, sign), durations[:, None])
+    angles = phase_angle(effective_bias(schedule.biases, spec.xi_mhz, sign),
+                         schedule.durations[:, None])
     angles[pulsed] = 0.0
     return angles
 
@@ -308,17 +302,13 @@ class TransferReport:
 
 def _require_states(schedule: PulseSchedule, data_states: Sequence) -> list[np.ndarray]:
     """The data states as arrays, once every data index the schedule injects
-    or reads (in windows and in ``final_events``) names one of them
-    (:class:`~swapchannel.scheduler.PulseEvent` refuses a negative index)."""
-    indices = set()
-    events = [e for w in schedule.windows for e in w.events] + list(schedule.final_events)
-    for e in events:
-        if e.kind in ("inject", "read_reset") and e.data_index is not None:
-            indices.add(e.data_index)
+    or reads (in windows and in the final events) names one of them."""
+    indices = sorted({e.data_index for events in schedule.boundary_events for e in events
+                      if e.data_index is not None})
     states = [_checked_amplitudes(s) for s in data_states]
-    if indices and max(indices) >= len(states):
+    if indices and indices[-1] >= len(states):
         raise ValueError(
-            f"schedule injects or reads data indices {sorted(indices)} but "
+            f"schedule injects or reads data indices {indices} but "
             f"{len(states)} states were supplied"
         )
     return states
@@ -369,23 +359,24 @@ def _execute(
                 for s in branches.values():
                     s.inject(e.qubit, states[e.data_index])
 
-    for i, window in enumerate(schedule.windows):
-        do_boundary(window.boundary_events(), i)
+    # plain floats: cache keys and pulse-operator arguments
+    windows = zip(schedule.biases.tolist(), schedule.durations.tolist(),
+                  schedule.gate_targets, schedule.boundary_events)
+    for i, (biases, duration, targets, boundary) in enumerate(windows):
+        do_boundary(boundary, i)
         if reduced:
             branches["raw"].apply_layer([
-                reduced_pulse_operator(spec, q, window.biases_mhz[q], window.duration_ns)
-                for q in window.gate_targets()
+                reduced_pulse_operator(spec, q, biases[q], duration) for q in targets
             ])
             continue
-        key = (window.biases_mhz, window.duration_ns)
+        key = (tuple(biases), duration)
         if key not in prop_cache:
-            h = build_hamiltonian(spec, window.biases_mhz)
-            prop_cache[key] = eigensystem(h, window.duration_ns)
+            prop_cache[key] = eigensystem(build_hamiltonian(spec, biases), duration)
         for s in branches.values():
             s.apply_eigensystem(*prop_cache[key])
         if angles is not None:
             branches["corrected"].apply_diagonal(_frame_diagonal(angles[i], spec.n_qubits))
-    do_boundary(schedule.final_events, None)
+    do_boundary(schedule.boundary_events[-1], None)
     return branches["raw"]
 
 

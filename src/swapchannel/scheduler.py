@@ -11,12 +11,14 @@ rules, the line-sharing rules and the idle-phase frame corrections all need.
 It is computed once per schedule (:attr:`PulseSchedule.replay`) and every
 check reads that one result.
 
-The four value types (:class:`PulseEvent`, :class:`Window`,
-:class:`PulseSchedule`, :class:`LineAssignment`) own their field types: a
-constructor stores plain ints, finite floats, strs and tuples, converting
-numpy numbers and lists and refusing anything else with
-:class:`ScheduleError`.  So the JSON parser only hands fields over, and the
-writer spells every value one way.
+A :class:`PulseSchedule` holds one read-only array per field: ``biases``
+(windows x qubits), ``starts``, ``durations``, and the int table ``events``
+of ``(window, kind, qubit, data_index)`` rows (a kind as its index in
+:data:`EVENT_KINDS`, no data index as -1, the final events in window
+``n_windows``), filled by the generators and the parser and checked by one
+validator.  :class:`PulseEvent` and :class:`Window` are its row types: like
+:class:`LineAssignment` they store plain ints, finite floats, strs and tuples
+(numpy numbers and lists converted, anything else refused).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -34,30 +37,20 @@ import numpy as np
 from .chain import ChainSpec
 
 __all__ = [
-    "ScheduleError",
-    "GATE_KINDS",
-    "BOUNDARY_KINDS",
-    "PulseEvent",
-    "Window",
-    "PulseSchedule",
-    "LineAssignment",
-    "Violation",
-    "ReadRecord",
-    "ReplayResult",
-    "LineCheckReport",
-    "swap_pulses",
-    "quantum_channel_schedule",
-    "classical_channel_schedule",
-    "replay_occupancy",
-    "validate_sacrificial",
-    "line_conflict_check",
-    "schedule_to_json",
+    "ScheduleError", "GATE_KINDS", "BOUNDARY_KINDS", "EVENT_KINDS", "PulseEvent", "Window",
+    "PulseSchedule", "LineAssignment", "Violation", "ReadRecord", "ReplayResult",
+    "LineCheckReport", "swap_pulses", "quantum_channel_schedule", "classical_channel_schedule",
+    "replay_occupancy", "validate_sacrificial", "line_conflict_check", "schedule_to_json",
     "schedule_from_json",
 ]
 
 GATE_KINDS = ("cnot_pulse", "readout_pulse")
 BOUNDARY_KINDS = ("inject", "read_reset")
-_ALL_KINDS = GATE_KINDS + BOUNDARY_KINDS + ("hold",)
+#: Every event kind, in the order of its number in an event table.
+EVENT_KINDS = GATE_KINDS + BOUNDARY_KINDS + ("hold",)
+_CNOT, _READOUT, _INJECT, _READ_RESET = range(4)
+_KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+_NO_DATA = -1
 
 _FORMAT_TAG = "swapchannel-schedule/1"
 
@@ -119,8 +112,7 @@ def _tuple_of(values, item: type, what: str) -> tuple:
 
 
 def _biases(values) -> tuple[float, ...]:
-    """``biases_mhz`` as a tuple of finite plain floats; an array of floats
-    is taken with one type test and one finiteness pass, no call per bias."""
+    """``biases_mhz`` as a tuple of finite plain floats (floats take one pass)."""
     values = _array(values, "biases_mhz must be an array of numbers")
     if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
         return tuple(values)
@@ -141,13 +133,10 @@ class PulseEvent:
     data_index: int | None = None
 
     def __post_init__(self):
-        if type(self.kind) is not str or self.kind not in _ALL_KINDS:
+        if type(self.kind) is not str or self.kind not in _KIND_CODE:
             raise ScheduleError(f"unknown event kind {self.kind!r}")
-        if type(self.qubit) is not int:
-            _set(self, "qubit", _integer(self.qubit, "event qubit"))
-        if self.data_index is not None and type(self.data_index) is not int:
-            _set(self, "data_index",
-                 _integer(self.data_index, "event data_index", nullable=True))
+        _set(self, "qubit", _integer(self.qubit, "event qubit"))
+        _set(self, "data_index", _integer(self.data_index, "event data_index", nullable=True))
         if self.qubit < 0:
             raise ScheduleError(f"event qubit must be >= 0, got {self.qubit}")
         if self.data_index is None:
@@ -155,6 +144,14 @@ class PulseEvent:
                 raise ScheduleError(f"inject event on qubit {self.qubit} has no data_index")
         elif self.data_index < 0:
             raise ScheduleError(f"event data_index must be >= 0, got {self.data_index}")
+
+
+def _event(kind: int, qubit: int, data_index: int) -> PulseEvent:
+    return PulseEvent(EVENT_KINDS[kind], qubit, None if data_index == _NO_DATA else data_index)
+
+
+def _entry(window: int, e: PulseEvent) -> tuple:
+    return window, _KIND_CODE[e.kind], e.qubit, _NO_DATA if e.data_index is None else e.data_index
 
 
 @dataclass(frozen=True)
@@ -169,76 +166,160 @@ class Window:
 
     def __post_init__(self):
         for name in ("start_ns", "duration_ns"):
-            value = getattr(self, name)
-            if type(value) is not float or not math.isfinite(value):
-                _set(self, name, _finite(value, name))
+            _set(self, name, _finite(getattr(self, name), name))
         if self.duration_ns < 0:
             raise ScheduleError(f"duration_ns must be >= 0, got {self.duration_ns!r}")
         _set(self, "biases_mhz", _biases(self.biases_mhz))
         _set(self, "events", _tuple_of(self.events, PulseEvent, "events"))
 
-    def gate_targets(self) -> tuple[int, ...]:
-        return tuple(e.qubit for e in self.events if e.kind in GATE_KINDS)
 
-    def boundary_events(self) -> tuple[PulseEvent, ...]:
-        return tuple(e for e in self.events if e.kind in BOUNDARY_KINDS)
+def _frozen(values, dtype=float) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
-@dataclass(frozen=True)
+def _table(columns) -> np.ndarray:
+    """The event table of its four columns: int64, or ints past int64 as objects."""
+    try:
+        return _frozen(columns, np.int64).reshape(4, -1).T
+    except OverflowError:
+        return _frozen([np.asarray(c).tolist() for c in columns], object).reshape(4, -1).T
+
+
 class PulseSchedule:
     """Windows in time order on ``n_qubits`` qubits (a plain int >= 1), then
-    the boundary ``final_events``; ``label`` is a str."""
+    the boundary final events; ``label`` is a str.  The constructor takes
+    :class:`Window` and :class:`PulseEvent` rows and stores the arrays of the
+    module docstring, in window order; equality compares the arrays."""
 
-    n_qubits: int
-    windows: tuple[Window, ...]
-    final_events: tuple[PulseEvent, ...] = ()
-    label: str = ""
+    def __init__(self, n_qubits, windows=(), final_events=(), label=""):
+        windows = _tuple_of(windows, Window, "windows")
+        rows = [_entry(i, e) for i, w in enumerate(windows) for e in w.events]
+        rows += [_entry(len(windows), e)
+                 for e in _tuple_of(final_events, PulseEvent, "final_events")]
+        self._store(n_qubits, label, [w.start_ns for w in windows],
+                    [w.duration_ns for w in windows], [w.biases_mhz for w in windows],
+                    list(zip(*rows)) or [()] * 4)
 
-    def __post_init__(self):
-        if type(self.n_qubits) is not int:
-            _set(self, "n_qubits", _integer(self.n_qubits, "n_qubits"))
-        if type(self.label) is not str:
-            raise ScheduleError(f"label must be a string, got {self.label!r}")
-        _set(self, "windows", _tuple_of(self.windows, Window, "windows"))
-        _set(self, "final_events", _tuple_of(self.final_events, PulseEvent, "final_events"))
-        if self.n_qubits < 1:
-            raise ScheduleError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        end_ns = -math.inf
-        for i, w in enumerate(self.windows):
-            if len(w.biases_mhz) != self.n_qubits:
-                raise ScheduleError(
-                    f"window has {len(w.biases_mhz)} biases for n_qubits={self.n_qubits}"
-                )
-            for e in w.events:
-                if e.qubit >= self.n_qubits:
-                    raise ScheduleError(f"event qubit {e.qubit} out of range")
-            # windows may touch within rounding: 1e-9 ns, or a few ulps of the time
-            if w.start_ns < end_ns - max(1e-9, 4 * sys.float_info.epsilon * abs(w.start_ns)):
-                raise ScheduleError(
-                    f"window {i} starts at {w.start_ns!r} ns, before the previous "
-                    f"window ends at {end_ns!r} ns"
-                )
-            end_ns = w.start_ns + w.duration_ns
-        for e in self.final_events:
-            if e.kind in GATE_KINDS:
-                raise ScheduleError("final_events may only contain boundary events")
-            if e.qubit >= self.n_qubits:
-                raise ScheduleError(f"final event qubit {e.qubit} out of range")
+    @classmethod
+    def _from_arrays(cls, *fields) -> PulseSchedule:
+        schedule = object.__new__(cls)
+        schedule._store(*fields)
+        return schedule
+
+    def _store(self, n_qubits, label, starts, durations, biases, event_columns) -> None:
+        """Check each field as one array and store it read-only (the row
+        types, the parser and the generators give every value its type)."""
+        n_qubits = _integer(n_qubits, "n_qubits")
+        if type(label) is not str:
+            raise ScheduleError(f"label must be a string, got {label!r}")
+        if n_qubits < 1:
+            raise ScheduleError(f"n_qubits must be >= 1, got {n_qubits}")
+        if not set(map(len, biases)) <= {n_qubits}:
+            k = next(len(row) for row in biases if len(row) != n_qubits)
+            raise ScheduleError(f"window has {k} biases for n_qubits={n_qubits}")
+        n_windows = len(starts)
+        # only a window-less schedule may have more qubits than numpy can shape
+        width = n_qubits if n_qubits <= np.iinfo(np.intp).max else 0
+        starts, durations = _frozen(starts), _frozen(durations)
+        biases = _frozen(biases).reshape(n_windows, width)
+        for name, values in (("start_ns", starts), ("duration_ns", durations),
+                             ("biases_mhz", biases)):
+            if not np.isfinite(values).all():
+                at = tuple(np.argwhere(~np.isfinite(values))[0])
+                raise ScheduleError(f"window {at[0]}: {name} must be finite, "
+                                    f"got {values[at].item()!r}")
+        if (durations < 0).any():
+            i = np.flatnonzero(durations < 0)[0]
+            raise ScheduleError(f"window {i}: duration_ns must be >= 0, "
+                                f"got {durations[i].item()!r}")
+        events = _table(event_columns)
+        window, kind, qubit, data = events.T
+        for flagged, message in (
+            (qubit < 0, "{at}event qubit must be >= 0, got {q}"),
+            ((kind == _INJECT) & (data == _NO_DATA),
+             "{at}inject event on qubit {q} has no data_index"),
+            (qubit >= n_qubits, "{final}event qubit {q} out of range"),
+            ((window == n_windows) & (kind < _INJECT),
+             "final_events may only contain boundary events"),
+        ):
+            if flagged.any():
+                w, _, q, _ = events[np.flatnonzero(flagged)[0]].tolist()
+                final = w == n_windows
+                raise ScheduleError(message.format(
+                    at="" if final else f"window {w}: ", final="final " if final else "", q=q))
+        # windows may touch within rounding: 1e-9 ns, or a few ulps of the time
+        with np.errstate(over="ignore"):
+            ends = starts[:-1] + durations[:-1]
+        early = starts[1:] < ends - np.maximum(1e-9, 4 * sys.float_info.epsilon * abs(starts[1:]))
+        if early.any():
+            i = np.flatnonzero(early)[0]
+            raise ScheduleError(f"window {i + 1} starts at {starts[i + 1].item()!r} ns, "
+                                f"before the previous window ends at {ends[i].item()!r} ns")
+        vars(self).update(n_qubits=n_qubits, label=label, starts=starts, durations=durations,
+                          biases=biases, events=events)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PulseSchedule is read-only: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, PulseSchedule):
+            return NotImplemented
+        return (self.n_qubits, self.label) == (other.n_qubits, other.label) and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("starts", "durations", "biases", "events"))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0, which equals 0.0, into 0.0
+        floats = [(a + 0.0).tobytes() for a in (self.starts, self.durations, self.biases)]
+        return hash((self.n_qubits, self.label, self.events.shape, *floats))
+
+    def __repr__(self):
+        return f"PulseSchedule({self.n_qubits} qubits, {self.n_windows} windows, {self.label!r})"
 
     @property
     def n_windows(self) -> int:
-        return len(self.windows)
+        return len(self.starts)
 
     @property
     def makespan_ns(self) -> float:
-        if not self.windows:
-            return 0.0
-        last = self.windows[-1]
-        return last.start_ns + last.duration_ns
+        return self.starts[-1].item() + self.durations[-1].item() if self.n_windows else 0.0
 
     @property
     def pulse_count(self) -> int:
-        return sum(len(w.gate_targets()) for w in self.windows)
+        return int(np.count_nonzero(self.events[:, 1] < _INJECT))
+
+    @cached_property
+    def windows(self) -> tuple[Window, ...]:
+        """The windows as :class:`Window` rows, built on first use."""
+        events = [[] for _ in range(self.n_windows + 1)]
+        for w, *event in self.events.tolist():
+            events[w].append(_event(*event))
+        return tuple(map(Window, self.starts.tolist(), self.durations.tolist(),
+                         self.biases.tolist(), events))
+
+    @cached_property
+    def final_events(self) -> tuple[PulseEvent, ...]:
+        final = self.events[self.events[:, 0] == self.n_windows, 1:]
+        return tuple(_event(*event) for event in final.tolist())
+
+    @cached_property
+    def gate_targets(self) -> tuple[tuple[int, ...], ...]:
+        """Per window, the qubits it pulses, in event order."""
+        gates = self.events[self.events[:, 1] < _INJECT]
+        qubits = gates[:, 2].tolist()
+        cuts = np.searchsorted(gates[:, 0], np.arange(self.n_windows + 1)).tolist()
+        return tuple(tuple(qubits[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+    @cached_property
+    def boundary_events(self) -> tuple[tuple[PulseEvent, ...], ...]:
+        """Per window, then for the final events, the boundary event rows."""
+        out = [[] for _ in range(self.n_windows + 1)]
+        kind = self.events[:, 1]
+        for w, *event in self.events[(kind >= _INJECT) & (kind <= _READ_RESET)].tolist():
+            out[w].append(_event(*event))
+        return tuple(map(tuple, out))
 
     @cached_property
     def replay(self) -> "ReplayResult":
@@ -247,16 +328,10 @@ class PulseSchedule:
 
     @cached_property
     def pulsed(self) -> np.ndarray:
-        """Read-only ``(n_windows, n_qubits)`` bool array: True where a window
-        pulses a qubit."""
-        rows, qubits = [], []
-        for w, window in enumerate(self.windows):
-            for e in window.events:
-                if e.kind in GATE_KINDS:
-                    rows.append(w)
-                    qubits.append(e.qubit)
-        pulsed = np.zeros((self.n_windows, self.n_qubits), dtype=bool)
-        pulsed[rows, qubits] = True
+        """Read-only ``(n_windows, n_qubits)`` mask of the pulsed qubits."""
+        gates = self.events[self.events[:, 1] < _INJECT]
+        pulsed = np.zeros(self.biases.shape, dtype=bool)
+        pulsed[gates[:, 0].astype(np.intp), gates[:, 2].astype(np.intp)] = True
         pulsed.flags.writeable = False
         return pulsed
 
@@ -270,8 +345,7 @@ class LineAssignment:
     n_lines: int
 
     def __post_init__(self):
-        if type(self.n_lines) is not int:
-            _set(self, "n_lines", _integer(self.n_lines, "lines.n_lines"))
+        _set(self, "n_lines", _integer(self.n_lines, "lines.n_lines"))
         lines = _array(self.lines, "lines must be an array of integers or null")
         if not set(map(type, lines)) <= {int, type(None)}:
             lines = [_integer(line, f"line of qubit {q}", nullable=True)
@@ -287,39 +361,45 @@ class LineAssignment:
 # ---------------------------------------------------------------------------
 
 
-def _pulse_bias(spec: ChainSpec, qubit: int) -> float:
-    """Pulse value: interior qubits to 0, end qubits to +xi (the virtual
-    missing neighbour's worth)."""
-    return spec.xi_mhz if qubit in (0, spec.n_qubits - 1) else 0.0
+def _window_length(t_ns) -> float:
+    t_ns = _finite(t_ns, "t_ns")
+    if t_ns <= 0:
+        raise ScheduleError(f"t_ns must be > 0, got {t_ns}")
+    return t_ns
 
 
-def _pulse_kind(spec: ChainSpec, qubit: int) -> str:
-    return "readout_pulse" if qubit in (0, spec.n_qubits - 1) else "cnot_pulse"
+def _events(window, kind: int, qubit, data_index) -> np.ndarray:
+    """Event table columns, one entry per ``window`` (the rest broadcast)."""
+    return np.stack(np.broadcast_arrays(np.asarray(window, dtype=np.int64),
+                                        kind, qubit, data_index))
 
 
-def _window(
-    spec: ChainSpec,
-    start_ns: float,
-    t_ns: float,
-    targets: Sequence[int],
-    lines: LineAssignment,
-    extra_events: Sequence[PulseEvent] = (),
-) -> Window:
-    """One window pulsing ``targets``, its biases driven per line.  Each
-    generator gives a pulsed qubit a line of its own pulse value (+xi at the
-    ends, 0 inside), as :func:`line_conflict_check` checks on any schedule."""
-    value = {lines.lines[q]: _pulse_bias(spec, q) for q in targets}
-    # a qubit without a line is never pulsed: it holds at eps_high
-    biases = [value.get(line, spec.eps_high_mhz) for line in lines.lines]
-    events = tuple(extra_events) + tuple(
-        PulseEvent(kind=_pulse_kind(spec, q), qubit=q) for q in sorted(targets)
-    )
-    return Window(start_ns=start_ns, duration_ns=t_ns, biases_mhz=biases, events=events)
+def _line_schedule(spec: ChainSpec, lines: LineAssignment, targets: np.ndarray,
+                   boundary: np.ndarray, t_ns: float, label: str, start_ns=0.0):
+    """Windows of ``t_ns`` from ``start_ns``, window w pulsing the qubits of
+    the bool row ``targets[w]`` after its ``boundary`` events (event table
+    columns).  A qubit holds ``eps_high`` but while its line is pulsed; each
+    generator gives a pulsed qubit a line of its own pulse value, ``+xi`` at
+    the chain ends and 0 inside (:func:`line_conflict_check` checks it)."""
+    n, n_windows = spec.n_qubits, len(targets)
+    line = np.array([-1 if m is None else m for m in lines.lines])
+    ends = np.isin(np.arange(n), (0, n - 1))
+    value = np.zeros(lines.n_lines)
+    value[line[ends & (line >= 0)]] = spec.xi_mhz
+    window, qubit = np.nonzero(targets)
+    line_pulsed = np.zeros((n_windows, lines.n_lines), dtype=bool)
+    line_pulsed[window, line[qubit]] = True
+    biases = np.where(line_pulsed[:, line] & (line >= 0), value[line], spec.eps_high_mhz)
+    pulses = _events(window, np.where(ends[qubit], _READOUT, _CNOT), qubit, _NO_DATA)
+    events = np.concatenate([boundary, pulses], axis=1)
+    # a window's boundary events first, then its pulses by qubit
+    events = events[:, np.argsort(2 * events[0] + (events[1] < _INJECT), kind="stable")]
+    starts = start_ns + np.arange(n_windows) * t_ns
+    return PulseSchedule._from_arrays(n, label, starts, np.full(n_windows, t_ns), biases, events)
 
 
-def swap_pulses(
-    spec: ChainSpec, left: int, right: int, t_ns: float, start_ns: float = 0.0
-) -> PulseSchedule:
+def swap_pulses(spec: ChainSpec, left: int, right: int, t_ns: float,
+                start_ns: float = 0.0) -> PulseSchedule:
     """The three-window fragment exchanging two adjacent qubits.
 
     Pulse targets go (left, right, left); both outer neighbours (when they
@@ -330,17 +410,12 @@ def swap_pulses(
         raise ScheduleError(f"swap needs adjacent qubits, got ({left}, {right})")
     if not 0 <= left < right < spec.n_qubits:
         raise ScheduleError(f"qubits ({left}, {right}) out of range")
-    if t_ns <= 0:
-        raise ScheduleError(f"t_ns must be > 0, got {t_ns}")
+    t_ns = _window_length(t_ns)
     # a line per qubit: every unpulsed qubit holds at eps_high
     own_lines = LineAssignment(lines=tuple(range(spec.n_qubits)), n_lines=spec.n_qubits)
-    windows = tuple(
-        _window(spec, start_ns + i * t_ns, t_ns, [q], own_lines)
-        for i, q in enumerate((left, right, left))
-    )
-    return PulseSchedule(
-        n_qubits=spec.n_qubits, windows=windows, label=f"swap-{left}-{right}"
-    )
+    targets = np.eye(spec.n_qubits, dtype=bool)[[left, right, left]]
+    return _line_schedule(spec, own_lines, targets, _events([], 0, 0, 0), t_ns,
+                          f"swap-{left}-{right}", _finite(start_ns, "start_ns"))
 
 
 def _quantum_lines(n_qubits: int, line_mode: str) -> LineAssignment:
@@ -351,24 +426,16 @@ def _quantum_lines(n_qubits: int, line_mode: str) -> LineAssignment:
     denser variant exploiting the data spacing, three interior lines plus IN
     and OUT (5 lines).
     """
-    if line_mode == "mod6":
-        interior_lines, n_lines = 6, 8
-    elif line_mode == "mod3":
-        interior_lines, n_lines = 3, 5
-    else:
+    interior_lines = {"mod6": 6, "mod3": 3}.get(line_mode)
+    if interior_lines is None:
         raise ScheduleError(f"unknown line_mode {line_mode!r}")
     interior = [(q - 1) % interior_lines for q in range(1, n_qubits - 1)]
-    in_line, out_line = interior_lines, interior_lines + 1
-    return LineAssignment(lines=[in_line, *interior, out_line], n_lines=n_lines)
+    # IN and OUT follow the interior lines
+    return LineAssignment([interior_lines, *interior, interior_lines + 1], interior_lines + 2)
 
 
-def quantum_channel_schedule(
-    spec: ChainSpec,
-    n_states: int,
-    t_ns: float,
-    *,
-    line_mode: str = "mod6",
-) -> tuple[PulseSchedule, LineAssignment]:
+def quantum_channel_schedule(spec: ChainSpec, n_states: int, t_ns: float, *,
+                             line_mode: str = "mod6") -> tuple[PulseSchedule, LineAssignment]:
     """Pipelined swapping wire moving ``n_states`` qubit states end to end.
 
     Each macro-step is one swap triple applied simultaneously to every
@@ -379,42 +446,24 @@ def quantum_channel_schedule(
     L = spec.n_qubits
     if L < 2:
         raise ScheduleError(f"wire needs at least 2 qubits, got {L}")
+    n_states = _integer(n_states, "n_states")
     if n_states < 1:
         raise ScheduleError(f"n_states must be >= 1, got {n_states}")
-    if t_ns <= 0:
-        raise ScheduleError(f"t_ns must be > 0, got {t_ns}")
+    t_ns = _window_length(t_ns)
 
     lines = _quantum_lines(L, line_mode)
     n_macro = 3 * (n_states - 1) + (L - 1)
-    windows: list[Window] = []
-    for t in range(n_macro):
-        boundary: list[PulseEvent] = []
-        for s in range(n_states):
-            if t == 3 * s + (L - 1):
-                boundary.append(PulseEvent(kind="read_reset", qubit=L - 1, data_index=s))
-            if t == 3 * s:
-                boundary.append(PulseEvent(kind="inject", qubit=0, data_index=s))
-        positions = [t - 3 * s for s in range(n_states) if 0 <= t - 3 * s <= L - 2]
-        lefts = sorted(positions)
-        rights = [p + 1 for p in lefts]
-        for i, targets in enumerate((lefts, rights, lefts)):
-            windows.append(
-                _window(
-                    spec,
-                    (3 * t + i) * t_ns,
-                    t_ns,
-                    targets,
-                    lines,
-                    extra_events=tuple(boundary) if i == 0 else (),
-                )
-            )
-    final = (
-        PulseEvent(kind="read_reset", qubit=L - 1, data_index=n_states - 1),
-    )
-    schedule = PulseSchedule(
-        n_qubits=L, windows=tuple(windows), final_events=final, label="quantum-wire"
-    )
-    return schedule, lines
+    # at macro-step t, state s swaps the pair (t - 3s, t - 3s + 1)
+    lag = np.arange(n_macro)[:, None] - np.arange(L)
+    lefts = (lag >= 0) & (lag % 3 == 0) & (lag < 3 * n_states)
+    lefts[:, L - 1] = False
+    targets = np.stack([lefts, np.roll(lefts, 1, axis=1), lefts], axis=1)
+    # state s is injected at macro-step 3s and read at 3s + L - 1 (the last at the end)
+    s = np.arange(n_states)
+    boundary = np.concatenate([_events(3 * (3 * s + L - 1), _READ_RESET, L - 1, s),
+                               _events(9 * s, _INJECT, 0, s)], axis=1)
+    return _line_schedule(spec, lines, targets.reshape(-1, L), boundary, t_ns,
+                          "quantum-wire"), lines
 
 
 def _classical_lines(n_qubits: int) -> LineAssignment:
@@ -424,9 +473,8 @@ def _classical_lines(n_qubits: int) -> LineAssignment:
     return LineAssignment(lines=[None, *interior, 2], n_lines=3)
 
 
-def classical_channel_schedule(
-    spec: ChainSpec, bits: Sequence[int], t_ns: float
-) -> tuple[PulseSchedule, LineAssignment]:
+def classical_channel_schedule(spec: ChainSpec, bits: Sequence[int],
+                               t_ns: float) -> tuple[PulseSchedule, LineAssignment]:
     """Bit pipeline over an even chain: alternate copy pulses on the odd and
     even interiors, with the output pulsed alongside the odd group.
 
@@ -434,62 +482,34 @@ def classical_channel_schedule(
     input qubit at the start of the second window of the previous repeat.  A
     bit written to the output is read and reset at the start of the NEXT
     repeat (its value must survive the even-group window in between, whose
-    copies compare against it).
+    copies compare against it).  A bit is the int 0 or 1 (a numpy integer
+    too), not a bool or a float.
     """
     L = spec.n_qubits
     if L < 4 or L % 2:
         raise ScheduleError(f"bit pipeline needs an even chain of >= 4 qubits, got {L}")
     bits = list(bits)
-    if not bits or any(b not in (0, 1) for b in bits):
-        raise ScheduleError(f"bits must be a non-empty 0/1 sequence, got {bits!r}")
-    if t_ns <= 0:
-        raise ScheduleError(f"t_ns must be > 0, got {t_ns}")
+    if not bits or any(type(b) is bool or not isinstance(b, (int, np.integer))
+                       or b not in (0, 1) for b in bits):
+        raise ScheduleError(f"bits must be a non-empty sequence of the ints 0 and 1, got {bits!r}")
+    t_ns = _window_length(t_ns)
 
-    lines = _classical_lines(L)
-    odd_group = list(range(1, L - 1, 2))
-    even_group = list(range(2, L - 1, 2))
     latency = L // 2
-    n_seq = latency + len(bits) - 1
-
-    windows: list[Window] = []
-    for k in range(n_seq):
-        first: list[PulseEvent] = []
-        j = k - latency
-        if 0 <= j < len(bits):
-            first.append(PulseEvent(kind="read_reset", qubit=L - 1, data_index=j))
-        if k == 0:
-            first.append(PulseEvent(kind="inject", qubit=0, data_index=0))
-        windows.append(
-            _window(
-                spec,
-                (2 * k) * t_ns,
-                t_ns,
-                odd_group + [L - 1],
-                lines,
-                extra_events=tuple(first),
-            )
-        )
-        second: list[PulseEvent] = []
-        if k + 1 < len(bits):
-            second.append(PulseEvent(kind="read_reset", qubit=0))
-            second.append(PulseEvent(kind="inject", qubit=0, data_index=k + 1))
-        windows.append(
-            _window(
-                spec,
-                (2 * k + 1) * t_ns,
-                t_ns,
-                even_group,
-                lines,
-                extra_events=tuple(second),
-            )
-        )
-    final = (
-        PulseEvent(kind="read_reset", qubit=L - 1, data_index=len(bits) - 1),
-    )
-    schedule = PulseSchedule(
-        n_qubits=L, windows=tuple(windows), final_events=final, label="classical-wire"
-    )
-    return schedule, lines
+    odd = np.arange(L) % 2 == 1  # the odd interiors and the output
+    even = ~odd & (np.arange(L) > 0)  # the even interiors
+    targets = np.tile(np.stack([odd, even]), (latency + len(bits) - 1, 1))
+    # bit j is read at the first window of repeat j + latency (the last bit
+    # after the last window); bit j + 1 is written in the second window of
+    # repeat j, once the input qubit is reset
+    j = np.arange(len(bits))
+    boundary = np.concatenate([
+        _events(2 * (j + latency), _READ_RESET, L - 1, j),
+        _events([0], _INJECT, 0, 0),
+        _events(2 * j[:-1] + 1, _READ_RESET, 0, _NO_DATA),
+        _events(2 * j[:-1] + 1, _INJECT, 0, j[1:]),
+    ], axis=1)
+    lines = _classical_lines(L)
+    return _line_schedule(spec, lines, targets, boundary, t_ns, "classical-wire"), lines
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +589,12 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
     (:attr:`ReadRecord.z_parity`): a swap leaves a Z on the data it moves, and
     a copy, which writes basis data, starts the count again.
     """
-    n = schedule.n_qubits
-    windows = schedule.windows
+    n, n_windows = schedule.n_qubits, schedule.n_windows
     # qubit -> the data index it holds; every other qubit is parked, and so
     # are the end qubits' missing neighbours -1 and n, which are never keys
     occ: dict[int, int] = {}
     z_parity: dict[int, int] = {}  # qubit -> z_parity of the data it holds
     rows: list[bytearray] = []  # per window, 1 for each qubit holding data
-
     violations: list[Violation] = []
     reads: list[ReadRecord] = []
 
@@ -586,42 +604,26 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
             row[q] = 1
         rows.append(row)
 
-    def run_boundary(events, window_index):
+    def run_boundary(events, i):
         for e in events:
             if e.kind == "read_reset":
-                reads.append(
-                    ReadRecord(
-                        window_index=window_index,
-                        qubit=e.qubit,
-                        data_index=e.data_index,
-                        symbol=occ.pop(e.qubit, None),
-                        z_parity=z_parity.pop(e.qubit, 0),
-                    )
-                )
-            elif e.kind == "inject":
-                if e.qubit in occ:
-                    violations.append(
-                        Violation(
-                            window_index=window_index,
-                            kind="inject_occupied",
-                            qubits=(e.qubit,),
-                            message=(
-                                f"inject into qubit {e.qubit} holding "
-                                f"{_symbol_text(occ[e.qubit])}"
-                            ),
-                        )
-                    )
-                occ[e.qubit] = e.data_index
-                z_parity[e.qubit] = 0
+                reads.append(ReadRecord(i, e.qubit, e.data_index, occ.pop(e.qubit, None),
+                                        z_parity.pop(e.qubit, 0)))
+                continue
+            if e.qubit in occ:  # an inject
+                violations.append(Violation(i, "inject_occupied", (e.qubit,), (
+                    f"inject into qubit {e.qubit} holding {_symbol_text(occ[e.qubit])}")))
+            occ[e.qubit] = e.data_index
+            z_parity[e.qubit] = 0
 
-    targets = [frozenset(w.gate_targets()) for w in windows]
-    boundaries = [w.boundary_events() for w in windows]
+    targets = list(map(frozenset, schedule.gate_targets))
+    boundaries = schedule.boundary_events
     i = 0
-    while i < len(windows):
+    while i < n_windows:
         run_boundary(boundaries[i], i)
         t0 = targets[i]
         pairs = None
-        if (t0 and i + 2 < len(windows) and t0 == targets[i + 2]
+        if (t0 and i + 2 < n_windows and t0 == targets[i + 2]
                 and not (boundaries[i + 1] or boundaries[i + 2])):
             pairs = _match_pairs(sorted(t0), sorted(targets[i + 1]))
         if pairs is not None:
@@ -634,14 +636,8 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
                         state = f"holds {_symbol_text(occ[outer])}"
                     else:
                         continue
-                    violations.append(
-                        Violation(
-                            window_index=i,
-                            kind="sacrificial_occupied",
-                            qubits=(outer,),
-                            message=f"outer neighbour {outer} of pair ({a},{b}) {state}",
-                        )
-                    )
+                    violations.append(Violation(i, "sacrificial_occupied", (outer,), (
+                        f"outer neighbour {outer} of pair ({a},{b}) {state}")))
             snapshot()
             rows.append(rows[-1])
             partner = {a: b for a, b in pairs} | {b: a for a, b in pairs}
@@ -654,17 +650,9 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
         snapshot()
         for q in sorted(t0):
             if occ.get(q) != occ.get(q + 1):
-                violations.append(
-                    Violation(
-                        window_index=i,
-                        kind="indeterminate",
-                        qubits=(q,),
-                        message=(
-                            f"cannot compare qubit {q} ({_symbol_text(occ.get(q))}) "
-                            f"with its right neighbour ({_symbol_text(occ.get(q + 1))})"
-                        ),
-                    )
-                )
+                violations.append(Violation(i, "indeterminate", (q,), (
+                    f"cannot compare qubit {q} ({_symbol_text(occ.get(q))}) "
+                    f"with its right neighbour ({_symbol_text(occ.get(q + 1))})")))
         # every target takes its left neighbour's symbol from before the window
         copied = {q: occ[q - 1] for q in t0 if q - 1 in occ}
         for q in t0:
@@ -673,12 +661,9 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
         occ.update(copied)
         i += 1
 
-    run_boundary(schedule.final_events, None)
-    # numpy cannot shape even an empty array past its index range, which only
-    # a window-less schedule can ask for: no biases bound its n_qubits
-    width = n if n <= np.iinfo(np.intp).max else 0
+    run_boundary(boundaries[n_windows], None)
     # an array over bytes is read-only
-    held = np.frombuffer(b"".join(rows), dtype=bool).reshape(len(windows), width)
+    held = np.frombuffer(b"".join(rows), dtype=bool).reshape(schedule.biases.shape)
     return ReplayResult(violations=tuple(violations), data_held=held, reads=tuple(reads))
 
 
@@ -693,9 +678,7 @@ class LineCheckReport:
     problems: tuple[str, ...]
 
 
-def line_conflict_check(
-    schedule: PulseSchedule, assignment: LineAssignment
-) -> LineCheckReport:
+def line_conflict_check(schedule: PulseSchedule, assignment: LineAssignment) -> LineCheckReport:
     """Can this schedule really be driven through the shared lines?
 
     Checks, per window: all qubits on one line carry one bias value; every
@@ -703,34 +686,26 @@ def line_conflict_check(
     is being pulsed (collateral pulses are only harmless on parked |0>
     qubits).
 
-    The checks run on ``(n_windows, n_qubits)`` arrays, with the lines in
-    use numbered densely in ascending order (a file may give any line below
-    any ``n_lines``): a line's biases conflict where their minimum and maximum
-    differ, and a line is pulsed where any of its qubits is.  Only a window
-    with a problem is visited one qubit at a time, to write its messages: per
-    window, the bias conflicts by line, the unlined pulsed qubits, then the
-    data qubits on pulsed lines by qubit.
+    The checks run on ``(n_windows, n_qubits)`` arrays, the lines in use
+    numbered densely (a file may give any line below any ``n_lines``); only
+    a window with a problem is visited one qubit at a time, for its messages:
+    bias conflicts by line, unlined pulsed qubits, data qubits on pulsed lines.
     """
     problems: list[str] = []
     lines = assignment.lines
     if len(lines) != schedule.n_qubits:
-        return LineCheckReport(
-            ok=False,
-            problems=(
-                f"line map covers {len(lines)} qubits, schedule has {schedule.n_qubits}",
-            ),
-        )
+        problem = f"line map covers {len(lines)} qubits, schedule has {schedule.n_qubits}"
+        return LineCheckReport(ok=False, problems=(problem,))
     replay = schedule.replay
     for v in replay.violations:
         problems.append(f"occupancy violation at window {v.window_index}: {v.message}")
-    n, n_windows, windows = schedule.n_qubits, schedule.n_windows, schedule.windows
     in_use = sorted({line for line in lines if line is not None})
     rank = {line: k for k, line in enumerate(in_use)}
     rank_of = np.array([rank.get(line, -1) for line in lines], dtype=np.intp)
     # lined qubits grouped by rank (ascending qubits within a line)
     members = np.argsort(rank_of, kind="stable")[np.count_nonzero(rank_of < 0):]
     starts = np.searchsorted(rank_of[members], np.arange(len(in_use)))
-    biases = np.array([w.biases_mhz for w in windows], dtype=float).reshape(n_windows, n)
+    biases = schedule.biases
     conflict = (np.minimum.reduceat(biases[:, members], starts, axis=1)
                 != np.maximum.reduceat(biases[:, members], starts, axis=1))
     pulsed = schedule.pulsed
@@ -741,17 +716,15 @@ def line_conflict_check(
     unlined = pulsed & (rank_of < 0)
     flagged = conflict.any(axis=1) | unlined.any(axis=1) | shares.any(axis=1)
     for i in np.flatnonzero(flagged).tolist():
-        w = windows[i]
+        row = biases[i].tolist()
         for g in np.flatnonzero(conflict[i]).tolist():
-            values = {w.biases_mhz[q] for q in np.flatnonzero(rank_of == g).tolist()}
+            values = {row[q] for q in np.flatnonzero(rank_of == g).tolist()}
             problems.append(f"window {i}: line {in_use[g]} would need biases {sorted(values)}")
-        for q in set(w.gate_targets()):
+        for q in set(schedule.gate_targets[i]):
             if lines[q] is None:
                 problems.append(f"window {i}: pulsed qubit {q} has no line")
         for q in np.flatnonzero(shares[i]).tolist():
-            problems.append(
-                f"window {i}: qubit {q} holds data but shares pulsed line {lines[q]}"
-            )
+            problems.append(f"window {i}: qubit {q} holds data but shares pulsed line {lines[q]}")
     return LineCheckReport(ok=not problems, problems=tuple(problems))
 
 
@@ -761,8 +734,7 @@ def line_conflict_check(
 
 
 def _json_value(v) -> str:
-    """``v`` (None, a str, an int or a finite float, as the schedule types
-    store every field) as ``json.dumps`` writes it."""
+    """``v`` (None, a str, an int or a finite float) as ``json.dumps`` writes it."""
     if v is None:
         return "null"
     if type(v) is str:
@@ -778,49 +750,33 @@ def _json_list(items: list[str], pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
-def _json_event(e: PulseEvent, pad: str) -> str:
-    k = pad + "  "
-    return (
-        f'{{\n{k}"data_index": {_json_value(e.data_index)},'
-        f'\n{k}"kind": {_json_value(e.kind)},'
-        f'\n{k}"qubit": {_json_value(e.qubit)}\n{pad}}}'
-    )
+def _json_event(event: tuple, pad: str) -> str:
+    """An entry's ``(kind, qubit, data_index)`` as an object opened at ``pad``."""
+    kind, qubit, data_index = event
+    data = "null" if data_index == _NO_DATA else repr(data_index)
+    return (f'{{\n{pad}  "data_index": {data},\n{pad}  "kind": "{EVENT_KINDS[kind]}",'
+            f'\n{pad}  "qubit": {qubit!r}\n{pad}}}')
 
 
-def _json_window(w: Window) -> str:
-    # an item of the top-level "windows" array: brace at 4 spaces, keys at 6
-    biases = _json_list(list(map(float.__repr__, w.biases_mhz)), "      ")
-    events = _json_list([_json_event(e, "        ") for e in w.events], "      ")
-    return (
-        f'{{\n      "biases_mhz": {biases},'
-        f'\n      "duration_ns": {_json_value(w.duration_ns)},'
-        f'\n      "events": {events},'
-        f'\n      "start_ns": {_json_value(w.start_ns)}\n    }}'
-    )
-
-
-def schedule_to_json(
-    schedule: PulseSchedule, assignment: LineAssignment | None = None
-) -> str:
+def schedule_to_json(schedule: PulseSchedule, assignment: LineAssignment | None = None) -> str:
     """Canonical JSON text (stable bytes for identical schedules).
 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True,
     allow_nan=False) + "\\n"`` for the schedule document, written directly:
-    the fixed schema's keys are spelled out in sorted order, each window's
-    biases are one ``float.__repr__`` join, and the windows go into the text
-    in one final join (a megabyte-sized string is copied once, not once per
-    nesting level).  The schedule types hold only None, str, int and finite
-    float values, so every value has one spelling.
+    the fixed schema's keys are spelled out in sorted order, each distinct
+    bias row (by its bytes: -0.0 prints apart from 0.0) and event is written
+    once, and the windows go into the text in one final join (a large string
+    is copied once, not once per nesting level).  The schedule holds only
+    str, int and finite float values, so every value has one spelling.
     """
-    final = _json_list([_json_event(e, "    ") for e in schedule.final_events], "  ")
-    if assignment is None:
-        lines = "null"
-    else:
-        line_map = [_json_value(l) for l in assignment.lines]
-        lines = (
-            f'{{\n    "map": {_json_list(line_map, "    ")},'
-            f'\n    "n_lines": {_json_value(assignment.n_lines)}\n  }}'
-        )
+    n_windows = schedule.n_windows
+    _, *columns = schedule.events.T.tolist()
+    cuts = np.searchsorted(schedule.events[:, 0], np.arange(n_windows + 1)).tolist()
+    events = list(zip(*columns))
+    final = _json_list([_json_event(e, "    ") for e in events[cuts[-1]:]], "  ")
+    lines = "null" if assignment is None else (
+        f'{{\n    "map": {_json_list(list(map(_json_value, assignment.lines)), "    ")},'
+        f'\n    "n_lines": {_json_value(assignment.n_lines)}\n  }}')
     head = (
         f'{{\n  "final_events": {final},'
         f'\n  "format": {_json_value(_FORMAT_TAG)},'
@@ -829,12 +785,22 @@ def schedule_to_json(
         f'\n  "n_qubits": {_json_value(schedule.n_qubits)},'
         '\n  "windows": '
     )
-    if not schedule.windows:
+    if not n_windows:
         return head + "[]\n}\n"
+    # an item of the top-level "windows" array: brace at 4 spaces, keys at 6
+    text = {e: _json_event(e, "        ") for e in dict.fromkeys(events)}
+    texts = list(map(text.__getitem__, events))
+    rows = list(map(bytes, schedule.biases))
+    bias_text = {row: _json_list(list(map(float.__repr__, np.frombuffer(row).tolist())),
+                                 "      ") for row in dict.fromkeys(rows)}
     parts = [head + "[\n    "]
-    for w in schedule.windows:
-        parts += (_json_window(w), ",\n    ")
-    parts[-1] = "\n  ]\n}\n"
+    for row, duration, a, b, start in zip(rows, schedule.durations.tolist(), cuts, cuts[1:],
+                                          schedule.starts.tolist()):
+        parts += ('{\n      "biases_mhz": ', bias_text[row],
+                  ',\n      "duration_ns": ', repr(duration),
+                  ',\n      "events": ', _json_list(texts[a:b], "      "),
+                  ',\n      "start_ns": ', repr(start), "\n    },\n    ")
+    parts[-1] = "\n    }\n  ]\n}\n"
     return "".join(parts)
 
 
@@ -847,25 +813,47 @@ def _parse_event(obj: dict) -> PulseEvent:
     return PulseEvent(kind=kind, qubit=qubit, data_index=data_index)
 
 
-def _parse_window(obj: dict, index: int) -> Window:
-    """One window object (:class:`Window` checks its fields); an error names
-    the window."""
+def _each_window(values: list, check) -> list:
+    """``check(value, window)`` of each window's value; an error names it."""
+    out = []
+    for i, value in enumerate(values):
+        try:
+            out.append(check(value, i))
+        except ScheduleError as exc:
+            raise ScheduleError(f"window {i}: {exc}") from None
+    return out
+
+
+def _event_columns(event_lists: list) -> list:
+    """The event table columns of every window's event objects, then of the
+    final events'.  If one lacks a key or a type (a known kind, an int qubit,
+    an int >= 0 or null data index), each is checked as a :class:`PulseEvent`,
+    for the message."""
     try:
-        return Window(
-            start_ns=obj["start_ns"],
-            duration_ns=obj["duration_ns"],
-            biases_mhz=obj["biases_mhz"],
-            events=[_parse_event(e) for e in obj["events"]],
-        )
-    except ScheduleError as exc:
-        raise ScheduleError(f"window {index}: {exc}") from None
+        if set(map(type, event_lists)) <= {list}:
+            flat = list(chain.from_iterable(event_lists))
+            kinds = [_KIND_CODE[e["kind"]] for e in flat]
+            qubits = [e["qubit"] for e in flat]
+            data = [e.get("data_index") for e in flat]
+            missing = data.count(None)
+            data = [_NO_DATA if d is None else d for d in data]
+            if (set(map(type, qubits)) | set(map(type, data)) <= {int}
+                    and min(data, default=0) >= _NO_DATA and data.count(_NO_DATA) == missing):
+                window = np.repeat(np.arange(len(event_lists)), list(map(len, event_lists)))
+                return [window, kinds, qubits, data]
+    except (KeyError, TypeError, AttributeError):
+        pass
+    *windows, final = event_lists
+    rows = _each_window(windows, lambda objs, i: [_entry(i, _parse_event(e)) for e in objs])
+    rows.append([_entry(len(windows), _parse_event(e)) for e in final])
+    return list(zip(*chain.from_iterable(rows))) or [()] * 4
 
 
 def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]:
-    """Parse a schedule file.  The schedule types refuse what is not their
-    field type, so every field must have its JSON type (integers for
-    ``n_qubits``, qubits, data indices and lines, numbers for times and
-    biases, a string ``label``): nothing is coerced."""
+    """Parse a schedule file.  Every field must have its JSON type (integers
+    for ``n_qubits``, qubits, data indices and lines, numbers for times and
+    biases, a string ``label``): nothing is coerced.  The types of a field's
+    values are checked at once, before the arrays are filled with them."""
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -873,14 +861,21 @@ def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]
     if not isinstance(obj, dict) or obj.get("format") != _FORMAT_TAG:
         raise ScheduleError(f"not a {_FORMAT_TAG} document")
     try:
-        schedule = PulseSchedule(
-            n_qubits=obj["n_qubits"],
-            windows=[_parse_window(w, i) for i, w in enumerate(obj["windows"])],
-            final_events=[_parse_event(e) for e in obj["final_events"]],
-            label=obj.get("label", ""),
-        )
+        n_qubits, windows = obj["n_qubits"], obj["windows"]
+        starts, durations, biases, events = ([w[key] for w in windows] for key in (
+            "start_ns", "duration_ns", "biases_mhz", "events"))
+        if not set(map(type, starts)) <= {float}:
+            starts = _each_window(starts, lambda v, _: _finite(v, "start_ns"))
+        if not set(map(type, durations)) <= {float}:
+            durations = _each_window(durations, lambda v, _: _finite(v, "duration_ns"))
+        if not (set(map(type, biases)) <= {list}
+                and set(map(type, chain.from_iterable(biases))) <= {float}):
+            biases = _each_window(biases, lambda v, _: _biases(v))
+        columns = _event_columns([*events, obj["final_events"]])
+        label = obj.get("label", "")
     except (KeyError, TypeError) as exc:
         raise ScheduleError(f"malformed schedule document: {exc}") from exc
+    schedule = PulseSchedule._from_arrays(n_qubits, label, starts, durations, biases, columns)
     lines_obj = obj.get("lines")
     if lines_obj is None:
         return schedule, None

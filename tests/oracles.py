@@ -19,7 +19,10 @@ time.  ``swap_pulses`` had its own bias route, an np.float64 hold profile with
 the pulsed qubit set, before it took the generators' line-driven one.  The
 replay's swap-pair matching built a candidate set per target, and the line
 check grouped each window's biases into a dict of sets, one qubit at a
-time."""
+time.  The wire generators and the replay are the package's former
+object-building routes: one ``Window`` of ``PulseEvent`` rows at a time,
+and a replay over those rows; the loop frame correction and line check read
+that replay."""
 
 import json
 
@@ -31,8 +34,17 @@ from swapchannel.evolve import INJECT_PURITY_TOL, EntanglementError, QuantumStat
 from swapchannel.gates import reduced_pulse_operator
 from swapchannel.runner import _frame_diagonal, compute_frame_correction
 from swapchannel.scheduler import (
-    LineCheckReport, PulseEvent, PulseSchedule, ScheduleError, Window, replay_occupancy
+    BOUNDARY_KINDS, GATE_KINDS, LineCheckReport, PulseEvent, PulseSchedule, ReadRecord,
+    ReplayResult, ScheduleError, Violation, Window, _classical_lines, _quantum_lines,
 )
+
+def _gate_targets(window) -> tuple:
+    return tuple(e.qubit for e in window.events if e.kind in GATE_KINDS)
+
+
+def _boundary_events(window) -> tuple:
+    return tuple(e for e in window.events if e.kind in BOUNDARY_KINDS)
+
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -137,8 +149,8 @@ def dense_reduced_replay(spec, schedule, inject_amplitudes, on_read, *, inject_t
                 state = project_inject(state, e.qubit, amps, purity_tol=inject_tol)
 
     for i, window in enumerate(schedule.windows):
-        boundary(window.boundary_events(), i)
-        for q in window.gate_targets():
+        boundary(_boundary_events(window), i)
+        for q in _gate_targets(window):
             op, first = reduced_pulse_operator(spec, q, window.biases_mhz[q], window.duration_ns)
             state = apply_local_unitary(state, op, first)
     boundary(schedule.final_events, None)
@@ -269,7 +281,7 @@ def dense_rho_run(spec, schedule, data_states, on_read, *, mode, frame_correctio
                 rhos[k] = rho_replace(rhos[k], e.qubit, local)
 
     for i, window in enumerate(schedule.windows):
-        boundary(window.boundary_events(), i)
+        boundary(_boundary_events(window), i)
         u = propagator(build_hamiltonian(spec, window.biases_mhz), window.duration_ns)
         for k in rhos:
             rhos[k] = u @ rhos[k] @ u.conj().T
@@ -323,13 +335,13 @@ def hold_bias_swap_pulses(spec, left, right, t_ns, start_ns=0.0) -> PulseSchedul
 
 def loop_frame_correction(schedule, spec) -> np.ndarray:
     """``compute_frame_correction`` one parked qubit at a time."""
-    replay = replay_occupancy(schedule)
+    replay = loop_replay_occupancy(schedule)
     if replay.violations:
         raise ScheduleError(f"{len(replay.violations)} replay violations")
     n = schedule.n_qubits
     angles = np.zeros((schedule.n_windows, n))
     for w, window in enumerate(schedule.windows):
-        targets = set(window.gate_targets())
+        targets = set(_gate_targets(window))
         for q in range(n):
             if q in targets:
                 continue
@@ -400,7 +412,7 @@ def loop_line_conflict_check(schedule, assignment) -> LineCheckReport:
                 f"schedule has {schedule.n_qubits}",
             ),
         )
-    replay = schedule.replay
+    replay = loop_replay_occupancy(schedule)
     for v in replay.violations:
         problems.append(f"occupancy violation at window {v.window_index}: {v.message}")
     for i, w in enumerate(schedule.windows):
@@ -413,7 +425,7 @@ def loop_line_conflict_check(schedule, assignment) -> LineCheckReport:
                 problems.append(
                     f"window {i}: line {line} would need biases {sorted(values)}"
                 )
-        targets = set(w.gate_targets())
+        targets = set(_gate_targets(w))
         pulsed_lines = set()
         for q in targets:
             if assignment.lines[q] is None:
@@ -427,3 +439,150 @@ def loop_line_conflict_check(schedule, assignment) -> LineCheckReport:
                     f"window {i}: qubit {q} holds data but shares pulsed line {line}"
                 )
     return LineCheckReport(ok=not problems, problems=tuple(problems))
+
+
+def _loop_window(spec, start_ns, t_ns, targets, lines, extra_events=()) -> Window:
+    """One window pulsing ``targets``, its biases driven per line: a pulsed
+    qubit's line takes +xi at the chain ends and 0 inside."""
+    ends = (0, spec.n_qubits - 1)
+    value = {lines.lines[q]: spec.xi_mhz if q in ends else 0.0 for q in targets}
+    biases = [value.get(line, spec.eps_high_mhz) for line in lines.lines]
+    events = tuple(extra_events) + tuple(
+        PulseEvent(kind="readout_pulse" if q in ends else "cnot_pulse", qubit=q)
+        for q in sorted(targets)
+    )
+    return Window(start_ns=start_ns, duration_ns=t_ns, biases_mhz=biases, events=events)
+
+
+def loop_quantum_channel_schedule(spec, n_states, t_ns, *, line_mode="mod6"):
+    """``quantum_channel_schedule`` one macro-step and one window at a time."""
+    L = spec.n_qubits
+    lines = _quantum_lines(L, line_mode)
+    n_macro = 3 * (n_states - 1) + (L - 1)
+    windows = []
+    for t in range(n_macro):
+        boundary = []
+        for s in range(n_states):
+            if t == 3 * s + (L - 1):
+                boundary.append(PulseEvent(kind="read_reset", qubit=L - 1, data_index=s))
+            if t == 3 * s:
+                boundary.append(PulseEvent(kind="inject", qubit=0, data_index=s))
+        lefts = sorted(t - 3 * s for s in range(n_states) if 0 <= t - 3 * s <= L - 2)
+        rights = [p + 1 for p in lefts]
+        for i, targets in enumerate((lefts, rights, lefts)):
+            windows.append(_loop_window(spec, (3 * t + i) * t_ns, t_ns, targets, lines,
+                                        tuple(boundary) if i == 0 else ()))
+    final = (PulseEvent(kind="read_reset", qubit=L - 1, data_index=n_states - 1),)
+    return PulseSchedule(L, tuple(windows), final, "quantum-wire"), lines
+
+
+def loop_classical_channel_schedule(spec, bits, t_ns):
+    """``classical_channel_schedule`` one repeat and one window at a time."""
+    L = spec.n_qubits
+    lines = _classical_lines(L)
+    odd_group, even_group = list(range(1, L - 1, 2)), list(range(2, L - 1, 2))
+    latency = L // 2
+    windows = []
+    for k in range(latency + len(bits) - 1):
+        first = []
+        if 0 <= k - latency < len(bits):
+            first.append(PulseEvent(kind="read_reset", qubit=L - 1, data_index=k - latency))
+        if k == 0:
+            first.append(PulseEvent(kind="inject", qubit=0, data_index=0))
+        windows.append(_loop_window(spec, (2 * k) * t_ns, t_ns, odd_group + [L - 1], lines,
+                                    tuple(first)))
+        second = []
+        if k + 1 < len(bits):
+            second.append(PulseEvent(kind="read_reset", qubit=0))
+            second.append(PulseEvent(kind="inject", qubit=0, data_index=k + 1))
+        windows.append(_loop_window(spec, (2 * k + 1) * t_ns, t_ns, even_group, lines,
+                                    tuple(second)))
+    final = (PulseEvent(kind="read_reset", qubit=L - 1, data_index=len(bits) - 1),)
+    return PulseSchedule(L, tuple(windows), final, "classical-wire"), lines
+
+
+def _symbol_text(symbol) -> str:
+    return "|0>" if symbol is None else f"data {symbol}"
+
+
+def loop_replay_occupancy(schedule) -> ReplayResult:
+    """``replay_occupancy`` over the schedule's ``Window`` rows, with one
+    ``Violation`` and ``ReadRecord`` built by keyword at a time."""
+    n = schedule.n_qubits
+    windows = schedule.windows
+    occ = {}
+    z_parity = {}
+    rows = []
+    violations = []
+    reads = []
+
+    def snapshot():
+        row = bytearray(n)
+        for q in occ:
+            row[q] = 1
+        rows.append(row)
+
+    def run_boundary(events, window_index):
+        for e in events:
+            if e.kind == "read_reset":
+                reads.append(ReadRecord(window_index=window_index, qubit=e.qubit,
+                                        data_index=e.data_index, symbol=occ.pop(e.qubit, None),
+                                        z_parity=z_parity.pop(e.qubit, 0)))
+            elif e.kind == "inject":
+                if e.qubit in occ:
+                    violations.append(Violation(
+                        window_index=window_index, kind="inject_occupied", qubits=(e.qubit,),
+                        message=f"inject into qubit {e.qubit} holding "
+                                f"{_symbol_text(occ[e.qubit])}"))
+                occ[e.qubit] = e.data_index
+                z_parity[e.qubit] = 0
+
+    targets = [frozenset(_gate_targets(w)) for w in windows]
+    boundaries = list(map(_boundary_events, windows))
+    i = 0
+    while i < len(windows):
+        run_boundary(boundaries[i], i)
+        t0 = targets[i]
+        pairs = None
+        if (t0 and i + 2 < len(windows) and t0 == targets[i + 2]
+                and not (boundaries[i + 1] or boundaries[i + 2])):
+            pairs = set_match_pairs(sorted(t0), sorted(targets[i + 1]))
+        if pairs is not None:
+            all_targets = t0 | targets[i + 1]
+            for a, b in pairs:
+                for outer in (a - 1, b + 1):
+                    if outer in all_targets:
+                        state = "is pulsed"
+                    elif outer in occ:
+                        state = f"holds {_symbol_text(occ[outer])}"
+                    else:
+                        continue
+                    violations.append(Violation(
+                        window_index=i, kind="sacrificial_occupied", qubits=(outer,),
+                        message=f"outer neighbour {outer} of pair ({a},{b}) {state}"))
+            snapshot()
+            rows.append(rows[-1])
+            partner = {a: b for a, b in pairs} | {b: a for a, b in pairs}
+            occ = {partner.get(q, q): symbol for q, symbol in occ.items()}
+            z_parity = {partner.get(q, q): p ^ (q in partner) for q, p in z_parity.items()}
+            snapshot()
+            i += 3
+            continue
+        snapshot()
+        for q in sorted(t0):
+            if occ.get(q) != occ.get(q + 1):
+                violations.append(Violation(
+                    window_index=i, kind="indeterminate", qubits=(q,),
+                    message=f"cannot compare qubit {q} ({_symbol_text(occ.get(q))}) "
+                            f"with its right neighbour ({_symbol_text(occ.get(q + 1))})"))
+        copied = {q: occ[q - 1] for q in t0 if q - 1 in occ}
+        for q in t0:
+            occ.pop(q, None)
+            z_parity.pop(q, None)
+        occ.update(copied)
+        i += 1
+
+    run_boundary(schedule.final_events, None)
+    width = n if n <= np.iinfo(np.intp).max else 0
+    held = np.frombuffer(b"".join(rows), dtype=bool).reshape(len(windows), width)
+    return ReplayResult(violations=tuple(violations), data_held=held, reads=tuple(reads))

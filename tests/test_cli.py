@@ -68,6 +68,14 @@ class TestSolveCommand:
         with pytest.raises(ValueError):
             _dump_json({"fidelity": float("nan")})
 
+    def test_design_failing_its_check_exits_3(self, capsys):
+        # M = 2 is even: the design breaks the phase-exact rule it reports on
+        code, out, _ = run_cli(capsys, "solve", "--t-ns", "10", "--m", "2")
+        assert code == 3
+        assert json.loads(out)["conditions"]["ok"] is False
+        code, out, _ = run_cli(capsys, "solve", "--t-ns", "10", "--m", "2", "--no-phase-exact")
+        assert (code, json.loads(out)["conditions"]["ok"]) == (0, True)
+
     def test_requires_exactly_one_anchor(self, capsys):
         code, _, err = run_cli(capsys, "solve")
         assert code == 1
@@ -146,6 +154,16 @@ class TestScheduleAndValidate:
             capsys, "schedule", "--kind", "classical", "--n-qubits", "6", "--bits", "21"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--kind", "quantum", "--n-qubits", "3", "--n-states", "1", "--bits", "21"], "--bits"),
+        (["--kind", "classical", "--n-qubits", "6", "--bits", "101", "--n-states", "3"],
+         "--n-states"),
+    ], ids=["bits-on-quantum", "n-states-on-classical"])
+    def test_refuses_the_other_kinds_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "schedule", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag} is not an option of a")
 
     def test_validate_flags_bad_schedule(self, capsys, tmp_path, design):
         spec = chain_for(design, 4, eps_high=25000.0)
@@ -695,6 +713,16 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
         assert code == 1
         assert fragment in err
+
+    @pytest.mark.parametrize("bits", [[True, 0.0, 1.0], [1, True], [1, 0.0], [1.0]],
+                             ids=["bools-and-floats", "bool", "float-zero", "float-one"])
+    def test_bits_are_the_integers_0_and_1(self, capsys, tmp_path, bits):
+        path = tmp_path / "bits.json"
+        path.write_text(json.dumps({"experiment": "classical_wire", "n_qubits": 6,
+                                    "bits": bits}))
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert "config.bits: expected a non-empty list of the integers 0 and 1" in err
 
     def test_random_states_require_seed(self, capsys, tmp_path):
         cfg = {

@@ -1,8 +1,10 @@
 """Differential tests of the array-speed schedule paths against the routes
 they replaced (``tests/oracles.py``): the direct JSON writer against
 ``json.dumps`` of the schedule document, byte for byte, the vectorised
-frame correction against the per-qubit loop, bit for bit, and the array line
-check against the per-window dict of bias sets, message for message."""
+frame correction against the per-qubit loop, bit for bit, the array line
+check against the per-window dict of bias sets, message for message, and
+the array generators and the replay over the event table against the
+object-building generators and the replay over ``Window`` rows."""
 
 from dataclasses import replace
 
@@ -15,8 +17,11 @@ from conftest import chain_for
 from oracles import (
     hold_bias_swap_pulses,
     json_dumps_schedule,
+    loop_classical_channel_schedule,
     loop_frame_correction,
     loop_line_conflict_check,
+    loop_quantum_channel_schedule,
+    loop_replay_occupancy,
     set_match_pairs,
 )
 from swapchannel import (
@@ -173,7 +178,10 @@ def _with_odd(schedule, lines, field, data):
         event = replace(event, **{field: odd(getattr(event, field))})
         schedule = _replace_window(schedule, w, events=window.events + (event,))
     elif field in ("n_qubits", "label"):
-        schedule = replace(schedule, **{field: odd(getattr(schedule, field))})
+        fields = {"n_qubits": schedule.n_qubits, "label": schedule.label}
+        fields[field] = odd(fields[field])
+        schedule = PulseSchedule(windows=schedule.windows,
+                                 final_events=schedule.final_events, **fields)
     elif lines is not None and field == "line":
         q = data.draw(st.integers(0, len(lines.lines) - 1))
         lines = replace(lines, lines=lines.lines[:q] + (odd(lines.lines[q]),)
@@ -515,3 +523,78 @@ class TestLineConflictCheck:
         sch, lines = classical_channel_schedule(chain_for(design, 100), [1, 0] * 20,
                                                 design.t_ns)
         assert_line_check_matches_loop(sch, lines)
+
+
+def assert_replay_matches_loop(schedule):
+    got, want = replay_occupancy(schedule), loop_replay_occupancy(schedule)
+    assert got.violations == want.violations
+    assert got.reads == want.reads
+    assert got.data_held.shape == want.data_held.shape
+    assert np.array_equal(got.data_held, want.data_held)
+
+
+def assert_same_arrays(got, want):
+    """Equal schedules with bit-identical float arrays (-0.0 apart from 0.0)."""
+    assert got == want
+    for name in ("starts", "durations", "biases"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.events.dtype == want.events.dtype
+    assert got.windows == want.windows and got.final_events == want.final_events
+
+
+class TestArrayRoutesMatchTheRowRoutes:
+    """The generators write the arrays the object-building generators give,
+    and the replay over the event table finds what the replay over
+    ``Window`` rows finds: violations, reads with their z parity, and the
+    data-held mask."""
+
+    @pytest.mark.parametrize("line_mode", ["mod6", "mod3"])
+    @pytest.mark.parametrize("n_qubits", [*range(2, 14), 40, 41, 101])
+    def test_quantum_wires(self, design, n_qubits, line_mode):
+        spec = chain_for(design, n_qubits)
+        for n_states in (1, 2, 4, 7):
+            got = quantum_channel_schedule(spec, n_states, design.t_ns, line_mode=line_mode)
+            want = loop_quantum_channel_schedule(spec, n_states, design.t_ns,
+                                                 line_mode=line_mode)
+            assert_same_arrays(got[0], want[0])
+            assert got[1] == want[1]
+            assert_replay_matches_loop(got[0])
+            assert [r.z_parity for r in got[0].replay.reads] == [(n_qubits - 1) % 2] * n_states
+
+    @pytest.mark.parametrize("n_qubits", [4, 6, 8, 10, 12, 100])
+    def test_classical_wires(self, design, n_qubits):
+        spec = chain_for(design, n_qubits)
+        for bits in ([0], [1], [1, 0, 1, 1], [0, 1, 1, 0, 0, 1], [1, 0] * 20):
+            got = classical_channel_schedule(spec, bits, design.t_ns)
+            want = loop_classical_channel_schedule(spec, bits, design.t_ns)
+            assert_same_arrays(got[0], want[0])
+            assert got[1] == want[1]
+            assert_replay_matches_loop(got[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_qubits=st.integers(2, 30), n_states=st.integers(1, 8),
+           line_mode=st.sampled_from(["mod6", "mod3"]), eps=st.floats(1e3, 1e5),
+           t_ns=st.floats(1e-3, 1e6))
+    def test_quantum_wires_at_drawn_sizes_and_times(self, n_qubits, n_states, line_mode, eps,
+                                                    t_ns):
+        spec = chain_for(DESIGN, n_qubits, eps_high=eps)
+        got, _ = quantum_channel_schedule(spec, n_states, t_ns, line_mode=line_mode)
+        want, _ = loop_quantum_channel_schedule(spec, n_states, t_ns, line_mode=line_mode)
+        assert_same_arrays(got, want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=schedules())
+    def test_hand_built_schedules(self, case):
+        schedule, _ = case
+        assert_replay_matches_loop(schedule)
+        rebuilt = PulseSchedule(schedule.n_qubits, schedule.windows, schedule.final_events,
+                                schedule.label)
+        assert_same_arrays(rebuilt, schedule)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=schedules(bias_values=st.sampled_from([0.0, -0.0, 25000.0]), min_windows=1))
+    def test_hand_built_schedules_round_trip_bit_for_bit(self, case):
+        schedule, lines = case
+        back, back_lines = schedule_from_json(schedule_to_json(schedule, lines))
+        assert_same_arrays(back, schedule)
+        assert back_lines == lines

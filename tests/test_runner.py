@@ -85,7 +85,7 @@ def oracle_full_corrected(spec, schedule, states, angles):
                 rho = replace(rho, e.qubit, np.outer(t, t.conj()))
 
     for i, window in enumerate(schedule.windows):
-        boundary(window.boundary_events(), i)
+        boundary(schedule.boundary_events[i], i)
         h = kron_hamiltonian(n, spec.delta_mhz, spec.xi_mhz, window.biases_mhz)
         u = expm_propagator(h, window.duration_ns)
         rho = u @ rho @ u.conj().T
@@ -130,7 +130,7 @@ def entangled_read_schedule(spec, design) -> PulseSchedule:
     leaves the output qubit entangled with the chain at the first read."""
     sch, lines = quantum_channel_schedule(spec, 2, design.t_ns)
     doc = json.loads(schedule_to_json(sch, lines))
-    (q,) = sch.windows[4].gate_targets()
+    (q,) = sch.gate_targets[4]
     doc["windows"][4]["biases_mhz"][q] += 7.5
     return schedule_from_json(json.dumps(doc))[0]
 
@@ -424,7 +424,7 @@ class TestQuantumChannel:
         spec = chain_for(design, 5, eps_high=SNAP_EPS)
         sch, lines = quantum_channel_schedule(spec, 2, design.t_ns)
         doc = json.loads(schedule_to_json(sch, lines))
-        assert sch.windows[0].gate_targets() == (0,)
+        assert sch.gate_targets[0] == (0,)
         doc["windows"][0]["biases_mhz"][0] += 7.5
         edited, _ = schedule_from_json(json.dumps(doc))
         states = [np.array(random_qubit_amplitudes(rng)) for _ in range(2)]

@@ -20,7 +20,7 @@ from swapchannel import (
     swap_pulses,
     validate_sacrificial,
 )
-from swapchannel.scheduler import replay_occupancy
+from swapchannel.scheduler import EVENT_KINDS, replay_occupancy
 
 
 def bare_window(n: int, targets=(), events=(), start=0.0, t=10.0) -> Window:
@@ -62,8 +62,9 @@ class TestScheduleContainers:
         w = bare_window(
             3, targets=(1,), events=(PulseEvent(kind="inject", qubit=0, data_index=0),)
         )
-        assert w.gate_targets() == (1,)
-        assert [e.kind for e in w.boundary_events()] == ["inject"]
+        sch = PulseSchedule(3, (w,), (PulseEvent(kind="hold", qubit=2),))
+        assert sch.gate_targets == ((1,),)
+        assert [[e.kind for e in events] for events in sch.boundary_events] == [["inject"], []]
 
     @pytest.mark.parametrize(
         "fields, fragment",
@@ -169,6 +170,72 @@ class TestScheduleContainers:
         assert la.lines == (0, None, 0)
 
 
+class TestScheduleArrays:
+    """A schedule is its read-only arrays: biases, starts, durations and the
+    (window, kind, qubit, data_index) event table, final events last."""
+
+    def test_swap_fragment_arrays(self, design):
+        spec = chain_for(design, 4, eps_high=25000.0)
+        sch = swap_pulses(spec, 1, 2, design.t_ns, start_ns=5.0)
+        assert sch.starts.tolist() == [5.0, 15.0, 25.0]
+        assert sch.durations.tolist() == [10.0] * 3
+        assert sch.biases.tolist() == [[25000.0, 0.0, 25000.0, 25000.0],
+                                       [25000.0, 25000.0, 0.0, 25000.0],
+                                       [25000.0, 0.0, 25000.0, 25000.0]]
+        cnot = EVENT_KINDS.index("cnot_pulse")
+        assert sch.events.tolist() == [[0, cnot, 1, -1], [1, cnot, 2, -1], [2, cnot, 1, -1]]
+        assert sch.gate_targets == ((1,), (2,), (1,))
+        assert sch.boundary_events == ((), (), (), ())
+
+    def test_arrays_and_attributes_are_read_only(self, design):
+        sch, _ = quantum_channel_schedule(chain_for(design, 5), 2, design.t_ns)
+        for name in ("biases", "starts", "durations", "events"):
+            assert not getattr(sch, name).flags.writeable, name
+        with pytest.raises(ValueError):
+            sch.biases[0, 0] = 1.0
+        with pytest.raises(AttributeError, match="read-only"):
+            sch.n_qubits = 3
+
+    def test_final_events_sit_after_the_last_window(self, design):
+        sch, _ = quantum_channel_schedule(chain_for(design, 5), 2, design.t_ns)
+        read = EVENT_KINDS.index("read_reset")
+        assert sch.events[-1].tolist() == [sch.n_windows, read, 4, 1]
+        assert sch.final_events == (PulseEvent("read_reset", 4, 1),)
+        assert sch.boundary_events[-1] == sch.final_events
+
+    def test_rows_round_trip(self, design):
+        sch, _ = classical_channel_schedule(chain_for(design, 6), [1, 0, 1], design.t_ns)
+        rows = PulseSchedule(sch.n_qubits, sch.windows, sch.final_events, sch.label)
+        assert rows == sch and rows.events.tolist() == sch.events.tolist()
+        assert [w.events for w in rows.windows] == [w.events for w in sch.windows]
+
+    def test_data_index_past_int64_is_an_int(self):
+        big = 10**400
+        sch = PulseSchedule(2, (Window(0.0, 1.0, (0.0, 0.0),
+                                       (PulseEvent("inject", 0, big),)),),
+                            (PulseEvent("read_reset", 0, big),))
+        assert sch.events.dtype == object
+        assert sch.events[:, 3].tolist() == [big, big]
+        assert [r.symbol for r in sch.replay.reads] == [big]
+        assert schedule_from_json(schedule_to_json(sch)) == (sch, None)
+
+    def test_equal_schedules_hash_alike_across_zero_signs(self):
+        plus = PulseSchedule(1, (Window(0.0, 1.0, (0.0,)),))
+        minus = PulseSchedule(1, (Window(-0.0, 1.0, (-0.0,)),))
+        assert plus == minus and hash(plus) == hash(minus)
+        assert schedule_to_json(plus) != schedule_to_json(minus)
+
+    @pytest.mark.parametrize("t_ns", [True, "10", float("nan"), float("inf")])
+    def test_generators_refuse_a_window_length_that_is_not_a_finite_number(self, design,
+                                                                          t_ns):
+        spec = chain_for(design, 6)
+        for make in (lambda: quantum_channel_schedule(spec, 1, t_ns),
+                     lambda: classical_channel_schedule(spec, [1], t_ns),
+                     lambda: swap_pulses(spec, 1, 2, t_ns)):
+            with pytest.raises(ScheduleError, match="t_ns must be"):
+                make()
+
+
 class TestScheduleFieldTypes:
     """The schedule types store plain values: numpy numbers are converted,
     other types refused, so a programmatic schedule writes and parses like a
@@ -235,9 +302,9 @@ class TestScheduleFieldTypes:
         spec = chain_for(design, 3)
         sch, _ = quantum_channel_schedule(spec, 1, design.t_ns)
         windows = []
-        for w in sch.windows:
+        for w, targets in zip(sch.windows, sch.gate_targets):
             biases = np.full(spec.n_qubits, spec.eps_high_mhz)
-            for q in w.gate_targets():
+            for q in targets:
                 biases[q] = w.biases_mhz[q]
             windows.append(Window(w.start_ns, w.duration_ns, container(biases), w.events))
         rebuilt = PulseSchedule(sch.n_qubits, windows, sch.final_events, sch.label)
@@ -251,7 +318,7 @@ class TestSwapPulses:
     def test_target_sequence_and_biases(self, design):
         spec = chain_for(design, 4, eps_high=25000.0)
         sch = swap_pulses(spec, 1, 2, design.t_ns)
-        assert [w.gate_targets() for w in sch.windows] == [(1,), (2,), (1,)]
+        assert sch.gate_targets == ((1,), (2,), (1,))
         # Interior pulse parks the target at zero bias, everyone else holds.
         assert_allclose(sch.windows[0].biases_mhz, (25000.0, 0.0, 25000.0, 25000.0))
         assert_allclose(sch.windows[1].biases_mhz, (25000.0, 25000.0, 0.0, 25000.0))
@@ -315,8 +382,8 @@ class TestQuantumChannelSchedule:
         sch, _ = quantum_channel_schedule(spec, 2, design.t_ns)
         injects = [
             (i, e)
-            for i, w in enumerate(sch.windows)
-            for e in w.boundary_events()
+            for i, events in enumerate(sch.boundary_events[:-1])
+            for e in events
             if e.kind == "inject"
         ]
         assert [(i, e.qubit, e.data_index) for i, e in injects] == [
@@ -325,8 +392,8 @@ class TestQuantumChannelSchedule:
         ]
         reads = [
             (i, e)
-            for i, w in enumerate(sch.windows)
-            for e in w.boundary_events()
+            for i, events in enumerate(sch.boundary_events[:-1])
+            for e in events
             if e.kind == "read_reset"
         ]
         # State 0 leaves after macro-step 4 (window 12); state 1 is read from
@@ -372,8 +439,7 @@ class TestQuantumChannelSchedule:
         sch, lines = quantum_channel_schedule(spec, 1, design.t_ns)
         assert lines.lines[2] == lines.lines[8]
         hit = False
-        for w in sch.windows:
-            targets = w.gate_targets()
+        for w, targets in zip(sch.windows, sch.gate_targets):
             if 2 in targets and 8 not in targets:
                 assert_allclose(w.biases_mhz[8], w.biases_mhz[2])
                 hit = True
@@ -396,8 +462,7 @@ class TestClassicalChannelSchedule:
         spec = chain_for(design, 6)
         sch, lines = classical_channel_schedule(spec, [1, 0, 1], design.t_ns)
         assert sch.n_windows == 2 * (3 + 3 - 1)
-        assert sch.windows[0].gate_targets() == (1, 3, 5)
-        assert sch.windows[1].gate_targets() == (2, 4)
+        assert sch.gate_targets[:2] == ((1, 3, 5), (2, 4))
         assert lines.n_lines == 3
         assert lines.lines[0] is None
 
@@ -406,14 +471,13 @@ class TestClassicalChannelSchedule:
         sch, _ = classical_channel_schedule(spec, [1, 0, 1], design.t_ns)
         # Bit 0 enters at the very start; bits 1 and 2 are re-prepared on the
         # input qubit during the even-group windows of repeats 0 and 1.
-        w0 = sch.windows[0].boundary_events()
+        w0, w1 = sch.boundary_events[:2]
         assert [(e.kind, e.qubit, e.data_index) for e in w0] == [("inject", 0, 0)]
-        w1 = sch.windows[1].boundary_events()
         assert [(e.kind, e.data_index) for e in w1] == [("read_reset", None), ("inject", 1)]
         reads = [
             (i, e.data_index)
-            for i, w in enumerate(sch.windows)
-            for e in w.boundary_events()
+            for i, events in enumerate(sch.boundary_events[:-1])
+            for e in events
             if e.kind == "read_reset" and e.qubit == 5
         ]
         assert reads == [(6, 0), (8, 1)]
@@ -442,6 +506,18 @@ class TestClassicalChannelSchedule:
             classical_channel_schedule(spec, [], 10.0)
         with pytest.raises(ScheduleError):
             classical_channel_schedule(spec, [0, 2], 10.0)
+
+    @pytest.mark.parametrize("bits", [[True, 0.0, 1.0], [1, 0, True], [1, 0.0], [np.bool_(1)],
+                                      [1.0], ["1"]],
+                             ids=["bools-and-floats", "bool", "float-zero", "numpy-bool",
+                                  "float-one", "str"])
+    def test_bits_are_the_ints_0_and_1(self, design, bits):
+        spec = chain_for(design, 6)
+        with pytest.raises(ScheduleError, match="bits must be a non-empty sequence of the "
+                                                "ints 0 and 1"):
+            classical_channel_schedule(spec, bits, design.t_ns)
+        got, _ = classical_channel_schedule(spec, [np.int64(1), 0, np.uint8(1)], design.t_ns)
+        assert got == classical_channel_schedule(spec, [1, 0, 1], design.t_ns)[0]
 
 
 class TestReplayViolations:
