@@ -138,6 +138,14 @@ def _z_values(n_qubits: int) -> np.ndarray:
     return 1 - 2 * bits
 
 
+def _mirror_index(n_qubits: int) -> np.ndarray:
+    """(2^n,) index of each basis state's mirror image (qubit q <-> n-1-q),
+    the bit reversal of its index: ``H(b[::-1]) = H(b)[m][:, m]``."""
+    idx = np.arange(1 << n_qubits)
+    bits = (idx[:, None] >> np.arange(n_qubits)) & 1
+    return bits @ (1 << np.arange(n_qubits)[::-1])
+
+
 def build_hamiltonian(spec: ChainSpec, biases_mhz: Sequence[float]) -> np.ndarray:
     """Dense chain Hamiltonian for one bias profile, as a real float64 matrix.
 
@@ -145,7 +153,9 @@ def build_hamiltonian(spec: ChainSpec, biases_mhz: Sequence[float]) -> np.ndarra
     nearest neighbours.  Off-diagonal part: ``delta`` on every pair of indices
     differing in exactly one bit.  Every term is real, so the matrix is real
     symmetric and :func:`~swapchannel.evolve.propagator` can use a real
-    eigendecomposition.  Refuses chains of more than ``DEFAULT_MAX_QUBITS``.
+    eigendecomposition.  Its couplings are uniform, so reversing the biases
+    mirrors the matrix: ``H(b[::-1]) = H(b)[m][:, m]`` with ``m`` from
+    :func:`_mirror_index`.  Refuses chains of more than ``DEFAULT_MAX_QUBITS``.
     """
     n = spec.n_qubits
     if n > DEFAULT_MAX_QUBITS:

@@ -18,7 +18,10 @@ propagator (the eigenvector method of Moler and Van Loan, SIAM Review 45, 3
 (2003)).  The chain Hamiltonian is real symmetric, so ``V`` is real and the
 update is two real products on ``W`` viewed as a ``(2^n, 2r)`` float array:
 ``8 dim^2 r`` flops, as many as ``U @ W``, with the two ``dim^3`` products
-that assemble ``U`` skipped.  :func:`propagator` assembles ``U`` for the
+that assemble ``U`` skipped.  A chain H whose biases read the same reversed
+commutes with the bit reversal of the basis index, and
+:func:`_sector_eigensystem` splits it into two half-size blocks, a quarter of
+the ``eigh`` work.  :func:`propagator` assembles ``U`` for the
 callers that need the matrix itself (the 3-qubit gate experiments and the
 reduced pulse operators); complex Hermitian input takes the complex route.
 Reduced-mode wire runs do not use these dense states; they run on
@@ -34,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import is_hermitian, phase_angle
+from .chain import _mirror_index, is_hermitian, phase_angle
 
 __all__ = [
     "EntanglementError",
@@ -156,9 +159,14 @@ class QuantumState:
         A real ``V`` acts on ``W`` viewed as a ``(dim, 2r)`` float array (real
         and imaginary parts as columns), so the update is two real products,
         ``8 dim^2 r`` flops; a complex ``V`` takes ``V (ph * (V^dagger W))``.
+        Refuses a ``V`` that is not ``dim x dim`` and angles that are not
+        ``dim`` finite numbers.
         """
+        angles = np.asarray(angles)
         if evecs.shape != (self.dim, self.dim):
             raise ValueError(f"eigenvectors must be {self.dim} x {self.dim}, got {evecs.shape}")
+        if angles.shape != (self.dim,) or not np.isfinite(angles).all():
+            raise ValueError(f"angles must be {self.dim} finite numbers, got shape {angles.shape}")
         phases = np.exp(-1j * angles)[:, None]
         if np.iscomplexobj(evecs):
             self._store(evecs @ (phases * (evecs.conj().T @ self.data)))
@@ -169,7 +177,10 @@ class QuantumState:
 
     def apply_diagonal(self, diag: np.ndarray) -> None:
         """Apply the full-chain operator ``diag(diag)``: ``dim * r`` products,
-        no dense ``dim x dim`` matrix."""
+        no dense ``dim x dim`` matrix.  Refuses a diagonal of another shape."""
+        diag = np.asarray(diag)
+        if diag.shape != (self.dim,):
+            raise ValueError(f"diagonal must have shape ({self.dim},), got {diag.shape}")
         self._store(diag[:, None] * self.data)
 
     def _axes(self, qubit: int) -> tuple[int, int]:
@@ -246,6 +257,32 @@ def eigensystem(hamiltonian: np.ndarray, duration_ns: float) -> tuple[np.ndarray
     _check_duration(duration_ns)
     evals, evecs = np.linalg.eigh(h)
     return evecs, phase_angle(evals, duration_ns)
+
+
+def _sector_eigensystem(
+    hamiltonian: np.ndarray, duration_ns: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eigensystem` of a chain H whose biases read the same reversed,
+    from its two mirror sectors.  With ``(a, m(a))`` the basis pairs swapped
+    by the bit reversal m and ``f`` its fixed points, the even sector on
+    ``(e_a + e_m(a))/sqrt2, e_f`` is ``[[H_aa + H_am(a), sqrt2 H_af], [.., H_ff]]``
+    and the odd one on ``(e_a - e_m(a))/sqrt2`` is ``H_aa - H_am(a)``."""
+    h = np.asarray(hamiltonian)
+    mirror = _mirror_index(h.shape[0].bit_length() - 1)
+    idx = np.arange(len(mirror))
+    a, f, ma = idx[idx < mirror], idx[idx == mirror], mirror[idx < mirror]
+    h_aa, cross = h[np.ix_(a, a)], h[np.ix_(a, ma)]
+    cross = (cross + cross.T) / 2  # exactly symmetric; H is P-symmetric only to rounding
+    side = np.sqrt(2.0) * h[np.ix_(a, f)]
+    even = np.block([[h_aa + cross, side], [side.T, h[np.ix_(f, f)]]])
+    (ve, ae), (vo, ao) = eigensystem(even, duration_ns), eigensystem(h_aa - cross, duration_ns)
+    evecs = np.zeros(h.shape)
+    s = np.sqrt(0.5)
+    evecs[a, :len(ae)] = evecs[ma, :len(ae)] = s * ve[:len(a)]
+    evecs[f, :len(ae)] = ve[len(a):]
+    evecs[a, len(ae):] = s * vo
+    evecs[ma, len(ae):] = -s * vo
+    return evecs, np.concatenate([ae, ao])
 
 
 def propagator(hamiltonian: np.ndarray, duration_ns: float) -> np.ndarray:

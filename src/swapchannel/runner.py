@@ -19,8 +19,12 @@ without asking which one it holds.  It has two modes:
 * ``full``: the complete (real symmetric) chain Hamiltonian, window by
   window, with every parked-bias imperfection included.  The state is a
   factor ``W`` with ``rho = W W^dagger`` (:class:`~swapchannel.evolve.QuantumState`).
-  Each distinct (biases, duration) window is diagonalised once per run, and
-  the pair ``(V, E t)`` is cached; a window applies ``V e^{-iEt} V^T`` to
+  The pair ``(V, E t)`` of each distinct (biases, duration) window is cached
+  for the run, and the mirror symmetry ``H(b[::-1]) = P H(b) P^T`` (P the bit
+  reversal of the basis index) spares most ``eigh`` work: a window takes the
+  cached ``V`` of its mirror image with rows permuted, or if it is its own
+  mirror image, the eigensystems of its two half-size mirror sectors
+  (:func:`_window_eigensystem`).  A window applies ``V e^{-iEt} V^T`` to
   ``W`` in the eigenbasis (two real products, ``8 dim^2 r`` flops), and the
   propagator ``U`` is never assembled.  A reset or inject traces the qubit
   out, which doubles the columns of ``W`` before a thin SVD compresses them.
@@ -43,9 +47,12 @@ from typing import Sequence
 import numpy as np
 
 from .chain import (
-    ChainSpec, _z_values, build_hamiltonian, effective_bias, phase_angle, wrap_phase
+    ChainSpec, _mirror_index, _z_values, build_hamiltonian, effective_bias, phase_angle,
+    wrap_phase,
 )
-from .evolve import QuantumState, _checked_amplitudes, eigensystem, propagator
+from .evolve import (
+    QuantumState, _checked_amplitudes, _sector_eigensystem, eigensystem, propagator
+)
 from .gates import IDEAL_CNOT, reduced_pulse_operator
 from .mps import MPS
 from .scheduler import PulseSchedule, ScheduleError
@@ -314,6 +321,19 @@ def _require_states(schedule: PulseSchedule, data_states: Sequence) -> list[np.n
     return states
 
 
+def _window_eigensystem(spec: ChainSpec, biases: list, duration: float, cache: dict):
+    """``(V, E t)`` of one full-mode window: the entry of its mirror image in
+    ``cache`` with rows permuted (``H(b[::-1]) = H(b)[m][:, m]``, no ``eigh``),
+    the two mirror sectors of a self-mirror profile, or else :func:`eigensystem`."""
+    mirrored = cache.get((tuple(biases[::-1]), duration))
+    if mirrored is not None:
+        return mirrored[0][_mirror_index(spec.n_qubits)], mirrored[1]
+    h = build_hamiltonian(spec, biases)
+    if spec.n_qubits > 1 and biases == biases[::-1]:
+        return _sector_eigensystem(h, duration)
+    return eigensystem(h, duration)
+
+
 def _execute(
     spec: ChainSpec,
     schedule: PulseSchedule,
@@ -331,7 +351,8 @@ def _execute(
     ``frame_correction``, whose copy of the state has each window's idle
     phases undone.  The qubit is then reset, which never refuses.  Injects
     write ``data_states[event.data_index]`` and refuse a qubit whose purity
-    is below ``1 - INJECT_PURITY_TOL`` (``evolve``).
+    is below ``1 - INJECT_PURITY_TOL`` (``evolve``).  Full mode caches one
+    :func:`_window_eigensystem` per distinct window, shared by both branches.
     """
     if schedule.n_qubits != spec.n_qubits:
         raise ValueError("schedule and spec disagree on n_qubits")
@@ -371,7 +392,7 @@ def _execute(
             continue
         key = (tuple(biases), duration)
         if key not in prop_cache:
-            prop_cache[key] = eigensystem(build_hamiltonian(spec, biases), duration)
+            prop_cache[key] = _window_eigensystem(spec, biases, duration, prop_cache)
         for s in branches.values():
             s.apply_eigensystem(*prop_cache[key])
         if angles is not None:

@@ -22,7 +22,11 @@ check grouped each window's biases into a dict of sets, one qubit at a
 time.  The wire generators and the replay are the package's former
 object-building routes: one ``Window`` of ``PulseEvent`` rows at a time,
 and a replay over those rows; the loop frame correction and line check read
-that replay."""
+that replay.  The plain window eigensystem is the full-mode engine's former
+per-window route, one ``eigh`` of each window's own Hamiltonian, before it
+shared eigenvectors between mirror images.  The mirrored schedule is the
+paper's bi-directional claim as a test input: the same wire run right to
+left."""
 
 import json
 
@@ -30,11 +34,14 @@ import numpy as np
 import scipy.linalg
 
 from swapchannel.chain import TwoLevelParams, build_hamiltonian, phase_angle, wrap_phase
-from swapchannel.evolve import INJECT_PURITY_TOL, EntanglementError, QuantumState, propagator
+from swapchannel.evolve import (
+    INJECT_PURITY_TOL, EntanglementError, QuantumState, eigensystem, propagator
+)
 from swapchannel.gates import reduced_pulse_operator
 from swapchannel.runner import _frame_diagonal, compute_frame_correction
 from swapchannel.scheduler import (
-    BOUNDARY_KINDS, GATE_KINDS, LineCheckReport, PulseEvent, PulseSchedule, ReadRecord,
+    BOUNDARY_KINDS, GATE_KINDS, LineAssignment, LineCheckReport, PulseEvent, PulseSchedule,
+    ReadRecord,
     ReplayResult, ScheduleError, Violation, Window, _classical_lines, _quantum_lines,
 )
 
@@ -242,12 +249,15 @@ def rho_replace(rho: np.ndarray, qubit: int, local: np.ndarray) -> np.ndarray:
     return out.reshape(rho.shape)
 
 
-def dense_rho_run(spec, schedule, data_states, on_read, *, mode, frame_correction=False):
+def dense_rho_run(spec, schedule, data_states, on_read, *, mode, frame_correction=False,
+                  exact=False):
     """A full-mode run on 2^L x 2^L density matrices, with the signature and
     read contract of ``runner._execute`` (so a runner can be pointed at it).
 
     Each window maps ``rho -> U rho U^dagger`` with the package's own
-    ``propagator`` of ``build_hamiltonian``; resets and injects trace the
+    ``propagator`` of ``build_hamiltonian``, or with ``exact`` scipy's
+    ``expm`` of the Kronecker Hamiltonian (one per distinct window either
+    way); resets and injects trace the
     qubit out and tensor in |0> or the data state (an inject refuses a qubit
     whose purity is below ``1 - INJECT_PURITY_TOL``); the ``"corrected"`` copy
     takes the package's frame diagonal as ``d rho d^dagger`` after every
@@ -280,9 +290,15 @@ def dense_rho_run(spec, schedule, data_states, on_read, *, mode, frame_correctio
             for k in rhos:
                 rhos[k] = rho_replace(rhos[k], e.qubit, local)
 
+    props = {}
     for i, window in enumerate(schedule.windows):
         boundary(_boundary_events(window), i)
-        u = propagator(build_hamiltonian(spec, window.biases_mhz), window.duration_ns)
+        key = (window.biases_mhz, window.duration_ns)
+        if key not in props:
+            h = (kron_hamiltonian(n, spec.delta_mhz, spec.xi_mhz, window.biases_mhz) if exact
+                 else build_hamiltonian(spec, window.biases_mhz))
+            props[key] = (expm_propagator if exact else propagator)(h, window.duration_ns)
+        u = props[key]
         for k in rhos:
             rhos[k] = u @ rhos[k] @ u.conj().T
         if frame_correction:
@@ -586,3 +602,24 @@ def loop_replay_occupancy(schedule) -> ReplayResult:
     width = n if n <= np.iinfo(np.intp).max else 0
     held = np.frombuffer(b"".join(rows), dtype=bool).reshape(len(windows), width)
     return ReplayResult(violations=tuple(violations), data_held=held, reads=tuple(reads))
+
+
+def plain_window_eigensystem(spec, biases, duration, cache):
+    """``runner._window_eigensystem`` as one ``eigh`` of each window's own
+    Hamiltonian, with no eigenvectors shared between mirror images."""
+    return eigensystem(build_hamiltonian(spec, biases), duration)
+
+
+def mirror_schedule(schedule, lines):
+    """The schedule run right to left: qubit q becomes L-1-q in every event,
+    each window's bias row is reversed and so is the line map."""
+    last = schedule.n_qubits - 1
+
+    def flip(events):
+        return tuple(PulseEvent(e.kind, last - e.qubit, e.data_index) for e in events)
+
+    windows = tuple(Window(w.start_ns, w.duration_ns, w.biases_mhz[::-1], flip(w.events))
+                    for w in schedule.windows)
+    mirrored = PulseSchedule(schedule.n_qubits, windows, flip(schedule.final_events),
+                             schedule.label)
+    return mirrored, LineAssignment(lines.lines[::-1], lines.n_lines)

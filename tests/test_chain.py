@@ -9,6 +9,7 @@ from oracles import kron_hamiltonian
 from swapchannel import ChainSpec
 from swapchannel.chain import (
     TwoLevelParams,
+    _mirror_index,
     build_hamiltonian,
     effective_bias,
     is_hermitian,
@@ -171,6 +172,29 @@ class TestBuildHamiltonian:
         h = build_hamiltonian(spec, biases)
         assert is_hermitian(h)
         assert_allclose(h.diagonal().imag, 0.0, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        biases=st.lists(finite_bias, min_size=1, max_size=8),
+        delta=st.floats(min_value=0.1, max_value=200.0),
+        xi=st.floats(min_value=0.0, max_value=200.0),
+    )
+    def test_mirrored_biases_give_the_mirrored_hamiltonian(self, biases, delta, xi):
+        # H(b[::-1]) = P H(b) P^T with P the bit reversal of the basis index:
+        # the full-mode engine's mirror sharing (a cached window's V[m] for
+        # its mirror image, and the two half-size sectors of a self-mirror
+        # window) depends on it.
+        spec = ChainSpec(len(biases), delta, xi)
+        h = build_hamiltonian(spec, biases)
+        m = _mirror_index(spec.n_qubits)
+        assert_allclose(build_hamiltonian(spec, biases[::-1]), h[m][:, m],
+                        rtol=0, atol=1e-12 * np.abs(h).max())
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_mirror_index_reverses_the_qubit_order(self, n):
+        m = _mirror_index(n)
+        bits = [format(i, f"0{n}b") for i in range(1 << n)]
+        assert [bits[j] for j in m] == [b[::-1] for b in bits]
 
 
 def target_bias(spec, target, bits, target_bias_mhz):

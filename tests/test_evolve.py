@@ -13,6 +13,7 @@ from swapchannel.evolve import (
     INJECT_PURITY_TOL,
     EntanglementError,
     QuantumState,
+    _sector_eigensystem,
     eigensystem,
     propagator,
     sample_trajectory,
@@ -180,6 +181,41 @@ class TestEigensystem:
         with pytest.raises(ValueError, match="eigenvectors must be 4 x 4"):
             state.apply_eigensystem(*eigensystem(np.eye(8), 1.0))
         assert_allclose(state.data, QuantumState.ground(2).data, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("angles", [
+        np.zeros(1), np.zeros(7), np.zeros((8, 1)), np.array(0.0),
+        np.r_[np.zeros(7), np.nan], np.r_[np.inf, np.zeros(7)],
+    ])
+    def test_refuses_angles_of_another_shape_or_not_finite(self, angles):
+        # a 1-element array would broadcast over every eigenvector, and a NaN
+        # angle would leave a NaN state
+        state = QuantumState.ground(3)
+        with pytest.raises(ValueError, match="angles must be 8 finite numbers"):
+            state.apply_eigensystem(np.eye(8), angles)
+        assert_allclose(state.data, QuantumState.ground(3).data, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("diag", [[2.0], np.ones(4), np.ones((8, 1)), 2.0])
+    def test_apply_diagonal_refuses_another_shape(self, diag):
+        # [2.0] would broadcast and scale the trace to 4
+        state = QuantumState.ground(3)
+        with pytest.raises(ValueError, match=r"diagonal must have shape \(8,\)"):
+            state.apply_diagonal(diag)
+        assert state.trace() == 1.0
+
+    @pytest.mark.parametrize("n_qubits", range(2, 9))
+    def test_sector_eigensystem_of_a_self_mirror_window(self, design, rng, n_qubits):
+        # the two half-size sectors of a mirror-symmetric H give a real
+        # orthogonal V and the same propagator as one full eigh
+        spec = chain_for(design, n_qubits, eps_high=25000.0)
+        half = np.where(rng.random(n_qubits) < 0.5, 25000.0, rng.uniform(-50.0, 50.0))
+        h = build_hamiltonian(spec, (half + half[::-1]) / 2)
+        evecs, angles = _sector_eigensystem(h, design.t_ns)
+        assert evecs.dtype == np.float64 and angles.shape == (1 << n_qubits,)
+        assert_allclose(evecs.T @ evecs, np.eye(1 << n_qubits), rtol=0, atol=1e-13)
+        state = random_mixed(rng, n_qubits, 2)
+        want = propagator(h, design.t_ns) @ state.data
+        state.apply_eigensystem(evecs, angles)
+        assert_allclose(state.data, want, rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -1.0])
     def test_refuses_negative_and_non_finite_durations(self, duration):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import warnings
@@ -7,7 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import chain_for, random_qubit_amplitudes
-from oracles import dense_reduced_wire, dense_rho_run, expm_propagator, kron_hamiltonian
+from oracles import (
+    dense_reduced_wire, dense_rho_run, expm_propagator, kron_hamiltonian, mirror_schedule,
+    plain_window_eigensystem,
+)
 import swapchannel.gates as gates
 import swapchannel.runner as runner
 import swapchannel.scheduler as scheduler
@@ -100,7 +104,14 @@ def oracle_full_corrected(spec, schedule, states, angles):
 def dense_rho(monkeypatch):
     """Call a runner with its engine swapped for ``oracles.dense_rho_run``:
     the same reads, graded the same way, made on 2^L x 2^L density
-    matrices instead of the factor ``W``."""
+    matrices instead of the factor ``W``.
+
+    For the whole test the engine's own runs take each window's eigensystem
+    from one plain ``eigh`` of its Hamiltonian, as ``dense_rho_run`` does, so
+    a comparison at 1e-12 tests the factor representation alone; the mirror
+    sharing has its own tests against the plain path (``TestMirrorSharing``).
+    """
+    monkeypatch.setattr(runner, "_window_eigensystem", plain_window_eigensystem)
 
     def run(fn, *args, **kwargs):
         with monkeypatch.context() as m:
@@ -123,6 +134,19 @@ def assert_transfer_reports_match(got, want, atol=1e-12):
             name = f"phase_error_{column}"
             assert abs(wrap_phase(getattr(a, name) - getattr(b, name))) <= atol, name
     assert_allclose(got.final_trace, want.final_trace, rtol=0, atol=atol)
+
+
+def report_distance(got, want) -> float:
+    """The largest difference of any record field or the final trace; phases
+    mod 2pi."""
+    gaps = [abs(got.final_trace - want.final_trace)]
+    for a, b in zip(got.records, want.records):
+        for column in ("raw", "corrected"):
+            for field in ("fidelity", "purity"):
+                gaps.append(abs(getattr(a, f"{field}_{column}") - getattr(b, f"{field}_{column}")))
+            name = f"phase_error_{column}"
+            gaps.append(abs(wrap_phase(getattr(a, name) - getattr(b, name))))
+    return max(gaps)
 
 
 def entangled_read_schedule(spec, design) -> PulseSchedule:
@@ -671,18 +695,22 @@ class TestFullModeFastPath:
         assert len(dtypes) == sch.n_windows
         assert not any(np.issubdtype(dt, np.complexfloating) for dt in dtypes)
 
-    @pytest.mark.parametrize("n_qubits, n_states", [(5, 1), (6, 2), (7, 3)])
-    def test_a_full_run_diagonalises_each_distinct_window_once(
+    @pytest.mark.parametrize("n_qubits, n_states", [(5, 1), (6, 2), (7, 3), (8, 1), (9, 4)])
+    def test_a_full_run_diagonalises_each_mirror_class_once(
         self, design, rng, monkeypatch, n_qubits, n_states
     ):
-        # The eigensystem of each (biases, duration) key is cached for the run:
-        # one float64 eigh per key, shared by the raw and corrected branches,
-        # and no propagator is assembled.
-        dtypes = []
+        # The eigensystem of each (biases, duration) key is cached for the
+        # run and shared by the raw and corrected branches.  A key and its
+        # mirror image (biases reversed) make one class: one float64 eigh of
+        # dimension 2^L, the other key taking a row gather of its eigenvectors.
+        # A self-mirror key is its own class and makes two eighs, one per
+        # mirror sector, of dimensions (2^L +- 2^ceil(L/2)) / 2.  No
+        # propagator is assembled.
+        calls = []
         eigh = np.linalg.eigh
 
         def spy(a, *args, **kwargs):
-            dtypes.append(np.asarray(a).dtype)
+            calls.append((np.asarray(a).dtype, len(a)))
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
@@ -692,6 +720,136 @@ class TestFullModeFastPath:
         states = [np.array(random_qubit_amplitudes(rng)) for _ in range(n_states)]
         run_quantum_channel(spec, sch, states, mode="full")
         keys = {(w.biases_mhz, w.duration_ns) for w in sch.windows}
-        assert 1 < len(keys) < sch.n_windows
-        assert len(dtypes) == len(keys)
-        assert set(dtypes) == {np.dtype(np.float64)}
+        classes = {frozenset({(b, t), (b[::-1], t)}) for b, t in keys}
+        n_self = sum(len(c) == 1 for c in classes)
+        dim, fixed = 2**n_qubits, 2 ** -(-n_qubits // 2)
+        want = [dim] * (len(classes) - n_self) + [(dim + fixed) // 2, (dim - fixed) // 2] * n_self
+        assert 1 < len(classes) < len(keys) < sch.n_windows
+        assert sorted(n for _, n in calls) == sorted(want)
+        assert {dt for dt, _ in calls} == {np.dtype(np.float64)}
+        if (n_qubits, n_states) == (8, 1):
+            assert len(calls) == 4  # 8 keys in 4 mirror pairs, none self-mirror
+
+
+def hand_built_schedule(rng, n_qubits: int, t_ns: float) -> PulseSchedule:
+    """Windows whose bias profiles are paired with their mirror image, are
+    their own mirror image, or neither (one mirror image at another
+    duration), with injects at both ends, a mid-run read that leaves the
+    chain mixed, and a later inject."""
+    def profile():
+        return np.where(rng.random(n_qubits) < 0.4, SNAP_EPS,
+                        rng.uniform(-60.0, 60.0, n_qubits))
+
+    paired, other, unpaired = profile(), profile(), profile()
+    unpaired[0], unpaired[-1] = 5.0, -5.0  # never its own mirror image
+    self_mirror = (other + other[::-1]) / 2
+    profiles = [(paired, t_ns), (self_mirror, t_ns), (unpaired, t_ns),
+                (paired[::-1], t_ns), (paired[::-1], 0.7 * t_ns), (paired, t_ns),
+                (self_mirror, t_ns), (unpaired, t_ns)]
+    events = {
+        0: (PulseEvent("inject", 0, 0), PulseEvent("inject", n_qubits - 1, 1)),
+        3: (PulseEvent("read_reset", 0), PulseEvent("inject", 0, 2)),
+    }
+    windows = [Window(i * t_ns, t, tuple(b), events.get(i, ()))
+               for i, (b, t) in enumerate(profiles)]
+    final = (PulseEvent("read_reset", 0), PulseEvent("read_reset", n_qubits - 1))
+    return PulseSchedule(n_qubits, tuple(windows), final)
+
+
+class TestMirrorSharing:
+    """The full-mode engine shares eigenvectors between mirror images and
+    splits a self-mirror window into its two mirror sectors; against the
+    plain path, one eigh per window (``oracles.plain_window_eigensystem``),
+    it agrees to the full-mode tolerance of 1e-10."""
+
+    @staticmethod
+    def both_paths(monkeypatch, fn, *args, **kwargs):
+        symmetric = fn(*args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(runner, "_window_eigensystem", plain_window_eigensystem)
+            return symmetric, fn(*args, **kwargs)
+
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 4])
+    def test_designed_quantum_wires(self, design, rng, monkeypatch, n_states):
+        for n_qubits in range(3, 8):
+            spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
+            sch, _ = quantum_channel_schedule(spec, n_states, design.t_ns)
+            states = [np.array(random_qubit_amplitudes(rng)) for _ in range(n_states)]
+            got, want = self.both_paths(monkeypatch, run_quantum_channel, spec, sch, states,
+                                        mode="full")
+            assert_transfer_reports_match(got, want, atol=1e-10)
+
+    @pytest.mark.parametrize("n_qubits", range(2, 8))
+    def test_hand_built_schedules_mixing_paired_self_mirror_and_unpaired_windows(
+        self, design, rng, monkeypatch, n_qubits
+    ):
+        sch = hand_built_schedule(rng, n_qubits, design.t_ns)
+        states = [np.array(random_qubit_amplitudes(rng)) for _ in range(3)]
+
+        def run():
+            reads = []
+            final = runner._execute(spec, sch, states,
+                                    lambda e, w, r: reads.append(r["raw"]), mode="full")
+            return reads, final.data @ final.data.conj().T
+
+        spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
+        (got_reads, got_rho), (want_reads, want_rho) = self.both_paths(monkeypatch, run)
+        assert len(got_reads) == len(want_reads) == 3
+        assert want_reads[0][1] < 0.999  # the mid-run read leaves the chain mixed
+        for (rho2, purity), (want2, want_purity) in zip(got_reads, want_reads):
+            assert_allclose(rho2, want2, rtol=0, atol=1e-10)
+            assert_allclose(purity, want_purity, rtol=0, atol=1e-10)
+        assert_allclose(got_rho, want_rho, rtol=0, atol=1e-10)
+
+    def test_no_further_from_the_expm_oracle_than_the_plain_path(
+        self, design, rng, monkeypatch
+    ):
+        # Every read of designed wires against density matrices evolved by
+        # scipy expm of Kronecker Hamiltonians.  Both paths sit at rounding
+        # distance from the oracle, so single wires go either way; summed
+        # over the sweep the symmetric path is no further off, and its worst
+        # wire is within the full-mode tolerance.
+        total = {"symmetric": 0.0, "plain": 0.0}
+        worst = 0.0
+        oracle = functools.partial(dense_rho_run, exact=True)
+        for n_states in (1, 2):
+            for n_qubits in range(2, 8):
+                spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
+                sch, _ = quantum_channel_schedule(spec, n_states, design.t_ns)
+                states = [np.array(random_qubit_amplitudes(rng)) for _ in range(n_states)]
+                with monkeypatch.context() as m:
+                    m.setattr(runner, "_execute", oracle)
+                    want = run_quantum_channel(spec, sch, states, mode="full")
+                reports = self.both_paths(monkeypatch, run_quantum_channel, spec, sch, states,
+                                          mode="full")
+                for name, got in zip(total, reports):
+                    total[name] += report_distance(got, want)
+                worst = max(worst, report_distance(reports[0], want))
+        assert total["symmetric"] <= total["plain"], total
+        assert worst < 1e-10
+
+
+class TestMirroredWire:
+    """The paper's wire is bi-directional: run right to left (qubit q as
+    L-1-q, each bias row and the line map reversed), it is a valid schedule
+    with the forward run's reads."""
+
+    @pytest.mark.parametrize("n_qubits", [5, 6, 7])
+    def test_reads_equal_the_forward_run(self, design, rng, n_qubits):
+        spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
+        sch, lines = quantum_channel_schedule(spec, 2, design.t_ns)
+        mirrored, mirrored_lines = mirror_schedule(sch, lines)
+        assert mirrored.replay.ok
+        assert line_conflict_check(mirrored, mirrored_lines).ok
+        assert {e.qubit for e in mirrored.final_events} == {0}
+        states = [np.array(random_qubit_amplitudes(rng)) for _ in range(2)]
+        for mode, atol in (("reduced", 1e-12), ("full", 1e-10)):
+            forward = run_quantum_channel(spec, sch, states, mode=mode)
+            backward = run_quantum_channel(spec, mirrored, states, mode=mode)
+            assert len(backward.records) == len(forward.records) == 2
+            for a, b in zip(backward.records, forward.records):
+                assert (a.data_index, a.window_index) == (b.data_index, b.window_index)
+                for name in ("fidelity_raw", "fidelity_corrected"):
+                    assert_allclose(getattr(a, name), getattr(b, name), rtol=0, atol=atol,
+                                    err_msg=f"{mode} {name}")
+                assert abs(wrap_phase(a.phase_error_raw - b.phase_error_raw)) <= atol, mode
