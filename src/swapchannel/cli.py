@@ -87,25 +87,10 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _design_obj(design: GateDesign, phase_exact: bool = True) -> dict:
-    report = validate_gate_conditions(design, phase_exact=phase_exact)
-    f1, f2, f3 = copy_frequencies(design.delta_mhz, design.xi_mhz)
-    return {
-        "t_ns": design.t_ns,
-        "m": design.m,
-        "n": design.n,
-        "delta_mhz": design.delta_mhz,
-        "xi_mhz": design.xi_mhz,
-        "f1_mhz": design.f1_mhz,
-        "f2_mhz": design.f2_mhz,
-        "copy_frequencies_mhz": [f1, f2, f3],
-        "conditions": {
-            "f1_cycles": report.f1_cycles,
-            "f2_cycles": report.f2_cycles,
-            "m_odd": report.m_odd,
-            "n_even": report.n_even,
-            "ok": report.ok,
-        },
-    }
+    obj = _section(design, "t_ns", "m", "n", "delta_mhz", "xi_mhz", "f1_mhz", "f2_mhz")
+    obj["copy_frequencies_mhz"] = list(copy_frequencies(design.delta_mhz, design.xi_mhz))
+    obj["conditions"] = asdict(validate_gate_conditions(design, phase_exact=phase_exact))
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +126,6 @@ def _chain_setup(cfg: dict, n_qubits: int) -> tuple[GateDesign, float, ChainSpec
     eps = cfg["eps_high_mhz"]
     if eps == "snap_1000x_delta":
         eps = snapped_hold_bias(design.delta_mhz, design.t_ns)
-    eps = float(eps)
     spec = ChainSpec(
         n_qubits=n_qubits, delta_mhz=design.delta_mhz, xi_mhz=design.xi_mhz, eps_high_mhz=eps
     )
@@ -157,9 +141,9 @@ def _replay_and_lines(schedule, lines) -> tuple[list, dict | None]:
 
 def _cmd_schedule(args) -> int:
     # the caps of ``run``, before anything is built (a flag not given counts as 0)
-    _int(args.n_qubits, "--n-qubits", maximum=MAX_CONFIG_QUBITS)
-    _int(args.n_states or 0, "--n-states", maximum=MAX_CONFIG_ITEMS)
-    _int(len(args.bits or ""), "--bits length", maximum=MAX_CONFIG_ITEMS)
+    _int(args.n_qubits, "--n-qubits", maximum=_KEYS[f"{args.kind}_wire"]["n_qubits"].high)
+    _int(args.n_states or 0, "--n-states", maximum=_KEYS["quantum_wire"]["n_states"].high)
+    _int(len(args.bits or ""), "--bits length", maximum=_KEYS["classical_wire"]["bits"].items[1])
     other = ("--bits", args.bits) if args.kind == "quantum" else ("--n-states", args.n_states)
     if other[1] is not None:
         raise ConfigError(f"{other[0]} is not an option of a {args.kind} schedule")
@@ -280,89 +264,15 @@ def _cmd_trace(args) -> int:
     _write_text(args.out, buf.getvalue())
     if args.plot_script:
         _write_text(args.plot_script, _PLOT_SCRIPT.format(csv_path=args.out))
-    sys.stdout.write(
-        _dump_json(
-            {
-                "csv": args.out,
-                "rows": int(times.shape[0]),
-                "frequency_mhz": descriptor.frequency_mhz,
-                "offset": descriptor.offset,
-                "amplitude": descriptor.amplitude,
-            }
-        )
-    )
+    obj = {"csv": args.out, "rows": int(times.shape[0])}
+    obj |= _section(descriptor, "frequency_mhz", "offset", "amplitude")
+    sys.stdout.write(_dump_json(obj))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # run (config-driven experiments)
 # ---------------------------------------------------------------------------
-
-_COMMON_KEYS = {"experiment", "t_ns", "m", "n", "mode", "eps_high_mhz", "outputs", "assertions"}
-_ALLOWED_KEYS = {
-    "quantum_wire": _COMMON_KEYS | {"n_qubits", "n_states", "states", "seed", "line_mode"},
-    "classical_wire": _COMMON_KEYS | {"n_qubits", "bits"},
-    "copy_table": _COMMON_KEYS,
-    "gate": _COMMON_KEYS | {"eps_grid"},
-}
-
-
-class _Assertion(NamedTuple):
-    """How ``swapchannel run`` grades one assertion key of a config."""
-
-    name: str  # the check name; "{mode}" becomes the graded mode
-    grades: str  # "reduced" or "full", "each" mode the config runs, or the whole "run"
-    value: Callable  # (graded mode's results section, or the report; report) -> graded value
-    passes: Callable  # (graded value, the config's limit) -> bool
-    detail: str  # format string over {got} and {limit}
-
-
-#: The assertion keys of each experiment, in the order their checks print.
-_ASSERTIONS = {
-    "quantum_wire": {
-        "min_reduced_fidelity": _Assertion(
-            "min_reduced_fidelity", "reduced", lambda s, _: s["min_fidelity_corrected"],
-            operator.ge, "min fidelity {got:.9f} vs {limit}",
-        ),
-        "max_reduced_phase_error": _Assertion(
-            "max_reduced_phase_error", "reduced",
-            lambda s, _: max(abs(r["phase_error_corrected"]) for r in s["records"]),
-            operator.le, "max |phase error| {got:.3e} vs {limit}",
-        ),
-        "min_corrected_fidelity": _Assertion(
-            "min_corrected_fidelity", "full", lambda s, _: s["min_fidelity_corrected"],
-            operator.ge, "min corrected fidelity {got:.9f} vs {limit}",
-        ),
-    },
-    "classical_wire": {
-        "require_echo": _Assertion(
-            "echo_{mode}", "each", lambda s, report: (list(s["bits_out"]), report["bits_in"]),
-            lambda got, _: got[0] == got[1], "bits_out={got[0]} vs bits_in={got[1]}",
-        ),
-        "expect_latency_sequences": _Assertion(
-            "latency_{mode}", "each", lambda s, _: s["latency_sequences"],
-            operator.eq, "latency {got} vs {limit}",
-        ),
-    },
-    "copy_table": {
-        "min_fidelity": _Assertion(
-            "min_fidelity_{mode}", "each", lambda s, _: s["min_fidelity"],
-            operator.ge, "min fidelity {got:.9f} vs {limit}",
-        ),
-    },
-    "gate": {
-        "max_worst_infidelity": _Assertion(
-            "max_worst_infidelity", "full", lambda s, _: s["worst_infidelity"],
-            operator.le, "worst infidelity {got:.3e} vs {limit}",
-        ),
-        "slope_range": _Assertion(
-            "slope_range", "run", lambda report, _: report["sweep"]["slope"],
-            lambda got, limit: limit[0] <= got <= limit[1], "slope {got:.3f} vs {limit}",
-        ),
-    },
-}
-
-_ALLOWED_OUTPUTS = {"report", "schedule"}
 
 #: The largest chain, and the most states, bits or sweep points, a config may
 #: ask for; larger sizes are refused before anything is built (full mode is
@@ -374,6 +284,114 @@ _ALLOWED_OUTPUTS = {"report", "schedule"}
 #: qubits x states.
 MAX_CONFIG_QUBITS = 1024
 MAX_CONFIG_ITEMS = 1024
+
+
+class _Key(NamedTuple):
+    """What ``swapchannel run`` accepts for one key of one experiment's
+    config, and the value the key takes when it is not given."""
+
+    kind: str  # "number", "integer", "choice", "biases", "bits", "states" or "outputs";
+    # an assertion's value is a "number", "integer", "boolean" or "range"
+    default: object = None  # a key not given takes it; None, unless named, makes it required;
+    # the keys of an "outputs" default are the files a config may name
+    low: float | None = None  # the least number (each entry's, in a list)
+    high: int | None = None  # the greatest integer
+    items: tuple[int, int] = (1, MAX_CONFIG_ITEMS)  # the least and most entries of a list
+    named: tuple = ()  # values taken as they are: a choice's options, or one beside the kind
+
+
+#: The keys every experiment takes, besides ``experiment``, ``outputs`` and
+#: ``assertions``.
+_DESIGN_KEYS = {
+    "t_ns": _Key("number", 10.0, low=1e-9),
+    "m": _Key("integer", 1, low=1),
+    "n": _Key("integer", 0, low=0),
+    "mode": _Key("choice", "both", named=("reduced", "full", "both")),
+    "eps_high_mhz": _Key("number", "snap_1000x_delta", low=1e-9, named=("snap_1000x_delta",)),
+}
+
+
+#: The config keys of each experiment, one row each.  ``_validate_config``
+#: checks a config against its experiment's rows, ``schedule`` takes its
+#: size caps from them, and the README's key table lists them.
+_KEYS = {
+    "quantum_wire": _DESIGN_KEYS | {
+        "n_qubits": _Key("integer", 5, low=2, high=MAX_CONFIG_QUBITS),
+        "n_states": _Key("integer", 1, low=1, high=MAX_CONFIG_ITEMS),
+        "states": _Key("states", "random", named=("random",)),
+        "seed": _Key("integer", None, low=0, named=(None,)),
+        "line_mode": _Key("choice", "mod6", named=("mod6", "mod3")),
+        "outputs": _Key("outputs", {"report": "quantum_wire_report.json", "schedule": None}),
+    },
+    "classical_wire": _DESIGN_KEYS | {
+        "n_qubits": _Key("integer", 6, low=4, high=MAX_CONFIG_QUBITS),
+        "bits": _Key("bits"),
+        "outputs": _Key("outputs", {"report": "classical_wire_report.json", "schedule": None}),
+    },
+    "copy_table": _DESIGN_KEYS | {"outputs": _Key("outputs", {"report": "copy_table_report.json"})},
+    "gate": _DESIGN_KEYS | {
+        "eps_grid": _Key("biases", None, low=1e-9, items=(2, MAX_CONFIG_ITEMS), named=(None,)),
+        "outputs": _Key("outputs", {"report": "gate_report.json"}),
+    },
+}
+
+
+class _Assertion(NamedTuple):
+    """How ``swapchannel run`` grades one assertion key of a config."""
+
+    name: str  # the check name; "{mode}" becomes the graded mode
+    kind: str  # the kind of the config's limit, as in ``_Key``
+    grades: str  # "reduced" or "full", "each" mode the config runs, or the whole "run"
+    value: Callable  # (graded mode's results section, or the report; report) -> graded value
+    passes: Callable  # (graded value, the config's limit) -> bool
+    detail: str  # format string over {got} and {limit}
+
+
+#: The assertion keys of each experiment, in the order their checks print.
+_ASSERTIONS = {
+    "quantum_wire": {
+        "min_reduced_fidelity": _Assertion(
+            "min_reduced_fidelity", "number", "reduced", lambda s, _: s["min_fidelity_corrected"],
+            operator.ge, "min fidelity {got:.9f} vs {limit}",
+        ),
+        "max_reduced_phase_error": _Assertion(
+            "max_reduced_phase_error", "number", "reduced",
+            lambda s, _: max(abs(r["phase_error_corrected"]) for r in s["records"]),
+            operator.le, "max |phase error| {got:.3e} vs {limit}",
+        ),
+        "min_corrected_fidelity": _Assertion(
+            "min_corrected_fidelity", "number", "full", lambda s, _: s["min_fidelity_corrected"],
+            operator.ge, "min corrected fidelity {got:.9f} vs {limit}",
+        ),
+    },
+    "classical_wire": {
+        "require_echo": _Assertion(
+            "echo_{mode}", "boolean", "each",
+            lambda s, report: (list(s["bits_out"]), report["bits_in"]),
+            lambda got, _: got[0] == got[1], "bits_out={got[0]} vs bits_in={got[1]}",
+        ),
+        "expect_latency_sequences": _Assertion(
+            "latency_{mode}", "integer", "each", lambda s, _: s["latency_sequences"],
+            operator.eq, "latency {got} vs {limit}",
+        ),
+    },
+    "copy_table": {
+        "min_fidelity": _Assertion(
+            "min_fidelity_{mode}", "number", "each", lambda s, _: s["min_fidelity"],
+            operator.ge, "min fidelity {got:.9f} vs {limit}",
+        ),
+    },
+    "gate": {
+        "max_worst_infidelity": _Assertion(
+            "max_worst_infidelity", "number", "full", lambda s, _: s["worst_infidelity"],
+            operator.le, "worst infidelity {got:.3e} vs {limit}",
+        ),
+        "slope_range": _Assertion(
+            "slope_range", "range", "run", lambda report, _: report["sweep"]["slope"],
+            lambda got, limit: limit[0] <= got <= limit[1], "slope {got:.3f} vs {limit}",
+        ),
+    },
+}
 
 
 def _num(obj, path, minimum=None) -> float:
@@ -402,10 +420,61 @@ def _int(obj, path, minimum=None, maximum=None) -> int:
     return obj
 
 
-def _list(obj, path, what: str, minimum: int) -> list:
-    if not isinstance(obj, list) or not minimum <= len(obj) <= MAX_CONFIG_ITEMS:
-        raise ConfigError(f"{path}: expected a list of {minimum} to {MAX_CONFIG_ITEMS} {what}")
-    return obj
+#: What a refusal calls the entries of each list kind.
+_ENTRIES = {"biases": "biases", "bits": "0/1 bits", "states": "[re0, im0, re1, im1] states"}
+
+
+def _value(row: _Key, obj, path: str):
+    """``obj`` as a validated config holds it, once it is one of the row's
+    named values, or of its kind and inside its bounds."""
+    if obj in row.named:
+        return obj
+    if row.kind == "number":
+        return _num(obj, path, row.low)
+    if row.kind == "integer":
+        return _int(obj, path, row.low, row.high)
+    if row.kind == "choice":
+        raise ConfigError(f"{path}: must be one of {list(row.named)}, got {obj!r}")
+    if row.kind == "boolean":
+        if not isinstance(obj, bool):
+            raise ConfigError(f"{path}: expected true or false, got {obj!r}")
+        return obj
+    if row.kind == "range":
+        if not isinstance(obj, list) or len(obj) != 2:
+            raise ConfigError(f"{path}: expected [low, high]")
+        return [_num(x, f"{path}[{i}]") for i, x in enumerate(obj)]
+    if row.kind == "outputs":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{path}: expected an object")
+        for key, name in obj.items():
+            if key not in row.default:
+                raise ConfigError(f"{path}.{key}: unknown key")
+            if (not isinstance(name, str) or not name or os.path.isabs(name)
+                    or os.pardir in name.replace("\\", "/").split("/")):
+                raise ConfigError(
+                    f"{path}.{key}: expected a file name inside --out-dir, got {name!r}"
+                )
+        return row.default | obj
+    low, high = row.items
+    if not isinstance(obj, list) or not low <= len(obj) <= high:
+        raise ConfigError(f"{path}: expected a list of {low} to {high} {_ENTRIES[row.kind]}")
+    if row.kind == "biases":
+        return [_num(x, f"{path}[{i}]", row.low) for i, x in enumerate(obj)]
+    if row.kind == "bits":
+        if any(type(b) is not int or b not in (0, 1) for b in obj):
+            raise ConfigError(f"{path}: expected a non-empty list of the integers 0 and 1")
+        return obj
+    states = []
+    for i, entry in enumerate(obj):
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise ConfigError(f"{path}[{i}]: expected [re0, im0, re1, im1]")
+        nums = [_num(x, f"{path}[{i}][{j}]") for j, x in enumerate(entry)]
+        vec = np.array([nums[0] + 1j * nums[1], nums[2] + 1j * nums[3]])
+        norm = np.linalg.norm(vec)
+        if abs(norm - 1.0) > 1e-6:
+            raise ConfigError(f"{path}[{i}]: norm {norm:.8f} is not 1")
+        states.append(vec / norm)
+    return states
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -440,121 +509,54 @@ def _load_config(ref: str) -> dict:
 
 
 def _validate_config(cfg: dict) -> dict:
-    experiment = cfg.get("experiment")
-    if not isinstance(experiment, str) or experiment not in _ALLOWED_KEYS:
-        raise ConfigError(
-            f"config.experiment: must be one of {sorted(_ALLOWED_KEYS)}, got {experiment!r}"
-        )
-    allowed = _ALLOWED_KEYS[experiment]
+    """The config with every row of its experiment checked and filled in
+    (random states drawn), ``modes`` for its ``mode``, and its assertions
+    checked."""
+    experiments = _Key("choice", named=tuple(sorted(_KEYS)))
+    experiment = _value(experiments, cfg.get("experiment"), "config.experiment")
+    rows, assertions = _KEYS[experiment], _ASSERTIONS[experiment]
     for key in cfg:
-        if key not in allowed:
+        if key not in rows and key not in ("experiment", "assertions"):
             raise ConfigError(f"config.{key}: unknown key for experiment {experiment!r}")
-
     out = {"experiment": experiment}
-    out["t_ns"] = _num(cfg.get("t_ns", 10.0), "config.t_ns", minimum=1e-9)
-    out["m"] = _int(cfg.get("m", 1), "config.m", minimum=1)
-    out["n"] = _int(cfg.get("n", 0), "config.n", minimum=0)
-    mode = cfg.get("mode", "both")
-    if mode not in ("reduced", "full", "both"):
-        raise ConfigError(f"config.mode: must be reduced/full/both, got {mode!r}")
-    out["modes"] = ["reduced", "full"] if mode == "both" else [mode]
-    out["eps_high_mhz"] = cfg.get("eps_high_mhz", "snap_1000x_delta")
-    if out["eps_high_mhz"] != "snap_1000x_delta":
-        _num(out["eps_high_mhz"], "config.eps_high_mhz", minimum=1e-9)
+    for key, row in rows.items():
+        if key in cfg:
+            out[key] = _value(row, cfg[key], f"config.{key}")
+        elif row.default is None and None not in row.named:
+            raise ConfigError(f"config.{key}: required")
+        else:
+            out[key] = row.default
+    out["modes"] = ["reduced", "full"] if out["mode"] == "both" else [out["mode"]]
 
-    outputs = cfg.get("outputs", {})
-    if not isinstance(outputs, dict):
-        raise ConfigError("config.outputs: expected an object")
-    for key in outputs:
-        if key not in _ALLOWED_OUTPUTS:
-            raise ConfigError(f"config.outputs.{key}: unknown key")
-        name = outputs[key]
-        if (not isinstance(name, str) or not name or os.path.isabs(name)
-                or os.pardir in name.replace("\\", "/").split("/")):
-            raise ConfigError(
-                f"config.outputs.{key}: expected a file name inside --out-dir, got {name!r}"
-            )
-    out["outputs"] = {
-        "report": outputs.get("report", f"{experiment}_report.json"),
-        "schedule": outputs.get("schedule"),
-    }
-
-    assertions = cfg.get("assertions", {})
-    if not isinstance(assertions, dict):
+    given = cfg.get("assertions", {})
+    if not isinstance(given, dict):
         raise ConfigError("config.assertions: expected an object")
-    for key, value in assertions.items():
+    for key, limit in given.items():
         path = f"config.assertions.{key}"
-        if key not in _ASSERTIONS[experiment]:
+        if key not in assertions:
             raise ConfigError(f"{path}: unknown key for experiment {experiment!r}")
-        grades = _ASSERTIONS[experiment][key].grades
+        _value(_Key(assertions[key].kind), limit, path)
+        grades = assertions[key].grades
         if grades in ("reduced", "full") and grades not in out["modes"]:
             raise ConfigError(f"{path}: grades mode {grades}, which this config does not run")
-        if key == "require_echo":
-            if not isinstance(value, bool):
-                raise ConfigError(f"{path}: expected true or false, got {value!r}")
-        elif key == "expect_latency_sequences":
-            _int(value, path)
-        elif key == "slope_range":
-            if not isinstance(value, list) or len(value) != 2:
-                raise ConfigError(f"{path}: expected [low, high]")
-            for i, x in enumerate(value):
-                _num(x, f"{path}[{i}]")
-            if cfg.get("eps_grid") is None:
-                raise ConfigError(f"{path}: needs eps_grid")
-        else:
-            _num(value, path)
-    out["assertions"] = dict(assertions)
+    out["assertions"] = dict(given)
 
+    # the rules that tie one key to another
+    if "slope_range" in given and out["eps_grid"] is None:
+        raise ConfigError("config.assertions.slope_range: needs eps_grid")
     if experiment == "quantum_wire":
-        out["n_qubits"] = _int(
-            cfg.get("n_qubits", 5), "config.n_qubits", minimum=2, maximum=MAX_CONFIG_QUBITS
-        )
-        out["n_states"] = _int(
-            cfg.get("n_states", 1), "config.n_states", minimum=1, maximum=MAX_CONFIG_ITEMS
-        )
-        out["line_mode"] = cfg.get("line_mode", "mod6")
-        if out["line_mode"] not in ("mod6", "mod3"):
-            raise ConfigError(f"config.line_mode: mod6 or mod3, got {out['line_mode']!r}")
-        states = cfg.get("states", "random")
-        if states == "random":
-            if "seed" not in cfg:
-                raise ConfigError("config.seed: required when states is 'random'")
-            out["seed"] = _int(cfg["seed"], "config.seed", minimum=0)
-            out["states"] = "random"
-        else:
-            if not isinstance(states, list) or len(states) != out["n_states"]:
+        if out["states"] != "random":
+            if "seed" in cfg:
+                raise ConfigError("config.seed: only random states take a seed")
+            if len(out["states"]) != out["n_states"]:
                 raise ConfigError(
                     f"config.states: expected 'random' or a list of {out['n_states']} "
                     "4-number entries [re0, im0, re1, im1]"
                 )
-            parsed = []
-            for i, entry in enumerate(states):
-                if not isinstance(entry, list) or len(entry) != 4:
-                    raise ConfigError(f"config.states[{i}]: expected [re0, im0, re1, im1]")
-                nums = [_num(x, f"config.states[{i}][{j}]") for j, x in enumerate(entry)]
-                vec = np.array([nums[0] + 1j * nums[1], nums[2] + 1j * nums[3]])
-                norm = np.linalg.norm(vec)
-                if abs(norm - 1.0) > 1e-6:
-                    raise ConfigError(f"config.states[{i}]: norm {norm:.8f} is not 1")
-                parsed.append(vec / norm)
-            out["states"] = parsed
-    elif experiment == "classical_wire":
-        out["n_qubits"] = _int(
-            cfg.get("n_qubits", 6), "config.n_qubits", minimum=4, maximum=MAX_CONFIG_QUBITS
-        )
-        bits = _list(cfg.get("bits"), "config.bits", "0/1 bits", 1)
-        if any(type(b) is not int or b not in (0, 1) for b in bits):
-            raise ConfigError("config.bits: expected a non-empty list of the integers 0 and 1")
-        out["bits"] = bits
-    elif experiment == "gate":
-        grid = cfg.get("eps_grid")
-        if grid is not None:
-            _list(grid, "config.eps_grid", "biases", 2)
-            out["eps_grid"] = [
-                _num(x, f"config.eps_grid[{i}]", minimum=1e-9) for i, x in enumerate(grid)
-            ]
+        elif out["seed"] is None:
+            raise ConfigError("config.seed: required when states is 'random'")
         else:
-            out["eps_grid"] = None
+            out["states"] = _random_states(out["n_states"], out["seed"])
     return out
 
 
@@ -616,20 +618,15 @@ def _run_quantum_wire(cfg: dict, spec: ChainSpec, design: GateDesign) -> tuple[d
     schedule, lines = quantum_channel_schedule(
         spec, cfg["n_states"], cfg["t_ns"], line_mode=cfg["line_mode"]
     )
-    states = (
-        _random_states(cfg["n_states"], cfg["seed"])
-        if cfg["states"] == "random"
-        else cfg["states"]
-    )
     results = {
         mode: _section(
-            run_quantum_channel(spec, schedule, states, mode=mode),
+            run_quantum_channel(spec, schedule, cfg["states"], mode=mode),
             "records", "min_fidelity_raw", "min_fidelity_corrected", "final_trace",
             omit={"purity_raw"},
         )
         for mode in cfg["modes"]
     }
-    return {"states": [_state_obj(s) for s in states], "results": results}, (schedule, lines)
+    return {"states": [_state_obj(s) for s in cfg["states"]], "results": results}, (schedule, lines)
 
 
 def _run_classical_wire(cfg: dict, spec: ChainSpec, design: GateDesign) -> tuple[dict, tuple]:

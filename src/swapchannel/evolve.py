@@ -77,8 +77,8 @@ def _checked_amplitudes(amplitudes: Sequence[complex]) -> np.ndarray:
     target = np.asarray(amplitudes, dtype=complex)
     if target.shape != (2,):
         raise ValueError(f"amplitudes must have shape (2,), got {target.shape}")
-    if abs(np.linalg.norm(target) - 1.0) > 1e-9:
-        raise ValueError("injected amplitudes must be normalised within 1e-9")
+    if not np.isfinite(target).all() or abs(np.linalg.norm(target) - 1.0) > 1e-9:
+        raise ValueError("injected amplitudes must be finite and normalised within 1e-9")
     return target
 
 
@@ -104,6 +104,8 @@ class QuantumState:
         w = np.array(data, dtype=complex)
         if w.ndim != 2 or w.shape[0] & (w.shape[0] - 1) or 0 in w.shape:
             raise ValueError(f"factor must be (2^n, r) with r >= 1, got shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("factor entries must be finite")
         self._store(w)
 
     def _store(self, w: np.ndarray) -> None:

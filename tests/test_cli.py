@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -938,6 +939,80 @@ class TestRunRefusesBadValuesBeforeRunning:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and fragment in err
+
+    @pytest.mark.parametrize(
+        "cfg, fragment",
+        [
+            ({"experiment": "quantum_wire", "seed": 3, "states": [[1.0, 0.0, 0.0, 0.0]]},
+             "error: config.seed: only random states take a seed"),
+            ({"experiment": "copy_table", "outputs": {"schedule": "s.json"}},
+             "error: config.outputs.schedule: unknown key"),
+            ({"experiment": "gate", "outputs": {"schedule": "s.json"}},
+             "error: config.outputs.schedule: unknown key"),
+        ],
+        ids=["seed-beside-states", "copy-table-schedule", "gate-schedule"],
+    )
+    def test_keys_the_run_would_ignore_exit_1(self, capsys, tmp_path, cfg, fragment):
+        path = tmp_path / "ignored.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == fragment + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ignored.json"]
+
+
+def _readme_table(header: str) -> list[list[str]]:
+    """The body rows of the README table under ``header``, as lists of cells."""
+    lines = (pathlib.Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+class TestReadmeTables:
+    """The README's key and assertion tables list exactly the rows of
+    ``cli._KEYS`` and ``cli._ASSERTIONS``, with their kinds, bounds, named
+    values and defaults."""
+
+    def test_key_table_lists_every_row(self):
+        listed = {}
+        for experiments, key, kind, default in _readme_table(
+            "| experiment | key | kind and bounds | default |"
+        ):
+            for experiment in cli._KEYS if experiments == "every" else [experiments.strip("`")]:
+                listed[experiment, key.strip("`")] = kind, default
+        rows = {(e, key): row for e, keys in cli._KEYS.items() for key, row in keys.items()}
+        assert sorted(listed) == sorted(rows)
+        for (experiment, key), row in rows.items():
+            kind, default = listed[experiment, key]
+            assert kind.startswith(row.kind), (experiment, key)
+            numbers = {float(x) for x in re.findall(r"(?<![\w.])\d+(?:\.\d+)?(?:e-?\d+)?", kind)}
+            bounds = [row.low, row.high]
+            if row.kind in ("biases", "bits", "states"):
+                bounds += row.items
+            assert {b for b in bounds if b is not None} <= numbers, (experiment, key)
+            assert all(f"`{json.dumps(v)}`" in kind for v in row.named), (experiment, key)
+            if row.kind == "outputs":
+                assert set(re.findall(r"`(\w+)`", kind)) == set(row.default), experiment
+            required = row.default is None and None not in row.named
+            assert default == ("required" if required else f"`{json.dumps(row.default)}`"), key
+
+    def test_assertion_table_lists_every_row(self):
+        listed = {
+            (experiment.strip("`"), key.strip("`")): (kind, check)
+            for experiment, key, kind, _, check in _readme_table(
+                "| experiment | key | kind | grades | check |"
+            )
+        }
+        rows = {(e, key): a for e, keys in cli._ASSERTIONS.items() for key, a in keys.items()}
+        assert sorted(listed) == sorted(rows)
+        for pair, a in rows.items():
+            kind, check = listed[pair]
+            assert kind.startswith(a.kind), pair
+            assert check == f"`{a.name.format(mode='<mode>')}`", pair
 
 
 class TestSizeCapsRefuseBeforeBuilding:

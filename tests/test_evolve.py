@@ -54,6 +54,18 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             QuantumState.pure([1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: QuantumState.pure([np.nan, 0.0]),
+         lambda: QuantumState(np.array([[np.nan], [0.0]])),
+         lambda: QuantumState(np.array([[1.0, 0.0], [0.0, np.inf]]))],
+        ids=["pure-nan", "factor-nan", "factor-inf"],
+    )
+    def test_refuses_non_finite_entries(self, build):
+        # a NaN norm passes an |norm - 1| > tol check
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
     def test_pure_requires_power_of_two(self):
         with pytest.raises(ValueError):
             QuantumState.pure([1.0, 0.0, 0.0])

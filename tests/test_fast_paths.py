@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_for
@@ -363,8 +363,9 @@ class TestFrameCorrection:
         xi=xis,
     )
     def test_replay_clean_random_schedules_equal_the_loop(self, case, xi):
-        # Only gate pulses on an all-|0> register: every symbol stays 0, so
-        # these schedules always reach the array path.
+        # Only gate pulses on an all-|0> register, kept when the replay is
+        # clean (a swap triple can still pulse a pair's outer neighbour), so
+        # these schedules reach the array path.
         schedule, _ = case
         windows = tuple(
             Window(w.start_ns, w.duration_ns, w.biases_mhz,
@@ -372,8 +373,22 @@ class TestFrameCorrection:
             for w in schedule.windows
         )
         schedule = PulseSchedule(schedule.n_qubits, windows)
-        assert replay_occupancy(schedule).ok
+        assume(replay_occupancy(schedule).ok)
         assert_frame_matches_loop(schedule, ChainSpec(schedule.n_qubits, 1.0, xi, None))
+
+    def test_gate_pulses_on_a_parked_register_can_fail_the_replay(self):
+        # Targets {2, 5}, {3, 4}, {2, 5} form a swap triple whose pairs (2, 3)
+        # and (4, 5) each pulse the other's outer neighbour.
+        windows = tuple(
+            Window(10.0 * i, 10.0, (1.0,) * 6,
+                   tuple(PulseEvent(kind="cnot_pulse", qubit=q) for q in targets))
+            for i, targets in enumerate([(2, 5), (3, 4), (2, 5)])
+        )
+        replay = replay_occupancy(PulseSchedule(6, windows))
+        assert [v.message for v in replay.violations] == [
+            "outer neighbour 4 of pair (2,3) is pulsed",
+            "outer neighbour 3 of pair (4,5) is pulsed",
+        ]
 
     @settings(max_examples=60, deadline=None)
     @given(

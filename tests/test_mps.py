@@ -181,6 +181,16 @@ def _snapshot(state):
 class TestStateProtocol:
     """``QuantumState`` and ``MPS`` answer the same method calls the same way."""
 
+    @pytest.mark.parametrize("ground", [QuantumState.ground, MPS.ground], ids=["dense", "mps"])
+    @pytest.mark.parametrize("amplitudes", [[np.nan, 0.0], [1.0, np.nan * 1j]],
+                             ids=["nan", "nan-imaginary"])
+    def test_inject_refuses_non_finite_amplitudes_and_keeps_the_state(self, ground, amplitudes):
+        state = ground(3)
+        before = _snapshot(state)
+        with pytest.raises(ValueError, match="finite"):
+            state.inject(1, amplitudes)
+        assert _snapshot(state) == before
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_same_seeded_sequence(self, n):
         rng = np.random.default_rng(100 + n)

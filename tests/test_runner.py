@@ -345,6 +345,13 @@ class TestQuantumChannel:
             assert r.fidelity_corrected == r.fidelity_raw
         assert report.records[-1].window_index is None
 
+    @pytest.mark.parametrize("mode", ["reduced", "full"])
+    def test_non_finite_data_state_is_refused_before_running(self, design, mode):
+        spec = chain_for(design, 3, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, 1, design.t_ns)
+        with pytest.raises(ValueError, match="amplitudes must be finite and normalised"):
+            run_quantum_channel(spec, sch, [[np.nan, 0.0]], mode=mode)
+
     def test_even_chain_leaves_pi_phase(self, design, rng):
         spec = chain_for(design, 4, eps_high=SNAP_EPS)
         sch, _ = quantum_channel_schedule(spec, 1, design.t_ns)
