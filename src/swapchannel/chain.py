@@ -61,18 +61,41 @@ def is_hermitian(op: np.ndarray) -> bool:
     return bool(np.max(np.abs(op - op.conj().T)) <= 1e-9 * scale)
 
 
-def _real(value, what: str) -> float:
-    """``value`` as a finite plain float: ints and numpy reals are taken, a
-    bool or a non-number is refused."""
-    if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        finite = False
-    if not finite:
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return float(value)
+def _number(value, what: str, *, low=None, error=ValueError) -> float:
+    """``value`` as a finite plain float: ints and numpy reals are taken; a
+    bool, a str, an int past the float range and a value below ``low`` are
+    refused with ``error``.  Every input boundary checks its numbers here."""
+    number = value
+    if type(value) is not float:
+        if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise error(f"{what} must be a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:
+            raise error(f"{what} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(number):
+        raise error(f"{what} must be finite, got {number!r}")
+    if low is not None and number < low:
+        raise error(f"{what} must be >= {low}, got {value}")
+    return number
+
+
+def _integer(value, what: str, *, low=None, high=None, nullable=False, error=ValueError):
+    """``value`` as a plain int (None as it is when ``nullable``): numpy
+    integers are taken; a bool, a float, a str and a value outside
+    ``[low, high]`` are refused with ``error``.  Every input boundary checks
+    its integers here."""
+    if type(value) is not int:
+        if value is None and nullable:
+            return None
+        if type(value) is bool or not isinstance(value, (int, np.integer)):
+            raise error(f"{what} must be an integer{' or null' if nullable else ''}, got {value!r}")
+        value = int(value)
+    if low is not None and value < low:
+        raise error(f"{what} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise error(f"{what} must be <= {high}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -89,23 +112,18 @@ class ChainSpec:
     eps_high_mhz: float | None = None
 
     def __post_init__(self):
-        n = self.n_qubits
-        if type(n) is bool or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"n_qubits must be an integer, got {n!r}")
-        object.__setattr__(self, "n_qubits", int(n))
-        for name in ("delta_mhz", "xi_mhz", "eps_high_mhz"):
-            if name != "eps_high_mhz" or self.eps_high_mhz is not None:
-                object.__setattr__(self, name, _real(getattr(self, name), name))
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        _set = object.__setattr__
+        _set(self, "n_qubits", _integer(self.n_qubits, "n_qubits", low=1))
+        _set(self, "delta_mhz", _number(self.delta_mhz, "delta_mhz"))
+        _set(self, "xi_mhz", _number(self.xi_mhz, "xi_mhz", low=0))
         if self.delta_mhz <= 0:
             raise ValueError(f"delta_mhz must be > 0, got {self.delta_mhz}")
-        if self.xi_mhz < 0:
-            raise ValueError(f"xi_mhz must be >= 0, got {self.xi_mhz}")
         if self.eps_high_mhz is None:
-            object.__setattr__(self, "eps_high_mhz", 100.0 * self.delta_mhz)
-        elif self.eps_high_mhz <= 0:
-            raise ValueError("eps_high_mhz must be > 0 when given")
+            _set(self, "eps_high_mhz", 100.0 * self.delta_mhz)
+        else:
+            _set(self, "eps_high_mhz", _number(self.eps_high_mhz, "eps_high_mhz"))
+            if self.eps_high_mhz <= 0:
+                raise ValueError("eps_high_mhz must be > 0 when given")
 
 
 @dataclass(frozen=True)
@@ -117,7 +135,7 @@ class TwoLevelParams:
 
     def __post_init__(self):
         for name in ("delta_mhz", "effective_bias_mhz"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         if self.delta_mhz <= 0:
             raise ValueError(f"delta_mhz must be > 0, got {self.delta_mhz}")
 

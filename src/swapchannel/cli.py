@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chain import ChainSpec, TwoLevelParams
+from .chain import ChainSpec, TwoLevelParams, _integer, _number
 from .evolve import QuantumState, sample_trajectory
 from .runner import (
     copy_truth_table,
@@ -140,10 +140,13 @@ def _replay_and_lines(schedule, lines) -> tuple[list, dict | None]:
 
 
 def _cmd_schedule(args) -> int:
-    # the caps of ``run``, before anything is built (a flag not given counts as 0)
-    _int(args.n_qubits, "--n-qubits", maximum=_KEYS[f"{args.kind}_wire"]["n_qubits"].high)
-    _int(args.n_states or 0, "--n-states", maximum=_KEYS["quantum_wire"]["n_states"].high)
-    _int(len(args.bits or ""), "--bits length", maximum=_KEYS["classical_wire"]["bits"].items[1])
+    # the design bounds and size caps of ``run``, before anything is built (a
+    # flag not given counts as 0)
+    for key in ("t_ns", "m", "n"):
+        _value(_DESIGN_KEYS[key], vars(args)[key], "--" + key.replace("_", "-"))
+    _integer(args.n_qubits, "--n-qubits:", high=_KEYS[f"{args.kind}_wire"]["n_qubits"].high)
+    _integer(args.n_states or 0, "--n-states:", high=_KEYS["quantum_wire"]["n_states"].high)
+    _integer(len(args.bits or ""), "--bits length:", high=_KEYS["classical_wire"]["bits"].items[1])
     other = ("--bits", args.bits) if args.kind == "quantum" else ("--n-states", args.n_states)
     if other[1] is not None:
         raise ConfigError(f"{other[0]} is not an option of a {args.kind} schedule")
@@ -394,32 +397,6 @@ _ASSERTIONS = {
 }
 
 
-def _num(obj, path, minimum=None) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {obj!r}")
-    try:
-        value = float(obj)
-    except OverflowError:  # a JSON integer past the float range
-        raise ConfigError(
-            f"{path}: must be finite, got an integer too large for a float"
-        ) from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite, got {obj!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {obj}")
-    return value
-
-
-def _int(obj, path, minimum=None, maximum=None) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ConfigError(f"{path}: expected an integer, got {obj!r}")
-    if minimum is not None and obj < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {obj}")
-    if maximum is not None and obj > maximum:
-        raise ConfigError(f"{path}: must be <= {maximum}, got {obj}")
-    return obj
-
-
 #: What a refusal calls the entries of each list kind.
 _ENTRIES = {"biases": "biases", "bits": "0/1 bits", "states": "[re0, im0, re1, im1] states"}
 
@@ -430,9 +407,9 @@ def _value(row: _Key, obj, path: str):
     if obj in row.named:
         return obj
     if row.kind == "number":
-        return _num(obj, path, row.low)
+        return _number(obj, f"{path}:", low=row.low)
     if row.kind == "integer":
-        return _int(obj, path, row.low, row.high)
+        return _integer(obj, f"{path}:", low=row.low, high=row.high)
     if row.kind == "choice":
         raise ConfigError(f"{path}: must be one of {list(row.named)}, got {obj!r}")
     if row.kind == "boolean":
@@ -442,7 +419,7 @@ def _value(row: _Key, obj, path: str):
     if row.kind == "range":
         if not isinstance(obj, list) or len(obj) != 2:
             raise ConfigError(f"{path}: expected [low, high]")
-        return [_num(x, f"{path}[{i}]") for i, x in enumerate(obj)]
+        return [_number(x, f"{path}[{i}]:") for i, x in enumerate(obj)]
     if row.kind == "outputs":
         if not isinstance(obj, dict):
             raise ConfigError(f"{path}: expected an object")
@@ -459,7 +436,7 @@ def _value(row: _Key, obj, path: str):
     if not isinstance(obj, list) or not low <= len(obj) <= high:
         raise ConfigError(f"{path}: expected a list of {low} to {high} {_ENTRIES[row.kind]}")
     if row.kind == "biases":
-        return [_num(x, f"{path}[{i}]", row.low) for i, x in enumerate(obj)]
+        return [_number(x, f"{path}[{i}]:", low=row.low) for i, x in enumerate(obj)]
     if row.kind == "bits":
         if any(type(b) is not int or b not in (0, 1) for b in obj):
             raise ConfigError(f"{path}: expected a non-empty list of the integers 0 and 1")
@@ -468,7 +445,7 @@ def _value(row: _Key, obj, path: str):
     for i, entry in enumerate(obj):
         if not isinstance(entry, list) or len(entry) != 4:
             raise ConfigError(f"{path}[{i}]: expected [re0, im0, re1, im1]")
-        nums = [_num(x, f"{path}[{i}][{j}]") for j, x in enumerate(entry)]
+        nums = [_number(x, f"{path}[{i}][{j}]:") for j, x in enumerate(entry)]
         vec = np.array([nums[0] + 1j * nums[1], nums[2] + 1j * nums[3]])
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > 1e-6:

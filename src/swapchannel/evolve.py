@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import _mirror_index, is_hermitian, phase_angle
+from .chain import _integer, _mirror_index, is_hermitian, phase_angle
 
 __all__ = [
     "EntanglementError",
@@ -124,7 +124,7 @@ class QuantumState:
 
     @classmethod
     def ground(cls, n_qubits: int) -> "QuantumState":
-        vec = np.zeros(1 << n_qubits, dtype=complex)
+        vec = np.zeros(1 << _integer(n_qubits, "n_qubits", low=0), dtype=complex)
         vec[0] = 1.0
         return cls.pure(vec)
 

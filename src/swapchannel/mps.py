@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .chain import _integer
 from .evolve import (
     TRUNCATION_RTOL, EntanglementError, _checked_amplitudes, _local_width, _require_separable
 )
@@ -44,8 +45,7 @@ class MPS:
 
     def __init__(self, n_qubits: int):
         """Product state |0...0>, its centre at qubit 0."""
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+        n_qubits = _integer(n_qubits, "n_qubits", low=1)
         ket0 = np.array([1.0, 0.0], dtype=complex).reshape(1, 2, 1)
         self.tensors = [ket0.copy() for _ in range(n_qubits)]
         self.center = 0

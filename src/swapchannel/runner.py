@@ -47,8 +47,8 @@ from typing import Sequence
 import numpy as np
 
 from .chain import (
-    ChainSpec, _mirror_index, _z_values, build_hamiltonian, effective_bias, phase_angle,
-    wrap_phase,
+    ChainSpec, _integer, _mirror_index, _number, _z_values, build_hamiltonian,
+    effective_bias, phase_angle, wrap_phase,
 )
 from .evolve import (
     QuantumState, _checked_amplitudes, _sector_eigensystem, eigensystem, propagator
@@ -196,17 +196,18 @@ class SweepPoint:
 def sweep_eps_high(design: GateDesign, eps_grid: Sequence[float]) -> tuple[SweepPoint, ...]:
     """Full-mode gate quality versus parking bias (the reduced model's is flat)."""
     points = []
-    for eps in eps_grid:
+    for i, eps in enumerate(eps_grid):
+        eps = _number(eps, f"eps_grid[{i}]")
         spec = ChainSpec(
             n_qubits=3,
             delta_mhz=design.delta_mhz,
             xi_mhz=design.xi_mhz,
-            eps_high_mhz=float(eps),
+            eps_high_mhz=eps,
         )
         report = run_gate_experiment(spec, design, mode="full")
         points.append(
             SweepPoint(
-                eps_high_mhz=float(eps),
+                eps_high_mhz=eps,
                 worst_infidelity=report.worst_infidelity,
                 distance=report.distance,
             )
@@ -500,9 +501,7 @@ def run_classical_channel(
 
     Latency is counted in two-window repeats up to the first read.
     """
-    bits = [int(b) for b in bits]
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0/1")
+    bits = [_integer(b, f"bits[{i}]", low=0, high=1) for i, b in enumerate(bits)]
     records: list[ClassicalRecord] = []
 
     def on_read(e, window_index, reads):

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, _integer, _number
 
 __all__ = [
     "ScheduleError", "GATE_KINDS", "BOUNDARY_KINDS", "EVENT_KINDS", "PulseEvent", "Window",
@@ -60,35 +60,6 @@ class ScheduleError(ValueError):
 
 
 _set = object.__setattr__
-#: What a number field takes besides a float: ints and numpy reals (a bool,
-#: although an int, is refused)
-_REAL = (int, float, np.integer, np.floating)
-
-
-def _integer(value, what: str, nullable: bool = False):
-    """``value`` as a plain int (or None when ``nullable``): numpy integers
-    are taken, bool, float and str are refused."""
-    if type(value) is int or (nullable and value is None):
-        return value
-    if isinstance(value, (int, np.integer)) and type(value) is not bool:
-        return int(value)
-    null = " or null" if nullable else ""
-    raise ScheduleError(f"{what} must be an integer{null}, got {value!r}")
-
-
-def _finite(value, what: str, kind: str = "a number") -> float:
-    """``value`` as a finite plain float: ints and numpy reals are taken,
-    bool and str are refused, and so is a value past the float range."""
-    if type(value) is not float:
-        if not isinstance(value, _REAL) or type(value) is bool:
-            raise ScheduleError(f"{what} must be {kind}, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError as exc:
-            raise ScheduleError(f"{what} must be finite: {exc}") from None
-    if not math.isfinite(value):
-        raise ScheduleError(f"{what} must be finite, got {value!r}")
-    return value
 
 
 def _array(values, what: str):
@@ -116,7 +87,7 @@ def _biases(values) -> tuple[float, ...]:
     values = _array(values, "biases_mhz must be an array of numbers")
     if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
         return tuple(values)
-    return tuple(_finite(b, "biases_mhz", "an array of numbers") for b in values)
+    return tuple(_number(b, "biases_mhz", error=ScheduleError) for b in values)
 
 
 @dataclass(frozen=True)
@@ -135,15 +106,11 @@ class PulseEvent:
     def __post_init__(self):
         if type(self.kind) is not str or self.kind not in _KIND_CODE:
             raise ScheduleError(f"unknown event kind {self.kind!r}")
-        _set(self, "qubit", _integer(self.qubit, "event qubit"))
-        _set(self, "data_index", _integer(self.data_index, "event data_index", nullable=True))
-        if self.qubit < 0:
-            raise ScheduleError(f"event qubit must be >= 0, got {self.qubit}")
-        if self.data_index is None:
-            if self.kind == "inject":
-                raise ScheduleError(f"inject event on qubit {self.qubit} has no data_index")
-        elif self.data_index < 0:
-            raise ScheduleError(f"event data_index must be >= 0, got {self.data_index}")
+        _set(self, "qubit", _integer(self.qubit, "event qubit", low=0, error=ScheduleError))
+        _set(self, "data_index", _integer(self.data_index, "event data_index", low=0,
+                                          nullable=True, error=ScheduleError))
+        if self.data_index is None and self.kind == "inject":
+            raise ScheduleError(f"inject event on qubit {self.qubit} has no data_index")
 
 
 def _event(kind: int, qubit: int, data_index: int) -> PulseEvent:
@@ -165,10 +132,9 @@ class Window:
     events: tuple[PulseEvent, ...] = ()
 
     def __post_init__(self):
-        for name in ("start_ns", "duration_ns"):
-            _set(self, name, _finite(getattr(self, name), name))
-        if self.duration_ns < 0:
-            raise ScheduleError(f"duration_ns must be >= 0, got {self.duration_ns!r}")
+        _set(self, "start_ns", _number(self.start_ns, "start_ns", error=ScheduleError))
+        _set(self, "duration_ns",
+             _number(self.duration_ns, "duration_ns", low=0, error=ScheduleError))
         _set(self, "biases_mhz", _biases(self.biases_mhz))
         _set(self, "events", _tuple_of(self.events, PulseEvent, "events"))
 
@@ -211,11 +177,9 @@ class PulseSchedule:
     def _store(self, n_qubits, label, starts, durations, biases, event_columns) -> None:
         """Check each field as one array and store it read-only (the row
         types, the parser and the generators give every value its type)."""
-        n_qubits = _integer(n_qubits, "n_qubits")
+        n_qubits = _integer(n_qubits, "n_qubits", low=1, error=ScheduleError)
         if type(label) is not str:
             raise ScheduleError(f"label must be a string, got {label!r}")
-        if n_qubits < 1:
-            raise ScheduleError(f"n_qubits must be >= 1, got {n_qubits}")
         if not set(map(len, biases)) <= {n_qubits}:
             k = next(len(row) for row in biases if len(row) != n_qubits)
             raise ScheduleError(f"window has {k} biases for n_qubits={n_qubits}")
@@ -345,10 +309,10 @@ class LineAssignment:
     n_lines: int
 
     def __post_init__(self):
-        _set(self, "n_lines", _integer(self.n_lines, "lines.n_lines"))
+        _set(self, "n_lines", _integer(self.n_lines, "lines.n_lines", error=ScheduleError))
         lines = _array(self.lines, "lines must be an array of integers or null")
         if not set(map(type, lines)) <= {int, type(None)}:
-            lines = [_integer(line, f"line of qubit {q}", nullable=True)
+            lines = [_integer(line, f"line of qubit {q}", nullable=True, error=ScheduleError)
                      for q, line in enumerate(lines)]
         _set(self, "lines", tuple(lines))
         for q, line in enumerate(self.lines):
@@ -362,7 +326,7 @@ class LineAssignment:
 
 
 def _window_length(t_ns) -> float:
-    t_ns = _finite(t_ns, "t_ns")
+    t_ns = _number(t_ns, "t_ns", error=ScheduleError)
     if t_ns <= 0:
         raise ScheduleError(f"t_ns must be > 0, got {t_ns}")
     return t_ns
@@ -406,16 +370,19 @@ def swap_pulses(spec: ChainSpec, left: int, right: int, t_ns: float,
     exist) must be parked in |0> for the exchange to hold, which is the
     validator's business, not this generator's.
     """
+    left = _integer(left, "left", error=ScheduleError)
+    right = _integer(right, "right", error=ScheduleError)
     if right != left + 1:
         raise ScheduleError(f"swap needs adjacent qubits, got ({left}, {right})")
     if not 0 <= left < right < spec.n_qubits:
         raise ScheduleError(f"qubits ({left}, {right}) out of range")
     t_ns = _window_length(t_ns)
+    start_ns = _number(start_ns, "start_ns", error=ScheduleError)
     # a line per qubit: every unpulsed qubit holds at eps_high
     own_lines = LineAssignment(lines=tuple(range(spec.n_qubits)), n_lines=spec.n_qubits)
     targets = np.eye(spec.n_qubits, dtype=bool)[[left, right, left]]
     return _line_schedule(spec, own_lines, targets, _events([], 0, 0, 0), t_ns,
-                          f"swap-{left}-{right}", _finite(start_ns, "start_ns"))
+                          f"swap-{left}-{right}", start_ns)
 
 
 def _quantum_lines(n_qubits: int, line_mode: str) -> LineAssignment:
@@ -446,9 +413,7 @@ def quantum_channel_schedule(spec: ChainSpec, n_states: int, t_ns: float, *,
     L = spec.n_qubits
     if L < 2:
         raise ScheduleError(f"wire needs at least 2 qubits, got {L}")
-    n_states = _integer(n_states, "n_states")
-    if n_states < 1:
-        raise ScheduleError(f"n_states must be >= 1, got {n_states}")
+    n_states = _integer(n_states, "n_states", low=1, error=ScheduleError)
     t_ns = _window_length(t_ns)
 
     lines = _quantum_lines(L, line_mode)
@@ -865,9 +830,10 @@ def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]
         starts, durations, biases, events = ([w[key] for w in windows] for key in (
             "start_ns", "duration_ns", "biases_mhz", "events"))
         if not set(map(type, starts)) <= {float}:
-            starts = _each_window(starts, lambda v, _: _finite(v, "start_ns"))
+            starts = _each_window(starts, lambda v, _: _number(v, "start_ns", error=ScheduleError))
         if not set(map(type, durations)) <= {float}:
-            durations = _each_window(durations, lambda v, _: _finite(v, "duration_ns"))
+            durations = _each_window(
+                durations, lambda v, _: _number(v, "duration_ns", error=ScheduleError))
         if not (set(map(type, biases)) <= {list}
                 and set(map(type, chain.from_iterable(biases))) <= {float}):
             biases = _each_window(biases, lambda v, _: _biases(v))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import TwoLevelParams
+from .chain import TwoLevelParams, _integer, _number
 
 __all__ = [
     "InfeasibleDesignError",
@@ -94,7 +94,8 @@ def solve_parameters(t_ns: float, m: int = 1, n: int = 0) -> GateDesign:
 
     Feasible iff 2M > 2N + 1.
     """
-    if not (math.isfinite(t_ns) and t_ns > 0):
+    t_ns, m, n = _number(t_ns, "t_ns"), _integer(m, "m"), _integer(n, "n")
+    if t_ns <= 0:
         raise ValueError(f"t_ns must be finite and > 0, got {t_ns}")
     if m < 1 or n < 0:
         raise InfeasibleDesignError(f"need m >= 1 and n >= 0, got m={m}, n={n}")
@@ -110,14 +111,15 @@ def solve_parameters(t_ns: float, m: int = 1, n: int = 0) -> GateDesign:
         delta = xi = math.inf
     if not (math.isfinite(delta) and math.isfinite(xi)):
         raise ValueError(f"m={m}, n={n} at t_ns={t_ns} give a non-finite delta or xi")
-    return GateDesign(t_ns=float(t_ns), m=m, n=n, delta_mhz=delta, xi_mhz=xi)
+    return GateDesign(t_ns=t_ns, m=m, n=n, delta_mhz=delta, xi_mhz=xi)
 
 
 def solve_for_timestep(delta_mhz: float, m: int = 1, n: int = 0) -> GateDesign:
     """Same operating point, but parameterised by ``delta`` instead of T."""
-    if not (math.isfinite(delta_mhz) and delta_mhz > 0):
+    delta_mhz = _number(delta_mhz, "delta_mhz")
+    if delta_mhz <= 0:
         raise ValueError(f"delta_mhz must be finite and > 0, got {delta_mhz}")
-    t_ns = 250.0 * (2 * n + 1) / delta_mhz
+    t_ns = 250.0 * (2 * _integer(n, "n") + 1) / delta_mhz
     return solve_parameters(t_ns, m=m, n=n)
 
 

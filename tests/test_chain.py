@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,16 +9,32 @@ from numpy.testing import assert_allclose
 
 from conftest import chain_for
 from oracles import kron_hamiltonian
-from swapchannel import ChainSpec
+from swapchannel import (
+    ChainSpec,
+    LineAssignment,
+    PulseEvent,
+    PulseSchedule,
+    ScheduleError,
+    Window,
+    classical_channel_schedule,
+    run_classical_channel,
+    schedule_to_json,
+    solve_parameters,
+    swap_pulses,
+)
 from swapchannel.chain import (
     TwoLevelParams,
+    _integer,
     _mirror_index,
+    _number,
     build_hamiltonian,
     effective_bias,
     is_hermitian,
     phase_angle,
     wrap_phase,
 )
+from swapchannel.cli import main
+from swapchannel.mps import MPS
 
 finite_bias = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
 
@@ -248,3 +267,163 @@ class TestReduceToTarget:
         got = effective_bias(biases, 2.5, z)
         padded = np.pad(z, [(0, 0), (0, 0), (1, 1)])
         assert_allclose(got, biases + 2.5 * (padded[..., :-2] + padded[..., 2:]), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one number rule: every boundary checks its scalars with _number and _integer
+# ---------------------------------------------------------------------------
+
+
+def _schedule_file(tmp_path, edit) -> list:
+    """``validate`` arguments for a swap schedule file changed by ``edit``."""
+    doc = json.loads(schedule_to_json(swap_pulses(ChainSpec(3, 25.0, 20.0), 0, 1, 10.0)))
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return ["validate", "--schedule", str(path)]
+
+
+def _config(tmp_path, key, value) -> list:
+    """``run`` arguments for a copy-table config with ``key`` set to ``value``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "copy_table", key: value}))
+    return ["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]
+
+
+def _classical_run(bit):
+    spec = ChainSpec(4, 25.0, 20.0)
+    schedule, _ = classical_channel_schedule(spec, [1, 0, 1], 10.0)
+    return run_classical_channel(spec, schedule, [1, bit, 1])
+
+
+#: (boundary, what its refusal names, kind of the slot, what refuses: an
+#: exception class, or 1 for a command's exit code, build: value, tmp_path ->
+#: the boundary's result, or a command line)
+_BOUNDARIES = [
+    ("ChainSpec.n_qubits", "n_qubits", "integer", ValueError,
+     lambda v, _: ChainSpec(v, 25.0, 20.0)),
+    ("ChainSpec.delta_mhz", "delta_mhz", "number", ValueError,
+     lambda v, _: ChainSpec(3, v, 20.0)),
+    ("ChainSpec.eps_high_mhz", "eps_high_mhz", "number", ValueError,
+     lambda v, _: ChainSpec(3, 25.0, 20.0, v)),
+    ("TwoLevelParams", "effective_bias_mhz", "number", ValueError,
+     lambda v, _: TwoLevelParams(25.0, v)),
+    ("Window.start_ns", "start_ns", "number", ScheduleError,
+     lambda v, _: Window(v, 10.0, (0.0,))),
+    ("Window.biases_mhz", "biases_mhz", "number", ScheduleError,
+     lambda v, _: Window(0.0, 10.0, (0.0, v))),
+    ("PulseEvent.qubit", "event qubit", "integer", ScheduleError,
+     lambda v, _: PulseEvent("cnot_pulse", v)),
+    ("PulseEvent.data_index", "event data_index", "integer or null", ScheduleError,
+     lambda v, _: PulseEvent("inject", 0, v)),
+    ("LineAssignment.n_lines", "lines.n_lines", "integer", ScheduleError,
+     lambda v, _: LineAssignment((0,), v)),
+    ("LineAssignment.lines", "line of qubit 1", "integer or null", ScheduleError,
+     lambda v, _: LineAssignment((0, v), 2)),
+    ("PulseSchedule", "n_qubits", "integer", ScheduleError, lambda v, _: PulseSchedule(v)),
+    ("validate.start_ns", "window 0: start_ns", "number", 1,
+     lambda v, tmp: _schedule_file(tmp, lambda d: d["windows"][0].update(start_ns=v))),
+    ("validate.n_qubits", "n_qubits", "integer", 1,
+     lambda v, tmp: _schedule_file(tmp, lambda d: d.update(n_qubits=v))),
+    ("run.t_ns", "config.t_ns:", "number", 1, lambda v, tmp: _config(tmp, "t_ns", v)),
+    ("run.m", "config.m:", "integer", 1, lambda v, tmp: _config(tmp, "m", v)),
+    ("solve_parameters.t_ns", "t_ns", "number", ValueError,
+     lambda v, _: solve_parameters(v)),
+    ("solve_parameters.m", "m", "integer", ValueError,
+     lambda v, _: solve_parameters(10.0, m=v)),
+    ("run_classical_channel", "bits[1]", "integer", ValueError,
+     lambda v, _: _classical_run(v)),
+    ("MPS", "n_qubits", "integer", ValueError, lambda v, _: MPS(v)),
+]
+
+#: The bad values of each kind of slot (an id, the value), and the rule each breaks.
+_BAD_VALUES = {
+    "number": [("True", True, "must be a number, got True"),
+               ("str", "1", "must be a number, got '1'"),
+               ("nan", math.nan, "must be finite, got nan"),
+               ("1e400", 10**400, "must be finite, got an integer too large for a float")],
+    "integer": [("True", True, "must be an integer, got True"),
+                ("str", "1", "must be an integer, got '1'"),
+                ("1.5", 1.5, "must be an integer, got 1.5")],
+}
+_BAD_VALUES["integer or null"] = [
+    (label, value, rule.replace("an integer", "an integer or null"))
+    for label, value, rule in _BAD_VALUES["integer"]
+]
+
+
+@pytest.mark.parametrize(
+    "build, what, refuses, value, rule",
+    [
+        pytest.param(build, what, refuses, value, rule, id=f"{name}-{label}")
+        for name, what, kind, refuses, build in _BOUNDARIES
+        for label, value, rule in _BAD_VALUES[kind]
+    ],
+)
+def test_every_boundary_refuses_in_the_one_wording(
+        capsys, tmp_path, build, what, refuses, value, rule):
+    if refuses == 1:
+        code = main(build(value, tmp_path))
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and f"{what} {rule}\n" in err
+    else:
+        with pytest.raises(ValueError) as info:
+            build(value, tmp_path)
+        assert info.type is refuses
+        assert str(info.value).endswith(f"{what} {rule}")
+
+
+@pytest.mark.parametrize(
+    "check, want",
+    [
+        (lambda: _number(np.float32(0.5), "x"), 0.5),
+        (lambda: _number(np.int8(-3), "x"), -3.0),
+        (lambda: _number(np.float64(2.5), "x", low=2.5), 2.5),
+        (lambda: _number(10**308, "x"), 1e308),
+        (lambda: _integer(np.uint64(2**63), "x"), 2**63),
+        (lambda: _integer(np.int32(-1), "x", low=-1, high=-1), -1),
+        (lambda: _integer(None, "x", nullable=True), None),
+    ],
+    ids=["float32", "int8", "float64-at-low", "int-near-float-max", "uint64", "at-both-bounds",
+         "null"],
+)
+def test_numpy_scalars_become_plain_values_and_bounds_are_inclusive(check, want):
+    got = check()
+    assert got == want and type(got) is type(want)
+
+
+def test_negative_zero_is_kept_and_passes_a_zero_bound():
+    got = _number(-0.0, "x", low=0)
+    assert got == 0.0 and math.copysign(1.0, got) == -1.0
+    assert math.copysign(1.0, ChainSpec(3, 25.0, -0.0).xi_mhz) == -1.0
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: _number(np.float64(-math.inf), "x"), "x must be finite, got -inf"),
+        (lambda: _number(1j, "x"), "x must be a number, got 1j"),
+        (lambda: _number(None, "x"), "x must be a number, got None"),
+        (lambda: _number(0.0, "x", low=1e-9), "x must be >= 1e-09, got 0.0"),
+        (lambda: _number(-1, "x", low=0), "x must be >= 0, got -1"),
+        (lambda: _integer(np.bool_(True), "x"), f"x must be an integer, got {np.True_!r}"),
+        (lambda: _integer(None, "x"), "x must be an integer, got None"),
+        (lambda: _integer(0, "x", low=1), "x must be >= 1, got 0"),
+        (lambda: _integer(np.int64(3), "x", high=2), "x must be <= 2, got 3"),
+        (lambda: _integer(10**400, "x", high=2), f"x must be <= 2, got {10**400}"),
+    ],
+    ids=["-inf", "complex", "none-number", "below-low", "int-below-low", "numpy-bool",
+         "none-integer", "below-low-integer", "above-high", "huge-above-high"],
+)
+def test_edges_are_refused_in_the_one_wording(check, message):
+    with pytest.raises(ValueError) as info:
+        check()
+    assert info.type is ValueError and str(info.value) == message
+
+
+def test_error_names_the_class_raised():
+    with pytest.raises(ScheduleError, match="x must be an integer, got True"):
+        _integer(True, "x", error=ScheduleError)
+    with pytest.raises(ScheduleError, match="x must be finite, got nan"):
+        _number(math.nan, "x", error=ScheduleError)

@@ -145,6 +145,29 @@ class TestScheduleAndValidate:
         assert "eps_high_mhz must be > 0" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, fragment",
+        [
+            ("--m", "0", "--m: must be >= 1, got 0"),
+            ("--n", "-1", "--n: must be >= 0, got -1"),
+            ("--t-ns", "0", "--t-ns: must be >= 1e-09, got 0.0"),
+            ("--t-ns", "inf", "--t-ns: must be finite, got inf"),
+        ],
+        ids=["m-0", "n-negative", "t-ns-0", "t-ns-inf"],
+    )
+    def test_design_flags_take_the_config_bounds(self, capsys, tmp_path, flag, value, fragment):
+        # a design out of the config rows exits 1, as the same value in a
+        # ``run`` config does, not 2 (infeasible)
+        path = tmp_path / "wire.json"
+        code, out, err = run_cli(
+            capsys,
+            "schedule", "--kind", "quantum", "--n-qubits", "5", "--n-states", "1",
+            flag, value, "--out", str(path),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {fragment}")
+        assert not path.exists()
+
     def test_missing_kind_arguments(self, capsys):
         code, _, err = run_cli(capsys, "schedule", "--kind", "quantum", "--n-qubits", "5")
         assert code == 1
@@ -259,14 +282,15 @@ class TestValidateRefusesBadScheduleFiles:
             (lambda d: d["windows"][2].update(biases_mhz={"0": 1.0}),
              "biases_mhz must be an array of numbers"),
             (lambda d: _edit_biases(d, "25000"),
-             "biases_mhz must be an array of numbers, got '25000'"),
+             "biases_mhz must be a number, got '25000'"),
             (lambda d: _edit_biases(d, False),
-             "biases_mhz must be an array of numbers, got False"),
+             "biases_mhz must be a number, got False"),
             (lambda d: d.update(n_qubits=5.7), "n_qubits must be an integer, got 5.7"),
             (lambda d: _edit_start(d, "20"), "window 2: start_ns must be a number, got '20'"),
             (lambda d: _edit_duration(d, True),
              "window 2: duration_ns must be a number, got True"),
-            (lambda d: _edit_start(d, 10**400), "int too large to convert to float"),
+            (lambda d: _edit_start(d, 10**400),
+             "must be finite, got an integer too large for a float"),
             (lambda d: d["lines"]["map"].__setitem__(1, 1.5),
              "line of qubit 1 must be an integer or null, got 1.5"),
             (lambda d: d["lines"]["map"].__setitem__(2, "2"),
@@ -843,22 +867,22 @@ class TestRunRefusesBadValuesBeforeRunning:
         "experiment, assertions, fragment",
         [
             ("copy_table", {"min_fidelity": "x"},
-             "config.assertions.min_fidelity: expected a number, got 'x'"),
+             "config.assertions.min_fidelity: must be a number, got 'x'"),
             ("copy_table", {"min_fidelity": True},
-             "config.assertions.min_fidelity: expected a number, got True"),
+             "config.assertions.min_fidelity: must be a number, got True"),
             ("quantum_wire", {"min_reduced_fidelity": None},
-             "config.assertions.min_reduced_fidelity: expected a number"),
+             "config.assertions.min_reduced_fidelity: must be a number"),
             ("quantum_wire", {"max_reduced_phase_error": [1e-6]},
-             "config.assertions.max_reduced_phase_error: expected a number"),
+             "config.assertions.max_reduced_phase_error: must be a number"),
             ("gate", {"max_worst_infidelity": "0.01"},
-             "config.assertions.max_worst_infidelity: expected a number"),
+             "config.assertions.max_worst_infidelity: must be a number"),
             ("classical_wire", {"require_echo": "yes"},
              "config.assertions.require_echo: expected true or false, got 'yes'"),
             ("classical_wire", {"expect_latency_sequences": 3.0},
-             "config.assertions.expect_latency_sequences: expected an integer, got 3.0"),
+             "config.assertions.expect_latency_sequences: must be an integer, got 3.0"),
             ("gate", {"slope_range": [-2.5]}, "config.assertions.slope_range: expected [low, high]"),
             ("gate", {"slope_range": ["a", -1.5]},
-             "config.assertions.slope_range[0]: expected a number, got 'a'"),
+             "config.assertions.slope_range[0]: must be a number, got 'a'"),
             ("gate", {"slope_range": [-2.5, -1.5]}, "config.assertions.slope_range: needs eps_grid"),
         ],
         ids=["string-min-fidelity", "bool-min-fidelity", "null-min-reduced-fidelity",

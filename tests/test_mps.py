@@ -74,6 +74,15 @@ class TestMPS:
         with pytest.raises(ValueError):
             MPS.ground(0)
 
+    @pytest.mark.parametrize("n_qubits", [True, 2.5, "2"], ids=["bool", "float", "str"])
+    def test_refuses_non_integer_sizes(self, n_qubits):
+        # True used to build a 1-qubit state, 2.5 to raise a TypeError
+        with pytest.raises(ValueError, match=f"n_qubits must be an integer, got {n_qubits!r}"):
+            MPS(n_qubits)
+        with pytest.raises(ValueError, match=f"n_qubits must be an integer, got {n_qubits!r}"):
+            QuantumState.ground(n_qubits)
+        assert MPS(np.int64(3)).n_qubits == QuantumState.ground(np.int64(3)).n_qubits == 3
+
     def test_random_local_operators_match_dense(self, rng):
         n = 7
         mps, dense = MPS.ground(n), QuantumState.ground(n)

@@ -232,6 +232,15 @@ class TestSweep:
         slope = infidelity_slope(points)
         assert -2.3 < slope < -1.7
 
+    @pytest.mark.parametrize("bad, fragment", [
+        (True, r"eps_grid\[0\] must be a number, got True"),
+        (None, r"eps_grid\[0\] must be a number, got None"),
+    ], ids=["bool", "none"])
+    def test_refuses_a_bias_that_is_not_a_number(self, design, bad, fragment):
+        # True used to run as 1 MHz
+        with pytest.raises(ValueError, match=fragment):
+            sweep_eps_high(design, [bad, 2.0])
+
     def test_slope_needs_two_points(self, design):
         points = sweep_eps_high(design, [1000.0])
         with pytest.raises(ValueError):
@@ -529,6 +538,26 @@ class TestQuantumChannel:
 
 
 class TestClassicalChannel:
+    @pytest.mark.parametrize(
+        "bad, fragment",
+        [
+            (1.7, "bits[0] must be an integer, got 1.7"),
+            (True, "bits[0] must be an integer, got True"),
+            ("1", "bits[0] must be an integer, got '1'"),
+            (2, "bits[0] must be <= 1, got 2"),
+        ],
+        ids=["float", "bool", "str", "two"],
+    )
+    def test_refuses_bits_that_are_not_the_integers_0_and_1(self, design, bad, fragment):
+        # 1.7, True and '1' used to run as the bit 1, where the schedule refuses them
+        spec = chain_for(design, 6, eps_high=SNAP_EPS)
+        sch, _ = classical_channel_schedule(spec, [1, 0, 1], design.t_ns)
+        with pytest.raises(ValueError) as info:
+            run_classical_channel(spec, sch, [bad, 0, 1])
+        assert str(info.value) == fragment
+        report = run_classical_channel(spec, sch, np.array([1, 0, 1]))
+        assert report.bits_in == (1, 0, 1) and report.ok
+
     def test_all_patterns_echo_with_fixed_latency(self, design):
         spec = chain_for(design, 6, eps_high=SNAP_EPS)
         for bits in itertools.product((0, 1), repeat=3):

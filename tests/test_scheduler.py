@@ -253,10 +253,10 @@ class TestScheduleFieldTypes:
             (lambda: PulseEvent(kind=["inject"], qubit=0), "unknown event kind ['inject']"),
             (lambda: PulseEvent(kind=np.str_("hold"), qubit=0), "unknown event kind"),
             (lambda: Window(0.0, 1.0, (0.0, True)),
-             "biases_mhz must be an array of numbers, got True"),
+             "biases_mhz must be a number, got True"),
             (lambda: Window(0.0, 1.0, "12"), "biases_mhz must be an array of numbers, got '12'"),
             (lambda: Window(0.0, 1.0, (0.0, 10**400)),
-             "biases_mhz must be finite: int too large to convert to float"),
+             "biases_mhz must be finite, got an integer too large for a float"),
             (lambda: Window("0", 1.0, (0.0,)), "start_ns must be a number, got '0'"),
             (lambda: Window(0.0, False, (0.0,)), "duration_ns must be a number, got False"),
             (lambda: Window(0.0, 1.0, (0.0,), events=("cnot",)),
@@ -331,6 +331,21 @@ class TestSwapPulses:
         assert_allclose(w0.biases_mhz[0], design.xi_mhz)
         assert w0.events[0].kind == "readout_pulse"
         assert sch.windows[1].events[0].kind == "cnot_pulse"
+
+    @pytest.mark.parametrize(
+        "left, right, fragment",
+        [
+            (1.0, 2, "left must be an integer, got 1.0"),
+            (1, True, "right must be an integer, got True"),
+            ("1", 2, "left must be an integer, got '1'"),
+        ],
+        ids=["float-left", "bool-right", "str-left"],
+    )
+    def test_rejects_non_integer_qubits(self, design, left, right, fragment):
+        # a float qubit used to leak an IndexError from the target mask
+        with pytest.raises(ScheduleError, match=fragment):
+            swap_pulses(chain_for(design, 4), left, right, 10.0)
+        assert swap_pulses(chain_for(design, 4), np.int64(1), np.int64(2), 10.0).label == "swap-1-2"
 
     def test_rejects_bad_pairs(self, design):
         spec = chain_for(design, 4)

@@ -47,6 +47,32 @@ class TestSolveParameters:
         with pytest.raises(ValueError):
             solve_parameters(10.0, n=-1)
 
+    @pytest.mark.parametrize(
+        "args, fragment",
+        [
+            ((10.0, 1.5, 0), "m must be an integer, got 1.5"),
+            ((10.0, True, 0), "m must be an integer, got True"),
+            ((10.0, 1, 0.0), "n must be an integer, got 0.0"),
+            (("10", 1, 0), "t_ns must be a number, got '10'"),
+            ((True, 1, 0), "t_ns must be a number, got True"),
+        ],
+        ids=["float-m", "bool-m", "float-n", "str-t-ns", "bool-t-ns"],
+    )
+    def test_refuses_non_integer_counts_and_non_number_windows(self, args, fragment):
+        # m = 1.5 and m = True used to give a design holding them, "10" a TypeError
+        t_ns, m, n = args
+        with pytest.raises(ValueError, match=fragment):
+            solve_parameters(t_ns, m=m, n=n)
+        with pytest.raises(ValueError):
+            solve_for_timestep(25.0 if t_ns == 10.0 else t_ns, m=m, n=n)
+
+    def test_integer_counts_out_of_range_stay_infeasible(self):
+        # exit 2 of ``swapchannel solve``, not a type refusal
+        for m, n in ((0, 0), (1, -1), (np.int64(1), np.int64(1))):
+            with pytest.raises(InfeasibleDesignError):
+                solve_parameters(10.0, m=m, n=n)
+        assert type(solve_parameters(np.float32(10.0), m=np.int64(1)).m) is int
+
     @pytest.mark.parametrize("t_ns, m", [(10.0, 10**400), (1e-300, 10**150)])
     def test_rejects_cycle_counts_that_overflow(self, t_ns, m):
         with pytest.raises(ValueError, match="non-finite delta or xi"):
