@@ -173,7 +173,8 @@ def build_hamiltonian(spec: ChainSpec, biases_mhz: Sequence[float]) -> np.ndarra
     symmetric and :func:`~swapchannel.evolve.propagator` can use a real
     eigendecomposition.  Its couplings are uniform, so reversing the biases
     mirrors the matrix: ``H(b[::-1]) = H(b)[m][:, m]`` with ``m`` from
-    :func:`_mirror_index`.  Refuses chains of more than ``DEFAULT_MAX_QUBITS``.
+    :func:`_mirror_index`.  Refuses chains of more than ``DEFAULT_MAX_QUBITS``
+    and any bias that :func:`_number` refuses (a bool, a str, a non-finite value).
     """
     n = spec.n_qubits
     if n > DEFAULT_MAX_QUBITS:
@@ -181,9 +182,9 @@ def build_hamiltonian(spec: ChainSpec, biases_mhz: Sequence[float]) -> np.ndarra
             f"refusing to build a {n}-qubit dense operator "
             f"(DEFAULT_MAX_QUBITS={DEFAULT_MAX_QUBITS})"
         )
-    biases = np.asarray(biases_mhz, dtype=float)
-    if biases.shape != (n,):
-        raise ValueError(f"expected {n} biases, got shape {biases.shape}")
+    if np.shape(biases_mhz) != (n,):
+        raise ValueError(f"expected {n} biases, got shape {np.shape(biases_mhz)}")
+    biases = np.array([_number(b, f"biases_mhz[{q}]") for q, b in enumerate(biases_mhz)])
 
     z = _z_values(n)
     diag = z @ biases

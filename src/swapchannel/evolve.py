@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import _integer, _mirror_index, is_hermitian, phase_angle
+from .chain import _integer, _mirror_index, _number, is_hermitian, phase_angle
 
 __all__ = [
     "EntanglementError",
@@ -240,23 +240,18 @@ class QuantumState:
 # ---------------------------------------------------------------------------
 
 
-def _check_duration(duration_ns: float) -> None:
-    if not np.isfinite(duration_ns) or duration_ns < 0:
-        raise ValueError(f"duration_ns must be finite and >= 0, got {duration_ns!r}")
-
-
 def eigensystem(hamiltonian: np.ndarray, duration_ns: float) -> tuple[np.ndarray, np.ndarray]:
     """``(V, angles)`` with ``exp(-i * 2pi*1e-3 * H * t) = V e^{-i angles} V^dagger``
     for an H in MHz and t in ns.
 
     ``V`` holds the eigenvectors of H in its columns; it is real for a real
-    (symmetric) H.  Refuses a non-Hermitian H and a negative or non-finite
-    duration.
+    (symmetric) H.  Refuses a non-Hermitian H and a duration that is not a
+    finite number >= 0 (``chain._number``).
     """
     h = np.asarray(hamiltonian)
     if not is_hermitian(h):
         raise ValueError("eigensystem requires a Hermitian matrix")
-    _check_duration(duration_ns)
+    duration_ns = _number(duration_ns, "duration_ns", low=0)
     evals, evecs = np.linalg.eigh(h)
     return evecs, phase_angle(evals, duration_ns)
 
@@ -319,9 +314,8 @@ def sample_trajectory(
     Returns ``(times, probs)`` with ``probs[i, q]`` the population of qubit
     ``q`` at ``times[i]``.  A zero duration yields empty arrays (no rows).
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    _check_duration(duration_ns)
+    n_samples = _integer(n_samples, "n_samples", low=1)
+    duration_ns = _number(duration_ns, "duration_ns", low=0)
     n = state.n_qubits
     if duration_ns == 0:
         return np.zeros(0), np.zeros((0, n))

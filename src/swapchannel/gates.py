@@ -5,7 +5,9 @@ qubit is the most significant bit).  The ideal gate carries the exact branch
 phases of a phase-exact design (M odd, N even): a held branch acquires -1, a
 flipped branch -i.
 Reduced mode takes every pulse from :func:`reduced_pulse_operator`, which
-caches its operators for the process.
+caches its operators for the process.  A neighbour the caller knows to be
+frozen in a basis state is folded into the effective bias and leaves the
+block, so a pulse acts on one to three qubits.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainSpec, TwoLevelParams, _z_values, effective_bias
+from .chain import ChainSpec, TwoLevelParams, _integer, _z_values, effective_bias
 from .evolve import propagator
 
 __all__ = ["IDEAL_CNOT", "reduced_pulse_operator"]
@@ -28,37 +30,49 @@ IDEAL_CNOT.flags.writeable = False
 
 
 def reduced_pulse_operator(
-    spec: ChainSpec, qubit: int, bias_mhz: float, duration_ns: float
+    spec: ChainSpec, qubit: int, bias_mhz: float, duration_ns: float,
+    left: int | None = None, right: int | None = None,
 ) -> tuple[np.ndarray, int]:
     """Exact window propagator for the pulsed ``qubit`` with frozen neighbours.
 
     Returns ``(op, first_qubit)``: the read-only block operator over the
-    chain-ordered qubits (left?, target, right?), where only a chain end lacks
-    a neighbour, and the first of them.  For each neighbour basis
-    configuration the 2x2 block is the exact two-level propagator at the
-    :func:`~swapchannel.chain.effective_bias` of the target.  For a solved
+    chain-ordered qubits (left?, target, right?) and the first of them.  A
+    neighbour is in the block unless the chain ends there or it is frozen:
+    ``left`` and ``right`` give a frozen neighbour's z value (+1 for |0>, -1
+    for |1>), and None keeps it in the block.  Each 2x2 block is the exact
+    two-level propagator at the :func:`~swapchannel.chain.effective_bias` of
+    the target, whose integer neighbour sum takes the frozen values too, so a
+    folded operator is bit for bit a block of the unfolded one.  For a solved
     phase-exact design each block is a hold (-1) or a flip (-i), bit for bit.
     """
     if not 0 <= qubit < spec.n_qubits:
         raise ValueError(f"qubit {qubit} out of range for n={spec.n_qubits}")
-    has_left, has_right = qubit > 0, qubit < spec.n_qubits - 1
-    op = _block_operator(spec.delta_mhz, spec.xi_mhz, bias_mhz, duration_ns, has_left, has_right)
-    return op, qubit - has_left
+    sides = []
+    for side, z, present in (("left", left, qubit > 0), ("right", right, qubit < spec.n_qubits - 1)):
+        if z is not None and (not present or _integer(z, f"{side} z") not in (1, -1)):
+            raise ValueError(f"{side} z must be +1 or -1 for a neighbour of qubit {qubit}, got {z!r}")
+        sides.append(int(z) if z is not None else None if present else 0)  # a chain end adds 0
+    op = _block_operator(spec.delta_mhz, spec.xi_mhz, bias_mhz, duration_ns, *sides)
+    return op, qubit - (sides[0] is None)
 
 
 @lru_cache(maxsize=256)
 def _block_operator(
     delta_mhz: float, xi_mhz: float, pulse_bias_mhz: float, duration_ns: float,
-    has_left: bool, has_right: bool,
+    left: int | None, right: int | None,
 ) -> np.ndarray:
-    k = 1 + has_left + has_right
-    target_axis = int(has_left)
-    # one row per neighbour configuration (target in |0>); the target adds nothing
-    z = _z_values(k)
-    z = z[z[:, target_axis] == 1] * (np.arange(k) != target_axis)
+    live = [c for c, z in ((0, left), (2, right)) if z is None]
+    k = 1 + len(live)
+    target_axis = int(left is None)
+    # z over (left, target, right), one row per configuration of the live
+    # neighbours; a frozen or missing one holds its value in every row, and
+    # the target adds nothing
+    z = np.zeros((1 << len(live), 3), dtype=np.int64)
+    z[:, 0], z[:, 2] = left or 0, right or 0
+    z[:, live] = _z_values(len(live))
     biases = np.zeros(z.shape)
-    biases[:, target_axis] = pulse_bias_mhz
-    sigmas = effective_bias(biases, xi_mhz, z)[:, target_axis]
+    biases[:, 1] = pulse_bias_mhz
+    sigmas = effective_bias(biases, xi_mhz, z)[:, 1]
     # block diagonal in (neighbours, target) order, then the target axis moved
     # to its chain position on both the output and the input side
     out = np.zeros((len(z), 2, len(z), 2), dtype=complex)

@@ -14,14 +14,16 @@ most significant bit).  The state is kept in mixed-canonical form: tensors
 left of the orthogonality centre are left isometries and tensors right of it
 right isometries, so the centre tensor carries the whole norm.  A one-qubit
 read, reset or inject moves the centre to its qubit (one small SVD per site
-crossed) and then touches that tensor only.  A k-local operator contracts its k sites,
-applies the operator and splits back by k - 1 SVDs, dropping only singular
-values below ``TRUNCATION_RTOL`` of the largest.
+crossed, none across a product cut) and then touches that tensor only.  A
+k-local operator contracts its k sites, applies the operator and splits back
+by k - 1 SVDs, dropping only singular values below ``TRUNCATION_RTOL`` of the
+largest.  A pulse's neighbour frozen in a basis state leaves its block
+(:meth:`MPS.apply_layer`), so most pulses act on one or two sites.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,7 +42,8 @@ class MPS:
     :class:`~swapchannel.evolve.QuantumState` do.  ``max_bond`` is the largest bond
     dimension any split has produced; ``discarded_weight`` is the summed
     squared weight of the singular values dropped, each split's share taken
-    relative to the norm of the state it split.
+    relative to the norm of the state it split, plus the off-basis slices
+    that :meth:`basis_value` drops.
     """
 
     def __init__(self, n_qubits: int):
@@ -146,20 +149,49 @@ class MPS:
             t[first_qubit] = theta.reshape(dl, 2, dr)
             self.center = first_qubit
 
-    def apply_layer(self, ops: Sequence[tuple[np.ndarray, int]]) -> None:
-        """Apply ``(op, first_qubit)`` pairs in order, as :meth:`apply` does.
+    def basis_value(self, qubit: int) -> int | None:
+        """The qubit's z value (+1 for |0>, -1 for |1>) if it is frozen in a
+        basis state, else None; reads and writes its tensor only, with no
+        centre move.
 
-        Operators on pairwise disjoint, ascending blocks commute, so such a
+        The qubit counts as frozen when the squared norm of its other slice
+        is at most ``TRUNCATION_RTOL**2`` of the tensor's, the rule every
+        split applies, and then, as a split does, the slice is dropped and
+        its share added to ``discarded_weight``.  So the qubit is that basis
+        state exactly, and a later read of it drops nothing more.
+        """
+        t = self.tensors[qubit]
+        w = (abs(t) ** 2).sum(axis=(0, 2)).tolist()
+        for z, other in ((1, 1), (-1, 0)):
+            if w[other] <= TRUNCATION_RTOL**2 * (w[0] + w[1]):
+                if w[other]:
+                    self.discarded_weight += w[other] / (w[0] + w[1])
+                    self.tensors[qubit] = t = t.copy()
+                    t[:, other] = 0.0
+                return z
+        return None
+
+    def apply_layer(self, targets: Sequence[int], pulse: Callable[..., tuple]) -> None:
+        """Pulse the ``targets`` in order, each conditioned on its neighbours.
+
+        ``pulse(qubit, left, right)`` returns the ``(op, first_qubit)`` that
+        :meth:`apply` takes, given the :meth:`basis_value` of each neighbour
+        (None past a chain end), read just before the pulse: a frozen
+        neighbour leaves the block, so a pulse spans 1-3 sites.  Pulses whose
+        neighbourhoods are pairwise disjoint and ascending commute, so such a
         layer is swept from whichever end is nearer the centre: consecutive
         layers then sweep back and forth instead of first returning the
         centre across the chain.
         """
-        ends = [first + np.asarray(op).shape[0].bit_length() - 2 for op, first in ops]
-        disjoint = all(ends[i] < ops[i + 1][1] for i in range(len(ops) - 1))
-        if disjoint and ops and abs(ends[-1] - self.center) < abs(ops[0][1] - self.center):
-            ops = ops[::-1]
-        for op, first in ops:
-            self.apply(op, first)
+        n = self.n_qubits
+        spans = [(max(q - 1, 0), min(q + 1, n - 1)) for q in targets]
+        disjoint = all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+        if disjoint and spans and abs(spans[-1][1] - self.center) < abs(spans[0][0] - self.center):
+            targets = targets[::-1]
+        for q in targets:
+            left = self.basis_value(q - 1) if q > 0 else None
+            right = self.basis_value(q + 1) if q < n - 1 else None
+            self.apply(*pulse(q, left, right))
 
     def reduced_state(self, qubit: int) -> tuple[np.ndarray, float]:
         """(2x2 reduced density matrix, its purity) for one qubit."""

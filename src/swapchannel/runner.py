@@ -13,7 +13,10 @@ without asking which one it holds.  It has two modes:
   which caches it.  For a solved phase-exact design it realises the ideal
   gate algebra bit for bit.  Wire runs keep the pure state as an exact
   matrix-product state (:class:`~swapchannel.mps.MPS`), whose bonds stay at
-  dimension 2 on designed schedules, so a wire costs O(L), not O(2^L).  A
+  dimension 2 on designed schedules, so a wire costs O(L), not O(2^L).
+  :meth:`~swapchannel.mps.MPS.apply_layer` pulses a window's targets and
+  passes the operator each neighbour it finds frozen in a basis state, so
+  such a neighbour leaves the block and a pulse spans 1-3 sites.  A
   reset keeps the read qubit's dominant local branch, so an entangled read
   shows in its purity; only injects refuse entanglement.
 * ``full``: the complete (real symmetric) chain Hamiltonian, window by
@@ -387,9 +390,8 @@ def _execute(
     for i, (biases, duration, targets, boundary) in enumerate(windows):
         do_boundary(boundary, i)
         if reduced:
-            branches["raw"].apply_layer([
-                reduced_pulse_operator(spec, q, biases[q], duration) for q in targets
-            ])
+            branches["raw"].apply_layer(targets, lambda q, left, right: reduced_pulse_operator(
+                spec, q, biases[q], duration, left, right))
             continue
         key = (tuple(biases), duration)
         if key not in prop_cache:

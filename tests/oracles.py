@@ -24,7 +24,10 @@ object-building routes: one ``Window`` of ``PulseEvent`` rows at a time,
 and a replay over those rows; the loop frame correction and line check read
 that replay.  The plain window eigensystem is the full-mode engine's former
 per-window route, one ``eigh`` of each window's own Hamiltonian, before it
-shared eigenvectors between mirror images.  The mirrored schedule is the
+shared eigenvectors between mirror images.  The unfolded layer is the
+reduced engine's former pulse route: every pulse the full block over its
+neighbours, two SVDs to split, even where a neighbour is frozen in a basis
+state.  The mirrored schedule is the
 paper's bi-directional claim as a test input: the same wire run right to
 left."""
 
@@ -608,6 +611,20 @@ def plain_window_eigensystem(spec, biases, duration, cache):
     """``runner._window_eigensystem`` as one ``eigh`` of each window's own
     Hamiltonian, with no eigenvectors shared between mirror images."""
     return eigensystem(build_hamiltonian(spec, biases), duration)
+
+
+def unfolded_apply_layer(mps, targets, pulse):
+    """``MPS.apply_layer`` before it folded frozen neighbours: each pulse is
+    built with both neighbours in its block (``pulse(q, None, None)``) and
+    applied in the same order; a layer of disjoint blocks is swept from the
+    end nearer the centre."""
+    ops = [pulse(q, None, None) for q in targets]
+    ends = [first + op.shape[0].bit_length() - 2 for op, first in ops]
+    disjoint = all(ends[i] < ops[i + 1][1] for i in range(len(ops) - 1))
+    if disjoint and ops and abs(ends[-1] - mps.center) < abs(ops[0][1] - mps.center):
+        ops = ops[::-1]
+    for op, first in ops:
+        mps.apply(op, first)
 
 
 def mirror_schedule(schedule, lines):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,22 @@ class TestBuildHamiltonian:
     def test_rejects_wrong_bias_length(self, design):
         with pytest.raises(ValueError):
             build_hamiltonian(chain_for(design, 3), [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "biases, message",
+        [(["1", "2", "3"], "biases_mhz[0] must be a number, got '1'"),
+         ([1.0, True, 3.0], "biases_mhz[1] must be a number, got True"),
+         ([1.0, 2.0, np.bool_(False)], "biases_mhz[2] must be a number"),
+         ([1.0, float("nan"), 3.0], "biases_mhz[1] must be finite, got nan")],
+        ids=["str", "bool", "numpy-bool", "nan"],
+    )
+    def test_refuses_biases_that_are_not_finite_numbers(self, design, biases, message):
+        # np.asarray(..., dtype=float) used to build H from strs and bools
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_hamiltonian(chain_for(design, 3), biases)
+        mixed = [1, np.int64(2), np.float32(3.0)]
+        assert_allclose(build_hamiltonian(chain_for(design, 3), mixed),
+                        build_hamiltonian(chain_for(design, 3), [1.0, 2.0, 3.0]), rtol=0, atol=0)
 
     def test_refuses_oversized_dense_build(self, design):
         spec = chain_for(design, 13)

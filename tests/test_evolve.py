@@ -232,8 +232,25 @@ class TestEigensystem:
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -1.0])
     def test_refuses_negative_and_non_finite_durations(self, duration):
         for solve in (eigensystem, propagator):
-            with pytest.raises(ValueError, match="duration_ns must be finite and >= 0"):
+            with pytest.raises(ValueError, match="duration_ns must be (finite|>= 0)"):
                 solve(np.eye(2), duration)
+
+    @pytest.mark.parametrize("duration", [True, "10", None], ids=["bool", "str", "none"])
+    def test_refuses_durations_that_are_not_numbers(self, duration):
+        # True used to run as 1 ns and "10" to raise a numpy TypeError
+        for solve in (eigensystem, propagator):
+            with pytest.raises(ValueError, match=f"duration_ns must be a number, got {duration!r}"):
+                solve(np.eye(2), duration)
+        with pytest.raises(ValueError, match=f"duration_ns must be a number, got {duration!r}"):
+            sample_trajectory(QuantumState.ground(1), np.eye(2), duration, 3)
+
+    @pytest.mark.parametrize("n_samples", [True, 2.5, "3"], ids=["bool", "float", "str"])
+    def test_sample_trajectory_refuses_non_integer_sample_counts(self, n_samples):
+        # True used to run as one sample and 2.5 to raise a TypeError
+        with pytest.raises(ValueError, match=f"n_samples must be an integer, got {n_samples!r}"):
+            sample_trajectory(QuantumState.ground(1), np.eye(2), 10.0, n_samples)
+        times, _ = sample_trajectory(QuantumState.ground(1), np.eye(2), 10.0, np.int64(2))
+        assert times.tolist() == [0.0, 5.0, 10.0]
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
     def test_sample_trajectory_refuses_the_duration_it_was_given(self, duration):

@@ -161,6 +161,44 @@ class TestReducedPulseOperator:
                 assert first == q - (q > 0)
                 assert not op.flags.writeable
 
+    def test_folded_blocks_are_blocks_of_the_full_operator(self, design, rng):
+        # a frozen neighbour (z = +1 for |0>, -1 for |1>) leaves the block:
+        # the result is, bit for bit, the full operator's block at that
+        # neighbour's basis state, for every qubit of the chains n = 1..4
+        cases = [(design.delta_mhz, design.xi_mhz, 0.0, design.t_ns)]
+        for _ in range(10):
+            delta, xi = rng.uniform(0.1, 100.0, size=2)
+            cases.append((delta, xi, rng.uniform(-200.0, 200.0), rng.uniform(0.0, 50.0)))
+        seen = set()
+        for n in range(1, 5):
+            for q in range(n):
+                has_left, has_right = q > 0, q < n - 1
+                for left in (None, 1, -1) if has_left else (None,):
+                    for right in (None, 1, -1) if has_right else (None,):
+                        seen.add((has_left, has_right, left, right))
+                        sites = [z for z, present in ((left, has_left), (None, True), (right, has_right))
+                                 if present]
+                        pick = tuple(slice(None) if z is None else (1 - z) // 2 for z in sites)
+                        for delta, xi, bias, t in cases:
+                            spec = ChainSpec(n, delta, xi)
+                            full, _ = reduced_pulse_operator(spec, q, bias, t)
+                            op, first = reduced_pulse_operator(spec, q, bias, t, left, right)
+                            block = full.reshape((2,) * (2 * len(sites)))[pick + pick]
+                            assert np.array_equal(op, block.reshape(op.shape))
+                            assert first == q - (has_left and left is None)
+                            assert not op.flags.writeable
+        assert len(seen) == 16  # 9 interior, 3 + 3 ends, 1 lone qubit
+
+    @pytest.mark.parametrize(
+        "qubit, left, right",
+        [(1, 0, None), (1, None, 2), (1, True, None), (1, 1.0, None), (1, "1", None),
+         (0, 1, None), (2, None, -1)],
+    )
+    def test_bad_frozen_values_are_refused(self, design, qubit, left, right):
+        # a z value is +1 or -1, and a chain end has no neighbour to freeze
+        with pytest.raises(ValueError, match="z must be"):
+            reduced_pulse_operator(chain_for(design, 3), qubit, 0.0, design.t_ns, left, right)
+
     def test_qubit_outside_the_chain_is_refused(self, design):
         for q in (-1, 3):
             with pytest.raises(ValueError, match="out of range"):

@@ -3,11 +3,15 @@
 Unit tests drive :class:`MPS`, the dense ``QuantumState`` and the former
 dense free functions in ``oracles.py`` with the same operations; the runner
 tests compare reduced-mode reports with the dense replay in ``oracles.py``
-(the path the MPS replaced) to 1e-12.
+(the path the MPS replaced) to 1e-12.  Runs whose pulses fold frozen
+neighbours are compared with the all-3-site path they replaced
+(``oracles.unfolded_apply_layer``), and an SVD spy counts what the fold saves.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import chain_for, mps_vector, random_qubit_amplitudes
@@ -18,7 +22,9 @@ from oracles import (
     dense_reduced_wire,
     project_inject,
     reduced_state,
+    unfolded_apply_layer,
 )
+import swapchannel.runner as runner
 from swapchannel import (
     EntanglementError,
     PulseEvent,
@@ -28,6 +34,8 @@ from swapchannel import (
     quantum_channel_schedule,
     run_classical_channel,
     run_quantum_channel,
+    snapped_hold_bias,
+    solve_parameters,
 )
 from swapchannel.chain import wrap_phase
 from swapchannel.evolve import INJECT_PURITY_TOL, QuantumState, sample_trajectory
@@ -105,26 +113,30 @@ class TestMPS:
         assert mps.discarded_weight < 1e-28
 
     def test_layer_order_does_not_change_the_state(self, rng):
+        # three pulses whose 3-site neighbourhoods are disjoint commute, so
+        # the layer may run from either end; the ends' pulses span 2 sites
         n = 9
-        ops = [(random_unitary(rng, 8), 0), (random_unitary(rng, 4), 3), (random_unitary(rng, 8), 6)]
+        ops = {0: random_unitary(rng, 4), 4: random_unitary(rng, 8), 8: random_unitary(rng, 4)}
         dense = QuantumState.ground(n)
-        for op, first in ops:
-            dense = apply_local_unitary(dense, op, first)
+        for q, op in ops.items():
+            dense = apply_local_unitary(dense, op, max(q - 1, 0))
         for centre in (0, n - 1):
             mps = MPS.ground(n)
             mps.reduced_state(centre)  # park the centre at one end
-            mps.apply_layer(ops)
+            order = []
+            mps.apply_layer(list(ops), lambda q, left, right: order.append(q) or (ops[q], max(q - 1, 0)))
+            assert order == ([0, 4, 8] if centre == 0 else [8, 4, 0])
             assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
 
     def test_overlapping_layer_keeps_its_order(self, rng):
         n = 5
-        ops = [(random_unitary(rng, 8), 1), (random_unitary(rng, 8), 2)]
+        ops = {2: random_unitary(rng, 8), 3: random_unitary(rng, 8)}
         dense = QuantumState.ground(n)
-        for op, first in ops:
-            dense = apply_local_unitary(dense, op, first)
+        for q, op in ops.items():
+            dense = apply_local_unitary(dense, op, q - 1)
         mps = MPS.ground(n)
         mps.reduced_state(n - 1)
-        mps.apply_layer(ops)
+        mps.apply_layer([2, 3], lambda q, left, right: (ops[q], q - 1))
         assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
 
     def test_inject_matches_dense_on_a_slightly_entangled_qubit(self, rng):
@@ -254,6 +266,29 @@ def _random_states(rng, n):
     return [np.array(random_qubit_amplitudes(rng)) for _ in range(n)]
 
 
+def _random_entangling_schedule(rng, n):
+    """14 windows of 1-3 random pulse targets at random biases and durations
+    (no swap pattern), with data injected at qubits 0 and 4 first."""
+    windows = []
+    for w in range(14):
+        targets = sorted(int(q) for q in rng.choice(n, size=int(rng.integers(1, 4)), replace=False))
+        biases = [SNAP_EPS] * n
+        for q in targets:
+            biases[q] = float(rng.uniform(-60.0, 60.0))
+        events = [PulseEvent(kind="cnot_pulse", qubit=q) for q in targets]
+        if w == 0:
+            events = [PulseEvent(kind="inject", qubit=q, data_index=i) for i, q in enumerate((0, 4))] + events
+        windows.append(
+            Window(
+                start_ns=w * 12.0,  # no window is longer than 12 ns
+                duration_ns=float(rng.uniform(2.0, 12.0)),
+                biases_mhz=tuple(biases),
+                events=tuple(events),
+            )
+        )
+    return PulseSchedule(n_qubits=n, windows=tuple(windows))
+
+
 class TestReducedRunnerAgainstDense:
     @pytest.mark.parametrize(
         "n_qubits, n_states", [(3, 1), (5, 2), (6, 3), (8, 4), (9, 2), (12, 3)]
@@ -307,24 +342,7 @@ class TestReducedRunnerAgainstDense:
         rng = np.random.default_rng(seed)
         n = 8
         spec = chain_for(design, n, eps_high=SNAP_EPS)
-        windows = []
-        for w in range(14):
-            targets = sorted(int(q) for q in rng.choice(n, size=int(rng.integers(1, 4)), replace=False))
-            biases = [SNAP_EPS] * n
-            for q in targets:
-                biases[q] = float(rng.uniform(-60.0, 60.0))
-            events = [PulseEvent(kind="cnot_pulse", qubit=q) for q in targets]
-            if w == 0:
-                events = [PulseEvent(kind="inject", qubit=q, data_index=i) for i, q in enumerate((0, 4))] + events
-            windows.append(
-                Window(
-                    start_ns=w * 12.0,  # no window is longer than 12 ns
-                    duration_ns=float(rng.uniform(2.0, 12.0)),
-                    biases_mhz=tuple(biases),
-                    events=tuple(events),
-                )
-            )
-        sch = PulseSchedule(n_qubits=n, windows=tuple(windows))
+        sch = _random_entangling_schedule(rng, n)
         states = _random_states(rng, 2)
         report = run_quantum_channel(spec, sch, states, mode="reduced")
         final = dense_reduced_replay(
@@ -368,3 +386,135 @@ class TestReducedRunnerAgainstDense:
             run_quantum_channel(spec, sch, states, mode="reduced")
         with pytest.raises(EntanglementError, match="qubit 1"):
             dense_reduced_wire(spec, sch, states)
+
+
+def _both_paths(run):
+    """``(result, MPS)`` of ``run()`` with frozen neighbours folded, then on
+    the all-3-site path the fold replaced (``oracles.unfolded_apply_layer``)."""
+    out = []
+    for layer in (MPS.apply_layer, unfolded_apply_layer):
+        created = []
+
+        class Spy(MPS):
+            apply_layer = layer
+
+            def __init__(self, n_qubits):
+                super().__init__(n_qubits)
+                created.append(self)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(runner, "MPS", Spy)
+            out.append((run(), created[-1]))
+    return out
+
+
+def _assert_same_run(folded, unfolded):
+    """Equal reads to 1e-12, equal largest bond, only round-off discarded."""
+    (got, mps), (want, oracle) = folded, unfolded
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert (a.data_index, a.window_index) == (b.data_index, b.window_index)
+        for field in RECORD_FIELDS:
+            x, y = getattr(a, field), getattr(b, field)
+            if field.startswith("phase"):
+                x, y = wrap_phase(x - y), 0.0
+            assert_allclose(x, y, rtol=0, atol=1e-12, err_msg=field)
+    assert_allclose(got.final_trace, want.final_trace, rtol=0, atol=1e-12)
+    assert mps.max_bond == oracle.max_bond
+    assert mps.discarded_weight < 1e-28 and oracle.discarded_weight < 1e-28
+
+
+def _svd_calls(monkeypatch) -> list:
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+    return calls
+
+
+class TestFrozenNeighbours:
+    """A pulse whose neighbour is frozen in a basis state acts on 1-2 sites,
+    and the runs read as the all-3-site path does."""
+
+    def test_basis_value(self):
+        n = 4
+        mps = MPS.ground(n)
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        mps.apply(x, 1)
+        mps.apply(hadamard, 2)
+        mps.apply(np.eye(4)[[0, 1, 3, 2]], 2)  # Bell pair on qubits 2, 3
+        centre = mps.center
+        assert [mps.basis_value(q) for q in range(n)] == [1, -1, None, None]
+        assert mps.center == centre and mps.discarded_weight == 0.0
+        # an off-basis slice at or below TRUNCATION_RTOL of the norm is frozen:
+        # it is dropped and its squared share counted as discarded, once
+        for angle, want in ((1e-15, 1), (1e-13, None)):
+            tilted = MPS.ground(2)
+            tilted.apply(np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]), 1)
+            for _ in range(2):
+                assert tilted.basis_value(1) == want
+                assert tilted.discarded_weight == (np.sin(angle) ** 2 if want else 0.0)
+            assert (tilted.tensors[1][:, 1] == 0).all() == (want is not None)
+
+    @pytest.mark.parametrize("n_qubits", range(3, 17))
+    def test_designed_quantum_wires(self, design, rng, n_qubits):
+        spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
+        for n_states in range(1, 5):
+            sch, _ = quantum_channel_schedule(spec, n_states, design.t_ns)
+            states = _random_states(rng, n_states)
+            _assert_same_run(*_both_paths(
+                lambda: run_quantum_channel(spec, sch, states, mode="reduced")))
+
+    @pytest.mark.parametrize("n_qubits", [4, 8, 10, 16])
+    def test_classical_wires(self, design, rng, n_qubits):
+        spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
+        bits = [int(b) for b in rng.integers(0, 2, 8)]
+        sch, _ = classical_channel_schedule(spec, bits, design.t_ns)
+        (got, mps), (want, oracle) = _both_paths(
+            lambda: run_classical_channel(spec, sch, bits, mode="reduced"))
+        assert got.bits_out == want.bits_out == tuple(bits)
+        assert_allclose([r.p_one for r in got.records], [r.p_one for r in want.records],
+                        rtol=0, atol=1e-12)
+        assert mps.max_bond == oracle.max_bond == 1
+        assert mps.discarded_weight < 1e-28 and oracle.discarded_weight < 1e-28
+
+    def test_a_frozen_residue_is_dropped_once(self, design, mps_spy):
+        # each fold drops its neighbour's round-off slice; were the slice
+        # kept, every later fold would count it again (1.7e-26 here)
+        spec = chain_for(design, 64, eps_high=SNAP_EPS)
+        bits = [1, 0, 1, 1, 0, 0, 1, 0] * 2
+        sch, _ = classical_channel_schedule(spec, bits, design.t_ns)
+        assert run_classical_channel(spec, sch, bits, mode="reduced").ok
+        (mps,) = mps_spy
+        assert 0.0 < mps.discarded_weight < 1e-28
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_entangling_schedules(self, seed):
+        rng = np.random.default_rng(seed)
+        design = solve_parameters(10.0, m=1, n=0)
+        spec = chain_for(design, 8, eps_high=SNAP_EPS)
+        sch = _random_entangling_schedule(rng, 8)
+        states = _random_states(rng, 2)
+        _assert_same_run(*_both_paths(
+            lambda: run_quantum_channel(spec, sch, states, mode="reduced")))
+
+    def test_classical_wire_makes_no_svd(self, design, monkeypatch):
+        # every site stays a basis state, so every pulse is 1-site and every
+        # bond 1, and a product cut needs no SVD
+        spec = chain_for(design, 16, eps_high=SNAP_EPS)
+        bits = [1, 0, 1, 1, 0, 0, 1, 0]
+        sch, _ = classical_channel_schedule(spec, bits, design.t_ns)
+        calls = _svd_calls(monkeypatch)
+        assert run_classical_channel(spec, sch, bits, mode="reduced").ok
+        assert calls == []
+
+    @pytest.mark.parametrize("n_qubits, n_states", [(15, 4), (16, 2)])
+    def test_quantum_wire_svd_per_pulse(self, design, rng, monkeypatch, n_qubits, n_states):
+        # the all-3-site path splits every pulse with two SVDs
+        spec = chain_for(design, n_qubits, eps_high=snapped_hold_bias(design.delta_mhz, design.t_ns))
+        sch, _ = quantum_channel_schedule(spec, n_states, design.t_ns)
+        calls = _svd_calls(monkeypatch)
+        report = run_quantum_channel(spec, sch, _random_states(rng, n_states), mode="reduced")
+        assert_allclose(report.min_fidelity_corrected, 1.0, rtol=0, atol=1e-12)
+        assert 0 < len(calls) <= 0.75 * sch.pulse_count

@@ -31,6 +31,8 @@ from swapchannel import (
     run_quantum_channel,
     schedule_from_json,
     schedule_to_json,
+    snapped_hold_bias,
+    solve_parameters,
     swap_pulses,
     sweep_eps_high,
     validate_sacrificial,
@@ -889,3 +891,58 @@ class TestMirroredWire:
                     assert_allclose(getattr(a, name), getattr(b, name), rtol=0, atol=atol,
                                     err_msg=f"{mode} {name}")
                 assert abs(wrap_phase(a.phase_error_raw - b.phase_error_raw)) <= atol, mode
+
+
+class TestPulseWidth:
+    """The paper's parameters vary linearly with the pulse width: a design at
+    t ns, parked at the snapped 1000 delta, reads as the 10 ns design does,
+    and its schedule is the 10 ns one stretched by t / 10."""
+
+    def test_reads_do_not_depend_on_the_width(self, rng):
+        states = [np.array(random_qubit_amplitudes(rng)) for _ in range(2)]
+        runs = {}
+        for t in (5.0, 10.0, 30.0):
+            design = solve_parameters(t, m=1, n=0)
+            spec = chain_for(design, 5, eps_high=snapped_hold_bias(design.delta_mhz, t))
+            assert_allclose(spec.eps_high_mhz * t, 250000.0, rtol=1e-12)
+            sch, _ = quantum_channel_schedule(spec, 2, t)
+            runs[t] = sch, {mode: run_quantum_channel(spec, sch, states, mode=mode)
+                            for mode in ("reduced", "full")}
+        reference, reads = runs[10.0]
+        for t, (sch, by_mode) in runs.items():
+            assert_allclose(sch.makespan_ns / t, reference.makespan_ns / 10.0, rtol=1e-12)
+            assert_allclose(sch.starts / t, reference.starts / 10.0, rtol=0, atol=1e-9)
+            for mode, atol in (("reduced", 1e-12), ("full", 1e-10)):
+                got, want = by_mode[mode].records, reads[mode].records
+                assert len(got) == len(want) == 2
+                for a, b in zip(got, want):
+                    assert (a.data_index, a.window_index) == (b.data_index, b.window_index)
+                    for name in ("fidelity", "purity"):
+                        for column in ("raw", "corrected"):
+                            field = f"{name}_{column}"
+                            assert_allclose(getattr(a, field), getattr(b, field), rtol=0,
+                                            atol=atol, err_msg=f"t={t} {mode} {field}")
+                    for field in ("phase_error_raw", "phase_error_corrected"):
+                        diff = wrap_phase(getattr(a, field) - getattr(b, field))
+                        assert abs(diff) <= atol, (t, mode, field)
+
+
+class TestLength:
+    """Eight lines drive a quantum wire, and three a classical one, of any length."""
+
+    @pytest.mark.parametrize("n_qubits", [14, 64, 256])
+    def test_line_counts_at_any_length(self, design, n_qubits):
+        spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
+        for (sch, lines), n_lines in ((quantum_channel_schedule(spec, 4, design.t_ns), 8),
+                                      (classical_channel_schedule(spec, [1, 0, 1, 1], design.t_ns), 3)):
+            assert lines.n_lines == n_lines
+            assert line_conflict_check(sch, lines).ok
+            assert sch.replay.ok
+
+    def test_long_reduced_wire_is_exact(self, design, rng):
+        spec = chain_for(design, 64, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, 4, design.t_ns)
+        states = [np.array(random_qubit_amplitudes(rng)) for _ in range(4)]
+        report = run_quantum_channel(spec, sch, states, mode="reduced")
+        assert len(report.records) == 4
+        assert_allclose(report.min_fidelity_corrected, 1.0, rtol=0, atol=1e-12)
