@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -149,11 +150,13 @@ class TwoLevelParams:
         )
 
 
+@lru_cache(maxsize=None)
 def _z_values(n_qubits: int) -> np.ndarray:
-    """(2^n, n) array of sz eigenvalues (+1/-1) per basis state and qubit."""
+    """(2^n, n) read-only sz eigenvalues (+1/-1) per basis state and qubit."""
     idx = np.arange(1 << n_qubits)
-    bits = (idx[:, None] >> (n_qubits - 1 - np.arange(n_qubits))) & 1
-    return 1 - 2 * bits
+    z = 1 - 2 * ((idx[:, None] >> (n_qubits - 1 - np.arange(n_qubits))) & 1)
+    z.flags.writeable = False
+    return z
 
 
 def _mirror_index(n_qubits: int) -> np.ndarray:

@@ -241,12 +241,11 @@ MAX_TRACE_SAMPLES = 100_000
 
 
 def _cmd_trace(args) -> int:
-    if args.duration_ns < 0:
-        raise ConfigError(f"--duration-ns must be >= 0, got {args.duration_ns}")
-    if not 1 <= args.samples <= MAX_TRACE_SAMPLES:
-        raise ConfigError(f"--samples must be in 1..{MAX_TRACE_SAMPLES}, got {args.samples}")
-    if args.delta_mhz <= 0:
-        raise ConfigError(f"--delta-mhz must be > 0, got {args.delta_mhz}")
+    _number(args.duration_ns, "--duration-ns:", low=0)
+    _integer(args.samples, "--samples:", low=1, high=MAX_TRACE_SAMPLES)
+    if _number(args.delta_mhz, "--delta-mhz:") <= 0:
+        raise ConfigError(f"--delta-mhz: must be > 0, got {args.delta_mhz}")
+    _number(args.bias_mhz, "--bias-mhz:")
     params = TwoLevelParams(delta_mhz=args.delta_mhz, effective_bias_mhz=args.bias_mhz)
     phase = 2.0 * math.pi * 1e-3 * math.hypot(args.delta_mhz, args.bias_mhz) * args.duration_ns
     if phase > MAX_TRACE_PHASE_RAD:
@@ -281,10 +280,10 @@ def _cmd_trace(args) -> int:
 #: ask for; larger sizes are refused before anything is built (full mode is
 #: capped lower, by ``build_hamiltonian``).  1024 is five times the longest
 #: wire studied (L = 201) and keeps any config to minutes.  Reduced mode, one
-#: core of a Xeon: 1024 qubits with one state run in 1.3 s (117 MB peak), 5
-#: qubits with 1024 states in 2.7 s, 1024 bits in 0.9 s, 1024 sweep points in
-#: 0.3 s, and 1024 qubits with 64 states in 20 s (164 MB); time grows with
-#: qubits x states.
+#: core of a Xeon, whole ``run``: 1024 qubits with one state in 1.0 s (224 MB
+#: peak), 5 qubits with 1024 states in 1.2 s, 1024 bits in 0.9 s, 1024 sweep
+#: points in 0.3 s, and 1024 qubits with 64 states in 5.8 s (313 MB); time
+#: grows with qubits x states.
 MAX_CONFIG_QUBITS = 1024
 MAX_CONFIG_ITEMS = 1024
 

@@ -251,7 +251,11 @@ def eigensystem(hamiltonian: np.ndarray, duration_ns: float) -> tuple[np.ndarray
     h = np.asarray(hamiltonian)
     if not is_hermitian(h):
         raise ValueError("eigensystem requires a Hermitian matrix")
-    duration_ns = _number(duration_ns, "duration_ns", low=0)
+    return _eigensystem(h, _number(duration_ns, "duration_ns", low=0))
+
+
+def _eigensystem(h: np.ndarray, duration_ns: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eigensystem` unchecked, for an H just built symmetric."""
     evals, evecs = np.linalg.eigh(h)
     return evecs, phase_angle(evals, duration_ns)
 
@@ -272,7 +276,7 @@ def _sector_eigensystem(
     cross = (cross + cross.T) / 2  # exactly symmetric; H is P-symmetric only to rounding
     side = np.sqrt(2.0) * h[np.ix_(a, f)]
     even = np.block([[h_aa + cross, side], [side.T, h[np.ix_(f, f)]]])
-    (ve, ae), (vo, ao) = eigensystem(even, duration_ns), eigensystem(h_aa - cross, duration_ns)
+    (ve, ae), (vo, ao) = _eigensystem(even, duration_ns), _eigensystem(h_aa - cross, duration_ns)
     evecs = np.zeros(h.shape)
     s = np.sqrt(0.5)
     evecs[a, :len(ae)] = evecs[ma, :len(ae)] = s * ve[:len(a)]

@@ -1,24 +1,22 @@
 """Exact matrix-product state of a qubit chain, for the reduced model.
 
 A reduced-mode pulse acts on (left, target, right) and is diagonal in the
-neighbours, and the scheduler keeps in-flight data three sites apart with
-parked |0> between them.  No cut of the chain then carries more than one
-entangled pair, so the state is an MPS of bond dimension <= 2 and a wire
-costs O(L) rather than O(2^L) (Vidal, PRL 91, 147902 (2003); Schollwoeck,
-Ann. Phys. 326, 96 (2011)).  Nothing here assumes that bound: a schedule
-that entangles more simply grows the bonds.
+neighbours, and the scheduler keeps in-flight data three sites apart, so no
+cut carries more than one entangled pair: the state is an MPS of bond
+dimension <= 2 and a wire costs O(L), not O(2^L).  Nothing here assumes that
+bound; a schedule that entangles more grows the bonds.
 
-Tensors have shape ``(left bond, 2, right bond)`` and contract, left to
-right, to the amplitude vector in the chain's basis ordering (qubit 0 is the
-most significant bit).  The state is kept in mixed-canonical form: tensors
-left of the orthogonality centre are left isometries and tensors right of it
-right isometries, so the centre tensor carries the whole norm.  A one-qubit
-read, reset or inject moves the centre to its qubit (one small SVD per site
-crossed, none across a product cut) and then touches that tensor only.  A
-k-local operator contracts its k sites, applies the operator and splits back
-by k - 1 SVDs, dropping only singular values below ``TRUNCATION_RTOL`` of the
-largest.  A pulse's neighbour frozen in a basis state leaves its block
-(:meth:`MPS.apply_layer`), so most pulses act on one or two sites.
+The MPS is in Vidal's form (PRL 91, 147902 (2003)), with no orthogonality
+centre: ``lambdas[i]`` are the Schmidt values of the cut left of qubit i and
+qubit i's tensor is the right isometry ``B_i = Gamma_i lambda_(i+1)``, of
+shape ``(left bond, 2, right bond)``.  The tensors contract, left to right,
+to the amplitude vector (qubit 0 is the most significant bit), and
+``lambda_i B_i`` is the state seen from qubit i, so a read touches one
+tensor and one bond.  A k-site unitary splits back from the right by k - 1
+SVDs of the lambda-weighted block, each keeping ``V^dagger`` and carrying
+the block times ``V`` on, so no lambda is divided by (Hastings, J. Math.
+Phys. 50, 095207 (2009)); singular values at or below ``TRUNCATION_RTOL`` of
+the largest are dropped.
 """
 
 from __future__ import annotations
@@ -28,30 +26,48 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import _integer
-from .evolve import (
-    TRUNCATION_RTOL, EntanglementError, _checked_amplitudes, _local_width, _require_separable
-)
+from .evolve import TRUNCATION_RTOL, _checked_amplitudes, _local_width, _require_separable
 
 __all__ = ["TRUNCATION_RTOL", "MPS"]
 
 
-class MPS:
-    """Pure state of ``n_qubits`` qubits as a mixed-canonical MPS.
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays on a new first axis, each zero-padded to the largest shape."""
+    if all(a.shape == arrays[0].shape for a in arrays):
+        return np.array(arrays)
+    out = np.zeros((len(arrays), *map(max, zip(*(a.shape for a in arrays)))), arrays[0].dtype)
+    for o, a in zip(out, arrays):
+        o[tuple(map(slice, a.shape))] = a
+    return out
 
-    Operations update the state in place and return nothing, as those of
-    :class:`~swapchannel.evolve.QuantumState` do.  ``max_bond`` is the largest bond
-    dimension any split has produced; ``discarded_weight`` is the summed
-    squared weight of the singular values dropped, each split's share taken
-    relative to the norm of the state it split, plus the off-basis slices
-    that :meth:`basis_value` drops.
+
+def _runs(targets: Sequence[int]):
+    """``targets`` in order, cut into runs whose neighbourhoods ``q-1..q+1``
+    are pairwise disjoint (such pulses commute)."""
+    run, used = [], set()
+    for q in targets:
+        if q - 1 in used or q in used or q + 1 in used:
+            yield run
+            run, used = [], set()
+        run.append(q)
+        used.update((q - 1, q, q + 1))
+    if run:
+        yield run
+
+
+class MPS:
+    """Pure state of ``n_qubits`` qubits in Vidal form (``tensors``, and
+    ``lambdas`` with ends [1]), updated in place as ``QuantumState`` is.
+    ``max_bond`` is the largest bond any split has made; ``discarded_weight``
+    sums each split's dropped squared singular values, relative to the norm
+    of the state it split, and the off-basis slices :meth:`basis_values` drops.
     """
 
     def __init__(self, n_qubits: int):
-        """Product state |0...0>, its centre at qubit 0."""
+        """Product state |0...0>."""
         n_qubits = _integer(n_qubits, "n_qubits", low=1)
-        ket0 = np.array([1.0, 0.0], dtype=complex).reshape(1, 2, 1)
-        self.tensors = [ket0.copy() for _ in range(n_qubits)]
-        self.center = 0
+        self.tensors = [np.array([[[1.0], [0.0]]], dtype=complex) for _ in range(n_qubits)]
+        self.lambdas = [np.ones(1) for _ in range(n_qubits + 1)]
         self.max_bond = 1
         self.discarded_weight = 0.0
 
@@ -66,174 +82,172 @@ class MPS:
 
     def trace(self) -> float:
         """Squared norm of the state (1 for a normalised state)."""
-        c = self.tensors[self.center]
-        return float(np.vdot(c, c).real)
+        return float(np.vdot(self.tensors[0], self.tensors[0]).real)
 
-    # -- gauge ----------------------------------------------------------------
+    def _svd(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+        """The thin SVD ``(s, vh)`` of each matrix of the stack ``m`` and how many
+        values each keeps, those above ``TRUNCATION_RTOL`` of its largest."""
+        _, s, vh = np.linalg.svd(m, full_matrices=False)
+        keep = []
+        for row in s.tolist():  # a few values per matrix: plain floats are faster
+            keep.append(sum(x > TRUNCATION_RTOL * row[0] for x in row))
+            if keep[-1] < len(row):
+                self.discarded_weight += sum(x * x for x in row[keep[-1]:]) / sum(x * x for x in row)
+        self.max_bond = max(self.max_bond, *keep)
+        return s, vh, keep
 
-    def _move_center(self, site: int) -> None:
-        t = self.tensors
-        while self.center < site:
-            c = self.center
-            dl, _, dr = t[c].shape
-            u, s, vh = self._svd(t[c].reshape(2 * dl, dr))
-            t[c] = u.reshape(dl, 2, -1)
-            t[c + 1] = ((s[:, None] * vh) @ t[c + 1].reshape(dr, -1)).reshape(s.size, 2, -1)
-            self.center = c + 1
-        while self.center > site:
-            c = self.center
-            dl, _, dr = t[c].shape
-            u, s, vh = self._svd(t[c].reshape(dl, 2 * dr))
-            t[c] = vh.reshape(-1, 2, dr)
-            t[c - 1] = (t[c - 1].reshape(-1, dl) @ (u * s)).reshape(-1, 2, s.size)
-            self.center = c - 1
+    def _split(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The kept singular values and rows of ``V^dagger`` of one matrix."""
+        s, vh, (keep,) = self._svd(m[None])
+        return s[0, :keep], vh[0, :keep]
 
-    def _svd(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD, truncated at ``TRUNCATION_RTOL``; updates the counters.
-
-        A single row or column (a product cut) is its own SVD: norm times
-        unit vector.
-        """
-        if 1 in m.shape:
-            norm = np.linalg.norm(m)
-            one = np.ones((1, 1))
-            if m.shape[1] == 1:
-                return m / norm, np.array([norm]), one
-            return one, np.array([norm]), m / norm
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        keep = int(np.count_nonzero(s > TRUNCATION_RTOL * s[0]))
-        if keep < s.size:
-            s2 = s * s
-            self.discarded_weight += float(s2[keep:].sum() / s2.sum())
-            u, s, vh = u[:, :keep], s[:keep], vh[:keep]
-        self.max_bond = max(self.max_bond, keep)
-        return u, s, vh
-
-    # -- operations -------------------------------------------------------------
+    def _update(self, ops: Sequence[np.ndarray], firsts: Sequence[int]) -> None:
+        """Apply ``k``-site unitaries on disjoint blocks starting at ``firsts``: one
+        stacked product and k - 1 stacked splits, bonds padded to the largest."""
+        t, lam = self.tensors, self.lambdas
+        g, k = len(ops), ops[0].shape[0].bit_length() - 1
+        blocks = []
+        for a in firsts:
+            theta = t[a]
+            for b in t[a + 1:a + k]:
+                theta = theta.reshape(len(theta), -1, len(b)) @ b.reshape(len(b), -1)
+            blocks.append(theta.reshape(len(t[a]), 1 << k, -1))
+        theta = np.array(ops)[:, None] @ _stacked(blocks)
+        dl, right = theta.shape[1], [block.shape[2] for block in blocks]
+        for i in range(k - 1, 0, -1):
+            dr = theta.shape[3]
+            left = _stacked([lam[a] for a in firsts])[:, :, None, None]
+            s, vh, keep = self._svd((left * theta).reshape(g, dl << i, 2 * dr))
+            sites = vh.reshape(g, -1, 2, dr)
+            for j, a in enumerate(firsts):
+                t[a + i], lam[a + i] = sites[j, :keep[j], :, :right[j]], s[j, :keep[j]]
+            right = keep
+            theta = theta.reshape(g, dl << i, 2 * dr) @ vh.conj().transpose(0, 2, 1)
+            theta = theta.reshape(g, dl, 1 << i, -1)
+        for j, (a, block) in enumerate(zip(firsts, blocks)):
+            t[a] = theta[j, :len(block), :, :right[j]]
 
     def apply(self, op: np.ndarray, first_qubit: int) -> None:
-        """Apply an operator on ``k`` adjacent qubits starting at ``first_qubit``.
+        """Apply a 2^k x 2^k unitary, in chain ordering, on the ``k`` adjacent
+        qubits from ``first_qubit``; only their tensors and inner bonds change."""
+        _local_width(np.asarray(op), first_qubit, self.n_qubits)
+        self._update([np.asarray(op)], [first_qubit])
 
-        The operator is a 2^k x 2^k matrix in chain ordering over those
-        qubits.  The centre is brought to the nearer end of the block and
-        leaves from the other end, so a sweep of operators in either
-        direction crosses each site once.
+    def basis_values(self, qubits: Sequence[int]) -> list[int | None]:
+        """Each (distinct) qubit's z value, +1 for |0> and -1 for |1>, if it is
+        frozen in a basis state, else None, read from its own tensor and bond
+        in one stacked pass per tensor shape.  Frozen means the other slice
+        holds at most ``TRUNCATION_RTOL**2`` of its weight, the rule every
+        split applies; as a split does, the slice is then dropped and its
+        share added to ``discarded_weight``, so a later read drops nothing.
         """
-        op = np.asarray(op)
-        d = op.shape[0]
-        last = first_qubit + _local_width(op, first_qubit, self.n_qubits) - 1
-        rightward = self.center <= first_qubit
-        self._move_center(first_qubit if rightward else last)
-
-        t = self.tensors
-        dl, dr = t[first_qubit].shape[0], t[last].shape[2]
-        theta = t[first_qubit]
-        for i in range(first_qubit + 1, last + 1):
-            theta = theta.reshape(-1, t[i].shape[0]) @ t[i].reshape(t[i].shape[0], -1)
-        theta = op @ theta.reshape(dl, d, dr)
-
-        if rightward:
-            for i in range(first_qubit, last):
-                u, s, vh = self._svd(theta.reshape(2 * dl, -1))
-                t[i] = u.reshape(dl, 2, -1)
-                dl = s.size
-                theta = s[:, None] * vh
-            t[last] = theta.reshape(dl, 2, dr)
-            self.center = last
-        else:
-            for i in range(last, first_qubit, -1):
-                u, s, vh = self._svd(theta.reshape(-1, 2 * dr))
-                t[i] = vh.reshape(-1, 2, dr)
-                dr = s.size
-                theta = u * s
-            t[first_qubit] = theta.reshape(dl, 2, dr)
-            self.center = first_qubit
-
-    def basis_value(self, qubit: int) -> int | None:
-        """The qubit's z value (+1 for |0>, -1 for |1>) if it is frozen in a
-        basis state, else None; reads and writes its tensor only, with no
-        centre move.
-
-        The qubit counts as frozen when the squared norm of its other slice
-        is at most ``TRUNCATION_RTOL**2`` of the tensor's, the rule every
-        split applies, and then, as a split does, the slice is dropped and
-        its share added to ``discarded_weight``.  So the qubit is that basis
-        state exactly, and a later read of it drops nothing more.
-        """
-        t = self.tensors[qubit]
-        w = (abs(t) ** 2).sum(axis=(0, 2)).tolist()
-        for z, other in ((1, 1), (-1, 0)):
-            if w[other] <= TRUNCATION_RTOL**2 * (w[0] + w[1]):
-                if w[other]:
-                    self.discarded_weight += w[other] / (w[0] + w[1])
-                    self.tensors[qubit] = t = t.copy()
-                    t[:, other] = 0.0
-                return z
-        return None
+        by_shape: dict[tuple, list[int]] = {}
+        for q in qubits:
+            by_shape.setdefault(self.tensors[q].shape, []).append(q)
+        weights = {}
+        for (dl, _, _), same in by_shape.items():
+            w = abs(np.array([self.tensors[q] for q in same])) ** 2
+            if dl > 1:  # a bond of dimension 1 weighs both slices alike
+                w *= np.array([self.lambdas[q] for q in same])[:, :, None, None] ** 2
+            weights.update(zip(same, w.sum((1, 3)).tolist()))
+        values = []
+        for q in qubits:
+            w = weights[q]
+            cut = TRUNCATION_RTOL**2 * (w[0] + w[1])
+            z = 1 if w[1] <= cut else -1 if w[0] <= cut else None
+            other = int(z == 1)  # the slice a frozen qubit drops
+            if z is not None and w[other]:
+                self.discarded_weight += w[other] / (w[0] + w[1])
+                self.tensors[q] = self.tensors[q].copy()
+                self.tensors[q][:, other] = 0.0
+            values.append(z)
+        return values
 
     def apply_layer(self, targets: Sequence[int], pulse: Callable[..., tuple]) -> None:
-        """Pulse the ``targets`` in order, each conditioned on its neighbours.
-
-        ``pulse(qubit, left, right)`` returns the ``(op, first_qubit)`` that
-        :meth:`apply` takes, given the :meth:`basis_value` of each neighbour
-        (None past a chain end), read just before the pulse: a frozen
-        neighbour leaves the block, so a pulse spans 1-3 sites.  Pulses whose
-        neighbourhoods are pairwise disjoint and ascending commute, so such a
-        layer is swept from whichever end is nearer the centre: consecutive
-        layers then sweep back and forth instead of first returning the
-        centre across the chain.
+        """Pulse the ``targets`` in order: ``pulse(qubit, left, right)`` gives
+        the ``(op, first_qubit)`` of :meth:`apply`, a block within ``qubit -
+        1 .. qubit + 1``, from each neighbour's :meth:`basis_values` (None
+        past a chain end), so a frozen neighbour leaves the block.  Targets
+        whose neighbourhoods are disjoint commute and go together, their
+        neighbours read in one pass and their blocks updated once per width;
+        one whose neighbourhood meets an earlier one's starts the next run.
         """
         n = self.n_qubits
-        spans = [(max(q - 1, 0), min(q + 1, n - 1)) for q in targets]
-        disjoint = all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
-        if disjoint and spans and abs(spans[-1][1] - self.center) < abs(spans[0][0] - self.center):
-            targets = targets[::-1]
-        for q in targets:
-            left = self.basis_value(q - 1) if q > 0 else None
-            right = self.basis_value(q + 1) if q < n - 1 else None
-            self.apply(*pulse(q, left, right))
+        for run in _runs(targets):
+            sides = [p for q in run for p in (q - 1, q + 1) if 0 <= p < n]
+            z = dict(zip(sides, self.basis_values(sides)))
+            groups: dict[int, list[tuple]] = {}
+            for q in run:
+                op, first = pulse(q, z.get(q - 1), z.get(q + 1))
+                groups.setdefault(_local_width(op, first, n), []).append((op, first))
+            for blocks in groups.values():
+                self._update(*zip(*blocks))
 
     def reduced_state(self, qubit: int) -> tuple[np.ndarray, float]:
         """(2x2 reduced density matrix, its purity) for one qubit."""
         if not 0 <= qubit < self.n_qubits:
             raise ValueError(f"qubit {qubit} out of range for n={self.n_qubits}")
-        self._move_center(qubit)
-        m = self.tensors[qubit].transpose(1, 0, 2).reshape(2, -1)
-        rho2 = m @ m.conj().T
+        m = (self.lambdas[qubit][:, None, None] * self.tensors[qubit]).transpose(1, 0, 2)
+        rho2 = m.reshape(2, -1) @ m.reshape(2, -1).conj().T
         return rho2, float(np.trace(rho2 @ rho2).real)
 
     def _project(self, qubit: int, rho2: np.ndarray, local: np.ndarray) -> None:
-        """Keep the qubit's dominant local branch, renormalise the rest and
-        tensor ``local`` in (the centre must be at ``qubit``)."""
+        """Keep the qubit's dominant local branch ``M``, renormalise and tensor
+        ``local`` in.  The qubit factors out, so both its bonds take the values
+        ``s`` of ``lambda M = U s V^dagger``; ``M V`` and ``V^dagger`` move into
+        its neighbours, each side re-split outward to a bond of dimension 1."""
+        t, lam = self.tensors, self.lambdas
         evals, evecs = np.linalg.eigh(rho2)
-        dominant = evecs[:, int(np.argmax(evals))]
-        rest = dominant.conj() @ self.tensors[qubit]
-        rest = rest / np.linalg.norm(rest)
-        self.tensors[qubit] = rest[:, None, :] * local[None, :, None]
+        rest = evecs[:, int(np.argmax(evals))].conj() @ t[qubit]
+        core = rest / np.linalg.norm(rest)
+        if rest.size > 1:
+            s, vh = self._split(lam[qubit][:, None] * rest)
+            norm = np.linalg.norm(s)
+            core = rest @ vh.conj().T / norm
+            if rest.shape[0] > 1:
+                lam[qubit] = s / norm
+                self._sweep_left(qubit - 1, core)
+                core = np.eye(len(s))
+            if rest.shape[1] > 1:
+                lam[qubit + 1] = s / norm
+                self._sweep_right(qubit + 1, vh)
+            else:
+                core = core @ vh
+        t[qubit] = core[:, None, :] * local[None, :, None]
+
+    def _sweep_left(self, site: int, g: np.ndarray) -> None:
+        """Absorb ``g`` into the right bond of ``site`` and restore the Schmidt
+        values from there leftward, up to the first bond of dimension 1."""
+        t, lam = self.tensors, self.lambdas
+        while len(lam[site]) > 1:
+            b = (t[site].reshape(-1, len(g)) @ g).reshape(len(lam[site]), -1)
+            lam[site], vh = self._split(lam[site][:, None] * b)
+            t[site], g = vh.reshape(len(vh), 2, -1), b @ vh.conj().T
+            site -= 1
+        t[site] = (t[site].reshape(-1, len(g)) @ g).reshape(1, 2, -1)
+
+    def _sweep_right(self, site: int, g: np.ndarray) -> None:
+        """Absorb ``g`` into the left bond of ``site`` and restore the Schmidt
+        values from there rightward, up to the first bond of dimension 1."""
+        t, lam = self.tensors, self.lambdas
+        while len(lam[site + 1]) > 1:
+            b = (g @ t[site].reshape(g.shape[1], -1)).reshape(len(g), 2, -1)
+            lam[site + 1], vh = self._split((lam[site][:, None, None] * b).reshape(2 * len(g), -1))
+            t[site], g = b @ vh.conj().T, vh
+            site += 1
+        t[site] = (g @ t[site].reshape(g.shape[1], -1)).reshape(len(g), 2, 1)
 
     def reset(self, qubit: int) -> None:
-        """Re-prepare the qubit in |0>, even if it is still entangled.
-
-        A pure state cannot hold the mixture that tracing the qubit out
-        leaves, so the qubit is projected on its dominant local state.
-        """
+        """Re-prepare the qubit in |0>, even if entangled: a pure state cannot hold
+        the mixture tracing it out leaves, so it keeps its dominant local branch."""
         self._project(qubit, self.reduced_state(qubit)[0], np.array([1.0, 0.0], dtype=complex))
 
     def inject(self, qubit: int, amplitudes: Sequence[complex]) -> None:
-        """Overwrite one separable qubit with a fresh single-qubit pure state.
-
-        Refuses as :meth:`~swapchannel.evolve.QuantumState.inject` does:
-        raises :class:`~swapchannel.evolve.EntanglementError`, leaving the
-        tensors, centre and counters as they were, if the qubit's purity is
-        below ``1 - INJECT_PURITY_TOL``.  Otherwise it is projected as
-        :meth:`reset` projects, with ``amplitudes`` tensored in.
-        """
+        """Overwrite one separable qubit with a fresh single-qubit pure state,
+        projected as :meth:`reset` projects.  Raises, before anything changes,
+        :class:`~swapchannel.evolve.EntanglementError` if the qubit's purity
+        is below ``1 - INJECT_PURITY_TOL``, as ``QuantumState.inject`` does."""
         target = _checked_amplitudes(amplitudes)
-        before = (list(self.tensors), self.center, self.max_bond, self.discarded_weight)
         rho2, purity = self.reduced_state(qubit)
-        try:
-            _require_separable(qubit, purity)
-        except EntanglementError:
-            self.tensors, self.center, self.max_bond, self.discarded_weight = before
-            raise
+        _require_separable(qubit, purity)
         self._project(qubit, rho2, target)

@@ -12,13 +12,13 @@ without asking which one it holds.  It has two modes:
   qubits frozen), from :func:`~swapchannel.gates.reduced_pulse_operator`,
   which caches it.  For a solved phase-exact design it realises the ideal
   gate algebra bit for bit.  Wire runs keep the pure state as an exact
-  matrix-product state (:class:`~swapchannel.mps.MPS`), whose bonds stay at
-  dimension 2 on designed schedules, so a wire costs O(L), not O(2^L).
-  :meth:`~swapchannel.mps.MPS.apply_layer` pulses a window's targets and
-  passes the operator each neighbour it finds frozen in a basis state, so
-  such a neighbour leaves the block and a pulse spans 1-3 sites.  A
-  reset keeps the read qubit's dominant local branch, so an entangled read
-  shows in its purity; only injects refuse entanglement.
+  matrix-product state in Vidal form (:class:`~swapchannel.mps.MPS`), whose
+  bonds stay at dimension 2 on designed schedules, so a wire costs O(L), not
+  O(2^L).  :meth:`~swapchannel.mps.MPS.apply_layer` updates a window at
+  once: a neighbour it finds frozen in a basis state leaves the pulse's
+  block (1-3 sites), and the blocks of one width share one stacked product
+  and SVD.  A reset keeps the read qubit's dominant local branch, so an
+  entangled read shows in its purity; only injects refuse entanglement.
 * ``full``: the complete (real symmetric) chain Hamiltonian, window by
   window, with every parked-bias imperfection included.  The state is a
   factor ``W`` with ``rho = W W^dagger`` (:class:`~swapchannel.evolve.QuantumState`).
@@ -54,7 +54,7 @@ from .chain import (
     effective_bias, phase_angle, wrap_phase,
 )
 from .evolve import (
-    QuantumState, _checked_amplitudes, _sector_eigensystem, eigensystem, propagator
+    QuantumState, _checked_amplitudes, _eigensystem, _sector_eigensystem, propagator
 )
 from .gates import IDEAL_CNOT, reduced_pulse_operator
 from .mps import MPS
@@ -328,14 +328,15 @@ def _require_states(schedule: PulseSchedule, data_states: Sequence) -> list[np.n
 def _window_eigensystem(spec: ChainSpec, biases: list, duration: float, cache: dict):
     """``(V, E t)`` of one full-mode window: the entry of its mirror image in
     ``cache`` with rows permuted (``H(b[::-1]) = H(b)[m][:, m]``, no ``eigh``),
-    the two mirror sectors of a self-mirror profile, or else :func:`eigensystem`."""
+    the two mirror sectors of a self-mirror profile, or else the eigensystem of
+    its Hamiltonian, which is built symmetric and not checked again."""
     mirrored = cache.get((tuple(biases[::-1]), duration))
     if mirrored is not None:
         return mirrored[0][_mirror_index(spec.n_qubits)], mirrored[1]
     h = build_hamiltonian(spec, biases)
     if spec.n_qubits > 1 and biases == biases[::-1]:
         return _sector_eigensystem(h, duration)
-    return eigensystem(h, duration)
+    return _eigensystem(h, duration)
 
 
 def _execute(

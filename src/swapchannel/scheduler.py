@@ -453,10 +453,9 @@ def classical_channel_schedule(spec: ChainSpec, bits: Sequence[int],
     L = spec.n_qubits
     if L < 4 or L % 2:
         raise ScheduleError(f"bit pipeline needs an even chain of >= 4 qubits, got {L}")
-    bits = list(bits)
-    if not bits or any(type(b) is bool or not isinstance(b, (int, np.integer))
-                       or b not in (0, 1) for b in bits):
-        raise ScheduleError(f"bits must be a non-empty sequence of the ints 0 and 1, got {bits!r}")
+    bits = [_integer(b, f"bits[{i}]", low=0, high=1, error=ScheduleError) for i, b in enumerate(bits)]
+    if not bits:
+        raise ScheduleError("bits must be a non-empty sequence, got none")
     t_ns = _window_length(t_ns)
 
     latency = L // 2

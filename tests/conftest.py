@@ -49,7 +49,17 @@ def mps_spy(monkeypatch) -> list:
 
 
 def mps_vector(mps) -> np.ndarray:
-    """Contract an MPS to its 2^L amplitude vector (tests only)."""
+    """Contract an MPS to its 2^L amplitude vector (tests only).
+
+    The tensors of either form contract left to right; for the Vidal form
+    (one with ``lambdas``) each bond's Schmidt values must match the tensors
+    on both sides, and the chain ends must be the 1-dimensional bond [1]."""
+    if hasattr(mps, "lambdas"):
+        lam = mps.lambdas
+        assert len(lam) == len(mps.tensors) + 1
+        assert lam[0].tolist() == lam[-1].tolist() == [1.0]
+        for i, t in enumerate(mps.tensors):
+            assert t.shape == (lam[i].size, 2, lam[i + 1].size), (i, t.shape)
     v = mps.tensors[0]
     for t in mps.tensors[1:]:
         v = v.reshape(-1, t.shape[0]) @ t.reshape(t.shape[0], -1)

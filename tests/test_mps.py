@@ -1,11 +1,15 @@
-"""The matrix-product-state backend against the dense reduced-mode path.
+"""The Vidal-form matrix-product state against the dense reduced-mode path
+and against the mixed-canonical MPS it replaced.
 
 Unit tests drive :class:`MPS`, the dense ``QuantumState`` and the former
 dense free functions in ``oracles.py`` with the same operations; the runner
 tests compare reduced-mode reports with the dense replay in ``oracles.py``
 (the path the MPS replaced) to 1e-12.  Runs whose pulses fold frozen
-neighbours are compared with the all-3-site path they replaced
-(``oracles.unfolded_apply_layer``), and an SVD spy counts what the fold saves.
+neighbours and update a window at once are compared with the all-3-site,
+one-pulse-at-a-time path of the former mixed-canonical MPS
+(``oracles.CanonicalMPS`` with ``oracles.unfolded_apply_layer``), a
+Hypothesis test drives both MPS forms through the same random unitaries,
+resets and injects, and an SVD spy counts the matrices split.
 """
 
 import numpy as np
@@ -16,6 +20,7 @@ from numpy.testing import assert_allclose
 
 from conftest import chain_for, mps_vector, random_qubit_amplitudes
 from oracles import (
+    CanonicalMPS,
     apply_local_unitary,
     dense_reduced_bits,
     dense_reduced_replay,
@@ -59,7 +64,24 @@ def random_unitary(rng, dim):
 
 
 def assert_canonical(mps):
-    """Left isometries left of the centre, right isometries right of it."""
+    """Vidal form to 1e-12: every tensor a right isometry, and each bond's
+    lambdas the Schmidt values of that cut (``lambda_i B_i`` is a left
+    isometry up to ``lambda_(i+1)**2``), positive, descending and of unit
+    norm; the ends are the bond [1] (``mps_vector`` checks the shapes)."""
+    mps_vector(mps)
+    for i, b in enumerate(mps.tensors):
+        m = b.reshape(b.shape[0], -1)
+        assert_allclose(m @ m.conj().T, np.eye(m.shape[0]), rtol=0, atol=1e-12)
+        w = (mps.lambdas[i][:, None, None] * b).reshape(-1, b.shape[2])
+        assert_allclose(w.conj().T @ w, np.diag(mps.lambdas[i + 1] ** 2), rtol=0, atol=1e-12)
+    for lam in mps.lambdas:
+        assert (lam > 0).all() and (np.diff(lam) <= 0).all()
+        assert_allclose(lam @ lam, 1.0, rtol=0, atol=1e-12)
+
+
+def assert_mixed_canonical(mps):
+    """The oracle's form: left isometries left of the centre, right
+    isometries right of it."""
     for i, a in enumerate(mps.tensors):
         if i < mps.center:
             m = a.reshape(-1, a.shape[2])
@@ -112,32 +134,64 @@ class TestMPS:
         assert mps.max_bond == 8
         assert mps.discarded_weight < 1e-28
 
-    def test_layer_order_does_not_change_the_state(self, rng):
+    def test_ground_state_bonds(self):
+        mps = MPS.ground(3)
+        assert [lam.tolist() for lam in mps.lambdas] == [[1.0]] * 4
+        assert_canonical(mps)
+
+    def test_layer_order_does_not_change_the_state(self, rng, monkeypatch):
         # three pulses whose 3-site neighbourhoods are disjoint commute, so
-        # the layer may run from either end; the ends' pulses span 2 sites
+        # the layer is one run, whatever the order of its targets; the ends'
+        # pulses span 2 sites and share one stacked update
         n = 9
         ops = {0: random_unitary(rng, 4), 4: random_unitary(rng, 8), 8: random_unitary(rng, 4)}
         dense = QuantumState.ground(n)
         for q, op in ops.items():
             dense = apply_local_unitary(dense, op, max(q - 1, 0))
-        for centre in (0, n - 1):
+        for targets in ([0, 4, 8], [8, 4, 0]):
             mps = MPS.ground(n)
-            mps.reduced_state(centre)  # park the centre at one end
-            order = []
-            mps.apply_layer(list(ops), lambda q, left, right: order.append(q) or (ops[q], max(q - 1, 0)))
-            assert order == ([0, 4, 8] if centre == 0 else [8, 4, 0])
+            order, widths = [], []
+            update = MPS._update
+            monkeypatch.setattr(MPS, "_update", lambda self, o, f: widths.append(
+                sorted(f)) or update(self, o, f))
+            mps.apply_layer(targets, lambda q, left, right: order.append(q) or (ops[q], max(q - 1, 0)))
+            monkeypatch.undo()
+            assert order == targets
+            assert sorted(widths) == [[0, 7], [3]]
             assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
+            assert_canonical(mps)
 
     def test_overlapping_layer_keeps_its_order(self, rng):
+        # neighbourhoods that meet are pulsed in the order given, each in its
+        # own run, and a later run reads the neighbours the earlier one left
         n = 5
         ops = {2: random_unitary(rng, 8), 3: random_unitary(rng, 8)}
         dense = QuantumState.ground(n)
         for q, op in ops.items():
             dense = apply_local_unitary(dense, op, q - 1)
         mps = MPS.ground(n)
-        mps.reduced_state(n - 1)
-        mps.apply_layer([2, 3], lambda q, left, right: (ops[q], q - 1))
+        seen = []
+        mps.apply_layer([2, 3], lambda q, left, right: seen.append((q, left, right)) or (ops[q], q - 1))
+        assert seen == [(2, 1, 1), (3, None, 1)]
         assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
+        assert_canonical(mps)
+
+    def test_stacked_update_pads_unequal_bonds(self, rng):
+        # blocks of one width whose bonds differ go through one stacked
+        # update, zero-padded to the largest; the padding is dropped again
+        n = 10
+        mps, dense = MPS.ground(n), QuantumState.ground(n)
+        for first in (0, 1, 2, 6):  # bonds 1-4 grow to 2, 4, 4, 2 and bond 7 to 2
+            u = random_unitary(rng, 8 if first < 6 else 4)
+            mps.apply(u, first)
+            dense = apply_local_unitary(dense, u, first)
+        ops = {q: random_unitary(rng, 8) for q in (2, 5, 8)}
+        mps.apply_layer(list(ops), lambda q, left, right: (ops[q], q - 1))
+        for q, op in ops.items():
+            dense = apply_local_unitary(dense, op, q - 1)
+        assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
+        assert_canonical(mps)
+        assert mps.discarded_weight < 1e-28
 
     def test_inject_matches_dense_on_a_slightly_entangled_qubit(self, rng):
         # A weak entangler leaves qubit 2 with purity just below 1, so the
@@ -192,10 +246,12 @@ class TestMPS:
 
 
 def _snapshot(state):
-    """Everything a state holds, as bytes (tensors, centre and counters of an MPS)."""
-    if isinstance(state, MPS):
-        tensors = [t.tobytes() for t in state.tensors]
-        return tensors, state.center, state.max_bond, state.discarded_weight
+    """Everything a state holds, as bytes: the tensors, bonds and counters of
+    an MPS (the centre of the oracle's), the factor of a dense state."""
+    if isinstance(state, (MPS, CanonicalMPS)):
+        bonds = [a.tobytes() for a in getattr(state, "lambdas", [])] or state.center
+        tensors = [(t.shape, t.tobytes()) for t in state.tensors]
+        return tensors, bonds, state.max_bond, state.discarded_weight
     return state.data.tobytes()
 
 
@@ -237,7 +293,7 @@ class TestStateProtocol:
             u = random_unitary(rng, 1 << k)
             for state in both:
                 state.apply(u, first)
-            reads_agree()  # leaves the MPS centre at the right end
+            reads_agree()
             q = int(rng.integers(first, first + k))
             if dense.reduced_state(q)[1] < 1.0 - INJECT_PURITY_TOL:
                 refused += 1
@@ -389,13 +445,15 @@ class TestReducedRunnerAgainstDense:
 
 
 def _both_paths(run):
-    """``(result, MPS)`` of ``run()`` with frozen neighbours folded, then on
-    the all-3-site path the fold replaced (``oracles.unfolded_apply_layer``)."""
+    """``(result, MPS)`` of ``run()`` on the Vidal-form MPS, which folds
+    frozen neighbours and updates a window at once, then on the path it
+    replaced: the mixed-canonical oracle pulsing every full 3-site block in
+    turn (``oracles.CanonicalMPS`` with ``oracles.unfolded_apply_layer``)."""
     out = []
-    for layer in (MPS.apply_layer, unfolded_apply_layer):
+    for base, layer in ((MPS, MPS.apply_layer), (CanonicalMPS, unfolded_apply_layer)):
         created = []
 
-        class Spy(MPS):
+        class Spy(base):
             apply_layer = layer
 
             def __init__(self, n_qubits):
@@ -425,9 +483,12 @@ def _assert_same_run(folded, unfolded):
 
 
 def _svd_calls(monkeypatch) -> list:
+    """The number of matrices each ``np.linalg.svd`` call splits: a stacked
+    call counts every matrix of its stack, a single matrix counts 1."""
     calls = []
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(
+        int(np.prod(a[0].shape[:-2]))) or svd(*a, **k))
     return calls
 
 
@@ -443,18 +504,32 @@ class TestFrozenNeighbours:
         mps.apply(x, 1)
         mps.apply(hadamard, 2)
         mps.apply(np.eye(4)[[0, 1, 3, 2]], 2)  # Bell pair on qubits 2, 3
-        centre = mps.center
-        assert [mps.basis_value(q) for q in range(n)] == [1, -1, None, None]
-        assert mps.center == centre and mps.discarded_weight == 0.0
+        before = _snapshot(mps)
+        assert mps.basis_values(range(n)) == [1, -1, None, None]
+        assert mps.basis_values([]) == []
+        assert _snapshot(mps) == before  # nothing to drop, nothing changes
         # an off-basis slice at or below TRUNCATION_RTOL of the norm is frozen:
         # it is dropped and its squared share counted as discarded, once
         for angle, want in ((1e-15, 1), (1e-13, None)):
             tilted = MPS.ground(2)
             tilted.apply(np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]), 1)
             for _ in range(2):
-                assert tilted.basis_value(1) == want
+                assert tilted.basis_values([1]) == [want]
                 assert tilted.discarded_weight == (np.sin(angle) ** 2 if want else 0.0)
             assert (tilted.tensors[1][:, 1] == 0).all() == (want is not None)
+
+    def test_basis_values_read_through_entangled_bonds(self):
+        # qubit 1 is |1> between the halves of a Bell pair on qubits 0 and 2,
+        # so both its bonds have dimension 2 and it is still frozen
+        mps = MPS.ground(3)
+        mps.apply(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), 0)
+        fan = np.zeros((8, 8))  # |a, b, c> -> |a, 1 - b, c xor a>
+        for a, b, c in np.ndindex(2, 2, 2):
+            fan[4 * a + 2 * (1 - b) + (c ^ a), 4 * a + 2 * b + c] = 1.0
+        mps.apply(fan, 0)
+        assert [lam.size for lam in mps.lambdas] == [1, 2, 2, 1]
+        assert mps.basis_values([0, 1, 2]) == [None, -1, None]
+        assert_canonical(mps)
 
     @pytest.mark.parametrize("n_qubits", range(3, 17))
     def test_designed_quantum_wires(self, design, rng, n_qubits):
@@ -517,4 +592,104 @@ class TestFrozenNeighbours:
         calls = _svd_calls(monkeypatch)
         report = run_quantum_channel(spec, sch, _random_states(rng, n_states), mode="reduced")
         assert_allclose(report.min_fidelity_corrected, 1.0, rtol=0, atol=1e-12)
-        assert 0 < len(calls) <= 0.75 * sch.pulse_count
+        assert 0 < sum(calls) <= 0.75 * sch.pulse_count
+
+    @pytest.mark.parametrize("n_qubits, n_states", [(15, 4), (16, 2), (64, 4)])
+    def test_quantum_wire_svd_calls_per_window(self, design, rng, monkeypatch, n_qubits, n_states):
+        # a window's 2-site blocks are split by one stacked call, however
+        # many there are; no designed window has a 3-site block (two calls)
+        spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, n_states, design.t_ns)
+        calls = _svd_calls(monkeypatch)
+        report = run_quantum_channel(spec, sch, _random_states(rng, n_states), mode="reduced")
+        assert_allclose(report.min_fidelity_corrected, 1.0, rtol=0, atol=1e-12)
+        assert 0 < len(calls) <= 2 * sch.n_windows
+        assert sum(calls) > len(calls)  # some calls split several blocks at once
+
+
+class TestAgainstCanonicalOracle:
+    """The Vidal form and the mixed-canonical MPS it replaced
+    (``oracles.CanonicalMPS``) driven through the same operations."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7))
+    def test_random_unitaries_resets_and_injects(self, seed, n):
+        rng = np.random.default_rng(seed)
+        mps, oracle = MPS.ground(n), CanonicalMPS.ground(n)
+        both = (mps, oracle)
+        entangled_resets = 0
+        for step in range(30):
+            k = int(rng.integers(1, min(n, 3) + 1))
+            first = int(rng.integers(0, n - k + 1))
+            u = random_unitary(rng, 1 << k)
+            for state in both:
+                state.apply(u, first)
+            q = int(rng.integers(0, n))
+            rho2, purity = mps.reduced_state(q)
+            evals = np.linalg.eigvalsh(rho2)
+            if rng.random() < 0.5:
+                # the branch a reset keeps is defined only where the two local
+                # eigenvalues differ; 1e-2 apart, round-off moves it by ~1e-14
+                if evals[1] - evals[0] > 1e-2:
+                    entangled_resets += purity < 1.0 - 1e-6
+                    for state in both:
+                        state.reset(q)
+            elif purity < 1.0 - INJECT_PURITY_TOL:
+                before = _snapshot(mps)
+                for state in both:
+                    with pytest.raises(EntanglementError, match=f"qubit {q}"):
+                        state.inject(q, random_qubit_amplitudes(rng))
+                assert _snapshot(mps) == before
+            else:
+                amps = random_qubit_amplitudes(rng)
+                for state in both:
+                    state.inject(q, amps)
+            for p in range(n):
+                (rho_m, pur_m), (rho_o, pur_o) = mps.reduced_state(p), oracle.reduced_state(p)
+                assert_allclose(rho_m, rho_o, rtol=0, atol=1e-12)
+                assert_allclose(pur_m, pur_o, rtol=0, atol=1e-12)
+            assert_allclose(mps.trace(), oracle.trace(), rtol=0, atol=1e-12)
+        assert_canonical(mps)
+        # a projection keeps a branch whose phase eigh chooses: equal up to a global phase
+        got, want = mps_vector(mps), mps_vector(oracle)
+        overlap = np.vdot(want, got)
+        assert_allclose(got, want * overlap / abs(overlap), rtol=0, atol=1e-12)
+        assert mps.max_bond == oracle.max_bond
+        assert mps.discarded_weight < 1e-28 and oracle.discarded_weight < 1e-28
+        assert n < 3 or entangled_resets > 0
+
+    def test_reset_restores_the_bonds_outward(self):
+        # a GHZ state on qubits 0-3 collapses when qubit 1 is reset: every
+        # bond it crossed returns to dimension 1
+        n = 5
+        ghz = QuantumState.ground(n)
+        mps, oracle = MPS.ground(n), CanonicalMPS.ground(n)
+        ops = [(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), 0)]
+        ops += [(np.eye(4)[[0, 1, 3, 2]], q) for q in range(3)]
+        for op, first in ops:
+            for state in (mps, oracle, ghz):
+                state.apply(op, first)
+        assert [lam.size for lam in mps.lambdas] == [1, 2, 2, 2, 1, 1]
+        for state in (mps, oracle):
+            state.reset(1)
+        assert [lam.size for lam in mps.lambdas] == [1] * (n + 1)
+        assert_canonical(mps)
+        assert_allclose(mps_vector(mps), mps_vector(oracle), rtol=0, atol=1e-12)
+        assert mps.max_bond == oracle.max_bond == 2
+
+    def test_layer_is_swept_from_the_end_nearer_the_centre(self, rng):
+        # the oracle's own order rule: a layer of disjoint neighbourhoods is
+        # swept from whichever end is nearer the centre
+        n = 9
+        ops = {0: random_unitary(rng, 4), 4: random_unitary(rng, 8), 8: random_unitary(rng, 4)}
+        dense = QuantumState.ground(n)
+        for q, op in ops.items():
+            dense = apply_local_unitary(dense, op, max(q - 1, 0))
+        for centre in (0, n - 1):
+            oracle = CanonicalMPS.ground(n)
+            oracle.reduced_state(centre)  # park the centre at one end
+            order = []
+            oracle.apply_layer(list(ops), lambda q, left, right: order.append(q) or (ops[q], max(q - 1, 0)))
+            assert order == ([0, 4, 8] if centre == 0 else [8, 4, 0])
+            assert_allclose(mps_vector(oracle), dense.data[:, 0], rtol=0, atol=1e-12)
+            assert_mixed_canonical(oracle)

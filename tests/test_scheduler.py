@@ -517,9 +517,9 @@ class TestClassicalChannelSchedule:
         with pytest.raises(ScheduleError):
             classical_channel_schedule(chain_for(design, 2), [1], 10.0)
         spec = chain_for(design, 6)
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match="bits must be a non-empty sequence, got none"):
             classical_channel_schedule(spec, [], 10.0)
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match=r"bits\[1\] must be <= 1, got 2"):
             classical_channel_schedule(spec, [0, 2], 10.0)
 
     @pytest.mark.parametrize("bits", [[True, 0.0, 1.0], [1, 0, True], [1, 0.0], [np.bool_(1)],
@@ -527,9 +527,11 @@ class TestClassicalChannelSchedule:
                              ids=["bools-and-floats", "bool", "float-zero", "numpy-bool",
                                   "float-one", "str"])
     def test_bits_are_the_ints_0_and_1(self, design, bits):
+        # the first bit that is not a plain or numpy integer is named, in the
+        # wording every integer check uses (``chain._integer``)
         spec = chain_for(design, 6)
-        with pytest.raises(ScheduleError, match="bits must be a non-empty sequence of the "
-                                                "ints 0 and 1"):
+        first = next(i for i, b in enumerate(bits) if type(b) not in (int, np.int64))
+        with pytest.raises(ScheduleError, match=rf"bits\[{first}\] must be an integer, got "):
             classical_channel_schedule(spec, bits, design.t_ns)
         got, _ = classical_channel_schedule(spec, [np.int64(1), 0, np.uint8(1)], design.t_ns)
         assert got == classical_channel_schedule(spec, [1, 0, 1], design.t_ns)[0]
