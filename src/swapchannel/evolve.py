@@ -6,8 +6,9 @@ Cirac, PRL 93, 207204 (2004)); a pure state is simply ``r = 1``.  Every
 operation has one body at every rank: a local operator acts as one
 ``matmul`` on ``W``, a reduced state is one contraction of ``W`` with its
 conjugate, and a reset or inject traces the qubit out by turning its |0> and
-|1> slices into ``2r`` columns, compressed by a thin SVD that drops singular
-values at or below ``TRUNCATION_RTOL`` of the largest.
+|1> slices into ``2r`` columns, compressed through the ``eigh`` of their
+smaller Gram matrix to the directions whose weight float64 can resolve in
+``rho``: eigenvalues above ``eps`` of the largest.
 
 Full-chain evolution is exact diagonalisation (the Hamiltonians here are
 small and dense, so ``eigh`` is both the fastest and the most accurate
@@ -49,11 +50,6 @@ __all__ = [
 
 #: An inject refuses a qubit whose reduced purity is below 1 - this.
 INJECT_PURITY_TOL = 1e-3
-
-#: Singular values at or below this fraction of the largest are dropped by an
-#: SVD compression (of a dense factor here, of an MPS bond in ``mps``).
-TRUNCATION_RTOL = 1e-14
-
 
 class EntanglementError(ValueError):
     """Raised when an operation needs a separable qubit but finds entanglement."""
@@ -202,16 +198,25 @@ class QuantumState:
         """Trace one qubit out and tensor in the pure single-qubit state ``local``.
 
         The qubit's |0> and |1> slices of ``W`` become the ``2r`` columns of a
-        factor of the rest, ``tr_q rho = sum_a W_a W_a^dagger``; a thin SVD
-        compresses those columns before ``local`` is tensored back in.
+        factor ``R`` of the rest, ``tr_q rho = R R^dagger = sum_i lam_i u_i u_i^dagger``.
+        Each direction with ``lam_i <= eps lam_max`` (``eps`` the float64
+        machine epsilon) is dropped: it changes ``rho`` by ``lam_i u_i u_i^dagger``,
+        of 2-norm at most ``eps ||rho||_2``, one rounding unit of ``||rho||_2``.
+        In singular values that is ``s_i <= sqrt(eps) s_max``.  The ``eigh`` of
+        a Gram matrix resolves its eigenvalues to ``O(eps lam_max)``, which at
+        that threshold is as accurate as anything kept, so the smaller one is
+        used: for ``R`` of shape ``m x 2r``, ``R R^dagger = U lam U^dagger``
+        gives ``U sqrt(lam)`` if ``m <= 2r``, else ``R^dagger R = V lam V^dagger``
+        gives ``R V``.
         """
         pre, post = self._axes(qubit)
         w = self.data.reshape(pre, 2, post, -1)
         rest = w.transpose(0, 2, 1, 3).reshape(pre * post, -1)
-        u, s, _ = np.linalg.svd(rest, full_matrices=False)
-        keep = s > TRUNCATION_RTOL * s[0]
-        rest = (u[:, keep] * s[keep]).reshape(pre, 1, post, -1)
-        self._store((rest * local[:, None, None]).reshape(self.dim, -1))
+        wide = rest.shape[0] <= rest.shape[1]
+        lam, vecs = np.linalg.eigh(rest @ rest.conj().T if wide else rest.conj().T @ rest)
+        keep = lam > np.finfo(float).eps * lam[-1]
+        rest = vecs[:, keep] * np.sqrt(lam[keep]) if wide else rest @ vecs[:, keep]
+        self._store((rest.reshape(pre, 1, post, -1) * local[:, None, None]).reshape(self.dim, -1))
 
     def reset(self, qubit: int) -> None:
         """Read-and-discard: trace the qubit out and re-prepare it in |0>.

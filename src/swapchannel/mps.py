@@ -26,9 +26,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import _integer
-from .evolve import TRUNCATION_RTOL, _checked_amplitudes, _local_width, _require_separable
+from .evolve import _checked_amplitudes, _local_width, _require_separable
 
 __all__ = ["TRUNCATION_RTOL", "MPS"]
+
+#: Singular values at or below this fraction of the largest are dropped by an
+#: SVD split of an MPS bond.
+TRUNCATION_RTOL = 1e-14
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:

@@ -30,7 +30,9 @@ without asking which one it holds.  It has two modes:
   (:func:`_window_eigensystem`).  A window applies ``V e^{-iEt} V^T`` to
   ``W`` in the eigenbasis (two real products, ``8 dim^2 r`` flops), and the
   propagator ``U`` is never assembled.  A reset or inject traces the qubit
-  out, which doubles the columns of ``W`` before a thin SVD compresses them.
+  out, which doubles the columns of ``W``; the ``eigh`` of their smaller
+  Gram matrix then keeps only the directions whose weight float64 resolves
+  in ``rho``, above eps of the largest (:class:`~swapchannel.evolve.QuantumState`).
   The rank grows only where a read or inject leaves the rest of the chain
   mixed, so a wire with no mid-run boundary (one state) keeps one column.
 

@@ -24,7 +24,9 @@ object-building routes: one ``Window`` of ``PulseEvent`` rows at a time,
 and a replay over those rows; the loop frame correction and line check read
 that replay.  The plain window eigensystem is the full-mode engine's former
 per-window route, one ``eigh`` of each window's own Hamiltonian, before it
-shared eigenvectors between mirror images.  The canonical MPS is the
+shared eigenvectors between mirror images.  The SVD replace is the dense
+factor's former reset and inject compression, a thin SVD that kept singular
+values above 1e-14 of the largest.  The canonical MPS is the
 reduced engine's former state: a mixed-canonical MPS whose every operation
 first moves an orthogonality centre to its sites, pulsed one block at a
 time.  The unfolded layer is its former pulse route: every pulse the full
@@ -41,10 +43,11 @@ import scipy.linalg
 
 from swapchannel.chain import TwoLevelParams, _integer, build_hamiltonian, phase_angle, wrap_phase
 from swapchannel.evolve import (
-    INJECT_PURITY_TOL, TRUNCATION_RTOL, EntanglementError, QuantumState, _checked_amplitudes,
-    _local_width, _require_separable, eigensystem, propagator
+    INJECT_PURITY_TOL, EntanglementError, QuantumState, _checked_amplitudes, _local_width,
+    _require_separable, eigensystem, propagator
 )
 from swapchannel.gates import reduced_pulse_operator
+from swapchannel.mps import TRUNCATION_RTOL
 from swapchannel.runner import _frame_diagonal, compute_frame_correction
 from swapchannel.scheduler import (
     BOUNDARY_KINDS, GATE_KINDS, LineAssignment, LineCheckReport, PulseEvent, PulseSchedule,
@@ -615,6 +618,19 @@ def plain_window_eigensystem(spec, biases, duration, cache):
     """``runner._window_eigensystem`` as one ``eigh`` of each window's own
     Hamiltonian, with no eigenvectors shared between mirror images."""
     return eigensystem(build_hamiltonian(spec, biases), duration)
+
+
+def svd_replace_qubit(self, qubit, local):
+    """``QuantumState._replace_qubit`` before it compressed through the Gram
+    matrix: a thin SVD of the ``2r`` columns that keeps every singular value
+    above ``TRUNCATION_RTOL`` of the largest."""
+    pre, post = self._axes(qubit)
+    w = self.data.reshape(pre, 2, post, -1)
+    rest = w.transpose(0, 2, 1, 3).reshape(pre * post, -1)
+    u, s, _ = np.linalg.svd(rest, full_matrices=False)
+    keep = s > TRUNCATION_RTOL * s[0]
+    rest = (u[:, keep] * s[keep]).reshape(pre, 1, post, -1)
+    self._store((rest * local[:, None, None]).reshape(self.dim, -1))
 
 
 def unfolded_apply_layer(mps, targets, pulse):

@@ -426,6 +426,46 @@ class TestObservablesAndBoundary:
             QuantumState.ground(2).inject(0, [1.0, 1.0])
 
 
+class TestCompression:
+    """A reset or inject compresses the factor to the directions of
+    ``tr_q rho`` whose weight is above eps of the largest, against the dense
+    map (``oracles.rho_replace``), on random factors whose singular values
+    span 1..1e-12 (weights down to 1e-24, far below what float64 resolves)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 7), data=st.data())
+    def test_random_factors(self, n, data):
+        rank = data.draw(st.integers(1, 2 ** (n - 1)), label="rank")
+        spread = data.draw(st.lists(st.floats(0.0, 12.0), min_size=rank, max_size=rank),
+                           label="log10 of 1/singular value")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        basis, _ = np.linalg.qr(rng.normal(size=(2**n, rank)) + 1j * rng.normal(size=(2**n, rank)))
+        s = 10.0 ** -np.array(spread)
+        w = basis * (s / np.linalg.norm(s))
+        eps, m = np.finfo(float).eps, 2 ** (n - 1)
+        for qubit in range(n):
+            for local in (np.array([1.0, 0.0]), np.array(random_qubit_amplitudes(rng))):
+                state = QuantumState(w)
+                state._replace_qubit(qubit, local)  # reset, or inject past its purity check
+                want = rho_replace(w @ w.conj().T, qubit, local)
+                lam_max, trace = np.linalg.norm(want, 2), np.trace(want).real
+                dropped = 2 * rank - state.data.shape[1]
+                # Each dropped direction has weight <= eps lam_max.  Every other
+                # step is a backward-stable product or eigh of dimension at most
+                # N = m + 2 rank, off by at most N u tr(rho) with u = eps / 2:
+                # the Gram product, its eigh, R V (or U sqrt(lam)), and the
+                # test's own W W^dagger, partial trace and W' W'^dagger.
+                rounding = 6 * (m + 2 * rank) * eps / 2 * trace
+                k = dropped + rounding / (eps * lam_max)
+                got = density(state)
+                assert np.linalg.norm(got - want, 2) <= k * eps * lam_max
+                # the trace lost, from sums in extended precision
+                before = np.sum(np.abs(w.astype(np.clongdouble)) ** 2)
+                before *= np.sum(np.abs(local.astype(np.clongdouble)) ** 2)
+                after = np.sum(np.abs(state.data.astype(np.clongdouble)) ** 2)
+                assert before - after <= dropped * eps * lam_max + rounding
+
+
 class TestSampleTrajectory:
     def test_shapes_and_endpoints(self, design):
         spec = chain_for(design, 2)
