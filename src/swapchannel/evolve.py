@@ -102,6 +102,9 @@ class QuantumState:
             raise ValueError(f"factor must be (2^n, r) with r >= 1, got shape {w.shape}")
         if not np.isfinite(w).all():
             raise ValueError("factor entries must be finite")
+        trace = float(np.vdot(w, w).real)
+        if not trace > 0:
+            raise ValueError(f"factor must have a trace > 0, got {trace!r}")
         self._store(w)
 
     def _store(self, w: np.ndarray) -> None:

@@ -15,16 +15,15 @@ A :class:`PulseSchedule` holds one read-only array per field: ``biases``
 (windows x qubits), ``starts``, ``durations``, and the int table ``events``
 of ``(window, kind, qubit, data_index)`` rows (a kind as its index in
 :data:`EVENT_KINDS`, no data index as -1, the final events in window
-``n_windows``), filled by the generators and the parser and checked by one
-validator.  :class:`PulseEvent` and :class:`Window` are its row types: like
-:class:`LineAssignment` they store plain ints, finite floats, strs and tuples
-(numpy numbers and lists converted, anything else refused).
+``n_windows``).  Rows, a file and the generators all reach those arrays
+through one check, which stores plain ints and finite floats (numpy numbers
+converted, anything else refused); :class:`PulseEvent` and :class:`Window`
+are its unchecked row types.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,61 +81,33 @@ def _tuple_of(values, item: type, what: str) -> tuple:
     return tuple(values)
 
 
-def _biases(values) -> tuple[float, ...]:
-    """``biases_mhz`` as a tuple of finite plain floats (floats take one pass)."""
-    values = _array(values, "biases_mhz must be an array of numbers")
-    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
-        return tuple(values)
-    return tuple(_number(b, "biases_mhz", error=ScheduleError) for b in values)
-
-
 @dataclass(frozen=True)
 class PulseEvent:
     """One event: a pulse on a qubit, or a boundary init/read on it.
 
     ``data_index`` ties inject/read_reset events to a logical data item so
-    runners can pair outputs with inputs; an inject must name one, and no
-    index is negative.
+    runners can pair outputs with inputs.  An unchecked record: the schedule
+    it goes into checks its fields.
     """
 
     kind: str
     qubit: int
     data_index: int | None = None
 
-    def __post_init__(self):
-        if type(self.kind) is not str or self.kind not in _KIND_CODE:
-            raise ScheduleError(f"unknown event kind {self.kind!r}")
-        _set(self, "qubit", _integer(self.qubit, "event qubit", low=0, error=ScheduleError))
-        _set(self, "data_index", _integer(self.data_index, "event data_index", low=0,
-                                          nullable=True, error=ScheduleError))
-        if self.data_index is None and self.kind == "inject":
-            raise ScheduleError(f"inject event on qubit {self.qubit} has no data_index")
-
 
 def _event(kind: int, qubit: int, data_index: int) -> PulseEvent:
     return PulseEvent(EVENT_KINDS[kind], qubit, None if data_index == _NO_DATA else data_index)
 
 
-def _entry(window: int, e: PulseEvent) -> tuple:
-    return window, _KIND_CODE[e.kind], e.qubit, _NO_DATA if e.data_index is None else e.data_index
-
-
 @dataclass(frozen=True)
 class Window:
-    """One window at a constant bias profile: finite float times and biases,
-    and a duration >= 0."""
+    """One window at a constant bias profile.  An unchecked record: the
+    schedule it goes into checks its fields."""
 
     start_ns: float
     duration_ns: float
     biases_mhz: tuple[float, ...]
     events: tuple[PulseEvent, ...] = ()
-
-    def __post_init__(self):
-        _set(self, "start_ns", _number(self.start_ns, "start_ns", error=ScheduleError))
-        _set(self, "duration_ns",
-             _number(self.duration_ns, "duration_ns", low=0, error=ScheduleError))
-        _set(self, "biases_mhz", _biases(self.biases_mhz))
-        _set(self, "events", _tuple_of(self.events, PulseEvent, "events"))
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -153,6 +124,44 @@ def _table(columns) -> np.ndarray:
         return _frozen([np.asarray(c).tolist() for c in columns], object).reshape(4, -1).T
 
 
+def _only(values, *types) -> bool:
+    return set(map(type, values)) <= set(types)
+
+
+def _column(values, plain: bool, check, what: str, window=None, n_windows=None,
+            **bounds) -> list:
+    """``values`` as they are when ``plain`` (their type pass held), else
+    ``check(value, what, **bounds)`` of each; the first refusal names the
+    window of value i, ``window[i]`` (or i), unless it is a final event."""
+    if plain:
+        return values
+    out = []
+    for i, value in enumerate(values):
+        try:
+            out.append(check(value, what, error=ScheduleError, **bounds))
+        except ScheduleError as exc:
+            w = i if window is None else window[i]
+            raise ScheduleError(("" if w == n_windows else f"window {w}: ") + str(exc)) from None
+    return out
+
+
+def _kind(kind, what: str, error) -> str:
+    if type(kind) is not str or kind not in _KIND_CODE:
+        raise error(f"unknown {what} {kind!r}")
+    return kind
+
+
+def _numbers(row, what: str, error) -> list:
+    row = _array(row, f"{what} must be an array of numbers")
+    return row if _only(row, float) else [_number(b, what, error=error) for b in row]
+
+
+def _flat(event_lists) -> tuple[np.ndarray, list]:
+    """The window column and the flat list of the events of each list."""
+    return (np.repeat(np.arange(len(event_lists)), list(map(len, event_lists))),
+            list(chain.from_iterable(event_lists)))
+
+
 class PulseSchedule:
     """Windows in time order on ``n_qubits`` qubits (a plain int >= 1), then
     the boundary final events; ``label`` is a str.  The constructor takes
@@ -161,12 +170,12 @@ class PulseSchedule:
 
     def __init__(self, n_qubits, windows=(), final_events=(), label=""):
         windows = _tuple_of(windows, Window, "windows")
-        rows = [_entry(i, e) for i, w in enumerate(windows) for e in w.events]
-        rows += [_entry(len(windows), e)
-                 for e in _tuple_of(final_events, PulseEvent, "final_events")]
+        events = [_tuple_of(w.events, PulseEvent, "events") for w in windows]
+        window, flat = _flat([*events, _tuple_of(final_events, PulseEvent, "final_events")])
         self._store(n_qubits, label, [w.start_ns for w in windows],
                     [w.duration_ns for w in windows], [w.biases_mhz for w in windows],
-                    list(zip(*rows)) or [()] * 4)
+                    [window, [e.kind for e in flat], [e.qubit for e in flat],
+                     [e.data_index for e in flat]])
 
     @classmethod
     def _from_arrays(cls, *fields) -> PulseSchedule:
@@ -174,16 +183,34 @@ class PulseSchedule:
         schedule._store(*fields)
         return schedule
 
-    def _store(self, n_qubits, label, starts, durations, biases, event_columns) -> None:
-        """Check each field as one array and store it read-only (the row
-        types, the parser and the generators give every value its type)."""
+    def _store(self, n_qubits, label, starts, durations, biases, events) -> None:
+        """Type and check every field and store it read-only: the one check
+        of a schedule value.  A list (from rows or a file) takes one pass
+        over its values' types; only a list that fails it is checked value by
+        value, to name the first bad window.  A generator's ndarrays are
+        typed already and skip the pass."""
         n_qubits = _integer(n_qubits, "n_qubits", low=1, error=ScheduleError)
         if type(label) is not str:
             raise ScheduleError(f"label must be a string, got {label!r}")
+        n_windows = len(starts)
+        if not isinstance(events, np.ndarray):
+            starts = _column(starts, _only(starts, float), _number, "start_ns")
+            durations = _column(durations, _only(durations, float), _number, "duration_ns", low=0)
+            biases = _column(biases, _only(biases, list, tuple)
+                             and _only(chain.from_iterable(biases), float), _numbers, "biases_mhz")
+            window, kind, qubit, data = events
+            kind = _column(kind, _only(kind, str) and set(kind) <= _KIND_CODE.keys(), _kind,
+                           "event kind", window, n_windows)
+            qubit = _column(qubit, _only(qubit, int) and min(qubit, default=0) >= 0, _integer,
+                            "event qubit", window, n_windows, low=0)
+            data = _column(data, _only(data, int, type(None))
+                           and min(set(data) - {None}, default=0) >= 0,
+                           _integer, "event data_index", window, n_windows, low=0, nullable=True)
+            events = [window, [_KIND_CODE[k] for k in kind], qubit,
+                      [_NO_DATA if d is None else d for d in data]]
         if not set(map(len, biases)) <= {n_qubits}:
             k = next(len(row) for row in biases if len(row) != n_qubits)
             raise ScheduleError(f"window has {k} biases for n_qubits={n_qubits}")
-        n_windows = len(starts)
         # only a window-less schedule may have more qubits than numpy can shape
         width = n_qubits if n_qubits <= np.iinfo(np.intp).max else 0
         starts, durations = _frozen(starts), _frozen(durations)
@@ -198,21 +225,18 @@ class PulseSchedule:
             i = np.flatnonzero(durations < 0)[0]
             raise ScheduleError(f"window {i}: duration_ns must be >= 0, "
                                 f"got {durations[i].item()!r}")
-        events = _table(event_columns)
+        events = _table(events)
         window, kind, qubit, data = events.T
         for flagged, message in (
-            (qubit < 0, "{at}event qubit must be >= 0, got {q}"),
-            ((kind == _INJECT) & (data == _NO_DATA),
-             "{at}inject event on qubit {q} has no data_index"),
+            ((kind == _INJECT) & (data == _NO_DATA), "inject event on qubit {q} has no data_index"),
             (qubit >= n_qubits, "{final}event qubit {q} out of range"),
             ((window == n_windows) & (kind < _INJECT),
              "final_events may only contain boundary events"),
         ):
             if flagged.any():
                 w, _, q, _ = events[np.flatnonzero(flagged)[0]].tolist()
-                final = w == n_windows
-                raise ScheduleError(message.format(
-                    at="" if final else f"window {w}: ", final="final " if final else "", q=q))
+                at = "" if w == n_windows else f"window {w}: "
+                raise ScheduleError(at + message.format(final="" if at else "final ", q=q))
         # windows may touch within rounding: 1e-9 ns, or a few ulps of the time
         with np.errstate(over="ignore"):
             ends = starts[:-1] + durations[:-1]
@@ -261,7 +285,7 @@ class PulseSchedule:
         for w, *event in self.events.tolist():
             events[w].append(_event(*event))
         return tuple(map(Window, self.starts.tolist(), self.durations.tolist(),
-                         self.biases.tolist(), events))
+                         map(tuple, self.biases.tolist()), map(tuple, events)))
 
     @cached_property
     def final_events(self) -> tuple[PulseEvent, ...]:
@@ -768,56 +792,11 @@ def schedule_to_json(schedule: PulseSchedule, assignment: LineAssignment | None 
     return "".join(parts)
 
 
-def _parse_event(obj: dict) -> PulseEvent:
-    """One event object (:class:`PulseEvent` checks its fields)."""
-    try:
-        kind, qubit, data_index = obj["kind"], obj["qubit"], obj.get("data_index")
-    except (KeyError, TypeError) as exc:
-        raise ScheduleError(f"malformed event object {obj!r}") from exc
-    return PulseEvent(kind=kind, qubit=qubit, data_index=data_index)
-
-
-def _each_window(values: list, check) -> list:
-    """``check(value, window)`` of each window's value; an error names it."""
-    out = []
-    for i, value in enumerate(values):
-        try:
-            out.append(check(value, i))
-        except ScheduleError as exc:
-            raise ScheduleError(f"window {i}: {exc}") from None
-    return out
-
-
-def _event_columns(event_lists: list) -> list:
-    """The event table columns of every window's event objects, then of the
-    final events'.  If one lacks a key or a type (a known kind, an int qubit,
-    an int >= 0 or null data index), each is checked as a :class:`PulseEvent`,
-    for the message."""
-    try:
-        if set(map(type, event_lists)) <= {list}:
-            flat = list(chain.from_iterable(event_lists))
-            kinds = [_KIND_CODE[e["kind"]] for e in flat]
-            qubits = [e["qubit"] for e in flat]
-            data = [e.get("data_index") for e in flat]
-            missing = data.count(None)
-            data = [_NO_DATA if d is None else d for d in data]
-            if (set(map(type, qubits)) | set(map(type, data)) <= {int}
-                    and min(data, default=0) >= _NO_DATA and data.count(_NO_DATA) == missing):
-                window = np.repeat(np.arange(len(event_lists)), list(map(len, event_lists)))
-                return [window, kinds, qubits, data]
-    except (KeyError, TypeError, AttributeError):
-        pass
-    *windows, final = event_lists
-    rows = _each_window(windows, lambda objs, i: [_entry(i, _parse_event(e)) for e in objs])
-    rows.append([_entry(len(windows), _parse_event(e)) for e in final])
-    return list(zip(*chain.from_iterable(rows))) or [()] * 4
-
-
 def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]:
     """Parse a schedule file.  Every field must have its JSON type (integers
     for ``n_qubits``, qubits, data indices and lines, numbers for times and
-    biases, a string ``label``): nothing is coerced.  The types of a field's
-    values are checked at once, before the arrays are filled with them."""
+    biases, a string ``label``): nothing is coerced.  The parser only finds
+    each field's values; :class:`PulseSchedule` checks them."""
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -828,15 +807,9 @@ def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]
         n_qubits, windows = obj["n_qubits"], obj["windows"]
         starts, durations, biases, events = ([w[key] for w in windows] for key in (
             "start_ns", "duration_ns", "biases_mhz", "events"))
-        if not set(map(type, starts)) <= {float}:
-            starts = _each_window(starts, lambda v, _: _number(v, "start_ns", error=ScheduleError))
-        if not set(map(type, durations)) <= {float}:
-            durations = _each_window(
-                durations, lambda v, _: _number(v, "duration_ns", error=ScheduleError))
-        if not (set(map(type, biases)) <= {list}
-                and set(map(type, chain.from_iterable(biases))) <= {float}):
-            biases = _each_window(biases, lambda v, _: _biases(v))
-        columns = _event_columns([*events, obj["final_events"]])
+        window, flat = _flat([*events, obj["final_events"]])
+        kinds, qubits = ([e[key] for e in flat] for key in ("kind", "qubit"))
+        columns = [window, kinds, qubits, [e.get("data_index") for e in flat]]
         label = obj.get("label", "")
     except (KeyError, TypeError) as exc:
         raise ScheduleError(f"malformed schedule document: {exc}") from exc

@@ -325,14 +325,15 @@ _BOUNDARIES = [
      lambda v, _: ChainSpec(3, 25.0, 20.0, v)),
     ("TwoLevelParams", "effective_bias_mhz", "number", ValueError,
      lambda v, _: TwoLevelParams(25.0, v)),
-    ("Window.start_ns", "start_ns", "number", ScheduleError,
-     lambda v, _: Window(v, 10.0, (0.0,))),
-    ("Window.biases_mhz", "biases_mhz", "number", ScheduleError,
-     lambda v, _: Window(0.0, 10.0, (0.0, v))),
-    ("PulseEvent.qubit", "event qubit", "integer", ScheduleError,
-     lambda v, _: PulseEvent("cnot_pulse", v)),
-    ("PulseEvent.data_index", "event data_index", "integer or null", ScheduleError,
-     lambda v, _: PulseEvent("inject", 0, v)),
+    # the row types are unchecked records: their values are refused by the schedule
+    ("Window.start_ns", "window 0: start_ns", "number", ScheduleError,
+     lambda v, _: PulseSchedule(1, [Window(v, 10.0, (0.0,))])),
+    ("Window.biases_mhz", "window 0: biases_mhz", "number", ScheduleError,
+     lambda v, _: PulseSchedule(2, [Window(0.0, 10.0, (0.0, v))])),
+    ("PulseEvent.qubit", "window 0: event qubit", "integer", ScheduleError,
+     lambda v, _: PulseSchedule(1, [Window(0.0, 10.0, (0.0,), (PulseEvent("cnot_pulse", v),))])),
+    ("PulseEvent.data_index", "window 0: event data_index", "integer or null", ScheduleError,
+     lambda v, _: PulseSchedule(1, [Window(0.0, 10.0, (0.0,), (PulseEvent("inject", 0, v),))])),
     ("LineAssignment.n_lines", "lines.n_lines", "integer", ScheduleError,
      lambda v, _: LineAssignment((0,), v)),
     ("LineAssignment.lines", "line of qubit 1", "integer or null", ScheduleError,

@@ -76,6 +76,13 @@ class TestQuantumState:
         with pytest.raises(ValueError, match="factor must be"):
             QuantumState(np.ones(shape))
 
+    @pytest.mark.parametrize("shape", [(4, 1), (2, 3)])
+    def test_refuses_a_factor_of_zero_trace(self, shape):
+        # a zero factor is no state: a reset would leave it with no columns,
+        # and reads would give purity 0
+        with pytest.raises(ValueError, match="factor must have a trace > 0, got 0.0"):
+            QuantumState(np.zeros(shape))
+
     def test_factor_shape_sets_size_and_trace(self, rng):
         w = random_mixed(rng, 2, 3)
         assert (w.n_qubits, w.dim, w.data.shape[1]) == (2, 4, 3)

@@ -6,6 +6,7 @@ check against the per-window dict of bias sets, message for message, and
 the array generators and the replay over the event table against the
 object-building generators and the replay over ``Window`` rows."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -124,17 +125,33 @@ def schedules(draw, bias_values=finite_numbers, min_windows=0):
     return schedule, lines
 
 
-def _replace_window(schedule, index, **fields):
-    windows = list(schedule.windows)
-    w = windows[index]
-    windows[index] = Window(
-        start_ns=fields.get("start_ns", w.start_ns),
-        duration_ns=fields.get("duration_ns", w.duration_ns),
-        biases_mhz=fields.get("biases_mhz", w.biases_mhz),
-        events=fields.get("events", w.events),
-    )
-    return PulseSchedule(schedule.n_qubits, tuple(windows), schedule.final_events,
-                         schedule.label)
+def _rows(schedule) -> dict:
+    """The arguments that build ``schedule`` from its rows."""
+    return {"n_qubits": schedule.n_qubits, "windows": schedule.windows,
+            "final_events": schedule.final_events, "label": schedule.label}
+
+
+def _replace_window(rows, index, **fields) -> None:
+    windows = list(rows["windows"])
+    windows[index] = replace(windows[index], **fields)
+    rows["windows"] = tuple(windows)
+
+
+def _document(rows) -> str:
+    """The schedule file of the values ``rows`` hold, as they are."""
+    def event(e):
+        return {"kind": e.kind, "qubit": e.qubit, "data_index": e.data_index}
+
+    return json.dumps({
+        "format": "swapchannel-schedule/1",
+        "n_qubits": rows["n_qubits"],
+        "label": rows["label"],
+        "windows": [{"start_ns": w.start_ns, "duration_ns": w.duration_ns,
+                     "biases_mhz": list(w.biases_mhz), "events": list(map(event, w.events))}
+                    for w in rows["windows"]],
+        "final_events": list(map(event, rows["final_events"])),
+        "lines": None,
+    })
 
 
 # Values a field may be handed: numpy integers and reals, ints and floats,
@@ -143,8 +160,9 @@ def _replace_window(schedule, index, **fields):
 _ODD = [float("nan"), float("inf"), -float("inf"), np.int64(3), np.uint8(0),
         np.float32(1.5), np.float64(-0.0), np.float64(1e300), 0, 1, 2.5, True,
         np.bool_(False), "2", [1, 2.5], None, 10**400, -(10**400)]
-_FIELDS = ["bias", "start_ns", "duration_ns", "qubit", "data_index", "n_qubits",
-           "label", "line", "n_lines"]
+_SCHEDULE_FIELDS = ["bias", "start_ns", "duration_ns", "qubit", "data_index", "n_qubits",
+                    "label"]
+_FIELDS = _SCHEDULE_FIELDS + ["line", "n_lines"]
 
 
 def _retyped(value) -> list:
@@ -158,37 +176,46 @@ def _retyped(value) -> list:
     return []
 
 
-def _with_odd(schedule, lines, field, data):
-    """``(schedule, lines)`` rebuilt with one ``field`` replaced by an odd
-    value; raises ScheduleError where a schedule type refuses it."""
+def _with_odd(schedule, lines, field, data, json_values=False):
+    """The rows of ``schedule`` (:func:`_rows`) and ``lines``, one ``field``
+    replaced by an odd value (a numpy number as the plain one when
+    ``json_values``, so a file can hold it too); a ``LineAssignment`` raises
+    ScheduleError where it refuses the value."""
     def odd(current):
-        return data.draw(st.sampled_from(_retyped(current) + _ODD))
+        value = data.draw(st.sampled_from(_retyped(current) + _ODD))
+        return value.item() if json_values and isinstance(value, np.generic) else value
 
+    rows = _rows(schedule)
     w = data.draw(st.integers(0, schedule.n_windows - 1))
     window = schedule.windows[w]
     if field == "bias":
         biases = list(window.biases_mhz)
         q = data.draw(st.integers(0, len(biases) - 1))
         biases[q] = odd(biases[q])
-        schedule = _replace_window(schedule, w, biases_mhz=biases)
+        _replace_window(rows, w, biases_mhz=biases)
     elif field in ("start_ns", "duration_ns"):
-        schedule = _replace_window(schedule, w, **{field: odd(getattr(window, field))})
+        _replace_window(rows, w, **{field: odd(getattr(window, field))})
     elif field in ("qubit", "data_index"):
         event = PulseEvent(kind="read_reset", qubit=0, data_index=1)
         event = replace(event, **{field: odd(getattr(event, field))})
-        schedule = _replace_window(schedule, w, events=window.events + (event,))
+        _replace_window(rows, w, events=window.events + (event,))
     elif field in ("n_qubits", "label"):
-        fields = {"n_qubits": schedule.n_qubits, "label": schedule.label}
-        fields[field] = odd(fields[field])
-        schedule = PulseSchedule(windows=schedule.windows,
-                                 final_events=schedule.final_events, **fields)
+        rows[field] = odd(rows[field])
     elif lines is not None and field == "line":
         q = data.draw(st.integers(0, len(lines.lines) - 1))
         lines = replace(lines, lines=lines.lines[:q] + (odd(lines.lines[q]),)
                         + lines.lines[q + 1:])
     elif lines is not None:
         lines = replace(lines, n_lines=odd(lines.n_lines))
-    return schedule, lines
+    return rows, lines
+
+
+def _outcome(build):
+    """What ``build()`` gives, or the message of the ScheduleError it raises."""
+    try:
+        return build()
+    except ScheduleError as exc:
+        return str(exc)
 
 
 def assert_round_trips(schedule, lines):
@@ -209,19 +236,33 @@ class TestScheduleWriter:
     @given(case=schedules(min_windows=1), field=st.sampled_from(_FIELDS), data=st.data())
     def test_odd_values_round_trip_or_are_refused(self, case, field, data):
         try:
-            schedule, lines = _with_odd(*case, field, data)
+            rows, lines = _with_odd(*case, field, data)
+            schedule = PulseSchedule(**rows)
         except ScheduleError:
             return
         assert_round_trips(schedule, lines)
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=schedules(min_windows=1), field=st.sampled_from(_SCHEDULE_FIELDS),
+           data=st.data())
+    def test_rows_and_files_give_one_answer(self, case, field, data):
+        # one odd value in a schedule field: the rows and the file holding the
+        # same values are both accepted as equal schedules, or both refused
+        # with one message
+        rows, _ = _with_odd(*case, field, data, json_values=True)
+        from_rows = _outcome(lambda: PulseSchedule(**rows))
+        from_file = _outcome(lambda: schedule_from_json(_document(rows))[0])
+        assert from_rows == from_file
+
     def test_numpy_integer_qubit_is_written_as_int(self):
         event = PulseEvent(kind="read_reset", qubit=np.int64(1), data_index=np.uint16(4))
-        assert (type(event.qubit), type(event.data_index)) == (int, int)
         sch = PulseSchedule(
             n_qubits=np.int32(2),
             windows=(Window(0.0, 1.0, (0.0, 0.0),
                             (PulseEvent(kind="cnot_pulse", qubit=np.int64(1)), event)),),
         )
+        stored = sch.windows[0].events[1]
+        assert (type(stored.qubit), type(stored.data_index)) == (int, int)
         assert type(sch.n_qubits) is int
         assert schedule_to_json(sch) == json_dumps_schedule(sch)
         assert '"qubit": 1\n' in schedule_to_json(sch)

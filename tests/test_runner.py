@@ -534,9 +534,9 @@ class TestQuantumChannel:
             run_quantum_channel(chain_for(design, 7), sch, good)
         with pytest.raises(ValueError):
             run_quantum_channel(spec, sch, [(1.0, 1.0), (1.0, 0.0)])
-        # an inject without a data index is refused where it is built
+        # an inject without a data index is refused by the schedule it goes into
         with pytest.raises(ValueError):
-            PulseEvent(kind="inject", qubit=0)
+            PulseSchedule(1, [Window(0.0, 10.0, (0.0,), (PulseEvent(kind="inject", qubit=0),))])
 
 
 class TestClassicalChannel:

@@ -32,6 +32,11 @@ def bare_window(n: int, targets=(), events=(), start=0.0, t=10.0) -> Window:
     )
 
 
+def with_event(event: PulseEvent) -> PulseSchedule:
+    """A schedule of one bare window on two qubits holding ``event``."""
+    return PulseSchedule(2, [bare_window(2, events=(event,))])
+
+
 def with_injects(schedule: PulseSchedule, *qubits: int) -> PulseSchedule:
     """``schedule`` with data items 0, 1, ... injected into ``qubits`` at the
     start of its first window."""
@@ -46,17 +51,20 @@ def with_injects(schedule: PulseSchedule, *qubits: int) -> PulseSchedule:
 
 class TestScheduleContainers:
     def test_event_validation(self):
+        # the event rows are unchecked records: the schedule refuses them
         with pytest.raises(ScheduleError):
-            PulseEvent(kind="teleport", qubit=0)
+            with_event(PulseEvent(kind="teleport", qubit=0))
         with pytest.raises(ScheduleError):
-            PulseEvent(kind="inject", qubit=-1, data_index=0)
+            with_event(PulseEvent(kind="inject", qubit=-1, data_index=0))
         with pytest.raises(ScheduleError, match="has no data_index"):
-            PulseEvent(kind="inject", qubit=0)
+            with_event(PulseEvent(kind="inject", qubit=0))
         for kind in ("inject", "read_reset"):
             with pytest.raises(ScheduleError, match="data_index must be >= 0, got -1"):
-                PulseEvent(kind=kind, qubit=0, data_index=-1)
-        assert PulseEvent(kind="read_reset", qubit=0).data_index is None
-        assert PulseEvent(kind="inject", qubit=0, data_index=10**400).data_index == 10**400
+                with_event(PulseEvent(kind=kind, qubit=0, data_index=-1))
+        read = with_event(PulseEvent(kind="read_reset", qubit=0)).windows[0].events[0]
+        assert read.data_index is None
+        inject = with_event(PulseEvent(kind="inject", qubit=0, data_index=10**400))
+        assert inject.windows[0].events[0].data_index == 10**400
 
     def test_window_filters(self):
         w = bare_window(
@@ -81,8 +89,8 @@ class TestScheduleContainers:
     )
     def test_window_refuses_bad_values(self, fields, fragment):
         good = {"start_ns": 0.0, "duration_ns": 10.0, "biases_mhz": (0.0, 0.0)}
-        with pytest.raises(ScheduleError, match=re.escape(fragment)):
-            Window(**(good | fields))
+        with pytest.raises(ScheduleError, match=re.escape("window 0: " + fragment)):
+            PulseSchedule(2, [Window(**(good | fields))])
 
     def test_schedule_refuses_overlapping_windows(self):
         first = bare_window(2, start=5.0, t=10.0)
@@ -237,29 +245,35 @@ class TestScheduleArrays:
 
 
 class TestScheduleFieldTypes:
-    """The schedule types store plain values: numpy numbers are converted,
-    other types refused, so a programmatic schedule writes and parses like a
-    generated one."""
+    """The schedule stores plain values: numpy numbers are converted, other
+    types refused (the row types are unchecked records, refused where a
+    schedule is built of them), so a programmatic schedule writes and parses
+    like a generated one."""
 
     @pytest.mark.parametrize(
         "build, fragment",
         [
-            (lambda: PulseEvent(kind="cnot_pulse", qubit=1.5),
-             "event qubit must be an integer, got 1.5"),
-            (lambda: PulseEvent(kind="cnot_pulse", qubit=True),
-             "event qubit must be an integer, got True"),
-            (lambda: PulseEvent(kind="read_reset", qubit=0, data_index="0"),
-             "event data_index must be an integer or null, got '0'"),
-            (lambda: PulseEvent(kind=["inject"], qubit=0), "unknown event kind ['inject']"),
-            (lambda: PulseEvent(kind=np.str_("hold"), qubit=0), "unknown event kind"),
-            (lambda: Window(0.0, 1.0, (0.0, True)),
-             "biases_mhz must be a number, got True"),
-            (lambda: Window(0.0, 1.0, "12"), "biases_mhz must be an array of numbers, got '12'"),
-            (lambda: Window(0.0, 1.0, (0.0, 10**400)),
-             "biases_mhz must be finite, got an integer too large for a float"),
-            (lambda: Window("0", 1.0, (0.0,)), "start_ns must be a number, got '0'"),
-            (lambda: Window(0.0, False, (0.0,)), "duration_ns must be a number, got False"),
-            (lambda: Window(0.0, 1.0, (0.0,), events=("cnot",)),
+            (lambda: with_event(PulseEvent(kind="cnot_pulse", qubit=1.5)),
+             "window 0: event qubit must be an integer, got 1.5"),
+            (lambda: with_event(PulseEvent(kind="cnot_pulse", qubit=True)),
+             "window 0: event qubit must be an integer, got True"),
+            (lambda: with_event(PulseEvent(kind="read_reset", qubit=0, data_index="0")),
+             "window 0: event data_index must be an integer or null, got '0'"),
+            (lambda: with_event(PulseEvent(kind=["inject"], qubit=0)),
+             "window 0: unknown event kind ['inject']"),
+            (lambda: with_event(PulseEvent(kind=np.str_("hold"), qubit=0)),
+             "window 0: unknown event kind"),
+            (lambda: PulseSchedule(2, [Window(0.0, 1.0, (0.0, True))]),
+             "window 0: biases_mhz must be a number, got True"),
+            (lambda: PulseSchedule(2, [Window(0.0, 1.0, "12")]),
+             "window 0: biases_mhz must be an array of numbers, got '12'"),
+            (lambda: PulseSchedule(2, [Window(0.0, 1.0, (0.0, 10**400))]),
+             "window 0: biases_mhz must be finite, got an integer too large for a float"),
+            (lambda: PulseSchedule(1, [Window("0", 1.0, (0.0,))]),
+             "window 0: start_ns must be a number, got '0'"),
+            (lambda: PulseSchedule(1, [Window(0.0, False, (0.0,))]),
+             "window 0: duration_ns must be a number, got False"),
+            (lambda: PulseSchedule(1, [Window(0.0, 1.0, (0.0,), events=("cnot",))]),
              "events must hold PulseEvents, got 'cnot'"),
             (lambda: PulseSchedule(n_qubits=2.5, windows=()),
              "n_qubits must be an integer, got 2.5"),
@@ -285,13 +299,15 @@ class TestScheduleFieldTypes:
 
     def test_numpy_and_int_values_are_stored_plain(self):
         event = PulseEvent(kind="inject", qubit=np.int64(1), data_index=np.uint8(2))
-        assert (event.qubit, event.data_index) == (1, 2)
-        assert (type(event.qubit), type(event.data_index)) == (int, int)
-        w = Window(np.float32(1.5), 10, np.array([25000.0, 0]), [event])
+        sch = PulseSchedule(np.int64(2), [Window(np.float32(1.5), 10, np.array([25000.0, 0]),
+                                                 [event])], label="wire")
+        (w,) = sch.windows
+        (stored,) = w.events
+        assert (stored.qubit, stored.data_index) == (1, 2)
+        assert (type(stored.qubit), type(stored.data_index)) == (int, int)
         assert (w.start_ns, w.duration_ns, w.biases_mhz) == (1.5, 10.0, (25000.0, 0.0))
         assert {type(w.start_ns), type(w.duration_ns)} | set(map(type, w.biases_mhz)) == {float}
-        assert w.events == (event,)
-        sch = PulseSchedule(np.int64(2), [w], label="wire")
+        assert w.events == (PulseEvent("inject", 1, 2),)
         assert (type(sch.n_qubits), type(sch.windows), type(sch.label)) == (int, tuple, str)
         lines = LineAssignment(np.array([0, 1]), np.int64(2))
         assert lines == LineAssignment((0, 1), 2) and type(lines.lines[0]) is int
