@@ -19,6 +19,7 @@ import operator
 import os
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from importlib import resources
 from typing import Callable, NamedTuple
 
@@ -701,7 +702,9 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="swapchannel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -55,6 +55,16 @@ class EntanglementError(ValueError):
     """Raised when an operation needs a separable qubit but finds entanglement."""
 
 
+def _qubit(qubit, n_qubits: int) -> int:
+    """``qubit`` as a plain int once it is one of ``n_qubits`` qubits: a bool
+    or a non-integer is refused as :func:`~swapchannel.chain._integer`
+    refuses it, an integer outside the chain with "out of range"."""
+    qubit = _integer(qubit, "qubit")
+    if not 0 <= qubit < n_qubits:
+        raise ValueError(f"qubit {qubit} out of range for n={n_qubits}")
+    return qubit
+
+
 def _local_width(op: np.ndarray, first_qubit: int, n_qubits: int) -> int:
     """The number ``k`` of adjacent qubits a ``2^k x 2^k`` operator acts on,
     once its block ``[first_qubit, first_qubit + k)`` fits in the chain."""
@@ -62,7 +72,7 @@ def _local_width(op: np.ndarray, first_qubit: int, n_qubits: int) -> int:
     if op.ndim != 2 or op.shape[1] != d or d < 2 or d & (d - 1):
         raise ValueError(f"local operator must be square with power-of-2 dim, got {op.shape}")
     k = d.bit_length() - 1
-    if not 0 <= first_qubit <= n_qubits - k:
+    if not 0 <= _integer(first_qubit, "first_qubit") <= n_qubits - k:
         raise ValueError(
             f"qubits [{first_qubit}, {first_qubit + k}) out of range for n={n_qubits}"
         )
@@ -186,8 +196,7 @@ class QuantumState:
 
     def _axes(self, qubit: int) -> tuple[int, int]:
         n = self.n_qubits
-        if not 0 <= qubit < n:
-            raise ValueError(f"qubit {qubit} out of range for n={n}")
+        qubit = _qubit(qubit, n)
         return 1 << qubit, 1 << (n - qubit - 1)
 
     def reduced_state(self, qubit: int) -> tuple[np.ndarray, float]:

@@ -5,9 +5,9 @@ qubit is the most significant bit).  The ideal gate carries the exact branch
 phases of a phase-exact design (M odd, N even): a held branch acquires -1, a
 flipped branch -i.
 Reduced mode takes every pulse from :func:`reduced_pulse_operator`, which
-caches its operators for the process.  A neighbour the caller knows to be
-frozen in a basis state is folded into the effective bias and leaves the
-block, so a pulse acts on one to three qubits.
+caches its operators for the process and checks only what a cache key cannot
+hold.  A neighbour the caller knows to be frozen in a basis state is folded
+into the effective bias and leaves the block, so a pulse acts on 1-3 qubits.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainSpec, TwoLevelParams, _integer, _z_values, effective_bias
+from .chain import ChainSpec, TwoLevelParams, _z_values, effective_bias
 from .evolve import propagator
 
 __all__ = ["IDEAL_CNOT", "reduced_pulse_operator"]
@@ -45,15 +45,20 @@ def reduced_pulse_operator(
     folded operator is bit for bit a block of the unfolded one.  For a solved
     phase-exact design each block is a hold (-1) or a flip (-i), bit for bit.
     """
-    if not 0 <= qubit < spec.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for n={spec.n_qubits}")
-    sides = []
-    for side, z, present in (("left", left, qubit > 0), ("right", right, qubit < spec.n_qubits - 1)):
-        if z is not None and (not present or _integer(z, f"{side} z") not in (1, -1)):
-            raise ValueError(f"{side} z must be +1 or -1 for a neighbour of qubit {qubit}, got {z!r}")
-        sides.append(int(z) if z is not None else None if present else 0)  # a chain end adds 0
-    op = _block_operator(spec.delta_mhz, spec.xi_mhz, bias_mhz, duration_ns, *sides)
-    return op, qubit - (sides[0] is None)
+    if not (0 < qubit < spec.n_qubits - 1 and (left is None or type(left) is int and left in (1, -1))
+            and (right is None or type(right) is int and right in (1, -1))):
+        # a chain end, a numpy integer z, or a call to refuse
+        if not 0 <= qubit < spec.n_qubits:
+            raise ValueError(f"qubit {qubit} out of range for n={spec.n_qubits}")
+        sides = []
+        for side, z, present in (("left", left, qubit > 0), ("right", right, qubit < spec.n_qubits - 1)):
+            if z is not None and (not present or not isinstance(z, (int, np.integer))
+                                  or type(z) is bool or z not in (1, -1)):
+                raise ValueError(f"{side} z must be +1 or -1 for a neighbour of qubit {qubit}, got {z!r}")
+            sides.append(int(z) if z is not None else None if present else 0)  # a chain end adds 0
+        left, right = sides
+    op = _block_operator(spec.delta_mhz, spec.xi_mhz, bias_mhz, duration_ns, left, right)
+    return op, qubit - (left is None)
 
 
 @lru_cache(maxsize=256)

@@ -16,7 +16,10 @@ tensor and one bond.  A k-site unitary splits back from the right by k - 1
 SVDs of the lambda-weighted block, each keeping ``V^dagger`` and carrying
 the block times ``V`` on, so no lambda is divided by (Hastings, J. Math.
 Phys. 50, 095207 (2009)); singular values at or below ``TRUNCATION_RTOL`` of
-the largest are dropped.
+the largest are dropped.  A site's two slice weights (:meth:`MPS.basis_values`)
+are kept until a write replaces its tensor or left bond: ``_update`` forgets
+each block's sites, ``_project`` its qubit, ``_sweep_left``/``_sweep_right``
+each site they re-split, and a slice drop zeroes the dropped slice's weight.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import _integer
-from .evolve import _checked_amplitudes, _local_width, _require_separable
+from .evolve import _checked_amplitudes, _local_width, _qubit, _require_separable
 
 __all__ = ["TRUNCATION_RTOL", "MPS"]
 
@@ -37,6 +40,8 @@ TRUNCATION_RTOL = 1e-14
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """The arrays on a new first axis, each zero-padded to the largest shape."""
+    if len(arrays) == 1:
+        return arrays[0][None]
     if all(a.shape == arrays[0].shape for a in arrays):
         return np.array(arrays)
     out = np.zeros((len(arrays), *map(max, zip(*(a.shape for a in arrays)))), arrays[0].dtype)
@@ -65,6 +70,8 @@ class MPS:
     ``max_bond`` is the largest bond any split has made; ``discarded_weight``
     sums each split's dropped squared singular values, relative to the norm
     of the state it split, and the off-basis slices :meth:`basis_values` drops.
+    ``_weights[q]`` keeps qubit q's slice weights, or None once a writer (the
+    module docstring names which) has replaced its tensor or left bond.
     """
 
     def __init__(self, n_qubits: int):
@@ -74,6 +81,7 @@ class MPS:
         self.lambdas = [np.ones(1) for _ in range(n_qubits + 1)]
         self.max_bond = 1
         self.discarded_weight = 0.0
+        self._weights: list[list[float] | None] = [None] * n_qubits
 
     @classmethod
     def ground(cls, n_qubits: int) -> "MPS":
@@ -107,29 +115,33 @@ class MPS:
 
     def _update(self, ops: Sequence[np.ndarray], firsts: Sequence[int]) -> None:
         """Apply ``k``-site unitaries on disjoint blocks starting at ``firsts``: one
-        stacked product and k - 1 stacked splits, bonds padded to the largest."""
+        stacked product and k - 1 stacked splits, each site's tensors padded."""
         t, lam = self.tensors, self.lambdas
         g, k = len(ops), ops[0].shape[0].bit_length() - 1
-        blocks = []
-        for a in firsts:
-            theta = t[a]
-            for b in t[a + 1:a + k]:
-                theta = theta.reshape(len(theta), -1, len(b)) @ b.reshape(len(b), -1)
-            blocks.append(theta.reshape(len(t[a]), 1 << k, -1))
-        theta = np.array(ops)[:, None] @ _stacked(blocks)
-        dl, right = theta.shape[1], [block.shape[2] for block in blocks]
+        if k == 1:  # nothing to split
+            for op, a in zip(ops, firsts):
+                t[a], self._weights[a] = op @ t[a], None
+            return
+        theta, right = _stacked([t[a] for a in firsts]), [t[a + k - 1].shape[2] for a in firsts]
+        dl = theta.shape[1]
+        for i in range(1, k):
+            b = _stacked([t[a + i] for a in firsts])
+            theta = theta.reshape(g, dl, -1, b.shape[1]) @ b.reshape(g, 1, b.shape[1], -1)
+        op = ops[0] if all(op is ops[0] for op in ops) else np.array(ops)[:, None]
+        theta = op @ theta.reshape(g, dl, 1 << k, -1)
+        left = _stacked([lam[a] for a in firsts])[:, :, None, None]
         for i in range(k - 1, 0, -1):
             dr = theta.shape[3]
-            left = _stacked([lam[a] for a in firsts])[:, :, None, None]
             s, vh, keep = self._svd((left * theta).reshape(g, dl << i, 2 * dr))
             sites = vh.reshape(g, -1, 2, dr)
             for j, a in enumerate(firsts):
                 t[a + i], lam[a + i] = sites[j, :keep[j], :, :right[j]], s[j, :keep[j]]
+                self._weights[a + i] = None
             right = keep
             theta = theta.reshape(g, dl << i, 2 * dr) @ vh.conj().transpose(0, 2, 1)
             theta = theta.reshape(g, dl, 1 << i, -1)
-        for j, (a, block) in enumerate(zip(firsts, blocks)):
-            t[a] = theta[j, :len(block), :, :right[j]]
+        for j, a in enumerate(firsts):
+            t[a], self._weights[a] = theta[j, :len(t[a]), :, :right[j]], None
 
     def apply(self, op: np.ndarray, first_qubit: int) -> None:
         """Apply a 2^k x 2^k unitary, in chain ordering, on the ``k`` adjacent
@@ -139,21 +151,25 @@ class MPS:
 
     def basis_values(self, qubits: Sequence[int]) -> list[int | None]:
         """Each (distinct) qubit's z value, +1 for |0> and -1 for |1>, if it is
-        frozen in a basis state, else None, read from its own tensor and bond
-        in one stacked pass per tensor shape.  Frozen means the other slice
-        holds at most ``TRUNCATION_RTOL**2`` of its weight, the rule every
-        split applies; as a split does, the slice is then dropped and its
-        share added to ``discarded_weight``, so a later read drops nothing.
+        frozen in a basis state, else None, from its kept slice weights or its
+        tensor and bond, in one stacked pass per shape.  Frozen means the other
+        slice holds at most ``TRUNCATION_RTOL**2`` of its weight, as in a split,
+        and the slice is then dropped and its share added to ``discarded_weight``.
         """
-        by_shape: dict[tuple, list[int]] = {}
+        return self._basis_values([_qubit(q, self.n_qubits) for q in qubits])
+
+    def _basis_values(self, qubits: Sequence[int]) -> list[int | None]:
+        """:meth:`basis_values` of qubits known to be in the chain."""
+        weights, by_shape = self._weights, {}
         for q in qubits:
-            by_shape.setdefault(self.tensors[q].shape, []).append(q)
-        weights = {}
+            if weights[q] is None:
+                by_shape.setdefault(self.tensors[q].shape, []).append(q)
         for (dl, _, _), same in by_shape.items():
             w = abs(np.array([self.tensors[q] for q in same])) ** 2
             if dl > 1:  # a bond of dimension 1 weighs both slices alike
                 w *= np.array([self.lambdas[q] for q in same])[:, :, None, None] ** 2
-            weights.update(zip(same, w.sum((1, 3)).tolist()))
+            for q, kept in zip(same, w.sum((1, 3)).tolist()):
+                weights[q] = kept
         values = []
         for q in qubits:
             w = weights[q]
@@ -164,6 +180,7 @@ class MPS:
                 self.discarded_weight += w[other] / (w[0] + w[1])
                 self.tensors[q] = self.tensors[q].copy()
                 self.tensors[q][:, other] = 0.0
+                w[other] = 0.0  # the weight the zeroed slice now has
             values.append(z)
         return values
 
@@ -179,18 +196,20 @@ class MPS:
         n = self.n_qubits
         for run in _runs(targets):
             sides = [p for q in run for p in (q - 1, q + 1) if 0 <= p < n]
-            z = dict(zip(sides, self.basis_values(sides)))
-            groups: dict[int, list[tuple]] = {}
+            z = dict(zip(sides, self._basis_values(sides)))
+            groups: dict[tuple, list[tuple]] = {}
             for q in run:
                 op, first = pulse(q, z.get(q - 1), z.get(q + 1))
-                groups.setdefault(_local_width(op, first, n), []).append((op, first))
-            for blocks in groups.values():
-                self._update(*zip(*blocks))
+                groups.setdefault(op.shape, []).append((op, first))
+            updates = [tuple(zip(*blocks)) for blocks in groups.values()]
+            for ops, firsts in updates:  # one check per operator shape, on its outer blocks
+                _local_width(ops[0], min(firsts), n), _local_width(ops[0], max(firsts), n)
+            for ops, firsts in updates:
+                self._update(ops, firsts)
 
     def reduced_state(self, qubit: int) -> tuple[np.ndarray, float]:
         """(2x2 reduced density matrix, its purity) for one qubit."""
-        if not 0 <= qubit < self.n_qubits:
-            raise ValueError(f"qubit {qubit} out of range for n={self.n_qubits}")
+        qubit = _qubit(qubit, self.n_qubits)
         m = (self.lambdas[qubit][:, None, None] * self.tensors[qubit]).transpose(1, 0, 2)
         rho2 = m.reshape(2, -1) @ m.reshape(2, -1).conj().T
         return rho2, float(np.trace(rho2 @ rho2).real)
@@ -217,7 +236,7 @@ class MPS:
                 self._sweep_right(qubit + 1, vh)
             else:
                 core = core @ vh
-        t[qubit] = core[:, None, :] * local[None, :, None]
+        t[qubit], self._weights[qubit] = core[:, None, :] * local[None, :, None], None
 
     def _sweep_left(self, site: int, g: np.ndarray) -> None:
         """Absorb ``g`` into the right bond of ``site`` and restore the Schmidt
@@ -226,9 +245,9 @@ class MPS:
         while len(lam[site]) > 1:
             b = (t[site].reshape(-1, len(g)) @ g).reshape(len(lam[site]), -1)
             lam[site], vh = self._split(lam[site][:, None] * b)
-            t[site], g = vh.reshape(len(vh), 2, -1), b @ vh.conj().T
+            t[site], g, self._weights[site] = vh.reshape(len(vh), 2, -1), b @ vh.conj().T, None
             site -= 1
-        t[site] = (t[site].reshape(-1, len(g)) @ g).reshape(1, 2, -1)
+        t[site], self._weights[site] = (t[site].reshape(-1, len(g)) @ g).reshape(1, 2, -1), None
 
     def _sweep_right(self, site: int, g: np.ndarray) -> None:
         """Absorb ``g`` into the left bond of ``site`` and restore the Schmidt
@@ -237,9 +256,9 @@ class MPS:
         while len(lam[site + 1]) > 1:
             b = (g @ t[site].reshape(g.shape[1], -1)).reshape(len(g), 2, -1)
             lam[site + 1], vh = self._split((lam[site][:, None, None] * b).reshape(2 * len(g), -1))
-            t[site], g = b @ vh.conj().T, vh
+            t[site], g, self._weights[site] = b @ vh.conj().T, vh, None
             site += 1
-        t[site] = (g @ t[site].reshape(g.shape[1], -1)).reshape(len(g), 2, 1)
+        t[site], self._weights[site] = (g @ t[site].reshape(g.shape[1], -1)).reshape(len(g), 2, 1), None
 
     def reset(self, qubit: int) -> None:
         """Re-prepare the qubit in |0>, even if entangled: a pure state cannot hold

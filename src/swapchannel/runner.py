@@ -10,15 +10,16 @@ without asking which one it holds.  It has two modes:
 * ``reduced``: each intended pulse is the exact neighbour-conditioned
   two-level propagator at the window's bias for the pulsed qubit (parked
   qubits frozen), from :func:`~swapchannel.gates.reduced_pulse_operator`,
-  which caches it.  For a solved phase-exact design it realises the ideal
-  gate algebra bit for bit.  Wire runs keep the pure state as an exact
-  matrix-product state in Vidal form (:class:`~swapchannel.mps.MPS`), whose
-  bonds stay at dimension 2 on designed schedules, so a wire costs O(L), not
-  O(2^L).  :meth:`~swapchannel.mps.MPS.apply_layer` updates a window at
-  once: a neighbour it finds frozen in a basis state leaves the pulse's
-  block (1-3 sites), and the blocks of one width share one stacked product
-  and SVD.  A reset keeps the read qubit's dominant local branch, so an
-  entangled read shows in its purity; only injects refuse entanglement.
+  which caches it and validates nothing its cache key already holds.  For a
+  solved phase-exact design it realises the ideal gate algebra bit for bit.
+  Wire runs keep the pure state as an exact matrix-product state in Vidal
+  form (:class:`~swapchannel.mps.MPS`), whose bonds stay at dimension 2 on
+  designed schedules, so a wire costs O(L), not O(2^L).
+  :meth:`~swapchannel.mps.MPS.apply_layer` updates a window at once: a
+  neighbour it finds frozen in a basis state leaves the pulse's block (1-3
+  sites), and the blocks of one width share one stacked product and SVD.
+  A reset keeps the read qubit's dominant local branch, so an entangled
+  read shows in its purity; only injects refuse entanglement.
 * ``full``: the complete (real symmetric) chain Hamiltonian, window by
   window, with every parked-bias imperfection included.  The state is a
   factor ``W`` with ``rho = W W^dagger`` (:class:`~swapchannel.evolve.QuantumState`).

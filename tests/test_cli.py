@@ -836,6 +836,23 @@ class TestModuleEntryPoint:
         assert_allclose(json.loads(proc.stdout)["delta_mhz"], 25.0)
 
 
+class TestOneParserPerProcess:
+    def test_calls_keep_their_exit_codes_and_messages(self, capsys, tmp_path):
+        # the parser is built once and reused: a refused call leaves nothing
+        # behind that changes the next call's answer
+        refused = tmp_path / "refused.json"
+        refused.write_text('{"experiment": "classical_wire", "bits": [true, 0, 1]}')
+        code, out, err = run_cli(capsys, "run", "--config", str(refused), "--out-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: config.bits")
+        code, out, _ = run_cli(capsys, "run", "--config", "table1_copy", "--out-dir", str(tmp_path))
+        assert code == 0 and out.startswith("PASS")
+        code, out, err = run_cli(capsys, "run", "--config", "table1_copy", "--bogus")
+        assert (code, out) == (1, "")
+        assert err == "error: unrecognized arguments: --bogus\n"
+        assert cli._build_parser() is cli._build_parser()
+
+
 class TestRunRefusesBadValuesBeforeRunning:
     """Config values are type-checked before any experiment runs."""
 

@@ -165,24 +165,36 @@ _SCHEDULE_FIELDS = ["bias", "start_ns", "duration_ns", "qubit", "data_index", "n
 _FIELDS = _SCHEDULE_FIELDS + ["line", "n_lines"]
 
 
-def _retyped(value) -> list:
-    """``value`` as the other types that hold it."""
-    if isinstance(value, int):
-        return [np.int64(value), float(value)]
-    if isinstance(value, float):
-        return [np.float64(value), int(value)]
-    if isinstance(value, str):
-        return [np.str_(value)]
-    return []
+_NUMPY_TWIN = {int: np.int64, float: np.float64, str: np.str_}
+_OTHER_NUMBER = {int: float, float: int}
 
 
-def _with_odd(schedule, lines, field, data, json_values=False):
+def _numpy_twin(value):
+    """``value`` as the numpy scalar of its type, where it has one."""
+    return _NUMPY_TWIN.get(type(value), lambda v: v)(value)
+
+
+def _other_number(value):
+    """An int as a float, a float as the int ``int()`` makes of it; other values
+    as they are."""
+    return _OTHER_NUMBER.get(type(value), lambda v: v)(value)
+
+
+def _odd_cases(fields) -> list:
+    """Every (field, odd value) pair: each value of ``_ODD``, and the value a
+    field holds retyped by :func:`_numpy_twin` or :func:`_other_number`."""
+    return [pytest.param(field, odd, id=f"{field}-{getattr(odd, '__name__', repr(odd))[:16]}")
+            for field in fields for odd in _ODD + [_numpy_twin, _other_number]]
+
+
+def _with_odd(schedule, lines, field, odd, data, json_values=False):
     """The rows of ``schedule`` (:func:`_rows`) and ``lines``, one ``field``
-    replaced by an odd value (a numpy number as the plain one when
-    ``json_values``, so a file can hold it too); a ``LineAssignment`` raises
-    ScheduleError where it refuses the value."""
-    def odd(current):
-        value = data.draw(st.sampled_from(_retyped(current) + _ODD))
+    replaced by ``odd`` or, when it is a function, by ``odd`` of the value it
+    replaces (a numpy number as the plain one when ``json_values``, so a file
+    can hold it too); ``data`` picks the window, qubit or line.  A
+    ``LineAssignment`` raises ScheduleError where it refuses the value."""
+    def replaced(current):
+        value = odd(current) if callable(odd) else odd
         return value.item() if json_values and isinstance(value, np.generic) else value
 
     rows = _rows(schedule)
@@ -191,22 +203,22 @@ def _with_odd(schedule, lines, field, data, json_values=False):
     if field == "bias":
         biases = list(window.biases_mhz)
         q = data.draw(st.integers(0, len(biases) - 1))
-        biases[q] = odd(biases[q])
+        biases[q] = replaced(biases[q])
         _replace_window(rows, w, biases_mhz=biases)
     elif field in ("start_ns", "duration_ns"):
-        _replace_window(rows, w, **{field: odd(getattr(window, field))})
+        _replace_window(rows, w, **{field: replaced(getattr(window, field))})
     elif field in ("qubit", "data_index"):
         event = PulseEvent(kind="read_reset", qubit=0, data_index=1)
-        event = replace(event, **{field: odd(getattr(event, field))})
+        event = replace(event, **{field: replaced(getattr(event, field))})
         _replace_window(rows, w, events=window.events + (event,))
     elif field in ("n_qubits", "label"):
-        rows[field] = odd(rows[field])
+        rows[field] = replaced(rows[field])
     elif lines is not None and field == "line":
         q = data.draw(st.integers(0, len(lines.lines) - 1))
-        lines = replace(lines, lines=lines.lines[:q] + (odd(lines.lines[q]),)
+        lines = replace(lines, lines=lines.lines[:q] + (replaced(lines.lines[q]),)
                         + lines.lines[q + 1:])
     elif lines is not None:
-        lines = replace(lines, n_lines=odd(lines.n_lines))
+        lines = replace(lines, n_lines=replaced(lines.n_lines))
     return rows, lines
 
 
@@ -232,24 +244,25 @@ class TestScheduleWriter:
     def test_bytes_equal_json_dumps(self, case):
         assert_round_trips(*case)
 
-    @settings(max_examples=150, deadline=None)
-    @given(case=schedules(min_windows=1), field=st.sampled_from(_FIELDS), data=st.data())
-    def test_odd_values_round_trip_or_are_refused(self, case, field, data):
+    @pytest.mark.parametrize("field, odd", _odd_cases(_FIELDS))
+    @settings(max_examples=2, deadline=None)
+    @given(case=schedules(min_windows=1), data=st.data())
+    def test_odd_values_round_trip_or_are_refused(self, field, odd, case, data):
         try:
-            rows, lines = _with_odd(*case, field, data)
+            rows, lines = _with_odd(*case, field, odd, data)
             schedule = PulseSchedule(**rows)
         except ScheduleError:
             return
         assert_round_trips(schedule, lines)
 
-    @settings(max_examples=300, deadline=None)
-    @given(case=schedules(min_windows=1), field=st.sampled_from(_SCHEDULE_FIELDS),
-           data=st.data())
-    def test_rows_and_files_give_one_answer(self, case, field, data):
-        # one odd value in a schedule field: the rows and the file holding the
-        # same values are both accepted as equal schedules, or both refused
-        # with one message
-        rows, _ = _with_odd(*case, field, data, json_values=True)
+    @pytest.mark.parametrize("field, odd", _odd_cases(_SCHEDULE_FIELDS))
+    @settings(max_examples=3, deadline=None)
+    @given(case=schedules(min_windows=1), data=st.data())
+    def test_rows_and_files_give_one_answer(self, field, odd, case, data):
+        # every odd value in every schedule field: the rows and the file
+        # holding the same values are both accepted as equal schedules, or
+        # both refused with one message
+        rows, _ = _with_odd(*case, field, odd, data, json_values=True)
         from_rows = _outcome(lambda: PulseSchedule(**rows))
         from_file = _outcome(lambda: schedule_from_json(_document(rows))[0])
         assert from_rows == from_file

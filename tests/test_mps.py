@@ -12,9 +12,12 @@ Hypothesis test drives both MPS forms through the same random unitaries,
 resets and injects, and an SVD spy counts the matrices split.
 """
 
+import copy
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -266,6 +269,36 @@ class TestStateProtocol:
         before = _snapshot(state)
         with pytest.raises(ValueError, match="finite"):
             state.inject(1, amplitudes)
+        assert _snapshot(state) == before
+
+    @pytest.mark.parametrize(
+        "ground, method, args, message",
+        [
+            pytest.param(ground, method, args, message, id=f"{kind}-{method}-{args[0]!r}")
+            for kind, ground in (("dense", QuantumState.ground), ("mps", MPS.ground))
+            for method, args, message in (
+                ("apply", (np.eye(2)[::-1], True), "first_qubit must be an integer, got True"),
+                ("apply", (np.eye(2), 1.0), "first_qubit must be an integer, got 1.0"),
+                ("reset", (True,), "qubit must be an integer, got True"),
+                ("reset", (3,), "qubit 3 out of range for n=3"),
+                ("inject", (True, (0.0, 1.0)), "qubit must be an integer, got True"),
+                ("inject", (-1, (0.0, 1.0)), "qubit -1 out of range for n=3"),
+                ("reduced_state", (2.0,), "qubit must be an integer, got 2.0"),
+                ("basis_values", ([-1],), "qubit -1 out of range for n=3"),
+                ("basis_values", ([3],), "qubit 3 out of range for n=3"),
+                ("basis_values", ([1.0],), "qubit must be an integer, got 1.0"),
+                ("basis_values", ([0, False],), "qubit must be an integer, got False"),
+            )
+            if hasattr(ground(1), method)
+        ],
+    )
+    def test_qubit_arguments_are_integers_in_the_chain(self, ground, method, args, message):
+        # a bool or a float is not taken as a qubit number and a negative
+        # qubit does not count from the end; the state is left as it was
+        state = ground(3)
+        before = _snapshot(state)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            getattr(state, method)(*args)
         assert _snapshot(state) == before
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -605,6 +638,84 @@ class TestFrozenNeighbours:
         assert_allclose(report.min_fidelity_corrected, 1.0, rtol=0, atol=1e-12)
         assert 0 < len(calls) <= 2 * sch.n_windows
         assert sum(calls) > len(calls)  # some calls split several blocks at once
+
+
+def _block(kind, width, position, angle):
+    """A hand-built ``2^width`` unitary: a rotation by ``angle`` of the qubit at
+    ``position`` (a tiny angle leaves a frozen qubit a round-off slice), for
+    ``entangle`` followed by a CNOT from it to the next qubit, which makes a
+    pair that a read can collapse to basis states, or the identity."""
+    c, s = np.cos(angle), np.sin(angle)
+    op = np.array([[c, -s], [s, c]]) if kind != "identity" else np.eye(2)
+    if kind == "entangle" and position < width - 1:
+        op = np.eye(4)[[0, 1, 3, 2]] @ np.kron(op, np.eye(2))
+    size = op.shape[0].bit_length() - 1
+    return np.kron(np.kron(np.eye(1 << position), op), np.eye(1 << (width - position - size)))
+
+
+_PULSE = st.tuples(
+    st.integers(0, 2),  # block width - 1, clipped to the chain
+    st.integers(0, 2),  # where the block starts, relative to target - 1
+    st.sampled_from(["rotate", "entangle", "identity"]),
+    st.integers(0, 2),  # the block's qubit the operator starts on
+    st.sampled_from([np.pi / 4, 1e-15, np.pi / 2, 0.3]),
+)
+# ("layer", {target: pulse}) pulses the targets in order; ("reset", q, _) and
+# ("inject", q, amplitudes) act on qubit q mod n (an inject on an entangled
+# qubit resets it instead)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("layer"), st.dictionaries(st.integers(0, 5), _PULSE, min_size=1,
+                                                     max_size=4)),
+        st.tuples(st.sampled_from(["reset", "inject"]), st.integers(0, 5),
+                  st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)])),
+    ),
+    min_size=1, max_size=16,
+)
+_BELL = ("layer", {1: (1, 0, "entangle", 0, np.pi / 4)})  # qubits 0 and 1
+_GHZ = [_BELL, ("layer", {2: (1, 0, "entangle", 0, np.pi / 2)})]  # qubits 0, 1 and 2
+
+
+class TestKeptWeights:
+    """:meth:`MPS.basis_values` keeps each site's slice weights until a writer
+    replaces the site's tensor or left Schmidt values; a kept weight must
+    read as the recomputed one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 6), steps=_STEPS)
+    # a read qubit flipped by a 1-site block, a pair and a three-qubit state
+    # read from either end (each sweep of a projection, with and without a
+    # step of its loop), and a frozen qubit tilted by round-off (the drop)
+    @example(n=3, steps=[("reset", 0, None), ("layer", {1: (0, 1, "rotate", 0, np.pi / 2)})])
+    @example(n=3, steps=[_BELL, ("reset", 1, None)])
+    @example(n=3, steps=[_BELL, ("reset", 0, None)])
+    @example(n=3, steps=[*_GHZ, ("reset", 2, None)])
+    @example(n=3, steps=[*_GHZ, ("reset", 0, None)])
+    @example(n=3, steps=[("layer", {1: (0, 1, "rotate", 0, 1e-15)}), ("reset", 0, None)])
+    def test_kept_weights_read_as_recomputed(self, n, steps):
+        mps = MPS.ground(n)
+        for action, *args in steps:
+            if action == "layer":
+                pulses = {t % n: p for t, p in args[0].items()}
+
+                def pulse(target, left, right):
+                    width, start, kind, position, angle = pulses[target]
+                    lo, hi = max(target - 1, 0), min(target + 1, n - 1)
+                    width = min(width + 1, hi - lo + 1)
+                    first = min(lo + start, hi - width + 1)
+                    return _block(kind, width, min(position, width - 1), angle), first
+
+                mps.apply_layer(list(pulses), pulse)
+            else:
+                q, amplitudes = args[0] % n, args[1]
+                if action == "reset" or mps.reduced_state(q)[1] < 1.0 - INJECT_PURITY_TOL:
+                    mps.reset(q)
+                else:
+                    mps.inject(q, amplitudes)
+            fresh = copy.deepcopy(mps)
+            fresh._weights = [None] * n
+            assert mps.basis_values(range(n)) == fresh.basis_values(range(n))
+            assert _snapshot(mps) == _snapshot(fresh)
 
 
 class TestAgainstCanonicalOracle:
