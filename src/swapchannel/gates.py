@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chain import ChainSpec, TwoLevelParams, _z_values, effective_bias
-from .evolve import propagator
+from .evolve import _qubit, propagator
 
 __all__ = ["IDEAL_CNOT", "reduced_pulse_operator"]
 
@@ -45,11 +45,11 @@ def reduced_pulse_operator(
     folded operator is bit for bit a block of the unfolded one.  For a solved
     phase-exact design each block is a hold (-1) or a flip (-i), bit for bit.
     """
-    if not (0 < qubit < spec.n_qubits - 1 and (left is None or type(left) is int and left in (1, -1))
+    if not (type(qubit) is int and 0 < qubit < spec.n_qubits - 1
+            and (left is None or type(left) is int and left in (1, -1))
             and (right is None or type(right) is int and right in (1, -1))):
-        # a chain end, a numpy integer z, or a call to refuse
-        if not 0 <= qubit < spec.n_qubits:
-            raise ValueError(f"qubit {qubit} out of range for n={spec.n_qubits}")
+        # a chain end, a numpy integer, or a call to refuse
+        qubit = _qubit(qubit, spec.n_qubits)
         sides = []
         for side, z, present in (("left", left, qubit > 0), ("right", right, qubit < spec.n_qubits - 1)):
             if z is not None and (not present or not isinstance(z, (int, np.integer))

@@ -16,10 +16,9 @@ tensor and one bond.  A k-site unitary splits back from the right by k - 1
 SVDs of the lambda-weighted block, each keeping ``V^dagger`` and carrying
 the block times ``V`` on, so no lambda is divided by (Hastings, J. Math.
 Phys. 50, 095207 (2009)); singular values at or below ``TRUNCATION_RTOL`` of
-the largest are dropped.  A site's two slice weights (:meth:`MPS.basis_values`)
-are kept until a write replaces its tensor or left bond: ``_update`` forgets
-each block's sites, ``_project`` its qubit, ``_sweep_left``/``_sweep_right``
-each site they re-split, and a slice drop zeroes the dropped slice's weight.
+the largest are dropped.  Arrays are replaced, never written in place, so a
+site's kept slice weights (:meth:`MPS.basis_values`) hold while its tensor
+and left bond are still the arrays they were computed from.
 """
 
 from __future__ import annotations
@@ -39,15 +38,8 @@ TRUNCATION_RTOL = 1e-14
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The arrays on a new first axis, each zero-padded to the largest shape."""
-    if len(arrays) == 1:
-        return arrays[0][None]
-    if all(a.shape == arrays[0].shape for a in arrays):
-        return np.array(arrays)
-    out = np.zeros((len(arrays), *map(max, zip(*(a.shape for a in arrays)))), arrays[0].dtype)
-    for o, a in zip(out, arrays):
-        o[tuple(map(slice, a.shape))] = a
-    return out
+    """The arrays, all of one shape, on a new first axis."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def _runs(targets: Sequence[int]):
@@ -70,8 +62,8 @@ class MPS:
     ``max_bond`` is the largest bond any split has made; ``discarded_weight``
     sums each split's dropped squared singular values, relative to the norm
     of the state it split, and the off-basis slices :meth:`basis_values` drops.
-    ``_weights[q]`` keeps qubit q's slice weights, or None once a writer (the
-    module docstring names which) has replaced its tensor or left bond.
+    ``_weights[q]`` is None or qubit q's ``(tensor, left bond, slice weights)``,
+    valid while the two arrays are still ``tensors[q]`` and ``lambdas[q]``.
     """
 
     def __init__(self, n_qubits: int):
@@ -81,7 +73,7 @@ class MPS:
         self.lambdas = [np.ones(1) for _ in range(n_qubits + 1)]
         self.max_bond = 1
         self.discarded_weight = 0.0
-        self._weights: list[list[float] | None] = [None] * n_qubits
+        self._weights: list[tuple | None] = [None] * n_qubits
 
     @classmethod
     def ground(cls, n_qubits: int) -> "MPS":
@@ -114,16 +106,16 @@ class MPS:
         return s[0, :keep], vh[0, :keep]
 
     def _update(self, ops: Sequence[np.ndarray], firsts: Sequence[int]) -> None:
-        """Apply ``k``-site unitaries on disjoint blocks starting at ``firsts``: one
-        stacked product and k - 1 stacked splits, each site's tensors padded."""
+        """Apply ``k``-site unitaries on disjoint blocks of one shape starting at
+        ``firsts``: one stacked product and k - 1 stacked splits."""
         t, lam = self.tensors, self.lambdas
         g, k = len(ops), ops[0].shape[0].bit_length() - 1
         if k == 1:  # nothing to split
             for op, a in zip(ops, firsts):
-                t[a], self._weights[a] = op @ t[a], None
+                t[a] = op @ t[a]
             return
-        theta, right = _stacked([t[a] for a in firsts]), [t[a + k - 1].shape[2] for a in firsts]
-        dl = theta.shape[1]
+        theta = _stacked([t[a] for a in firsts])
+        dl, right = theta.shape[1], [t[firsts[0] + k - 1].shape[2]] * g
         for i in range(1, k):
             b = _stacked([t[a + i] for a in firsts])
             theta = theta.reshape(g, dl, -1, b.shape[1]) @ b.reshape(g, 1, b.shape[1], -1)
@@ -136,12 +128,11 @@ class MPS:
             sites = vh.reshape(g, -1, 2, dr)
             for j, a in enumerate(firsts):
                 t[a + i], lam[a + i] = sites[j, :keep[j], :, :right[j]], s[j, :keep[j]]
-                self._weights[a + i] = None
             right = keep
             theta = theta.reshape(g, dl << i, 2 * dr) @ vh.conj().transpose(0, 2, 1)
             theta = theta.reshape(g, dl, 1 << i, -1)
         for j, a in enumerate(firsts):
-            t[a], self._weights[a] = theta[j, :len(t[a]), :, :right[j]], None
+            t[a] = theta[j, :, :, :right[j]]
 
     def apply(self, op: np.ndarray, first_qubit: int) -> None:
         """Apply a 2^k x 2^k unitary, in chain ordering, on the ``k`` adjacent
@@ -160,52 +151,58 @@ class MPS:
 
     def _basis_values(self, qubits: Sequence[int]) -> list[int | None]:
         """:meth:`basis_values` of qubits known to be in the chain."""
-        weights, by_shape = self._weights, {}
+        t, lam, weights, by_shape = self.tensors, self.lambdas, self._weights, {}
         for q in qubits:
-            if weights[q] is None:
-                by_shape.setdefault(self.tensors[q].shape, []).append(q)
+            kept = weights[q]
+            if kept is None or kept[0] is not t[q] or kept[1] is not lam[q]:
+                by_shape.setdefault(t[q].shape, []).append(q)
         for (dl, _, _), same in by_shape.items():
-            w = abs(np.array([self.tensors[q] for q in same])) ** 2
+            w = abs(np.array([t[q] for q in same])) ** 2
             if dl > 1:  # a bond of dimension 1 weighs both slices alike
-                w *= np.array([self.lambdas[q] for q in same])[:, :, None, None] ** 2
+                w *= np.array([lam[q] for q in same])[:, :, None, None] ** 2
             for q, kept in zip(same, w.sum((1, 3)).tolist()):
-                weights[q] = kept
+                weights[q] = t[q], lam[q], kept
         values = []
         for q in qubits:
-            w = weights[q]
+            w = weights[q][2]
             cut = TRUNCATION_RTOL**2 * (w[0] + w[1])
             z = 1 if w[1] <= cut else -1 if w[0] <= cut else None
             other = int(z == 1)  # the slice a frozen qubit drops
             if z is not None and w[other]:
                 self.discarded_weight += w[other] / (w[0] + w[1])
-                self.tensors[q] = self.tensors[q].copy()
-                self.tensors[q][:, other] = 0.0
-                w[other] = 0.0  # the weight the zeroed slice now has
+                dropped = t[q].copy()
+                dropped[:, other] = w[other] = 0.0  # the zeroed slice weighs 0
+                t[q], weights[q] = dropped, (dropped, lam[q], w)
             values.append(z)
         return values
 
     def apply_layer(self, targets: Sequence[int], pulse: Callable[..., tuple]) -> None:
-        """Pulse the ``targets`` in order: ``pulse(qubit, left, right)`` gives
-        the ``(op, first_qubit)`` of :meth:`apply`, a block within ``qubit -
-        1 .. qubit + 1``, from each neighbour's :meth:`basis_values` (None
-        past a chain end), so a frozen neighbour leaves the block.  Targets
-        whose neighbourhoods are disjoint commute and go together, their
-        neighbours read in one pass and their blocks updated once per width;
+        """Pulse the ``targets``, all checked first, in order: ``pulse(qubit,
+        left, right)`` gives the ``(op, first_qubit)`` of :meth:`apply`, a
+        block that must lie in ``qubit - 1 .. qubit + 1``, from each
+        neighbour's :meth:`basis_values` (None past a chain end), so a frozen
+        neighbour leaves the block.  Targets whose neighbourhoods are disjoint
+        commute and go together, their neighbours read in one pass and their
+        blocks updated once per width and shapes of the tensors they cover;
         one whose neighbourhood meets an earlier one's starts the next run.
         """
-        n = self.n_qubits
+        n, t = self.n_qubits, self.tensors
+        for q in targets:  # every target checked before the first pulse
+            if type(q) is not int or not 0 <= q < n:
+                _qubit(q, n)
         for run in _runs(targets):
             sides = [p for q in run for p in (q - 1, q + 1) if 0 <= p < n]
             z = dict(zip(sides, self._basis_values(sides)))
             groups: dict[tuple, list[tuple]] = {}
-            for q in run:
+            for q in run:  # every block checked before the run's first update
                 op, first = pulse(q, z.get(q - 1), z.get(q + 1))
-                groups.setdefault(op.shape, []).append((op, first))
-            updates = [tuple(zip(*blocks)) for blocks in groups.values()]
-            for ops, firsts in updates:  # one check per operator shape, on its outer blocks
-                _local_width(ops[0], min(firsts), n), _local_width(ops[0], max(firsts), n)
-            for ops, firsts in updates:
-                self._update(ops, firsts)
+                k = _local_width(op, first, n)
+                if first < q - 1 or first + k > q + 2:
+                    raise ValueError(f"block [{first}, {first + k}) leaves qubit {q}'s neighbourhood")
+                # at most three sites: the end tensors' shapes fix the middle one's
+                groups.setdefault((k, t[first].shape, t[first + k - 1].shape), []).append((op, first))
+            for blocks in groups.values():
+                self._update(*zip(*blocks))
 
     def reduced_state(self, qubit: int) -> tuple[np.ndarray, float]:
         """(2x2 reduced density matrix, its purity) for one qubit."""
@@ -236,7 +233,7 @@ class MPS:
                 self._sweep_right(qubit + 1, vh)
             else:
                 core = core @ vh
-        t[qubit], self._weights[qubit] = core[:, None, :] * local[None, :, None], None
+        t[qubit] = core[:, None, :] * local[None, :, None]
 
     def _sweep_left(self, site: int, g: np.ndarray) -> None:
         """Absorb ``g`` into the right bond of ``site`` and restore the Schmidt
@@ -245,9 +242,9 @@ class MPS:
         while len(lam[site]) > 1:
             b = (t[site].reshape(-1, len(g)) @ g).reshape(len(lam[site]), -1)
             lam[site], vh = self._split(lam[site][:, None] * b)
-            t[site], g, self._weights[site] = vh.reshape(len(vh), 2, -1), b @ vh.conj().T, None
+            t[site], g = vh.reshape(len(vh), 2, -1), b @ vh.conj().T
             site -= 1
-        t[site], self._weights[site] = (t[site].reshape(-1, len(g)) @ g).reshape(1, 2, -1), None
+        t[site] = (t[site].reshape(-1, len(g)) @ g).reshape(1, 2, -1)
 
     def _sweep_right(self, site: int, g: np.ndarray) -> None:
         """Absorb ``g`` into the left bond of ``site`` and restore the Schmidt
@@ -256,9 +253,9 @@ class MPS:
         while len(lam[site + 1]) > 1:
             b = (g @ t[site].reshape(g.shape[1], -1)).reshape(len(g), 2, -1)
             lam[site + 1], vh = self._split((lam[site][:, None, None] * b).reshape(2 * len(g), -1))
-            t[site], g, self._weights[site] = b @ vh.conj().T, vh, None
+            t[site], g = b @ vh.conj().T, vh
             site += 1
-        t[site], self._weights[site] = (g @ t[site].reshape(g.shape[1], -1)).reshape(len(g), 2, 1), None
+        t[site] = (g @ t[site].reshape(g.shape[1], -1)).reshape(len(g), 2, 1)
 
     def reset(self, qubit: int) -> None:
         """Re-prepare the qubit in |0>, even if entangled: a pure state cannot hold

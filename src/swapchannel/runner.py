@@ -17,7 +17,7 @@ without asking which one it holds.  It has two modes:
   designed schedules, so a wire costs O(L), not O(2^L).
   :meth:`~swapchannel.mps.MPS.apply_layer` updates a window at once: a
   neighbour it finds frozen in a basis state leaves the pulse's block (1-3
-  sites), and the blocks of one width share one stacked product and SVD.
+  sites), and the blocks of one shape share one stacked product and SVD.
   A reset keeps the read qubit's dominant local branch, so an entangled
   read shows in its purity; only injects refuse entanglement.
 * ``full``: the complete (real symmetric) chain Hamiltonian, window by

@@ -204,6 +204,19 @@ class TestReducedPulseOperator:
             with pytest.raises(ValueError, match="out of range"):
                 reduced_pulse_operator(chain_for(design, 3), q, 0.0, design.t_ns)
 
+    @pytest.mark.parametrize("qubit", [True, 1.0, 1.5, "1"])
+    def test_qubit_that_is_not_an_integer_is_refused(self, design, qubit):
+        # True used to give qubit 1's block at first qubit 0, 1.5 first qubit 0.5
+        with pytest.raises(ValueError, match=f"qubit must be an integer, got {qubit!r}"):
+            reduced_pulse_operator(chain_for(design, 3), qubit, 0.0, design.t_ns)
+
+    def test_numpy_integer_qubit_is_taken(self, design):
+        spec = chain_for(design, 3)
+        # the checking route takes it as the plain int, so the cached operator is shared
+        op, first = reduced_pulse_operator(spec, np.int64(1), 0.0, design.t_ns, 1, None)
+        assert op is reduced_pulse_operator(spec, 1, 0.0, design.t_ns, 1, None)[0]
+        assert type(first) is int and first == 1
+
     def test_unitarity(self, design):
         spec = chain_for(design, 3)
         for q in range(3):

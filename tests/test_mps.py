@@ -179,9 +179,37 @@ class TestMPS:
         assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
         assert_canonical(mps)
 
-    def test_stacked_update_pads_unequal_bonds(self, rng):
-        # blocks of one width whose bonds differ go through one stacked
-        # update, zero-padded to the largest; the padding is dropped again
+    @pytest.mark.parametrize("bad, message", [
+        (-1, "qubit -1 out of range for n=3"), (3, "qubit 3 out of range for n=3"),
+        (True, "qubit must be an integer, got True"), (1.0, "qubit must be an integer, got 1.0"),
+    ])
+    def test_layer_refuses_targets_outside_the_chain(self, bad, message):
+        # every target is checked before any pulse is built, so the valid
+        # target listed first is not pulsed either and the state is unchanged
+        mps, built = MPS.ground(3), []
+        before = _snapshot(mps)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mps.apply_layer([0, bad], lambda q, left, right: built.append(q) or (np.eye(2)[::-1], q))
+        assert built == []
+        assert _snapshot(mps) == before
+
+    @pytest.mark.parametrize("middle, message", [
+        (3.0, "first_qubit must be an integer, got 3.0"), (7, "qubits [7, 8) out of range for n=7"),
+        (1, "block [1, 2) leaves qubit 3's neighbourhood"),
+    ])
+    def test_layer_checks_every_block_before_its_run_updates(self, middle, message):
+        # the three 1-site blocks make one run; the middle one is refused
+        # before any of them is applied
+        mps = MPS.ground(7)
+        before = _snapshot(mps)
+        firsts = {0: 0, 3: middle, 6: 6}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mps.apply_layer([0, 3, 6], lambda q, left, right: (np.eye(2)[::-1], firsts[q]))
+        assert _snapshot(mps) == before
+
+    def test_blocks_over_unequal_bonds_update_apart(self, rng, monkeypatch):
+        # blocks of one width whose bonds differ are grouped apart, so each
+        # stacked update covers tensors of one shape
         n = 10
         mps, dense = MPS.ground(n), QuantumState.ground(n)
         for first in (0, 1, 2, 6):  # bonds 1-4 grow to 2, 4, 4, 2 and bond 7 to 2
@@ -189,7 +217,12 @@ class TestMPS:
             mps.apply(u, first)
             dense = apply_local_unitary(dense, u, first)
         ops = {q: random_unitary(rng, 8) for q in (2, 5, 8)}
+        groups, update = [], MPS._update
+        monkeypatch.setattr(MPS, "_update", lambda self, o, f: groups.append(list(f))
+                            or update(self, o, f))
         mps.apply_layer(list(ops), lambda q, left, right: (ops[q], q - 1))
+        monkeypatch.undo()
+        assert groups == [[1], [4], [7]]
         for q, op in ops.items():
             dense = apply_local_unitary(dense, op, q - 1)
         assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
@@ -630,13 +663,14 @@ class TestFrozenNeighbours:
     @pytest.mark.parametrize("n_qubits, n_states", [(15, 4), (16, 2), (64, 4)])
     def test_quantum_wire_svd_calls_per_window(self, design, rng, monkeypatch, n_qubits, n_states):
         # a window's 2-site blocks are split by one stacked call, however
-        # many there are; no designed window has a 3-site block (two calls)
+        # many there are: no designed window has a 3-site block (two calls)
+        # or 2-site blocks over tensors of different shapes
         spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
         sch, _ = quantum_channel_schedule(spec, n_states, design.t_ns)
         calls = _svd_calls(monkeypatch)
         report = run_quantum_channel(spec, sch, _random_states(rng, n_states), mode="reduced")
         assert_allclose(report.min_fidelity_corrected, 1.0, rtol=0, atol=1e-12)
-        assert 0 < len(calls) <= 2 * sch.n_windows
+        assert 0 < len(calls) <= sch.n_windows
         assert sum(calls) > len(calls)  # some calls split several blocks at once
 
 
@@ -716,6 +750,24 @@ class TestKeptWeights:
             fresh._weights = [None] * n
             assert mps.basis_values(range(n)) == fresh.basis_values(range(n))
             assert _snapshot(mps) == _snapshot(fresh)
+
+    def test_tensor_assigned_from_outside_is_read(self):
+        # a kept weight holds only while its tensor is the array it came from
+        mps = MPS.ground(3)
+        assert mps.basis_values([1]) == [1]
+        mps.tensors[1] = np.array([[[0.0], [1.0]]], dtype=complex)
+        assert mps.basis_values([1]) == [-1]
+
+    @pytest.mark.parametrize("bond, z", [([1.0, 0.0], -1), ([0.0, 1.0], 1)])
+    def test_left_bond_assigned_from_outside_is_read(self, bond, z):
+        # 0.6|00> + 0.8|11>: qubit 1's Schmidt branches are |1> (0.8) and
+        # |0> (0.6), so a left bond that weighs one branch freezes it
+        mps = MPS.ground(2)
+        mps.apply(np.eye(4)[[0, 1, 3, 2]] @ np.kron([[0.6, -0.8], [0.8, 0.6]], np.eye(2)), 0)
+        assert_allclose(mps.lambdas[1], [0.8, 0.6], rtol=0, atol=1e-15)
+        assert mps.basis_values([1]) == [None]
+        mps.lambdas[1] = np.array(bond)
+        assert mps.basis_values([1]) == [z]
 
 
 class TestAgainstCanonicalOracle:
