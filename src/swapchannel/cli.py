@@ -120,13 +120,14 @@ def _cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _chain_setup(cfg: dict, n_qubits: int) -> tuple[GateDesign, float, ChainSpec]:
+def _chain_setup(cfg: dict, n_qubits: int, key: str) -> tuple[GateDesign, float, ChainSpec]:
     """(design, parking bias, chain) from the ``t_ns``/``m``/``n``/``eps_high_mhz``
-    settings of a config or command line."""
+    settings of a config or command line; ``key`` names the bias in a refusal."""
     design = solve_parameters(cfg["t_ns"], m=cfg["m"], n=cfg["n"])
     eps = cfg["eps_high_mhz"]
     if eps == "snap_1000x_delta":
         eps = snapped_hold_bias(design.delta_mhz, design.t_ns)
+    _require_resolvable(eps, design.t_ns, _PARKED, name=key)
     spec = ChainSpec(
         n_qubits=n_qubits, delta_mhz=design.delta_mhz, xi_mhz=design.xi_mhz, eps_high_mhz=eps
     )
@@ -152,7 +153,7 @@ def _cmd_schedule(args) -> int:
     if other[1] is not None:
         raise ConfigError(f"{other[0]} is not an option of a {args.kind} schedule")
     eps = "snap_1000x_delta" if args.eps_high_mhz is None else args.eps_high_mhz
-    _, _, spec = _chain_setup(vars(args) | {"eps_high_mhz": eps}, args.n_qubits)
+    _, _, spec = _chain_setup(vars(args) | {"eps_high_mhz": eps}, args.n_qubits, "--eps-high-mhz")
     if args.kind == "quantum":
         if args.n_states is None:
             raise ConfigError("--n-states is required for a quantum schedule")
@@ -234,11 +235,22 @@ print(out)
 #: x * 1e-16 rad, and both columns carry that error in every row: with
 #: delta = bias over 10 ns they differ by at most 6e-8 at 8.9e8 rad, 1.3e-5 at
 #: 8.9e10 rad and 5e-4 at 8.9e12 rad (0.15 at delta = bias = 1e300 MHz).
+#: ``run`` and ``schedule`` hold a parking bias's phase per window to it too.
 MAX_TRACE_PHASE_RAD = 1e9
+_PARKED = ("{name}: a qubit parked at {mhz:.3g} MHz turns {phase:.3g} rad per window, past "
+           "{bound:.0e} rad, where float64 cannot resolve its phase")
 #: The most samples a trace may ask for; more are refused before anything is
 #: built.  One core of a Xeon writes 1e4 rows in 0.34 s (34 MB peak) and 1e5
 #: rows in 3.5 s (49 MB peak, a 5 MB CSV); time and memory grow with the rows.
 MAX_TRACE_SAMPLES = 100_000
+
+
+def _require_resolvable(mhz: float, t_ns: float, refusal: str, **names) -> None:
+    """Refuse with ``refusal``, formatted, a phase ``2*pi*1e-3*mhz*t_ns`` past
+    ``MAX_TRACE_PHASE_RAD``: float64 cannot resolve it."""
+    phase = 2.0 * math.pi * 1e-3 * mhz * t_ns
+    if phase > MAX_TRACE_PHASE_RAD:
+        raise ConfigError(refusal.format(mhz=mhz, phase=phase, bound=MAX_TRACE_PHASE_RAD, **names))
 
 
 def _cmd_trace(args) -> int:
@@ -248,13 +260,10 @@ def _cmd_trace(args) -> int:
         raise ConfigError(f"--delta-mhz: must be > 0, got {args.delta_mhz}")
     _number(args.bias_mhz, "--bias-mhz:")
     params = TwoLevelParams(delta_mhz=args.delta_mhz, effective_bias_mhz=args.bias_mhz)
-    phase = 2.0 * math.pi * 1e-3 * math.hypot(args.delta_mhz, args.bias_mhz) * args.duration_ns
-    if phase > MAX_TRACE_PHASE_RAD:
-        raise ConfigError(
-            f"total phase {phase:.3g} rad exceeds {MAX_TRACE_PHASE_RAD:.0e} rad, past which "
-            "float64 cannot resolve the oscillation; shorten --duration-ns or lower "
-            "--delta-mhz/--bias-mhz"
-        )
+    _require_resolvable(math.hypot(args.delta_mhz, args.bias_mhz), args.duration_ns,
+                        "total phase {phase:.3g} rad exceeds {bound:.0e} rad, past which float64 "
+                        "cannot resolve the oscillation; shorten --duration-ns or lower "
+                        "--delta-mhz/--bias-mhz")
     descriptor = oscillation_descriptor(params)
     times, probs = sample_trajectory(
         QuantumState.ground(1), params.hamiltonian(), args.duration_ns, args.samples
@@ -281,10 +290,10 @@ def _cmd_trace(args) -> int:
 #: ask for; larger sizes are refused before anything is built (full mode is
 #: capped lower, by ``build_hamiltonian``).  1024 is five times the longest
 #: wire studied (L = 201) and keeps any config to minutes.  Reduced mode, one
-#: core of a Xeon, whole ``run``: 1024 qubits with one state in 1.0 s (224 MB
-#: peak), 5 qubits with 1024 states in 1.2 s, 1024 bits in 0.9 s, 1024 sweep
-#: points in 0.3 s, and 1024 qubits with 64 states in 5.8 s (313 MB); time
-#: grows with qubits x states.
+#: Xeon core, whole ``run``, no schedule file: 1024 qubits, 1 state 0.7 s (190
+#: MB peak); 5 qubits, 1024 states 1.1 s; 1024 bits 0.6 s; 1024 sweep points
+#: 0.4 s; 1024 qubits, 64 states 3.3 s (231 MB); classical wire, 1024 qubits
+#: 5.1 s (138 MB).  Time grows as qubits x states, or qubits^2 when classical.
 MAX_CONFIG_QUBITS = 1024
 MAX_CONFIG_ITEMS = 1024
 
@@ -521,6 +530,8 @@ def _validate_config(cfg: dict) -> dict:
     # the rules that tie one key to another
     if "slope_range" in given and out["eps_grid"] is None:
         raise ConfigError("config.assertions.slope_range: needs eps_grid")
+    for i, eps in enumerate(out.get("eps_grid") or []):  # eps_high_mhz: in _chain_setup
+        _require_resolvable(eps, out["t_ns"], _PARKED, name=f"config.eps_grid[{i}]")
     if experiment == "quantum_wire":
         if out["states"] != "random":
             if "seed" in cfg:
@@ -679,7 +690,7 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from None
     run = _RUNNERS[cfg["experiment"]]
     # copy_table and gate run on the 3-qubit test chain
-    design, eps, spec = _chain_setup(cfg, cfg.get("n_qubits", 3))
+    design, eps, spec = _chain_setup(cfg, cfg.get("n_qubits", 3), "config.eps_high_mhz")
     entries, wire = run(cfg, spec, design)
     report = {"experiment": cfg["experiment"], "design": _design_obj(design), "eps_high_mhz": eps}
     report |= entries

@@ -23,7 +23,7 @@ and left bond are still the arrays they were computed from.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -40,20 +40,6 @@ TRUNCATION_RTOL = 1e-14
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """The arrays, all of one shape, on a new first axis."""
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-
-
-def _runs(targets: Sequence[int]):
-    """``targets`` in order, cut into runs whose neighbourhoods ``q-1..q+1``
-    are pairwise disjoint (such pulses commute)."""
-    run, used = [], set()
-    for q in targets:
-        if q - 1 in used or q in used or q + 1 in used:
-            yield run
-            run, used = [], set()
-        run.append(q)
-        used.update((q - 1, q, q + 1))
-    if run:
-        yield run
 
 
 class MPS:
@@ -149,7 +135,7 @@ class MPS:
         """
         return self._basis_values([_qubit(q, self.n_qubits) for q in qubits])
 
-    def _basis_values(self, qubits: Sequence[int]) -> list[int | None]:
+    def _basis_values(self, qubits: Collection[int]) -> list[int | None]:
         """:meth:`basis_values` of qubits known to be in the chain."""
         t, lam, weights, by_shape = self.tensors, self.lambdas, self._weights, {}
         for q in qubits:
@@ -177,32 +163,44 @@ class MPS:
         return values
 
     def apply_layer(self, targets: Sequence[int], pulse: Callable[..., tuple]) -> None:
-        """Pulse the ``targets``, all checked first, in order: ``pulse(qubit,
-        left, right)`` gives the ``(op, first_qubit)`` of :meth:`apply`, a
-        block that must lie in ``qubit - 1 .. qubit + 1``, from each
-        neighbour's :meth:`basis_values` (None past a chain end), so a frozen
-        neighbour leaves the block.  Targets whose neighbourhoods are disjoint
-        commute and go together, their neighbours read in one pass and their
-        blocks updated once per width and shapes of the tensors they cover;
-        one whose neighbourhood meets an earlier one's starts the next run.
+        """Pulse the ``targets``, one layer: distinct qubits, no two of them
+        neighbours (else refused, as is one outside the chain, before any
+        pulse is built), so each pulse reads only its neighbours' z and the
+        pulses commute.  ``pulse(qubit, left, right)`` gives the ``(op,
+        first_qubit)`` of :meth:`apply`, a block that must lie in ``qubit - 1
+        .. qubit + 1``, from each neighbour's :meth:`basis_values` (None past a
+        chain end, all read in one pass), so a frozen neighbour leaves the
+        block.  Every block is checked before the first update, and blocks of
+        one width and end-tensor shapes share one, but for a block over a
+        neighbour of two targets, which goes on its own.
         """
         n, t = self.n_qubits, self.tensors
-        for q in targets:  # every target checked before the first pulse
+        for q in targets:
             if type(q) is not int or not 0 <= q < n:
                 _qubit(q, n)
-        for run in _runs(targets):
-            sides = [p for q in run for p in (q - 1, q + 1) if 0 <= p < n]
-            z = dict(zip(sides, self._basis_values(sides)))
-            groups: dict[tuple, list[tuple]] = {}
-            for q in run:  # every block checked before the run's first update
-                op, first = pulse(q, z.get(q - 1), z.get(q + 1))
-                k = _local_width(op, first, n)
-                if first < q - 1 or first + k > q + 2:
-                    raise ValueError(f"block [{first}, {first + k}) leaves qubit {q}'s neighbourhood")
-                # at most three sites: the end tensors' shapes fix the middle one's
-                groups.setdefault((k, t[first].shape, t[first + k - 1].shape), []).append((op, first))
-            for blocks in groups.values():
-                self._update(*zip(*blocks))
+        listed = [p for q in targets for p in (q - 1, q + 1) if 0 <= p < n]
+        sides, chosen = dict.fromkeys(listed), set(targets)
+        if len(chosen) < len(targets) or not chosen.isdisjoint(sides):
+            order = sorted(targets)
+            a, b = next((a, b) for a, b in zip(order, order[1:]) if b - a < 2)
+            raise ValueError(f"qubit {a} is pulsed twice in one layer" if a == b
+                             else f"neighbours {a} and {b} are pulsed in one layer")
+        # the neighbours two targets share, looked for only if one was listed twice
+        shared = {q + 1 for q in targets if q + 2 in chosen} if len(sides) < len(listed) else ()
+        z = dict(zip(sides, self._basis_values(sides)))
+        groups: dict[object, list[tuple]] = {}
+        for q in targets:
+            op, first = pulse(q, z.get(q - 1), z.get(q + 1))
+            k = _local_width(op, first, n)
+            last = first + k - 1
+            if first < q - 1 or last > q + 1:
+                raise ValueError(f"block [{first}, {last + 1}) leaves qubit {q}'s neighbourhood")
+            # two blocks over one neighbour commute but cannot share a stacked
+            # update; of at most three sites, the end ones' shapes fix the middle's
+            key = q if first in shared or last in shared else (k, t[first].shape, t[last].shape)
+            groups.setdefault(key, []).append((op, first))
+        for blocks in groups.values():
+            self._update(*zip(*blocks))
 
     def reduced_state(self, qubit: int) -> tuple[np.ndarray, float]:
         """(2x2 reduced density matrix, its purity) for one qubit."""

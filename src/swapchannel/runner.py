@@ -15,9 +15,9 @@ without asking which one it holds.  It has two modes:
   Wire runs keep the pure state as an exact matrix-product state in Vidal
   form (:class:`~swapchannel.mps.MPS`), whose bonds stay at dimension 2 on
   designed schedules, so a wire costs O(L), not O(2^L).
-  :meth:`~swapchannel.mps.MPS.apply_layer` updates a window at once: a
-  neighbour it finds frozen in a basis state leaves the pulse's block (1-3
-  sites), and the blocks of one shape share one stacked product and SVD.
+  :meth:`~swapchannel.mps.MPS.apply_layer` pulses a window as one layer of
+  distinct qubits, no two neighbours: a frozen neighbour leaves the pulse's
+  block (1-3 sites), and blocks of one shape share one product and SVD.
   A reset keeps the read qubit's dominant local branch, so an entangled
   read shows in its purity; only injects refuse entanglement.
 * ``full``: the complete (real symmetric) chain Hamiltonian, window by

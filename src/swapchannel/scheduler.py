@@ -276,7 +276,7 @@ class PulseSchedule:
 
     @property
     def pulse_count(self) -> int:
-        return int(np.count_nonzero(self.events[:, 1] < _INJECT))
+        return int(np.count_nonzero(self.pulsed))
 
     @cached_property
     def windows(self) -> tuple[Window, ...]:
@@ -294,10 +294,10 @@ class PulseSchedule:
 
     @cached_property
     def gate_targets(self) -> tuple[tuple[int, ...], ...]:
-        """Per window, the qubits it pulses, in event order."""
-        gates = self.events[self.events[:, 1] < _INJECT]
-        qubits = gates[:, 2].tolist()
-        cuts = np.searchsorted(gates[:, 0], np.arange(self.n_windows + 1)).tolist()
+        """Per window, the distinct qubits it pulses, ascending: the rows of :attr:`pulsed`."""
+        windows, qubits = np.nonzero(self.pulsed)
+        cuts = np.searchsorted(windows, np.arange(self.n_windows + 1)).tolist()
+        qubits = qubits.tolist()
         return tuple(tuple(qubits[a:b]) for a, b in zip(cuts, cuts[1:]))
 
     @cached_property
@@ -570,8 +570,9 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
     one; missing neighbours count as parked).  |0> is the only literal
     (read_reset parks a qubit, inject writes its data index, gates only move
     symbols), so a copy whose symbols differ is undecidable.  Inject into
-    anything but a parked qubit, an undecidable comparison, or a disturbed
-    sacrificial qubit each yield a violation.
+    anything but a parked qubit, an undecidable comparison, a disturbed
+    sacrificial qubit, or two neighbours pulsed in one copy window (each
+    needs the other parked) each yield a violation.
 
     Each read records its data's swaps since the inject, mod 2
     (:attr:`ReadRecord.z_parity`): a swap leaves a Z on the data it moves, and
@@ -636,7 +637,10 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
             continue
         # plain copy window (or an idle window with no targets)
         snapshot()
-        for q in sorted(t0):
+        for q in schedule.gate_targets[i]:
+            if q + 1 in t0:
+                violations.append(Violation(i, "pulsed_neighbour", (q, q + 1), (
+                    f"neighbours {q} and {q + 1} are pulsed in one window")))
             if occ.get(q) != occ.get(q + 1):
                 violations.append(Violation(i, "indeterminate", (q,), (
                     f"cannot compare qubit {q} ({_symbol_text(occ.get(q))}) "
@@ -708,7 +712,7 @@ def line_conflict_check(schedule: PulseSchedule, assignment: LineAssignment) -> 
         for g in np.flatnonzero(conflict[i]).tolist():
             values = {row[q] for q in np.flatnonzero(rank_of == g).tolist()}
             problems.append(f"window {i}: line {in_use[g]} would need biases {sorted(values)}")
-        for q in set(schedule.gate_targets[i]):
+        for q in schedule.gate_targets[i]:
             if lines[q] is None:
                 problems.append(f"window {i}: pulsed qubit {q} has no line")
         for q in np.flatnonzero(shares[i]).tolist():

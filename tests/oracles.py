@@ -56,7 +56,8 @@ from swapchannel.scheduler import (
 )
 
 def _gate_targets(window) -> tuple:
-    return tuple(e.qubit for e in window.events if e.kind in GATE_KINDS)
+    """The qubits the window pulses, each once, ascending."""
+    return tuple(sorted({e.qubit for e in window.events if e.kind in GATE_KINDS}))
 
 
 def _boundary_events(window) -> tuple:
@@ -453,7 +454,7 @@ def loop_line_conflict_check(schedule, assignment) -> LineCheckReport:
                 )
         targets = set(_gate_targets(w))
         pulsed_lines = set()
-        for q in targets:
+        for q in sorted(targets):
             if assignment.lines[q] is None:
                 problems.append(f"window {i}: pulsed qubit {q} has no line")
             else:
@@ -596,6 +597,10 @@ def loop_replay_occupancy(schedule) -> ReplayResult:
             continue
         snapshot()
         for q in sorted(t0):
+            if {q, q + 1} <= t0:
+                violations.append(Violation(
+                    window_index=i, kind="pulsed_neighbour", qubits=(q, q + 1),
+                    message=f"neighbours {q} and {q + 1} are pulsed in one window"))
             if occ.get(q) != occ.get(q + 1):
                 violations.append(Violation(
                     window_index=i, kind="indeterminate", qubits=(q,),

@@ -513,6 +513,55 @@ class TestTraceCommand:
             assert_allclose(float(row["p1_simulated"]), float(row["p1_analytic"]), atol=1e-6)
 
 
+class TestParkedPhaseBound:
+    """A parking bias whose phase per window, 2*pi*1e-3*eps*t_ns, is past
+    MAX_TRACE_PHASE_RAD exits 1 naming its key: float64 cannot resolve such a
+    phase, and the bundled quantum wire read a corrected fidelity of
+    0.999996560 at 1e13 MHz and refused a false entanglement at 1e15 MHz."""
+
+    @pytest.mark.parametrize("eps", [1e13, 1e15])
+    def test_run_refuses_the_bundled_wire_at_a_huge_bias(self, capsys, tmp_path, eps):
+        cfg = cli._load_config("fig2_quantum_wire") | {"eps_high_mhz": eps}
+        path = tmp_path / "wire.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: config.eps_high_mhz: a qubit parked at {eps:.3g} MHz")
+        assert "float64 cannot resolve its phase" in err
+        assert not list(tmp_path.glob("*report*"))
+
+    def test_run_holds_the_snapped_bias_to_the_bound(self, capsys, tmp_path):
+        # snap_1000x_delta parks at 1000 delta, a phase of 500*pi*(2n + 1) per
+        # window: 3.1e9 rad at n = 1e6, and 1.0e9 rad at n = 318309
+        for n, code in ((10**6, 1), (318309, 0)):
+            path = tmp_path / "copy.json"
+            path.write_text(json.dumps({"experiment": "copy_table", "m": n + 1, "n": n}))
+            got, _, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+            assert got == code
+            assert err.startswith("error: config.eps_high_mhz: a qubit parked at 5e+10 MHz "
+                                  "turns 3.14e+09 rad per window") == (code == 1)
+
+    def test_run_refuses_a_sweep_point_past_the_bound(self, capsys, tmp_path):
+        path = tmp_path / "gate.json"
+        path.write_text(json.dumps({"experiment": "gate", "mode": "full",
+                                    "eps_grid": [2500.0, 1e13]}))
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: config.eps_grid[1]: a qubit parked at 1e+13 MHz")
+
+    @pytest.mark.parametrize("eps, t_ns, code", [
+        ("1.5e10", "10", 0), ("1.6e10", "10", 1), ("1.6e10", "9", 0), ("1e13", "10", 1),
+    ])
+    def test_schedule_takes_the_bound_at_its_window(self, capsys, tmp_path, eps, t_ns, code):
+        # the bound is 1e9 / (2*pi*1e-3 * t_ns) MHz: about 1.59e10 MHz at 10 ns
+        path = tmp_path / "wire.json"
+        got, _, err = run_cli(capsys, "schedule", "--kind", "quantum", "--n-qubits", "5",
+                              "--n-states", "1", "--t-ns", t_ns, "--eps-high-mhz", eps,
+                              "--out", str(path))
+        assert got == code and path.exists() == (code == 0)
+        assert err.startswith("error: --eps-high-mhz: a qubit parked at") == (code == 1)
+
+
 def assert_matches_golden(got, want, path="report"):
     """Keys, strings, ints and bools exactly; floats to 1e-9, and a float
     under a key naming a phase modulo 2 pi."""

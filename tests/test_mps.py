@@ -144,8 +144,8 @@ class TestMPS:
 
     def test_layer_order_does_not_change_the_state(self, rng, monkeypatch):
         # three pulses whose 3-site neighbourhoods are disjoint commute, so
-        # the layer is one run, whatever the order of its targets; the ends'
-        # pulses span 2 sites and share one stacked update
+        # the layer reads the same whatever the order of its targets; the
+        # ends' pulses span 2 sites and share one stacked update
         n = 9
         ops = {0: random_unitary(rng, 4), 4: random_unitary(rng, 8), 8: random_unitary(rng, 4)}
         dense = QuantumState.ground(n)
@@ -164,20 +164,23 @@ class TestMPS:
             assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
             assert_canonical(mps)
 
-    def test_overlapping_layer_keeps_its_order(self, rng):
-        # neighbourhoods that meet are pulsed in the order given, each in its
-        # own run, and a later run reads the neighbours the earlier one left
-        n = 5
-        ops = {2: random_unitary(rng, 8), 3: random_unitary(rng, 8)}
-        dense = QuantumState.ground(n)
-        for q, op in ops.items():
-            dense = apply_local_unitary(dense, op, q - 1)
-        mps = MPS.ground(n)
-        seen = []
-        mps.apply_layer([2, 3], lambda q, left, right: seen.append((q, left, right)) or (ops[q], q - 1))
-        assert seen == [(2, 1, 1), (3, None, 1)]
-        assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
-        assert_canonical(mps)
+    @pytest.mark.parametrize("targets, message", [
+        ([1, 2], "neighbours 1 and 2 are pulsed in one layer"),
+        ([2, 1], "neighbours 1 and 2 are pulsed in one layer"),
+        ([1, 1], "qubit 1 is pulsed twice in one layer"),
+    ])
+    def test_layer_refuses_repeated_and_neighbouring_targets(self, rng, targets, message):
+        # a pulse reads its neighbours' z, so the pulses of a layer commute
+        # only on distinct qubits, no two of them neighbours; any other layer
+        # is refused before a pulse is built, whatever its order, and the
+        # (entangled) state is unchanged
+        mps, built = MPS.ground(5), []
+        mps.apply(random_unitary(rng, 8), 1)
+        before = _snapshot(mps)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mps.apply_layer(targets, lambda q, left, right: built.append(q) or (np.eye(2)[::-1], q))
+        assert built == []
+        assert _snapshot(mps) == before
 
     @pytest.mark.parametrize("bad, message", [
         (-1, "qubit -1 out of range for n=3"), (3, "qubit 3 out of range for n=3"),
@@ -198,7 +201,7 @@ class TestMPS:
         (1, "block [1, 2) leaves qubit 3's neighbourhood"),
     ])
     def test_layer_checks_every_block_before_its_run_updates(self, middle, message):
-        # the three 1-site blocks make one run; the middle one is refused
+        # the three 1-site blocks make one layer; the middle one is refused
         # before any of them is applied
         mps = MPS.ground(7)
         before = _snapshot(mps)
@@ -389,11 +392,16 @@ def _random_states(rng, n):
 
 
 def _random_entangling_schedule(rng, n):
-    """14 windows of 1-3 random pulse targets at random biases and durations
-    (no swap pattern), with data injected at qubits 0 and 4 first."""
+    """14 windows of 1-3 random pulse targets, no two of them neighbours, at
+    random biases and durations (no swap pattern), with data injected at
+    qubits 0 and 4 first."""
     windows = []
     for w in range(14):
-        targets = sorted(int(q) for q in rng.choice(n, size=int(rng.integers(1, 4)), replace=False))
+        # k sorted draws from n - k + 1 places, the i-th moved up by i: any k
+        # targets at least two apart, each set as likely as any other
+        k = int(rng.integers(1, 4))
+        places = np.sort(rng.choice(n - k + 1, size=k, replace=False))
+        targets = [int(c) + i for i, c in enumerate(places)]
         biases = [SNAP_EPS] * n
         for q in targets:
             biases[q] = float(rng.uniform(-60.0, 60.0))
@@ -473,6 +481,40 @@ class TestReducedRunnerAgainstDense:
         (mps,) = mps_spy
         assert mps.max_bond > 2
         assert mps.discarded_weight < 1e-28
+        assert_allclose(mps_vector(mps), final.data[:, 0], rtol=0, atol=1e-12)
+        assert_allclose(report.final_trace, final.trace(), rtol=0, atol=1e-12)
+
+    def test_pulses_around_a_live_neighbour(self, design, rng, mps_spy, monkeypatch):
+        # qubits 1 and 3 are pulsed in one window around qubit 2, which holds
+        # a superposition: their blocks share it, so they commute but update
+        # apart, and the run reads as the dense path does; each window reads
+        # its neighbours in one pass
+        n = 5
+        spec = chain_for(design, n, eps_high=SNAP_EPS)
+        windows = []
+        for w, targets in enumerate([(1, 3), (2,), (1, 3), (0, 2, 4), (1, 3)]):
+            biases = [SNAP_EPS] * n
+            for q in targets:
+                biases[q] = float(rng.uniform(-60.0, 60.0))
+            events = [PulseEvent(kind="cnot_pulse", qubit=q) for q in targets]
+            if w == 0:
+                events.insert(0, PulseEvent(kind="inject", qubit=2, data_index=0))
+            windows.append(Window(w * 10.0, design.t_ns, tuple(biases), tuple(events)))
+        sch = PulseSchedule(n, tuple(windows))
+        states = _random_states(rng, 1)
+        updates, update, reads, read = [], MPS._update, [], MPS._basis_values
+        monkeypatch.setattr(MPS, "_update", lambda self, o, f: updates.append(list(f))
+                            or update(self, o, f))
+        monkeypatch.setattr(MPS, "_basis_values", lambda self, q: reads.append(list(q))
+                            or read(self, q))
+        report = run_quantum_channel(spec, sch, states, mode="reduced")
+        assert reads == [[0, 2, 4], [1, 3], [0, 2, 4], [1, 3], [0, 2, 4]]
+        final = dense_reduced_replay(
+            spec, sch, lambda i: states[i], None, inject_tol=1e-3, read_tol=1e-6
+        )
+        assert updates[:2] == [[1], [2]]  # the first window's blocks [1, 2] and [2, 3]
+        (mps,) = mps_spy
+        assert mps.max_bond == 4 and mps.discarded_weight < 1e-28
         assert_allclose(mps_vector(mps), final.data[:, 0], rtol=0, atol=1e-12)
         assert_allclose(report.final_trace, final.trace(), rtol=0, atol=1e-12)
 
@@ -730,7 +772,10 @@ class TestKeptWeights:
         mps = MPS.ground(n)
         for action, *args in steps:
             if action == "layer":
-                pulses = {t % n: p for t, p in args[0].items()}
+                pulses = {}  # a layer's targets are distinct and not neighbours
+                for t, p in args[0].items():
+                    if not {t % n - 1, t % n, t % n + 1} & pulses.keys():
+                        pulses[t % n] = p
 
                 def pulse(target, left, right):
                     width, start, kind, position, angle = pulses[target]

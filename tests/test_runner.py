@@ -670,6 +670,43 @@ class TestReadDataIndexCheck:
         assert report.records == ()
 
 
+def _one_window_copy(design, order, read):
+    """Four qubits, |1> injected at qubit 0, one window pulsing ``order`` (at
+    bias 0, the rest parked) and a final read of qubit ``read``."""
+    biases = tuple(0.0 if q in order else SNAP_EPS for q in range(4))
+    events = (PulseEvent(kind="inject", qubit=0, data_index=0),) + tuple(
+        PulseEvent(kind="cnot_pulse", qubit=q) for q in order)
+    return PulseSchedule(4, (Window(0.0, design.t_ns, biases, events),),
+                         (PulseEvent(kind="read_reset", qubit=read, data_index=0),))
+
+
+class TestOneLayerPerWindow:
+    """A window's pulses are one layer: a set of qubits, no two of them
+    neighbours, so the order and repetition of its gate events do not matter."""
+
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+    def test_neighbours_pulsed_together_are_refused(self, design, order):
+        # read one pulse after the other, this window copied |1> to qubit 2
+        # or not at all, depending on the order of its events
+        spec = chain_for(design, 4, eps_high=SNAP_EPS)
+        sch = _one_window_copy(design, order, read=2)
+        with pytest.raises(ValueError, match="neighbours 1 and 2 are pulsed in one layer"):
+            run_classical_channel(spec, sch, [1], mode="reduced")
+        with pytest.raises(ScheduleError, match="neighbours 1 and 2 are pulsed in one window"):
+            run_quantum_channel(spec, sch, [[0.0, 1.0]], mode="full")
+        # a full-mode classical run needs no replay and simulates what it is given
+        full = run_classical_channel(spec, sch, [1], mode="full")
+        assert_allclose(full.records[0].p_one, 0.5731304041182937, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("mode", ["reduced", "full"])
+    def test_a_repeated_pulse_is_pulsed_once(self, design, mode):
+        spec = chain_for(design, 4, eps_high=SNAP_EPS)
+        sch = _one_window_copy(design, (1, 1), read=1)
+        assert sch.gate_targets == ((1,),) and sch.replay.ok
+        report = run_classical_channel(spec, sch, [1], mode=mode)
+        assert_allclose(report.records[0].p_one, 1.0, rtol=0, atol=1e-6)
+
+
 class TestFullModeFastPath:
     """Structural guards: full mode diagonalises real matrices, keeps a
     one-state wire on a state vector for every window and compresses the

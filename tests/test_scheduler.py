@@ -20,7 +20,7 @@ from swapchannel import (
     swap_pulses,
     validate_sacrificial,
 )
-from swapchannel.scheduler import EVENT_KINDS, replay_occupancy
+from swapchannel.scheduler import EVENT_KINDS, Violation, replay_occupancy
 
 
 def bare_window(n: int, targets=(), events=(), start=0.0, t=10.0) -> Window:
@@ -73,6 +73,14 @@ class TestScheduleContainers:
         sch = PulseSchedule(3, (w,), (PulseEvent(kind="hold", qubit=2),))
         assert sch.gate_targets == ((1,),)
         assert [[e.kind for e in events] for events in sch.boundary_events] == [["inject"], []]
+
+    def test_gate_targets_are_distinct_and_ascending(self):
+        # a window's pulses are a set: the order and repetition of its gate
+        # events do not matter, to the targets or to the pulse count
+        sch = PulseSchedule(5, [bare_window(5, targets=(3, 1, 3)),
+                                bare_window(5, targets=(4, 0), start=10.0), bare_window(5, start=20.0)])
+        assert sch.gate_targets == ((1, 3), (0, 4), ())
+        assert sch.pulse_count == 4
 
     @pytest.mark.parametrize(
         "fields, fragment",
@@ -589,6 +597,16 @@ class TestReplayViolations:
         )
         result = replay_occupancy(PulseSchedule(n_qubits=3, windows=windows))
         assert [v.kind for v in result.violations] == ["indeterminate"]
+
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+    def test_copy_window_pulsing_neighbours(self, order):
+        # each pulse of a window needs its neighbours parked, so a copy window
+        # may not pulse two neighbours, in whatever order its events list them
+        inject = PulseEvent(kind="inject", qubit=0, data_index=0)
+        sch = PulseSchedule(4, [bare_window(4, targets=order, events=(inject,))])
+        assert sch.gate_targets == ((1, 2),)
+        assert replay_occupancy(sch).violations == (Violation(
+            0, "pulsed_neighbour", (1, 2), "neighbours 1 and 2 are pulsed in one window"),)
 
     def test_validate_sacrificial_wrapper(self, design):
         spec = chain_for(design, 4)
