@@ -8,7 +8,7 @@ Reduced mode takes every pulse from :func:`reduced_pulse_operator`, which
 caches its operators for the process and checks only what a cache key cannot
 hold.  A neighbour the caller knows to be frozen in a basis state is folded
 into the effective bias and leaves the block, so a pulse acts on 1-3 qubits.
-"""
+A swap triple's three pulses on a pair fold into one block (:func:`_swap_pulse`)."""
 
 from __future__ import annotations
 
@@ -88,5 +88,35 @@ def _block_operator(
         out.reshape((2,) * (2 * k)), (k - 1, 2 * k - 1), (target_axis, k + target_axis)
     )
     op = out.reshape(1 << k, 1 << k)
+    op.flags.writeable = False
+    return op
+
+
+def _swap_pulse(spec: ChainSpec, a: int, a_first: bool, windows: tuple,
+                left: int | None, right: int | None) -> tuple[np.ndarray, int]:
+    """``(op, first_qubit)`` of a swap triple on the pair ``(a, a + 1)``, whose
+    ``windows`` ``(biases, duration)`` pulse ``a`` first and last if ``a_first``,
+    given the outer neighbours' z as :meth:`~swapchannel.mps.MPS.apply_layer`
+    reads them (None past a chain end, or for a live one, kept in the block)."""
+    steps = tuple((on_a, biases[a if on_a else a + 1], duration) for on_a, (biases, duration)
+                  in zip((a_first, not a_first, a_first), windows))
+    left = 0 if a == 0 else left
+    right = 0 if a == spec.n_qubits - 2 else right
+    return _swap_operator(spec.delta_mhz, spec.xi_mhz, steps, left, right), a - (left is None)
+
+
+@lru_cache(maxsize=256)
+def _swap_operator(delta_mhz: float, xi_mhz: float, steps: tuple,
+                   left: int | None, right: int | None) -> np.ndarray:
+    """Product of ``steps`` ``(on_a, bias_mhz, duration_ns)``, each pulsing
+    ``a`` or ``a + 1``, over the pair and each live (None) outer neighbour:
+    each pulse's own :func:`_block_operator`, partner kept in, times the
+    identity on a live neighbour it does not read.  Keys are plain values."""
+    op = None
+    for on_a, bias, t in steps:
+        w = _block_operator(delta_mhz, xi_mhz, bias, t, *((left, None) if on_a else (None, right)))
+        if (right if on_a else left) is None:
+            w = np.kron(w, np.eye(2)) if on_a else np.kron(np.eye(2), w)
+        op = w if op is None else w @ op
     op.flags.writeable = False
     return op

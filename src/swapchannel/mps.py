@@ -162,42 +162,49 @@ class MPS:
             values.append(z)
         return values
 
-    def apply_layer(self, targets: Sequence[int], pulse: Callable[..., tuple]) -> None:
-        """Pulse the ``targets``, one layer: distinct qubits, no two of them
-        neighbours (else refused, as is one outside the chain, before any
-        pulse is built), so each pulse reads only its neighbours' z and the
-        pulses commute.  ``pulse(qubit, left, right)`` gives the ``(op,
-        first_qubit)`` of :meth:`apply`, a block that must lie in ``qubit - 1
-        .. qubit + 1``, from each neighbour's :meth:`basis_values` (None past a
-        chain end, all read in one pass), so a frozen neighbour leaves the
-        block.  Every block is checked before the first update, and blocks of
-        one width and end-tensor shapes share one, but for a block over a
-        neighbour of two targets, which goes on its own.
+    def apply_layer(self, firsts: Sequence[int], pulse: Callable[..., tuple], width: int = 1) -> None:
+        """Pulse one layer of runs of ``width`` adjacent qubits, each given by
+        its first qubit (a run of one is a qubit), no two of them repeating,
+        overlapping or touching (else refused, as is a run leaving the chain,
+        before any pulse is built), so each run's pulse reads only its two
+        outer neighbours' z and the pulses commute.  ``pulse(first, left,
+        right)`` gives the ``(op, first_qubit)`` of :meth:`apply`, a block that
+        must lie in the run and its outer neighbours, from each outer
+        neighbour's :meth:`basis_values` (None past a chain end, all read in
+        one pass), so a frozen neighbour leaves the block.  Every block is
+        checked before the first update, and blocks over tensors of one shape
+        share one, but for a block over a neighbour of two runs, which goes
+        on its own.
         """
         n, t = self.n_qubits, self.tensors
-        for q in targets:
-            if type(q) is not int or not 0 <= q < n:
+        width = _integer(width, "width", low=1)
+        for q in firsts:
+            if type(q) is not int or not 0 <= q <= n - width:
                 _qubit(q, n)
-        listed = [p for q in targets for p in (q - 1, q + 1) if 0 <= p < n]
-        sides, chosen = dict.fromkeys(listed), set(targets)
-        if len(chosen) < len(targets) or not chosen.isdisjoint(sides):
-            order = sorted(targets)
-            a, b = next((a, b) for a, b in zip(order, order[1:]) if b - a < 2)
-            raise ValueError(f"qubit {a} is pulsed twice in one layer" if a == b
-                             else f"neighbours {a} and {b} are pulsed in one layer")
-        # the neighbours two targets share, looked for only if one was listed twice
-        shared = {q + 1 for q in targets if q + 2 in chosen} if len(sides) < len(listed) else ()
+                _qubit(q + width - 1, n)
+        listed = [p for q in firsts for p in (q - 1, q + width) if 0 <= p < n]
+        inner = firsts if width == 1 else [q + i for q in firsts for i in range(width)]
+        sides, chosen = dict.fromkeys(listed), set(inner)
+        if len(chosen) < len(inner) or not chosen.isdisjoint(sides):
+            order = sorted(firsts)
+            a, b = next((a, b) for a, b in zip(order, order[1:]) if b - a <= width)
+            raise ValueError(f"qubit {b} is pulsed twice in one layer" if b - a < width
+                             else f"neighbours {b - 1} and {b} are pulsed in one layer")
+        # the neighbours two runs share, looked for only if one was listed twice
+        shared = {q + width for q in firsts if q + width + 1 in chosen} if len(sides) < len(listed) else ()
         z = dict(zip(sides, self._basis_values(sides)))
         groups: dict[object, list[tuple]] = {}
-        for q in targets:
-            op, first = pulse(q, z.get(q - 1), z.get(q + 1))
+        for q in firsts:
+            op, first = pulse(q, z.get(q - 1), z.get(q + width))
             k = _local_width(op, first, n)
             last = first + k - 1
-            if first < q - 1 or last > q + 1:
-                raise ValueError(f"block [{first}, {last + 1}) leaves qubit {q}'s neighbourhood")
+            if first < q - 1 or last > q + width:
+                raise ValueError(f"block [{first}, {last + 1}) leaves " + (
+                    f"qubit {q}'s" if width == 1 else f"run [{q}, {q + width})'s") + " neighbourhood")
             # two blocks over one neighbour commute but cannot share a stacked
-            # update; of at most three sites, the end ones' shapes fix the middle's
-            key = q if first in shared or last in shared else (k, t[first].shape, t[last].shape)
+            # update; the end tensors' shapes fix the bonds of up to 3 sites
+            key = (q if first in shared or last in shared else (k, t[first].shape, t[last].shape)
+                   if k < 4 else tuple(x.shape for x in t[first:last + 1]))
             groups.setdefault(key, []).append((op, first))
         for blocks in groups.values():
             self._update(*zip(*blocks))

@@ -13,11 +13,12 @@ without asking which one it holds.  It has two modes:
   which caches it and validates nothing its cache key already holds.  For a
   solved phase-exact design it realises the ideal gate algebra bit for bit.
   Wire runs keep the pure state as an exact matrix-product state in Vidal
-  form (:class:`~swapchannel.mps.MPS`), whose bonds stay at dimension 2 on
-  designed schedules, so a wire costs O(L), not O(2^L).
+  form (:class:`~swapchannel.mps.MPS`), so a wire costs O(L), not O(2^L).
   :meth:`~swapchannel.mps.MPS.apply_layer` pulses a window as one layer of
   distinct qubits, no two neighbours: a frozen neighbour leaves the pulse's
-  block (1-3 sites), and blocks of one shape share one product and SVD.
+  block (1-3 sites), and blocks of one shape share one product and SVD.  A
+  quantum run pulses each swap triple with parked outer neighbours as one
+  layer of pairs, each block the product of the pair's three pulses.
   A reset keeps the read qubit's dominant local branch, so an entangled
   read shows in its purity; only injects refuse entanglement.
 * ``full``: the complete (real symmetric) chain Hamiltonian, window by
@@ -59,9 +60,9 @@ from .chain import (
 from .evolve import (
     QuantumState, _checked_amplitudes, _eigensystem, _sector_eigensystem, propagator
 )
-from .gates import IDEAL_CNOT, reduced_pulse_operator
+from .gates import IDEAL_CNOT, _swap_pulse, reduced_pulse_operator
 from .mps import MPS
-from .scheduler import PulseSchedule, ScheduleError
+from .scheduler import PulseSchedule, ReplayResult, ScheduleError
 from .solver import GateDesign
 
 __all__ = [
@@ -350,6 +351,7 @@ def _execute(
     *,
     mode: str,
     frame_correction: bool = False,
+    replay: ReplayResult | None = None,
 ) -> QuantumState | MPS:
     """Run ``schedule`` from |0...0> and return the final lab-frame state.
 
@@ -361,6 +363,8 @@ def _execute(
     write ``data_states[event.data_index]`` and refuse a qubit whose purity
     is below ``1 - INJECT_PURITY_TOL`` (``evolve``).  Full mode caches one
     :func:`_window_eigensystem` per distinct window, shared by both branches.
+    Reduced mode runs each swap triple of ``replay`` with parked outer
+    neighbours as one layer.
     """
     if schedule.n_qubits != spec.n_qubits:
         raise ValueError("schedule and spec disagree on n_qubits")
@@ -388,22 +392,33 @@ def _execute(
                 for s in branches.values():
                     s.inject(e.qubit, states[e.data_index])
 
+    swaps = {}  # first window -> each pair's first qubit, of each triple run as one layer
+    if reduced and replay is not None:  # a flagged outer neighbour: window by window
+        flagged = {v.window_index for v in replay.violations if v.kind == "sacrificial_occupied"}
+        swaps = {w: firsts for w, firsts in replay.swaps if w not in flagged}
     # plain floats: cache keys and pulse-operator arguments
-    windows = zip(schedule.biases.tolist(), schedule.durations.tolist(),
-                  schedule.gate_targets, schedule.boundary_events)
-    for i, (biases, duration, targets, boundary) in enumerate(windows):
-        do_boundary(boundary, i)
-        if reduced:
-            branches["raw"].apply_layer(targets, lambda q, left, right: reduced_pulse_operator(
-                spec, q, biases[q], duration, left, right))
+    rows, durations = schedule.biases.tolist(), schedule.durations.tolist()
+    done = 0  # the windows before it were pulsed with their swap triple
+    for i, (targets, boundary) in enumerate(zip(schedule.gate_targets, schedule.boundary_events)):
+        if i < done:
             continue
-        key = (tuple(biases), duration)
-        if key not in prop_cache:
-            prop_cache[key] = _window_eigensystem(spec, biases, duration, prop_cache)
-        for s in branches.values():
-            s.apply_eigensystem(*prop_cache[key])
-        if angles is not None:
-            branches["corrected"].apply_diagonal(_frame_diagonal(angles[i], spec.n_qubits))
+        do_boundary(boundary, i)
+        if i in swaps:  # the triple's three windows, one layer of pairs
+            pulsed, windows = set(targets), tuple(zip(rows[i:i + 3], durations[i:i + 3]))
+            branches["raw"].apply_layer(swaps[i], lambda a, left, right: _swap_pulse(
+                spec, a, a in pulsed, windows, left, right), 2)
+            done = i + 3
+        elif reduced:
+            branches["raw"].apply_layer(targets, lambda q, left, right: reduced_pulse_operator(
+                spec, q, rows[i][q], durations[i], left, right))
+        else:
+            key = (tuple(rows[i]), durations[i])
+            if key not in prop_cache:
+                prop_cache[key] = _window_eigensystem(spec, rows[i], durations[i], prop_cache)
+            for s in branches.values():
+                s.apply_eigensystem(*prop_cache[key])
+            if angles is not None:
+                branches["corrected"].apply_diagonal(_frame_diagonal(angles[i], spec.n_qubits))
     do_boundary(schedule.boundary_events[-1], None)
     return branches["raw"]
 
@@ -461,7 +476,8 @@ def run_quantum_channel(
             )
         )
 
-    final = _execute(spec, schedule, targets, on_read, mode=mode, frame_correction=True)
+    final = _execute(spec, schedule, targets, on_read, mode=mode, frame_correction=True,
+                     replay=schedule.replay)
     n_states = len({r.data_index for r in records if r.data_index >= 0})
     return TransferReport(
         mode=mode,

@@ -525,12 +525,15 @@ class ReadRecord:
 class ReplayResult:
     """The replay's findings.  ``data_held`` is a read-only bool array of
     shape ``(n_windows, n_qubits)``: ``data_held[w, q]`` is True when qubit q
-    holds data during window w, False when it is parked in |0>.  (Compared by
-    identity: an array has no single truth value.)"""
+    holds data during window w, False when it is parked in |0>.  ``swaps``
+    gives each swap triple's first window and the first qubit a of each of
+    its pairs (a, a + 1).  (Compared by identity: an array has no single
+    truth value.)"""
 
     violations: tuple[Violation, ...]
     data_held: np.ndarray
     reads: tuple[ReadRecord, ...]
+    swaps: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
     def ok(self) -> bool:
@@ -564,7 +567,7 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
 
     A qubit's symbol is the data index it holds, or None while it is parked
     in |0>.  Three consecutive windows whose targets form the (A, B, A)
-    exchange pattern are interpreted as swap triples (symbols exchanged,
+    exchange pattern, A and B disjoint, are swap triples (symbols exchanged,
     outer neighbours required to be parked); any other gate window is a copy
     pulse (target must equal its right-hand symbol, then takes the left-hand
     one; missing neighbours count as parked).  |0> is the only literal
@@ -586,6 +589,7 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
     rows: list[bytearray] = []  # per window, 1 for each qubit holding data
     violations: list[Violation] = []
     reads: list[ReadRecord] = []
+    swaps: list[tuple] = []
 
     def snapshot():
         row = bytearray(n)
@@ -615,7 +619,8 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
         if (t0 and i + 2 < n_windows and t0 == targets[i + 2]
                 and not (boundaries[i + 1] or boundaries[i + 2])):
             pairs = _match_pairs(sorted(t0), sorted(targets[i + 1]))
-        if pairs is not None:
+        if pairs is not None and t0.isdisjoint(targets[i + 1]):  # else a qubit in two pairs
+            swaps.append((i, tuple([a for a, _ in pairs])))
             all_targets = t0 | targets[i + 1]
             for a, b in pairs:
                 for outer in (a - 1, b + 1):
@@ -656,7 +661,8 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
     run_boundary(boundaries[n_windows], None)
     # an array over bytes is read-only
     held = np.frombuffer(b"".join(rows), dtype=bool).reshape(schedule.biases.shape)
-    return ReplayResult(violations=tuple(violations), data_held=held, reads=tuple(reads))
+    return ReplayResult(violations=tuple(violations), data_held=held, reads=tuple(reads),
+                        swaps=tuple(swaps))
 
 
 def validate_sacrificial(schedule: PulseSchedule) -> tuple[Violation, ...]:

@@ -261,9 +261,10 @@ def rho_replace(rho: np.ndarray, qubit: int, local: np.ndarray) -> np.ndarray:
 
 
 def dense_rho_run(spec, schedule, data_states, on_read, *, mode, frame_correction=False,
-                  exact=False):
+                  replay=None, exact=False):
     """A full-mode run on 2^L x 2^L density matrices, with the signature and
-    read contract of ``runner._execute`` (so a runner can be pointed at it).
+    read contract of ``runner._execute`` (so a runner can be pointed at it;
+    ``replay`` names the swap triples only reduced mode runs as one layer).
 
     Each window maps ``rho -> U rho U^dagger`` with the package's own
     ``propagator`` of ``build_hamiltonian``, or with ``exact`` scipy's
@@ -542,6 +543,7 @@ def loop_replay_occupancy(schedule) -> ReplayResult:
     rows = []
     violations = []
     reads = []
+    swaps = []
 
     def snapshot():
         row = bytearray(n)
@@ -574,7 +576,8 @@ def loop_replay_occupancy(schedule) -> ReplayResult:
         if (t0 and i + 2 < len(windows) and t0 == targets[i + 2]
                 and not (boundaries[i + 1] or boundaries[i + 2])):
             pairs = set_match_pairs(sorted(t0), sorted(targets[i + 1]))
-        if pairs is not None:
+        if pairs is not None and not t0 & targets[i + 1]:
+            swaps.append((i, tuple(a for a, _ in pairs)))
             all_targets = t0 | targets[i + 1]
             for a, b in pairs:
                 for outer in (a - 1, b + 1):
@@ -616,7 +619,8 @@ def loop_replay_occupancy(schedule) -> ReplayResult:
     run_boundary(schedule.final_events, None)
     width = n if n <= np.iinfo(np.intp).max else 0
     held = np.frombuffer(b"".join(rows), dtype=bool).reshape(len(windows), width)
-    return ReplayResult(violations=tuple(violations), data_held=held, reads=tuple(reads))
+    return ReplayResult(violations=tuple(violations), data_held=held, reads=tuple(reads),
+                        swaps=tuple(swaps))
 
 
 def plain_window_eigensystem(spec, biases, duration, cache):

@@ -598,6 +598,7 @@ def assert_replay_matches_loop(schedule):
     got, want = replay_occupancy(schedule), loop_replay_occupancy(schedule)
     assert got.violations == want.violations
     assert got.reads == want.reads
+    assert got.swaps == want.swaps
     assert got.data_held.shape == want.data_held.shape
     assert np.array_equal(got.data_held, want.data_held)
 

@@ -9,7 +9,8 @@ neighbours and update a window at once are compared with the all-3-site,
 one-pulse-at-a-time path of the former mixed-canonical MPS
 (``oracles.CanonicalMPS`` with ``oracles.unfolded_apply_layer``), a
 Hypothesis test drives both MPS forms through the same random unitaries,
-resets and injects, and an SVD spy counts the matrices split.
+resets and injects, and an SVD spy counts the matrices split.  Swap triples
+run as one layer of pairs are compared with the same runs window by window.
 """
 
 import copy
@@ -552,26 +553,36 @@ class TestReducedRunnerAgainstDense:
             dense_reduced_wire(spec, sch, states)
 
 
+def _run_on(run, base=MPS, layer=None, *, fused=True):
+    """``(result, state)`` of ``run()`` with the runner's MPS class ``base``
+    (its ``apply_layer`` replaced by ``layer`` if given); with ``fused``
+    False, every swap triple of the replay runs window by window."""
+    created = []
+
+    class Spy(base):
+        apply_layer = layer or base.apply_layer
+
+        def __init__(self, n_qubits):
+            super().__init__(n_qubits)
+            created.append(self)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(runner, "MPS", Spy)
+        if not fused:  # the runner is not told the replay's swap triples
+            execute = runner._execute
+            m.setattr(runner, "_execute", lambda *args, replay=None, **kwargs: execute(*args, **kwargs))
+        return run(), created[-1]
+
+
 def _both_paths(run):
     """``(result, MPS)`` of ``run()`` on the Vidal-form MPS, which folds
     frozen neighbours and updates a window at once, then on the path it
     replaced: the mixed-canonical oracle pulsing every full 3-site block in
-    turn (``oracles.CanonicalMPS`` with ``oracles.unfolded_apply_layer``)."""
-    out = []
-    for base, layer in ((MPS, MPS.apply_layer), (CanonicalMPS, unfolded_apply_layer)):
-        created = []
-
-        class Spy(base):
-            apply_layer = layer
-
-            def __init__(self, n_qubits):
-                super().__init__(n_qubits)
-                created.append(self)
-
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(runner, "MPS", Spy)
-            out.append((run(), created[-1]))
-    return out
+    turn (``oracles.CanonicalMPS`` with ``oracles.unfolded_apply_layer``).
+    Both run swap triples window by window; ``TestSwapTriples`` compares
+    the fused triples with that path."""
+    return [_run_on(run, fused=False),
+            _run_on(run, CanonicalMPS, unfolded_apply_layer, fused=False)]
 
 
 def _assert_same_run(folded, unfolded):
@@ -714,6 +725,179 @@ class TestFrozenNeighbours:
         assert_allclose(report.min_fidelity_corrected, 1.0, rtol=0, atol=1e-12)
         assert 0 < len(calls) <= sch.n_windows
         assert sum(calls) > len(calls)  # some calls split several blocks at once
+
+
+def _triple_schedule(rng, n, windows, t_ns):
+    """A hand-built schedule: one window per ``(targets, injects)`` of
+    ``windows``, each target at a random bias near resonance and each window
+    at a random duration near ``t_ns``, the others parked at ``SNAP_EPS``;
+    ``injects`` are ``(qubit, data_index)``."""
+    rows, start = [], 0.0
+    for targets, injects in windows:
+        biases = [SNAP_EPS] * n
+        for q in targets:
+            biases[q] = float(rng.uniform(-60.0, 60.0))
+        events = [PulseEvent(kind="inject", qubit=q, data_index=d) for q, d in injects]
+        events += [PulseEvent(kind="cnot_pulse", qubit=q) for q in targets]
+        duration = float(rng.uniform(0.8, 1.2) * t_ns)
+        rows.append(Window(start, duration, tuple(biases), tuple(events)))
+        start += duration
+    return PulseSchedule(n, tuple(rows))
+
+
+def _assert_fused_run(fused, plain, atol=1e-12):
+    """Equal reads and final trace to ``atol``; the fused triples keep every
+    bond at 1 and discard only round-off."""
+    (got, mps), (want, window_by_window) = fused, plain
+    assert [(r.data_index, r.window_index) for r in got.records] == [
+        (r.data_index, r.window_index) for r in want.records]
+    for a, b in zip(got.records, want.records):
+        for field in RECORD_FIELDS:
+            x, y = getattr(a, field), getattr(b, field)
+            if field.startswith("phase"):
+                x, y = wrap_phase(x - y), 0.0
+            assert_allclose(x, y, rtol=0, atol=atol, err_msg=field)
+    assert_allclose(got.final_trace, want.final_trace, rtol=0, atol=atol)
+    assert mps.max_bond == 1
+    assert mps.discarded_weight < 1e-28 and window_by_window.discarded_weight < 1e-28
+
+
+class TestSwapTriples:
+    """Reduced mode runs each swap triple the replay finds as one layer of
+    pair blocks, and reads as the window-by-window path does."""
+
+    @pytest.mark.parametrize("n_qubits, states", [(n, (1, 2, 3, 4)) for n in range(3, 17)]
+                             + [(64, (8,)), (201, (50,))])
+    def test_designed_quantum_wires(self, design, rng, n_qubits, states):
+        spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
+        for n_states in states:
+            sch, _ = quantum_channel_schedule(spec, n_states, design.t_ns)
+            data = _random_states(rng, n_states)
+
+            def run():
+                return run_quantum_channel(spec, sch, data, mode="reduced")
+
+            fused, plain = _run_on(run), _run_on(run, fused=False)
+            _assert_fused_run(fused, plain)
+            assert plain[1].max_bond == 2  # the entangled middle of each swap
+
+    @pytest.mark.parametrize("windows, flagged", [
+        # data at qubit 0, the outer neighbour of pair (1, 2)
+        ([((1,), [(0, 0)]), ((2,), []), ((1,), [])], "outer neighbour 0 of pair (1,2) holds data 0"),
+        # pairs (0, 1) and (2, 3) touch: each is the other's outer neighbour
+        ([((0, 2), [(1, 0)]), ((1, 3), []), ((0, 2), [])], "outer neighbour 2 of pair (0,1) is pulsed"),
+    ])
+    def test_unparked_triples_run_window_by_window(self, design, rng, monkeypatch, windows, flagged):
+        n = 6
+        spec = chain_for(design, n, eps_high=SNAP_EPS)
+        sch = _triple_schedule(rng, n, windows, design.t_ns)
+        assert [w for w, _ in sch.replay.swaps] == [0]
+        assert flagged in [v.message for v in sch.replay.violations]
+        data = _random_states(rng, 1)
+        layers, apply_layer = [], MPS.apply_layer
+        monkeypatch.setattr(MPS, "apply_layer", lambda self, firsts, pulse, width=1: layers.append(
+            (list(firsts), width)) or apply_layer(self, firsts, pulse, width))
+
+        def run():
+            return run_quantum_channel(spec, sch, data, mode="reduced")
+
+        (got, mps), (want, plain) = _run_on(run), _run_on(run, fused=False)
+        assert layers == [(list(targets), 1) for targets, _ in windows] * 2
+        assert _snapshot(mps) == _snapshot(plain)
+        final = dense_reduced_replay(spec, sch, lambda i: data[i], None,
+                                     inject_tol=1e-3, read_tol=1e-6)
+        assert_allclose(mps_vector(mps), final.data[:, 0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("windows, pair, sides", [
+        # qubits 1 and 4 around pair (2, 3): one 16 x 16 block
+        ([((1, 4), []), ((2,), [(2, 0)]), ((3,), []), ((2,), [])], (2, 3), (None, None)),
+        # qubit 2 right of pair (0, 1) at the chain end: one 8 x 8 block
+        ([((2,), []), ((0,), [(0, 0)]), ((1,), []), ((0,), [])], (0, 1), (None, None)),
+        # qubit 1 left of pair (2, 3), its right qubit pulsed first
+        ([((1,), []), ((3,), [(3, 0)]), ((2,), []), ((3,), [])], (2, 3), (None, 1)),
+    ])
+    def test_hand_built_triple_around_live_neighbours(self, design, rng, monkeypatch,
+                                                       windows, pair, sides):
+        # an off-design first window leaves a parked qubit in a superposition
+        # the replay reads as |0>; the triple next to it is one block,
+        # diagonal in it, at each window's own bias and duration
+        n = 6
+        spec = chain_for(design, n, eps_high=SNAP_EPS)
+        sch = _triple_schedule(rng, n, windows, design.t_ns)
+        assert sch.replay.ok and sch.replay.swaps == ((1, (pair[0],)),)
+        data = _random_states(rng, 1)
+        seen, swap_pulse = [], runner._swap_pulse
+        monkeypatch.setattr(runner, "_swap_pulse", lambda spec, a, a_first, windows, left, right:
+                            seen.append((a, left, right)) or swap_pulse(
+                                spec, a, a_first, windows, left, right))
+
+        def run():
+            return run_quantum_channel(spec, sch, data, mode="reduced")
+
+        (_, mps), (_, plain) = _run_on(run), _run_on(run, fused=False)
+        assert seen == [(pair[0], *sides)]
+        final = dense_reduced_replay(spec, sch, lambda i: data[i], None,
+                                     inject_tol=1e-3, read_tol=1e-6)
+        for state in (mps, plain):
+            assert_allclose(mps_vector(state), final.data[:, 0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_qubits, n_states", [(15, 4), (16, 2)])
+    def test_one_stacked_svd_per_triple(self, design, rng, monkeypatch, n_qubits, n_states):
+        # each triple's pairs are 2-site blocks over bonds of dimension 1,
+        # split by one stacked call: 41 calls of 86 matrices over both wires
+        spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, n_states, design.t_ns)
+        calls = _svd_calls(monkeypatch)
+        report = run_quantum_channel(spec, sch, _random_states(rng, n_states), mode="reduced")
+        assert_allclose(report.min_fidelity_corrected, 1.0, rtol=0, atol=1e-12)
+        assert calls == [len(firsts) for _, firsts in sch.replay.swaps]
+        assert len(calls) * 3 == sch.n_windows
+
+    @pytest.mark.parametrize("firsts, width, message", [
+        ([1, 1], 2, "qubit 1 is pulsed twice in one layer"),
+        ([1, 2], 2, "qubit 2 is pulsed twice in one layer"),
+        ([0, 2], 2, "neighbours 1 and 2 are pulsed in one layer"),
+        ([2, 0], 2, "neighbours 1 and 2 are pulsed in one layer"),
+        ([4], 2, "qubit 5 out of range for n=5"),
+        ([-1], 2, "qubit -1 out of range for n=5"),
+        ([True], 2, "qubit must be an integer, got True"),
+        ([1], 0, "width must be >= 1, got 0"),
+        ([1], 2.0, "width must be an integer, got 2.0"),
+    ])
+    def test_layer_refuses_repeated_overlapping_and_touching_runs(self, rng, firsts, width, message):
+        # runs of adjacent qubits, like single targets, are refused before a
+        # pulse is built, and the (entangled) state is unchanged
+        mps, built = MPS.ground(5), []
+        mps.apply(random_unitary(rng, 8), 1)
+        before = _snapshot(mps)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mps.apply_layer(firsts, lambda q, left, right: built.append(q) or (np.eye(4), q), width)
+        assert built == []
+        assert _snapshot(mps) == before
+
+    def test_runs_update_by_block_shape(self, rng, monkeypatch):
+        # a pair's block may span the pair and both outer neighbours; two such
+        # blocks with equal end tensors but unequal middle bonds update apart
+        n = 10
+        mps, dense = MPS.ground(n), QuantumState.ground(n)
+        u = random_unitary(rng, 4)
+        mps.apply(u, 1)  # bond 2 grows to 2
+        dense = apply_local_unitary(dense, u, 1)
+        ops = {1: random_unitary(rng, 16), 7: random_unitary(rng, 16)}
+        groups, update = [], MPS._update
+        monkeypatch.setattr(MPS, "_update", lambda self, o, f: groups.append(list(f))
+                            or update(self, o, f))
+        mps.apply_layer(list(ops), lambda q, left, right: (ops[q], q - 1), 2)
+        monkeypatch.undo()
+        assert groups == [[0], [6]]
+        for q, op in ops.items():
+            dense = apply_local_unitary(dense, op, q - 1)
+        assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
+        assert_canonical(mps)
+        before = _snapshot(mps)
+        with pytest.raises(ValueError, match=re.escape("block [3, 5) leaves run [1, 3)'s neighbourhood")):
+            mps.apply_layer([1], lambda q, left, right: (random_unitary(rng, 4), 3), 2)
+        assert _snapshot(mps) == before
 
 
 def _block(kind, width, position, angle):

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -607,6 +608,60 @@ class TestReplayViolations:
         assert sch.gate_targets == ((1, 2),)
         assert replay_occupancy(sch).violations == (Violation(
             0, "pulsed_neighbour", (1, 2), "neighbours 1 and 2 are pulsed in one window"),)
+
+    def test_a_qubit_in_both_swap_windows_is_no_swap(self):
+        # targets (0, 1) in three windows: pairing 0 with 1 and 1 with 0 would
+        # move data 0 to qubit 1 under one Z; the windows are copy windows,
+        # each pulsing two neighbours
+        inject = PulseEvent(kind="inject", qubit=0, data_index=0)
+        windows = [bare_window(6, targets=(0, 1), events=(inject,) * (i == 0), start=10.0 * i)
+                   for i in range(3)]
+        read = (PulseEvent(kind="read_reset", qubit=1, data_index=0),)
+        result = replay_occupancy(PulseSchedule(6, windows, read))
+        flagged = [v.window_index for v in result.violations if v.kind == "pulsed_neighbour"]
+        assert flagged == [0, 1, 2]
+        assert result.reads[0].z_parity == 0
+        assert result.swaps == ()
+
+    @pytest.mark.parametrize("a, b", [
+        ((0, 1), (0, 1)), ((1, 2), (1, 2)), ((2, 3), (2, 3)), ((3, 4), (3, 4)), ((4, 5), (4, 5)),
+        ((0, 1, 3), (0, 1, 4)), ((0, 1, 4), (0, 1, 3)), ((0, 1, 4), (0, 1, 5)),
+        ((0, 1, 5), (0, 1, 4)), ((0, 3, 4), (1, 3, 4)), ((0, 4, 5), (1, 4, 5)),
+        ((1, 2, 4), (1, 2, 5)), ((1, 2, 5), (1, 2, 4)), ((1, 3, 4), (0, 3, 4)),
+        ((1, 4, 5), (0, 4, 5)), ((1, 4, 5), (2, 4, 5)), ((2, 4, 5), (1, 4, 5)),
+    ])
+    def test_shared_targets_are_copy_windows(self, a, b):
+        # (A, B, A) windows whose A and B share a qubit once matched into
+        # pairs that share it and replayed clean; each window is a copy
+        # window now, and each flags its neighbours
+        sch = PulseSchedule(6, [bare_window(6, targets=t, start=10.0 * i)
+                                for i, t in enumerate((a, b, a))])
+        result = replay_occupancy(sch)
+        assert {v.window_index for v in result.violations if v.kind == "pulsed_neighbour"} == {0, 1, 2}
+        assert result.swaps == ()
+
+    def test_no_abab_window_pulsing_neighbours_replays_clean(self):
+        # every (A, B, A) schedule of 1-3 targets per window on 6 qubits
+        # with a window pulsing two neighbours: none replays clean
+        subsets = [c for k in (1, 2, 3) for c in itertools.combinations(range(6), k)]
+        touching = {s for s in subsets if any(y - x == 1 for x, y in zip(s, s[1:]))}
+        cases = [(a, b) for a in subsets for b in subsets if a in touching or b in touching]
+        assert len(cases) == 1281
+        for a, b in cases:
+            sch = PulseSchedule(6, [bare_window(6, targets=t, start=10.0 * i)
+                                    for i, t in enumerate((a, b, a))])
+            assert not replay_occupancy(sch).ok, (a, b)
+
+    def test_swaps_list_each_triple(self, design):
+        # a designed wire's windows are all swap triples, each listed once by
+        # its first window and the first qubit of each of its pairs
+        sch, _ = quantum_channel_schedule(chain_for(design, 9), 2, design.t_ns)
+        swaps = replay_occupancy(sch).swaps
+        assert swaps[:4] == ((0, (0,)), (3, (1,)), (6, (2,)), (9, (0, 3)))
+        assert [w for w, _ in swaps] == list(range(0, sch.n_windows, 3))
+        for w, firsts in swaps:
+            assert sorted(q for a in firsts for q in (a, a + 1)) == sorted(
+                sch.gate_targets[w] + sch.gate_targets[w + 1])
 
     def test_validate_sacrificial_wrapper(self, design):
         spec = chain_for(design, 4)
