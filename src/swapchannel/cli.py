@@ -290,10 +290,10 @@ def _cmd_trace(args) -> int:
 #: ask for; larger sizes are refused before anything is built (full mode is
 #: capped lower, by ``build_hamiltonian``).  1024 is five times the longest
 #: wire studied (L = 201) and keeps any config to minutes.  Reduced mode, one
-#: Xeon core, whole ``run``, no schedule file: 1024 qubits, 1 state 0.8-1.0 s
-#: (191 MB peak); 5 qubits, 1024 states 1.0-1.1 s; 1024 bits 0.6 s; 1024 sweep
-#: points 0.4 s; 1024 qubits, 64 states 1.9-2.9 s (233 MB); classical, 1024
-#: qubits 5.1 s (138 MB).  Time grows as qubits x states (qubits^2 classical).
+#: Xeon core, whole ``run``, no schedule file: 1024 qubits, 1 state 0.7-0.9 s
+#: (104 MB peak); 5 qubits, 1024 states 1.0-1.1 s; 1024 bits 0.6 s; 1024 sweep
+#: points 0.4 s; 1024 qubits, 64 states 1.9-2.1 s (135 MB); classical, 1024
+#: qubits 4.7 s (109 MB).  Time grows as qubits x states (qubits^2 classical).
 MAX_CONFIG_QUBITS = 1024
 MAX_CONFIG_ITEMS = 1024
 

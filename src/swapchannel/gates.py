@@ -4,10 +4,10 @@ All matrices are written in the chain's own basis ordering (leftmost listed
 qubit is the most significant bit).  The ideal gate carries the exact branch
 phases of a phase-exact design (M odd, N even): a held branch acquires -1, a
 flipped branch -i.
-Reduced mode takes every pulse from :func:`reduced_pulse_operator`, which
-caches its operators for the process and checks only what a cache key cannot
-hold.  A neighbour the caller knows to be frozen in a basis state is folded
-into the effective bias and leaves the block, so a pulse acts on 1-3 qubits.
+Reduced mode takes every pulse from :func:`reduced_pulse_operator` or its
+unchecked core :func:`_pulse`, which caches its operators for the process.
+A neighbour the caller knows to be frozen in a basis state is folded into
+the effective bias and leaves the block, so a pulse acts on 1-3 qubits.
 A swap triple's three pulses on a pair fold into one block (:func:`_swap_pulse`)."""
 
 from __future__ import annotations
@@ -45,18 +45,21 @@ def reduced_pulse_operator(
     folded operator is bit for bit a block of the unfolded one.  For a solved
     phase-exact design each block is a hold (-1) or a flip (-i), bit for bit.
     """
-    if not (type(qubit) is int and 0 < qubit < spec.n_qubits - 1
-            and (left is None or type(left) is int and left in (1, -1))
-            and (right is None or type(right) is int and right in (1, -1))):
-        # a chain end, a numpy integer, or a call to refuse
-        qubit = _qubit(qubit, spec.n_qubits)
-        sides = []
-        for side, z, present in (("left", left, qubit > 0), ("right", right, qubit < spec.n_qubits - 1)):
-            if z is not None and (not present or not isinstance(z, (int, np.integer))
-                                  or type(z) is bool or z not in (1, -1)):
-                raise ValueError(f"{side} z must be +1 or -1 for a neighbour of qubit {qubit}, got {z!r}")
-            sides.append(int(z) if z is not None else None if present else 0)  # a chain end adds 0
-        left, right = sides
+    qubit = _qubit(qubit, spec.n_qubits)
+    for side, z, present in (("left", left, qubit > 0), ("right", right, qubit < spec.n_qubits - 1)):
+        if z is not None and (not present or not isinstance(z, (int, np.integer))
+                              or type(z) is bool or z not in (1, -1)):
+            raise ValueError(f"{side} z must be +1 or -1 for a neighbour of qubit {qubit}, got {z!r}")
+    left, right = (z if z is None else int(z) for z in (left, right))  # plain ints: cache keys
+    return _pulse(spec, qubit, bias_mhz, duration_ns, left, right)
+
+
+def _pulse(spec: ChainSpec, qubit: int, bias_mhz: float, duration_ns: float,
+           left: int | None, right: int | None) -> tuple[np.ndarray, int]:
+    """:func:`reduced_pulse_operator` of a qubit in the chain and plain int z
+    values (+1, -1 or None), unchecked; a chain end adds 0."""
+    left = 0 if qubit == 0 else left
+    right = 0 if qubit == spec.n_qubits - 1 else right
     op = _block_operator(spec.delta_mhz, spec.xi_mhz, bias_mhz, duration_ns, left, right)
     return op, qubit - (left is None)
 

@@ -16,9 +16,7 @@ tensor and one bond.  A k-site unitary splits back from the right by k - 1
 SVDs of the lambda-weighted block, each keeping ``V^dagger`` and carrying
 the block times ``V`` on, so no lambda is divided by (Hastings, J. Math.
 Phys. 50, 095207 (2009)); singular values at or below ``TRUNCATION_RTOL`` of
-the largest are dropped.  Arrays are replaced, never written in place, so a
-site's kept slice weights (:meth:`MPS.basis_values`) hold while its tensor
-and left bond are still the arrays they were computed from.
+the largest are dropped.  Arrays are replaced, never written in place.
 """
 
 from __future__ import annotations
@@ -37,19 +35,12 @@ __all__ = ["TRUNCATION_RTOL", "MPS"]
 TRUNCATION_RTOL = 1e-14
 
 
-def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The arrays, all of one shape, on a new first axis."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-
-
 class MPS:
     """Pure state of ``n_qubits`` qubits in Vidal form (``tensors``, and
     ``lambdas`` with ends [1]), updated in place as ``QuantumState`` is.
     ``max_bond`` is the largest bond any split has made; ``discarded_weight``
     sums each split's dropped squared singular values, relative to the norm
     of the state it split, and the off-basis slices :meth:`basis_values` drops.
-    ``_weights[q]`` is None or qubit q's ``(tensor, left bond, slice weights)``,
-    valid while the two arrays are still ``tensors[q]`` and ``lambdas[q]``.
     """
 
     def __init__(self, n_qubits: int):
@@ -59,7 +50,6 @@ class MPS:
         self.lambdas = [np.ones(1) for _ in range(n_qubits + 1)]
         self.max_bond = 1
         self.discarded_weight = 0.0
-        self._weights: list[tuple | None] = [None] * n_qubits
 
     @classmethod
     def ground(cls, n_qubits: int) -> "MPS":
@@ -100,14 +90,14 @@ class MPS:
             for op, a in zip(ops, firsts):
                 t[a] = op @ t[a]
             return
-        theta = _stacked([t[a] for a in firsts])
+        theta = np.array([t[a] for a in firsts])
         dl, right = theta.shape[1], [t[firsts[0] + k - 1].shape[2]] * g
         for i in range(1, k):
-            b = _stacked([t[a + i] for a in firsts])
+            b = np.array([t[a + i] for a in firsts])
             theta = theta.reshape(g, dl, -1, b.shape[1]) @ b.reshape(g, 1, b.shape[1], -1)
         op = ops[0] if all(op is ops[0] for op in ops) else np.array(ops)[:, None]
         theta = op @ theta.reshape(g, dl, 1 << k, -1)
-        left = _stacked([lam[a] for a in firsts])[:, :, None, None]
+        left = np.array([lam[a] for a in firsts])[:, :, None, None]
         for i in range(k - 1, 0, -1):
             dr = theta.shape[3]
             s, vh, keep = self._svd((left * theta).reshape(g, dl << i, 2 * dr))
@@ -127,38 +117,33 @@ class MPS:
         self._update([np.asarray(op)], [first_qubit])
 
     def basis_values(self, qubits: Sequence[int]) -> list[int | None]:
-        """Each (distinct) qubit's z value, +1 for |0> and -1 for |1>, if it is
-        frozen in a basis state, else None, from its kept slice weights or its
-        tensor and bond, in one stacked pass per shape.  Frozen means the other
-        slice holds at most ``TRUNCATION_RTOL**2`` of its weight, as in a split,
-        and the slice is then dropped and its share added to ``discarded_weight``.
-        """
+        """Each qubit's z value, +1 for |0> and -1 for |1>, if it is frozen in a
+        basis state, else None, from its tensor and left bond, in one stacked
+        pass per tensor shape.  Frozen means the other slice holds at most
+        ``TRUNCATION_RTOL**2`` of its weight, as in a split, and the slice is
+        then dropped and its share added to ``discarded_weight`` once."""
         return self._basis_values([_qubit(q, self.n_qubits) for q in qubits])
 
     def _basis_values(self, qubits: Collection[int]) -> list[int | None]:
         """:meth:`basis_values` of qubits known to be in the chain."""
-        t, lam, weights, by_shape = self.tensors, self.lambdas, self._weights, {}
+        t, lam, by_shape, weights = self.tensors, self.lambdas, {}, {}
         for q in qubits:
-            kept = weights[q]
-            if kept is None or kept[0] is not t[q] or kept[1] is not lam[q]:
-                by_shape.setdefault(t[q].shape, []).append(q)
+            by_shape.setdefault(t[q].shape, []).append(q)
         for (dl, _, _), same in by_shape.items():
             w = abs(np.array([t[q] for q in same])) ** 2
             if dl > 1:  # a bond of dimension 1 weighs both slices alike
                 w *= np.array([lam[q] for q in same])[:, :, None, None] ** 2
-            for q, kept in zip(same, w.sum((1, 3)).tolist()):
-                weights[q] = t[q], lam[q], kept
+            weights.update(zip(same, w.sum((1, 3)).tolist()))
         values = []
         for q in qubits:
-            w = weights[q][2]
+            w = weights[q]  # one list per qubit, however often it is listed
             cut = TRUNCATION_RTOL**2 * (w[0] + w[1])
             z = 1 if w[1] <= cut else -1 if w[0] <= cut else None
             other = int(z == 1)  # the slice a frozen qubit drops
             if z is not None and w[other]:
                 self.discarded_weight += w[other] / (w[0] + w[1])
-                dropped = t[q].copy()
-                dropped[:, other] = w[other] = 0.0  # the zeroed slice weighs 0
-                t[q], weights[q] = dropped, (dropped, lam[q], w)
+                t[q] = t[q].copy()
+                t[q][:, other] = w[other] = 0.0  # the zeroed slice weighs 0
             values.append(z)
         return values
 

@@ -9,9 +9,9 @@ without asking which one it holds.  It has two modes:
 
 * ``reduced``: each intended pulse is the exact neighbour-conditioned
   two-level propagator at the window's bias for the pulsed qubit (parked
-  qubits frozen), from :func:`~swapchannel.gates.reduced_pulse_operator`,
-  which caches it and validates nothing its cache key already holds.  For a
-  solved phase-exact design it realises the ideal gate algebra bit for bit.
+  qubits frozen), from :func:`~swapchannel.gates._pulse`, unchecked, as the
+  MPS has checked each qubit and read its neighbours.  For a solved
+  phase-exact design it realises the ideal gate algebra bit for bit.
   Wire runs keep the pure state as an exact matrix-product state in Vidal
   form (:class:`~swapchannel.mps.MPS`), so a wire costs O(L), not O(2^L).
   :meth:`~swapchannel.mps.MPS.apply_layer` pulses a window as one layer of
@@ -60,7 +60,7 @@ from .chain import (
 from .evolve import (
     QuantumState, _checked_amplitudes, _eigensystem, _sector_eigensystem, propagator
 )
-from .gates import IDEAL_CNOT, _swap_pulse, reduced_pulse_operator
+from .gates import IDEAL_CNOT, _pulse, _swap_pulse, reduced_pulse_operator
 from .mps import MPS
 from .scheduler import PulseSchedule, ReplayResult, ScheduleError
 from .solver import GateDesign
@@ -396,25 +396,27 @@ def _execute(
     if reduced and replay is not None:  # a flagged outer neighbour: window by window
         flagged = {v.window_index for v in replay.violations if v.kind == "sacrificial_occupied"}
         swaps = {w: firsts for w, firsts in replay.swaps if w not in flagged}
-    # plain floats: cache keys and pulse-operator arguments
-    rows, durations = schedule.biases.tolist(), schedule.durations.tolist()
+    # plain floats, one window's row at a time: cache keys and pulse-operator arguments
+    biases, durations = schedule.biases, schedule.durations.tolist()
     done = 0  # the windows before it were pulsed with their swap triple
     for i, (targets, boundary) in enumerate(zip(schedule.gate_targets, schedule.boundary_events)):
         if i < done:
             continue
         do_boundary(boundary, i)
         if i in swaps:  # the triple's three windows, one layer of pairs
-            pulsed, windows = set(targets), tuple(zip(rows[i:i + 3], durations[i:i + 3]))
+            pulsed, windows = set(targets), tuple(zip(biases[i:i + 3].tolist(), durations[i:i + 3]))
             branches["raw"].apply_layer(swaps[i], lambda a, left, right: _swap_pulse(
                 spec, a, a in pulsed, windows, left, right), 2)
             done = i + 3
         elif reduced:
-            branches["raw"].apply_layer(targets, lambda q, left, right: reduced_pulse_operator(
-                spec, q, rows[i][q], durations[i], left, right))
+            row = biases[i].tolist()
+            branches["raw"].apply_layer(targets, lambda q, left, right: _pulse(
+                spec, q, row[q], durations[i], left, right))
         else:
-            key = (tuple(rows[i]), durations[i])
+            row = biases[i].tolist()
+            key = (tuple(row), durations[i])
             if key not in prop_cache:
-                prop_cache[key] = _window_eigensystem(spec, rows[i], durations[i], prop_cache)
+                prop_cache[key] = _window_eigensystem(spec, row, durations[i], prop_cache)
             for s in branches.values():
                 s.apply_eigensystem(*prop_cache[key])
             if angles is not None:

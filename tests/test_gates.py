@@ -212,7 +212,7 @@ class TestReducedPulseOperator:
 
     def test_numpy_integer_qubit_is_taken(self, design):
         spec = chain_for(design, 3)
-        # the checking route takes it as the plain int, so the cached operator is shared
+        # it is taken as the plain int, so the cached operator is shared
         op, first = reduced_pulse_operator(spec, np.int64(1), 0.0, design.t_ns, 1, None)
         assert op is reduced_pulse_operator(spec, 1, 0.0, design.t_ns, 1, None)[0]
         assert type(first) is int and first == 1

@@ -13,12 +13,11 @@ resets and injects, and an SVD spy counts the matrices split.  Swap triples
 run as one layer of pairs are compared with the same runs window by window.
 """
 
-import copy
 import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -628,14 +627,16 @@ class TestFrozenNeighbours:
         assert mps.basis_values([]) == []
         assert _snapshot(mps) == before  # nothing to drop, nothing changes
         # an off-basis slice at or below TRUNCATION_RTOL of the norm is frozen:
-        # it is dropped and its squared share counted as discarded, once
+        # it is dropped and its squared share counted as discarded, once, when
+        # the qubit is read again and when one pass lists it twice
         for angle, want in ((1e-15, 1), (1e-13, None)):
-            tilted = MPS.ground(2)
-            tilted.apply(np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]), 1)
-            for _ in range(2):
-                assert tilted.basis_values([1]) == [want]
-                assert tilted.discarded_weight == (np.sin(angle) ** 2 if want else 0.0)
-            assert (tilted.tensors[1][:, 1] == 0).all() == (want is not None)
+            for reads in ([[1], [1]], [[1, 1]]):
+                tilted = MPS.ground(2)
+                tilted.apply(np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]), 1)
+                for qubits in reads:
+                    assert tilted.basis_values(qubits) == [want] * len(qubits)
+                    assert tilted.discarded_weight == (np.sin(angle) ** 2 if want else 0.0)
+                assert (tilted.tensors[1][:, 1] == 0).all() == (want is not None)
 
     def test_basis_values_read_through_entangled_bonds(self):
         # qubit 1 is |1> between the halves of a Bell pair on qubits 0 and 2,
@@ -900,88 +901,11 @@ class TestSwapTriples:
         assert _snapshot(mps) == before
 
 
-def _block(kind, width, position, angle):
-    """A hand-built ``2^width`` unitary: a rotation by ``angle`` of the qubit at
-    ``position`` (a tiny angle leaves a frozen qubit a round-off slice), for
-    ``entangle`` followed by a CNOT from it to the next qubit, which makes a
-    pair that a read can collapse to basis states, or the identity."""
-    c, s = np.cos(angle), np.sin(angle)
-    op = np.array([[c, -s], [s, c]]) if kind != "identity" else np.eye(2)
-    if kind == "entangle" and position < width - 1:
-        op = np.eye(4)[[0, 1, 3, 2]] @ np.kron(op, np.eye(2))
-    size = op.shape[0].bit_length() - 1
-    return np.kron(np.kron(np.eye(1 << position), op), np.eye(1 << (width - position - size)))
-
-
-_PULSE = st.tuples(
-    st.integers(0, 2),  # block width - 1, clipped to the chain
-    st.integers(0, 2),  # where the block starts, relative to target - 1
-    st.sampled_from(["rotate", "entangle", "identity"]),
-    st.integers(0, 2),  # the block's qubit the operator starts on
-    st.sampled_from([np.pi / 4, 1e-15, np.pi / 2, 0.3]),
-)
-# ("layer", {target: pulse}) pulses the targets in order; ("reset", q, _) and
-# ("inject", q, amplitudes) act on qubit q mod n (an inject on an entangled
-# qubit resets it instead)
-_STEPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("layer"), st.dictionaries(st.integers(0, 5), _PULSE, min_size=1,
-                                                     max_size=4)),
-        st.tuples(st.sampled_from(["reset", "inject"]), st.integers(0, 5),
-                  st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)])),
-    ),
-    min_size=1, max_size=16,
-)
-_BELL = ("layer", {1: (1, 0, "entangle", 0, np.pi / 4)})  # qubits 0 and 1
-_GHZ = [_BELL, ("layer", {2: (1, 0, "entangle", 0, np.pi / 2)})]  # qubits 0, 1 and 2
-
-
 class TestKeptWeights:
-    """:meth:`MPS.basis_values` keeps each site's slice weights until a writer
-    replaces the site's tensor or left Schmidt values; a kept weight must
-    read as the recomputed one."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(3, 6), steps=_STEPS)
-    # a read qubit flipped by a 1-site block, a pair and a three-qubit state
-    # read from either end (each sweep of a projection, with and without a
-    # step of its loop), and a frozen qubit tilted by round-off (the drop)
-    @example(n=3, steps=[("reset", 0, None), ("layer", {1: (0, 1, "rotate", 0, np.pi / 2)})])
-    @example(n=3, steps=[_BELL, ("reset", 1, None)])
-    @example(n=3, steps=[_BELL, ("reset", 0, None)])
-    @example(n=3, steps=[*_GHZ, ("reset", 2, None)])
-    @example(n=3, steps=[*_GHZ, ("reset", 0, None)])
-    @example(n=3, steps=[("layer", {1: (0, 1, "rotate", 0, 1e-15)}), ("reset", 0, None)])
-    def test_kept_weights_read_as_recomputed(self, n, steps):
-        mps = MPS.ground(n)
-        for action, *args in steps:
-            if action == "layer":
-                pulses = {}  # a layer's targets are distinct and not neighbours
-                for t, p in args[0].items():
-                    if not {t % n - 1, t % n, t % n + 1} & pulses.keys():
-                        pulses[t % n] = p
-
-                def pulse(target, left, right):
-                    width, start, kind, position, angle = pulses[target]
-                    lo, hi = max(target - 1, 0), min(target + 1, n - 1)
-                    width = min(width + 1, hi - lo + 1)
-                    first = min(lo + start, hi - width + 1)
-                    return _block(kind, width, min(position, width - 1), angle), first
-
-                mps.apply_layer(list(pulses), pulse)
-            else:
-                q, amplitudes = args[0] % n, args[1]
-                if action == "reset" or mps.reduced_state(q)[1] < 1.0 - INJECT_PURITY_TOL:
-                    mps.reset(q)
-                else:
-                    mps.inject(q, amplitudes)
-            fresh = copy.deepcopy(mps)
-            fresh._weights = [None] * n
-            assert mps.basis_values(range(n)) == fresh.basis_values(range(n))
-            assert _snapshot(mps) == _snapshot(fresh)
+    """:meth:`MPS.basis_values` weighs a site from the arrays it holds at the
+    read, so an array assigned from outside is read, not shadowed."""
 
     def test_tensor_assigned_from_outside_is_read(self):
-        # a kept weight holds only while its tensor is the array it came from
         mps = MPS.ground(3)
         assert mps.basis_values([1]) == [1]
         mps.tensors[1] = np.array([[[0.0], [1.0]]], dtype=complex)
