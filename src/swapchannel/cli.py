@@ -21,7 +21,7 @@ import sys
 from dataclasses import asdict
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,11 +37,11 @@ from .runner import (
 )
 from .scheduler import (
     ScheduleError,
+    _json_parts,
     classical_channel_schedule,
     line_conflict_check,
     quantum_channel_schedule,
     schedule_from_json,
-    schedule_to_json,
 )
 from .solver import (
     GateDesign,
@@ -70,21 +70,23 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through ``path.tmp``; a path that cannot be
-    written is a usage error, and leaves no ``.tmp`` file behind."""
+def _write_text(path: str, parts: Iterable[str]) -> None:
+    """Write ``parts`` one by one to ``path`` through ``path.tmp``: a path that
+    cannot be written is a usage error, and any failure (of a write or of the
+    parts) leaves no ``.tmp`` file and no partial ``path`` behind."""
     tmp = path + ".tmp"
     try:
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from None
+    finally:
         if os.path.isfile(tmp):
             os.remove(tmp)
-        raise ConfigError(f"cannot write {path!r}: {exc}") from None
 
 
 def _design_obj(design: GateDesign, phase_exact: bool = True) -> dict:
@@ -111,7 +113,7 @@ def _cmd_solve(args) -> int:
     text = _dump_json(obj)
     sys.stdout.write(text)
     if args.out:
-        _write_text(args.out, text)
+        _write_text(args.out, [text])
     return 0 if obj["conditions"]["ok"] else 3
 
 
@@ -168,11 +170,11 @@ def _cmd_schedule(args) -> int:
         schedule, lines = classical_channel_schedule(
             spec, [int(c) for c in args.bits], args.t_ns
         )
-    text = schedule_to_json(schedule, lines)
+    parts = _json_parts(schedule, lines)
     if args.out:
-        _write_text(args.out, text)
+        _write_text(args.out, parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     return 0
 
 
@@ -273,9 +275,9 @@ def _cmd_trace(args) -> int:
     writer.writerow(["time_ns", "p1_simulated", "p1_analytic"])
     for t, p in zip(times, probs[:, 0]):
         writer.writerow([repr(float(t)), repr(float(p)), repr(float(descriptor.probability(t)))])
-    _write_text(args.out, buf.getvalue())
+    _write_text(args.out, [buf.getvalue()])
     if args.plot_script:
-        _write_text(args.plot_script, _PLOT_SCRIPT.format(csv_path=args.out))
+        _write_text(args.plot_script, [_PLOT_SCRIPT.format(csv_path=args.out)])
     obj = {"csv": args.out, "rows": int(times.shape[0])}
     obj |= _section(descriptor, "frequency_mhz", "offset", "amplitude")
     sys.stdout.write(_dump_json(obj))
@@ -578,10 +580,8 @@ def _schedule_section(schedule, lines, cfg: dict, out_dir: str) -> tuple[dict, l
     writes the schedule file if the config names one."""
     violations, line_check = _replay_and_lines(schedule, lines)
     if cfg["outputs"]["schedule"]:
-        _write_text(
-            os.path.join(out_dir, cfg["outputs"]["schedule"]),
-            schedule_to_json(schedule, lines),
-        )
+        path = os.path.join(out_dir, cfg["outputs"]["schedule"])
+        _write_text(path, _json_parts(schedule, lines))
     obj = {
         "n_windows": schedule.n_windows,
         "makespan_ns": schedule.makespan_ns,
@@ -701,7 +701,7 @@ def _cmd_run(args) -> int:
     checks += _grade(report, cfg)
     report["assertions"] = {"checks": checks, "passed": all(c["passed"] for c in checks)}
     report_path = os.path.join(out_dir, cfg["outputs"]["report"])
-    _write_text(report_path, _dump_json(report))
+    _write_text(report_path, [_dump_json(report)])
     for check in checks:
         print(f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}: {check['detail']}")
     print(f"report: {report_path}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +52,8 @@ _KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
 _NO_DATA = -1
 
 _FORMAT_TAG = "swapchannel-schedule/1"
+#: Entries of the writer's bias-row cache and of the parser's number cache.
+_CACHED_ROWS, _CACHED_NUMBERS = 64, 1024
 
 
 class ScheduleError(ValueError):
@@ -111,7 +113,8 @@ class Window:
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
-    array = np.array(values, dtype=dtype)
+    """``values`` as a read-only array; an ndarray of ``dtype`` is kept, not copied."""
+    array = np.asarray(values, dtype=dtype)
     array.flags.writeable = False
     return array
 
@@ -188,7 +191,7 @@ class PulseSchedule:
         of a schedule value.  A list (from rows or a file) takes one pass
         over its values' types; only a list that fails it is checked value by
         value, to name the first bad window.  A generator's ndarrays are
-        typed already and skip the pass."""
+        typed already: they skip the pass and are stored as they are."""
         n_qubits = _integer(n_qubits, "n_qubits", low=1, error=ScheduleError)
         if type(label) is not str:
             raise ScheduleError(f"label must be a string, got {label!r}")
@@ -378,10 +381,14 @@ def _line_schedule(spec: ChainSpec, lines: LineAssignment, targets: np.ndarray,
     line_pulsed = np.zeros((n_windows, lines.n_lines), dtype=bool)
     line_pulsed[window, line[qubit]] = True
     biases = np.where(line_pulsed[:, line] & (line >= 0), value[line], spec.eps_high_mhz)
-    pulses = _events(window, np.where(ends[qubit], _READOUT, _CNOT), qubit, _NO_DATA)
-    events = np.concatenate([boundary, pulses], axis=1)
-    # a window's boundary events first, then its pulses by qubit
-    events = events[:, np.argsort(2 * events[0] + (events[1] < _INJECT), kind="stable")]
+    # a window's boundary events first, in their given order, then its pulses by qubit:
+    # an event follows the other kind's events of earlier windows (a pulse, of its own too)
+    boundary = boundary[:, np.argsort(boundary[0], kind="stable")]
+    events = np.empty((4, boundary.shape[1] + window.size), dtype=np.int64)
+    events[:, np.arange(boundary.shape[1]) + np.searchsorted(window, boundary[0])] = boundary
+    at = np.arange(window.size) + np.searchsorted(boundary[0], window, side="right")
+    events[0, at], events[2, at], events[3, at] = window, qubit, _NO_DATA
+    events[1, at] = np.where(ends[qubit], _READOUT, _CNOT)
     starts = start_ns + np.arange(n_windows) * t_ns
     return PulseSchedule._from_arrays(n, label, starts, np.full(n_windows, t_ns), biases, events)
 
@@ -442,13 +449,13 @@ def quantum_channel_schedule(spec: ChainSpec, n_states: int, t_ns: float, *,
 
     lines = _quantum_lines(L, line_mode)
     n_macro = 3 * (n_states - 1) + (L - 1)
-    # at macro-step t, state s swaps the pair (t - 3s, t - 3s + 1)
-    lag = np.arange(n_macro)[:, None] - np.arange(L)
-    lefts = (lag >= 0) & (lag % 3 == 0) & (lag < 3 * n_states)
-    lefts[:, L - 1] = False
-    targets = np.stack([lefts, np.roll(lefts, 1, axis=1), lefts], axis=1)
-    # state s is injected at macro-step 3s and read at 3s + L - 1 (the last at the end)
+    # at macro-step t = 3s + a, state s swaps the pair (a, a + 1): its three
+    # windows pulse a, a + 1, a, cells t * 3L + a (+ L + 1, + 2L) of the targets
     s = np.arange(n_states)
+    left = (9 * L * s[:, None] + (3 * L + 1) * np.arange(L - 1)).ravel()
+    targets = np.zeros(n_macro * 3 * L, dtype=bool)
+    targets[left] = targets[left + L + 1] = targets[left + 2 * L] = True
+    # state s is injected at macro-step 3s and read at 3s + L - 1 (the last at the end)
     boundary = np.concatenate([_events(3 * (3 * s + L - 1), _READ_RESET, L - 1, s),
                                _events(9 * s, _INJECT, 0, s)], axis=1)
     return _line_schedule(spec, lines, targets.reshape(-1, L), boundary, t_ns,
@@ -700,16 +707,14 @@ def line_conflict_check(schedule: PulseSchedule, assignment: LineAssignment) -> 
     in_use = sorted({line for line in lines if line is not None})
     rank = {line: k for k, line in enumerate(in_use)}
     rank_of = np.array([rank.get(line, -1) for line in lines], dtype=np.intp)
-    # lined qubits grouped by rank (ascending qubits within a line)
-    members = np.argsort(rank_of, kind="stable")[np.count_nonzero(rank_of < 0):]
-    starts = np.searchsorted(rank_of[members], np.arange(len(in_use)))
-    biases = schedule.biases
-    conflict = (np.minimum.reduceat(biases[:, members], starts, axis=1)
-                != np.maximum.reduceat(biases[:, members], starts, axis=1))
-    pulsed = schedule.pulsed
-    line_pulsed = np.logical_or.reduceat(pulsed[:, members], starts, axis=1)
+    biases, pulsed = schedule.biases, schedule.pulsed
+    conflict = np.zeros((schedule.n_windows, len(in_use)), dtype=bool)
     shares = np.zeros_like(pulsed)
-    shares[:, members] = line_pulsed[:, rank_of[members]]
+    for g in range(len(in_use)):  # one line's columns at a time
+        members = np.flatnonzero(rank_of == g)
+        values = biases[:, members]
+        conflict[:, g] = values.min(axis=1) != values.max(axis=1)
+        shares[:, members] = pulsed[:, members].any(axis=1, keepdims=True)
     shares &= replay.data_held & ~pulsed
     unlined = pulsed & (rank_of < 0)
     flagged = conflict.any(axis=1) | unlined.any(axis=1) | shares.any(axis=1)
@@ -748,12 +753,67 @@ def _json_list(items: list[str], pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
-def _json_event(event: tuple, pad: str) -> str:
+def _json_event(event: list, pad: str) -> str:
     """An entry's ``(kind, qubit, data_index)`` as an object opened at ``pad``."""
     kind, qubit, data_index = event
     data = "null" if data_index == _NO_DATA else repr(data_index)
     return (f'{{\n{pad}  "data_index": {data},\n{pad}  "kind": "{EVENT_KINDS[kind]}",'
             f'\n{pad}  "qubit": {qubit!r}\n{pad}}}')
+
+
+class _Cache(dict):
+    """``convert(key)`` by key, once while the key repeats (at most ``size`` keys)."""
+
+    def __init__(self, convert, size: int):
+        self.convert, self.size = convert, size
+
+    def __missing__(self, key):
+        if len(self) >= self.size:
+            self.clear()
+        value = self[key] = self.convert(key)
+        return value
+
+
+def _json_parts(schedule: PulseSchedule, assignment: LineAssignment | None) -> Iterator[str]:
+    """The text of :func:`schedule_to_json`, part by part."""
+    cuts = np.searchsorted(schedule.events[:, 0], np.arange(schedule.n_windows + 1)).tolist()
+    final = [_json_event(e, "    ") for e in schedule.events[cuts[-1]:, 1:].tolist()]
+    lines = "null" if assignment is None else (
+        f'{{\n    "map": {_json_list(list(map(_json_value, assignment.lines)), "    ")},'
+        f'\n    "n_lines": {_json_value(assignment.n_lines)}\n  }}')
+    head = (
+        f'{{\n  "final_events": {_json_list(final, "  ")},'
+        f'\n  "format": {_json_value(_FORMAT_TAG)},'
+        f'\n  "label": {_json_value(schedule.label)},'
+        f'\n  "lines": {lines},'
+        f'\n  "n_qubits": {_json_value(schedule.n_qubits)},'
+        '\n  "windows": '
+    )
+    if not schedule.n_windows:
+        yield head + "[]\n}\n"
+        return
+    # an event's number among the distinct entries, by its code kind + k * qubit
+    # + k * n_qubits * (data_index + 1) for k kinds (Python ints past int64)
+    radix = len(EVENT_KINDS) * schedule.n_qubits
+    entries = schedule.events[:cuts[-1], 1:]
+    if radix * (int(entries[:, 2].max(initial=0)) + 2) > np.iinfo(np.int64).max:
+        entries = entries.astype(object)
+    codes = entries[:, 0] + len(EVENT_KINDS) * entries[:, 1] + radix * (entries[:, 2] + 1)
+    _, first, number = np.unique(codes, return_index=True, return_inverse=True)
+    # an item of the top-level "windows" array: brace at 4 spaces, keys at 6
+    texts = [_json_event(e, "        ") for e in entries[first].tolist()]
+    bias_text = _Cache(lambda row: _json_list(list(map(repr, np.frombuffer(row).tolist())),
+                                              "      "), _CACHED_ROWS)
+    close = head + "[\n    "
+    for row, duration, a, b, start in zip(schedule.biases, schedule.durations.tolist(), cuts,
+                                          cuts[1:], schedule.starts.tolist()):
+        yield from (close, '{\n      "biases_mhz": ', bias_text[row.tobytes()],
+                    ',\n      "duration_ns": ', repr(duration),
+                    ',\n      "events": ',
+                    _json_list(list(map(texts.__getitem__, number[a:b].tolist())), "      "),
+                    ',\n      "start_ns": ', repr(start))
+        close = "\n    },\n    "
+    yield "\n    }\n  ]\n}\n"
 
 
 def schedule_to_json(schedule: PulseSchedule, assignment: LineAssignment | None = None) -> str:
@@ -762,53 +822,23 @@ def schedule_to_json(schedule: PulseSchedule, assignment: LineAssignment | None 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True,
     allow_nan=False) + "\\n"`` for the schedule document, written directly:
     the fixed schema's keys are spelled out in sorted order, each distinct
-    bias row (by its bytes: -0.0 prints apart from 0.0) and event is written
-    once, and the windows go into the text in one final join (a large string
-    is copied once, not once per nesting level).  The schedule holds only
-    str, int and finite float values, so every value has one spelling.
+    event entry is written once, each distinct bias row (by its bytes: -0.0
+    prints apart from 0.0) once while it repeats, and the parts of
+    :func:`_json_parts` (which the CLI writes one by one) are joined once.
+    The schedule holds only str, int and finite float values, so every value
+    has one spelling.
     """
-    n_windows = schedule.n_windows
-    _, *columns = schedule.events.T.tolist()
-    cuts = np.searchsorted(schedule.events[:, 0], np.arange(n_windows + 1)).tolist()
-    events = list(zip(*columns))
-    final = _json_list([_json_event(e, "    ") for e in events[cuts[-1]:]], "  ")
-    lines = "null" if assignment is None else (
-        f'{{\n    "map": {_json_list(list(map(_json_value, assignment.lines)), "    ")},'
-        f'\n    "n_lines": {_json_value(assignment.n_lines)}\n  }}')
-    head = (
-        f'{{\n  "final_events": {final},'
-        f'\n  "format": {_json_value(_FORMAT_TAG)},'
-        f'\n  "label": {_json_value(schedule.label)},'
-        f'\n  "lines": {lines},'
-        f'\n  "n_qubits": {_json_value(schedule.n_qubits)},'
-        '\n  "windows": '
-    )
-    if not n_windows:
-        return head + "[]\n}\n"
-    # an item of the top-level "windows" array: brace at 4 spaces, keys at 6
-    text = {e: _json_event(e, "        ") for e in dict.fromkeys(events)}
-    texts = list(map(text.__getitem__, events))
-    rows = list(map(bytes, schedule.biases))
-    bias_text = {row: _json_list(list(map(float.__repr__, np.frombuffer(row).tolist())),
-                                 "      ") for row in dict.fromkeys(rows)}
-    parts = [head + "[\n    "]
-    for row, duration, a, b, start in zip(rows, schedule.durations.tolist(), cuts, cuts[1:],
-                                          schedule.starts.tolist()):
-        parts += ('{\n      "biases_mhz": ', bias_text[row],
-                  ',\n      "duration_ns": ', repr(duration),
-                  ',\n      "events": ', _json_list(texts[a:b], "      "),
-                  ',\n      "start_ns": ', repr(start), "\n    },\n    ")
-    parts[-1] = "\n    }\n  ]\n}\n"
-    return "".join(parts)
+    return "".join(_json_parts(schedule, assignment))
 
 
 def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]:
     """Parse a schedule file.  Every field must have its JSON type (integers
     for ``n_qubits``, qubits, data indices and lines, numbers for times and
     biases, a string ``label``): nothing is coerced.  The parser only finds
-    each field's values; :class:`PulseSchedule` checks them."""
+    each field's values; :class:`PulseSchedule` checks them.  A number text
+    repeated in the file is one float, and the document is dropped first."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=_Cache(float, _CACHED_NUMBERS).__getitem__)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ScheduleError(f"schedule file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != _FORMAT_TAG:
@@ -820,11 +850,11 @@ def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]
         window, flat = _flat([*events, obj["final_events"]])
         kinds, qubits = ([e[key] for e in flat] for key in ("kind", "qubit"))
         columns = [window, kinds, qubits, [e.get("data_index") for e in flat]]
-        label = obj.get("label", "")
+        label, lines_obj = obj.get("label", ""), obj.get("lines")
     except (KeyError, TypeError) as exc:
         raise ScheduleError(f"malformed schedule document: {exc}") from exc
+    del obj, windows, events, flat
     schedule = PulseSchedule._from_arrays(n_qubits, label, starts, durations, biases, columns)
-    lines_obj = obj.get("lines")
     if lines_obj is None:
         return schedule, None
     try:

@@ -41,7 +41,9 @@ from swapchannel import (
     solve_parameters,
     swap_pulses,
 )
-from swapchannel.scheduler import _match_pairs, replay_occupancy
+from swapchannel.scheduler import (
+    _CACHED_NUMBERS, _CACHED_ROWS, _match_pairs, replay_occupancy
+)
 
 DESIGN = solve_parameters(10.0, m=1, n=0)  # the ``design`` fixture, for @given tests
 
@@ -301,6 +303,23 @@ class TestScheduleWriter:
         assert schedule_to_json(sch, lines) == json_dumps_schedule(sch, lines)
         swap = swap_pulses(spec, 1, 2, design.t_ns)
         assert schedule_to_json(swap) == json_dumps_schedule(swap)
+
+    def test_more_distinct_values_than_the_caches_hold(self):
+        # 3000 distinct numbers and 150 distinct bias rows, each row coming
+        # back after 100 others: past the parser's number cache and the
+        # writer's row cache, whose evicted entries are spelled again; data
+        # indices near 2**63 give event codes past int64
+        rng = np.random.default_rng(7)
+        rows = rng.normal(scale=1e3, size=(150, 20))
+        rows[:, 0] = -0.0
+        order = [w % 150 if w < 300 else (w * 37) % 150 for w in range(450)]
+        windows = [Window(10.0 * w, 10.0, tuple(rows[r]), (PulseEvent("inject", r % 20, 2**62 + r),
+                                                            PulseEvent("cnot_pulse", r % 20)))
+                   for w, r in enumerate(order)]
+        sch = PulseSchedule(20, windows, (PulseEvent("read_reset", 3, 2**62),))
+        assert sch.events.dtype == np.int64
+        assert len(np.unique(sch.biases)) > _CACHED_NUMBERS and len(set(order)) > _CACHED_ROWS
+        assert_round_trips(sch, LineAssignment(tuple(range(20)), 20))
 
     def test_empty_schedule(self):
         sch = PulseSchedule(n_qubits=1, windows=())

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,11 @@ class TestScheduleArrays:
         minus = PulseSchedule(1, (Window(-0.0, 1.0, (-0.0,)),))
         assert plus == minus and hash(plus) == hash(minus)
         assert schedule_to_json(plus) != schedule_to_json(minus)
+        # both signs in one file: each number text is parsed apart
+        both = PulseSchedule(2, (Window(-0.0, 1.0, (0.0, -0.0)), Window(1.0, 1.0, (-0.0, 0.0))))
+        back, _ = schedule_from_json(schedule_to_json(both))
+        assert np.signbit(back.biases).tolist() == [[False, True], [True, False]]
+        assert np.signbit(back.starts).tolist() == [True, False]
 
     @pytest.mark.parametrize("t_ns", [True, "10", float("nan"), float("inf")])
     def test_generators_refuse_a_window_length_that_is_not_a_finite_number(self, design,
@@ -750,8 +756,68 @@ class TestScheduleSerialisation:
         with pytest.raises(ScheduleError):
             schedule_from_json(text)
 
+    @pytest.mark.parametrize("spelling", ["25000", "2.5e4", "25000.0", "1e400", "-1e400"])
+    def test_number_spellings(self, spelling):
+        # an integer or exponent spelling is the number it names; one past the
+        # float range is refused as the non-finite float it parses to
+        text = schedule_to_json(PulseSchedule(2, (Window(0.0, 10.0, (0.0, 25000.0)),)))
+        text = text.replace("25000.0", spelling)
+        if "e400" in spelling:
+            with pytest.raises(ScheduleError, match=re.escape(
+                    f"window 0: biases_mhz must be finite, got {float(spelling)}")):
+                schedule_from_json(text)
+        else:
+            assert schedule_from_json(text)[0].biases.tolist() == [[0.0, 25000.0]]
+
     def test_bad_event_kind_raises(self, design):
         spec = chain_for(design, 3)
         text = schedule_to_json(swap_pulses(spec, 0, 1, design.t_ns), None)
         with pytest.raises(ScheduleError):
             schedule_from_json(text.replace("readout_pulse", "mystery_pulse"))
+
+
+def traced_peak(call):
+    """``call()`` and the peak bytes tracemalloc counts while it runs."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def stored_bytes(schedule) -> int:
+    return sum(getattr(schedule, f).nbytes for f in ("starts", "durations", "biases", "events"))
+
+
+class TestArraysHeldOnce:
+    """Generation, the line check and the parser keep one copy of each array,
+    in bytes counted by tracemalloc at L = 256. The comments give each peak
+    while the generators' arrays were copied, the quantum wire built a
+    (macro-steps x L) lag grid, the line check gathered two full copies of
+    the lined biases and each number of a file had a float of its own."""
+
+    @pytest.fixture()
+    def spec(self, design):
+        return chain_for(design, 256, eps_high=25000.0)
+
+    def test_quantum_wire(self, design, spec):
+        (sch, _), peak = traced_peak(lambda: quantum_channel_schedule(spec, 16, design.t_ns))
+        assert peak < 2 * stored_bytes(sch)  # 2.71x
+
+    def test_classical_wire(self, design, spec):
+        (sch, _), peak = traced_peak(
+            lambda: classical_channel_schedule(spec, [1, 0, 1], design.t_ns))
+        assert peak < 2.5 * stored_bytes(sch)  # 3.15x
+
+    def test_line_check(self, design, spec):
+        sch, lines = quantum_channel_schedule(spec, 16, design.t_ns)
+        report, peak = traced_peak(lambda: line_conflict_check(sch, lines))
+        assert report.ok
+        assert peak < sch.biases.nbytes  # 1.43x, the replay and the pulse mask included
+
+    def test_parser(self, design, spec):
+        sch, lines = quantum_channel_schedule(spec, 16, design.t_ns)
+        text = schedule_to_json(sch, lines)
+        back, peak = traced_peak(lambda: schedule_from_json(text))
+        assert back == (sch, lines)
+        assert peak < 1.5 * len(text)  # 2.77x
