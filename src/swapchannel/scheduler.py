@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -336,7 +337,7 @@ class LineAssignment:
     n_lines: int
 
     def __post_init__(self):
-        _set(self, "n_lines", _integer(self.n_lines, "lines.n_lines", error=ScheduleError))
+        _set(self, "n_lines", _integer(self.n_lines, "lines.n_lines", low=0, error=ScheduleError))
         lines = _array(self.lines, "lines must be an array of integers or null")
         if not set(map(type, lines)) <= {int, type(None)}:
             lines = [_integer(line, f"line of qubit {q}", nullable=True, error=ScheduleError)
@@ -587,88 +588,102 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
     Each read records its data's swaps since the inject, mod 2
     (:attr:`ReadRecord.z_parity`): a swap leaves a Z on the data it moves, and
     a copy, which writes basis data, starts the count again.
+
+    It reads boundary events from the rows of :attr:`PulseSchedule.events` and
+    targets from one ``np.nonzero`` of :attr:`PulseSchedule.pulsed`.  In its flat
+    per-qubit lists a window touches only its own qubits (a swap triple its
+    pairs, a copy window its targets and their left neighbours), and it builds
+    violation messages only when a one-pass check finds a violation.
     """
     n, n_windows = schedule.n_qubits, schedule.n_windows
-    # qubit -> the data index it holds; every other qubit is parked, and so
-    # are the end qubits' missing neighbours -1 and n, which are never keys
-    occ: dict[int, int] = {}
-    z_parity: dict[int, int] = {}  # qubit -> z_parity of the data it holds
-    rows: list[bytearray] = []  # per window, 1 for each qubit holding data
+    # per qubit, its data index (None = parked) and (-1)^(its data's swaps), 0
+    # when parked or copied; the last slot, also read as index -1, is both ends'
+    # missing neighbour.  A schedule without windows may have any n_qubits: dicts
+    if n_windows:
+        occ, sign, held = [None] * (n + 1), [0] * (n + 1), bytearray(n)
+    else:
+        occ, sign, held = defaultdict(type(None)), defaultdict(int), {}
+    rows = bytearray()  # per window, 1 for each qubit holding data
     violations: list[Violation] = []
     reads: list[ReadRecord] = []
     swaps: list[tuple] = []
 
-    def snapshot():
-        row = bytearray(n)
-        for q in occ:
-            row[q] = 1
-        rows.append(row)
+    boundary = schedule.events[np.isin(schedule.events[:, 1], (_INJECT, _READ_RESET))]
+    # window w's boundary rows are boundary[bounds[w]:bounds[w + 1]], the final ones last
+    bounds = np.searchsorted(boundary[:, 0], np.arange(n_windows + 2)).tolist()
+    boundary = boundary.tolist()
 
-    def run_boundary(events, i):
-        for e in events:
-            if e.kind == "read_reset":
-                reads.append(ReadRecord(i, e.qubit, e.data_index, occ.pop(e.qubit, None),
-                                        z_parity.pop(e.qubit, 0)))
+    def run_boundary(w, i):
+        for _, code, q, data in boundary[bounds[w]:bounds[w + 1]]:
+            data = None if data == _NO_DATA else data
+            if code == _READ_RESET:
+                reads.append(ReadRecord(i, q, data, occ[q], int(sign[q] < 0)))
+                occ[q], sign[q], held[q] = None, 0, 0
                 continue
-            if e.qubit in occ:  # an inject
-                violations.append(Violation(i, "inject_occupied", (e.qubit,), (
-                    f"inject into qubit {e.qubit} holding {_symbol_text(occ[e.qubit])}")))
-            occ[e.qubit] = e.data_index
-            z_parity[e.qubit] = 0
+            if occ[q] is not None:  # an inject
+                violations.append(Violation(i, "inject_occupied", (q,), (
+                    f"inject into qubit {q} holding {_symbol_text(occ[q])}")))
+            occ[q], sign[q], held[q] = data, 1, 1
 
-    targets = list(map(frozenset, schedule.gate_targets))
-    boundaries = schedule.boundary_events
+    window, qubit = np.nonzero(schedule.pulsed)
+    side_by_side = set(window[1:][(np.diff(qubit) == 1) & (np.diff(window) == 0)].tolist())
+    cuts = np.searchsorted(window, np.arange(n_windows + 1)).tolist()
+    qubits = qubit.tolist()
+    targets = [qubits[a:b] for a, b in zip(cuts, cuts[1:])]
     i = 0
     while i < n_windows:
-        run_boundary(boundaries[i], i)
+        run_boundary(i, i)
         t0 = targets[i]
         pairs = None
-        if (t0 and i + 2 < n_windows and t0 == targets[i + 2]
-                and not (boundaries[i + 1] or boundaries[i + 2])):
-            pairs = _match_pairs(sorted(t0), sorted(targets[i + 1]))
-        if pairs is not None and t0.isdisjoint(targets[i + 1]):  # else a qubit in two pairs
-            swaps.append((i, tuple([a for a, _ in pairs])))
-            all_targets = t0 | targets[i + 1]
-            for a, b in pairs:
-                for outer in (a - 1, b + 1):
-                    if outer in all_targets:
-                        state = "is pulsed"
-                    elif outer in occ:
-                        state = f"holds {_symbol_text(occ[outer])}"
-                    else:
-                        continue
-                    violations.append(Violation(i, "sacrificial_occupied", (outer,), (
-                        f"outer neighbour {outer} of pair ({a},{b}) {state}")))
-            snapshot()
-            rows.append(rows[-1])
-            partner = {a: b for a, b in pairs} | {b: a for a, b in pairs}
-            occ = {partner.get(q, q): symbol for q, symbol in occ.items()}
-            z_parity = {partner.get(q, q): p ^ (q in partner) for q, p in z_parity.items()}
-            snapshot()
+        if t0 and i + 2 < n_windows and t0 == targets[i + 2] and bounds[i + 1] == bounds[i + 3]:
+            pairs = _match_pairs(t0, targets[i + 1])
+        if pairs is not None and set(t0).isdisjoint(targets[i + 1]):  # else a qubit in two pairs
+            lefts = tuple([a for a, _ in pairs])
+            swaps.append((i, lefts))
+            # an outer neighbour is pulsed when the next pair starts two qubits on
+            outers = [occ[a - 1] for a in lefts] + [occ[a + 2] for a in lefts]
+            if outers.count(None) < len(outers) or 2 in map(int.__sub__, lefts[1:], lefts):
+                all_targets = set(t0).union(targets[i + 1])
+                for a, b in pairs:
+                    for outer in (a - 1, b + 1):
+                        if outer in all_targets:
+                            state = "is pulsed"
+                        elif occ[outer] is not None:
+                            state = f"holds {_symbol_text(occ[outer])}"
+                        else:
+                            continue
+                        violations.append(Violation(i, "sacrificial_occupied", (outer,), (
+                            f"outer neighbour {outer} of pair ({a},{b}) {state}")))
+            rows += held * 2
+            for a in lefts:
+                b = a + 1
+                occ[a], occ[b] = occ[b], occ[a]
+                sign[a], sign[b] = -sign[b], -sign[a]
+                held[a], held[b] = held[b], held[a]
+            rows += held
             i += 3
             continue
         # plain copy window (or an idle window with no targets)
-        snapshot()
-        for q in schedule.gate_targets[i]:
-            if q + 1 in t0:
-                violations.append(Violation(i, "pulsed_neighbour", (q, q + 1), (
-                    f"neighbours {q} and {q + 1} are pulsed in one window")))
-            if occ.get(q) != occ.get(q + 1):
-                violations.append(Violation(i, "indeterminate", (q,), (
-                    f"cannot compare qubit {q} ({_symbol_text(occ.get(q))}) "
-                    f"with its right neighbour ({_symbol_text(occ.get(q + 1))})")))
+        rows += held
+        if i in side_by_side or [occ[q] for q in t0] != [occ[q + 1] for q in t0]:
+            neighbours = set(t0) if i in side_by_side else ()
+            for q in t0:
+                if q + 1 in neighbours:
+                    violations.append(Violation(i, "pulsed_neighbour", (q, q + 1), (
+                        f"neighbours {q} and {q + 1} are pulsed in one window")))
+                if occ[q] != occ[q + 1]:
+                    violations.append(Violation(i, "indeterminate", (q,), (
+                        f"cannot compare qubit {q} ({_symbol_text(occ[q])}) "
+                        f"with its right neighbour ({_symbol_text(occ[q + 1])})")))
         # every target takes its left neighbour's symbol from before the window
-        copied = {q: occ[q - 1] for q in t0 if q - 1 in occ}
-        for q in t0:
-            occ.pop(q, None)
-            z_parity.pop(q, None)
-        occ.update(copied)
+        for q, symbol in zip(t0, [occ[q - 1] for q in t0]):
+            occ[q], sign[q], held[q] = symbol, 0, symbol is not None
         i += 1
 
-    run_boundary(boundaries[n_windows], None)
+    run_boundary(n_windows, None)
     # an array over bytes is read-only
-    held = np.frombuffer(b"".join(rows), dtype=bool).reshape(schedule.biases.shape)
-    return ReplayResult(violations=tuple(violations), data_held=held, reads=tuple(reads),
+    data_held = np.frombuffer(bytes(rows), dtype=bool).reshape(schedule.biases.shape)
+    return ReplayResult(violations=tuple(violations), data_held=data_held, reads=tuple(reads),
                         swaps=tuple(swaps))
 
 

@@ -301,6 +301,8 @@ class TestValidateRefusesBadScheduleFiles:
             (lambda d: _edit_event(d, data_index=-1), "data_index must be >= 0, got -1"),
             (lambda d: d["final_events"][0].update(data_index=-7),
              "data_index must be >= 0, got -7"),
+            (lambda d: d["lines"].update(map=[None] * 5, n_lines=-7),
+             "lines.n_lines must be >= 0, got -7"),
         ],
         ids=["nan-bias", "inf-bias", "nan-start", "inf-duration", "negative-duration",
              "overlap", "inject-null-data-index", "float-qubit", "bool-qubit",
@@ -308,7 +310,7 @@ class TestValidateRefusesBadScheduleFiles:
              "object-biases", "string-bias", "bool-bias", "float-n-qubits", "string-start",
              "bool-duration", "huge-int-start", "float-line", "string-line",
              "float-n-lines", "list-label", "negative-data-index",
-             "negative-final-data-index"],
+             "negative-final-data-index", "negative-n-lines"],
     )
     def test_exits_1_with_message(self, capsys, tmp_path, edit, fragment):
         code, out, _ = run_cli(

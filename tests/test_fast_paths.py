@@ -127,6 +127,50 @@ def schedules(draw, bias_values=finite_numbers, min_windows=0):
     return schedule, lines
 
 
+@st.composite
+def broken_wires(draw):
+    """A designed wire, quantum (L 4-30, 1-8 states) or classical (even L
+    4-30, 1-6 bits), rebuilt from its rows after 1-3 edits: an inject
+    dropped or repeated in any window, a pulse moved by one qubit, a
+    read_reset added, or a data index raised past int64 (an object table)."""
+    if draw(st.booleans()):
+        spec = chain_for(DESIGN, draw(st.integers(4, 30)))
+        schedule, _ = quantum_channel_schedule(spec, draw(st.integers(1, 8)), DESIGN.t_ns)
+    else:
+        spec = chain_for(DESIGN, 2 * draw(st.integers(2, 15)))
+        bits = draw(st.lists(st.integers(0, 1), min_size=1, max_size=6))
+        schedule, _ = classical_channel_schedule(spec, bits, DESIGN.t_ns)
+    n = schedule.n_qubits
+    events = [list(w.events) for w in schedule.windows] + [list(schedule.final_events)]
+    anywhere = st.integers(0, len(events) - 1)  # a window, or the final events
+    for edit in draw(st.lists(st.sampled_from(["drop", "repeat", "shift", "read", "huge"]),
+                              min_size=1, max_size=3)):
+        if edit == "read":
+            data = draw(st.one_of(st.none(), st.integers(0, 8)))
+            events[draw(anywhere)].append(PulseEvent("read_reset", draw(st.integers(0, n - 1)),
+                                                     data))
+            continue
+        kinds = {"shift": GATE, "huge": BOUNDARY}.get(edit, ("inject",))
+        spots = [(w, k) for w, row in enumerate(events) for k, e in enumerate(row)
+                 if e.kind in kinds and not (edit == "huge" and e.data_index is None)]
+        if not spots:
+            continue
+        w, k = draw(st.sampled_from(spots))
+        e = events[w][k]
+        if edit == "drop":
+            del events[w][k]
+        elif edit == "repeat":
+            events[draw(anywhere)].append(e)
+        elif edit == "shift":
+            step = draw(st.sampled_from([-1, 1]))
+            events[w][k] = replace(e, qubit=e.qubit + step if 0 <= e.qubit + step < n
+                                   else e.qubit - step)
+        else:
+            events[w][k] = replace(e, data_index=2**63 + draw(st.integers(0, 10**30)))
+    windows = [replace(w, events=tuple(row)) for w, row in zip(schedule.windows, events)]
+    return PulseSchedule(n, windows, events[-1], schedule.label)
+
+
 def _rows(schedule) -> dict:
     """The arguments that build ``schedule`` from its rows."""
     return {"n_qubits": schedule.n_qubits, "windows": schedule.windows,
@@ -620,6 +664,7 @@ def assert_replay_matches_loop(schedule):
     assert got.swaps == want.swaps
     assert got.data_held.shape == want.data_held.shape
     assert np.array_equal(got.data_held, want.data_held)
+    assert got.data_held.dtype == bool and not got.data_held.flags.writeable
 
 
 def assert_same_arrays(got, want):
@@ -679,6 +724,13 @@ class TestArrayRoutesMatchTheRowRoutes:
         rebuilt = PulseSchedule(schedule.n_qubits, schedule.windows, schedule.final_events,
                                 schedule.label)
         assert_same_arrays(rebuilt, schedule)
+
+    @settings(max_examples=100, deadline=None)
+    @given(schedule=broken_wires())
+    def test_broken_designed_wires(self, schedule):
+        # swap triples with occupied or pulsed outer neighbours, and mid-wire
+        # copies and injects, which the hand-built schedules rarely form
+        assert_replay_matches_loop(schedule)
 
     @settings(max_examples=30, deadline=None)
     @given(case=schedules(bias_values=st.sampled_from([0.0, -0.0, 25000.0]), min_windows=1))

@@ -411,6 +411,21 @@ class TestQuantumChannel:
         report = run_quantum_channel(spec, sch, [probe, probe], mode="full")
         assert report.min_fidelity_corrected >= 0.999
 
+    @pytest.mark.parametrize("n_qubits", [5, 7])
+    def test_full_mode_wire_infidelity_falls_as_the_square_of_the_parking_bias(
+            self, design, n_qubits):
+        # each doubling of eps_high (k * delta, unsnapped) divides the corrected
+        # infidelity by 4: the (delta / eps_high)^2 law on a whole wire
+        probe = np.array([1.0, 1j]) / np.sqrt(2.0)
+        infidelity = []
+        for k in (250, 500, 1000, 2000, 4000):
+            spec = chain_for(design, n_qubits, eps_high=k * design.delta_mhz)
+            sch, _ = quantum_channel_schedule(spec, 1, design.t_ns)
+            (record,) = run_quantum_channel(spec, sch, [probe], mode="full").records
+            infidelity.append(1.0 - record.fidelity_corrected)
+        ratios = np.divide(infidelity[:-1], infidelity[1:])
+        assert_allclose(ratios, 4.0, rtol=0.05)  # 3.95-3.99 at L = 5, 3.92-3.99 at L = 7
+
     def test_a_second_reduced_run_builds_no_pulse_operator(self, design, rng, monkeypatch):
         # reduced_pulse_operator keeps its blocks for the process
         spec = chain_for(design, 7, eps_high=SNAP_EPS)

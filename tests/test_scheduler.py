@@ -22,7 +22,7 @@ from swapchannel import (
     swap_pulses,
     validate_sacrificial,
 )
-from swapchannel.scheduler import EVENT_KINDS, Violation, replay_occupancy
+from swapchannel.scheduler import EVENT_KINDS, ReadRecord, Violation, replay_occupancy
 
 
 def bare_window(n: int, targets=(), events=(), start=0.0, t=10.0) -> Window:
@@ -302,11 +302,12 @@ class TestScheduleFieldTypes:
              "line of qubit 1 must be an integer or null, got 1.0"),
             (lambda: LineAssignment(lines=(0,), n_lines=np.float64(1)),
              "lines.n_lines must be an integer, got"),
+            (lambda: LineAssignment((None,) * 5, -1), "lines.n_lines must be >= 0, got -1"),
         ],
         ids=["float-qubit", "bool-qubit", "string-data-index", "list-kind", "numpy-kind",
              "bool-bias", "string-biases", "huge-int-bias", "string-start", "bool-duration",
              "string-event", "float-n-qubits", "int-label", "numpy-label", "tuple-window",
-             "float-line", "float-n-lines"],
+             "float-line", "float-n-lines", "negative-n-lines"],
     )
     def test_refusals(self, build, fragment):
         with pytest.raises(ScheduleError, match=re.escape(fragment)):
@@ -794,7 +795,9 @@ class TestArraysHeldOnce:
     in bytes counted by tracemalloc at L = 256. The comments give each peak
     while the generators' arrays were copied, the quantum wire built a
     (macro-steps x L) lag grid, the line check gathered two full copies of
-    the lined biases and each number of a file had a float of its own."""
+    the lined biases and each number of a file had a float of its own.  The
+    replay builds no window or event rows, and nothing sized by the qubit
+    count of a schedule without windows."""
 
     @pytest.fixture()
     def spec(self, design):
@@ -814,6 +817,21 @@ class TestArraysHeldOnce:
         report, peak = traced_peak(lambda: line_conflict_check(sch, lines))
         assert report.ok
         assert peak < sch.biases.nbytes  # 1.43x, the replay and the pulse mask included
+
+    @pytest.mark.parametrize("n_qubits", [10**9, 2**63, 10**400])
+    def test_replay_of_a_window_less_schedule(self, n_qubits):
+        # such a schedule may declare any n_qubits: nothing is sized by it
+        sch = PulseSchedule(n_qubits, (), (PulseEvent("read_reset", 3, 0),))
+        replay, peak = traced_peak(lambda: replay_occupancy(sch))
+        assert replay.reads == (ReadRecord(None, 3, 0, None, 0),)
+        assert replay.data_held.size == 0
+        assert peak < 2**20
+
+    def test_replay_builds_no_rows(self, design, spec):
+        for sch, _ in (quantum_channel_schedule(spec, 16, design.t_ns),
+                       classical_channel_schedule(spec, [1, 0, 1], design.t_ns)):
+            assert replay_occupancy(sch).ok
+            assert not {"gate_targets", "boundary_events", "windows"} & vars(sch).keys()
 
     def test_parser(self, design, spec):
         sch, lines = quantum_channel_schedule(spec, 16, design.t_ns)
