@@ -37,7 +37,6 @@ from .scheduler import (
     quantum_channel_schedule,
     schedule_from_json,
     schedule_to_json,
-    swap_pulses,
     validate_sacrificial,
 )
 from .solver import (
@@ -64,7 +63,6 @@ __all__ = [
     "PulseSchedule",
     "LineAssignment",
     "ScheduleError",
-    "swap_pulses",
     "quantum_channel_schedule",
     "classical_channel_schedule",
     "validate_sacrificial",

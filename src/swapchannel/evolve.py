@@ -26,8 +26,8 @@ the ``eigh`` work.  :func:`propagator` assembles ``U`` for the
 callers that need the matrix itself (the 3-qubit gate experiments and the
 reduced pulse operators); complex Hermitian input takes the complex route.
 Reduced-mode wire runs do not use these dense states; they run on
-:class:`~swapchannel.mps.MPS`, which has the same methods (``apply``,
-``reduced_state``, ``inject``, ``reset``, ``trace``) under the same rule:
+:class:`~swapchannel.mps.MPS`, which has the same boundary methods
+(``reduced_state``, ``inject``, ``reset``, ``trace``) under the same rule:
 each updates the state in place and returns nothing, and a refused inject
 leaves the state as it was.
 """
@@ -99,11 +99,11 @@ class QuantumState:
     """The state ``rho = W W^dagger`` of ``n_qubits`` qubits, held as its factor.
 
     ``data`` is ``W``, a read-only complex array of shape ``(2^n_qubits, r)``;
-    the constructor keeps its own copy.  :meth:`apply`, :meth:`reset`,
-    :meth:`inject`, :meth:`apply_eigensystem` and :meth:`apply_diagonal`
-    update the state in place by replacing ``data``, and return nothing; a
-    refused inject leaves it as it was.  :class:`~swapchannel.mps.MPS`
-    follows the same rule.
+    the constructor keeps its own copy.  :meth:`reset`, :meth:`inject`,
+    :meth:`apply_eigensystem` and :meth:`apply_diagonal` update the state in
+    place by replacing ``data``, and return nothing; a refused inject leaves
+    it as it was.  :class:`~swapchannel.mps.MPS` follows the same rule.  A
+    full-chain operator ``U`` maps the state to ``QuantumState(U @ data)``.
     """
 
     def __init__(self, data: np.ndarray):
@@ -148,20 +148,6 @@ class QuantumState:
     def trace(self) -> float:
         """``tr rho``, the squared Frobenius norm of the factor."""
         return float(np.vdot(self.data, self.data).real)
-
-    def apply(self, op: np.ndarray, first_qubit: int) -> None:
-        """Apply an operator on ``k`` adjacent qubits starting at ``first_qubit``.
-
-        The operator is a ``2^k x 2^k`` matrix in chain ordering over those
-        qubits.  Rows of ``W`` split as (qubits before, the ``k`` qubits,
-        qubits after), and the columns ride along with the qubits after, so
-        the update is one ``matmul``; a full-chain ``U`` at ``first_qubit=0``
-        is the single product ``U @ W``.
-        """
-        op = np.asarray(op)
-        _local_width(op, first_qubit, self.n_qubits)
-        w = self.data.reshape(1 << first_qubit, op.shape[0], -1)
-        self._store((op @ w).reshape(self.dim, -1))
 
     def apply_eigensystem(self, evecs: np.ndarray, angles: np.ndarray) -> None:
         """Apply the full-chain ``V diag(e^{-i angles}) V^dagger`` from

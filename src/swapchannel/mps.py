@@ -40,7 +40,7 @@ class MPS:
     ``lambdas`` with ends [1]), updated in place as ``QuantumState`` is.
     ``max_bond`` is the largest bond any split has made; ``discarded_weight``
     sums each split's dropped squared singular values, relative to the norm
-    of the state it split, and the off-basis slices :meth:`basis_values` drops.
+    of the state it split, and the off-basis slices :meth:`_basis_values` drops.
     """
 
     def __init__(self, n_qubits: int):
@@ -110,22 +110,13 @@ class MPS:
         for j, a in enumerate(firsts):
             t[a] = theta[j, :, :, :right[j]]
 
-    def apply(self, op: np.ndarray, first_qubit: int) -> None:
-        """Apply a 2^k x 2^k unitary, in chain ordering, on the ``k`` adjacent
-        qubits from ``first_qubit``; only their tensors and inner bonds change."""
-        _local_width(np.asarray(op), first_qubit, self.n_qubits)
-        self._update([np.asarray(op)], [first_qubit])
-
-    def basis_values(self, qubits: Sequence[int]) -> list[int | None]:
+    def _basis_values(self, qubits: Collection[int]) -> list[int | None]:
         """Each qubit's z value, +1 for |0> and -1 for |1>, if it is frozen in a
         basis state, else None, from its tensor and left bond, in one stacked
-        pass per tensor shape.  Frozen means the other slice holds at most
-        ``TRUNCATION_RTOL**2`` of its weight, as in a split, and the slice is
-        then dropped and its share added to ``discarded_weight`` once."""
-        return self._basis_values([_qubit(q, self.n_qubits) for q in qubits])
-
-    def _basis_values(self, qubits: Collection[int]) -> list[int | None]:
-        """:meth:`basis_values` of qubits known to be in the chain."""
+        pass per tensor shape; the qubits must be in the chain.  Frozen means
+        the other slice holds at most ``TRUNCATION_RTOL**2`` of its weight, as
+        in a split, and the slice is then dropped and its share added to
+        ``discarded_weight`` once."""
         t, lam, by_shape, weights = self.tensors, self.lambdas, {}, {}
         for q in qubits:
             by_shape.setdefault(t[q].shape, []).append(q)
@@ -153,9 +144,10 @@ class MPS:
         overlapping or touching (else refused, as is a run leaving the chain,
         before any pulse is built), so each run's pulse reads only its two
         outer neighbours' z and the pulses commute.  ``pulse(first, left,
-        right)`` gives the ``(op, first_qubit)`` of :meth:`apply`, a block that
-        must lie in the run and its outer neighbours, from each outer
-        neighbour's :meth:`basis_values` (None past a chain end, all read in
+        right)`` gives a ``2^k x 2^k`` unitary in chain ordering and the first
+        of the ``k`` adjacent qubits it acts on, a block that must lie in the
+        run and its outer neighbours, from each outer neighbour's
+        :meth:`_basis_values` (None past a chain end, all read in
         one pass), so a frozen neighbour leaves the block.  Every block is
         checked before the first update, and blocks over tensors of one shape
         share one, but for a block over a neighbour of two runs, which goes

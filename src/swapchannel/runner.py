@@ -2,10 +2,11 @@
 
 Both channel runners drive one engine, :func:`_execute`, which applies the
 schedule window by window and reads, resets and injects at the boundaries;
-a runner only grades or thresholds the reads.  The two state types answer
-the same methods (``apply``, ``reduced_state``, ``reset``, ``inject``,
-``trace``), each updating the state in place, so the engine calls them
-without asking which one it holds.  It has two modes:
+a runner only grades or thresholds the reads.  It walks the schedule's one
+per-window cut of targets and boundary rows, as the replay does.  Both state
+types answer ``reduced_state``, ``reset``, ``inject`` and ``trace``, each
+updating the state in place, so the boundaries do not ask which one it holds.
+It has two modes:
 
 * ``reduced``: each intended pulse is the exact neighbour-conditioned
   two-level propagator at the window's bias for the pulsed qubit (parked
@@ -62,7 +63,7 @@ from .evolve import (
 )
 from .gates import IDEAL_CNOT, _pulse, _swap_pulse, reduced_pulse_operator
 from .mps import MPS
-from .scheduler import PulseSchedule, ReplayResult, ScheduleError
+from .scheduler import _NO_DATA, _READ_RESET, PulseSchedule, ReplayResult, ScheduleError
 from .solver import GateDesign
 
 __all__ = [
@@ -318,8 +319,7 @@ class TransferReport:
 def _require_states(schedule: PulseSchedule, data_states: Sequence) -> list[np.ndarray]:
     """The data states as arrays, once every data index the schedule injects
     or reads (in windows and in the final events) names one of them."""
-    indices = sorted({e.data_index for events in schedule.boundary_events for e in events
-                      if e.data_index is not None})
+    indices = sorted({data for rows in schedule._cut[1] for _, _, data in rows} - {_NO_DATA})
     states = [_checked_amplitudes(s) for s in data_states]
     if indices and indices[-1] >= len(states):
         raise ValueError(
@@ -355,12 +355,13 @@ def _execute(
 ) -> QuantumState | MPS:
     """Run ``schedule`` from |0...0> and return the final lab-frame state.
 
-    Every read_reset first calls ``on_read(event, window_index, reads)``,
-    where ``reads`` maps each branch to the read qubit's ``(rho2, purity)``:
+    Every read_reset first calls ``on_read(data_index, window_index, reads)``
+    with the read's data index (-1 for none, as in the event table), where
+    ``reads`` maps each branch to the read qubit's ``(rho2, purity)``:
     ``"raw"`` always, and ``"corrected"`` in a full-mode run with
     ``frame_correction``, whose copy of the state has each window's idle
     phases undone.  The qubit is then reset, which never refuses.  Injects
-    write ``data_states[event.data_index]`` and refuse a qubit whose purity
+    write ``data_states[data_index]`` and refuse a qubit whose purity
     is below ``1 - INJECT_PURITY_TOL`` (``evolve``).  Full mode caches one
     :func:`_window_eigensystem` per distinct window, shared by both branches.
     Reduced mode runs each swap triple of ``replay`` with parked outer
@@ -381,16 +382,16 @@ def _execute(
 
     prop_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    def do_boundary(events, window_index):
-        for e in events:
-            if e.kind == "read_reset":
-                reads = {name: s.reduced_state(e.qubit) for name, s in branches.items()}
-                on_read(e, window_index, reads)
+    def do_boundary(rows, window_index):
+        for kind, q, data in rows:
+            if kind == _READ_RESET:
+                reads = {name: s.reduced_state(q) for name, s in branches.items()}
+                on_read(data, window_index, reads)
                 for s in branches.values():
-                    s.reset(e.qubit)
-            elif e.kind == "inject":
+                    s.reset(q)
+            else:  # an inject
                 for s in branches.values():
-                    s.inject(e.qubit, states[e.data_index])
+                    s.inject(q, states[data])
 
     swaps = {}  # first window -> each pair's first qubit, of each triple run as one layer
     if reduced and replay is not None:  # a flagged outer neighbour: window by window
@@ -399,10 +400,11 @@ def _execute(
     # plain floats, one window's row at a time: cache keys and pulse-operator arguments
     biases, durations = schedule.biases, schedule.durations.tolist()
     done = 0  # the windows before it were pulsed with their swap triple
-    for i, (targets, boundary) in enumerate(zip(schedule.gate_targets, schedule.boundary_events)):
+    targets_of, boundary_of = schedule._cut
+    for i, targets in enumerate(targets_of):
         if i < done:
             continue
-        do_boundary(boundary, i)
+        do_boundary(boundary_of[i], i)
         if i in swaps:  # the triple's three windows, one layer of pairs
             pulsed, windows = set(targets), tuple(zip(biases[i:i + 3].tolist(), durations[i:i + 3]))
             branches["raw"].apply_layer(swaps[i], lambda a, left, right: _swap_pulse(
@@ -421,7 +423,7 @@ def _execute(
                 s.apply_eigensystem(*prop_cache[key])
             if angles is not None:
                 branches["corrected"].apply_diagonal(_frame_diagonal(angles[i], spec.n_qubits))
-    do_boundary(schedule.boundary_events[-1], None)
+    do_boundary(boundary_of[-1], None)
     return branches["raw"]
 
 
@@ -458,8 +460,8 @@ def run_quantum_channel(
     records: list[TransferRecord] = []
     frames = iter(schedule.replay.reads)  # in the order the engine reads
 
-    def on_read(e, window_index, reads):
-        target = targets[e.data_index] if e.data_index is not None else None
+    def on_read(data_index, window_index, reads):
+        target = targets[data_index] if data_index >= 0 else None
         raw = _grade(*reads["raw"], target)
         rho2, purity = reads.get("corrected", reads["raw"])
         if next(frames).z_parity:
@@ -467,7 +469,7 @@ def run_quantum_channel(
         cor = _grade(rho2, purity, target)
         records.append(
             TransferRecord(
-                data_index=e.data_index if e.data_index is not None else -1,
+                data_index=data_index,
                 window_index=window_index,
                 fidelity_raw=raw[0],
                 fidelity_corrected=cor[0],
@@ -528,12 +530,12 @@ def run_classical_channel(
     bits = [_integer(b, f"bits[{i}]", low=0, high=1) for i, b in enumerate(bits)]
     records: list[ClassicalRecord] = []
 
-    def on_read(e, window_index, reads):
-        if e.data_index is not None:
+    def on_read(data_index, window_index, reads):
+        if data_index >= 0:
             p1 = float(reads["raw"][0][1, 1].real)
             records.append(
                 ClassicalRecord(
-                    data_index=e.data_index,
+                    data_index=data_index,
                     window_index=window_index,
                     p_one=p1,
                     bit=int(p1 > 0.5),

@@ -39,9 +39,8 @@ from .chain import ChainSpec, _integer, _number
 __all__ = [
     "ScheduleError", "GATE_KINDS", "BOUNDARY_KINDS", "EVENT_KINDS", "PulseEvent", "Window",
     "PulseSchedule", "LineAssignment", "Violation", "ReadRecord", "ReplayResult",
-    "LineCheckReport", "swap_pulses", "quantum_channel_schedule", "classical_channel_schedule",
-    "replay_occupancy", "validate_sacrificial", "line_conflict_check", "schedule_to_json",
-    "schedule_from_json",
+    "LineCheckReport", "quantum_channel_schedule", "classical_channel_schedule", "replay_occupancy",
+    "validate_sacrificial", "line_conflict_check", "schedule_to_json", "schedule_from_json",
 ]
 
 GATE_KINDS = ("cnot_pulse", "readout_pulse")
@@ -125,7 +124,7 @@ def _table(columns) -> np.ndarray:
     try:
         return _frozen(columns, np.int64).reshape(4, -1).T
     except OverflowError:
-        return _frozen([np.asarray(c).tolist() for c in columns], object).reshape(4, -1).T
+        return _frozen([np.array(c, object).tolist() for c in columns], object).reshape(4, -1).T
 
 
 def _only(values, *types) -> bool:
@@ -297,21 +296,20 @@ class PulseSchedule:
         return tuple(_event(*event) for event in final.tolist())
 
     @cached_property
-    def gate_targets(self) -> tuple[tuple[int, ...], ...]:
-        """Per window, the distinct qubits it pulses, ascending: the rows of :attr:`pulsed`."""
-        windows, qubits = np.nonzero(self.pulsed)
-        cuts = np.searchsorted(windows, np.arange(self.n_windows + 1)).tolist()
-        qubits = qubits.tolist()
-        return tuple(tuple(qubits[a:b]) for a, b in zip(cuts, cuts[1:]))
-
-    @cached_property
-    def boundary_events(self) -> tuple[tuple[PulseEvent, ...], ...]:
-        """Per window, then for the final events, the boundary event rows."""
-        out = [[] for _ in range(self.n_windows + 1)]
+    def _cut(self) -> tuple[list, list]:
+        """The one per-window cut of the event table: per window, the distinct
+        qubits it pulses, ascending (a row of :attr:`pulsed`); and per window,
+        then for the final events, its boundary ``[kind, qubit, data_index]``
+        rows in table order (no data index as -1)."""
+        window, qubit = np.nonzero(self.pulsed)
+        cuts = np.searchsorted(window, np.arange(self.n_windows + 1)).tolist()
+        qubits = qubit.tolist()
         kind = self.events[:, 1]
-        for w, *event in self.events[(kind >= _INJECT) & (kind <= _READ_RESET)].tolist():
-            out[w].append(_event(*event))
-        return tuple(map(tuple, out))
+        rows = self.events[(kind == _INJECT) | (kind == _READ_RESET)]
+        bounds = np.searchsorted(rows[:, 0], np.arange(self.n_windows + 2)).tolist()
+        rows = rows[:, 1:].tolist()
+        return ([qubits[a:b] for a, b in zip(cuts, cuts[1:])],
+                [rows[a:b] for a, b in zip(bounds, bounds[1:])])
 
     @cached_property
     def replay(self) -> "ReplayResult":
@@ -392,29 +390,6 @@ def _line_schedule(spec: ChainSpec, lines: LineAssignment, targets: np.ndarray,
     events[1, at] = np.where(ends[qubit], _READOUT, _CNOT)
     starts = start_ns + np.arange(n_windows) * t_ns
     return PulseSchedule._from_arrays(n, label, starts, np.full(n_windows, t_ns), biases, events)
-
-
-def swap_pulses(spec: ChainSpec, left: int, right: int, t_ns: float,
-                start_ns: float = 0.0) -> PulseSchedule:
-    """The three-window fragment exchanging two adjacent qubits.
-
-    Pulse targets go (left, right, left); both outer neighbours (when they
-    exist) must be parked in |0> for the exchange to hold, which is the
-    validator's business, not this generator's.
-    """
-    left = _integer(left, "left", error=ScheduleError)
-    right = _integer(right, "right", error=ScheduleError)
-    if right != left + 1:
-        raise ScheduleError(f"swap needs adjacent qubits, got ({left}, {right})")
-    if not 0 <= left < right < spec.n_qubits:
-        raise ScheduleError(f"qubits ({left}, {right}) out of range")
-    t_ns = _window_length(t_ns)
-    start_ns = _number(start_ns, "start_ns", error=ScheduleError)
-    # a line per qubit: every unpulsed qubit holds at eps_high
-    own_lines = LineAssignment(lines=tuple(range(spec.n_qubits)), n_lines=spec.n_qubits)
-    targets = np.eye(spec.n_qubits, dtype=bool)[[left, right, left]]
-    return _line_schedule(spec, own_lines, targets, _events([], 0, 0, 0), t_ns,
-                          f"swap-{left}-{right}", start_ns)
 
 
 def _quantum_lines(n_qubits: int, line_mode: str) -> LineAssignment:
@@ -589,8 +564,8 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
     (:attr:`ReadRecord.z_parity`): a swap leaves a Z on the data it moves, and
     a copy, which writes basis data, starts the count again.
 
-    It reads boundary events from the rows of :attr:`PulseSchedule.events` and
-    targets from one ``np.nonzero`` of :attr:`PulseSchedule.pulsed`.  In its flat
+    It reads targets and boundary rows from the schedule's one per-window cut
+    (``PulseSchedule._cut``), which the runner shares.  In its flat
     per-qubit lists a window touches only its own qubits (a swap triple its
     pairs, a copy window its targets and their left neighbours), and it builds
     violation messages only when a one-pass check finds a violation.
@@ -608,13 +583,10 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
     reads: list[ReadRecord] = []
     swaps: list[tuple] = []
 
-    boundary = schedule.events[np.isin(schedule.events[:, 1], (_INJECT, _READ_RESET))]
-    # window w's boundary rows are boundary[bounds[w]:bounds[w + 1]], the final ones last
-    bounds = np.searchsorted(boundary[:, 0], np.arange(n_windows + 2)).tolist()
-    boundary = boundary.tolist()
+    targets, boundary = schedule._cut
 
     def run_boundary(w, i):
-        for _, code, q, data in boundary[bounds[w]:bounds[w + 1]]:
+        for code, q, data in boundary[w]:
             data = None if data == _NO_DATA else data
             if code == _READ_RESET:
                 reads.append(ReadRecord(i, q, data, occ[q], int(sign[q] < 0)))
@@ -625,17 +597,15 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
                     f"inject into qubit {q} holding {_symbol_text(occ[q])}")))
             occ[q], sign[q], held[q] = data, 1, 1
 
-    window, qubit = np.nonzero(schedule.pulsed)
-    side_by_side = set(window[1:][(np.diff(qubit) == 1) & (np.diff(window) == 0)].tolist())
-    cuts = np.searchsorted(window, np.arange(n_windows + 1)).tolist()
-    qubits = qubit.tolist()
-    targets = [qubits[a:b] for a, b in zip(cuts, cuts[1:])]
+    pulsed = schedule.pulsed
+    side_by_side = set(np.flatnonzero((pulsed[:, 1:] & pulsed[:, :-1]).any(axis=1)).tolist())
     i = 0
     while i < n_windows:
         run_boundary(i, i)
         t0 = targets[i]
         pairs = None
-        if t0 and i + 2 < n_windows and t0 == targets[i + 2] and bounds[i + 1] == bounds[i + 3]:
+        if (t0 and i + 2 < n_windows and t0 == targets[i + 2]
+                and not (boundary[i + 1] or boundary[i + 2])):
             pairs = _match_pairs(t0, targets[i + 1])
         if pairs is not None and set(t0).isdisjoint(targets[i + 1]):  # else a qubit in two pairs
             lefts = tuple([a for a, _ in pairs])
@@ -738,9 +708,8 @@ def line_conflict_check(schedule: PulseSchedule, assignment: LineAssignment) -> 
         for g in np.flatnonzero(conflict[i]).tolist():
             values = {row[q] for q in np.flatnonzero(rank_of == g).tolist()}
             problems.append(f"window {i}: line {in_use[g]} would need biases {sorted(values)}")
-        for q in schedule.gate_targets[i]:
-            if lines[q] is None:
-                problems.append(f"window {i}: pulsed qubit {q} has no line")
+        for q in np.flatnonzero(unlined[i]).tolist():
+            problems.append(f"window {i}: pulsed qubit {q} has no line")
         for q in np.flatnonzero(shares[i]).tolist():
             problems.append(f"window {i}: qubit {q} holds data but shares pulsed line {lines[q]}")
     return LineCheckReport(ok=not problems, problems=tuple(problems))

@@ -10,13 +10,13 @@ backend must reproduce.  The dense-rho run is the package's former full-mode
 path (2^L x 2^L density matrices), kept as the reference for the factor
 ``rho = W W^dagger`` the full-mode runners now evolve.  The dense local
 operator and reduced state are the package's former free functions of
-``evolve``, kept as the references for the ``apply`` and ``reduced_state``
-methods of both state types.  The schedule
+``evolve``, kept as the references for the MPS's local updates and the
+``reduced_state`` method of both state types.  The schedule
 serialiser and the frame correction and the reduced pulse operator are the
 package's former per-value routes: ``json.dumps`` of the schedule document,
 one scalar ``phase_angle`` per parked qubit, and one matrix element at a
-time.  ``swap_pulses`` had its own bias route, an np.float64 hold profile with
-the pulsed qubit set, before it took the generators' line-driven one.  The
+time.  The swap fragment is the package's former ``swap_pulses`` generator by
+its first bias route, an np.float64 hold profile with the pulsed qubit set.  The
 replay's swap-pair matching built a candidate set per target, and the line
 check grouped each window's biases into a dict of sets, one qubit at a
 time.  The wire generators and the replay are the package's former
@@ -263,7 +263,8 @@ def rho_replace(rho: np.ndarray, qubit: int, local: np.ndarray) -> np.ndarray:
 def dense_rho_run(spec, schedule, data_states, on_read, *, mode, frame_correction=False,
                   replay=None, exact=False):
     """A full-mode run on 2^L x 2^L density matrices, with the signature and
-    read contract of ``runner._execute`` (so a runner can be pointed at it;
+    read contract of ``runner._execute``, ``on_read(data_index, window,
+    reads)`` with -1 for no data index (so a runner can be pointed at it;
     ``replay`` names the swap triples only reduced mode runs as one layer).
 
     Each window maps ``rho -> U rho U^dagger`` with the package's own
@@ -290,7 +291,8 @@ def dense_rho_run(spec, schedule, data_states, on_read, *, mode, frame_correctio
     def boundary(events, w):
         for e in events:
             if e.kind == "read_reset":
-                on_read(e, w, {k: _rho_reduced(r, e.qubit) for k, r in rhos.items()})
+                data = -1 if e.data_index is None else e.data_index
+                on_read(data, w, {k: _rho_reduced(r, e.qubit) for k, r in rhos.items()})
                 local = np.array([1.0, 0.0], dtype=complex)
             elif e.kind == "inject":
                 local = np.asarray(data_states[e.data_index], dtype=complex)
@@ -348,8 +350,10 @@ def json_dumps_schedule(schedule, assignment=None) -> str:
 
 
 def hold_bias_swap_pulses(spec, left, right, t_ns, start_ns=0.0) -> PulseSchedule:
-    """``swap_pulses`` by its former bias route: every qubit at eps_high
-    (np.float64) but the pulsed one, at 0, or at ``+xi`` on a chain end."""
+    """The three-window fragment exchanging the adjacent qubits ``left`` and
+    ``right``, pulsing (left, right, left), by the former ``swap_pulses``'s
+    first bias route: every qubit at eps_high (np.float64) but the pulsed
+    one, at 0, or at ``+xi`` on a chain end."""
     ends = (0, spec.n_qubits - 1)
     windows = []
     for i, q in enumerate((left, right, left)):

@@ -219,7 +219,7 @@ def test_criterion_10_property_battery():
         rho = QuantumState(raw / np.linalg.norm(raw))
         spec = chain_for(design, 4, eps_high=25000.0)
         h = build_hamiltonian(spec, rng.uniform(0, 25000.0, size=4))
-        rho.apply(propagator(h, design.t_ns), 0)
+        rho = QuantumState(propagator(h, design.t_ns) @ rho.data)
         assert abs(rho.trace() - 1.0) < 1e-9
 
     # Solver round-trip: a solved design regenerates its own window length

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import chain_for
-from oracles import kron_hamiltonian
+from oracles import hold_bias_swap_pulses, kron_hamiltonian
 from swapchannel import (
     ChainSpec,
     LineAssignment,
@@ -21,7 +21,6 @@ from swapchannel import (
     run_classical_channel,
     schedule_to_json,
     solve_parameters,
-    swap_pulses,
 )
 from swapchannel.chain import (
     TwoLevelParams,
@@ -293,7 +292,8 @@ class TestReduceToTarget:
 
 def _schedule_file(tmp_path, edit) -> list:
     """``validate`` arguments for a swap schedule file changed by ``edit``."""
-    doc = json.loads(schedule_to_json(swap_pulses(ChainSpec(3, 25.0, 20.0), 0, 1, 10.0)))
+    spec = ChainSpec(3, 25.0, 20.0)
+    doc = json.loads(schedule_to_json(hold_bias_swap_pulses(spec, 0, 1, 10.0)))
     edit(doc)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import pathlib
@@ -14,7 +15,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import chain_for
-from swapchannel import PulseEvent, PulseSchedule, Window, schedule_to_json, swap_pulses
+from oracles import hold_bias_swap_pulses
+from swapchannel import PulseEvent, PulseSchedule, Window, schedule_to_json
 from swapchannel import cli
 from swapchannel.cli import (
     MAX_CONFIG_ITEMS, MAX_CONFIG_QUBITS, MAX_TRACE_PHASE_RAD, _dump_json, main
@@ -191,7 +193,7 @@ class TestScheduleAndValidate:
 
     def test_validate_flags_bad_schedule(self, capsys, tmp_path, design):
         spec = chain_for(design, 4, eps_high=25000.0)
-        triple = swap_pulses(spec, 1, 2, design.t_ns)
+        triple = hold_bias_swap_pulses(spec, 1, 2, design.t_ns)
         inject = Window(
             start_ns=-design.t_ns,
             duration_ns=design.t_ns,
@@ -1099,6 +1101,22 @@ def _readme_table(header: str) -> list[list[str]]:
             break
         rows.append([cell.strip() for cell in line.strip("|").split("|")])
     return rows
+
+
+class TestReadmeNames:
+    """Every name the package or a module exports resolves and is named, in
+    backticks, in the README's API list."""
+
+    @pytest.mark.parametrize("module", ["", ".chain", ".evolve", ".mps", ".gates",
+                                        ".scheduler", ".solver", ".runner", ".cli"])
+    def test_every_exported_name_is_documented(self, module):
+        mod = importlib.import_module("swapchannel" + module)
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        names = [name for name in mod.__all__ if not name.startswith("__")]
+        assert names
+        for name in names:
+            assert hasattr(mod, name), name
+            assert re.search(rf"`{re.escape(name)}\b", readme), name
 
 
 class TestReadmeTables:

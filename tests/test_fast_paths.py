@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import chain_for
 from oracles import (
+    _boundary_events,
+    _gate_targets,
     hold_bias_swap_pulses,
     json_dumps_schedule,
     loop_classical_channel_schedule,
@@ -39,10 +41,9 @@ from swapchannel import (
     schedule_from_json,
     schedule_to_json,
     solve_parameters,
-    swap_pulses,
 )
 from swapchannel.scheduler import (
-    _CACHED_NUMBERS, _CACHED_ROWS, _match_pairs, replay_occupancy
+    _CACHED_NUMBERS, _CACHED_ROWS, EVENT_KINDS, _match_pairs, replay_occupancy
 )
 
 DESIGN = solve_parameters(10.0, m=1, n=0)  # the ``design`` fixture, for @given tests
@@ -345,7 +346,7 @@ class TestScheduleWriter:
         spec = chain_for(design, n_qubits)
         sch, lines = classical_channel_schedule(spec, [1, 0, 0, 1, 1], design.t_ns)
         assert schedule_to_json(sch, lines) == json_dumps_schedule(sch, lines)
-        swap = swap_pulses(spec, 1, 2, design.t_ns)
+        swap = hold_bias_swap_pulses(spec, 1, 2, design.t_ns)
         assert schedule_to_json(swap) == json_dumps_schedule(swap)
 
     def test_more_distinct_values_than_the_caches_hold(self):
@@ -369,18 +370,6 @@ class TestScheduleWriter:
         sch = PulseSchedule(n_qubits=1, windows=())
         assert schedule_to_json(sch) == json_dumps_schedule(sch)
         assert '"windows": []' in schedule_to_json(sch)
-
-
-class TestSwapPulsesBiasRoute:
-    @pytest.mark.parametrize("eps_high", [None, 25000.0])
-    @pytest.mark.parametrize("n_qubits", range(2, 9))
-    def test_equals_the_hold_bias_route(self, design, n_qubits, eps_high):
-        spec = chain_for(design, n_qubits, eps_high=eps_high)
-        for left in range(n_qubits - 1):
-            got = swap_pulses(spec, left, left + 1, design.t_ns, start_ns=5.0)
-            want = hold_bias_swap_pulses(spec, left, left + 1, design.t_ns, start_ns=5.0)
-            assert got == want
-            assert schedule_to_json(got) == json_dumps_schedule(want)
 
 
 def assert_symbols_are_parked_or_data(schedule):
@@ -539,8 +528,8 @@ class TestFrameCorrection:
         inject = PulseEvent(kind="inject", qubit=0, data_index=0)
         cases = [
             PulseSchedule(n_qubits=5, windows=()),
-            swap_pulses(spec, 0, 1, design.t_ns),
-            swap_pulses(spec, 3, 4, design.t_ns),
+            hold_bias_swap_pulses(spec, 0, 1, design.t_ns),
+            hold_bias_swap_pulses(spec, 3, 4, design.t_ns),
             PulseSchedule(n_qubits=5, windows=(
                 Window(0.0, 10, (-0.0, 0, 1e-300, 1e300, 25000.0), (inject,)),
                 Window(10.0, 0.0, (25000.0,) * 5, (pulse,)),
@@ -665,6 +654,63 @@ def assert_replay_matches_loop(schedule):
     assert got.data_held.shape == want.data_held.shape
     assert np.array_equal(got.data_held, want.data_held)
     assert got.data_held.dtype == bool and not got.data_held.flags.writeable
+
+
+def assert_cut_matches_rows(schedule):
+    """The schedule's one per-window cut holds what the oracle's filters of its
+    ``Window`` rows give: each window's distinct targets, ascending, then each
+    window's boundary rows and the final ones, as plain int rows."""
+    targets, boundary = schedule._cut
+    assert targets == [list(_gate_targets(w)) for w in schedule.windows]
+    final = Window(0.0, 0.0, (), schedule.final_events)
+    assert boundary == [[[EVENT_KINDS.index(e.kind), e.qubit,
+                          -1 if e.data_index is None else e.data_index]
+                         for e in _boundary_events(w)] for w in (*schedule.windows, final)]
+    values = [q for row in targets for q in row] + [x for rows in boundary for r in rows for x in r]
+    assert {type(x) for x in values} <= {int}
+
+
+class TestScheduleCut:
+    """The one per-window cut that the replay, the runner and the line check
+    read, against the oracle's per-window filters of the ``Window`` rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=schedules())
+    def test_hand_built_schedules(self, case):
+        assert_cut_matches_rows(case[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(schedule=broken_wires())
+    def test_broken_designed_wires(self, schedule):
+        assert_cut_matches_rows(schedule)
+
+    @pytest.mark.parametrize("n_qubits", [*range(4, 15, 2), 40, 100])
+    def test_designed_wires(self, design, n_qubits):
+        # the generators order a window's boundary events before its pulses
+        spec = chain_for(design, n_qubits)
+        for n_states in (1, 2, 5):
+            for line_mode in ("mod6", "mod3"):
+                assert_cut_matches_rows(quantum_channel_schedule(
+                    spec, n_states, design.t_ns, line_mode=line_mode)[0])
+        for bits in ([1], [0, 1, 1], [1, 0] * 6):
+            assert_cut_matches_rows(classical_channel_schedule(spec, bits, design.t_ns)[0])
+
+    def test_data_index_past_int64(self):
+        big = 2**64 + 1
+        sch = PulseSchedule(3, (Window(0.0, 1.0, (0.0,) * 3, (
+            PulseEvent("inject", 0, big), PulseEvent("cnot_pulse", 1),
+            PulseEvent("read_reset", 2), PulseEvent("hold", 2, big))),),
+            (PulseEvent("read_reset", 0, big),))
+        assert sch.events.dtype == object
+        assert_cut_matches_rows(sch)
+        assert sch._cut == ([[1]], [[[2, 0, big], [3, 2, -1]], [[3, 0, big]]])
+
+    @pytest.mark.parametrize("n_qubits", [1, 10**400], ids=["one-qubit", "past-int64"])
+    def test_window_less_schedule(self, n_qubits):
+        sch = PulseSchedule(n_qubits, (), (PulseEvent("read_reset", 0, 7),
+                                           PulseEvent("hold", 0)))
+        assert_cut_matches_rows(sch)
+        assert sch._cut == ([], [[[3, 0, 7]]])
 
 
 def assert_same_arrays(got, want):

@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose
 
 from conftest import chain_for, random_qubit_amplitudes
 from oracles import (
-    dense_reduced_wire, dense_rho_run, expm_propagator, kron_hamiltonian, mirror_schedule,
-    plain_window_eigensystem, svd_replace_qubit,
+    _boundary_events, dense_reduced_wire, dense_rho_run, expm_propagator, hold_bias_swap_pulses,
+    kron_hamiltonian, mirror_schedule, plain_window_eigensystem, svd_replace_qubit,
 )
 import swapchannel.gates as gates
 import swapchannel.runner as runner
@@ -34,11 +34,11 @@ from swapchannel import (
     schedule_to_json,
     snapped_hold_bias,
     solve_parameters,
-    swap_pulses,
     sweep_eps_high,
     validate_sacrificial,
 )
 from swapchannel.chain import build_hamiltonian, phase_angle, wrap_phase
+from swapchannel.cli import main
 from swapchannel.evolve import QuantumState, propagator
 from swapchannel.gates import IDEAL_CNOT
 
@@ -92,7 +92,7 @@ def oracle_full_corrected(spec, schedule, states, angles):
                 rho = replace(rho, e.qubit, np.outer(t, t.conj()))
 
     for i, window in enumerate(schedule.windows):
-        boundary(schedule.boundary_events[i], i)
+        boundary(_boundary_events(window), i)
         h = kron_hamiltonian(n, spec.delta_mhz, spec.xi_mhz, window.biases_mhz)
         u = expm_propagator(h, window.duration_ns)
         rho = u @ rho @ u.conj().T
@@ -157,7 +157,7 @@ def entangled_read_schedule(spec, design) -> PulseSchedule:
     leaves the output qubit entangled with the chain at the first read."""
     sch, lines = quantum_channel_schedule(spec, 2, design.t_ns)
     doc = json.loads(schedule_to_json(sch, lines))
-    (q,) = sch.gate_targets[4]
+    (q,) = sch._cut[0][4]
     doc["windows"][4]["biases_mhz"][q] += 7.5
     return schedule_from_json(json.dumps(doc))[0]
 
@@ -307,7 +307,7 @@ class TestFrameCorrection:
 
     def test_rejects_replay_violations(self, design):
         spec = chain_for(design, 4)
-        sch = swap_pulses(spec, 2, 3, design.t_ns)
+        sch = hold_bias_swap_pulses(spec, 2, 3, design.t_ns)
         bad = PulseSchedule(
             n_qubits=4,
             windows=(
@@ -341,6 +341,37 @@ class TestFrameCorrection:
         report = run_quantum_channel(spec, sch, [[1.0, 0.0]], mode="full")
         assert report.records[0].fidelity_corrected > 0.999
         assert calls == [sch]
+
+
+class TestRunPathBuildsNoEventRows:
+    """Runs, the line check and ``validate`` walk the schedule's arrays and its
+    one per-window cut: none of them builds a :class:`PulseEvent` row."""
+
+    @pytest.fixture()
+    def events_built(self, monkeypatch):
+        calls, event = [], scheduler._event
+        monkeypatch.setattr(scheduler, "_event", lambda *row: calls.append(row) or event(*row))
+        return calls
+
+    @pytest.mark.parametrize("mode", ["reduced", "full"])
+    def test_runs(self, design, rng, events_built, mode):
+        spec = chain_for(design, 6, eps_high=SNAP_EPS)
+        states = [np.array(random_qubit_amplitudes(rng)) for _ in range(2)]
+        sch, _ = quantum_channel_schedule(spec, 2, design.t_ns)
+        assert len(run_quantum_channel(spec, sch, states, mode=mode).records) == 2
+        sch, _ = classical_channel_schedule(spec, [1, 0, 1], design.t_ns)
+        assert run_classical_channel(spec, sch, [1, 0, 1], mode=mode).ok
+        assert events_built == []
+
+    def test_line_check_and_validate(self, design, events_built, tmp_path):
+        spec = chain_for(design, 6, eps_high=SNAP_EPS)
+        for sch, lines in (quantum_channel_schedule(spec, 2, design.t_ns),
+                           classical_channel_schedule(spec, [1, 0, 1], design.t_ns)):
+            assert line_conflict_check(sch, lines).ok
+            path = tmp_path / "wire.json"
+            path.write_text(schedule_to_json(sch, lines))
+            assert main(["validate", "--schedule", str(path)]) == 0
+        assert events_built == []
 
 
 class TestQuantumChannel:
@@ -498,7 +529,7 @@ class TestQuantumChannel:
         spec = chain_for(design, 5, eps_high=SNAP_EPS)
         sch, lines = quantum_channel_schedule(spec, 2, design.t_ns)
         doc = json.loads(schedule_to_json(sch, lines))
-        assert sch.gate_targets[0] == (0,)
+        assert sch._cut[0][0] == [0]
         doc["windows"][0]["biases_mhz"][0] += 7.5
         edited, _ = schedule_from_json(json.dumps(doc))
         states = [np.array(random_qubit_amplitudes(rng)) for _ in range(2)]
@@ -701,6 +732,36 @@ class TestReadDataIndexCheck:
         report = run_classical_channel(spec, sch, [1], mode="reduced")
         assert report.records == ()
 
+    @pytest.mark.parametrize("mode", ["reduced", "full"])
+    def test_on_read_gets_each_reads_data_index(self, design, mode):
+        # the engine hands on the event table's value: -1 for a read without one
+        spec, sch = _read_of_missing_index(design, "window")
+        blank = PulseEvent(kind="read_reset", qubit=0)
+        sch = PulseSchedule(n_qubits=2, windows=sch.windows, final_events=(blank,))
+        reads = []
+        runner._execute(spec, sch, [(1.0, 0.0)] * 4, lambda data, w, r: reads.append((data, w)),
+                        mode=mode)
+        assert reads == [(3, 1), (-1, None)]
+        assert {type(data) for data, _ in reads} == {int}
+
+    @pytest.mark.parametrize("mode", ["reduced", "full"])
+    def test_an_index_past_int64_is_named(self, design, mode):
+        # such a schedule has an object event table; its indices are plain ints
+        spec, sch = _read_of_missing_index(design, "window")
+        big = PulseEvent(kind="read_reset", qubit=1, data_index=2**64)
+        sch = PulseSchedule(n_qubits=2, windows=sch.windows, final_events=(big,))
+        with pytest.raises(ValueError, match=rf"data indices \[0, 3, {2**64}\] but 1 states"):
+            run_quantum_channel(spec, sch, [(1.0, 0.0)], mode=mode)
+
+    def test_a_hold_event_names_no_data(self, design):
+        # only injects and reads name data: a hold's data index needs no state
+        spec = chain_for(design, 2, eps_high=SNAP_EPS)
+        sch = PulseSchedule(2, (Window(0.0, design.t_ns, (SNAP_EPS,) * 2, (
+            PulseEvent(kind="inject", qubit=0, data_index=0),
+            PulseEvent(kind="hold", qubit=1, data_index=5))),),
+            (PulseEvent(kind="read_reset", qubit=0, data_index=0),))
+        assert run_classical_channel(spec, sch, [1], mode="reduced").bits_out == (1,)
+
 
 def _one_window_copy(design, order, read):
     """Four qubits, |1> injected at qubit 0, one window pulsing ``order`` (at
@@ -734,7 +795,7 @@ class TestOneLayerPerWindow:
     def test_a_repeated_pulse_is_pulsed_once(self, design, mode):
         spec = chain_for(design, 4, eps_high=SNAP_EPS)
         sch = _one_window_copy(design, (1, 1), read=1)
-        assert sch.gate_targets == ((1,),) and sch.replay.ok
+        assert sch._cut[0] == [[1]] and sch.replay.ok
         report = run_classical_channel(spec, sch, [1], mode=mode)
         assert_allclose(report.records[0].p_one, 1.0, rtol=0, atol=1e-6)
 
@@ -841,7 +902,7 @@ class TestFullModeFastPath:
         assert sorted(n for _, n in real) == sorted(want)
         if (n_qubits, n_states) == (8, 1):
             assert len(real) == 4  # 8 keys in 4 mirror pairs, none self-mirror
-        boundaries = sum(map(len, sch.boundary_events))
+        boundaries = sum(map(len, sch._cut[1]))
         assert len(gram) == 2 * boundaries
         assert len(calls) == len(want) + 2 * boundaries  # no complex Hamiltonian eigh
         assert {dt for dt, _ in gram} == {np.dtype(np.complex128)}
