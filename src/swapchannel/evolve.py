@@ -65,20 +65,6 @@ def _qubit(qubit, n_qubits: int) -> int:
     return qubit
 
 
-def _local_width(op: np.ndarray, first_qubit: int, n_qubits: int) -> int:
-    """The number ``k`` of adjacent qubits a ``2^k x 2^k`` operator acts on,
-    once its block ``[first_qubit, first_qubit + k)`` fits in the chain."""
-    d = op.shape[0]
-    if op.ndim != 2 or op.shape[1] != d or d < 2 or d & (d - 1):
-        raise ValueError(f"local operator must be square with power-of-2 dim, got {op.shape}")
-    k = d.bit_length() - 1
-    if not 0 <= _integer(first_qubit, "first_qubit") <= n_qubits - k:
-        raise ValueError(
-            f"qubits [{first_qubit}, {first_qubit + k}) out of range for n={n_qubits}"
-        )
-    return k
-
-
 def _checked_amplitudes(amplitudes: Sequence[complex]) -> np.ndarray:
     target = np.asarray(amplitudes, dtype=complex)
     if target.shape != (2,):

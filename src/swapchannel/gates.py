@@ -4,8 +4,8 @@ All matrices are written in the chain's own basis ordering (leftmost listed
 qubit is the most significant bit).  The ideal gate carries the exact branch
 phases of a phase-exact design (M odd, N even): a held branch acquires -1, a
 flipped branch -i.
-Reduced mode takes every pulse from :func:`reduced_pulse_operator` or its
-unchecked core :func:`_pulse`, which caches its operators for the process.
+Reduced mode takes every pulse from :func:`reduced_pulse_operator` or, placed
+by the MPS, from its unchecked core :func:`_block_operator`, cached per process.
 A neighbour the caller knows to be frozen in a basis state is folded into
 the effective bias and leaves the block, so a pulse acts on 1-3 qubits.
 A swap triple's three pulses on a pair fold into one block (:func:`_swap_pulse`)."""
@@ -50,16 +50,9 @@ def reduced_pulse_operator(
         if z is not None and (not present or not isinstance(z, (int, np.integer))
                               or type(z) is bool or z not in (1, -1)):
             raise ValueError(f"{side} z must be +1 or -1 for a neighbour of qubit {qubit}, got {z!r}")
-    left, right = (z if z is None else int(z) for z in (left, right))  # plain ints: cache keys
-    return _pulse(spec, qubit, bias_mhz, duration_ns, left, right)
-
-
-def _pulse(spec: ChainSpec, qubit: int, bias_mhz: float, duration_ns: float,
-           left: int | None, right: int | None) -> tuple[np.ndarray, int]:
-    """:func:`reduced_pulse_operator` of a qubit in the chain and plain int z
-    values (+1, -1 or None), unchecked; a chain end adds 0."""
-    left = 0 if qubit == 0 else left
-    right = 0 if qubit == spec.n_qubits - 1 else right
+    # plain ints as cache keys; a chain end adds 0
+    left = 0 if qubit == 0 else left if left is None else int(left)
+    right = 0 if qubit == spec.n_qubits - 1 else right if right is None else int(right)
     op = _block_operator(spec.delta_mhz, spec.xi_mhz, bias_mhz, duration_ns, left, right)
     return op, qubit - (left is None)
 
@@ -96,16 +89,14 @@ def _block_operator(
 
 
 def _swap_pulse(spec: ChainSpec, a: int, a_first: bool, windows: tuple,
-                left: int | None, right: int | None) -> tuple[np.ndarray, int]:
-    """``(op, first_qubit)`` of a swap triple on the pair ``(a, a + 1)``, whose
+                left: int | None, right: int | None) -> np.ndarray:
+    """The operator of a swap triple on the pair ``(a, a + 1)``, whose
     ``windows`` ``(biases, duration)`` pulse ``a`` first and last if ``a_first``,
     given the outer neighbours' z as :meth:`~swapchannel.mps.MPS.apply_layer`
-    reads them (None past a chain end, or for a live one, kept in the block)."""
+    reads them (0 past a chain end; a live one, None, is kept in the block)."""
     steps = tuple((on_a, biases[a if on_a else a + 1], duration) for on_a, (biases, duration)
                   in zip((a_first, not a_first, a_first), windows))
-    left = 0 if a == 0 else left
-    right = 0 if a == spec.n_qubits - 2 else right
-    return _swap_operator(spec.delta_mhz, spec.xi_mhz, steps, left, right), a - (left is None)
+    return _swap_operator(spec.delta_mhz, spec.xi_mhz, steps, left, right)
 
 
 @lru_cache(maxsize=256)

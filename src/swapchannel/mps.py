@@ -26,7 +26,7 @@ from typing import Callable, Collection, Sequence
 import numpy as np
 
 from .chain import _integer
-from .evolve import _checked_amplitudes, _local_width, _qubit, _require_separable
+from .evolve import _checked_amplitudes, _qubit, _require_separable
 
 __all__ = ["TRUNCATION_RTOL", "MPS"]
 
@@ -138,20 +138,20 @@ class MPS:
             values.append(z)
         return values
 
-    def apply_layer(self, firsts: Sequence[int], pulse: Callable[..., tuple], width: int = 1) -> None:
+    def apply_layer(self, firsts: Sequence[int], pulse: Callable[..., np.ndarray], width: int = 1) -> None:
         """Pulse one layer of runs of ``width`` adjacent qubits, each given by
         its first qubit (a run of one is a qubit), no two of them repeating,
         overlapping or touching (else refused, as is a run leaving the chain,
         before any pulse is built), so each run's pulse reads only its two
         outer neighbours' z and the pulses commute.  ``pulse(first, left,
-        right)`` gives a ``2^k x 2^k`` unitary in chain ordering and the first
-        of the ``k`` adjacent qubits it acts on, a block that must lie in the
-        run and its outer neighbours, from each outer neighbour's
-        :meth:`_basis_values` (None past a chain end, all read in
-        one pass), so a frozen neighbour leaves the block.  Every block is
-        checked before the first update, and blocks over tensors of one shape
-        share one, but for a block over a neighbour of two runs, which goes
-        on its own.
+        right)`` gets each outer neighbour's z from :meth:`_basis_values`
+        (+1 or -1 if frozen, None if live, 0 past a chain end, all read in
+        one pass) and returns a unitary in chain ordering on the block this
+        places: the run and its live neighbours, so a frozen neighbour leaves
+        it.  An operator that is not ``2^k x 2^k`` for its ``k``-site block is
+        refused before the first update.  Blocks over tensors of one shape
+        share one update, but for a block over a neighbour of two runs, which
+        goes on its own.
         """
         n, t = self.n_qubits, self.tensors
         width = _integer(width, "width", low=1)
@@ -172,16 +172,15 @@ class MPS:
         z = dict(zip(sides, self._basis_values(sides)))
         groups: dict[object, list[tuple]] = {}
         for q in firsts:
-            op, first = pulse(q, z.get(q - 1), z.get(q + width))
-            k = _local_width(op, first, n)
-            last = first + k - 1
-            if first < q - 1 or last > q + width:
-                raise ValueError(f"block [{first}, {last + 1}) leaves " + (
-                    f"qubit {q}'s" if width == 1 else f"run [{q}, {q + width})'s") + " neighbourhood")
+            left, right = z.get(q - 1, 0), z.get(q + width, 0)
+            first, last = q - (left is None), q + width - 1 + (right is None)
+            op, d = pulse(q, left, right), 2 << last - first
+            if op.shape != (d, d):
+                raise ValueError(f"block [{first}, {last + 1}) needs a {d} x {d} operator, got {op.shape}")
             # two blocks over one neighbour commute but cannot share a stacked
             # update; the end tensors' shapes fix the bonds of up to 3 sites
-            key = (q if first in shared or last in shared else (k, t[first].shape, t[last].shape)
-                   if k < 4 else tuple(x.shape for x in t[first:last + 1]))
+            key = (q if first in shared or last in shared else (d, t[first].shape, t[last].shape)
+                   if d < 16 else tuple(x.shape for x in t[first:last + 1]))
             groups.setdefault(key, []).append((op, first))
         for blocks in groups.values():
             self._update(*zip(*blocks))

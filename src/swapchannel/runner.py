@@ -10,9 +10,10 @@ It has two modes:
 
 * ``reduced``: each intended pulse is the exact neighbour-conditioned
   two-level propagator at the window's bias for the pulsed qubit (parked
-  qubits frozen), from :func:`~swapchannel.gates._pulse`, unchecked, as the
-  MPS has checked each qubit and read its neighbours.  For a solved
-  phase-exact design it realises the ideal gate algebra bit for bit.
+  qubits frozen), from :func:`~swapchannel.gates._block_operator`, unchecked:
+  the MPS checks each qubit, reads its neighbours' z and places the block,
+  so the callback returns only the operator.  For a solved phase-exact
+  design it realises the ideal gate algebra bit for bit.
   Wire runs keep the pure state as an exact matrix-product state in Vidal
   form (:class:`~swapchannel.mps.MPS`), so a wire costs O(L), not O(2^L).
   :meth:`~swapchannel.mps.MPS.apply_layer` pulses a window as one layer of
@@ -61,7 +62,7 @@ from .chain import (
 from .evolve import (
     QuantumState, _checked_amplitudes, _eigensystem, _sector_eigensystem, propagator
 )
-from .gates import IDEAL_CNOT, _pulse, _swap_pulse, reduced_pulse_operator
+from .gates import IDEAL_CNOT, _block_operator, _swap_pulse, reduced_pulse_operator
 from .mps import MPS
 from .scheduler import _NO_DATA, _READ_RESET, PulseSchedule, ReplayResult, ScheduleError
 from .solver import GateDesign
@@ -412,8 +413,8 @@ def _execute(
             done = i + 3
         elif reduced:
             row = biases[i].tolist()
-            branches["raw"].apply_layer(targets, lambda q, left, right: _pulse(
-                spec, q, row[q], durations[i], left, right))
+            branches["raw"].apply_layer(targets, lambda q, left, right: _block_operator(
+                spec.delta_mhz, spec.xi_mhz, row[q], durations[i], left, right))
         else:
             row = biases[i].tolist()
             key = (tuple(row), durations[i])

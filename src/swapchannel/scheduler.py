@@ -46,7 +46,7 @@ __all__ = [
 GATE_KINDS = ("cnot_pulse", "readout_pulse")
 BOUNDARY_KINDS = ("inject", "read_reset")
 #: Every event kind, in the order of its number in an event table.
-EVENT_KINDS = GATE_KINDS + BOUNDARY_KINDS + ("hold",)
+EVENT_KINDS = GATE_KINDS + BOUNDARY_KINDS
 _CNOT, _READOUT, _INJECT, _READ_RESET = range(4)
 _KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
 _NO_DATA = -1
@@ -235,6 +235,7 @@ class PulseSchedule:
             (qubit >= n_qubits, "{final}event qubit {q} out of range"),
             ((window == n_windows) & (kind < _INJECT),
              "final_events may only contain boundary events"),
+            ((kind < _INJECT) & (data != _NO_DATA), "gate event on qubit {q} has a data_index"),
         ):
             if flagged.any():
                 w, _, q, _ = events[np.flatnonzero(flagged)[0]].tolist()
@@ -365,8 +366,8 @@ def _events(window, kind: int, qubit, data_index) -> np.ndarray:
 
 
 def _line_schedule(spec: ChainSpec, lines: LineAssignment, targets: np.ndarray,
-                   boundary: np.ndarray, t_ns: float, label: str, start_ns=0.0):
-    """Windows of ``t_ns`` from ``start_ns``, window w pulsing the qubits of
+                   boundary: np.ndarray, t_ns: float, label: str):
+    """Windows of ``t_ns`` from 0, window w pulsing the qubits of
     the bool row ``targets[w]`` after its ``boundary`` events (event table
     columns).  A qubit holds ``eps_high`` but while its line is pulsed; each
     generator gives a pulsed qubit a line of its own pulse value, ``+xi`` at
@@ -388,7 +389,7 @@ def _line_schedule(spec: ChainSpec, lines: LineAssignment, targets: np.ndarray,
     at = np.arange(window.size) + np.searchsorted(boundary[0], window, side="right")
     events[0, at], events[2, at], events[3, at] = window, qubit, _NO_DATA
     events[1, at] = np.where(ends[qubit], _READOUT, _CNOT)
-    starts = start_ns + np.arange(n_windows) * t_ns
+    starts = np.arange(n_windows) * t_ns
     return PulseSchedule._from_arrays(n, label, starts, np.full(n_windows, t_ns), biases, events)
 
 

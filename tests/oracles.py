@@ -43,8 +43,8 @@ import scipy.linalg
 
 from swapchannel.chain import TwoLevelParams, _integer, build_hamiltonian, phase_angle, wrap_phase
 from swapchannel.evolve import (
-    INJECT_PURITY_TOL, EntanglementError, QuantumState, _checked_amplitudes, _local_width,
-    _require_separable, eigensystem, propagator
+    INJECT_PURITY_TOL, EntanglementError, QuantumState, _checked_amplitudes, _require_separable,
+    eigensystem, propagator
 )
 from swapchannel.gates import reduced_pulse_operator
 from swapchannel.mps import TRUNCATION_RTOL
@@ -648,11 +648,12 @@ def svd_replace_qubit(self, qubit, local):
 
 def unfolded_apply_layer(mps, targets, pulse):
     """:meth:`CanonicalMPS.apply_layer` before it folded frozen neighbours:
-    each pulse is built with both neighbours in its block
-    (``pulse(q, None, None)``) and applied to the :class:`CanonicalMPS`
+    each pulse is built with both neighbours in its block (``pulse(q, None,
+    None)``, 0 past a chain end) and applied to the :class:`CanonicalMPS`
     ``mps`` in the same order; a layer of disjoint blocks is swept from the
     end nearer the centre."""
-    ops = [pulse(q, None, None) for q in targets]
+    last = mps.n_qubits - 1
+    ops = [(pulse(q, None if q > 0 else 0, None if q < last else 0), max(q - 1, 0)) for q in targets]
     ends = [first + op.shape[0].bit_length() - 2 for op, first in ops]
     disjoint = all(ends[i] < ops[i + 1][1] for i in range(len(ops) - 1))
     if disjoint and ops and abs(ends[-1] - mps.center) < abs(ops[0][1] - mps.center):
@@ -763,7 +764,10 @@ class CanonicalMPS:
         """
         op = np.asarray(op)
         d = op.shape[0]
-        last = first_qubit + _local_width(op, first_qubit, self.n_qubits) - 1
+        k = d.bit_length() - 1
+        if op.shape != (1 << k, 1 << k) or not 0 <= first_qubit <= self.n_qubits - k:
+            raise ValueError(f"no {op.shape} operator at qubit {first_qubit} for n={self.n_qubits}")
+        last = first_qubit + k - 1
         rightward = self.center <= first_qubit
         self._move_center(first_qubit if rightward else last)
 
@@ -813,17 +817,18 @@ class CanonicalMPS:
                 return z
         return None
 
-    def apply_layer(self, targets: Sequence[int], pulse: Callable[..., tuple]) -> None:
+    def apply_layer(self, targets: Sequence[int], pulse: Callable[..., np.ndarray]) -> None:
         """Pulse the ``targets`` in order, each conditioned on its neighbours.
 
-        ``pulse(qubit, left, right)`` returns the ``(op, first_qubit)`` that
-        :meth:`apply` takes, given the :meth:`basis_value` of each neighbour
-        (None past a chain end), read just before the pulse: a frozen
-        neighbour leaves the block, so a pulse spans 1-3 sites.  Pulses whose
-        neighbourhoods are pairwise disjoint and ascending commute, so such a
-        layer is swept from whichever end is nearer the centre: consecutive
-        layers then sweep back and forth instead of first returning the
-        centre across the chain.
+        ``pulse(qubit, left, right)`` returns the operator, given the
+        :meth:`basis_value` of each neighbour (0 past a chain end), read just
+        before the pulse, and :meth:`apply` takes it on the qubit and its
+        live (None) neighbours: a frozen neighbour leaves the block, so a
+        pulse spans 1-3 sites.  Pulses whose neighbourhoods are pairwise
+        disjoint and ascending commute, so such a layer is swept from
+        whichever end is nearer the centre: consecutive layers then sweep
+        back and forth instead of first returning the centre across the
+        chain.
         """
         n = self.n_qubits
         spans = [(max(q - 1, 0), min(q + 1, n - 1)) for q in targets]
@@ -831,9 +836,9 @@ class CanonicalMPS:
         if disjoint and spans and abs(spans[-1][1] - self.center) < abs(spans[0][0] - self.center):
             targets = targets[::-1]
         for q in targets:
-            left = self.basis_value(q - 1) if q > 0 else None
-            right = self.basis_value(q + 1) if q < n - 1 else None
-            self.apply(*pulse(q, left, right))
+            left = self.basis_value(q - 1) if q > 0 else 0
+            right = self.basis_value(q + 1) if q < n - 1 else 0
+            self.apply(pulse(q, left, right), q - (left is None))
 
     def reduced_state(self, qubit: int) -> tuple[np.ndarray, float]:
         """(2x2 reduced density matrix, its purity) for one qubit."""

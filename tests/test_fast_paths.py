@@ -70,16 +70,17 @@ labels = st.text(
 )
 
 
-def events(n: int, kinds):
-    """Events on ``n`` qubits; an inject always names a data item."""
+def events(n: int, kinds, gate_data=False):
+    """Events on ``n`` qubits; an inject always names a data item and a gate
+    event none, unless ``gate_data`` draws gate events that do (refused)."""
     def build(kind):
         index = st.integers(0, 60)
-        return st.builds(
-            PulseEvent,
-            kind=st.just(kind),
-            qubit=st.integers(0, n - 1),
-            data_index=index if kind == "inject" else st.one_of(st.none(), index),
-        )
+        if kind in GATE:
+            data = index | st.just(2**64) if gate_data else st.none()
+        else:
+            data = index if kind == "inject" else st.one_of(st.none(), index)
+        return st.builds(PulseEvent, kind=st.just(kind), qubit=st.integers(0, n - 1),
+                         data_index=data)
 
     return st.sampled_from(kinds).flatmap(build)
 
@@ -106,8 +107,7 @@ def schedules(draw, bias_values=finite_numbers, min_windows=0):
                 start_ns=start,
                 duration_ns=duration,
                 biases_mhz=tuple(biases),
-                events=tuple(draw(st.lists(events(n, GATE + BOUNDARY + ("hold",)),
-                                           max_size=4))),
+                events=tuple(draw(st.lists(events(n, GATE + BOUNDARY), max_size=4))),
             )
         )
         start = start + duration + draw(spans)
@@ -313,6 +313,22 @@ class TestScheduleWriter:
         from_rows = _outcome(lambda: PulseSchedule(**rows))
         from_file = _outcome(lambda: schedule_from_json(_document(rows))[0])
         assert from_rows == from_file
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=schedules(min_windows=1), data=st.data())
+    def test_a_gate_event_with_a_data_index_is_refused(self, case, data):
+        # anywhere in any window, by the rows and by the file holding them,
+        # with the one message naming its window and qubit
+        schedule, _ = case
+        rows = _rows(schedule)
+        w = data.draw(st.integers(0, schedule.n_windows - 1))
+        event = data.draw(events(schedule.n_qubits, GATE, gate_data=True))
+        before = rows["windows"][w].events
+        at = data.draw(st.integers(0, len(before)))
+        _replace_window(rows, w, events=before[:at] + (event,) + before[at:])
+        message = f"window {w}: gate event on qubit {event.qubit} has a data_index"
+        assert _outcome(lambda: PulseSchedule(**rows)) == message
+        assert _outcome(lambda: schedule_from_json(_document(rows))[0]) == message
 
     def test_numpy_integer_qubit_is_written_as_int(self):
         event = PulseEvent(kind="read_reset", qubit=np.int64(1), data_index=np.uint16(4))
@@ -697,18 +713,21 @@ class TestScheduleCut:
 
     def test_data_index_past_int64(self):
         big = 2**64 + 1
-        sch = PulseSchedule(3, (Window(0.0, 1.0, (0.0,) * 3, (
-            PulseEvent("inject", 0, big), PulseEvent("cnot_pulse", 1),
-            PulseEvent("read_reset", 2), PulseEvent("hold", 2, big))),),
-            (PulseEvent("read_reset", 0, big),))
+        events = (PulseEvent("inject", 0, big), PulseEvent("cnot_pulse", 1), PulseEvent("read_reset", 2))
+        with pytest.raises(ScheduleError, match="^window 0: gate event on qubit 2 has a data_index$"):
+            PulseSchedule(3, (Window(0.0, 1.0, (0.0,) * 3,
+                                     events + (PulseEvent("cnot_pulse", 2, big),)),))
+        sch = PulseSchedule(3, (Window(0.0, 1.0, (0.0,) * 3, events),), (PulseEvent("read_reset", 0, big),))
         assert sch.events.dtype == object
         assert_cut_matches_rows(sch)
         assert sch._cut == ([[1]], [[[2, 0, big], [3, 2, -1]], [[3, 0, big]]])
 
     @pytest.mark.parametrize("n_qubits", [1, 10**400], ids=["one-qubit", "past-int64"])
     def test_window_less_schedule(self, n_qubits):
-        sch = PulseSchedule(n_qubits, (), (PulseEvent("read_reset", 0, 7),
-                                           PulseEvent("hold", 0)))
+        final = (PulseEvent("read_reset", 0, 7),)
+        with pytest.raises(ScheduleError, match="^unknown event kind 'hold'$"):
+            PulseSchedule(n_qubits, (), final + (PulseEvent("hold", 0),))
+        sch = PulseSchedule(n_qubits, (), final)
         assert_cut_matches_rows(sch)
         assert sch._cut == ([], [[[3, 0, 7]]])
 

@@ -47,6 +47,7 @@ from swapchannel import (
 )
 from swapchannel.chain import wrap_phase
 from swapchannel.evolve import INJECT_PURITY_TOL, QuantumState, sample_trajectory
+from swapchannel.gates import _block_operator, reduced_pulse_operator
 from swapchannel.mps import MPS
 
 SNAP_EPS = 25000.0
@@ -77,6 +78,14 @@ def apply_op(state, op, first):
         state.apply(op, first)
     else:
         state._store(apply_local_unitary(state, op, first).data)
+
+
+def _live_at(state, qubits):
+    """``state``, each of ``qubits`` turned by a Hadamard into a superposition
+    (in place, by :func:`apply_op`), so a pulse keeps it in its block."""
+    for q in qubits:
+        apply_op(state, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), q)
+    return state
 
 
 def assert_canonical(mps):
@@ -157,22 +166,24 @@ class TestMPS:
 
     def test_layer_order_does_not_change_the_state(self, rng, monkeypatch):
         # three pulses whose 3-site neighbourhoods are disjoint commute, so
-        # the layer reads the same whatever the order of its targets; the
-        # ends' pulses span 2 sites and share one stacked update
+        # the layer reads the same whatever the order of its targets; their
+        # neighbours are live, so the ends' pulses span 2 sites and share one
+        # stacked update
         n = 9
         ops = {0: random_unitary(rng, 4), 4: random_unitary(rng, 8), 8: random_unitary(rng, 4)}
-        dense = QuantumState.ground(n)
+        dense = _live_at(QuantumState.ground(n), (1, 3, 5, 7))
         for q, op in ops.items():
             dense = apply_local_unitary(dense, op, max(q - 1, 0))
         for targets in ([0, 4, 8], [8, 4, 0]):
-            mps = MPS.ground(n)
+            mps = _live_at(MPS.ground(n), (1, 3, 5, 7))
             order, widths = [], []
             update = MPS._update
             monkeypatch.setattr(MPS, "_update", lambda self, o, f: widths.append(
                 sorted(f)) or update(self, o, f))
-            mps.apply_layer(targets, lambda q, left, right: order.append(q) or (ops[q], max(q - 1, 0)))
+            mps.apply_layer(targets, lambda q, left, right: order.append((q, left, right)) or ops[q])
             monkeypatch.undo()
-            assert order == targets
+            sides = {0: (0, None), 4: (None, None), 8: (None, 0)}
+            assert order == [(q, *sides[q]) for q in targets]
             assert sorted(widths) == [[0, 7], [3]]
             assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
             assert_canonical(mps)
@@ -191,7 +202,7 @@ class TestMPS:
         apply_op(mps, random_unitary(rng, 8), 1)
         before = _snapshot(mps)
         with pytest.raises(ValueError, match=re.escape(message)):
-            mps.apply_layer(targets, lambda q, left, right: built.append(q) or (np.eye(2)[::-1], q))
+            mps.apply_layer(targets, lambda q, left, right: built.append(q) or np.eye(2)[::-1])
         assert built == []
         assert _snapshot(mps) == before
 
@@ -205,22 +216,79 @@ class TestMPS:
         mps, built = MPS.ground(3), []
         before = _snapshot(mps)
         with pytest.raises(ValueError, match=re.escape(message)):
-            mps.apply_layer([0, bad], lambda q, left, right: built.append(q) or (np.eye(2)[::-1], q))
+            mps.apply_layer([0, bad], lambda q, left, right: built.append(q) or np.eye(2)[::-1])
         assert built == []
         assert _snapshot(mps) == before
 
     @pytest.mark.parametrize("middle, message", [
-        (3.0, "first_qubit must be an integer, got 3.0"), (7, "qubits [7, 8) out of range for n=7"),
-        (1, "block [1, 2) leaves qubit 3's neighbourhood"),
+        (np.eye(4), "block [3, 4) needs a 2 x 2 operator, got (4, 4)"),
+        (np.eye(2)[None], "block [3, 4) needs a 2 x 2 operator, got (1, 2, 2)"),
+        (np.eye(2)[0], "block [3, 4) needs a 2 x 2 operator, got (2,)"),
     ])
-    def test_layer_checks_every_block_before_its_run_updates(self, middle, message):
-        # the three 1-site blocks make one layer; the middle one is refused
+    def test_layer_checks_every_block_before_its_run_updates(self, monkeypatch, middle, message):
+        # the three 1-site blocks make one layer (every neighbour frozen in
+        # |0>); the middle one's operator has the wrong size and is refused
         # before any of them is applied
-        mps = MPS.ground(7)
+        mps, updates = MPS.ground(7), []
+        monkeypatch.setattr(MPS, "_update", lambda self, o, f: updates.append(f))
         before = _snapshot(mps)
-        firsts = {0: 0, 3: middle, 6: 6}
+        ops = {0: np.eye(2)[::-1], 3: middle, 6: np.eye(2)[::-1]}
         with pytest.raises(ValueError, match=re.escape(message)):
-            mps.apply_layer([0, 3, 6], lambda q, left, right: (np.eye(2)[::-1], firsts[q]))
+            mps.apply_layer([0, 3, 6], lambda q, left, right: ops[q])
+        assert updates == []
+        assert _snapshot(mps) == before
+
+    @pytest.mark.parametrize("q", range(5))
+    def test_layer_places_the_reduced_pulse_block(self, design, rng, monkeypatch, q):
+        # each neighbour of q frozen in |0> (+1) or |1> (-1) or live: the
+        # callback's operator, from the cached core the runner calls, is the
+        # public reduced pulse's, and apply_layer puts it on that pulse's
+        # first qubit, past a chain end too
+        n, x = 5, np.eye(2)[::-1]
+        spec = chain_for(design, n, eps_high=SNAP_EPS)
+        bias, t = float(rng.uniform(-60.0, 60.0)), design.t_ns
+        neighbours = [p for p in (q - 1, q + 1) if 0 <= p < n]
+        update = MPS._update
+        for zs in np.ndindex(*(3,) * len(neighbours)):
+            z = {p: (1, -1, None)[i] for p, i in zip(neighbours, zs)}
+            mps = MPS.ground(n)
+            for p, zp in z.items():
+                if zp is None:
+                    _live_at(mps, (p,))
+                elif zp == -1:
+                    apply_op(mps, x, p)
+            dense = QuantumState(mps_vector(mps)[:, None])
+            updates = []
+            monkeypatch.setattr(MPS, "_update", lambda self, o, f: updates.append((o, f))
+                                or update(self, o, f))
+            mps.apply_layer([q], lambda _, left, right: _block_operator(
+                spec.delta_mhz, spec.xi_mhz, bias, t, left, right))
+            monkeypatch.undo()
+            op, first = reduced_pulse_operator(spec, q, bias, t, z.get(q - 1), z.get(q + 1))
+            assert op.shape[0] == 2 << sum(zp is None for zp in z.values())
+            ((ops, firsts),) = updates
+            assert list(firsts) == [first] and ops[0].tobytes() == op.tobytes()
+            apply_op(dense, op, first)
+            assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("firsts, width, live, size, message", [
+        ([2], 1, (1,), 2, "block [1, 3) needs a 4 x 4 operator, got (2, 2)"),
+        ([0, 3], 1, (1,), 8, "block [0, 2) needs a 4 x 4 operator, got (8, 8)"),
+        ([0, 3], 2, (), 16, "block [0, 2) needs a 4 x 4 operator, got (16, 16)"),
+        ([3], 2, (2,), 4, "block [2, 5) needs a 8 x 8 operator, got (4, 4)"),
+    ], ids=["live-left", "chain-end", "run-at-chain-end", "run-live-left"])
+    def test_layer_refuses_an_operator_of_the_wrong_size(self, rng, monkeypatch, firsts, width,
+                                                         live, size, message):
+        # the block is the run and its live neighbours, whatever the operator
+        # would fit: one of the wrong size is refused before any update, and
+        # the (entangled) state is unchanged
+        mps = _live_at(MPS.ground(8), live)
+        apply_op(mps, random_unitary(rng, 4), 6)
+        before, updates = _snapshot(mps), []
+        monkeypatch.setattr(MPS, "_update", lambda self, o, f: updates.append(f))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mps.apply_layer(firsts, lambda q, left, right: np.eye(size), width)
+        assert updates == []
         assert _snapshot(mps) == before
 
     def test_blocks_over_unequal_bonds_update_apart(self, rng, monkeypatch):
@@ -232,12 +300,14 @@ class TestMPS:
             u = random_unitary(rng, 8 if first < 6 else 4)
             apply_op(mps, u, first)
             dense = apply_local_unitary(dense, u, first)
+        mps, dense = _live_at(mps, (9,)), _live_at(dense, (9,))  # every neighbour live
         ops = {q: random_unitary(rng, 8) for q in (2, 5, 8)}
-        groups, update = [], MPS._update
+        groups, sides, update = [], [], MPS._update
         monkeypatch.setattr(MPS, "_update", lambda self, o, f: groups.append(list(f))
                             or update(self, o, f))
-        mps.apply_layer(list(ops), lambda q, left, right: (ops[q], q - 1))
+        mps.apply_layer(list(ops), lambda q, left, right: sides.append((left, right)) or ops[q])
         monkeypatch.undo()
+        assert sides == [(None, None)] * 3
         assert groups == [[1], [4], [7]]
         for q, op in ops.items():
             dense = apply_local_unitary(dense, op, q - 1)
@@ -817,7 +887,7 @@ class TestSwapTriples:
         # qubits 1 and 4 around pair (2, 3): one 16 x 16 block
         ([((1, 4), []), ((2,), [(2, 0)]), ((3,), []), ((2,), [])], (2, 3), (None, None)),
         # qubit 2 right of pair (0, 1) at the chain end: one 8 x 8 block
-        ([((2,), []), ((0,), [(0, 0)]), ((1,), []), ((0,), [])], (0, 1), (None, None)),
+        ([((2,), []), ((0,), [(0, 0)]), ((1,), []), ((0,), [])], (0, 1), (0, None)),
         # qubit 1 left of pair (2, 3), its right qubit pulsed first
         ([((1,), []), ((3,), [(3, 0)]), ((2,), []), ((3,), [])], (2, 3), (None, 1)),
     ])
@@ -876,15 +946,16 @@ class TestSwapTriples:
         apply_op(mps, random_unitary(rng, 8), 1)
         before = _snapshot(mps)
         with pytest.raises(ValueError, match=re.escape(message)):
-            mps.apply_layer(firsts, lambda q, left, right: built.append(q) or (np.eye(4), q), width)
+            mps.apply_layer(firsts, lambda q, left, right: built.append(q) or np.eye(4), width)
         assert built == []
         assert _snapshot(mps) == before
 
     def test_runs_update_by_block_shape(self, rng, monkeypatch):
-        # a pair's block may span the pair and both outer neighbours; two such
-        # blocks with equal end tensors but unequal middle bonds update apart
+        # a pair's block spans the pair and both outer neighbours when they
+        # are live; two such blocks with equal end tensors but unequal middle
+        # bonds update apart
         n = 10
-        mps, dense = MPS.ground(n), QuantumState.ground(n)
+        mps, dense = _live_at(MPS.ground(n), (0, 3, 6, 9)), _live_at(QuantumState.ground(n), (0, 3, 6, 9))
         u = random_unitary(rng, 4)
         apply_op(mps, u, 1)  # bond 2 grows to 2
         dense = apply_local_unitary(dense, u, 1)
@@ -892,7 +963,7 @@ class TestSwapTriples:
         groups, update = [], MPS._update
         monkeypatch.setattr(MPS, "_update", lambda self, o, f: groups.append(list(f))
                             or update(self, o, f))
-        mps.apply_layer(list(ops), lambda q, left, right: (ops[q], q - 1), 2)
+        mps.apply_layer(list(ops), lambda q, left, right: ops[q], 2)
         monkeypatch.undo()
         assert groups == [[0], [6]]
         for q, op in ops.items():
@@ -900,8 +971,8 @@ class TestSwapTriples:
         assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
         assert_canonical(mps)
         before = _snapshot(mps)
-        with pytest.raises(ValueError, match=re.escape("block [3, 5) leaves run [1, 3)'s neighbourhood")):
-            mps.apply_layer([1], lambda q, left, right: (random_unitary(rng, 4), 3), 2)
+        with pytest.raises(ValueError, match=re.escape("block [0, 4) needs a 16 x 16 operator, got (4, 4)")):
+            mps.apply_layer([1], lambda q, left, right: random_unitary(rng, 4), 2)
         assert _snapshot(mps) == before
 
 
@@ -1002,14 +1073,14 @@ class TestAgainstCanonicalOracle:
         # swept from whichever end is nearer the centre
         n = 9
         ops = {0: random_unitary(rng, 4), 4: random_unitary(rng, 8), 8: random_unitary(rng, 4)}
-        dense = QuantumState.ground(n)
+        dense = _live_at(QuantumState.ground(n), (1, 3, 5, 7))
         for q, op in ops.items():
             dense = apply_local_unitary(dense, op, max(q - 1, 0))
         for centre in (0, n - 1):
-            oracle = CanonicalMPS.ground(n)
+            oracle = _live_at(CanonicalMPS.ground(n), (1, 3, 5, 7))
             oracle.reduced_state(centre)  # park the centre at one end
             order = []
-            oracle.apply_layer(list(ops), lambda q, left, right: order.append(q) or (ops[q], max(q - 1, 0)))
+            oracle.apply_layer(list(ops), lambda q, left, right: order.append(q) or ops[q])
             assert order == ([0, 4, 8] if centre == 0 else [8, 4, 0])
             assert_allclose(mps_vector(oracle), dense.data[:, 0], rtol=0, atol=1e-12)
             assert_mixed_canonical(oracle)

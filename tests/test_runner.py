@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -753,13 +754,20 @@ class TestReadDataIndexCheck:
         with pytest.raises(ValueError, match=rf"data indices \[0, 3, {2**64}\] but 1 states"):
             run_quantum_channel(spec, sch, [(1.0, 0.0)], mode=mode)
 
-    def test_a_hold_event_names_no_data(self, design):
-        # only injects and reads name data: a hold's data index needs no state
+    @pytest.mark.parametrize("event, message", [
+        (PulseEvent(kind="hold", qubit=1, data_index=5), "window 0: unknown event kind 'hold'"),
+        (PulseEvent(kind="cnot_pulse", qubit=1, data_index=5),
+         "window 0: gate event on qubit 1 has a data_index"),
+    ])
+    def test_only_boundary_events_name_data(self, design, event, message):
+        # only injects and reads name data: any other event naming a data
+        # index is refused before a run, and the schedule without it runs
         spec = chain_for(design, 2, eps_high=SNAP_EPS)
-        sch = PulseSchedule(2, (Window(0.0, design.t_ns, (SNAP_EPS,) * 2, (
-            PulseEvent(kind="inject", qubit=0, data_index=0),
-            PulseEvent(kind="hold", qubit=1, data_index=5))),),
-            (PulseEvent(kind="read_reset", qubit=0, data_index=0),))
+        inject = PulseEvent(kind="inject", qubit=0, data_index=0)
+        final = (PulseEvent(kind="read_reset", qubit=0, data_index=0),)
+        with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$"):
+            PulseSchedule(2, (Window(0.0, design.t_ns, (SNAP_EPS,) * 2, (inject, event)),), final)
+        sch = PulseSchedule(2, (Window(0.0, design.t_ns, (SNAP_EPS,) * 2, (inject,)),), final)
         assert run_classical_channel(spec, sch, [1], mode="reduced").bits_out == (1,)
 
 

@@ -84,9 +84,9 @@ class TestScheduleContainers:
         w = bare_window(
             3, targets=(1,), events=(PulseEvent(kind="inject", qubit=0, data_index=0),)
         )
-        sch = PulseSchedule(3, (w,), (PulseEvent(kind="hold", qubit=2),))
+        sch = PulseSchedule(3, (w,), (PulseEvent(kind="read_reset", qubit=2),))
         assert targets_of(sch) == ((1,),)
-        assert [[e.kind for e in events] for events in boundary_of(sch)] == [["inject"], []]
+        assert [[e.kind for e in events] for events in boundary_of(sch)] == [["inject"], ["read_reset"]]
 
     def test_gate_targets_are_distinct_and_ascending(self):
         # a window's pulses are a set: the order and repetition of its gate
@@ -300,8 +300,16 @@ class TestScheduleFieldTypes:
              "window 0: event data_index must be an integer or null, got '0'"),
             (lambda: with_event(PulseEvent(kind=["inject"], qubit=0)),
              "window 0: unknown event kind ['inject']"),
-            (lambda: with_event(PulseEvent(kind=np.str_("hold"), qubit=0)),
+            (lambda: with_event(PulseEvent(kind=np.str_("read_reset"), qubit=0)),
              "window 0: unknown event kind"),
+            (lambda: with_event(PulseEvent(kind="hold", qubit=0)),
+             "window 0: unknown event kind 'hold'"),
+            (lambda: PulseSchedule(2, (), (PulseEvent(kind="hold", qubit=0),)),
+             "unknown event kind 'hold'"),
+            (lambda: with_event(PulseEvent(kind="cnot_pulse", qubit=1, data_index=0)),
+             "window 0: gate event on qubit 1 has a data_index"),
+            (lambda: with_event(PulseEvent(kind="readout_pulse", qubit=0, data_index=10**400)),
+             "window 0: gate event on qubit 0 has a data_index"),
             (lambda: PulseSchedule(2, [Window(0.0, 1.0, (0.0, True))]),
              "window 0: biases_mhz must be a number, got True"),
             (lambda: PulseSchedule(2, [Window(0.0, 1.0, "12")]),
@@ -329,6 +337,7 @@ class TestScheduleFieldTypes:
             (lambda: LineAssignment((None,) * 5, -1), "lines.n_lines must be >= 0, got -1"),
         ],
         ids=["float-qubit", "bool-qubit", "string-data-index", "list-kind", "numpy-kind",
+             "hold-kind", "final-hold-kind", "cnot-data-index", "readout-huge-data-index",
              "bool-bias", "string-biases", "huge-int-bias", "string-start", "bool-duration",
              "string-event", "float-n-qubits", "int-label", "numpy-label", "tuple-window",
              "float-line", "float-n-lines", "negative-n-lines"],
