@@ -194,13 +194,10 @@ def build_hamiltonian(spec: ChainSpec, biases_mhz: Sequence[float]) -> np.ndarra
     if n > 1:
         diag = diag + spec.xi_mhz * np.sum(z[:, :-1] * z[:, 1:], axis=1)
 
-    dim = 1 << n
-    h = np.zeros((dim, dim))
-    h[np.arange(dim), np.arange(dim)] = diag
-    idx = np.arange(dim)
-    for q in range(n):
-        flipped = idx ^ (1 << (n - 1 - q))
-        h[idx, flipped] += spec.delta_mhz
+    idx = np.arange(1 << n)
+    h = np.zeros((len(idx), len(idx)))
+    h[idx, idx] = diag
+    h[idx[:, None], idx[:, None] ^ (1 << np.arange(n))] = spec.delta_mhz  # one bit flipped
     return h
 
 

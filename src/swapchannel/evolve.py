@@ -4,7 +4,7 @@ A dense state is one factor ``W`` of shape ``(2^n, r)`` with density matrix
 ``rho = W W^dagger``, the purification form (Verstraete, Garcia-Ripoll and
 Cirac, PRL 93, 207204 (2004)); a pure state is simply ``r = 1``.  Every
 operation has one body at every rank: a local operator acts as one
-``matmul`` on ``W``, a reduced state is one contraction of ``W`` with its
+``matmul`` on ``W``, a reduced state is one product of ``W`` with its
 conjugate, and a reset or inject traces the qubit out by turning its |0> and
 |1> slices into ``2r`` columns, compressed through the ``eigh`` of their
 smaller Gram matrix to the directions whose weight float64 can resolve in
@@ -13,17 +13,17 @@ smaller Gram matrix to the directions whose weight float64 can resolve in
 Full-chain evolution is exact diagonalisation (the Hamiltonians here are
 small and dense, so ``eigh`` is both the fastest and the most accurate
 route).  :func:`eigensystem` returns the eigenvectors ``V`` and the phase
-angles ``E t``, and :meth:`QuantumState.apply_eigensystem` applies
-``V e^{-iEt} V^dagger`` to ``W`` in the eigenbasis, never forming the
-propagator (the eigenvector method of Moler and Van Loan, SIAM Review 45, 3
-(2003)).  The chain Hamiltonian is real symmetric, so ``V`` is real and the
-update is two real products on ``W`` viewed as a ``(2^n, 2r)`` float array:
+angles ``E t``, and :func:`apply_eigensystem` applies ``V e^{-iEt} V^dagger``
+to factors side by side in the eigenbasis, never forming the propagator
+(the eigenvector method of Moler and Van Loan, SIAM Review 45, 3 (2003)).
+The chain Hamiltonian is real symmetric, so ``V`` is real and the update is
+two real products on ``W`` viewed as a ``(2^n, 2r)`` float array:
 ``8 dim^2 r`` flops, as many as ``U @ W``, with the two ``dim^3`` products
 that assemble ``U`` skipped.  A chain H whose biases read the same reversed
 commutes with the bit reversal of the basis index, and
 :func:`_sector_eigensystem` splits it into two half-size blocks, a quarter of
-the ``eigh`` work.  :func:`propagator` assembles ``U`` for the
-callers that need the matrix itself (the 3-qubit gate experiments and the
+the ``eigh`` work.  :func:`propagator` assembles ``U`` for the callers that
+need the matrix itself (the 3-qubit gate experiments and the
 reduced pulse operators); complex Hermitian input takes the complex route.
 Reduced-mode wire runs do not use these dense states; they run on
 :class:`~swapchannel.mps.MPS`, which has the same boundary methods
@@ -43,6 +43,7 @@ from .chain import _integer, _mirror_index, _number, is_hermitian, phase_angle
 __all__ = [
     "EntanglementError",
     "QuantumState",
+    "apply_eigensystem",
     "eigensystem",
     "propagator",
     "sample_trajectory",
@@ -85,8 +86,8 @@ class QuantumState:
     """The state ``rho = W W^dagger`` of ``n_qubits`` qubits, held as its factor.
 
     ``data`` is ``W``, a read-only complex array of shape ``(2^n_qubits, r)``;
-    the constructor keeps its own copy.  :meth:`reset`, :meth:`inject`,
-    :meth:`apply_eigensystem` and :meth:`apply_diagonal` update the state in
+    the constructor keeps its own copy.  :meth:`reset`, :meth:`inject` and
+    :meth:`apply_diagonal` (and :func:`apply_eigensystem`) update the state in
     place by replacing ``data``, and return nothing; a refused inject leaves
     it as it was.  :class:`~swapchannel.mps.MPS` follows the same rule.  A
     full-chain operator ``U`` maps the state to ``QuantumState(U @ data)``.
@@ -135,29 +136,6 @@ class QuantumState:
         """``tr rho``, the squared Frobenius norm of the factor."""
         return float(np.vdot(self.data, self.data).real)
 
-    def apply_eigensystem(self, evecs: np.ndarray, angles: np.ndarray) -> None:
-        """Apply the full-chain ``V diag(e^{-i angles}) V^dagger`` from
-        :func:`eigensystem` in the eigenbasis, without forming it.
-
-        A real ``V`` acts on ``W`` viewed as a ``(dim, 2r)`` float array (real
-        and imaginary parts as columns), so the update is two real products,
-        ``8 dim^2 r`` flops; a complex ``V`` takes ``V (ph * (V^dagger W))``.
-        Refuses a ``V`` that is not ``dim x dim`` and angles that are not
-        ``dim`` finite numbers.
-        """
-        angles = np.asarray(angles)
-        if evecs.shape != (self.dim, self.dim):
-            raise ValueError(f"eigenvectors must be {self.dim} x {self.dim}, got {evecs.shape}")
-        if angles.shape != (self.dim,) or not np.isfinite(angles).all():
-            raise ValueError(f"angles must be {self.dim} finite numbers, got shape {angles.shape}")
-        phases = np.exp(-1j * angles)[:, None]
-        if np.iscomplexobj(evecs):
-            self._store(evecs @ (phases * (evecs.conj().T @ self.data)))
-            return
-        rows = np.ascontiguousarray(self.data).view(float)
-        rotated = phases * (evecs.T @ rows).view(complex)
-        self._store((evecs @ rotated.view(float)).view(complex))
-
     def apply_diagonal(self, diag: np.ndarray) -> None:
         """Apply the full-chain operator ``diag(diag)``: ``dim * r`` products,
         no dense ``dim x dim`` matrix.  Refuses a diagonal of another shape."""
@@ -172,10 +150,12 @@ class QuantumState:
         return 1 << qubit, 1 << (n - qubit - 1)
 
     def reduced_state(self, qubit: int) -> tuple[np.ndarray, float]:
-        """(2x2 reduced density matrix, its purity) for one qubit."""
+        """(2x2 reduced density matrix, its purity) for one qubit: with the
+        factor's entries regrouped by the qubit's value into the two rows of
+        a ``(2, dim r / 2)`` matrix ``M``, ``rho2 = M M^dagger``, one product."""
         pre, _ = self._axes(qubit)
-        w = self.data.reshape(pre, 2, -1)
-        rho2 = np.einsum("xaz,xbz->ab", w, w.conj())
+        m = self.data.reshape(pre, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+        rho2 = m @ m.conj().T
         return rho2, float(np.trace(rho2 @ rho2).real)
 
     def _replace_qubit(self, qubit: int, local: np.ndarray) -> None:
@@ -227,6 +207,39 @@ class QuantumState:
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------
+
+
+def apply_eigensystem(
+    states: Sequence[QuantumState], evecs: np.ndarray, angles: np.ndarray, rows=None
+) -> None:
+    """Apply the full-chain ``V diag(e^{-i angles}) V^dagger`` from
+    :func:`eigensystem` to each of ``states`` in the eigenbasis, without
+    forming it: their factors side by side as the columns ``W`` of one array,
+    split back after.  A real ``V`` acts on ``W`` viewed as a float array
+    (real and imaginary parts as columns), two real products of ``8 dim^2 r``
+    flops in all; a complex ``V`` takes ``V (ph * (V^dagger W))``.  ``rows``,
+    a permutation ``P`` that is its own inverse, gathers the rows of ``W``
+    before and after, applying ``P V e^{-i angles} V^dagger P^T``.  Refuses a
+    ``V`` that is not ``dim x dim`` and angles that are not ``dim`` finite
+    numbers, changing no state."""
+    angles = np.asarray(angles)
+    for state in states:
+        if evecs.shape != (state.dim, state.dim):
+            raise ValueError(f"eigenvectors must be {state.dim} x {state.dim}, got {evecs.shape}")
+    if angles.shape != (len(evecs),) or not np.isfinite(angles).all():
+        raise ValueError(f"angles must be {len(evecs)} finite numbers, got shape {angles.shape}")
+    rows = slice(None) if rows is None else rows
+    phases = np.exp(-1j * angles)[:, None]
+    w = np.ascontiguousarray(np.concatenate([s.data for s in states], axis=1)[rows])
+    if np.iscomplexobj(evecs):
+        w = evecs @ (phases * (evecs.conj().T @ w))
+    else:
+        rotated = phases * (evecs.T @ w.view(float)).view(complex)
+        w = (evecs @ rotated.view(float)).view(complex)
+    start, w = 0, w[rows]
+    for state in states:
+        state._store(w[:, start:start + state.data.shape[1]])
+        start += state.data.shape[1]
 
 
 def eigensystem(hamiltonian: np.ndarray, duration_ns: float) -> tuple[np.ndarray, np.ndarray]:
@@ -318,6 +331,6 @@ def sample_trajectory(
     current = QuantumState(state.data)  # a copy: the caller's state stays as it was
     for i in range(n_samples + 1):
         if i > 0:
-            current.apply_eigensystem(*step)
+            apply_eigensystem([current], *step)
         probs[i] = [current.reduced_state(q)[0][1, 1].real for q in range(n)]
     return times, probs

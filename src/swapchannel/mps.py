@@ -86,10 +86,6 @@ class MPS:
         ``firsts``: one stacked product and k - 1 stacked splits."""
         t, lam = self.tensors, self.lambdas
         g, k = len(ops), ops[0].shape[0].bit_length() - 1
-        if k == 1:  # nothing to split
-            for op, a in zip(ops, firsts):
-                t[a] = op @ t[a]
-            return
         theta = np.array([t[a] for a in firsts])
         dl, right = theta.shape[1], [t[firsts[0] + k - 1].shape[2]] * g
         for i in range(1, k):
@@ -97,8 +93,8 @@ class MPS:
             theta = theta.reshape(g, dl, -1, b.shape[1]) @ b.reshape(g, 1, b.shape[1], -1)
         op = ops[0] if all(op is ops[0] for op in ops) else np.array(ops)[:, None]
         theta = op @ theta.reshape(g, dl, 1 << k, -1)
-        left = np.array([lam[a] for a in firsts])[:, :, None, None]
-        for i in range(k - 1, 0, -1):
+        for i in range(k - 1, 0, -1):  # none for 1-site blocks: nothing to split
+            left = np.array([lam[a] for a in firsts])[:, :, None, None]
             dr = theta.shape[3]
             s, vh, keep = self._svd((left * theta).reshape(g, dl << i, 2 * dr))
             sites = vh.reshape(g, -1, 2, dr)

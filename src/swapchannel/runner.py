@@ -28,11 +28,12 @@ It has two modes:
   factor ``W`` with ``rho = W W^dagger`` (:class:`~swapchannel.evolve.QuantumState`).
   The pair ``(V, E t)`` of each distinct (biases, duration) window is cached
   for the run, and the mirror symmetry ``H(b[::-1]) = P H(b) P^T`` (P the bit
-  reversal of the basis index) spares most ``eigh`` work: a window takes the
-  cached ``V`` of its mirror image with rows permuted, or if it is its own
-  mirror image, the eigensystems of its two half-size mirror sectors
-  (:func:`_window_eigensystem`).  A window applies ``V e^{-iEt} V^T`` to
-  ``W`` in the eigenbasis (two real products, ``8 dim^2 r`` flops), and the
+  reversal of the basis index) spares most ``eigh`` work: a window whose
+  mirror image is cached shares its ``V`` and permutes the factor's rows,
+  not ``V``'s, and a self-mirror window takes the eigensystems of its two
+  half-size mirror sectors (:func:`_window_eigensystem`).  A window applies
+  ``V e^{-iEt} V^T`` in the eigenbasis to both branches' factors side by side
+  (two real products, ``8 dim^2 r`` flops for their ``r`` columns), and the
   propagator ``U`` is never assembled.  A reset or inject traces the qubit
   out, which doubles the columns of ``W``; the ``eigh`` of their smaller
   Gram matrix then keeps only the directions whose weight float64 resolves
@@ -60,7 +61,8 @@ from .chain import (
     effective_bias, phase_angle, wrap_phase,
 )
 from .evolve import (
-    QuantumState, _checked_amplitudes, _eigensystem, _sector_eigensystem, propagator
+    QuantumState, _checked_amplitudes, _eigensystem, _sector_eigensystem, apply_eigensystem,
+    propagator,
 )
 from .gates import IDEAL_CNOT, _block_operator, _swap_pulse, reduced_pulse_operator
 from .mps import MPS
@@ -330,18 +332,19 @@ def _require_states(schedule: PulseSchedule, data_states: Sequence) -> list[np.n
     return states
 
 
-def _window_eigensystem(spec: ChainSpec, biases: list, duration: float, cache: dict):
-    """``(V, E t)`` of one full-mode window: the entry of its mirror image in
-    ``cache`` with rows permuted (``H(b[::-1]) = H(b)[m][:, m]``, no ``eigh``),
-    the two mirror sectors of a self-mirror profile, or else the eigensystem of
-    its Hamiltonian, which is built symmetric and not checked again."""
+def _window_eigensystem(spec: ChainSpec, biases: list, duration: float, cache: dict, mirror):
+    """``(V, E t, rows)`` of one full-mode window for :func:`apply_eigensystem`:
+    its mirror image's cached pair with ``rows`` the bit reversal ``mirror``
+    (``H(b[::-1]) = H(b)[m][:, m]``, no ``eigh``), or with ``rows`` None the two
+    mirror sectors of a self-mirror profile, or else the eigensystem of its
+    Hamiltonian, which is built symmetric and not checked again."""
     mirrored = cache.get((tuple(biases[::-1]), duration))
     if mirrored is not None:
-        return mirrored[0][_mirror_index(spec.n_qubits)], mirrored[1]
+        return mirrored[0], mirrored[1], mirror
     h = build_hamiltonian(spec, biases)
     if spec.n_qubits > 1 and biases == biases[::-1]:
-        return _sector_eigensystem(h, duration)
-    return _eigensystem(h, duration)
+        return *_sector_eigensystem(h, duration), None
+    return *_eigensystem(h, duration), None
 
 
 def _execute(
@@ -364,7 +367,8 @@ def _execute(
     phases undone.  The qubit is then reset, which never refuses.  Injects
     write ``data_states[data_index]`` and refuse a qubit whose purity
     is below ``1 - INJECT_PURITY_TOL`` (``evolve``).  Full mode caches one
-    :func:`_window_eigensystem` per distinct window, shared by both branches.
+    :func:`_window_eigensystem` per distinct window, one ``V`` per mirror
+    class, and pushes both branches through each window's products together.
     Reduced mode runs each swap triple of ``replay`` with parked outer
     neighbours as one layer.
     """
@@ -381,7 +385,8 @@ def _execute(
         angles = compute_frame_correction(schedule, spec)
         branches["corrected"] = QuantumState.ground(spec.n_qubits)
 
-    prop_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    prop_cache: dict[tuple, tuple] = {}
+    mirror = None if reduced else _mirror_index(spec.n_qubits)
 
     def do_boundary(rows, window_index):
         for kind, q, data in rows:
@@ -419,9 +424,8 @@ def _execute(
             row = biases[i].tolist()
             key = (tuple(row), durations[i])
             if key not in prop_cache:
-                prop_cache[key] = _window_eigensystem(spec, row, durations[i], prop_cache)
-            for s in branches.values():
-                s.apply_eigensystem(*prop_cache[key])
+                prop_cache[key] = _window_eigensystem(spec, row, durations[i], prop_cache, mirror)
+            apply_eigensystem(list(branches.values()), *prop_cache[key])
             if angles is not None:
                 branches["corrected"].apply_diagonal(_frame_diagonal(angles[i], spec.n_qubits))
     do_boundary(boundary_of[-1], None)

@@ -627,10 +627,11 @@ def loop_replay_occupancy(schedule) -> ReplayResult:
                         swaps=tuple(swaps))
 
 
-def plain_window_eigensystem(spec, biases, duration, cache):
+def plain_window_eigensystem(spec, biases, duration, cache, mirror):
     """``runner._window_eigensystem`` as one ``eigh`` of each window's own
-    Hamiltonian, with no eigenvectors shared between mirror images."""
-    return eigensystem(build_hamiltonian(spec, biases), duration)
+    Hamiltonian, with no eigenvectors shared between mirror images and no
+    window's factor rows permuted."""
+    return *eigensystem(build_hamiltonian(spec, biases), duration), None
 
 
 def svd_replace_qubit(self, qubit, local):

@@ -216,9 +216,9 @@ class TestBuildHamiltonian:
     )
     def test_mirrored_biases_give_the_mirrored_hamiltonian(self, biases, delta, xi):
         # H(b[::-1]) = P H(b) P^T with P the bit reversal of the basis index:
-        # the full-mode engine's mirror sharing (a cached window's V[m] for
-        # its mirror image, and the two half-size sectors of a self-mirror
-        # window) depends on it.
+        # the full-mode engine's mirror sharing (a cached window's V applied
+        # to its mirror image's factor with rows permuted by P, and the two
+        # half-size sectors of a self-mirror window) depends on it.
         spec = ChainSpec(len(biases), delta, xi)
         h = build_hamiltonian(spec, biases)
         m = _mirror_index(spec.n_qubits)

@@ -8,12 +8,13 @@ from conftest import chain_for, random_qubit_amplitudes
 from oracles import (
     apply_local_unitary, expm_propagator, kron_hamiltonian, rabi_u2, rho_replace
 )
-from swapchannel.chain import build_hamiltonian
+from swapchannel.chain import _mirror_index, build_hamiltonian
 from swapchannel.evolve import (
     INJECT_PURITY_TOL,
     EntanglementError,
     QuantumState,
     _sector_eigensystem,
+    apply_eigensystem,
     eigensystem,
     propagator,
     sample_trajectory,
@@ -170,7 +171,7 @@ class TestEigensystem:
         h = build_hamiltonian(spec, biases)
         state = random_mixed(rng, n_qubits, rank)
         want = propagator(h, design.t_ns) @ state.data
-        state.apply_eigensystem(*eigensystem(h, design.t_ns))
+        apply_eigensystem([state], *eigensystem(h, design.t_ns))
         assert_allclose(state.data, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("rank", [1, 3])
@@ -180,8 +181,38 @@ class TestEigensystem:
         want = propagator(h, 3.7) @ state.data
         evecs, angles = eigensystem(h, 3.7)
         assert np.iscomplexobj(evecs)
-        state.apply_eigensystem(evecs, angles)
+        apply_eigensystem([state], evecs, angles)
         assert_allclose(state.data, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ranks", [(1, 1), (1, 3), (4, 2, 1)])
+    def test_factors_side_by_side_each_take_the_propagator(self, design, rng, ranks):
+        # one pair of products for all the factors, each split back to its own columns
+        spec = chain_for(design, 5, eps_high=25000.0)
+        h = build_hamiltonian(spec, rng.uniform(-50.0, 50.0, 5))
+        states = [random_mixed(rng, 5, r) for r in ranks]
+        want = [propagator(h, design.t_ns) @ s.data for s in states]
+        apply_eigensystem(states, *eigensystem(h, design.t_ns))
+        for state, w in zip(states, want):
+            assert_allclose(state.data, w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_qubits", range(1, 8))
+    def test_mirror_rows_apply_the_mirror_window(self, design, rng, n_qubits):
+        # gathering the factor's rows by bit reversal before and after the
+        # products applies the eigensystem of the reversed bias profile
+        spec = chain_for(design, n_qubits, eps_high=25000.0)
+        biases = np.where(rng.random(n_qubits) < 0.5, 25000.0, rng.uniform(-50.0, 50.0))
+        state = random_mixed(rng, n_qubits, 2)
+        want = propagator(build_hamiltonian(spec, biases[::-1]), design.t_ns) @ state.data
+        apply_eigensystem([state], *eigensystem(build_hamiltonian(spec, biases), design.t_ns),
+                          _mirror_index(n_qubits))
+        assert_allclose(state.data, want, rtol=0, atol=1e-11)
+
+    def test_refuses_factors_of_another_size_and_changes_none(self, rng):
+        states = [random_mixed(rng, 3, 1), random_mixed(rng, 2, 1)]
+        before = [s.data for s in states]
+        with pytest.raises(ValueError, match="eigenvectors must be 4 x 4"):
+            apply_eigensystem(states, *eigensystem(np.eye(8), 1.0))
+        assert all(s.data is b for s, b in zip(states, before))
 
     def test_real_hamiltonian_gives_real_eigenvectors(self, design):
         h = build_hamiltonian(chain_for(design, 3), [0.0, 10.0, 20.0])
@@ -192,13 +223,13 @@ class TestEigensystem:
         w = np.asfortranarray(random_mixed(rng, 3, 3).data)
         state = QuantumState(w)
         h = random_hermitian(rng, 8).real * 30.0
-        state.apply_eigensystem(*eigensystem(h, 2.0))
+        apply_eigensystem([state], *eigensystem(h, 2.0))
         assert_allclose(state.data, propagator(h, 2.0) @ w, rtol=0, atol=1e-12)
 
     def test_rejects_eigenvectors_of_another_size(self):
         state = QuantumState.ground(2)
         with pytest.raises(ValueError, match="eigenvectors must be 4 x 4"):
-            state.apply_eigensystem(*eigensystem(np.eye(8), 1.0))
+            apply_eigensystem([state], *eigensystem(np.eye(8), 1.0))
         assert_allclose(state.data, QuantumState.ground(2).data, rtol=0, atol=0)
 
     @pytest.mark.parametrize("angles", [
@@ -210,7 +241,7 @@ class TestEigensystem:
         # angle would leave a NaN state
         state = QuantumState.ground(3)
         with pytest.raises(ValueError, match="angles must be 8 finite numbers"):
-            state.apply_eigensystem(np.eye(8), angles)
+            apply_eigensystem([state], np.eye(8), angles)
         assert_allclose(state.data, QuantumState.ground(3).data, rtol=0, atol=0)
 
     @pytest.mark.parametrize("diag", [[2.0], np.ones(4), np.ones((8, 1)), 2.0])
@@ -233,7 +264,7 @@ class TestEigensystem:
         assert_allclose(evecs.T @ evecs, np.eye(1 << n_qubits), rtol=0, atol=1e-13)
         state = random_mixed(rng, n_qubits, 2)
         want = propagator(h, design.t_ns) @ state.data
-        state.apply_eigensystem(evecs, angles)
+        apply_eigensystem([state], evecs, angles)
         assert_allclose(state.data, want, rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -1.0])
@@ -269,7 +300,7 @@ def evolve_window(state, spec, biases, duration_ns):
     """One window at a constant bias profile, as the full-mode runner applies it
     (on a copy, so the caller's state stays as it was)."""
     out = QuantumState(state.data)
-    out.apply_eigensystem(*eigensystem(build_hamiltonian(spec, biases), duration_ns))
+    apply_eigensystem([out], *eigensystem(build_hamiltonian(spec, biases), duration_ns))
     return out
 
 

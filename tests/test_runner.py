@@ -821,19 +821,36 @@ class TestFullModeFastPath:
         self, design, monkeypatch
     ):
         columns = []
-        apply = QuantumState.apply_eigensystem
+        apply = runner.apply_eigensystem
 
-        def spy(state, evecs, angles):
-            columns.append(state.data.shape[1])
-            return apply(state, evecs, angles)
+        def spy(states, evecs, angles, rows):
+            columns.append([s.data.shape[1] for s in states])
+            return apply(states, evecs, angles, rows)
 
-        monkeypatch.setattr(QuantumState, "apply_eigensystem", spy)
+        monkeypatch.setattr(runner, "apply_eigensystem", spy)
         spec = chain_for(design, 6, eps_high=SNAP_EPS)
         sch, _ = quantum_channel_schedule(spec, 1, design.t_ns)
         run_quantum_channel(spec, sch, [np.array([0.6, 0.8j])], mode="full")
-        # raw and frame-corrected branches, one call each per window
-        assert len(columns) == 2 * sch.n_windows
-        assert set(columns) == {1}
+        # one product per window, in which the raw and the frame-corrected
+        # branch are one column each
+        assert columns == [[1, 1]] * sch.n_windows
+
+    @pytest.mark.parametrize("n_qubits", [8, 10])
+    def test_a_one_state_wire_holds_at_most_six_eigenvector_matrices(self, design, n_qubits):
+        # A mirror class keeps one V, and a window of its other member permutes
+        # the factor's rows instead.  While that window cached a row-permuted
+        # copy of V of its own, tracemalloc's peak here was 8.2 and 8.0
+        # matrices of 8 * 4^L bytes; sharing V brought it to 5.1 and 5.0.
+        spec = chain_for(design, n_qubits, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, 1, design.t_ns)
+        tracemalloc.start()
+        try:
+            report = run_quantum_channel(spec, sch, [np.array([0.6, 0.8j])], mode="full")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.min_fidelity_corrected > 0.999
+        assert peak <= 6 * 8 * 4**n_qubits
 
     def test_multi_state_wire_keeps_the_factor_rank_low(self, design, rng, monkeypatch):
         # Each reset or inject doubles the columns of W; without compression
@@ -841,13 +858,13 @@ class TestFullModeFastPath:
         # values above 1e-14 of the largest reached 43 here; keeping only the
         # weights float64 resolves in rho (above eps of the largest) reaches 24.
         ranks = []
-        apply = QuantumState.apply_eigensystem
+        apply = runner.apply_eigensystem
 
-        def spy(state, evecs, angles):
-            ranks.append(state.data.shape[1])
-            return apply(state, evecs, angles)
+        def spy(states, evecs, angles, rows):
+            ranks.extend(s.data.shape[1] for s in states)  # each branch's own rank
+            return apply(states, evecs, angles, rows)
 
-        monkeypatch.setattr(QuantumState, "apply_eigensystem", spy)
+        monkeypatch.setattr(runner, "apply_eigensystem", spy)
         spec = chain_for(design, 7, eps_high=SNAP_EPS)
         sch, _ = quantum_channel_schedule(spec, 4, design.t_ns)
         states = [np.array(random_qubit_amplitudes(rng)) for _ in range(4)]
@@ -880,7 +897,8 @@ class TestFullModeFastPath:
         # The eigensystem of each (biases, duration) key is cached for the
         # run and shared by the raw and corrected branches.  A key and its
         # mirror image (biases reversed) make one class: one float64 eigh of
-        # dimension 2^L, the other key taking a row gather of its eigenvectors.
+        # dimension 2^L, the other key sharing its eigenvectors with the
+        # factor's rows permuted.
         # A self-mirror key is its own class and makes two eighs, one per
         # mirror sector, of dimensions (2^L +- 2^ceil(L/2)) / 2.  No
         # propagator is assembled.  The only other eighs are the complex
