@@ -256,12 +256,13 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
     All windows are done at once on ``(n_windows, n_qubits)`` arrays: the
     schedule's :attr:`~PulseSchedule.pulsed` mask, the z value of each literal
     neighbour (1 where the replay's ``data_held`` and the pulsed mask are both
-    False, else 0), one
-    :func:`~swapchannel.chain.effective_bias` call and one
+    False, else 0), one :func:`~swapchannel.chain.effective_bias` call and one
     :func:`~swapchannel.chain.phase_angle` call.  Each angle sees the same
     float operations in the same order as a per-qubit scalar computation,
     so the result is bit-identical to it.
     """
+    if schedule.n_qubits != spec.n_qubits:
+        raise ValueError("schedule and spec disagree on n_qubits")
     replay = schedule.replay
     if replay.violations:
         first = replay.violations[0]
@@ -332,13 +333,13 @@ def _require_states(schedule: PulseSchedule, data_states: Sequence) -> list[np.n
     return states
 
 
-def _window_eigensystem(spec: ChainSpec, biases: list, duration: float, cache: dict, mirror):
+def _window_eigensystem(spec: ChainSpec, biases: tuple, duration: float, cache: dict, mirror):
     """``(V, E t, rows)`` of one full-mode window for :func:`apply_eigensystem`:
     its mirror image's cached pair with ``rows`` the bit reversal ``mirror``
     (``H(b[::-1]) = H(b)[m][:, m]``, no ``eigh``), or with ``rows`` None the two
     mirror sectors of a self-mirror profile, or else the eigensystem of its
     Hamiltonian, which is built symmetric and not checked again."""
-    mirrored = cache.get((tuple(biases[::-1]), duration))
+    mirrored = cache.get((biases[::-1], duration))
     if mirrored is not None:
         return mirrored[0], mirrored[1], mirror
     h = build_hamiltonian(spec, biases)
@@ -403,8 +404,9 @@ def _execute(
     if reduced and replay is not None:  # a flagged outer neighbour: window by window
         flagged = {v.window_index for v in replay.violations if v.kind == "sacrificial_occupied"}
         swaps = {w: firsts for w, firsts in replay.swaps if w not in flagged}
-    # plain floats, one window's row at a time: cache keys and pulse-operator arguments
-    biases, durations = schedule.biases, schedule.durations.tolist()
+    # plain floats, each profile once: cache keys and pulse-operator arguments
+    profiles = list(map(tuple, schedule.profiles.tolist()))
+    rows, durations = [profiles[p] for p in schedule.profile_of.tolist()], schedule.durations.tolist()
     done = 0  # the windows before it were pulsed with their swap triple
     targets_of, boundary_of = schedule._cut
     for i, targets in enumerate(targets_of):
@@ -412,19 +414,17 @@ def _execute(
             continue
         do_boundary(boundary_of[i], i)
         if i in swaps:  # the triple's three windows, one layer of pairs
-            pulsed, windows = set(targets), tuple(zip(biases[i:i + 3].tolist(), durations[i:i + 3]))
+            pulsed, windows = set(targets), tuple(zip(rows[i:i + 3], durations[i:i + 3]))
             branches["raw"].apply_layer(swaps[i], lambda a, left, right: _swap_pulse(
                 spec, a, a in pulsed, windows, left, right), 2)
             done = i + 3
         elif reduced:
-            row = biases[i].tolist()
             branches["raw"].apply_layer(targets, lambda q, left, right: _block_operator(
-                spec.delta_mhz, spec.xi_mhz, row[q], durations[i], left, right))
+                spec.delta_mhz, spec.xi_mhz, rows[i][q], durations[i], left, right))
         else:
-            row = biases[i].tolist()
-            key = (tuple(row), durations[i])
+            key = (rows[i], durations[i])
             if key not in prop_cache:
-                prop_cache[key] = _window_eigensystem(spec, row, durations[i], prop_cache, mirror)
+                prop_cache[key] = _window_eigensystem(spec, *key, prop_cache, mirror)
             apply_eigensystem(list(branches.values()), *prop_cache[key])
             if angles is not None:
                 branches["corrected"].apply_diagonal(_frame_diagonal(angles[i], spec.n_qubits))

@@ -11,19 +11,20 @@ rules, the line-sharing rules and the idle-phase frame corrections all need.
 It is computed once per schedule (:attr:`PulseSchedule.replay`) and every
 check reads that one result.
 
-A :class:`PulseSchedule` holds one read-only array per field: ``biases``
-(windows x qubits), ``starts``, ``durations``, and the int table ``events``
-of ``(window, kind, qubit, data_index)`` rows (a kind as its index in
-:data:`EVENT_KINDS`, no data index as -1, the final events in window
-``n_windows``).  Rows, a file and the generators all reach those arrays
-through one check, which stores plain ints and finite floats (numpy numbers
-converted, anything else refused); :class:`PulseEvent` and :class:`Window`
-are its unchecked row types.
+A :class:`PulseSchedule` holds one read-only array per field: ``starts``, ``durations``,
+``profiles`` (each distinct bias row once, by bit pattern, in order of first appearance),
+``profile_of`` (each window's profile) and the int table ``events`` of ``(window, kind,
+qubit, data_index)`` rows (a kind as its index in :data:`EVENT_KINDS`, no data index as
+-1, the final events in window ``n_windows``).  Rows, a file and the generators all reach
+those arrays through one check, which stores plain ints and finite floats (numpy numbers
+converted, anything else refused); :class:`PulseEvent` and :class:`Window` are its
+unchecked row types.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
@@ -52,8 +53,8 @@ _KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
 _NO_DATA = -1
 
 _FORMAT_TAG = "swapchannel-schedule/1"
-#: Entries of the writer's bias-row cache and of the parser's number cache.
-_CACHED_ROWS, _CACHED_NUMBERS = 64, 1024
+#: Entries of the parser's number cache.
+_CACHED_NUMBERS = 1024
 
 
 class ScheduleError(ValueError):
@@ -187,11 +188,11 @@ class PulseSchedule:
         return schedule
 
     def _store(self, n_qubits, label, starts, durations, biases, events) -> None:
-        """Type and check every field and store it read-only: the one check
-        of a schedule value.  A list (from rows or a file) takes one pass
-        over its values' types; only a list that fails it is checked value by
-        value, to name the first bad window.  A generator's ndarrays are
-        typed already: they skip the pass and are stored as they are."""
+        """Type and check every field and store it read-only: the one check of a
+        schedule value.  A list (from rows or a file) takes one pass over its values'
+        types; only a list that fails it is checked value by value, to name the first
+        bad window; then each bias row, by its bytes, becomes its profile.  A generator's
+        ndarrays (biases as ``(profiles, profile_of)``) are typed: they are stored as is."""
         n_qubits = _integer(n_qubits, "n_qubits", low=1, error=ScheduleError)
         if type(label) is not str:
             raise ScheduleError(f"label must be a string, got {label!r}")
@@ -199,8 +200,8 @@ class PulseSchedule:
         if not isinstance(events, np.ndarray):
             starts = _column(starts, _only(starts, float), _number, "start_ns")
             durations = _column(durations, _only(durations, float), _number, "duration_ns", low=0)
-            biases = _column(biases, _only(biases, list, tuple)
-                             and _only(chain.from_iterable(biases), float), _numbers, "biases_mhz")
+            rows = _column(biases, _only(biases, list, tuple)
+                           and _only(chain.from_iterable(biases), float), _numbers, "biases_mhz")
             window, kind, qubit, data = events
             kind = _column(kind, _only(kind, str) and set(kind) <= _KIND_CODE.keys(), _kind,
                            "event kind", window, n_windows)
@@ -211,18 +212,23 @@ class PulseSchedule:
                            _integer, "event data_index", window, n_windows, low=0, nullable=True)
             events = [window, [_KIND_CODE[k] for k in kind], qubit,
                       [_NO_DATA if d is None else d for d in data]]
-        if not set(map(len, biases)) <= {n_qubits}:
-            k = next(len(row) for row in biases if len(row) != n_qubits)
-            raise ScheduleError(f"window has {k} biases for n_qubits={n_qubits}")
+            if not set(map(len, rows)) <= {n_qubits}:
+                k = next(len(row) for row in rows if len(row) != n_qubits)
+                raise ScheduleError(f"window has {k} biases for n_qubits={n_qubits}")
+            numbered, pack = {}, struct.Struct(f"{n_qubits if rows else 0}d").pack
+            of = [numbered.setdefault(pack(*row), (len(numbered), row))[0] for row in rows]
+            biases = [row for _, row in numbered.values()], of
         # only a window-less schedule may have more qubits than numpy can shape
         width = n_qubits if n_qubits <= np.iinfo(np.intp).max else 0
-        starts, durations = _frozen(starts), _frozen(durations)
-        biases = _frozen(biases).reshape(n_windows, width)
+        (profiles, profile_of), starts, durations = biases, _frozen(starts), _frozen(durations)
+        profiles = _frozen(profiles).reshape(len(profiles), width)
+        profile_of = _frozen(profile_of, np.intp)
         for name, values in (("start_ns", starts), ("duration_ns", durations),
-                             ("biases_mhz", biases)):
+                             ("biases_mhz", profiles)):
             if not np.isfinite(values).all():
                 at = tuple(np.argwhere(~np.isfinite(values))[0])
-                raise ScheduleError(f"window {at[0]}: {name} must be finite, "
+                w = at[0] if values.ndim == 1 else np.argmax(profile_of == at[0])  # its first use
+                raise ScheduleError(f"window {w}: {name} must be finite, "
                                     f"got {values[at].item()!r}")
         if (durations < 0).any():
             i = np.flatnonzero(durations < 0)[0]
@@ -250,7 +256,7 @@ class PulseSchedule:
             raise ScheduleError(f"window {i + 1} starts at {starts[i + 1].item()!r} ns, "
                                 f"before the previous window ends at {ends[i].item()!r} ns")
         vars(self).update(n_qubits=n_qubits, label=label, starts=starts, durations=durations,
-                          biases=biases, events=events)
+                          profiles=profiles, profile_of=profile_of, events=events)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PulseSchedule is read-only: cannot set {name!r}")
@@ -260,11 +266,12 @@ class PulseSchedule:
             return NotImplemented
         return (self.n_qubits, self.label) == (other.n_qubits, other.label) and all(
             np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("starts", "durations", "biases", "events"))
+            for f in ("starts", "durations", "events")) and np.array_equal(
+            self.profiles[self.profile_of], other.profiles[other.profile_of])
 
     def __hash__(self):
         # + 0.0 turns -0.0, which equals 0.0, into 0.0
-        floats = [(a + 0.0).tobytes() for a in (self.starts, self.durations, self.biases)]
+        floats = [(a + 0.0).tobytes() for a in (self.starts, self.durations)]
         return hash((self.n_qubits, self.label, self.events.shape, *floats))
 
     def __repr__(self):
@@ -289,7 +296,7 @@ class PulseSchedule:
         for w, *event in self.events.tolist():
             events[w].append(_event(*event))
         return tuple(map(Window, self.starts.tolist(), self.durations.tolist(),
-                         map(tuple, self.biases.tolist()), map(tuple, events)))
+                         map(tuple, self.profiles[self.profile_of].tolist()), map(tuple, events)))
 
     @cached_property
     def final_events(self) -> tuple[PulseEvent, ...]:
@@ -313,6 +320,11 @@ class PulseSchedule:
                 [rows[a:b] for a, b in zip(bounds, bounds[1:])])
 
     @cached_property
+    def biases(self) -> np.ndarray:
+        """Read-only ``(n_windows, n_qubits)`` table ``profiles[profile_of]``."""
+        return _frozen(self.profiles[self.profile_of])
+
+    @cached_property
     def replay(self) -> "ReplayResult":
         """:func:`replay_occupancy` of this schedule, computed on first use."""
         return replay_occupancy(self)
@@ -321,7 +333,7 @@ class PulseSchedule:
     def pulsed(self) -> np.ndarray:
         """Read-only ``(n_windows, n_qubits)`` mask of the pulsed qubits."""
         gates = self.events[self.events[:, 1] < _INJECT]
-        pulsed = np.zeros(self.biases.shape, dtype=bool)
+        pulsed = np.zeros((self.n_windows, self.profiles.shape[1]), dtype=bool)
         pulsed[gates[:, 0].astype(np.intp), gates[:, 2].astype(np.intp)] = True
         pulsed.flags.writeable = False
         return pulsed
@@ -380,7 +392,11 @@ def _line_schedule(spec: ChainSpec, lines: LineAssignment, targets: np.ndarray,
     window, qubit = np.nonzero(targets)
     line_pulsed = np.zeros((n_windows, lines.n_lines), dtype=bool)
     line_pulsed[window, line[qubit]] = True
-    biases = np.where(line_pulsed[:, line] & (line >= 0), value[line], spec.eps_high_mhz)
+    line_pulsed[:, value == spec.eps_high_mhz] = False  # its qubits' biases stay as they are
+    code = line_pulsed @ (1 << np.arange(lines.n_lines))  # a window's profile (<= 8 lines)
+    _, first, number = np.unique(code, return_index=True, return_inverse=True)
+    profiles = np.where(line_pulsed[np.sort(first)][:, line] & (line >= 0), value[line],
+                        spec.eps_high_mhz)
     # a window's boundary events first, in their given order, then its pulses by qubit:
     # an event follows the other kind's events of earlier windows (a pulse, of its own too)
     boundary = boundary[:, np.argsort(boundary[0], kind="stable")]
@@ -390,7 +406,8 @@ def _line_schedule(spec: ChainSpec, lines: LineAssignment, targets: np.ndarray,
     events[0, at], events[2, at], events[3, at] = window, qubit, _NO_DATA
     events[1, at] = np.where(ends[qubit], _READOUT, _CNOT)
     starts = np.arange(n_windows) * t_ns
-    return PulseSchedule._from_arrays(n, label, starts, np.full(n_windows, t_ns), biases, events)
+    return PulseSchedule._from_arrays(n, label, starts, np.full(n_windows, t_ns),
+                                      (profiles, np.argsort(np.argsort(first))[number]), events)
 
 
 def _quantum_lines(n_qubits: int, line_mode: str) -> LineAssignment:
@@ -653,7 +670,7 @@ def replay_occupancy(schedule: PulseSchedule) -> ReplayResult:
 
     run_boundary(n_windows, None)
     # an array over bytes is read-only
-    data_held = np.frombuffer(bytes(rows), dtype=bool).reshape(schedule.biases.shape)
+    data_held = np.frombuffer(bytes(rows), dtype=bool).reshape(pulsed.shape)
     return ReplayResult(violations=tuple(violations), data_held=data_held, reads=tuple(reads),
                         swaps=tuple(swaps))
 
@@ -677,10 +694,10 @@ def line_conflict_check(schedule: PulseSchedule, assignment: LineAssignment) -> 
     is being pulsed (collateral pulses are only harmless on parked |0>
     qubits).
 
-    The checks run on ``(n_windows, n_qubits)`` arrays, the lines in use
-    numbered densely (a file may give any line below any ``n_lines``); only
-    a window with a problem is visited one qubit at a time, for its messages:
-    bias conflicts by line, unlined pulsed qubits, data qubits on pulsed lines.
+    The checks run on the profile rows (bias conflicts) and ``(n_windows, n_qubits)``
+    masks, the lines in use numbered densely (a file may give any line below any
+    ``n_lines``); only a window with a problem is visited one qubit at a time, for its
+    messages: bias conflicts by line, unlined pulsed qubits, data qubits on pulsed lines.
     """
     problems: list[str] = []
     lines = assignment.lines
@@ -693,20 +710,20 @@ def line_conflict_check(schedule: PulseSchedule, assignment: LineAssignment) -> 
     in_use = sorted({line for line in lines if line is not None})
     rank = {line: k for k, line in enumerate(in_use)}
     rank_of = np.array([rank.get(line, -1) for line in lines], dtype=np.intp)
-    biases, pulsed = schedule.biases, schedule.pulsed
-    conflict = np.zeros((schedule.n_windows, len(in_use)), dtype=bool)
+    profiles, profile_of, pulsed = schedule.profiles, schedule.profile_of, schedule.pulsed
+    conflict = np.zeros((len(profiles), len(in_use)), dtype=bool)
     shares = np.zeros_like(pulsed)
     for g in range(len(in_use)):  # one line's columns at a time
         members = np.flatnonzero(rank_of == g)
-        values = biases[:, members]
+        values = profiles[:, members]
         conflict[:, g] = values.min(axis=1) != values.max(axis=1)
         shares[:, members] = pulsed[:, members].any(axis=1, keepdims=True)
     shares &= replay.data_held & ~pulsed
     unlined = pulsed & (rank_of < 0)
-    flagged = conflict.any(axis=1) | unlined.any(axis=1) | shares.any(axis=1)
+    flagged = conflict.any(axis=1)[profile_of] | unlined.any(axis=1) | shares.any(axis=1)
     for i in np.flatnonzero(flagged).tolist():
-        row = biases[i].tolist()
-        for g in np.flatnonzero(conflict[i]).tolist():
+        row = profiles[profile_of[i]].tolist()
+        for g in np.flatnonzero(conflict[profile_of[i]]).tolist():
             values = {row[q] for q in np.flatnonzero(rank_of == g).tolist()}
             problems.append(f"window {i}: line {in_use[g]} would need biases {sorted(values)}")
         for q in np.flatnonzero(unlined[i]).tolist():
@@ -746,16 +763,13 @@ def _json_event(event: list, pad: str) -> str:
             f'\n{pad}  "qubit": {qubit!r}\n{pad}}}')
 
 
-class _Cache(dict):
-    """``convert(key)`` by key, once while the key repeats (at most ``size`` keys)."""
+class _Floats(dict):
+    """Each number text's float, parsed once while the text repeats."""
 
-    def __init__(self, convert, size: int):
-        self.convert, self.size = convert, size
-
-    def __missing__(self, key):
-        if len(self) >= self.size:
+    def __missing__(self, text):
+        if len(self) >= _CACHED_NUMBERS:
             self.clear()
-        value = self[key] = self.convert(key)
+        value = self[text] = float(text)
         return value
 
 
@@ -787,12 +801,11 @@ def _json_parts(schedule: PulseSchedule, assignment: LineAssignment | None) -> I
     _, first, number = np.unique(codes, return_index=True, return_inverse=True)
     # an item of the top-level "windows" array: brace at 4 spaces, keys at 6
     texts = [_json_event(e, "        ") for e in entries[first].tolist()]
-    bias_text = _Cache(lambda row: _json_list(list(map(repr, np.frombuffer(row).tolist())),
-                                              "      "), _CACHED_ROWS)
+    bias_texts = [_json_list(list(map(repr, row)), "      ") for row in schedule.profiles.tolist()]
     close = head + "[\n    "
-    for row, duration, a, b, start in zip(schedule.biases, schedule.durations.tolist(), cuts,
-                                          cuts[1:], schedule.starts.tolist()):
-        yield from (close, '{\n      "biases_mhz": ', bias_text[row.tobytes()],
+    for p, duration, a, b, start in zip(schedule.profile_of.tolist(), schedule.durations.tolist(),
+                                        cuts, cuts[1:], schedule.starts.tolist()):
+        yield from (close, '{\n      "biases_mhz": ', bias_texts[p],
                     ',\n      "duration_ns": ', repr(duration),
                     ',\n      "events": ',
                     _json_list(list(map(texts.__getitem__, number[a:b].tolist())), "      "),
@@ -807,8 +820,7 @@ def schedule_to_json(schedule: PulseSchedule, assignment: LineAssignment | None 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True,
     allow_nan=False) + "\\n"`` for the schedule document, written directly:
     the fixed schema's keys are spelled out in sorted order, each distinct
-    event entry is written once, each distinct bias row (by its bytes: -0.0
-    prints apart from 0.0) once while it repeats, and the parts of
+    event entry and each bias profile is written once, and the parts of
     :func:`_json_parts` (which the CLI writes one by one) are joined once.
     The schedule holds only str, int and finite float values, so every value
     has one spelling.
@@ -823,7 +835,7 @@ def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]
     each field's values; :class:`PulseSchedule` checks them.  A number text
     repeated in the file is one float, and the document is dropped first."""
     try:
-        obj = json.loads(text, parse_float=_Cache(float, _CACHED_NUMBERS).__getitem__)
+        obj = json.loads(text, parse_float=_Floats().__getitem__)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ScheduleError(f"schedule file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != _FORMAT_TAG:

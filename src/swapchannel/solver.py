@@ -175,9 +175,16 @@ def snapped_hold_bias(delta_mhz: float, t_ns: float) -> float:
 
     A parked qubit at bias ``eps`` accrues a bare z phase of
     ``2*pi * eps * T * 1e-3`` per window; choosing ``eps = k * 1000 / T`` with
-    integer k makes that a whole number of turns.
+    integer k makes that a whole number of turns.  Each argument is a finite
+    number > 0, and the bias must be a finite float.
     """
-    if t_ns <= 0:
-        raise ValueError(f"t_ns must be > 0, got {t_ns}")
-    k = math.ceil(1000.0 * delta_mhz * t_ns * 1e-3 - 1e-12)
-    return max(k, 1) * 1e3 / t_ns
+    delta_mhz, t_ns = _number(delta_mhz, "delta_mhz"), _number(t_ns, "t_ns")
+    for name, value in (("delta_mhz", delta_mhz), ("t_ns", t_ns)):
+        if value <= 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
+    cycles = 1000.0 * delta_mhz * t_ns * 1e-3
+    eps = max(math.ceil(cycles - 1e-12), 1) * 1e3 / t_ns if math.isfinite(cycles) else math.inf
+    if not math.isfinite(eps):
+        raise ValueError(f"delta_mhz={delta_mhz!r} and t_ns={t_ns!r} give a hold bias past "
+                         "the float range")
+    return eps

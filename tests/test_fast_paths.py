@@ -43,7 +43,7 @@ from swapchannel import (
     solve_parameters,
 )
 from swapchannel.scheduler import (
-    _CACHED_NUMBERS, _CACHED_ROWS, EVENT_KINDS, _match_pairs, replay_occupancy
+    _CACHED_NUMBERS, EVENT_KINDS, _match_pairs, replay_occupancy
 )
 
 DESIGN = solve_parameters(10.0, m=1, n=0)  # the ``design`` fixture, for @given tests
@@ -367,8 +367,8 @@ class TestScheduleWriter:
 
     def test_more_distinct_values_than_the_caches_hold(self):
         # 3000 distinct numbers and 150 distinct bias rows, each row coming
-        # back after 100 others: past the parser's number cache and the
-        # writer's row cache, whose evicted entries are spelled again; data
+        # back after 100 others: past the parser's number cache, whose evicted
+        # entries are parsed again, and 150 profiles, each spelled once; data
         # indices near 2**63 give event codes past int64
         rng = np.random.default_rng(7)
         rows = rng.normal(scale=1e3, size=(150, 20))
@@ -379,7 +379,7 @@ class TestScheduleWriter:
                    for w, r in enumerate(order)]
         sch = PulseSchedule(20, windows, (PulseEvent("read_reset", 3, 2**62),))
         assert sch.events.dtype == np.int64
-        assert len(np.unique(sch.biases)) > _CACHED_NUMBERS and len(set(order)) > _CACHED_ROWS
+        assert len(np.unique(sch.biases)) > _CACHED_NUMBERS and len(sch.profiles) == 150
         assert_round_trips(sch, LineAssignment(tuple(range(20)), 20))
 
     def test_empty_schedule(self):

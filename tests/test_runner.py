@@ -324,6 +324,12 @@ class TestFrameCorrection:
         with pytest.raises(ScheduleError):
             compute_frame_correction(bad, spec)
 
+    def test_refuses_a_spec_of_another_size(self, design):
+        # a 5-qubit wire with a 7-qubit spec once gave (12, 5) angles
+        sch, _ = quantum_channel_schedule(chain_for(design, 5), 1, design.t_ns)
+        with pytest.raises(ValueError, match="^schedule and spec disagree on n_qubits$"):
+            compute_frame_correction(sch, chain_for(design, 7))
+
     def test_checks_and_a_full_run_share_one_replay(self, design, monkeypatch):
         calls = []
         real = scheduler.replay_occupancy
@@ -390,7 +396,7 @@ class TestQuantumChannel:
         assert report.records[-1].window_index is None
 
     def test_reduced_run_holds_no_copy_of_the_biases(self, design, rng):
-        # the run turns one window's bias row at a time into floats; the whole
+        # the run turns each bias profile into floats once; the whole
         # (n_windows, n_qubits) array as nested lists peaked at 7.9 MB here
         spec = chain_for(design, 256, eps_high=SNAP_EPS)
         sch, _ = quantum_channel_schedule(spec, 16, design.t_ns)

@@ -17,6 +17,7 @@ from swapchannel import (
     classical_channel_schedule,
     line_conflict_check,
     quantum_channel_schedule,
+    run_classical_channel,
     run_quantum_channel,
     schedule_from_json,
     schedule_to_json,
@@ -113,6 +114,14 @@ class TestScheduleContainers:
         good = {"start_ns": 0.0, "duration_ns": 10.0, "biases_mhz": (0.0, 0.0)}
         with pytest.raises(ScheduleError, match=re.escape("window 0: " + fragment)):
             PulseSchedule(2, [Window(**(good | fields))])
+
+    def test_a_bad_bias_names_the_first_window_holding_it(self):
+        rows = [(1.0, 1.0), (1.0, 1.0), (2.0, float("inf")), (float("nan"), 1.0), (2.0, float("inf"))]
+        windows = [Window(10.0 * w, 10.0, row) for w, row in enumerate(rows)]
+        with pytest.raises(ScheduleError, match="^window 2: biases_mhz must be finite, got inf$"):
+            PulseSchedule(2, windows)
+        with pytest.raises(ScheduleError, match="^window 0: biases_mhz must be finite, got nan$"):
+            PulseSchedule(2, windows[3:])
 
     def test_schedule_refuses_overlapping_windows(self):
         first = bare_window(2, start=5.0, t=10.0)
@@ -219,7 +228,7 @@ class TestScheduleArrays:
 
     def test_arrays_and_attributes_are_read_only(self, design):
         sch, _ = quantum_channel_schedule(chain_for(design, 5), 2, design.t_ns)
-        for name in ("biases", "starts", "durations", "events"):
+        for name in ("biases", "profiles", "profile_of", "starts", "durations", "events"):
             assert not getattr(sch, name).flags.writeable, name
         with pytest.raises(ValueError):
             sch.biases[0, 0] = 1.0
@@ -789,6 +798,42 @@ class TestScheduleSerialisation:
             schedule_from_json(text.replace("readout_pulse", "mystery_pulse"))
 
 
+class TestProfiles:
+    """A schedule stores each distinct bias row once.  A wire's rows are its
+    line plan: eight lines (three for classical data) give it a few
+    profiles at any length."""
+
+    @pytest.mark.parametrize("n_qubits", [8, 16, 64, 256, 1024])
+    def test_profile_counts_do_not_grow_with_the_wire(self, design, n_qubits):
+        spec = chain_for(design, n_qubits)
+        counts = [len(quantum_channel_schedule(spec, k, design.t_ns, line_mode=mode)[0].profiles)
+                  for k, mode in ((1, "mod6"), (8, "mod6"), (64, "mod6"), (8, "mod3"))]
+        counts.append(len(classical_channel_schedule(spec, [1, 0, 1, 1], design.t_ns)[0].profiles))
+        many = 15 if n_qubits == 8 else 13
+        assert counts == [8, many, many, 7, 2]
+
+    @pytest.mark.parametrize("eps_high", [None, "xi"], ids=["parked", "parked-at-xi"])
+    def test_profiles_are_the_distinct_rows_in_order_of_first_use(self, design, eps_high):
+        # at eps_high = xi an end line pulsed to +xi leaves its row as it is:
+        # the row is one profile, not two
+        spec = chain_for(design, 10, eps_high=design.xi_mhz if eps_high else None)
+        for sch, lines in (quantum_channel_schedule(spec, 3, design.t_ns),
+                           classical_channel_schedule(spec, [1, 0, 1], design.t_ns)):
+            rows = [row.tobytes() for row in sch.biases]
+            distinct = list(dict.fromkeys(rows))
+            assert [p.tobytes() for p in sch.profiles] == distinct
+            assert sch.profile_of.tolist() == [distinct.index(row) for row in rows]
+            back, _ = schedule_from_json(schedule_to_json(sch, lines))
+            assert back.profiles.tobytes() == sch.profiles.tobytes()
+            assert back.profile_of.tolist() == sch.profile_of.tolist()
+
+    def test_zero_signs_are_profiles_apart(self):
+        sch = PulseSchedule(1, [Window(float(w), 1.0, (z,)) for w, z in enumerate((0.0, -0.0, 0.0))])
+        assert np.signbit(sch.profiles).tolist() == [[False], [True]]
+        assert sch.profile_of.tolist() == [0, 1, 0]
+        assert sch == PulseSchedule(1, [Window(float(w), 1.0, (0.0,)) for w in range(3)])
+
+
 def traced_peak(call):
     """``call()`` and the peak bytes tracemalloc counts while it runs."""
     tracemalloc.start()
@@ -848,6 +893,26 @@ class TestArraysHeldOnce:
             assert not views & vars(sch).keys()
             assert replay_occupancy(sch).ok
             assert views & vars(sch).keys() == {"_cut"}
+
+    @pytest.mark.parametrize("wire", ["quantum", "classical"])
+    def test_no_step_builds_the_bias_table(self, design, spec, wire):
+        # every step reads the profiles: the (n_windows, n_qubits) table is
+        # built only when ``biases`` is asked for
+        if wire == "quantum":
+            sch, lines = quantum_channel_schedule(spec, 2, design.t_ns)
+            run = lambda s: run_quantum_channel(spec, s, [[1.0, 0.0]] * 2, mode="reduced")
+        else:
+            sch, lines = classical_channel_schedule(spec, [1, 0, 1], design.t_ns)
+            run = lambda s: run_classical_channel(spec, s, [1, 0, 1], mode="reduced")
+        assert "biases" not in vars(sch)
+        back, _ = schedule_from_json(schedule_to_json(sch, lines))
+        assert "biases" not in vars(sch) | vars(back)
+        for step in (replay_occupancy, lambda s: line_conflict_check(s, lines), schedule_to_json,
+                     run):
+            for schedule in (sch, back):
+                step(schedule)
+                assert "biases" not in vars(schedule), step
+        assert not sch.biases.flags.writeable and "biases" in vars(sch)
 
     def test_parser(self, design, spec):
         sch, lines = quantum_channel_schedule(spec, 16, design.t_ns)

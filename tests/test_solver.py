@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,20 @@ class TestSnappedHoldBias:
         for delta, t in [(25.0, 10.0), (21.7, 10.0), (25.0, 7.0), (3.3, 13.0)]:
             eps = snapped_hold_bias(delta, t)
             assert eps >= 1000.0 * delta - 1e-6
+
+    @pytest.mark.parametrize("delta, t_ns, message", [
+        (-5.0, 10.0, "delta_mhz must be > 0, got -5.0"),
+        (25.0, 0.0, "t_ns must be > 0, got 0.0"),
+        (True, 10.0, "delta_mhz must be a number, got True"),
+        (25.0, "10", "t_ns must be a number, got '10'"),
+        (float("nan"), 10.0, "delta_mhz must be finite, got nan"),
+        (25.0, float("inf"), "t_ns must be finite, got inf"),
+        (1e308, 1e10, "delta_mhz=1e+308 and t_ns=10000000000.0 give a hold bias past the float"),
+        (25.0, 5e-324, "delta_mhz=25.0 and t_ns=5e-324 give a hold bias past the float"),
+    ])
+    def test_refuses_arguments_that_give_no_finite_bias(self, delta, t_ns, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            snapped_hold_bias(delta, t_ns)
 
     def test_whole_cycles_per_window(self):
         # The snapped bias completes an integer number of phase cycles in one
