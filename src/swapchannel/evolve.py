@@ -138,10 +138,10 @@ class QuantumState:
 
     def apply_diagonal(self, diag: np.ndarray) -> None:
         """Apply the full-chain operator ``diag(diag)``: ``dim * r`` products,
-        no dense ``dim x dim`` matrix.  Refuses a diagonal of another shape."""
+        no dense ``dim x dim`` matrix.  Refuses one of another shape or not finite."""
         diag = np.asarray(diag)
-        if diag.shape != (self.dim,):
-            raise ValueError(f"diagonal must have shape ({self.dim},), got {diag.shape}")
+        if diag.shape != (self.dim,) or not np.isfinite(diag).all():
+            raise ValueError(f"diagonal must have shape ({self.dim},) and be finite, got shape {diag.shape}")
         self._store(diag[:, None] * self.data)
 
     def _axes(self, qubit: int) -> tuple[int, int]:
@@ -220,15 +220,20 @@ def apply_eigensystem(
     flops in all; a complex ``V`` takes ``V (ph * (V^dagger W))``.  ``rows``,
     a permutation ``P`` that is its own inverse, gathers the rows of ``W``
     before and after, applying ``P V e^{-i angles} V^dagger P^T``.  Refuses a
-    ``V`` that is not ``dim x dim`` and angles that are not ``dim`` finite
-    numbers, changing no state."""
+    ``V`` that is not ``dim x dim``, angles that are not ``dim`` finite
+    numbers and other ``rows``, changing no state."""
     angles = np.asarray(angles)
     for state in states:
         if evecs.shape != (state.dim, state.dim):
             raise ValueError(f"eigenvectors must be {state.dim} x {state.dim}, got {evecs.shape}")
     if angles.shape != (len(evecs),) or not np.isfinite(angles).all():
         raise ValueError(f"angles must be {len(evecs)} finite numbers, got shape {angles.shape}")
-    rows = slice(None) if rows is None else rows
+    # P[P] == arange reaches every index, so P is a permutation and nothing was clipped
+    if rows is None:
+        rows = slice(None)
+    elif not ((rows := np.asarray(rows)).dtype.kind in "iu" and rows.shape == (len(evecs),)
+              and (rows.take(rows, mode="clip") == np.arange(len(evecs))).all()):
+        raise ValueError(f"rows must be a permutation of range({len(evecs)}) that is its own inverse")
     phases = np.exp(-1j * angles)[:, None]
     w = np.ascontiguousarray(np.concatenate([s.data for s in states], axis=1)[rows])
     if np.iscomplexobj(evecs):

@@ -16,7 +16,8 @@ tensor and one bond.  A k-site unitary splits back from the right by k - 1
 SVDs of the lambda-weighted block, each keeping ``V^dagger`` and carrying
 the block times ``V`` on, so no lambda is divided by (Hastings, J. Math.
 Phys. 50, 095207 (2009)); singular values at or below ``TRUNCATION_RTOL`` of
-the largest are dropped.  Arrays are replaced, never written in place.
+the largest are dropped.  Every update replaces arrays, and no two sites
+share one, so :meth:`MPS._basis_values` zeroes a dropped slice in place.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class MPS:
 
     def _update(self, ops: Sequence[np.ndarray], firsts: Sequence[int]) -> None:
         """Apply ``k``-site unitaries on disjoint blocks of one shape starting at
-        ``firsts``: one stacked product and k - 1 stacked splits."""
+        ``firsts``: one product of the stacked operators, k - 1 stacked splits."""
         t, lam = self.tensors, self.lambdas
         g, k = len(ops), ops[0].shape[0].bit_length() - 1
         theta = np.array([t[a] for a in firsts])
@@ -91,8 +92,7 @@ class MPS:
         for i in range(1, k):
             b = np.array([t[a + i] for a in firsts])
             theta = theta.reshape(g, dl, -1, b.shape[1]) @ b.reshape(g, 1, b.shape[1], -1)
-        op = ops[0] if all(op is ops[0] for op in ops) else np.array(ops)[:, None]
-        theta = op @ theta.reshape(g, dl, 1 << k, -1)
+        theta = np.array(ops)[:, None] @ theta.reshape(g, dl, 1 << k, -1)
         for i in range(k - 1, 0, -1):  # none for 1-site blocks: nothing to split
             left = np.array([lam[a] for a in firsts])[:, :, None, None]
             dr = theta.shape[3]
@@ -111,8 +111,8 @@ class MPS:
         basis state, else None, from its tensor and left bond, in one stacked
         pass per tensor shape; the qubits must be in the chain.  Frozen means
         the other slice holds at most ``TRUNCATION_RTOL**2`` of its weight, as
-        in a split, and the slice is then dropped and its share added to
-        ``discarded_weight`` once."""
+        in a split, and the slice is then zeroed in place and its share added
+        to ``discarded_weight`` once."""
         t, lam, by_shape, weights = self.tensors, self.lambdas, {}, {}
         for q in qubits:
             by_shape.setdefault(t[q].shape, []).append(q)
@@ -129,7 +129,6 @@ class MPS:
             other = int(z == 1)  # the slice a frozen qubit drops
             if z is not None and w[other]:
                 self.discarded_weight += w[other] / (w[0] + w[1])
-                t[q] = t[q].copy()
                 t[q][:, other] = w[other] = 0.0  # the zeroed slice weighs 0
             values.append(z)
         return values
@@ -137,17 +136,17 @@ class MPS:
     def apply_layer(self, firsts: Sequence[int], pulse: Callable[..., np.ndarray], width: int = 1) -> None:
         """Pulse one layer of runs of ``width`` adjacent qubits, each given by
         its first qubit (a run of one is a qubit), no two of them repeating,
-        overlapping or touching (else refused, as is a run leaving the chain,
-        before any pulse is built), so each run's pulse reads only its two
-        outer neighbours' z and the pulses commute.  ``pulse(first, left,
-        right)`` gets each outer neighbour's z from :meth:`_basis_values`
-        (+1 or -1 if frozen, None if live, 0 past a chain end, all read in
-        one pass) and returns a unitary in chain ordering on the block this
-        places: the run and its live neighbours, so a frozen neighbour leaves
-        it.  An operator that is not ``2^k x 2^k`` for its ``k``-site block is
-        refused before the first update.  Blocks over tensors of one shape
-        share one update, but for a block over a neighbour of two runs, which
-        goes on its own.
+        overlapping or touching (else refused, from one pass over the sorted
+        runs, as is a run leaving the chain, before any pulse is built), so
+        each run's pulse reads only its two outer neighbours' z and the pulses
+        commute.  ``pulse(first, left, right)`` gets each outer neighbour's z
+        from :meth:`_basis_values` (+1 or -1 if frozen, None if live, 0 past a
+        chain end, all read in one pass) and returns a unitary in chain
+        ordering on the block this places: the run and its live neighbours,
+        so a frozen neighbour leaves it.  An operator that is not ``2^k x 2^k``
+        for its ``k``-site block is refused before the first update.  Blocks
+        over tensors of the same shapes share one update, but for a block
+        over a neighbour two runs share, which goes on its own.
         """
         n, t = self.n_qubits, self.tensors
         width = _integer(width, "width", low=1)
@@ -155,16 +154,14 @@ class MPS:
             if type(q) is not int or not 0 <= q <= n - width:
                 _qubit(q, n)
                 _qubit(q + width - 1, n)
-        listed = [p for q in firsts for p in (q - 1, q + width) if 0 <= p < n]
-        inner = firsts if width == 1 else [q + i for q in firsts for i in range(width)]
-        sides, chosen = dict.fromkeys(listed), set(inner)
-        if len(chosen) < len(inner) or not chosen.isdisjoint(sides):
-            order = sorted(firsts)
-            a, b = next((a, b) for a, b in zip(order, order[1:]) if b - a <= width)
-            raise ValueError(f"qubit {b} is pulsed twice in one layer" if b - a < width
-                             else f"neighbours {b - 1} and {b} are pulsed in one layer")
-        # the neighbours two runs share, looked for only if one was listed twice
-        shared = {q + width for q in firsts if q + width + 1 in chosen} if len(sides) < len(listed) else ()
+        order, shared = sorted(firsts), set()
+        for a, b in zip(order, order[1:]):
+            if b - a <= width:
+                raise ValueError(f"qubit {b} is pulsed twice in one layer" if b - a < width
+                                 else f"neighbours {b - 1} and {b} are pulsed in one layer")
+            if b - a == width + 1:
+                shared.add(a + width)
+        sides = sorted({p for q in order for p in (q - 1, q + width) if 0 <= p < n})
         z = dict(zip(sides, self._basis_values(sides)))
         groups: dict[object, list[tuple]] = {}
         for q in firsts:
@@ -173,10 +170,8 @@ class MPS:
             op, d = pulse(q, left, right), 2 << last - first
             if op.shape != (d, d):
                 raise ValueError(f"block [{first}, {last + 1}) needs a {d} x {d} operator, got {op.shape}")
-            # two blocks over one neighbour commute but cannot share a stacked
-            # update; the end tensors' shapes fix the bonds of up to 3 sites
-            key = (q if first in shared or last in shared else (d, t[first].shape, t[last].shape)
-                   if d < 16 else tuple(x.shape for x in t[first:last + 1]))
+            # two blocks over one neighbour commute but cannot share a stacked update
+            key = q if first in shared or last in shared else tuple(x.shape for x in t[first:last + 1])
             groups.setdefault(key, []).append((op, first))
         for blocks in groups.values():
             self._update(*zip(*blocks))

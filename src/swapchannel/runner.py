@@ -254,8 +254,9 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
     defined.  Every literal there is |0>, so a literal neighbour adds ``+xi``.
 
     All windows are done at once on ``(n_windows, n_qubits)`` arrays: the
-    schedule's :attr:`~PulseSchedule.pulsed` mask, the z value of each literal
-    neighbour (1 where the replay's ``data_held`` and the pulsed mask are both
+    bias table ``profiles[profile_of]`` (not left cached on the schedule),
+    its :attr:`~PulseSchedule.pulsed` mask, the z value of each literal
+    neighbour (1 where the replay's ``data_held`` and the mask are both
     False, else 0), one :func:`~swapchannel.chain.effective_bias` call and one
     :func:`~swapchannel.chain.phase_angle` call.  Each angle sees the same
     float operations in the same order as a per-qubit scalar computation,
@@ -273,7 +274,7 @@ def compute_frame_correction(schedule: PulseSchedule, spec: ChainSpec) -> np.nda
     pulsed = schedule.pulsed
     # z value of each literal |0> neighbour; 0 for a data or a pulsed qubit
     sign = (~replay.data_held & ~pulsed).astype(np.int64)
-    angles = phase_angle(effective_bias(schedule.biases, spec.xi_mhz, sign),
+    angles = phase_angle(effective_bias(schedule.profiles[schedule.profile_of], spec.xi_mhz, sign),
                          schedule.durations[:, None])
     angles[pulsed] = 0.0
     return angles
@@ -311,13 +312,14 @@ class TransferReport:
     records: tuple[TransferRecord, ...]
     final_trace: float
 
+    # over the reads with a data index: one without has a NaN fidelity
     @property
     def min_fidelity_raw(self) -> float:
-        return min(r.fidelity_raw for r in self.records)
+        return min((r.fidelity_raw for r in self.records if r.data_index >= 0), default=np.nan)
 
     @property
     def min_fidelity_corrected(self) -> float:
-        return min(r.fidelity_corrected for r in self.records)
+        return min((r.fidelity_corrected for r in self.records if r.data_index >= 0), default=np.nan)
 
 
 def _require_states(schedule: PulseSchedule, data_states: Sequence) -> list[np.ndarray]:
@@ -355,7 +357,6 @@ def _execute(
     on_read,
     *,
     mode: str,
-    frame_correction: bool = False,
     replay: ReplayResult | None = None,
 ) -> QuantumState | MPS:
     """Run ``schedule`` from |0...0> and return the final lab-frame state.
@@ -363,15 +364,14 @@ def _execute(
     Every read_reset first calls ``on_read(data_index, window_index, reads)``
     with the read's data index (-1 for none, as in the event table), where
     ``reads`` maps each branch to the read qubit's ``(rho2, purity)``:
-    ``"raw"`` always, and ``"corrected"`` in a full-mode run with
-    ``frame_correction``, whose copy of the state has each window's idle
-    phases undone.  The qubit is then reset, which never refuses.  Injects
-    write ``data_states[data_index]`` and refuse a qubit whose purity
-    is below ``1 - INJECT_PURITY_TOL`` (``evolve``).  Full mode caches one
+    ``"raw"`` always, and in full mode given a ``replay`` also ``"corrected"``,
+    the copy with each window's idle phases undone.  The qubit is then reset,
+    which never refuses.  Injects write ``data_states[data_index]`` and
+    refuse a qubit whose purity is below ``1 - INJECT_PURITY_TOL``
+    (``evolve``).  A ``replay`` is the run's plan: reduced mode runs each of
+    its unflagged swap triples as one layer.  Full mode caches one
     :func:`_window_eigensystem` per distinct window, one ``V`` per mirror
     class, and pushes both branches through each window's products together.
-    Reduced mode runs each swap triple of ``replay`` with parked outer
-    neighbours as one layer.
     """
     if schedule.n_qubits != spec.n_qubits:
         raise ValueError("schedule and spec disagree on n_qubits")
@@ -381,8 +381,7 @@ def _execute(
     reduced = mode == "reduced"
 
     branches = {"raw": (MPS.ground if reduced else QuantumState.ground)(spec.n_qubits)}
-    angles = None
-    if frame_correction and not reduced:
+    if replay is not None and not reduced:
         angles = compute_frame_correction(schedule, spec)
         branches["corrected"] = QuantumState.ground(spec.n_qubits)
 
@@ -426,7 +425,7 @@ def _execute(
             if key not in prop_cache:
                 prop_cache[key] = _window_eigensystem(spec, *key, prop_cache, mirror)
             apply_eigensystem(list(branches.values()), *prop_cache[key])
-            if angles is not None:
+            if "corrected" in branches:
                 branches["corrected"].apply_diagonal(_frame_diagonal(angles[i], spec.n_qubits))
     do_boundary(boundary_of[-1], None)
     return branches["raw"]
@@ -485,8 +484,7 @@ def run_quantum_channel(
             )
         )
 
-    final = _execute(spec, schedule, targets, on_read, mode=mode, frame_correction=True,
-                     replay=schedule.replay)
+    final = _execute(spec, schedule, targets, on_read, mode=mode, replay=schedule.replay)
     n_states = len({r.data_index for r in records if r.data_index >= 0})
     return TransferReport(
         mode=mode,

@@ -260,12 +260,12 @@ def rho_replace(rho: np.ndarray, qubit: int, local: np.ndarray) -> np.ndarray:
     return out.reshape(rho.shape)
 
 
-def dense_rho_run(spec, schedule, data_states, on_read, *, mode, frame_correction=False,
-                  replay=None, exact=False):
+def dense_rho_run(spec, schedule, data_states, on_read, *, mode, replay=None, exact=False):
     """A full-mode run on 2^L x 2^L density matrices, with the signature and
     read contract of ``runner._execute``, ``on_read(data_index, window,
     reads)`` with -1 for no data index (so a runner can be pointed at it;
-    ``replay`` names the swap triples only reduced mode runs as one layer).
+    a ``replay`` passed in adds the ``"corrected"`` copy, as in full mode
+    there).
 
     Each window maps ``rho -> U rho U^dagger`` with the package's own
     ``propagator`` of ``build_hamiltonian``, or with ``exact`` scipy's
@@ -284,7 +284,7 @@ def dense_rho_run(spec, schedule, data_states, on_read, *, mode, frame_correctio
     ground = np.zeros((dim, dim), dtype=complex)
     ground[0, 0] = 1.0
     rhos = {"raw": ground}
-    if frame_correction:
+    if replay is not None:
         angles = compute_frame_correction(schedule, spec)
         rhos["corrected"] = ground
 
@@ -315,7 +315,7 @@ def dense_rho_run(spec, schedule, data_states, on_read, *, mode, frame_correctio
         u = props[key]
         for k in rhos:
             rhos[k] = u @ rhos[k] @ u.conj().T
-        if frame_correction:
+        if replay is not None:
             d = _frame_diagonal(angles[i], n)
             rhos["corrected"] = d[:, None] * rhos["corrected"] * d.conj()[None, :]
     boundary(schedule.final_events, None)

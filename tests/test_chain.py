@@ -64,6 +64,7 @@ class TestPhaseHelpers:
     def test_is_hermitian(self):
         assert is_hermitian(np.array([[1.0, 1j], [-1j, 2.0]]))
         assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert not is_hermitian(np.zeros((2, 3)))  # not square
 
 
 class TestChainSpec:

@@ -793,6 +793,20 @@ class TestRunCommand:
         assert code == 1
         assert fragment in err
 
+    @pytest.mark.parametrize("cfg, message", [
+        ([{"experiment": "classical_wire"}], "top level must be an object"),
+        ({"experiment": "classical_wire", "n_qubits": 6}, "config.bits: required"),
+        ({"experiment": "quantum_wire", "n_qubits": 5, "n_states": 2, "mode": "reduced",
+          "states": [[1.0, 0.0, 0.0, 0.0]]},
+         "config.states: expected 'random' or a list of 2 4-number entries"),
+    ], ids=["top-level-list", "no-bits", "states-short"])
+    def test_config_refusals_name_their_fault(self, capsys, tmp_path, cfg, message):
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and message in err
+
     @pytest.mark.parametrize("bits", [[True, 0.0, 1.0], [1, True], [1, 0.0], [1.0]],
                              ids=["bools-and-floats", "bool", "float-zero", "float-one"])
     def test_bits_are_the_integers_0_and_1(self, capsys, tmp_path, bits):

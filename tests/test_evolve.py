@@ -244,13 +244,27 @@ class TestEigensystem:
             apply_eigensystem([state], np.eye(8), angles)
         assert_allclose(state.data, QuantumState.ground(3).data, rtol=0, atol=0)
 
-    @pytest.mark.parametrize("diag", [[2.0], np.ones(4), np.ones((8, 1)), 2.0])
+    @pytest.mark.parametrize("diag", [[2.0], np.ones(4), np.ones((8, 1)), 2.0,
+                                      np.r_[np.nan, np.ones(7)], np.r_[np.ones(7), -np.inf * 1j]])
     def test_apply_diagonal_refuses_another_shape(self, diag):
-        # [2.0] would broadcast and scale the trace to 4
+        # [2.0] would broadcast and scale the trace to 4; a NaN entry was stored
         state = QuantumState.ground(3)
         with pytest.raises(ValueError, match=r"diagonal must have shape \(8,\)"):
             state.apply_diagonal(diag)
         assert state.trace() == 1.0
+
+    @pytest.mark.parametrize("rows", [
+        np.zeros(4, dtype=int), np.array([1, 2, 3, 0]), np.array([0, 1, 2]),
+        np.array([0.0, 1.0, 2.0, 3.0]), np.array([0, 1, 2, 4]), np.array([-1, 1, 2, 3]),
+        np.array([[0, 1, 2, 3]]),
+    ], ids=["repeated", "not-own-inverse", "short", "float", "past-dim", "negative", "2-d"])
+    def test_refuses_rows_that_are_not_an_involution_of_the_basis(self, rows):
+        # all-zero rows used to turn the ground state's trace from 1 into 4
+        state = QuantumState.ground(2)
+        before = state.data
+        with pytest.raises(ValueError, match=r"rows must be a permutation of range\(4\) that is its own"):
+            apply_eigensystem([state], np.eye(4), np.zeros(4), rows=rows)
+        assert state.data is before and state.trace() == 1.0
 
     @pytest.mark.parametrize("n_qubits", range(2, 9))
     def test_sector_eigensystem_of_a_self_mirror_window(self, design, rng, n_qubits):

@@ -707,10 +707,12 @@ class TestFrozenNeighbours:
                 tilted = MPS.ground(2)
                 rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
                 apply_op(tilted, rotation, 1)
+                tensor = tilted.tensors[1]
                 for qubits in reads:
                     assert tilted._basis_values(qubits) == [want] * len(qubits)
                     assert tilted.discarded_weight == (np.sin(angle) ** 2 if want else 0.0)
                 assert (tilted.tensors[1][:, 1] == 0).all() == (want is not None)
+                assert tilted.tensors[1] is tensor  # the slice is zeroed in place
 
     def test_basis_values_read_through_entangled_bonds(self):
         # qubit 1 is |1> between the halves of a Bell pair on qubits 0 and 2,

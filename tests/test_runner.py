@@ -739,6 +739,26 @@ class TestReadDataIndexCheck:
         report = run_classical_channel(spec, sch, [1], mode="reduced")
         assert report.records == ()
 
+    @pytest.mark.parametrize("blank_first", [False, True], ids=["blank-last", "blank-first"])
+    @pytest.mark.parametrize("mode", ["reduced", "full"])
+    def test_minima_are_over_the_reads_of_data(self, design, mode, blank_first):
+        # a read with no data index grades as NaN; before, min returned it
+        # when it came first and skipped it when it came last
+        spec = chain_for(design, 5, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, 1, design.t_ns)
+        blank = (PulseEvent(kind="read_reset", qubit=2),)
+        final = blank + sch.final_events if blank_first else sch.final_events + blank
+        sch = PulseSchedule(n_qubits=5, windows=sch.windows, final_events=final)
+        assert sch.replay.ok
+        report = run_quantum_channel(spec, sch, [(0.6, 0.8j)], mode=mode)
+        (none,), (data,) = ([r for r in report.records if (r.data_index >= 0) == graded]
+                            for graded in (False, True))
+        assert none.data_index == -1
+        assert np.isnan(none.fidelity_raw) and np.isnan(none.fidelity_corrected)
+        assert (report.min_fidelity_raw, report.min_fidelity_corrected) == (
+            data.fidelity_raw, data.fidelity_corrected)
+        assert data.fidelity_corrected > 0.999
+
     @pytest.mark.parametrize("mode", ["reduced", "full"])
     def test_on_read_gets_each_reads_data_index(self, design, mode):
         # the engine hands on the event table's value: -1 for a read without one

@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 import tracemalloc
 
@@ -15,6 +16,7 @@ from swapchannel import (
     ScheduleError,
     Window,
     classical_channel_schedule,
+    compute_frame_correction,
     line_conflict_check,
     quantum_channel_schedule,
     run_classical_channel,
@@ -80,6 +82,11 @@ class TestScheduleContainers:
         assert read.data_index is None
         inject = with_event(PulseEvent(kind="inject", qubit=0, data_index=10**400))
         assert inject.windows[0].events[0].data_index == 10**400
+
+    def test_a_schedule_equals_no_other_type(self):
+        sch = PulseSchedule(2, (bare_window(2, targets=(1,)),))
+        assert sch.__eq__(sch.windows) is NotImplemented
+        assert sch != sch.windows and sch != 0
 
     def test_window_filters(self):
         w = bare_window(
@@ -759,6 +766,13 @@ class TestScheduleSerialisation:
             window = Window(start_ns=0.0, duration_ns=design.t_ns, biases_mhz=(float("nan"), 0.0))
             schedule_to_json(PulseSchedule(n_qubits=2, windows=(window,)), None)
 
+    def test_line_assignment_without_n_lines_raises(self, design):
+        spec = chain_for(design, 5, eps_high=25000.0)
+        doc = json.loads(schedule_to_json(*quantum_channel_schedule(spec, 1, design.t_ns)))
+        del doc["lines"]["n_lines"]
+        with pytest.raises(ScheduleError, match="malformed line assignment: 'n_lines'"):
+            schedule_from_json(json.dumps(doc))
+
     def test_output_is_stable_text(self, design):
         spec = chain_for(design, 3)
         sch = hold_bias_swap_pulses(spec, 0, 1, design.t_ns)
@@ -897,10 +911,15 @@ class TestArraysHeldOnce:
     @pytest.mark.parametrize("wire", ["quantum", "classical"])
     def test_no_step_builds_the_bias_table(self, design, spec, wire):
         # every step reads the profiles: the (n_windows, n_qubits) table is
-        # built only when ``biases`` is asked for
+        # built only when ``biases`` is asked for; the frame correction and a
+        # full-mode run (at a size full mode runs) build theirs and drop it
         if wire == "quantum":
             sch, lines = quantum_channel_schedule(spec, 2, design.t_ns)
             run = lambda s: run_quantum_channel(spec, s, [[1.0, 0.0]] * 2, mode="reduced")
+            small = chain_for(design, 5, eps_high=25000.0)
+            full, _ = quantum_channel_schedule(small, 2, design.t_ns)
+            run_quantum_channel(small, full, [[1.0, 0.0]] * 2, mode="full")
+            assert "biases" not in vars(full)
         else:
             sch, lines = classical_channel_schedule(spec, [1, 0, 1], design.t_ns)
             run = lambda s: run_classical_channel(spec, s, [1, 0, 1], mode="reduced")
@@ -908,7 +927,7 @@ class TestArraysHeldOnce:
         back, _ = schedule_from_json(schedule_to_json(sch, lines))
         assert "biases" not in vars(sch) | vars(back)
         for step in (replay_occupancy, lambda s: line_conflict_check(s, lines), schedule_to_json,
-                     run):
+                     lambda s: compute_frame_correction(s, spec), run):
             for schedule in (sch, back):
                 step(schedule)
                 assert "biases" not in vars(schedule), step

@@ -87,6 +87,11 @@ class TestSolveParameters:
         with pytest.raises(ValueError, match="finite"):
             solve_for_timestep(value)
 
+    @pytest.mark.parametrize("delta", [0.0, -25.0])
+    def test_solve_for_timestep_refuses_a_non_positive_delta(self, delta):
+        with pytest.raises(ValueError, match=f"delta_mhz must be finite and > 0, got {delta}"):
+            solve_for_timestep(delta)
+
     def test_solve_for_timestep_round_trip(self, design):
         d = solve_for_timestep(design.delta_mhz, m=1, n=0)
         assert_allclose(d.t_ns, design.t_ns, rtol=1e-12)
