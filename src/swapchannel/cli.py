@@ -182,8 +182,8 @@ def _cmd_validate(args) -> int:
     try:
         with open(args.schedule, encoding="utf-8") as fh:
             schedule, lines = schedule_from_json(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read schedule file: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read schedule file {args.schedule!r}: {exc}") from exc
     except ScheduleError as exc:
         raise ScheduleError(f"schedule {args.schedule!r}: {exc}") from None
     violations, line_check = _replay_and_lines(schedule, lines)
@@ -478,8 +478,11 @@ def _unique_keys(pairs: list) -> dict:
 
 def _load_config(ref: str) -> dict:
     if os.path.exists(ref):
-        with open(ref, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(ref, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config {ref!r}: cannot read: {exc}") from None
     else:
         name = ref[:-5] if ref.endswith(".json") else ref
         resource = resources.files("swapchannel").joinpath(f"configs/{name}.json")

@@ -43,7 +43,8 @@ def reduced_pulse_operator(
     two-level propagator at the :func:`~swapchannel.chain.effective_bias` of
     the target, whose integer neighbour sum takes the frozen values too, so a
     folded operator is bit for bit a block of the unfolded one.  For a solved
-    phase-exact design each block is a hold (-1) or a flip (-i), bit for bit.
+    phase-exact design each block is a hold (-1) or a flip (-i) to round-off
+    (within 6.3 float64 eps at the designs (M, N) = (1, 0) to (5, 4)).
     """
     qubit = _qubit(qubit, spec.n_qubits)
     for side, z, present in (("left", left, qubit > 0), ("right", right, qubit < spec.n_qubits - 1)):

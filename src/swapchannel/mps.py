@@ -17,7 +17,7 @@ SVDs of the lambda-weighted block, each keeping ``V^dagger`` and carrying
 the block times ``V`` on, so no lambda is divided by (Hastings, J. Math.
 Phys. 50, 095207 (2009)); singular values at or below ``TRUNCATION_RTOL`` of
 the largest are dropped.  Every update replaces arrays, and no two sites
-share one, so :meth:`MPS._basis_values` zeroes a dropped slice in place.
+share one, so :meth:`MPS._drop` zeroes a dropped slice in place.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class MPS:
     ``lambdas`` with ends [1]), updated in place as ``QuantumState`` is.
     ``max_bond`` is the largest bond any split has made; ``discarded_weight``
     sums each split's dropped squared singular values, relative to the norm
-    of the state it split, and the off-basis slices :meth:`_basis_values` drops.
+    of the state it split, and the off-basis slices :meth:`_drop` drops.
     """
 
     def __init__(self, n_qubits: int):
@@ -106,13 +106,13 @@ class MPS:
         for j, a in enumerate(firsts):
             t[a] = theta[j, :, :, :right[j]]
 
-    def _basis_values(self, qubits: Collection[int]) -> list[int | None]:
+    def _basis_values(self, qubits: Collection[int]) -> tuple[list[int | None], dict]:
         """Each qubit's z value, +1 for |0> and -1 for |1>, if it is frozen in a
         basis state, else None, from its tensor and left bond, in one stacked
         pass per tensor shape; the qubits must be in the chain.  Frozen means
         the other slice holds at most ``TRUNCATION_RTOL**2`` of its weight, as
-        in a split, and the slice is then zeroed in place and its share added
-        to ``discarded_weight`` once."""
+        in a split; the drops map each frozen qubit whose other slice is not
+        zero to ``(slice, share of the weight)``, for :meth:`_drop`."""
         t, lam, by_shape, weights = self.tensors, self.lambdas, {}, {}
         for q in qubits:
             by_shape.setdefault(t[q].shape, []).append(q)
@@ -121,17 +121,23 @@ class MPS:
             if dl > 1:  # a bond of dimension 1 weighs both slices alike
                 w *= np.array([lam[q] for q in same])[:, :, None, None] ** 2
             weights.update(zip(same, w.sum((1, 3)).tolist()))
-        values = []
+        values, drops = [], {}
         for q in qubits:
-            w = weights[q]  # one list per qubit, however often it is listed
+            w = weights[q]
             cut = TRUNCATION_RTOL**2 * (w[0] + w[1])
             z = 1 if w[1] <= cut else -1 if w[0] <= cut else None
             other = int(z == 1)  # the slice a frozen qubit drops
             if z is not None and w[other]:
-                self.discarded_weight += w[other] / (w[0] + w[1])
-                t[q][:, other] = w[other] = 0.0  # the zeroed slice weighs 0
+                drops[q] = other, w[other] / (w[0] + w[1])
             values.append(z)
-        return values
+        return values, drops
+
+    def _drop(self, drops: dict) -> None:
+        """Zero each slice of :meth:`_basis_values`'s drops in place and add its
+        share to ``discarded_weight``."""
+        for q, (other, share) in drops.items():
+            self.tensors[q][:, other] = 0.0
+            self.discarded_weight += share
 
     def apply_layer(self, firsts: Sequence[int], pulse: Callable[..., np.ndarray], width: int = 1) -> None:
         """Pulse one layer of runs of ``width`` adjacent qubits, each given by
@@ -144,7 +150,8 @@ class MPS:
         chain end, all read in one pass) and returns a unitary in chain
         ordering on the block this places: the run and its live neighbours,
         so a frozen neighbour leaves it.  An operator that is not ``2^k x 2^k``
-        for its ``k``-site block is refused before the first update.  Blocks
+        for its ``k``-site block is refused before the state changes: the frozen
+        neighbours' round-off slices are dropped once every operator passed.  Blocks
         over tensors of the same shapes share one update, but for a block
         over a neighbour two runs share, which goes on its own.
         """
@@ -162,7 +169,8 @@ class MPS:
             if b - a == width + 1:
                 shared.add(a + width)
         sides = sorted({p for q in order for p in (q - 1, q + width) if 0 <= p < n})
-        z = dict(zip(sides, self._basis_values(sides)))
+        values, drops = self._basis_values(sides)
+        z = dict(zip(sides, values))
         groups: dict[object, list[tuple]] = {}
         for q in firsts:
             left, right = z.get(q - 1, 0), z.get(q + width, 0)
@@ -173,6 +181,7 @@ class MPS:
             # two blocks over one neighbour commute but cannot share a stacked update
             key = q if first in shared or last in shared else tuple(x.shape for x in t[first:last + 1])
             groups.setdefault(key, []).append((op, first))
+        self._drop(drops)
         for blocks in groups.values():
             self._update(*zip(*blocks))
 

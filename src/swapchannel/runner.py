@@ -13,7 +13,7 @@ It has two modes:
   qubits frozen), from :func:`~swapchannel.gates._block_operator`, unchecked:
   the MPS checks each qubit, reads its neighbours' z and places the block,
   so the callback returns only the operator.  For a solved phase-exact
-  design it realises the ideal gate algebra bit for bit.
+  design it realises the ideal gate algebra to round-off, a few float64 eps.
   Wire runs keep the pure state as an exact matrix-product state in Vidal
   form (:class:`~swapchannel.mps.MPS`), so a wire costs O(L), not O(2^L).
   :meth:`~swapchannel.mps.MPS.apply_layer` pulses a window as one layer of

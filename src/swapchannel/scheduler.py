@@ -98,10 +98,6 @@ class PulseEvent:
     data_index: int | None = None
 
 
-def _event(kind: int, qubit: int, data_index: int) -> PulseEvent:
-    return PulseEvent(EVENT_KINDS[kind], qubit, None if data_index == _NO_DATA else data_index)
-
-
 @dataclass(frozen=True)
 class Window:
     """One window at a constant bias profile.  An unchecked record: the
@@ -170,7 +166,8 @@ class PulseSchedule:
     """Windows in time order on ``n_qubits`` qubits (a plain int >= 1), then
     the boundary final events; ``label`` is a str.  The constructor takes
     :class:`Window` and :class:`PulseEvent` rows and stores the arrays of the
-    module docstring, in window order; equality compares the arrays."""
+    module docstring, in window order; equality compares the arrays.  A schedule
+    is read back as those arrays or as its JSON (:func:`schedule_to_json`)."""
 
     def __init__(self, n_qubits, windows=(), final_events=(), label=""):
         windows = _tuple_of(windows, Window, "windows")
@@ -290,20 +287,6 @@ class PulseSchedule:
         return int(np.count_nonzero(self.pulsed))
 
     @cached_property
-    def windows(self) -> tuple[Window, ...]:
-        """The windows as :class:`Window` rows, built on first use."""
-        events = [[] for _ in range(self.n_windows + 1)]
-        for w, *event in self.events.tolist():
-            events[w].append(_event(*event))
-        return tuple(map(Window, self.starts.tolist(), self.durations.tolist(),
-                         map(tuple, self.profiles[self.profile_of].tolist()), map(tuple, events)))
-
-    @cached_property
-    def final_events(self) -> tuple[PulseEvent, ...]:
-        final = self.events[self.events[:, 0] == self.n_windows, 1:]
-        return tuple(_event(*event) for event in final.tolist())
-
-    @cached_property
     def _cut(self) -> tuple[list, list]:
         """The one per-window cut of the event table: per window, the distinct
         qubits it pulses, ascending (a row of :attr:`pulsed`); and per window,
@@ -318,11 +301,6 @@ class PulseSchedule:
         rows = rows[:, 1:].tolist()
         return ([qubits[a:b] for a, b in zip(cuts, cuts[1:])],
                 [rows[a:b] for a, b in zip(bounds, bounds[1:])])
-
-    @cached_property
-    def biases(self) -> np.ndarray:
-        """Read-only ``(n_windows, n_qubits)`` table ``profiles[profile_of]``."""
-        return _frozen(self.profiles[self.profile_of])
 
     @cached_property
     def replay(self) -> "ReplayResult":

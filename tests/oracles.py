@@ -33,7 +33,8 @@ time.  The unfolded layer is its former pulse route: every pulse the full
 block over its neighbours, two SVDs to split, even where a neighbour is
 frozen in a basis state.  The mirrored schedule is the
 paper's bi-directional claim as a test input: the same wire run right to
-left."""
+left.  The schedule rows are the schedule's former row views (``windows``
+and ``final_events``), rebuilt from its arrays for the row-based oracles."""
 
 import json
 from typing import Callable, Sequence
@@ -50,10 +51,23 @@ from swapchannel.gates import reduced_pulse_operator
 from swapchannel.mps import TRUNCATION_RTOL
 from swapchannel.runner import _frame_diagonal, compute_frame_correction
 from swapchannel.scheduler import (
-    BOUNDARY_KINDS, GATE_KINDS, LineAssignment, LineCheckReport, PulseEvent, PulseSchedule,
+    BOUNDARY_KINDS, EVENT_KINDS, GATE_KINDS, LineAssignment, LineCheckReport, PulseEvent, PulseSchedule,
     ReadRecord,
     ReplayResult, ScheduleError, Violation, Window, _classical_lines, _quantum_lines,
 )
+
+def schedule_rows(schedule) -> tuple[tuple, tuple]:
+    """The schedule as rows, rebuilt from its arrays: its ``Window`` rows, with
+    plain floats, ints and tuples, and its final ``PulseEvent`` rows."""
+    events = [[] for _ in range(schedule.n_windows + 1)]
+    for w, kind, qubit, data_index in schedule.events.tolist():
+        events[w].append(PulseEvent(EVENT_KINDS[kind], qubit,
+                                    None if data_index == -1 else data_index))
+    biases = map(tuple, schedule.profiles[schedule.profile_of].tolist())
+    windows = tuple(map(Window, schedule.starts.tolist(), schedule.durations.tolist(), biases,
+                        map(tuple, events)))
+    return windows, tuple(events[-1])
+
 
 def _gate_targets(window) -> tuple:
     """The qubits the window pulses, each once, ascending."""
@@ -166,12 +180,13 @@ def dense_reduced_replay(spec, schedule, inject_amplitudes, on_read, *, inject_t
                 amps = inject_amplitudes(e.data_index)
                 state = project_inject(state, e.qubit, amps, purity_tol=inject_tol)
 
-    for i, window in enumerate(schedule.windows):
+    windows, final_events = schedule_rows(schedule)
+    for i, window in enumerate(windows):
         boundary(_boundary_events(window), i)
         for q in _gate_targets(window):
             op, first = reduced_pulse_operator(spec, q, window.biases_mhz[q], window.duration_ns)
             state = apply_local_unitary(state, op, first)
-    boundary(schedule.final_events, None)
+    boundary(final_events, None)
     return state
 
 
@@ -305,7 +320,8 @@ def dense_rho_run(spec, schedule, data_states, on_read, *, mode, replay=None, ex
                 rhos[k] = rho_replace(rhos[k], e.qubit, local)
 
     props = {}
-    for i, window in enumerate(schedule.windows):
+    windows, final_events = schedule_rows(schedule)
+    for i, window in enumerate(windows):
         boundary(_boundary_events(window), i)
         key = (window.biases_mhz, window.duration_ns)
         if key not in props:
@@ -318,7 +334,7 @@ def dense_rho_run(spec, schedule, data_states, on_read, *, mode, replay=None, ex
         if replay is not None:
             d = _frame_diagonal(angles[i], n)
             rhos["corrected"] = d[:, None] * rhos["corrected"] * d.conj()[None, :]
-    boundary(schedule.final_events, None)
+    boundary(final_events, None)
     return DenseRho(rhos["raw"])
 
 
@@ -328,6 +344,7 @@ def _event_obj(e) -> dict:
 
 def json_dumps_schedule(schedule, assignment=None) -> str:
     """``schedule_to_json`` as ``json.dumps`` of the schedule document."""
+    windows, final_events = schedule_rows(schedule)
     obj = {
         "format": "swapchannel-schedule/1",
         "label": schedule.label,
@@ -339,9 +356,9 @@ def json_dumps_schedule(schedule, assignment=None) -> str:
                 "biases_mhz": list(w.biases_mhz),
                 "events": [_event_obj(e) for e in w.events],
             }
-            for w in schedule.windows
+            for w in windows
         ],
-        "final_events": [_event_obj(e) for e in schedule.final_events],
+        "final_events": [_event_obj(e) for e in final_events],
         "lines": None
         if assignment is None
         else {"map": list(assignment.lines), "n_lines": assignment.n_lines},
@@ -372,7 +389,7 @@ def loop_frame_correction(schedule, spec) -> np.ndarray:
         raise ScheduleError(f"{len(replay.violations)} replay violations")
     n = schedule.n_qubits
     angles = np.zeros((schedule.n_windows, n))
-    for w, window in enumerate(schedule.windows):
+    for w, window in enumerate(schedule_rows(schedule)[0]):
         targets = set(_gate_targets(window))
         for q in range(n):
             if q in targets:
@@ -447,7 +464,7 @@ def loop_line_conflict_check(schedule, assignment) -> LineCheckReport:
     replay = loop_replay_occupancy(schedule)
     for v in replay.violations:
         problems.append(f"occupancy violation at window {v.window_index}: {v.message}")
-    for i, w in enumerate(schedule.windows):
+    for i, w in enumerate(schedule_rows(schedule)[0]):
         by_line: dict[int, set[float]] = {}
         for q, line in enumerate(assignment.lines):
             if line is not None:
@@ -541,7 +558,7 @@ def loop_replay_occupancy(schedule) -> ReplayResult:
     """``replay_occupancy`` over the schedule's ``Window`` rows, with one
     ``Violation`` and ``ReadRecord`` built by keyword at a time."""
     n = schedule.n_qubits
-    windows = schedule.windows
+    windows, final_events = schedule_rows(schedule)
     occ = {}
     z_parity = {}
     rows = []
@@ -620,7 +637,7 @@ def loop_replay_occupancy(schedule) -> ReplayResult:
         occ.update(copied)
         i += 1
 
-    run_boundary(schedule.final_events, None)
+    run_boundary(final_events, None)
     width = n if n <= np.iinfo(np.intp).max else 0
     held = np.frombuffer(b"".join(rows), dtype=bool).reshape(len(windows), width)
     return ReplayResult(violations=tuple(violations), data_held=held, reads=tuple(reads),
@@ -671,10 +688,10 @@ def mirror_schedule(schedule, lines):
     def flip(events):
         return tuple(PulseEvent(e.kind, last - e.qubit, e.data_index) for e in events)
 
+    rows, final_events = schedule_rows(schedule)
     windows = tuple(Window(w.start_ns, w.duration_ns, w.biases_mhz[::-1], flip(w.events))
-                    for w in schedule.windows)
-    mirrored = PulseSchedule(schedule.n_qubits, windows, flip(schedule.final_events),
-                             schedule.label)
+                    for w in rows)
+    mirrored = PulseSchedule(schedule.n_qubits, windows, flip(final_events), schedule.label)
     return mirrored, LineAssignment(lines.lines[::-1], lines.n_lines)
 
 

@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import chain_for
-from oracles import hold_bias_swap_pulses
+from oracles import hold_bias_swap_pulses, schedule_rows
 from swapchannel import PulseEvent, PulseSchedule, Window, schedule_to_json
 from swapchannel import cli
 from swapchannel.cli import (
@@ -193,14 +193,14 @@ class TestScheduleAndValidate:
 
     def test_validate_flags_bad_schedule(self, capsys, tmp_path, design):
         spec = chain_for(design, 4, eps_high=25000.0)
-        triple = hold_bias_swap_pulses(spec, 1, 2, design.t_ns)
+        triple, _ = schedule_rows(hold_bias_swap_pulses(spec, 1, 2, design.t_ns))
         inject = Window(
             start_ns=-design.t_ns,
             duration_ns=design.t_ns,
-            biases_mhz=triple.windows[0].biases_mhz,
+            biases_mhz=triple[0].biases_mhz,
             events=(PulseEvent(kind="inject", qubit=0, data_index=0),),
         )
-        bad = PulseSchedule(n_qubits=4, windows=(inject,) + triple.windows)
+        bad = PulseSchedule(n_qubits=4, windows=(inject,) + triple)
         path = tmp_path / "bad.json"
         path.write_text(schedule_to_json(bad, None))
         code, out, _ = run_cli(capsys, "validate", "--schedule", str(path))
@@ -256,6 +256,30 @@ def _inject_without_data(doc):
 
 def _edit_event(doc, **fields):
     doc["windows"][0]["events"][0].update(fields)
+
+
+class TestUnreadableFilesAreNamed:
+    """A config or schedule path that cannot be read as UTF-8 text exits 1
+    with one error line naming it, not a traceback."""
+
+    @pytest.mark.parametrize("command, flag, kind", [
+        ("run", "--config", "directory"),
+        ("run", "--config", "not-utf-8"),
+        ("validate", "--schedule", "not-utf-8"),
+        ("validate", "--schedule", "directory"),
+    ])
+    def test_exit_1_naming_the_path(self, capsys, tmp_path, command, flag, kind):
+        path = tmp_path / "input.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff{}")
+        out_dir = ["--out-dir", str(tmp_path)] if command == "run" else []
+        code, out, err = run_cli(capsys, command, flag, str(path), *out_dir)
+        assert (code, out) == (1, "")
+        what = "config" if flag == "--config" else "cannot read schedule file"
+        assert err.startswith(f"error: {what} {str(path)!r}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestValidateRefusesBadScheduleFiles:

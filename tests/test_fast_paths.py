@@ -25,6 +25,7 @@ from oracles import (
     loop_line_conflict_check,
     loop_quantum_channel_schedule,
     loop_replay_occupancy,
+    schedule_rows,
     set_match_pairs,
 )
 from swapchannel import (
@@ -142,7 +143,8 @@ def broken_wires(draw):
         bits = draw(st.lists(st.integers(0, 1), min_size=1, max_size=6))
         schedule, _ = classical_channel_schedule(spec, bits, DESIGN.t_ns)
     n = schedule.n_qubits
-    events = [list(w.events) for w in schedule.windows] + [list(schedule.final_events)]
+    rows, final = schedule_rows(schedule)
+    events = [list(w.events) for w in rows] + [list(final)]
     anywhere = st.integers(0, len(events) - 1)  # a window, or the final events
     for edit in draw(st.lists(st.sampled_from(["drop", "repeat", "shift", "read", "huge"]),
                               min_size=1, max_size=3)):
@@ -168,14 +170,15 @@ def broken_wires(draw):
                                    else e.qubit - step)
         else:
             events[w][k] = replace(e, data_index=2**63 + draw(st.integers(0, 10**30)))
-    windows = [replace(w, events=tuple(row)) for w, row in zip(schedule.windows, events)]
+    windows = [replace(w, events=tuple(row)) for w, row in zip(rows, events)]
     return PulseSchedule(n, windows, events[-1], schedule.label)
 
 
 def _rows(schedule) -> dict:
     """The arguments that build ``schedule`` from its rows."""
-    return {"n_qubits": schedule.n_qubits, "windows": schedule.windows,
-            "final_events": schedule.final_events, "label": schedule.label}
+    windows, final_events = schedule_rows(schedule)
+    return {"n_qubits": schedule.n_qubits, "windows": windows,
+            "final_events": final_events, "label": schedule.label}
 
 
 def _replace_window(rows, index, **fields) -> None:
@@ -246,7 +249,7 @@ def _with_odd(schedule, lines, field, odd, data, json_values=False):
 
     rows = _rows(schedule)
     w = data.draw(st.integers(0, schedule.n_windows - 1))
-    window = schedule.windows[w]
+    window = rows["windows"][w]
     if field == "bias":
         biases = list(window.biases_mhz)
         q = data.draw(st.integers(0, len(biases) - 1))
@@ -337,7 +340,7 @@ class TestScheduleWriter:
             windows=(Window(0.0, 1.0, (0.0, 0.0),
                             (PulseEvent(kind="cnot_pulse", qubit=np.int64(1)), event)),),
         )
-        stored = sch.windows[0].events[1]
+        stored = schedule_rows(sch)[0][0].events[1]
         assert (type(stored.qubit), type(stored.data_index)) == (int, int)
         assert type(sch.n_qubits) is int
         assert schedule_to_json(sch) == json_dumps_schedule(sch)
@@ -379,7 +382,7 @@ class TestScheduleWriter:
                    for w, r in enumerate(order)]
         sch = PulseSchedule(20, windows, (PulseEvent("read_reset", 3, 2**62),))
         assert sch.events.dtype == np.int64
-        assert len(np.unique(sch.biases)) > _CACHED_NUMBERS and len(sch.profiles) == 150
+        assert len(np.unique(sch.profiles)) > _CACHED_NUMBERS and len(sch.profiles) == 150
         assert_round_trips(sch, LineAssignment(tuple(range(20)), 20))
 
     def test_empty_schedule(self):
@@ -393,7 +396,8 @@ def assert_symbols_are_parked_or_data(schedule):
     held = replay.data_held
     assert held.dtype == bool and not held.flags.writeable
     assert held.shape == (schedule.n_windows, schedule.n_qubits)
-    events = [e for w in schedule.windows for e in w.events] + list(schedule.final_events)
+    windows, final_events = schedule_rows(schedule)
+    events = [e for w in windows for e in w.events] + list(final_events)
     injected = {e.data_index for e in events if e.kind == "inject"}
     for r in replay.reads:
         assert r.symbol is None or (type(r.symbol) is int and r.symbol in injected), r
@@ -492,7 +496,7 @@ class TestFrameCorrection:
         windows = tuple(
             Window(w.start_ns, w.duration_ns, w.biases_mhz,
                    tuple(e for e in w.events if e.kind in GATE))
-            for w in schedule.windows
+            for w in schedule_rows(schedule)[0]
         )
         schedule = PulseSchedule(schedule.n_qubits, windows)
         assume(replay_occupancy(schedule).ok)
@@ -677,11 +681,12 @@ def assert_cut_matches_rows(schedule):
     ``Window`` rows give: each window's distinct targets, ascending, then each
     window's boundary rows and the final ones, as plain int rows."""
     targets, boundary = schedule._cut
-    assert targets == [list(_gate_targets(w)) for w in schedule.windows]
-    final = Window(0.0, 0.0, (), schedule.final_events)
+    windows, final_events = schedule_rows(schedule)
+    assert targets == [list(_gate_targets(w)) for w in windows]
+    final = Window(0.0, 0.0, (), final_events)
     assert boundary == [[[EVENT_KINDS.index(e.kind), e.qubit,
                           -1 if e.data_index is None else e.data_index]
-                         for e in _boundary_events(w)] for w in (*schedule.windows, final)]
+                         for e in _boundary_events(w)] for w in (*windows, final)]
     values = [q for row in targets for q in row] + [x for rows in boundary for r in rows for x in r]
     assert {type(x) for x in values} <= {int}
 
@@ -735,10 +740,12 @@ class TestScheduleCut:
 def assert_same_arrays(got, want):
     """Equal schedules with bit-identical float arrays (-0.0 apart from 0.0)."""
     assert got == want
-    for name in ("starts", "durations", "biases"):
+    for name in ("starts", "durations"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.profiles[got.profile_of].tobytes()
+            == want.profiles[want.profile_of].tobytes()), "biases"
     assert got.events.dtype == want.events.dtype
-    assert got.windows == want.windows and got.final_events == want.final_events
+    assert schedule_rows(got) == schedule_rows(want)
 
 
 class TestArrayRoutesMatchTheRowRoutes:
@@ -786,8 +793,7 @@ class TestArrayRoutesMatchTheRowRoutes:
     def test_hand_built_schedules(self, case):
         schedule, _ = case
         assert_replay_matches_loop(schedule)
-        rebuilt = PulseSchedule(schedule.n_qubits, schedule.windows, schedule.final_events,
-                                schedule.label)
+        rebuilt = PulseSchedule(schedule.n_qubits, *schedule_rows(schedule), schedule.label)
         assert_same_arrays(rebuilt, schedule)
 
     @settings(max_examples=100, deadline=None)

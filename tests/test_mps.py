@@ -291,6 +291,19 @@ class TestMPS:
         assert updates == []
         assert _snapshot(mps) == before
 
+    def test_a_refused_layer_drops_no_slice(self):
+        # qubit 1 is frozen in |0> with a 1e-16 round-off slice: the layer is
+        # refused before that slice is dropped, so the state is unchanged
+        mps = MPS.ground(4)
+        mps.tensors[1] = np.array([[[1.0], [1e-16]]], dtype=complex)
+        before = _snapshot(mps)
+        with pytest.raises(ValueError, match=re.escape(
+                "block [2, 3) needs a 2 x 2 operator, got (4, 4)")):
+            mps.apply_layer([2], lambda q, left, right: np.eye(4))
+        assert _snapshot(mps) == before and mps.discarded_weight == 0.0
+        mps.apply_layer([2], lambda q, left, right: np.eye(2))
+        assert mps.discarded_weight == 1e-16**2 and not mps.tensors[1][:, 1].any()
+
     def test_blocks_over_unequal_bonds_update_apart(self, rng, monkeypatch):
         # blocks of one width whose bonds differ are grouped apart, so each
         # stacked update covers tensors of one shape
@@ -696,23 +709,27 @@ class TestFrozenNeighbours:
         apply_op(mps, hadamard, 2)
         apply_op(mps, np.eye(4)[[0, 1, 3, 2]], 2)  # Bell pair on qubits 2, 3
         before = _snapshot(mps)
-        assert mps._basis_values(range(n)) == [1, -1, None, None]
-        assert mps._basis_values([]) == []
+        assert mps._basis_values(range(n)) == ([1, -1, None, None], {})
+        assert mps._basis_values([]) == ([], {})
         assert _snapshot(mps) == before  # nothing to drop, nothing changes
         # an off-basis slice at or below TRUNCATION_RTOL of the norm is frozen:
-        # it is dropped and its squared share counted as discarded, once, when
-        # the qubit is read again and when one pass lists it twice
+        # the read changes nothing and lists the slice once, however often the
+        # qubit is listed; the drop zeroes it and counts its squared share as
+        # discarded, and a read after the drop lists nothing
         for angle, want in ((1e-15, 1), (1e-13, None)):
-            for reads in ([[1], [1]], [[1, 1]]):
+            for qubits in ([1], [1, 1]):
                 tilted = MPS.ground(2)
                 rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
                 apply_op(tilted, rotation, 1)
-                tensor = tilted.tensors[1]
-                for qubits in reads:
-                    assert tilted._basis_values(qubits) == [want] * len(qubits)
-                    assert tilted.discarded_weight == (np.sin(angle) ** 2 if want else 0.0)
+                tensor, before = tilted.tensors[1], _snapshot(tilted)
+                values, drops = tilted._basis_values(qubits)
+                assert values == [want] * len(qubits) and _snapshot(tilted) == before
+                assert drops.keys() == ({1} if want else set())
+                tilted._drop(drops)
+                assert tilted.discarded_weight == (np.sin(angle) ** 2 if want else 0.0)
                 assert (tilted.tensors[1][:, 1] == 0).all() == (want is not None)
                 assert tilted.tensors[1] is tensor  # the slice is zeroed in place
+                assert tilted._basis_values(qubits) == ([want] * len(qubits), {})
 
     def test_basis_values_read_through_entangled_bonds(self):
         # qubit 1 is |1> between the halves of a Bell pair on qubits 0 and 2,
@@ -724,7 +741,7 @@ class TestFrozenNeighbours:
             fan[4 * a + 2 * (1 - b) + (c ^ a), 4 * a + 2 * b + c] = 1.0
         apply_op(mps, fan, 0)
         assert [lam.size for lam in mps.lambdas] == [1, 2, 2, 1]
-        assert mps._basis_values([0, 1, 2]) == [None, -1, None]
+        assert mps._basis_values([0, 1, 2]) == ([None, -1, None], {})
         assert_canonical(mps)
 
     @pytest.mark.parametrize("n_qubits", range(3, 17))
@@ -984,9 +1001,9 @@ class TestKeptWeights:
 
     def test_tensor_assigned_from_outside_is_read(self):
         mps = MPS.ground(3)
-        assert mps._basis_values([1]) == [1]
+        assert mps._basis_values([1])[0] == [1]
         mps.tensors[1] = np.array([[[0.0], [1.0]]], dtype=complex)
-        assert mps._basis_values([1]) == [-1]
+        assert mps._basis_values([1])[0] == [-1]
 
     @pytest.mark.parametrize("bond, z", [([1.0, 0.0], -1), ([0.0, 1.0], 1)])
     def test_left_bond_assigned_from_outside_is_read(self, bond, z):
@@ -995,9 +1012,9 @@ class TestKeptWeights:
         mps = MPS.ground(2)
         apply_op(mps, np.eye(4)[[0, 1, 3, 2]] @ np.kron([[0.6, -0.8], [0.8, 0.6]], np.eye(2)), 0)
         assert_allclose(mps.lambdas[1], [0.8, 0.6], rtol=0, atol=1e-15)
-        assert mps._basis_values([1]) == [None]
+        assert mps._basis_values([1])[0] == [None]
         mps.lambdas[1] = np.array(bond)
-        assert mps._basis_values([1]) == [z]
+        assert mps._basis_values([1])[0] == [z]
 
 
 class TestAgainstCanonicalOracle:

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from conftest import chain_for, random_qubit_amplitudes
 from oracles import (
     _boundary_events, dense_reduced_wire, dense_rho_run, expm_propagator, hold_bias_swap_pulses,
-    kron_hamiltonian, mirror_schedule, plain_window_eigensystem, svd_replace_qubit,
+    kron_hamiltonian, mirror_schedule, plain_window_eigensystem, schedule_rows, svd_replace_qubit,
 )
 import swapchannel.gates as gates
 import swapchannel.runner as runner
@@ -92,7 +92,8 @@ def oracle_full_corrected(spec, schedule, states, angles):
                 t = states[e.data_index]
                 rho = replace(rho, e.qubit, np.outer(t, t.conj()))
 
-    for i, window in enumerate(schedule.windows):
+    windows, final_events = schedule_rows(schedule)
+    for i, window in enumerate(windows):
         boundary(_boundary_events(window), i)
         h = kron_hamiltonian(n, spec.delta_mhz, spec.xi_mhz, window.biases_mhz)
         u = expm_propagator(h, window.duration_ns)
@@ -100,7 +101,7 @@ def oracle_full_corrected(spec, schedule, states, angles):
         z = 1 - 2 * ((np.arange(dim)[:, None] >> (n - 1 - np.arange(n))) & 1)
         d = np.exp(1j * (z @ angles[i]))
         rho = d[:, None] * rho * d.conj()[None, :]
-    boundary(schedule.final_events, None)
+    boundary(final_events, None)
     return records, float(np.real(np.trace(rho)))
 
 
@@ -308,18 +309,18 @@ class TestFrameCorrection:
 
     def test_rejects_replay_violations(self, design):
         spec = chain_for(design, 4)
-        sch = hold_bias_swap_pulses(spec, 2, 3, design.t_ns)
+        windows, _ = schedule_rows(hold_bias_swap_pulses(spec, 2, 3, design.t_ns))
         bad = PulseSchedule(
             n_qubits=4,
             windows=(
                 Window(
                     start_ns=-10.0,
                     duration_ns=design.t_ns,
-                    biases_mhz=sch.windows[0].biases_mhz,
+                    biases_mhz=windows[0].biases_mhz,
                     events=(PulseEvent(kind="inject", qubit=1, data_index=0),),
                 ),
             )
-            + sch.windows,
+            + windows,
         )
         with pytest.raises(ScheduleError):
             compute_frame_correction(bad, spec)
@@ -352,12 +353,16 @@ class TestFrameCorrection:
 
 class TestRunPathBuildsNoEventRows:
     """Runs, the line check and ``validate`` walk the schedule's arrays and its
-    one per-window cut: none of them builds a :class:`PulseEvent` row."""
+    one per-window cut: none of them builds a :class:`PulseEvent` or
+    :class:`Window` row."""
 
     @pytest.fixture()
     def events_built(self, monkeypatch):
-        calls, event = [], scheduler._event
-        monkeypatch.setattr(scheduler, "_event", lambda *row: calls.append(row) or event(*row))
+        calls = []
+        for row in (PulseEvent, Window):
+            init = row.__init__
+            monkeypatch.setattr(row, "__init__", lambda self, *args, init=init, **kwargs: (
+                calls.append(type(self)) or init(self, *args, **kwargs)))
         return calls
 
     @pytest.mark.parametrize("mode", ["reduced", "full"])
@@ -409,7 +414,7 @@ class TestQuantumChannel:
         finally:
             tracemalloc.stop()
         assert report.min_fidelity_corrected > 1.0 - 1e-12  # an even wire: Z on each
-        assert peak < sch.biases.nbytes
+        assert peak < sch.n_windows * sch.n_qubits * 8  # the bytes of the bias table
 
     @pytest.mark.parametrize("mode", ["reduced", "full"])
     def test_non_finite_data_state_is_refused_before_running(self, design, mode):
@@ -735,7 +740,7 @@ class TestReadDataIndexCheck:
     def test_reads_without_a_data_index_need_no_state(self, design):
         spec, sch = _read_of_missing_index(design, "final")
         blank = PulseEvent(kind="read_reset", qubit=1)
-        sch = PulseSchedule(n_qubits=2, windows=sch.windows, final_events=(blank,))
+        sch = PulseSchedule(n_qubits=2, windows=schedule_rows(sch)[0], final_events=(blank,))
         report = run_classical_channel(spec, sch, [1], mode="reduced")
         assert report.records == ()
 
@@ -747,8 +752,9 @@ class TestReadDataIndexCheck:
         spec = chain_for(design, 5, eps_high=SNAP_EPS)
         sch, _ = quantum_channel_schedule(spec, 1, design.t_ns)
         blank = (PulseEvent(kind="read_reset", qubit=2),)
-        final = blank + sch.final_events if blank_first else sch.final_events + blank
-        sch = PulseSchedule(n_qubits=5, windows=sch.windows, final_events=final)
+        windows, final = schedule_rows(sch)
+        final = blank + final if blank_first else final + blank
+        sch = PulseSchedule(n_qubits=5, windows=windows, final_events=final)
         assert sch.replay.ok
         report = run_quantum_channel(spec, sch, [(0.6, 0.8j)], mode=mode)
         (none,), (data,) = ([r for r in report.records if (r.data_index >= 0) == graded]
@@ -764,7 +770,7 @@ class TestReadDataIndexCheck:
         # the engine hands on the event table's value: -1 for a read without one
         spec, sch = _read_of_missing_index(design, "window")
         blank = PulseEvent(kind="read_reset", qubit=0)
-        sch = PulseSchedule(n_qubits=2, windows=sch.windows, final_events=(blank,))
+        sch = PulseSchedule(n_qubits=2, windows=schedule_rows(sch)[0], final_events=(blank,))
         reads = []
         runner._execute(spec, sch, [(1.0, 0.0)] * 4, lambda data, w, r: reads.append((data, w)),
                         mode=mode)
@@ -776,7 +782,7 @@ class TestReadDataIndexCheck:
         # such a schedule has an object event table; its indices are plain ints
         spec, sch = _read_of_missing_index(design, "window")
         big = PulseEvent(kind="read_reset", qubit=1, data_index=2**64)
-        sch = PulseSchedule(n_qubits=2, windows=sch.windows, final_events=(big,))
+        sch = PulseSchedule(n_qubits=2, windows=schedule_rows(sch)[0], final_events=(big,))
         with pytest.raises(ValueError, match=rf"data indices \[0, 3, {2**64}\] but 1 states"):
             run_quantum_channel(spec, sch, [(1.0, 0.0)], mode=mode)
 
@@ -911,7 +917,7 @@ class TestFullModeFastPath:
         monkeypatch.setattr(np.linalg, "eigh", spy)
         spec = chain_for(design, 5, eps_high=SNAP_EPS)
         sch, _ = quantum_channel_schedule(spec, 2, design.t_ns)
-        for w in sch.windows:
+        for w in schedule_rows(sch)[0]:
             propagator(build_hamiltonian(spec, w.biases_mhz), w.duration_ns)
         assert len(dtypes) == sch.n_windows
         assert not any(np.issubdtype(dt, np.complexfloating) for dt in dtypes)
@@ -943,7 +949,7 @@ class TestFullModeFastPath:
         sch, _ = quantum_channel_schedule(spec, n_states, design.t_ns)
         states = [np.array(random_qubit_amplitudes(rng)) for _ in range(n_states)]
         run_quantum_channel(spec, sch, states, mode="full")
-        keys = {(w.biases_mhz, w.duration_ns) for w in sch.windows}
+        keys = {(w.biases_mhz, w.duration_ns) for w in schedule_rows(sch)[0]}
         classes = {frozenset({(b, t), (b[::-1], t)}) for b, t in keys}
         n_self = sum(len(c) == 1 for c in classes)
         dim, fixed = 2**n_qubits, 2 ** -(-n_qubits // 2)
@@ -1111,7 +1117,7 @@ class TestMirroredWire:
         mirrored, mirrored_lines = mirror_schedule(sch, lines)
         assert mirrored.replay.ok
         assert line_conflict_check(mirrored, mirrored_lines).ok
-        assert {e.qubit for e in mirrored.final_events} == {0}
+        assert {e.qubit for e in schedule_rows(mirrored)[1]} == {0}
         states = [np.array(random_qubit_amplitudes(rng)) for _ in range(2)]
         for mode, atol in (("reduced", 1e-12), ("full", 1e-10)):
             forward = run_quantum_channel(spec, sch, states, mode=mode)
