@@ -141,13 +141,8 @@ class TwoLevelParams:
             raise ValueError(f"delta_mhz must be > 0, got {self.delta_mhz}")
 
     def hamiltonian(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.effective_bias_mhz, self.delta_mhz],
-                [self.delta_mhz, -self.effective_bias_mhz],
-            ],
-            dtype=complex,
-        )
+        return np.array([[self.effective_bias_mhz, self.delta_mhz],
+                         [self.delta_mhz, -self.effective_bias_mhz]])
 
 
 @lru_cache(maxsize=None)
@@ -159,12 +154,15 @@ def _z_values(n_qubits: int) -> np.ndarray:
     return z
 
 
+@lru_cache(maxsize=None)
 def _mirror_index(n_qubits: int) -> np.ndarray:
-    """(2^n,) index of each basis state's mirror image (qubit q <-> n-1-q),
-    the bit reversal of its index: ``H(b[::-1]) = H(b)[m][:, m]``."""
+    """(2^n,) read-only index of each basis state's mirror image (qubit
+    q <-> n-1-q), the bit reversal of its index: ``H(b[::-1]) = H(b)[m][:, m]``."""
     idx = np.arange(1 << n_qubits)
     bits = (idx[:, None] >> np.arange(n_qubits)) & 1
-    return bits @ (1 << np.arange(n_qubits)[::-1])
+    m = bits @ (1 << np.arange(n_qubits)[::-1])
+    m.flags.writeable = False
+    return m
 
 
 def build_hamiltonian(spec: ChainSpec, biases_mhz: Sequence[float]) -> np.ndarray:

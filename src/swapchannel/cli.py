@@ -70,22 +70,28 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_text(path: str, parts: Iterable[str]) -> None:
-    """Write ``parts`` one by one to ``path`` through ``path.tmp``: a path that
-    cannot be written is a usage error, and any failure (of a write or of the
-    parts) leaves no ``.tmp`` file and no partial ``path`` behind."""
-    tmp = path + ".tmp"
+def _write_text(*files: tuple[str, Iterable[str]]) -> None:
+    """Write each ``(path, parts)``, parts one by one, to ``path.tmp`` and
+    replace the paths only once every ``.tmp`` file is whole: a path that
+    cannot be written (a directory is refused before any write) is a usage
+    error, and any failure leaves no ``.tmp`` file and no new ``path``."""
+    tmps = []
     try:
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
-        os.replace(tmp, path)
+        for path, _ in files:
+            if not os.path.basename(path) or os.path.isdir(path):
+                raise IsADirectoryError("it names a directory")
+        for path, parts in files:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            tmps.append(path + ".tmp")
+            with open(tmps[-1], "w", encoding="utf-8") as fh:
+                fh.writelines(parts)
+        for path, _ in files:
+            os.replace(tmps[0], path)
+            del tmps[0]  # replaced: it may now be the other file's path
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from None
     finally:
-        if os.path.isfile(tmp):
+        for tmp in filter(os.path.isfile, tmps):
             os.remove(tmp)
 
 
@@ -113,7 +119,7 @@ def _cmd_solve(args) -> int:
     text = _dump_json(obj)
     sys.stdout.write(text)
     if args.out:
-        _write_text(args.out, [text])
+        _write_text((args.out, [text]))
     return 0 if obj["conditions"]["ok"] else 3
 
 
@@ -172,7 +178,7 @@ def _cmd_schedule(args) -> int:
         )
     parts = _json_parts(schedule, lines)
     if args.out:
-        _write_text(args.out, parts)
+        _write_text((args.out, parts))
     else:
         sys.stdout.writelines(parts)
     return 0
@@ -256,6 +262,8 @@ def _require_resolvable(mhz: float, t_ns: float, refusal: str, **names) -> None:
 
 
 def _cmd_trace(args) -> int:
+    if args.plot_script and os.path.realpath(args.plot_script) == os.path.realpath(args.out):
+        raise ConfigError(f"--plot-script: {args.plot_script!r} is the --out path")
     _number(args.duration_ns, "--duration-ns:", low=0)
     _integer(args.samples, "--samples:", low=1, high=MAX_TRACE_SAMPLES)
     if _number(args.delta_mhz, "--delta-mhz:") <= 0:
@@ -275,9 +283,10 @@ def _cmd_trace(args) -> int:
     writer.writerow(["time_ns", "p1_simulated", "p1_analytic"])
     for t, p in zip(times, probs[:, 0]):
         writer.writerow([repr(float(t)), repr(float(p)), repr(float(descriptor.probability(t)))])
-    _write_text(args.out, [buf.getvalue()])
+    files = [(args.out, [buf.getvalue()])]
     if args.plot_script:
-        _write_text(args.plot_script, [_PLOT_SCRIPT.format(csv_path=args.out)])
+        files.append((args.plot_script, [_PLOT_SCRIPT.format(csv_path=args.out)]))
+    _write_text(*files)
     obj = {"csv": args.out, "rows": int(times.shape[0])}
     obj |= _section(descriptor, "frequency_mhz", "offset", "amplitude")
     sys.stdout.write(_dump_json(obj))
@@ -585,7 +594,7 @@ def _schedule_section(schedule, lines, cfg: dict, out_dir: str) -> tuple[dict, l
     violations, line_check = _replay_and_lines(schedule, lines)
     if cfg["outputs"]["schedule"]:
         path = os.path.join(out_dir, cfg["outputs"]["schedule"])
-        _write_text(path, _json_parts(schedule, lines))
+        _write_text((path, _json_parts(schedule, lines)))
     obj = {
         "n_windows": schedule.n_windows,
         "makespan_ns": schedule.makespan_ns,
@@ -705,7 +714,7 @@ def _cmd_run(args) -> int:
     checks += _grade(report, cfg)
     report["assertions"] = {"checks": checks, "passed": all(c["passed"] for c in checks)}
     report_path = os.path.join(out_dir, cfg["outputs"]["report"])
-    _write_text(report_path, [_dump_json(report)])
+    _write_text((report_path, [_dump_json(report)]))
     for check in checks:
         print(f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}: {check['detail']}")
     print(f"report: {report_path}")
@@ -779,6 +788,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

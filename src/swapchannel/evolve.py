@@ -12,19 +12,18 @@ smaller Gram matrix to the directions whose weight float64 can resolve in
 
 Full-chain evolution is exact diagonalisation (the Hamiltonians here are
 small and dense, so ``eigh`` is both the fastest and the most accurate
-route).  :func:`eigensystem` returns the eigenvectors ``V`` and the phase
-angles ``E t``, and :func:`apply_eigensystem` applies ``V e^{-iEt} V^dagger``
+route).  Every Hamiltonian of the model is real symmetric, the one kind
+taken.  :func:`eigensystem` returns the real eigenvectors ``V`` and the
+phase angles ``E t``, and :func:`apply_eigensystem` applies ``V e^{-iEt} V^T``
 to factors side by side in the eigenbasis, never forming the propagator
-(the eigenvector method of Moler and Van Loan, SIAM Review 45, 3 (2003)).
-The chain Hamiltonian is real symmetric, so ``V`` is real and the update is
-two real products on ``W`` viewed as a ``(2^n, 2r)`` float array:
-``8 dim^2 r`` flops, as many as ``U @ W``, with the two ``dim^3`` products
-that assemble ``U`` skipped.  A chain H whose biases read the same reversed
-commutes with the bit reversal of the basis index, and
-:func:`_sector_eigensystem` splits it into two half-size blocks, a quarter of
-the ``eigh`` work.  :func:`propagator` assembles ``U`` for the callers that
-need the matrix itself (the 3-qubit gate experiments and the
-reduced pulse operators); complex Hermitian input takes the complex route.
+(the eigenvector method of Moler and Van Loan, SIAM Review 45, 3 (2003)):
+two real products on ``W`` viewed as a ``(2^n, 2r)`` float array,
+``8 dim^2 r`` flops, as many as ``U @ W``.  A chain H whose biases read the
+same reversed commutes with the bit reversal of the basis index, and
+:func:`_sector_eigensystem` splits it into two half-size blocks, a quarter
+of the ``eigh`` work.  :func:`propagator` assembles ``U`` for the callers
+that need the matrix itself (the 3-qubit gate experiments and the reduced
+pulse operators).
 Reduced-mode wire runs do not use these dense states; they run on
 :class:`~swapchannel.mps.MPS`, which has the same boundary methods
 (``reduced_state``, ``inject``, ``reset``, ``trace``) under the same rule:
@@ -210,54 +209,52 @@ class QuantumState:
 
 
 def apply_eigensystem(
-    states: Sequence[QuantumState], evecs: np.ndarray, angles: np.ndarray, rows=None
+    states: Sequence[QuantumState], evecs: np.ndarray, angles: np.ndarray, mirrored=False
 ) -> None:
-    """Apply the full-chain ``V diag(e^{-i angles}) V^dagger`` from
-    :func:`eigensystem` to each of ``states`` in the eigenbasis, without
-    forming it: their factors side by side as the columns ``W`` of one array,
-    split back after.  A real ``V`` acts on ``W`` viewed as a float array
-    (real and imaginary parts as columns), two real products of ``8 dim^2 r``
-    flops in all; a complex ``V`` takes ``V (ph * (V^dagger W))``.  ``rows``,
-    a permutation ``P`` that is its own inverse, gathers the rows of ``W``
-    before and after, applying ``P V e^{-i angles} V^dagger P^T``.  Refuses a
-    ``V`` that is not ``dim x dim``, angles that are not ``dim`` finite
-    numbers and other ``rows``, changing no state."""
+    """Apply ``V diag(e^{-i angles}) V^T`` from :func:`eigensystem` to each of
+    ``states`` in the eigenbasis, their factors side by side as the columns
+    ``W`` of one float array (real and imaginary parts as columns): two real
+    products, split back after.  ``mirrored`` gathers the rows of ``W`` by
+    the bit reversal ``P`` before and after, applying the window of the
+    reversed biases, ``P V e^{-i angles} V^T P``.  Refuses a ``V`` that is
+    not a real ``dim x dim`` array, angles that are not ``dim`` finite
+    numbers and a ``mirrored`` that is not a bool, changing no state."""
     angles = np.asarray(angles)
     for state in states:
         if evecs.shape != (state.dim, state.dim):
             raise ValueError(f"eigenvectors must be {state.dim} x {state.dim}, got {evecs.shape}")
+    if evecs.dtype.kind == "c":
+        raise ValueError(f"eigenvectors must be real, got dtype {evecs.dtype}")
     if angles.shape != (len(evecs),) or not np.isfinite(angles).all():
         raise ValueError(f"angles must be {len(evecs)} finite numbers, got shape {angles.shape}")
-    # P[P] == arange reaches every index, so P is a permutation and nothing was clipped
-    if rows is None:
-        rows = slice(None)
-    elif not ((rows := np.asarray(rows)).dtype.kind in "iu" and rows.shape == (len(evecs),)
-              and (rows.take(rows, mode="clip") == np.arange(len(evecs))).all()):
-        raise ValueError(f"rows must be a permutation of range({len(evecs)}) that is its own inverse")
+    if type(mirrored) is not bool:
+        raise ValueError(f"mirrored must be True or False, got {mirrored!r}")
+    rows = _mirror_index(len(evecs).bit_length() - 1) if mirrored else slice(None)
     phases = np.exp(-1j * angles)[:, None]
     w = np.ascontiguousarray(np.concatenate([s.data for s in states], axis=1)[rows])
-    if np.iscomplexobj(evecs):
-        w = evecs @ (phases * (evecs.conj().T @ w))
-    else:
-        rotated = phases * (evecs.T @ w.view(float)).view(complex)
-        w = (evecs @ rotated.view(float)).view(complex)
-    start, w = 0, w[rows]
+    rotated = phases * (evecs.T @ w.view(float)).view(complex)
+    start, w = 0, (evecs @ rotated.view(float)).view(complex)[rows]
     for state in states:
         state._store(w[:, start:start + state.data.shape[1]])
         start += state.data.shape[1]
 
 
 def eigensystem(hamiltonian: np.ndarray, duration_ns: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(V, angles)`` with ``exp(-i * 2pi*1e-3 * H * t) = V e^{-i angles} V^dagger``
-    for an H in MHz and t in ns.
-
-    ``V`` holds the eigenvectors of H in its columns; it is real for a real
-    (symmetric) H.  Refuses a non-Hermitian H and a duration that is not a
-    finite number >= 0 (``chain._number``).
-    """
+    """``(V, angles)`` with ``exp(-i * 2pi*1e-3 * H * t) = V e^{-i angles} V^T``
+    for a real symmetric H in MHz and t in ns, the eigenvectors in the
+    columns of the real ``V``.  A complex H is taken as its real part if its
+    imaginary part is all zero.  Refuses a non-zero imaginary entry, naming
+    the first, a non-symmetric H and a duration that is not a finite
+    number >= 0 (``chain._number``)."""
     h = np.asarray(hamiltonian)
+    if h.dtype.kind == "c":
+        complex_entries = np.argwhere(h.imag != 0)
+        if len(complex_entries):
+            at = tuple(complex_entries[0].tolist())
+            raise ValueError(f"eigensystem requires a real matrix; entry {at} is {complex(h[at])}")
+        h = h.real
     if not is_hermitian(h):
-        raise ValueError("eigensystem requires a Hermitian matrix")
+        raise ValueError("eigensystem requires a real symmetric matrix")
     return _eigensystem(h, _number(duration_ns, "duration_ns", low=0))
 
 
@@ -294,15 +291,10 @@ def _sector_eigensystem(
 
 
 def propagator(hamiltonian: np.ndarray, duration_ns: float) -> np.ndarray:
-    """Unitary ``exp(-i * 2pi*1e-3 * H * t)`` for an H in MHz and t in ns,
-    assembled from :func:`eigensystem`.
-
-    For a real ``V``, ``U = V e^{-iEt} V^T`` is built from two real products,
-    its real and imaginary parts; a complex ``V`` takes the complex route.
-    """
+    """Unitary ``exp(-i * 2pi*1e-3 * H * t)`` for a real symmetric H in MHz
+    and t in ns, assembled from :func:`eigensystem`: ``U = V e^{-iEt} V^T``
+    from two real products, its real and imaginary parts."""
     evecs, angles = eigensystem(hamiltonian, duration_ns)
-    if np.iscomplexobj(evecs):
-        return (evecs * np.exp(-1j * angles)) @ evecs.conj().T
     u = np.empty(evecs.shape, dtype=complex)
     u.real = (evecs * np.cos(angles)) @ evecs.T
     u.imag = (evecs * -np.sin(angles)) @ evecs.T

@@ -29,8 +29,8 @@ It has two modes:
   The pair ``(V, E t)`` of each distinct (biases, duration) window is cached
   for the run, and the mirror symmetry ``H(b[::-1]) = P H(b) P^T`` (P the bit
   reversal of the basis index) spares most ``eigh`` work: a window whose
-  mirror image is cached shares its ``V`` and permutes the factor's rows,
-  not ``V``'s, and a self-mirror window takes the eigensystems of its two
+  mirror image is cached shares its ``V``, applied ``mirrored`` (the factor's
+  rows permuted), and a self-mirror window takes the eigensystems of its two
   half-size mirror sectors (:func:`_window_eigensystem`).  A window applies
   ``V e^{-iEt} V^T`` in the eigenbasis to both branches' factors side by side
   (two real products, ``8 dim^2 r`` flops for their ``r`` columns), and the
@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import (
-    ChainSpec, _integer, _mirror_index, _number, _z_values, build_hamiltonian,
+    ChainSpec, _integer, _number, _z_values, build_hamiltonian,
     effective_bias, phase_angle, wrap_phase,
 )
 from .evolve import (
@@ -335,19 +335,17 @@ def _require_states(schedule: PulseSchedule, data_states: Sequence) -> list[np.n
     return states
 
 
-def _window_eigensystem(spec: ChainSpec, biases: tuple, duration: float, cache: dict, mirror):
-    """``(V, E t, rows)`` of one full-mode window for :func:`apply_eigensystem`:
-    its mirror image's cached pair with ``rows`` the bit reversal ``mirror``
-    (``H(b[::-1]) = H(b)[m][:, m]``, no ``eigh``), or with ``rows`` None the two
-    mirror sectors of a self-mirror profile, or else the eigensystem of its
-    Hamiltonian, which is built symmetric and not checked again."""
-    mirrored = cache.get((biases[::-1], duration))
-    if mirrored is not None:
-        return mirrored[0], mirrored[1], mirror
-    h = build_hamiltonian(spec, biases)
-    if spec.n_qubits > 1 and biases == biases[::-1]:
-        return *_sector_eigensystem(h, duration), None
-    return *_eigensystem(h, duration), None
+def _window_eigensystem(spec: ChainSpec, biases: tuple, duration: float, cache: dict):
+    """``(V, E t, mirrored)`` of one full-mode window for :func:`apply_eigensystem`:
+    its mirror image's cached pair, ``mirrored`` (``H(b[::-1]) = H(b)[m][:, m]``,
+    no ``eigh``), or else, not mirrored, the two mirror sectors of a
+    self-mirror profile or the eigensystem of its Hamiltonian, which is built
+    symmetric and not checked again."""
+    image = cache.get((biases[::-1], duration))
+    if image is not None:
+        return image[0], image[1], True
+    solve = _sector_eigensystem if spec.n_qubits > 1 and biases == biases[::-1] else _eigensystem
+    return *solve(build_hamiltonian(spec, biases), duration), False
 
 
 def _execute(
@@ -386,7 +384,6 @@ def _execute(
         branches["corrected"] = QuantumState.ground(spec.n_qubits)
 
     prop_cache: dict[tuple, tuple] = {}
-    mirror = None if reduced else _mirror_index(spec.n_qubits)
 
     def do_boundary(rows, window_index):
         for kind, q, data in rows:
@@ -423,7 +420,7 @@ def _execute(
         else:
             key = (rows[i], durations[i])
             if key not in prop_cache:
-                prop_cache[key] = _window_eigensystem(spec, *key, prop_cache, mirror)
+                prop_cache[key] = _window_eigensystem(spec, *key, prop_cache)
             apply_eigensystem(list(branches.values()), *prop_cache[key])
             if "corrected" in branches:
                 branches["corrected"].apply_diagonal(_frame_diagonal(angles[i], spec.n_qubits))

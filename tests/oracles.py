@@ -644,11 +644,11 @@ def loop_replay_occupancy(schedule) -> ReplayResult:
                         swaps=tuple(swaps))
 
 
-def plain_window_eigensystem(spec, biases, duration, cache, mirror):
+def plain_window_eigensystem(spec, biases, duration, cache):
     """``runner._window_eigensystem`` as one ``eigh`` of each window's own
     Hamiltonian, with no eigenvectors shared between mirror images and no
-    window's factor rows permuted."""
-    return *eigensystem(build_hamiltonian(spec, biases), duration), None
+    window applied ``mirrored``."""
+    return *eigensystem(build_hamiltonian(spec, biases), duration), False
 
 
 def svd_replace_qubit(self, qubit, local):

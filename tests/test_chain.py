@@ -123,7 +123,8 @@ class TestChainSpec:
 class TestTwoLevelParams:
     def test_matrix(self):
         h = TwoLevelParams(delta_mhz=3.0, effective_bias_mhz=4.0).hamiltonian()
-        assert_allclose(h, np.array([[4.0, 3.0], [3.0, -4.0]], dtype=complex))
+        assert h.dtype == np.float64
+        assert_allclose(h, np.array([[4.0, 3.0], [3.0, -4.0]]), rtol=0, atol=0)
 
     @pytest.mark.parametrize("field", ["delta_mhz", "effective_bias_mhz"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -231,6 +232,8 @@ class TestBuildHamiltonian:
         m = _mirror_index(n)
         bits = [format(i, f"0{n}b") for i in range(1 << n)]
         assert [bits[j] for j in m] == [b[::-1] for b in bits]
+        # built once per size and shared, so no caller may write to it
+        assert _mirror_index(n) is m and not m.flags.writeable
 
 
 def target_bias(spec, target, bits, target_bias_mhz):

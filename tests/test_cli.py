@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -452,6 +453,21 @@ class TestTraceCommand:
         body = script.read_text()
         assert str(path) in body
         assert "matplotlib" in body
+
+    @pytest.mark.parametrize("script", ["{dir}", "{csv}", "{tmp}/./t.csv"],
+                             ids=["a-directory", "the-csv-path", "the-csv-spelled-apart"])
+    def test_a_refused_plot_script_leaves_no_file(self, capsys, tmp_path, script):
+        # the CSV used to be left behind by a plot script that could not be
+        # written, and to be overwritten by one at its own path (exit 0)
+        csv_path, directory = tmp_path / "t.csv", tmp_path / "plots"
+        directory.mkdir()
+        script = script.format(dir=directory, csv=csv_path, tmp=tmp_path)
+        code, out, err = run_cli(capsys, "trace", "--delta-mhz", "25", "--duration-ns", "10",
+                                 "--out", str(csv_path), "--plot-script", script)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["plots"]
+        assert not any(directory.iterdir())
 
     def test_zero_duration_gives_empty_trace(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
@@ -947,9 +963,36 @@ def test_failing_parts_leave_no_file_behind(tmp_path, existing):
         raise ValueError("no more parts")
 
     with pytest.raises(ValueError, match="no more parts"):
-        cli._write_text(str(path), parts())
+        cli._write_text((str(path), parts()))
     assert [p.name for p in tmp_path.iterdir()] == (["out.json"] if existing else [])
     assert not existing or path.read_text() == "keep"
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-paths", "existing-paths"])
+def test_a_failing_second_file_leaves_neither_file_new(tmp_path, existing):
+    # every .tmp file is whole before any path is replaced
+    first, second = tmp_path / "a.csv", tmp_path / "b.py"
+    if existing:
+        first.write_text("keep a")
+        second.write_text("keep b")
+
+    def parts():
+        yield "x"
+        raise ValueError("no more parts")
+
+    with pytest.raises(ValueError, match="no more parts"):
+        cli._write_text((str(first), ["a"]), (str(second), parts()))
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["a.csv", "b.py"] if existing else [])
+    assert not existing or (first.read_text(), second.read_text()) == ("keep a", "keep b")
+
+
+def test_two_files_whose_second_path_is_the_first_ones_tmp_name(tmp_path):
+    # "t.csv.tmp" is the second path: once it replaced t.csv, the first .tmp
+    # name holds the second file, which the clean-up must not remove
+    first = tmp_path / "t.csv"
+    cli._write_text((str(first), ["a"]), (str(first) + ".tmp", ["b"]))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.csv.tmp"]
+    assert (first.read_text(), (tmp_path / "t.csv.tmp").read_text()) == ("a", "b")
 
 
 class TestModuleEntryPoint:
@@ -961,6 +1004,15 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert_allclose(json.loads(proc.stdout)["delta_mhz"], 25.0)
+
+    def test_runs_in_process_as_the_main_module(self, capsys, monkeypatch):
+        # what `python -m swapchannel` runs, here in this process
+        monkeypatch.setattr(sys, "argv", ["swapchannel", "solve", "--t-ns", "10"])
+        monkeypatch.delitem(sys.modules, "swapchannel.__main__", raising=False)
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("swapchannel", run_name="__main__")
+        assert exit_.value.code == 0
+        assert_allclose(json.loads(capsys.readouterr().out)["delta_mhz"], 25.0)
 
 
 class TestOneParserPerProcess:
@@ -1097,9 +1149,12 @@ class TestRunRefusesBadValuesBeforeRunning:
              "config.outputs.report: expected a file name inside --out-dir, got '/abs.json'"),
             ('{"experiment": "copy_table", "outputs": {"report": "sub/../../up.json"}}',
              "config.outputs.report: expected a file name inside --out-dir"),
+            ('{"experiment": "copy_table", "assertions": []}',
+             "config.assertions: expected an object"),
         ],
         ids=["duplicate-key", "duplicate-nested-key", "list-experiment", "object-experiment",
-             "parent-dir-output", "absolute-output", "nested-parent-dir-output"],
+             "parent-dir-output", "absolute-output", "nested-parent-dir-output",
+             "list-assertions"],
     )
     def test_ambiguous_configs_exit_1(self, capsys, tmp_path, text, fragment):
         path = tmp_path / "bad.json"

@@ -37,9 +37,10 @@ def density(state: QuantumState) -> np.ndarray:
     return state.data @ state.data.conj().T
 
 
-def random_hermitian(rng, dim: int) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (a + a.conj().T) / 2.0
+def random_symmetric(rng, dim: int) -> np.ndarray:
+    """A random real symmetric matrix, the one kind of H the model has."""
+    a = rng.normal(size=(dim, dim))
+    return (a + a.T) / 2.0
 
 
 class TestQuantumState:
@@ -112,20 +113,18 @@ class TestPropagator:
 
     def test_matches_expm_oracle(self, rng):
         for dim in (2, 4, 8):
-            h = random_hermitian(rng, dim) * 30.0
+            h = random_symmetric(rng, dim) * 30.0
             for t in (0.0, 3.7, 10.0):
                 assert_allclose(
                     propagator(h, t), expm_propagator(h, t), atol=1e-9
                 )
 
     @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("kind", ["real_symmetric", "complex_hermitian"])
-    def test_real_and_complex_routes_match_expm_oracle(self, rng, n_qubits, kind):
-        h = random_hermitian(rng, 2**n_qubits) * 30.0
-        if kind == "real_symmetric":
-            h = h.real
-        else:
-            assert np.abs(h.imag).max() > 1.0
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_real_and_complex_dtypes_match_expm_oracle(self, rng, n_qubits, dtype):
+        # a complex array with an all-zero imaginary part is taken as its real part
+        h = (random_symmetric(rng, 2**n_qubits) * 30.0).astype(dtype)
+        assert h.dtype == dtype and not np.imag(h).any()
         for t in (0.0, 3.7, 10.0):
             assert_allclose(propagator(h, t), expm_propagator(h, t), atol=1e-9)
 
@@ -136,7 +135,7 @@ class TestPropagator:
         assert_allclose(propagator(h, design.t_ns), expm_propagator(h, design.t_ns), atol=1e-9)
 
     def test_composition(self, rng):
-        h = random_hermitian(rng, 4) * 10.0
+        h = random_symmetric(rng, 4) * 10.0
         assert_allclose(
             propagator(h, 7.0), propagator(h, 4.0) @ propagator(h, 3.0), atol=1e-12
         )
@@ -155,7 +154,7 @@ class TestPropagator:
         t=st.floats(min_value=0.0, max_value=50.0),
     )
     def test_always_unitary(self, seed, t):
-        h = random_hermitian(np.random.default_rng(seed), 4) * 40.0
+        h = random_symmetric(np.random.default_rng(seed), 4) * 40.0
         u = propagator(h, t)
         assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-9)
 
@@ -175,12 +174,12 @@ class TestEigensystem:
         assert_allclose(state.data, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("rank", [1, 3])
-    def test_complex_hermitian_matches_the_assembled_propagator(self, rng, rank):
-        h = random_hermitian(rng, 16) * 30.0
+    def test_complex_dtype_matches_the_assembled_propagator(self, rng, rank):
+        h = (random_symmetric(rng, 16) * 30.0).astype(complex)
         state = random_mixed(rng, 4, rank)
         want = propagator(h, 3.7) @ state.data
         evecs, angles = eigensystem(h, 3.7)
-        assert np.iscomplexobj(evecs)
+        assert evecs.dtype == np.float64
         apply_eigensystem([state], evecs, angles)
         assert_allclose(state.data, want, rtol=0, atol=1e-12)
 
@@ -204,8 +203,27 @@ class TestEigensystem:
         state = random_mixed(rng, n_qubits, 2)
         want = propagator(build_hamiltonian(spec, biases[::-1]), design.t_ns) @ state.data
         apply_eigensystem([state], *eigensystem(build_hamiltonian(spec, biases), design.t_ns),
-                          _mirror_index(n_qubits))
+                          mirrored=True)
         assert_allclose(state.data, want, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("n_qubits", range(3, 10))
+    def test_mirrored_is_the_bit_reversal_applied_explicitly(self, design, rng, n_qubits):
+        # mirrored=True is P (V e^{-iEt} V^T) P with P the bit reversal m of the
+        # basis index: bit for bit the factor's rows permuted by hand around the
+        # plain window, and to round-off the plain window of V[m], the
+        # eigenvectors of the reversed biases (BLAS sums V[m]^T W in another
+        # order, 3.5e-15 apart at L = 9)
+        spec = chain_for(design, n_qubits, eps_high=25000.0)
+        biases = np.where(rng.random(n_qubits) < 0.5, 25000.0, rng.uniform(-50.0, 50.0))
+        evecs, angles = eigensystem(build_hamiltonian(spec, biases), design.t_ns)
+        m = _mirror_index(n_qubits)
+        w = random_mixed(rng, n_qubits, 2).data
+        got, by_hand, of_vm = QuantumState(w), QuantumState(w[m]), QuantumState(w)
+        apply_eigensystem([got], evecs, angles, mirrored=True)
+        apply_eigensystem([by_hand], evecs, angles)
+        apply_eigensystem([of_vm], np.ascontiguousarray(evecs[m]), angles)
+        assert np.array_equal(got.data, by_hand.data[m])
+        assert_allclose(got.data, of_vm.data, rtol=0, atol=1e-14)
 
     def test_refuses_factors_of_another_size_and_changes_none(self, rng):
         states = [random_mixed(rng, 3, 1), random_mixed(rng, 2, 1)]
@@ -222,7 +240,7 @@ class TestEigensystem:
     def test_fortran_ordered_factor(self, rng):
         w = np.asfortranarray(random_mixed(rng, 3, 3).data)
         state = QuantumState(w)
-        h = random_hermitian(rng, 8).real * 30.0
+        h = random_symmetric(rng, 8) * 30.0
         apply_eigensystem([state], *eigensystem(h, 2.0))
         assert_allclose(state.data, propagator(h, 2.0) @ w, rtol=0, atol=1e-12)
 
@@ -253,18 +271,34 @@ class TestEigensystem:
             state.apply_diagonal(diag)
         assert state.trace() == 1.0
 
-    @pytest.mark.parametrize("rows", [
-        np.zeros(4, dtype=int), np.array([1, 2, 3, 0]), np.array([0, 1, 2]),
-        np.array([0.0, 1.0, 2.0, 3.0]), np.array([0, 1, 2, 4]), np.array([-1, 1, 2, 3]),
-        np.array([[0, 1, 2, 3]]),
-    ], ids=["repeated", "not-own-inverse", "short", "float", "past-dim", "negative", "2-d"])
-    def test_refuses_rows_that_are_not_an_involution_of_the_basis(self, rows):
-        # all-zero rows used to turn the ground state's trace from 1 into 4
+    @pytest.mark.parametrize("mirrored", [
+        1, 0, None, "yes", np.bool_(True), np.array([0, 2, 1, 3]),
+    ], ids=["one", "zero", "none", "str", "numpy-bool", "bit-reversal-rows"])
+    def test_refuses_a_mirrored_flag_that_is_not_a_bool(self, mirrored):
+        # the bit reversal itself, as the former rows argument took it, is no flag
         state = QuantumState.ground(2)
         before = state.data
-        with pytest.raises(ValueError, match=r"rows must be a permutation of range\(4\) that is its own"):
-            apply_eigensystem([state], np.eye(4), np.zeros(4), rows=rows)
+        with pytest.raises(ValueError, match="mirrored must be True or False, got "):
+            apply_eigensystem([state], np.eye(4), np.zeros(4), mirrored)
         assert state.data is before and state.trace() == 1.0
+
+    @pytest.mark.parametrize("h, entry", [
+        (np.array([[1.0, 1j], [-1j, 2.0]]), r"entry \(0, 1\) is 1j"),
+        (np.diag([1.0, 1.0 + 1e-300j]), r"entry \(1, 1\) is \(1\+1e-300j\)"),
+        (np.array([[0.0, complex(0.0, np.nan)], [0.0, 0.0]]), r"entry \(0, 1\) is nanj"),
+    ], ids=["hermitian", "tiny-imaginary-diagonal", "nan-imaginary"])
+    def test_refuses_a_matrix_that_is_not_real(self, h, entry):
+        # the model's H is real symmetric; a complex Hermitian one has no route
+        for solve in (eigensystem, propagator):
+            with pytest.raises(ValueError, match="eigensystem requires a real matrix; " + entry):
+                solve(h, 1.0)
+
+    def test_refuses_eigenvectors_that_are_not_real(self):
+        state = QuantumState.ground(2)
+        before = state.data
+        with pytest.raises(ValueError, match="eigenvectors must be real, got dtype complex128"):
+            apply_eigensystem([state], np.eye(4, dtype=complex), np.zeros(4))
+        assert state.data is before
 
     @pytest.mark.parametrize("n_qubits", range(2, 9))
     def test_sector_eigensystem_of_a_self_mirror_window(self, design, rng, n_qubits):
@@ -349,7 +383,7 @@ class TestLocalUnitary:
 
     @pytest.mark.parametrize("n,first,k", [(3, 0, 1), (3, 1, 1), (3, 2, 1), (4, 1, 2), (3, 0, 3)])
     def test_pure_matches_kron_embedding(self, n, first, k, rng):
-        u = propagator(random_hermitian(rng, 2**k) * 20.0, 4.0)
+        u = propagator(random_symmetric(rng, 2**k) * 20.0, 4.0)
         psi = random_pure(rng, n)
         full = np.eye(1, dtype=complex)
         for q in range(n):
@@ -363,7 +397,7 @@ class TestLocalUnitary:
 
     @pytest.mark.parametrize("n,first,k", [(3, 0, 1), (3, 1, 1), (3, 2, 1), (4, 1, 2), (3, 0, 3)])
     def test_mixed_state_matches_conjugation(self, n, first, k, rng):
-        u = propagator(random_hermitian(rng, 2**k) * 20.0, 4.0)
+        u = propagator(random_symmetric(rng, 2**k) * 20.0, 4.0)
         full = np.kron(np.kron(np.eye(2**first), u), np.eye(2 ** (n - first - k)))
         rho = random_mixed(rng, n, 3)
         want = full @ density(rho) @ full.conj().T
@@ -372,7 +406,7 @@ class TestLocalUnitary:
 
     @pytest.mark.parametrize("n,first,k", [(3, 0, 1), (3, 1, 1), (3, 2, 1), (4, 1, 2), (3, 0, 3)])
     def test_matches_the_former_einsum(self, n, first, k, rng):
-        u = propagator(random_hermitian(rng, 2**k) * 20.0, 4.0)
+        u = propagator(random_symmetric(rng, 2**k) * 20.0, 4.0)
         full = np.kron(np.kron(np.eye(2**first), u), np.eye(2 ** (n - first - k)))
         rho = random_mixed(rng, n, 2)
         want = apply_local_unitary(rho, u, first).data

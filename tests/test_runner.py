@@ -855,9 +855,9 @@ class TestFullModeFastPath:
         columns = []
         apply = runner.apply_eigensystem
 
-        def spy(states, evecs, angles, rows):
+        def spy(states, evecs, angles, mirrored):
             columns.append([s.data.shape[1] for s in states])
-            return apply(states, evecs, angles, rows)
+            return apply(states, evecs, angles, mirrored)
 
         monkeypatch.setattr(runner, "apply_eigensystem", spy)
         spec = chain_for(design, 6, eps_high=SNAP_EPS)
@@ -892,9 +892,9 @@ class TestFullModeFastPath:
         ranks = []
         apply = runner.apply_eigensystem
 
-        def spy(states, evecs, angles, rows):
+        def spy(states, evecs, angles, mirrored):
             ranks.extend(s.data.shape[1] for s in states)  # each branch's own rank
-            return apply(states, evecs, angles, rows)
+            return apply(states, evecs, angles, mirrored)
 
         monkeypatch.setattr(runner, "apply_eigensystem", spy)
         spec = chain_for(design, 7, eps_high=SNAP_EPS)
