@@ -452,7 +452,11 @@ def _value(row: _Key, obj, path: str):
                 raise ConfigError(
                     f"{path}.{key}: expected a file name inside --out-dir, got {name!r}"
                 )
-        return row.default | obj
+        outputs = row.default | obj
+        schedule = outputs.get("schedule")
+        if schedule and os.path.normpath(schedule) == os.path.normpath(outputs["report"]):
+            raise ConfigError(f"{path}: report and schedule name one file, {schedule!r}")
+        return outputs
     low, high = row.items
     if not isinstance(obj, list) or not low <= len(obj) <= high:
         raise ConfigError(f"{path}: expected a list of {low} to {high} {_ENTRIES[row.kind]}")
@@ -588,13 +592,9 @@ def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": passed, "detail": detail}
 
 
-def _schedule_section(schedule, lines, cfg: dict, out_dir: str) -> tuple[dict, list]:
-    """A wire report's ``"schedule"`` object and its replay and line checks;
-    writes the schedule file if the config names one."""
+def _schedule_section(schedule, lines) -> tuple[dict, list]:
+    """A wire report's ``"schedule"`` object and its replay and line checks."""
     violations, line_check = _replay_and_lines(schedule, lines)
-    if cfg["outputs"]["schedule"]:
-        path = os.path.join(out_dir, cfg["outputs"]["schedule"])
-        _write_text((path, _json_parts(schedule, lines)))
     obj = {
         "n_windows": schedule.n_windows,
         "makespan_ns": schedule.makespan_ns,
@@ -707,14 +707,16 @@ def _cmd_run(args) -> int:
     entries, wire = run(cfg, spec, design)
     report = {"experiment": cfg["experiment"], "design": _design_obj(design), "eps_high_mhz": eps}
     report |= entries
-    checks = []
+    checks, files = [], []
     if wire:
         report["n_qubits"] = spec.n_qubits
-        report["schedule"], checks = _schedule_section(*wire, cfg, out_dir)
+        report["schedule"], checks = _schedule_section(*wire)
+        if cfg["outputs"]["schedule"]:
+            files.append((os.path.join(out_dir, cfg["outputs"]["schedule"]), _json_parts(*wire)))
     checks += _grade(report, cfg)
     report["assertions"] = {"checks": checks, "passed": all(c["passed"] for c in checks)}
     report_path = os.path.join(out_dir, cfg["outputs"]["report"])
-    _write_text((report_path, [_dump_json(report)]))
+    _write_text(*files, (report_path, [_dump_json(report)]))  # both files or neither
     for check in checks:
         print(f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}: {check['detail']}")
     print(f"report: {report_path}")

@@ -2,9 +2,14 @@
 
 A reduced-mode pulse acts on (left, target, right) and is diagonal in the
 neighbours, and the scheduler keeps in-flight data three sites apart, so no
-cut carries more than one entangled pair: the state is an MPS of bond
-dimension <= 2 and a wire costs O(L), not O(2^L).  Nothing here assumes that
-bound; a schedule that entangles more grows the bonds.
+cut carries more than one entangled pair (none once a swap's three windows
+are one layer) and a wire costs O(L), not O(2^L).  While every bond is 1 the
+tensors are ``(1, 2, 1)`` views of the rows of one ``(L, 2)`` array, the
+chain, which 1- and 2-site updates gather and write, a pair split by one
+stacked 2x2 SVD whose second singular value is the rank check.  A wider
+block, or a pair that keeps that value, goes to the Vidal tensors for good
+(assigning a site drops the chain), and a schedule that entangles grows
+the bonds.
 
 The MPS is in Vidal's form (PRL 91, 147902 (2003)), with no orthogonality
 centre: ``lambdas[i]`` are the Schmidt values of the cut left of qubit i and
@@ -16,8 +21,8 @@ tensor and one bond.  A k-site unitary splits back from the right by k - 1
 SVDs of the lambda-weighted block, each keeping ``V^dagger`` and carrying
 the block times ``V`` on, so no lambda is divided by (Hastings, J. Math.
 Phys. 50, 095207 (2009)); singular values at or below ``TRUNCATION_RTOL`` of
-the largest are dropped.  Every update replaces arrays, and no two sites
-share one, so :meth:`MPS._drop` zeroes a dropped slice in place.
+the largest are dropped.  No two sites share memory, so rows and dropped
+slices are written in place.
 """
 
 from __future__ import annotations
@@ -36,6 +41,14 @@ __all__ = ["TRUNCATION_RTOL", "MPS"]
 TRUNCATION_RTOL = 1e-14
 
 
+class _Sites(list):
+    """Site tensors; while ``chain`` is not None, views of its rows."""
+
+    def __setitem__(self, i, tensor) -> None:
+        self.chain = None  # a site assigned is no row of the chain
+        super().__setitem__(i, tensor)
+
+
 class MPS:
     """Pure state of ``n_qubits`` qubits in Vidal form (``tensors``, and
     ``lambdas`` with ends [1]), updated in place as ``QuantumState`` is.
@@ -47,7 +60,9 @@ class MPS:
     def __init__(self, n_qubits: int):
         """Product state |0...0>."""
         n_qubits = _integer(n_qubits, "n_qubits", low=1)
-        self.tensors = [np.array([[[1.0], [0.0]]], dtype=complex) for _ in range(n_qubits)]
+        chain = np.eye(1, 2, dtype=complex).repeat(n_qubits, 0)
+        self.tensors = _Sites(chain.reshape(n_qubits, 1, 2, 1))
+        self.tensors.chain = chain
         self.lambdas = [np.ones(1) for _ in range(n_qubits + 1)]
         self.max_bond = 1
         self.discarded_weight = 0.0
@@ -84,9 +99,11 @@ class MPS:
 
     def _update(self, ops: Sequence[np.ndarray], firsts: Sequence[int]) -> None:
         """Apply ``k``-site unitaries on disjoint blocks of one shape starting at
-        ``firsts``: one product of the stacked operators, k - 1 stacked splits."""
+        ``firsts``: :meth:`_rows`, else one stacked product, k - 1 stacked splits."""
         t, lam = self.tensors, self.lambdas
         g, k = len(ops), ops[0].shape[0].bit_length() - 1
+        if t.chain is not None and k <= 2 and self._rows(np.array(ops), list(firsts), k):
+            return
         theta = np.array([t[a] for a in firsts])
         dl, right = theta.shape[1], [t[firsts[0] + k - 1].shape[2]] * g
         for i in range(1, k):
@@ -106,24 +123,42 @@ class MPS:
         for j, a in enumerate(firsts):
             t[a] = theta[j, :, :, :right[j]]
 
+    def _rows(self, ops: np.ndarray, firsts: list, k: int) -> bool:
+        """:meth:`_update` of 1- or 2-site blocks on the chain's rows, a pair split
+        as the Vidal path splits it; False, changing nothing, if one keeps two."""
+        chain, lam = self.tensors.chain, self.lambdas
+        if k == 1:
+            chain[firsts] = (ops @ chain.take(firsts, 0)[:, :, None])[:, :, 0]
+            return True
+        flat = [i for a in firsts for i in range(2 * a, 2 * a + 4)]  # the pairs' rows
+        x = chain.take(flat).reshape(-1, 2)
+        theta = (ops @ (x[0::2, :, None] * x[1::2, None, :]).reshape(-1, 4, 1)).reshape(-1, 2, 2)
+        _, s, vh = np.linalg.svd(np.array([lam[a][0] for a in firsts])[:, None, None] * theta)
+        pairs = s.tolist()
+        if any(s1 > TRUNCATION_RTOL * s0 for s0, s1 in pairs):
+            return False
+        for s0, s1 in pairs:  # as _svd counts a dropped value
+            self.discarded_weight += s1 * s1 / (s0 * s0 + s1 * s1)
+        x[0::2], x[1::2] = (theta @ vh.conj().transpose(0, 2, 1))[:, :, 0], vh[:, 0]
+        chain.put(flat, x)
+        for a, row in zip(firsts, s[:, :1]):
+            lam[a + 1] = row
+        return True
+
     def _basis_values(self, qubits: Collection[int]) -> tuple[list[int | None], dict]:
         """Each qubit's z value, +1 for |0> and -1 for |1>, if it is frozen in a
-        basis state, else None, from its tensor and left bond, in one stacked
-        pass per tensor shape; the qubits must be in the chain.  Frozen means
-        the other slice holds at most ``TRUNCATION_RTOL**2`` of its weight, as
-        in a split; the drops map each frozen qubit whose other slice is not
-        zero to ``(slice, share of the weight)``, for :meth:`_drop`."""
-        t, lam, by_shape, weights = self.tensors, self.lambdas, {}, {}
-        for q in qubits:
-            by_shape.setdefault(t[q].shape, []).append(q)
-        for (dl, _, _), same in by_shape.items():
-            w = abs(np.array([t[q] for q in same])) ** 2
-            if dl > 1:  # a bond of dimension 1 weighs both slices alike
-                w *= np.array([lam[q] for q in same])[:, :, None, None] ** 2
-            weights.update(zip(same, w.sum((1, 3)).tolist()))
+        basis state, else None, from its row of the chain, or its tensor and
+        left bond; the qubits must be in the chain.  Frozen means the other
+        slice holds at most ``TRUNCATION_RTOL**2`` of its weight, as in a split;
+        the drops map each frozen qubit whose other slice is not zero to
+        ``(slice, share of the weight)``, for :meth:`_drop`."""
+        t, lam = self.tensors, self.lambdas
+        if t.chain is not None:
+            rows = (abs(t.chain.take(qubits, 0)) ** 2).tolist()
+        else:
+            rows = [(abs(lam[q][:, None, None] * t[q]) ** 2).sum((0, 2)).tolist() for q in qubits]
         values, drops = [], {}
-        for q in qubits:
-            w = weights[q]
+        for q, w in zip(qubits, rows):
             cut = TRUNCATION_RTOL**2 * (w[0] + w[1])
             z = 1 if w[1] <= cut else -1 if w[0] <= cut else None
             other = int(z == 1)  # the slice a frozen qubit drops
@@ -178,8 +213,9 @@ class MPS:
             op, d = pulse(q, left, right), 2 << last - first
             if op.shape != (d, d):
                 raise ValueError(f"block [{first}, {last + 1}) needs a {d} x {d} operator, got {op.shape}")
-            # two blocks over one neighbour commute but cannot share a stacked update
-            key = q if first in shared or last in shared else tuple(x.shape for x in t[first:last + 1])
+            # a block over a shared neighbour goes alone (key q); rows group by (size,), tensors by shapes
+            key = (q if first in shared or last in shared else (last - first,) if t.chain is not None
+                   else tuple(x.shape for x in t[first:last + 1]))
             groups.setdefault(key, []).append((op, first))
         self._drop(drops)
         for blocks in groups.values():
@@ -192,13 +228,16 @@ class MPS:
         rho2 = m.reshape(2, -1) @ m.reshape(2, -1).conj().T
         return rho2, float(np.trace(rho2 @ rho2).real)
 
-    def _project(self, qubit: int, rho2: np.ndarray, local: np.ndarray) -> None:
+    def _project(self, qubit: int, local: np.ndarray) -> None:
         """Keep the qubit's dominant local branch ``M``, renormalise and tensor
         ``local`` in.  The qubit factors out, so both its bonds take the values
         ``s`` of ``lambda M = U s V^dagger``; ``M V`` and ``V^dagger`` move into
         its neighbours, each side re-split outward to a bond of dimension 1."""
         t, lam = self.tensors, self.lambdas
-        evals, evecs = np.linalg.eigh(rho2)
+        if t.chain is not None:  # a row is its own branch
+            t.chain[qubit] = local
+            return
+        evals, evecs = np.linalg.eigh(self.reduced_state(qubit)[0])
         rest = evecs[:, int(np.argmax(evals))].conj() @ t[qubit]
         core = rest / np.linalg.norm(rest)
         if rest.size > 1:
@@ -241,7 +280,7 @@ class MPS:
     def reset(self, qubit: int) -> None:
         """Re-prepare the qubit in |0>, even if entangled: a pure state cannot hold
         the mixture tracing it out leaves, so it keeps its dominant local branch."""
-        self._project(qubit, self.reduced_state(qubit)[0], np.array([1.0, 0.0], dtype=complex))
+        self._project(_qubit(qubit, self.n_qubits), np.array([1.0, 0.0], dtype=complex))
 
     def inject(self, qubit: int, amplitudes: Sequence[complex]) -> None:
         """Overwrite one separable qubit with a fresh single-qubit pure state,
@@ -249,6 +288,5 @@ class MPS:
         :class:`~swapchannel.evolve.EntanglementError` if the qubit's purity
         is below ``1 - INJECT_PURITY_TOL``, as ``QuantumState.inject`` does."""
         target = _checked_amplitudes(amplitudes)
-        rho2, purity = self.reduced_state(qubit)
-        _require_separable(qubit, purity)
-        self._project(qubit, rho2, target)
+        _require_separable(qubit, self.reduced_state(qubit)[1])
+        self._project(qubit, target)

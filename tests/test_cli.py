@@ -925,6 +925,22 @@ class TestRunCommand:
         assert code == 0
         assert peak < 1.5 * (tmp_path / cfg["outputs"]["schedule"]).stat().st_size
 
+    @pytest.mark.parametrize("name", ["fig2_quantum_wire", "fig4_classical_wire"])
+    def test_an_unwritable_report_leaves_no_schedule_file(self, capsys, tmp_path, name):
+        # the report names a directory inside --out-dir: the schedule file and
+        # the report are written together, once both are built, so the run
+        # exits 1 and leaves neither (the schedule file was written first)
+        cfg = cli._load_config(name)
+        cfg["outputs"]["report"] = "report"
+        out_dir = tmp_path / "out"
+        (out_dir / "report").mkdir(parents=True)
+        path = tmp_path / "wire.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {str(out_dir / 'report')!r}: it names a directory\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["report"]
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -1163,6 +1179,19 @@ class TestRunRefusesBadValuesBeforeRunning:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and fragment in err
+
+    @pytest.mark.parametrize("report, schedule", [
+        ("wire.json", "wire.json"), ("wire.json", "./wire.json"), ("sub/wire.json", "sub//wire.json"),
+    ], ids=["one-name", "dot-slash", "double-slash"])
+    def test_report_and_schedule_at_one_path_exit_1(self, capsys, tmp_path, report, schedule):
+        # the report would overwrite the schedule file: refused before the run
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"experiment": "quantum_wire",
+                                    "outputs": {"report": report, "schedule": schedule}}))
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: config.outputs: report and schedule name one file, {schedule!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.json"]
 
     @pytest.mark.parametrize(
         "cfg, fragment",

@@ -995,6 +995,171 @@ class TestSwapTriples:
         assert _snapshot(mps) == before
 
 
+def _random_runs(rng, n, width):
+    """1 or more runs of ``width`` qubits, no two of them overlapping or
+    touching: k sorted draws from n - k * width + 1 places, the i-th moved
+    up by i * width."""
+    k = int(rng.integers(1, (n + 1) // (width + 1) + 1))
+    places = np.sort(rng.choice(n - k * width + 1, size=k, replace=False))
+    return [int(c) + i * width for i, c in enumerate(places)]
+
+
+def _controlled(us, left, right):
+    """The block operator, in chain order, of a run pulsed by ``us[c]`` when
+    its live (None) outer neighbours read the basis state c: diagonal in
+    them, as a reduced pulse is, so the blocks of one layer commute."""
+    live = [side is None for side in (left, right)]
+    op = 0
+    for c, u in enumerate(us):
+        bits = iter(np.unravel_index(c, (2,) * sum(live)))
+        for i, is_live in enumerate(live):
+            if is_live:
+                p = np.diag(np.eye(2)[next(bits)])
+                u = np.kron(p, u) if i == 0 else np.kron(u, p)
+        op = op + u
+    return op
+
+
+def _on_every_run(op):
+    """A pulse that applies ``op`` to its run, whatever its live neighbours read."""
+    return lambda q, left, right: _controlled([op] * (1 << ((left is None) + (right is None))), left, right)
+
+
+def _oracle_layer(oracle, firsts, pulse, width):
+    """:meth:`MPS.apply_layer` on the mixed-canonical oracle: every outer
+    neighbour read first (0 past a chain end), then each run's block."""
+    n = oracle.n_qubits
+    z = {p: oracle.basis_value(p) for q in firsts for p in (q - 1, q + width) if 0 <= p < n}
+    for q in firsts:
+        left, right = z.get(q - 1, 0), z.get(q + width, 0)
+        oracle.apply(pulse(q, left, right), q - (left is None))
+
+
+class TestChain:
+    """While every bond is 1 the MPS runs on the rows of one (L, 2) array and
+    moves to the Vidal tensors at the first block that needs them."""
+
+    def test_designed_wire_keeps_no_layer_stack_alive(self, design, rng, mps_spy):
+        # every tensor is a view of the chain's row, so the arrays they keep
+        # alive total the chain alone, not the stacks of the layers that
+        # wrote them (each view once kept its layer's whole stack alive)
+        n = 64
+        spec = chain_for(design, n, eps_high=SNAP_EPS)
+        sch, _ = quantum_channel_schedule(spec, 8, design.t_ns)
+        run_quantum_channel(spec, sch, _random_states(rng, 8), mode="reduced")
+        (mps,) = mps_spy
+        roots = {}
+        for t in mps.tensors:
+            while isinstance(t.base, np.ndarray):
+                t = t.base
+            roots[id(t)] = t.nbytes
+        assert mps.max_bond == 1
+        assert sum(roots.values()) <= 2 * n * 2 * np.dtype(complex).itemsize
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 7))
+    def test_random_layers_cross_to_vidal_tensors(self, seed, n):
+        # layers of 1- and 2-site runs, each pulse controlled by its live
+        # neighbours; a product layer keeps the chain, and a forced layer of
+        # entangling pairs (a block that keeps two singular values, or one
+        # over live neighbours) moves the state to the Vidal tensors for good
+        rng = np.random.default_rng(seed)
+        mps, oracle = MPS.ground(n), CanonicalMPS.ground(n)
+        crossing = int(rng.integers(1, 8))
+        for step in range(10):
+            width = 2 if step == crossing else int(rng.integers(1, 3))
+            firsts = _random_runs(rng, n, width)
+            entangling = step == crossing or (step > 0 and rng.random() < 0.3)
+            ops = {}
+
+            def pulse(q, left, right):
+                if (q, left, right) not in ops:
+                    us = [random_unitary(rng, 1 << width) if width == 1 or entangling
+                          else np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+                          for _ in range(1 << ((left is None) + (right is None)))]
+                    ops[q, left, right] = _controlled(us, left, right)
+                return ops[q, left, right]
+
+            mps.apply_layer(firsts, pulse, width)
+            _oracle_layer(oracle, firsts, pulse, width)
+            if step == 0:
+                assert mps.tensors.chain is not None  # a layer of product blocks
+            elif step >= crossing:
+                assert mps.tensors.chain is None
+            assert mps.tensors.chain is None or mps.max_bond == 1
+            for p in range(n):
+                (rho_m, pur_m), (rho_o, pur_o) = mps.reduced_state(p), oracle.reduced_state(p)
+                assert_allclose(rho_m, rho_o, rtol=0, atol=1e-12)
+                assert_allclose(pur_m, pur_o, rtol=0, atol=1e-12)
+            assert_allclose(mps.trace(), oracle.trace(), rtol=0, atol=1e-12)
+        assert mps.tensors.chain is None
+        assert mps.max_bond == oracle.max_bond > 1
+        assert mps.discarded_weight < 1e-28 and oracle.discarded_weight < 1e-28
+        assert_canonical(mps)
+
+    def test_a_pair_that_keeps_two_values_runs_as_the_vidal_path_does(self, rng, monkeypatch):
+        # a product pair, then an entangling gate on it: the second layer's
+        # rank check fails, and the layer runs on the Vidal tensors from the
+        # unchanged rows, to the state of a run that never had a chain
+        n = 5
+        layers = [([1], 2, np.kron(random_unitary(rng, 2), random_unitary(rng, 2))),
+                  ([1], 2, random_unitary(rng, 4)),
+                  ([0, 3], 1, random_unitary(rng, 2))]
+        chained, vidal = MPS.ground(n), MPS.ground(n)
+        vidal.tensors[0] = vidal.tensors[0].copy()  # a site assigned: no chain
+        assert chained.tensors.chain is not None and vidal.tensors.chain is None
+        kept, rows = [], MPS._rows
+        monkeypatch.setattr(MPS, "_rows", lambda self, *a: kept.append(rows(self, *a)) or kept[-1])
+        for firsts, width, op in layers:
+            for state in (chained, vidal):
+                state.apply_layer(firsts, _on_every_run(op), width)
+        assert kept == [True, False]
+        assert chained.tensors.chain is None
+        assert _snapshot(chained) == _snapshot(vidal)
+        assert chained.max_bond == 2
+
+    def test_blocks_over_a_shared_neighbour_and_lone_blocks_go_apart(self, rng):
+        # qubit 1 live, 4 and 6 frozen: the blocks [0, 2) and [1, 3) over the
+        # shared neighbour 1 go on their own, and the lone block [5, 6) joins
+        # no group of theirs, whatever sizes and first qubits they have
+        n = 7
+        mps, oracle = MPS.ground(n), CanonicalMPS.ground(n)
+        ops = {}
+
+        def pulse(q, left, right):
+            if (q, left, right) not in ops:
+                us = [random_unitary(rng, 2) for _ in range(1 << ((left is None) + (right is None)))]
+                ops[q, left, right] = _controlled(us, left, right)
+            return ops[q, left, right]
+
+        for firsts in ([1], [0, 2, 5]):
+            mps.apply_layer(firsts, pulse)
+            _oracle_layer(oracle, firsts, pulse, 1)
+        assert ops.keys() >= {(0, 0, None), (2, None, 1), (5, 1, 1)}
+        for p in range(n):
+            assert_allclose(mps.reduced_state(p)[0], oracle.reduced_state(p)[0], rtol=0, atol=1e-12)
+        assert mps.max_bond == oracle.max_bond
+
+    def test_product_resets_and_injects_write_the_row(self, rng):
+        # a row of the chain is its qubit's only branch: a reset or an inject
+        # writes the new state in place, and the reads match the Vidal path's
+        n = 4
+        chained, vidal = MPS.ground(n), MPS.ground(n)
+        vidal.tensors[0] = vidal.tensors[0].copy()
+        u = random_unitary(rng, 2)
+        for state in (chained, vidal):
+            state.apply_layer([0, 2], _on_every_run(u))
+        row = chained.tensors[2]
+        amps = random_qubit_amplitudes(rng)
+        for state in (chained, vidal):
+            state.reset(0)
+            state.inject(2, amps)
+        assert chained.tensors[2] is row and chained.tensors.chain is not None
+        assert_allclose(chained.tensors.chain[[0, 2]], [[1.0, 0.0], amps], rtol=0, atol=0)
+        for p in range(n):
+            assert_allclose(chained.reduced_state(p)[0], vidal.reduced_state(p)[0], rtol=0, atol=1e-15)
+
+
 class TestKeptWeights:
     """:meth:`MPS._basis_values` weighs a site from the arrays it holds at the
     read, so an array assigned from outside is read, not shadowed."""
