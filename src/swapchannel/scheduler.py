@@ -53,6 +53,12 @@ _KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
 _NO_DATA = -1
 
 _FORMAT_TAG = "swapchannel-schedule/1"
+#: The writer's separators, which the parser cuts a file at: the first window's opening,
+#: the keys of its duration, events and start, the next window's opening, the file's end.
+_OPEN = ',\n  "windows": [\n    {\n      "biases_mhz": '
+_KEYS = (',\n      "duration_ns": ', ',\n      "events": ', ',\n      "start_ns": ')
+_NEXT = '\n    },\n    {\n      "biases_mhz": '
+_END = "\n    }\n  ]\n}\n"
 #: Entries of the parser's number cache.
 _CACHED_NUMBERS = 1024
 
@@ -197,8 +203,9 @@ class PulseSchedule:
         if not isinstance(events, np.ndarray):
             starts = _column(starts, _only(starts, float), _number, "start_ns")
             durations = _column(durations, _only(durations, float), _number, "duration_ns", low=0)
-            rows = _column(biases, _only(biases, list, tuple)
-                           and _only(chain.from_iterable(biases), float), _numbers, "biases_mhz")
+            shared = {id(row): row for row in biases}.values()  # a file's repeats are one row
+            rows = _column(biases, _only(shared, list, tuple)
+                           and _only(chain.from_iterable(shared), float), _numbers, "biases_mhz")
             window, kind, qubit, data = events
             kind = _column(kind, _only(kind, str) and set(kind) <= _KIND_CODE.keys(), _kind,
                            "event kind", window, n_windows)
@@ -213,7 +220,9 @@ class PulseSchedule:
                 k = next(len(row) for row in rows if len(row) != n_qubits)
                 raise ScheduleError(f"window has {k} biases for n_qubits={n_qubits}")
             numbered, pack = {}, struct.Struct(f"{n_qubits if rows else 0}d").pack
-            of = [numbered.setdefault(pack(*row), (len(numbered), row))[0] for row in rows]
+            number = {i: numbered.setdefault(pack(*row), (len(numbered), row))[0]
+                      for i, row in {id(row): row for row in rows}.items()}
+            of = [number[id(row)] for row in rows]
             biases = [row for _, row in numbered.values()], of
         # only a window-less schedule may have more qubits than numpy can shape
         width = n_qubits if n_qubits <= np.iinfo(np.intp).max else 0
@@ -763,11 +772,10 @@ def _json_parts(schedule: PulseSchedule, assignment: LineAssignment | None) -> I
         f'\n  "format": {_json_value(_FORMAT_TAG)},'
         f'\n  "label": {_json_value(schedule.label)},'
         f'\n  "lines": {lines},'
-        f'\n  "n_qubits": {_json_value(schedule.n_qubits)},'
-        '\n  "windows": '
+        f'\n  "n_qubits": {_json_value(schedule.n_qubits)}'
     )
     if not schedule.n_windows:
-        yield head + "[]\n}\n"
+        yield head + ',\n  "windows": []\n}\n'
         return
     # an event's number among the distinct entries, by its code kind + k * qubit
     # + k * n_qubits * (data_index + 1) for k kinds (Python ints past int64)
@@ -780,16 +788,14 @@ def _json_parts(schedule: PulseSchedule, assignment: LineAssignment | None) -> I
     # an item of the top-level "windows" array: brace at 4 spaces, keys at 6
     texts = [_json_event(e, "        ") for e in entries[first].tolist()]
     bias_texts = [_json_list(list(map(repr, row)), "      ") for row in schedule.profiles.tolist()]
-    close = head + "[\n    "
+    close = head + _OPEN
     for p, duration, a, b, start in zip(schedule.profile_of.tolist(), schedule.durations.tolist(),
                                         cuts, cuts[1:], schedule.starts.tolist()):
-        yield from (close, '{\n      "biases_mhz": ', bias_texts[p],
-                    ',\n      "duration_ns": ', repr(duration),
-                    ',\n      "events": ',
+        yield from (close, bias_texts[p], _KEYS[0], repr(duration), _KEYS[1],
                     _json_list(list(map(texts.__getitem__, number[a:b].tolist())), "      "),
-                    ',\n      "start_ns": ', repr(start))
-        close = "\n    },\n    "
-    yield "\n    }\n  ]\n}\n"
+                    _KEYS[2], repr(start))
+        close = _NEXT
+    yield _END
 
 
 def schedule_to_json(schedule: PulseSchedule, assignment: LineAssignment | None = None) -> str:
@@ -806,29 +812,68 @@ def schedule_to_json(schedule: PulseSchedule, assignment: LineAssignment | None 
     return "".join(_json_parts(schedule, assignment))
 
 
+def _by_layout(text: str, decode) -> tuple[dict, tuple]:
+    """The head object and ``(starts, durations, biases, events)`` columns of a text in
+    :func:`_json_parts`' layout: the head decoded as ``text[:cut] + "}"``, then each window's
+    four values, each distinct piece decoded once inside three arrays (its depth in the file,
+    so the recursion limit falls as for the whole text).  Every separator holds a newline,
+    which no JSON string or number can, and the non-empty head and each piece decode whole:
+    this is the text's parse.  ValueError where a cut or a decode fails."""
+    if not isinstance(text, str) or not text.endswith(_END):
+        raise ValueError("not in the writer's layout")
+    cut, stop = text.index(_OPEN), len(text) - len(_END)
+    head = decode(text[:cut] + "}")
+    if type(head) is not dict or not head:
+        raise ValueError("not in the writer's layout")
+    pieces, columns, at = {}, ([], [], [], []), cut + len(_OPEN)
+    while at <= stop:
+        for column, sep in zip(columns, (*_KEYS, _NEXT)):
+            end = text.find(sep, at, stop) if sep is _NEXT else text.index(sep, at, stop)
+            end = stop if end < 0 else end  # only the last window's start runs on to the end
+            piece = text[at:end]
+            if piece not in pieces:  # a membership test: null decodes to None
+                ((pieces[piece],),), = decode(f"[[[{piece}]]]")  # one value, or ValueError
+            column.append(pieces[piece])
+            at = end + len(sep)
+    biases, durations, events, starts = columns
+    return head, (starts, durations, biases, events)
+
+
 def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]:
-    """Parse a schedule file.  Every field must have its JSON type (integers
-    for ``n_qubits``, qubits, data indices and lines, numbers for times and
-    biases, a string ``label``): nothing is coerced.  The parser only finds
-    each field's values; :class:`PulseSchedule` checks them.  A number text
-    repeated in the file is one float, and the document is dropped first."""
+    """Parse a schedule file.  Every field must have its JSON type (integers for
+    ``n_qubits``, qubits, data indices and lines, numbers for times and biases, a string
+    ``label``, arrays for ``windows``, ``final_events`` and a window's ``events``): nothing
+    is coerced.  A file in the writer's layout is read piece by piece (:func:`_by_layout`);
+    any other text is decoded whole, with one result and one message either way.  A number
+    text repeated in the file is one float.  The parser only finds each field's values and
+    drops the document; :class:`PulseSchedule` checks them."""
+    floats = _Floats()
     try:
-        obj = json.loads(text, parse_float=_Floats().__getitem__)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ScheduleError(f"schedule file is not valid JSON: {exc}") from exc
+        obj, columns = _by_layout(text, json.JSONDecoder(parse_float=floats.__getitem__).decode)
+    except (ValueError, RecursionError):
+        try:
+            obj, columns = json.loads(text, parse_float=floats.__getitem__), None
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ScheduleError(f"schedule file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != _FORMAT_TAG:
         raise ScheduleError(f"not a {_FORMAT_TAG} document")
     try:
-        n_qubits, windows = obj["n_qubits"], obj["windows"]
-        starts, durations, biases, events = ([w[key] for w in windows] for key in (
-            "start_ns", "duration_ns", "biases_mhz", "events"))
-        window, flat = _flat([*events, obj["final_events"]])
+        n_qubits = obj["n_qubits"]
+        if columns is None:  # decoded whole
+            windows = _array(obj["windows"], "windows must be an array")
+            columns = [[w[key] for w in windows]
+                       for key in ("start_ns", "duration_ns", "biases_mhz", "events")]
+            del windows
+        starts, durations, biases, events = columns
+        events = [e if type(e) is list else _array(e, f"window {i}: events must be an array")
+                  for i, e in enumerate(events)]
+        window, flat = _flat([*events, _array(obj["final_events"], "final_events must be an array")])
         kinds, qubits = ([e[key] for e in flat] for key in ("kind", "qubit"))
         columns = [window, kinds, qubits, [e.get("data_index") for e in flat]]
         label, lines_obj = obj.get("label", ""), obj.get("lines")
     except (KeyError, TypeError) as exc:
         raise ScheduleError(f"malformed schedule document: {exc}") from exc
-    del obj, windows, events, flat
+    del obj, events, flat
     schedule = PulseSchedule._from_arrays(n_qubits, label, starts, durations, biases, columns)
     if lines_obj is None:
         return schedule, None

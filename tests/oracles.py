@@ -34,7 +34,10 @@ block over its neighbours, two SVDs to split, even where a neighbour is
 frozen in a basis state.  The mirrored schedule is the
 paper's bi-directional claim as a test input: the same wire run right to
 left.  The schedule rows are the schedule's former row views (``windows``
-and ``final_events``), rebuilt from its arrays for the row-based oracles."""
+and ``final_events``), rebuilt from its arrays for the row-based oracles.  The
+whole-document parser is the package's former schedule reader: ``json.loads``
+of the whole file, then each field's values, with the refusal of a
+``windows``, ``final_events`` or window ``events`` that is not an array."""
 
 import json
 from typing import Callable, Sequence
@@ -53,7 +56,8 @@ from swapchannel.runner import _frame_diagonal, compute_frame_correction
 from swapchannel.scheduler import (
     BOUNDARY_KINDS, EVENT_KINDS, GATE_KINDS, LineAssignment, LineCheckReport, PulseEvent, PulseSchedule,
     ReadRecord,
-    ReplayResult, ScheduleError, Violation, Window, _classical_lines, _quantum_lines,
+    ReplayResult, ScheduleError, Violation, Window, _array, _classical_lines, _flat,
+    _quantum_lines,
 )
 
 def schedule_rows(schedule) -> tuple[tuple, tuple]:
@@ -364,6 +368,36 @@ def json_dumps_schedule(schedule, assignment=None) -> str:
         else {"map": list(assignment.lines), "n_lines": assignment.n_lines},
     }
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def whole_document_schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]:
+    """``schedule_from_json`` by ``json.loads`` of the whole text, for every file."""
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ScheduleError(f"schedule file is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict) or obj.get("format") != "swapchannel-schedule/1":
+        raise ScheduleError("not a swapchannel-schedule/1 document")
+    try:
+        n_qubits = obj["n_qubits"]
+        windows = _array(obj["windows"], "windows must be an array")
+        starts, durations, biases, events = ([w[key] for w in windows] for key in (
+            "start_ns", "duration_ns", "biases_mhz", "events"))
+        for i, e in enumerate(events):
+            _array(e, f"window {i}: events must be an array")
+        window, flat = _flat([*events, _array(obj["final_events"], "final_events must be an array")])
+        kinds, qubits = ([e[key] for e in flat] for key in ("kind", "qubit"))
+        columns = [window, kinds, qubits, [e.get("data_index") for e in flat]]
+        label, lines_obj = obj.get("label", ""), obj.get("lines")
+    except (KeyError, TypeError) as exc:
+        raise ScheduleError(f"malformed schedule document: {exc}") from exc
+    schedule = PulseSchedule._from_arrays(n_qubits, label, starts, durations, biases, columns)
+    if lines_obj is None:
+        return schedule, None
+    try:
+        return schedule, LineAssignment(lines=lines_obj["map"], n_lines=lines_obj["n_lines"])
+    except (KeyError, TypeError) as exc:
+        raise ScheduleError(f"malformed line assignment: {exc}") from exc
 
 
 def hold_bias_swap_pulses(spec, left, right, t_ns, start_ns=0.0) -> PulseSchedule:

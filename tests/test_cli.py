@@ -330,6 +330,10 @@ class TestValidateRefusesBadScheduleFiles:
              "data_index must be >= 0, got -7"),
             (lambda d: d["lines"].update(map=[None] * 5, n_lines=-7),
              "lines.n_lines must be >= 0, got -7"),
+            (lambda d: d.update(windows={}), "windows must be an array, got {}"),
+            (lambda d: d.update(final_events=""), "final_events must be an array, got ''"),
+            (lambda d: d["windows"][3].update(events={}),
+             "window 3: events must be an array, got {}"),
         ],
         ids=["nan-bias", "inf-bias", "nan-start", "inf-duration", "negative-duration",
              "overlap", "inject-null-data-index", "float-qubit", "bool-qubit",
@@ -337,7 +341,8 @@ class TestValidateRefusesBadScheduleFiles:
              "object-biases", "string-bias", "bool-bias", "float-n-qubits", "string-start",
              "bool-duration", "huge-int-start", "float-line", "string-line",
              "float-n-lines", "list-label", "negative-data-index",
-             "negative-final-data-index", "negative-n-lines"],
+             "negative-final-data-index", "negative-n-lines", "object-windows",
+             "string-final-events", "object-events"],
     )
     def test_exits_1_with_message(self, capsys, tmp_path, edit, fragment):
         code, out, _ = run_cli(

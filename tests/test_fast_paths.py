@@ -7,6 +7,9 @@ the array generators and the replay over the event table against the
 object-building generators and the replay over ``Window`` rows."""
 
 import json
+import pathlib
+import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +30,7 @@ from oracles import (
     loop_replay_occupancy,
     schedule_rows,
     set_match_pairs,
+    whole_document_schedule_from_json,
 )
 from swapchannel import (
     ChainSpec,
@@ -44,7 +48,8 @@ from swapchannel import (
     solve_parameters,
 )
 from swapchannel.scheduler import (
-    _CACHED_NUMBERS, EVENT_KINDS, _match_pairs, replay_occupancy
+    _CACHED_NUMBERS, _END, _KEYS, _NEXT, _OPEN, EVENT_KINDS, _by_layout, _match_pairs,
+    replay_occupancy
 )
 
 DESIGN = solve_parameters(10.0, m=1, n=0)  # the ``design`` fixture, for @given tests
@@ -389,6 +394,166 @@ class TestScheduleWriter:
         sch = PulseSchedule(n_qubits=1, windows=())
         assert schedule_to_json(sch) == json_dumps_schedule(sch)
         assert '"windows": []' in schedule_to_json(sch)
+
+
+def _parsed(parse, text):
+    """What ``parse(text)`` gives, with the bytes of its float arrays and its
+    profile indices, or the type and message of the ValueError it raises (a
+    ScheduleError, or json's refusal of an integer past its digit limit)."""
+    try:
+        schedule, lines = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (schedule, lines, schedule.profiles.tobytes(), schedule.profile_of.tolist(),
+            schedule.starts.tobytes(), schedule.durations.tobytes())
+
+
+def assert_parses_as_whole(text):
+    """The parser reads ``text`` as the whole-document reader does."""
+    assert _parsed(schedule_from_json, text) == _parsed(whole_document_schedule_from_json, text)
+
+
+def assert_layout_path(text):
+    """``text`` is read piece by piece, and the pieces are ``json.loads``'s document."""
+    head, columns = _by_layout(text, json.JSONDecoder().decode)
+    doc = json.loads(text)
+    windows = doc.pop("windows")
+    assert head == doc
+    assert list(columns) == [[w[key] for w in windows]
+                             for key in ("start_ns", "duration_ns", "biases_mhz", "events")]
+
+
+_SEPARATORS = (_OPEN, *_KEYS, _NEXT, _END)
+_SEPARATOR = re.compile("|".join(map(re.escape, _SEPARATORS)))
+#: Text that is not one JSON value: stray characters, a value cut short, a value
+#: with trailing data.
+_BROKEN = st.one_of(
+    st.text(alphabet=st.sampled_from('[]{},:" \n\t0123456789.-eEnultrfas'), max_size=12),
+    st.sampled_from(["[1.0", "{", '"ab', "1.0 2.0", "[] []", "0]]],[[[1", "null]]] [[[null",
+                     '{"kind": "inject"} 1', "1.0\n    },\n    {"]),
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["kind", "qubit", "data_index", "windows", "x"]), inner, max_size=3),
+    max_leaves=6)
+_EVENT_VALUES = st.lists(st.fixed_dictionaries(
+    {"kind": st.sampled_from(EVENT_KINDS), "qubit": st.integers(0, 3)},
+    optional={"data_index": st.none() | st.integers(0, 3)}), max_size=3)
+
+
+@st.composite
+def layout_texts(draw):
+    """A writer's text with one to three edits: a piece (a value between two of
+    the writer's separators) swapped for another piece, JSON or broken text; a
+    separator or whitespace inserted, or a character deleted, anywhere; a window
+    repeated; the head cut to ``{``; a second ``"windows"`` key in the head; or
+    the windows separator nested inside ``lines``."""
+    text = schedule_to_json(*draw(schedules(min_windows=1)))
+    for edit in draw(st.lists(st.sampled_from(["piece", "insert", "delete", "repeat", "head",
+                                               "windows", "lines"]), min_size=1, max_size=3)):
+        marks = list(_SEPARATOR.finditer(text))
+        pieces = [(a.end(), b.start()) for a, b in zip(marks, marks[1:])]
+        if edit == "piece" and pieces:
+            a, b = draw(st.sampled_from(pieces))
+            c, d = draw(st.sampled_from(pieces))
+            indent = draw(st.sampled_from([None, 2]))
+            value = draw(st.one_of(st.just(text[c:d]), _BROKEN, _EVENT_VALUES.map(json.dumps),
+                                   _JSON_VALUES.map(lambda v: json.dumps(v, indent=indent))))
+            text = text[:a] + value + text[b:]
+        elif edit in ("insert", "delete"):
+            at = draw(st.integers(0, len(text) - 1))
+            if edit == "delete":
+                text = text[:at] + text[at + 1:]
+            else:
+                inserted = draw(st.sampled_from([*_SEPARATORS, " ", "\n", "\t"]))
+                text = text[:at] + inserted + text[at:]
+        elif edit == "repeat" and len(marks) >= 5:
+            # a window runs from its opening's end to the start of its next opening or the end
+            starts = [m for m in marks if m.group() in (_OPEN, _NEXT)]
+            k = draw(st.integers(0, len(starts) - 1))
+            end = next((m.start() for m in marks if m.start() > starts[k].end()
+                        and m.group() in (_NEXT, _END)), len(text))
+            text = text[:end] + _NEXT + text[starts[k].end():end] + text[end:]
+        elif edit == "head" and _OPEN in text:
+            text = "{" + text[text.index(_OPEN):]
+        elif edit == "windows" and _OPEN in text:
+            cut = text.index(_OPEN)
+            text = text[:cut] + ',\n  "windows": ' + json.dumps(draw(_JSON_VALUES)) + text[cut:]
+        elif edit == "lines" and re.search('"lines": .*,\n  "n_qubits": ', text, re.DOTALL):
+            # the lines value, from its key to the n_qubits key, where edits left both
+            at = text.index('"lines": ') + len('"lines": ')
+            inner = draw(st.sampled_from(["[0.0]}]", "[]"]))
+            nested = '{"map": [0]' + _OPEN + inner + ', "n_lines": 1}'
+            text = text[:at] + nested + text[text.index(',\n  "n_qubits": ', at):]
+    return text
+
+
+class TestScheduleParser:
+    """Each writer's text is read piece by piece (:func:`_by_layout`), and every
+    text, edited or not, parses as the whole-document reader parses it: the same
+    schedule and lines, bit for bit, or the same message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=schedules(min_windows=1))
+    def test_hand_built_schedules_take_the_layout_path(self, case):
+        text = schedule_to_json(*case)
+        assert_layout_path(text)
+        assert_parses_as_whole(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=layout_texts())
+    def test_edited_texts_parse_as_whole(self, text):
+        assert_parses_as_whole(text)
+
+    @pytest.mark.parametrize("name", ["quantum_wire_schedule", "classical_wire_schedule"])
+    def test_golden_files_take_the_layout_path(self, name):
+        text = (pathlib.Path(__file__).parent / "golden" / f"{name}.json").read_text()
+        assert_layout_path(text)
+        assert_parses_as_whole(text)
+        assert schedule_to_json(*schedule_from_json(text)) == text
+
+    @pytest.mark.parametrize("n_qubits", [3, 4, 5, 8, 16, 41, 101, 256])
+    def test_generated_wires_take_the_layout_path(self, design, n_qubits):
+        spec = chain_for(design, n_qubits)
+        cases = [quantum_channel_schedule(spec, 2, design.t_ns, line_mode=mode)
+                 for mode in ("mod6", "mod3")]
+        if n_qubits % 2 == 0:
+            cases.append(classical_channel_schedule(spec, [1, 0, 1], design.t_ns))
+        for case in cases:
+            text = schedule_to_json(*case)
+            assert_layout_path(text)
+            assert_parses_as_whole(text)
+            assert _parsed(schedule_from_json, text)[:2] == case
+
+    def test_the_longest_wire_takes_the_layout_path(self, design):
+        # at the config cap only the round trip is checked: json.loads of the
+        # 52 MB text would hold several times its size
+        case = quantum_channel_schedule(chain_for(design, 1024), 1, design.t_ns)
+        text = schedule_to_json(*case)
+        _by_layout(text, json.JSONDecoder().decode)
+        assert schedule_from_json(text) == case
+        assert schedule_to_json(*schedule_from_json(text)) == text
+
+    def test_a_window_less_schedule_is_decoded_whole(self):
+        # by design: its text has no windows separator to cut at
+        text = schedule_to_json(PulseSchedule(3, (), (PulseEvent("read_reset", 1, 0),)))
+        with pytest.raises(ValueError):
+            _by_layout(text, json.JSONDecoder().decode)
+        assert_parses_as_whole(text)
+
+    def test_the_recursion_limit_falls_where_it_does_for_the_whole_text(self):
+        # an event's extra key nested near the limit: a piece is decoded at its
+        # depth in the file, so both readers refuse from the same depth on
+        text = schedule_to_json(PulseSchedule(2, (Window(0.0, 1.0, (0.0, 0.0),
+                                                         (PulseEvent("cnot_pulse", 0),)),)))
+        refused = []
+        for depth in range(sys.getrecursionlimit() // 2, sys.getrecursionlimit() + 5):
+            edited = text.replace('"kind"', '"x": ' + "[" * depth + "]" * depth + ', "kind"', 1)
+            assert_parses_as_whole(edited)
+            outcome = _parsed(schedule_from_json, edited)
+            refused.append(outcome[0] is ScheduleError and "recursion" in outcome[1])
+        assert not refused[0] and refused[-1]
 
 
 def assert_symbols_are_parked_or_data(schedule):
