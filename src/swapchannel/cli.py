@@ -504,10 +504,10 @@ def _load_config(ref: str) -> dict:
         text = resource.read_text(encoding="utf-8")
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"config {ref!r} is not valid JSON: {exc}") from exc
-    except ConfigError as exc:
+    except ConfigError as exc:  # a duplicate key; first, as it is a ValueError too
         raise ConfigError(f"config {ref!r}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # also an integer past the digit limit
+        raise ConfigError(f"config {ref!r} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"config {ref!r}: top level must be an object")
     return obj

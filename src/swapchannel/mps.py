@@ -17,12 +17,12 @@ qubit i's tensor is the right isometry ``B_i = Gamma_i lambda_(i+1)``, of
 shape ``(left bond, 2, right bond)``.  The tensors contract, left to right,
 to the amplitude vector (qubit 0 is the most significant bit), and
 ``lambda_i B_i`` is the state seen from qubit i, so a read touches one
-tensor and one bond.  A k-site unitary splits back from the right by k - 1
-SVDs of the lambda-weighted block, each keeping ``V^dagger`` and carrying
-the block times ``V`` on, so no lambda is divided by (Hastings, J. Math.
-Phys. 50, 095207 (2009)); singular values at or below ``TRUNCATION_RTOL`` of
-the largest are dropped.  No two sites share memory, so rows and dropped
-slices are written in place.
+tensor and one bond.  The blocks of a layer update one at a time: a k-site
+unitary splits back from the right by k - 1 SVDs of the lambda-weighted
+block, each keeping ``V^dagger`` and carrying the block times ``V`` on, so
+no lambda is divided by (Hastings, J. Math. Phys. 50, 095207 (2009));
+singular values at or below ``TRUNCATION_RTOL`` of the largest are dropped.
+No two sites share memory, so rows and dropped slices are written in place.
 """
 
 from __future__ import annotations
@@ -80,48 +80,36 @@ class MPS:
         """Squared norm of the state (1 for a normalised state)."""
         return float(np.vdot(self.tensors[0], self.tensors[0]).real)
 
-    def _svd(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-        """The thin SVD ``(s, vh)`` of each matrix of the stack ``m`` and how many
-        values each keeps, those above ``TRUNCATION_RTOL`` of its largest."""
-        _, s, vh = np.linalg.svd(m, full_matrices=False)
-        keep = []
-        for row in s.tolist():  # a few values per matrix: plain floats are faster
-            keep.append(sum(x > TRUNCATION_RTOL * row[0] for x in row))
-            if keep[-1] < len(row):
-                self.discarded_weight += sum(x * x for x in row[keep[-1]:]) / sum(x * x for x in row)
-        self.max_bond = max(self.max_bond, *keep)
-        return s, vh, keep
-
-    def _split(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The kept singular values and rows of ``V^dagger`` of one matrix."""
-        s, vh, (keep,) = self._svd(m[None])
-        return s[0, :keep], vh[0, :keep]
+    def _split(self, m: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The SVD of one matrix ``m`` with its rows weighted by ``left``, cut to
+        the singular values above ``TRUNCATION_RTOL`` of the largest: those
+        values, their rows of ``V^dagger`` and the unweighted ``m V`` on them
+        (by the whole ``V``, cut after, so a pair splits to :meth:`_rows`'s bits)."""
+        _, s, vh = np.linalg.svd(left[:, None] * m, full_matrices=False)
+        row = s.tolist()  # a few values: plain floats are faster
+        keep = sum(x > TRUNCATION_RTOL * row[0] for x in row)
+        if keep < len(row):
+            self.discarded_weight += sum(x * x for x in row[keep:]) / sum(x * x for x in row)
+        self.max_bond = max(self.max_bond, keep)
+        return s[:keep], vh[:keep], (m @ vh.conj().T)[:, :keep]
 
     def _update(self, ops: Sequence[np.ndarray], firsts: Sequence[int]) -> None:
-        """Apply ``k``-site unitaries on disjoint blocks of one shape starting at
-        ``firsts``: :meth:`_rows`, else one stacked product, k - 1 stacked splits."""
+        """Apply ``k``-site unitaries on disjoint blocks starting at ``firsts``:
+        :meth:`_rows` on the chain, else block by block, each contracted, times
+        its operator and split back from the right by k - 1 :meth:`_split` calls."""
         t, lam = self.tensors, self.lambdas
-        g, k = len(ops), ops[0].shape[0].bit_length() - 1
+        k = ops[0].shape[0].bit_length() - 1
         if t.chain is not None and k <= 2 and self._rows(np.array(ops), list(firsts), k):
             return
-        theta = np.array([t[a] for a in firsts])
-        dl, right = theta.shape[1], [t[firsts[0] + k - 1].shape[2]] * g
-        for i in range(1, k):
-            b = np.array([t[a + i] for a in firsts])
-            theta = theta.reshape(g, dl, -1, b.shape[1]) @ b.reshape(g, 1, b.shape[1], -1)
-        theta = np.array(ops)[:, None] @ theta.reshape(g, dl, 1 << k, -1)
-        for i in range(k - 1, 0, -1):  # none for 1-site blocks: nothing to split
-            left = np.array([lam[a] for a in firsts])[:, :, None, None]
-            dr = theta.shape[3]
-            s, vh, keep = self._svd((left * theta).reshape(g, dl << i, 2 * dr))
-            sites = vh.reshape(g, -1, 2, dr)
-            for j, a in enumerate(firsts):
-                t[a + i], lam[a + i] = sites[j, :keep[j], :, :right[j]], s[j, :keep[j]]
-            right = keep
-            theta = theta.reshape(g, dl << i, 2 * dr) @ vh.conj().transpose(0, 2, 1)
-            theta = theta.reshape(g, dl, 1 << i, -1)
-        for j, a in enumerate(firsts):
-            t[a] = theta[j, :, :, :right[j]]
+        for op, a in zip(ops, firsts):
+            theta, dl = t[a], len(lam[a])
+            for b in t[a + 1:a + k]:
+                theta = theta.reshape(-1, len(b)) @ b.reshape(len(b), -1)
+            theta = op @ theta.reshape(dl, 1 << k, -1)
+            for i in range(k - 1, 0, -1):  # none for 1-site blocks: nothing to split
+                lam[a + i], vh, theta = self._split(theta.reshape(dl << i, -1), lam[a].repeat(1 << i))
+                t[a + i] = vh.reshape(len(vh), 2, -1)
+            t[a] = theta.reshape(dl, 2, -1)
 
     def _rows(self, ops: np.ndarray, firsts: list, k: int) -> bool:
         """:meth:`_update` of 1- or 2-site blocks on the chain's rows, a pair split
@@ -137,7 +125,7 @@ class MPS:
         pairs = s.tolist()
         if any(s1 > TRUNCATION_RTOL * s0 for s0, s1 in pairs):
             return False
-        for s0, s1 in pairs:  # as _svd counts a dropped value
+        for s0, s1 in pairs:  # as _split counts a dropped value
             self.discarded_weight += s1 * s1 / (s0 * s0 + s1 * s1)
         x[0::2], x[1::2] = (theta @ vh.conj().transpose(0, 2, 1))[:, :, 0], vh[:, 0]
         chain.put(flat, x)
@@ -187,10 +175,10 @@ class MPS:
         so a frozen neighbour leaves it.  An operator that is not ``2^k x 2^k``
         for its ``k``-site block is refused before the state changes: the frozen
         neighbours' round-off slices are dropped once every operator passed.  Blocks
-        over tensors of the same shapes share one update, but for a block
-        over a neighbour two runs share, which goes on its own.
+        of one size share one :meth:`_update`, but for a block over a neighbour
+        two runs share, which goes on its own.
         """
-        n, t = self.n_qubits, self.tensors
+        n = self.n_qubits
         width = _integer(width, "width", low=1)
         for q in firsts:
             if type(q) is not int or not 0 <= q <= n - width:
@@ -213,9 +201,8 @@ class MPS:
             op, d = pulse(q, left, right), 2 << last - first
             if op.shape != (d, d):
                 raise ValueError(f"block [{first}, {last + 1}) needs a {d} x {d} operator, got {op.shape}")
-            # a block over a shared neighbour goes alone (key q); rows group by (size,), tensors by shapes
-            key = (q if first in shared or last in shared else (last - first,) if t.chain is not None
-                   else tuple(x.shape for x in t[first:last + 1]))
+            # a block over a shared neighbour goes alone, the others group by size
+            key = q if first in shared or last in shared else (last - first,)
             groups.setdefault(key, []).append((op, first))
         self._drop(drops)
         for blocks in groups.values():
@@ -241,9 +228,9 @@ class MPS:
         rest = evecs[:, int(np.argmax(evals))].conj() @ t[qubit]
         core = rest / np.linalg.norm(rest)
         if rest.size > 1:
-            s, vh = self._split(lam[qubit][:, None] * rest)
+            s, vh, core = self._split(rest, lam[qubit])
             norm = np.linalg.norm(s)
-            core = rest @ vh.conj().T / norm
+            core = core / norm
             if rest.shape[0] > 1:
                 lam[qubit] = s / norm
                 self._sweep_left(qubit - 1, core)
@@ -261,8 +248,8 @@ class MPS:
         t, lam = self.tensors, self.lambdas
         while len(lam[site]) > 1:
             b = (t[site].reshape(-1, len(g)) @ g).reshape(len(lam[site]), -1)
-            lam[site], vh = self._split(lam[site][:, None] * b)
-            t[site], g = vh.reshape(len(vh), 2, -1), b @ vh.conj().T
+            lam[site], vh, g = self._split(b, lam[site])
+            t[site] = vh.reshape(len(vh), 2, -1)
             site -= 1
         t[site] = (t[site].reshape(-1, len(g)) @ g).reshape(1, 2, -1)
 
@@ -271,9 +258,9 @@ class MPS:
         values from there rightward, up to the first bond of dimension 1."""
         t, lam = self.tensors, self.lambdas
         while len(lam[site + 1]) > 1:
-            b = (g @ t[site].reshape(g.shape[1], -1)).reshape(len(g), 2, -1)
-            lam[site + 1], vh = self._split((lam[site][:, None, None] * b).reshape(2 * len(g), -1))
-            t[site], g = b @ vh.conj().T, vh
+            b = (g @ t[site].reshape(g.shape[1], -1)).reshape(2 * len(g), -1)
+            lam[site + 1], g, b = self._split(b, lam[site].repeat(2))
+            t[site] = b.reshape(-1, 2, len(g))
             site += 1
         t[site] = (g @ t[site].reshape(g.shape[1], -1)).reshape(len(g), 2, 1)
 

@@ -18,7 +18,8 @@ It has two modes:
   form (:class:`~swapchannel.mps.MPS`), so a wire costs O(L), not O(2^L).
   :meth:`~swapchannel.mps.MPS.apply_layer` pulses a window as one layer of
   distinct qubits, no two neighbours: a frozen neighbour leaves the pulse's
-  block (1-3 sites), and blocks of one shape share one product and SVD.  A
+  block (1-3 sites), and blocks of one size share one update: one stacked
+  product and 2x2 SVD on the rows of a product state, else block by block.  A
   quantum run pulses each swap triple with parked outer neighbours as one
   layer of pairs, each block the product of the pair's three pulses.
   A reset keeps the read qubit's dominant local branch, so an entangled

@@ -853,7 +853,7 @@ def schedule_from_json(text: str) -> tuple[PulseSchedule, LineAssignment | None]
     except (ValueError, RecursionError):
         try:
             obj, columns = json.loads(text, parse_float=floats.__getitem__), None
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # also an integer past the digit limit
             raise ScheduleError(f"schedule file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != _FORMAT_TAG:
         raise ScheduleError(f"not a {_FORMAT_TAG} document")

@@ -376,6 +376,19 @@ class TestValidateRefusesBadScheduleFiles:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and str(path) in err and "not valid JSON" in err
 
+    def test_integer_past_the_digit_limit_names_the_file(self, capsys, tmp_path):
+        # json refuses an integer longer than the interpreter's int-string limit
+        # (4300 digits by default) with a plain ValueError, not a JSONDecodeError
+        _, out, _ = run_cli(capsys, "schedule", "--kind", "quantum", "--n-qubits", "5",
+                            "--n-states", "1")
+        head, tail = out.rsplit('"data_index": 0', 1)
+        path = tmp_path / "long.json"
+        path.write_text(f'{head}"data_index": {"9" * 5000}{tail}')
+        code, out, err = run_cli(capsys, "validate", "--schedule", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: schedule {str(path)!r}: schedule file is not valid JSON: ")
+        assert "digits" in err and err.count("\n") == 1
+
     def test_huge_qubit_count_without_windows_allocates_nothing(self, capsys, tmp_path):
         # nothing but n_qubits and the final events' qubits: no list of 10**400
         big = 10**400
@@ -905,6 +918,15 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
         assert code == 1
         assert err.startswith("error:") and str(path) in err and "not valid JSON" in err
+
+    def test_integer_past_the_digit_limit_names_the_config(self, capsys, tmp_path):
+        # as for a schedule file: json's plain ValueError is no traceback or bare line
+        path = tmp_path / "long.json"
+        path.write_text(f'{{"experiment": "quantum_wire", "t_ns": {"9" * 5000}}}')
+        code, out, err = run_cli(capsys, "run", "--config", str(path), "--out-dir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: config {str(path)!r} is not valid JSON: ")
+        assert "digits" in err and err.count("\n") == 1
 
     def test_unknown_config_name(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -2,9 +2,9 @@
 
 Generated quantum (mod6 and mod3) and classical schedule files are mutated:
 keys dropped, duplicated or given another type, values swapped for ``NaN`` or
-``Infinity`` literals, 400-digit integers or nested junk.  ``validate`` must
-exit 0 or 3 with a JSON report, or 1 with an ``error:`` line, and never
-raise.
+``Infinity`` literals, 400-digit integers, an integer past the interpreter's
+int-string limit or nested junk.  ``validate`` must exit 0 or 3 with a JSON
+report, or 1 with an ``error:`` line, and never raise.
 
 The bundled ``run`` configs, and a gate config with a sweep, are mutated the
 same way, and also gain extra keys and huge sizes.  ``run`` must exit 0 or 3
@@ -63,6 +63,11 @@ class Raw(str):
     """JSON text written as it is."""
 
 
+#: An integer longer than the int-string limit (4300 digits by default), which
+#: ``json`` refuses with a plain ValueError; as text, since ``json.dumps`` would too.
+LONG_INT = Raw("9" * 5000)
+
+
 def to_tree(value):
     if isinstance(value, dict):
         return Obj([k, to_tree(v)] for k, v in value.items())
@@ -95,7 +100,7 @@ scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 12),
-    st.sampled_from([10**400, -(10**400), 10**399 + 7]),
+    st.sampled_from([10**400, -(10**400), 10**399 + 7, LONG_INT]),
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(["", "inject", "read_reset", "cnot_pulse", "swapchannel-schedule/1"]),
     st.text(max_size=5),
@@ -196,6 +201,8 @@ config_junk = st.one_of(
     ),
     huge.map(lambda k: [0] * min(k, MAX_CONFIG_ITEMS + 1)),  # a long list
 )
+#: Junk for a whole config file, which may also hold an integer ``json`` refuses.
+file_junk = st.one_of(config_junk, st.just(LONG_INT))
 config_keys = st.sampled_from([
     "experiment", "t_ns", "m", "n", "mode", "eps_high_mhz", "outputs", "assertions",
     "n_qubits", "n_states", "states", "seed", "line_mode", "bits", "eps_grid", "extra",
@@ -216,11 +223,11 @@ def mutated_configs(draw) -> str:
             container.insert(i + 1, copy)
         elif op == "add":
             objects = [node for node, _ in places if isinstance(node, Obj)] + [tree]
-            draw(st.sampled_from(objects)).append([draw(config_keys), draw(config_junk)])
+            draw(st.sampled_from(objects)).append([draw(config_keys), draw(file_junk)])
         elif isinstance(container, Obj):
-            container[i] = [container[i][0], draw(config_junk)]
+            container[i] = [container[i][0], draw(file_junk)]
         else:
-            container[i] = draw(config_junk)
+            container[i] = draw(file_junk)
     return dump(tree)
 
 

@@ -69,7 +69,7 @@ def random_unitary(rng, dim):
 
 def apply_op(state, op, first):
     """``op``, a ``2^k x 2^k`` unitary in chain ordering, on the ``k`` adjacent
-    qubits from ``first``, in place, by the call it stands for: one stacked
+    qubits from ``first``, in place, by the call it stands for: one
     ``MPS._update``, the oracle ``CanonicalMPS``'s own ``apply``, or a dense
     factor replaced by the oracle's local einsum."""
     if isinstance(state, MPS):
@@ -78,6 +78,18 @@ def apply_op(state, op, first):
         state.apply(op, first)
     else:
         state._store(apply_local_unitary(state, op, first).data)
+
+
+def _spy_updates(monkeypatch, mps) -> tuple[list, list]:
+    """Spies on the updates from here on: each ``MPS._update`` group's first
+    qubits, and before each ``MPS._split``, the sites of ``mps`` written so far
+    (a tensor assigned since this call), which shows the order of the splits."""
+    groups, written, before = [], [], list(mps.tensors)
+    update, split = MPS._update, MPS._split
+    monkeypatch.setattr(MPS, "_update", lambda self, o, f: groups.append(list(f)) or update(self, o, f))
+    monkeypatch.setattr(MPS, "_split", lambda self, *a: written.append(
+        [j for j, x in enumerate(self.tensors) if x is not before[j]]) or split(self, *a))
+    return groups, written
 
 
 def _live_at(state, qubits):
@@ -168,7 +180,7 @@ class TestMPS:
         # three pulses whose 3-site neighbourhoods are disjoint commute, so
         # the layer reads the same whatever the order of its targets; their
         # neighbours are live, so the ends' pulses span 2 sites and share one
-        # stacked update
+        # update
         n = 9
         ops = {0: random_unitary(rng, 4), 4: random_unitary(rng, 8), 8: random_unitary(rng, 4)}
         dense = _live_at(QuantumState.ground(n), (1, 3, 5, 7))
@@ -304,9 +316,10 @@ class TestMPS:
         mps.apply_layer([2], lambda q, left, right: np.eye(2))
         assert mps.discarded_weight == 1e-16**2 and not mps.tensors[1][:, 1].any()
 
-    def test_blocks_over_unequal_bonds_update_apart(self, rng, monkeypatch):
-        # blocks of one width whose bonds differ are grouped apart, so each
-        # stacked update covers tensors of one shape
+    def test_blocks_over_unequal_bonds_update_one_by_one(self, rng, monkeypatch):
+        # blocks of one size form one group whatever their bonds; off the
+        # chain each is split back from the right, one split per inner bond,
+        # before the next block is contracted
         n = 10
         mps, dense = MPS.ground(n), QuantumState.ground(n)
         for first in (0, 1, 2, 6):  # bonds 1-4 grow to 2, 4, 4, 2 and bond 7 to 2
@@ -315,13 +328,12 @@ class TestMPS:
             dense = apply_local_unitary(dense, u, first)
         mps, dense = _live_at(mps, (9,)), _live_at(dense, (9,))  # every neighbour live
         ops = {q: random_unitary(rng, 8) for q in (2, 5, 8)}
-        groups, sides, update = [], [], MPS._update
-        monkeypatch.setattr(MPS, "_update", lambda self, o, f: groups.append(list(f))
-                            or update(self, o, f))
+        sides, (groups, written) = [], _spy_updates(monkeypatch, mps)
         mps.apply_layer(list(ops), lambda q, left, right: sides.append((left, right)) or ops[q])
         monkeypatch.undo()
         assert sides == [(None, None)] * 3
-        assert groups == [[1], [4], [7]]
+        assert groups == [[1, 4, 7]]
+        assert written == [[], [3], [1, 2, 3], [1, 2, 3, 6], [1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 9]]
         for q, op in ops.items():
             dense = apply_local_unitary(dense, op, q - 1)
         assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
@@ -969,22 +981,21 @@ class TestSwapTriples:
         assert built == []
         assert _snapshot(mps) == before
 
-    def test_runs_update_by_block_shape(self, rng, monkeypatch):
+    def test_runs_update_block_by_block(self, rng, monkeypatch):
         # a pair's block spans the pair and both outer neighbours when they
-        # are live; two such blocks with equal end tensors but unequal middle
-        # bonds update apart
+        # are live; two such blocks with unequal middle bonds form one group,
+        # updated one block at a time, each split back from the right
         n = 10
         mps, dense = _live_at(MPS.ground(n), (0, 3, 6, 9)), _live_at(QuantumState.ground(n), (0, 3, 6, 9))
         u = random_unitary(rng, 4)
         apply_op(mps, u, 1)  # bond 2 grows to 2
         dense = apply_local_unitary(dense, u, 1)
         ops = {1: random_unitary(rng, 16), 7: random_unitary(rng, 16)}
-        groups, update = [], MPS._update
-        monkeypatch.setattr(MPS, "_update", lambda self, o, f: groups.append(list(f))
-                            or update(self, o, f))
+        groups, written = _spy_updates(monkeypatch, mps)
         mps.apply_layer(list(ops), lambda q, left, right: ops[q], 2)
         monkeypatch.undo()
-        assert groups == [[0], [6]]
+        assert groups == [[0, 6]]
+        assert written == [[], [3], [2, 3], [0, 1, 2, 3], [0, 1, 2, 3, 9], [0, 1, 2, 3, 8, 9]]
         for q, op in ops.items():
             dense = apply_local_unitary(dense, op, q - 1)
         assert_allclose(mps_vector(mps), dense.data[:, 0], rtol=0, atol=1e-12)
@@ -1055,6 +1066,32 @@ class TestChain:
             roots[id(t)] = t.nbytes
         assert mps.max_bond == 1
         assert sum(roots.values()) <= 2 * n * 2 * np.dtype(complex).itemsize
+
+    @pytest.mark.parametrize("kind, n_qubits, n_states, line_mode", [
+        ("quantum", 15, 4, "mod6"), ("quantum", 16, 2, "mod6"), ("quantum", 64, 8, "mod6"),
+        ("quantum", 64, 8, "mod3"), ("classical", 64, None, None)])
+    def test_designed_wires_update_only_the_chain_rows(self, design, rng, monkeypatch, mps_spy,
+                                                       kind, n_qubits, n_states, line_mode):
+        # every swap triple and copy pulse of a designed wire leaves a product
+        # state, so every update runs on the chain's rows, no single-matrix
+        # split runs, and the chain is still there at the end
+        spec = chain_for(design, n_qubits, eps_high=snapped_hold_bias(design.delta_mhz, design.t_ns))
+        on_chain, splits, update, split = [], [], MPS._update, MPS._split
+        monkeypatch.setattr(MPS, "_update", lambda self, o, f: on_chain.append(
+            self.tensors.chain is not None) or update(self, o, f))
+        monkeypatch.setattr(MPS, "_split", lambda self, *a: splits.append(a) or split(self, *a))
+        if kind == "quantum":
+            sch, _ = quantum_channel_schedule(spec, n_states, design.t_ns, line_mode=line_mode)
+            report = run_quantum_channel(spec, sch, _random_states(rng, n_states), mode="reduced")
+            assert_allclose(report.min_fidelity_corrected, 1.0, rtol=0, atol=1e-12)
+        else:
+            bits = [1, 0, 1]
+            sch, _ = classical_channel_schedule(spec, bits, design.t_ns)
+            assert run_classical_channel(spec, sch, bits, mode="reduced").bits_out == tuple(bits)
+        (mps,) = mps_spy
+        assert len(on_chain) > 0 and all(on_chain)
+        assert splits == []
+        assert mps.tensors.chain is not None and mps.max_bond == 1
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 7))
